@@ -23,8 +23,7 @@ import numpy as np
 
 from . import budget, gates, jc
 from .lindblad import (
-    RK4_FIXED,
-    RK45_ADAPTIVE,
+    EXACT,
     DecaySpec,
     IntegrationError,
     IntegratorConfig,
@@ -52,6 +51,18 @@ def _fmt(x: float) -> str:
     return f"{x:.11e}"
 
 
+def _finite_float(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError("must be finite")
+    return value
+
+
+def _finite_floats(raw: str) -> tuple[float, ...]:
+    """Comma-separated list of finite floats; blank entries are skipped."""
+    return tuple(_finite_float(tok) for tok in raw.split(",") if tok.strip())
+
+
 def _non_negative_int(raw: str) -> int:
     value = int(raw)
     if value < 0:
@@ -61,15 +72,14 @@ def _non_negative_int(raw: str) -> int:
 
 # key -> (converter, default); _REQUIRED means the key must be supplied.
 _COMMON_INTEGRATOR_KEYS = {
-    "method": (str, RK45_ADAPTIVE),
+    "method": (str, EXACT),
     "step_count": (_non_negative_int, 1000),
-    "rtol": (float, 1e-10),
 }
 
 KEY_SCHEMAS: dict[str, dict] = {
     "simulate": {
-        "theta": (float, math.pi),
-        "ratio": (float, 0.0),
+        "theta": (_finite_float, math.pi),
+        "ratio": (_finite_float, 0.0),
         "start": (str, "ground"),
         "samples": (_non_negative_int, 200),
         "format": (str, "csv"),
@@ -78,28 +88,28 @@ KEY_SCHEMAS: dict[str, dict] = {
     "sweep": {
         "gate": (str, "pi"),
         "start": (str, "ground"),
-        "ratio_min": (float, 1e-5),
-        "ratio_max": (float, 1e-3),
+        "ratio_min": (_finite_float, 1e-5),
+        "ratio_max": (_finite_float, 1e-3),
         "points": (_non_negative_int, 8),
         "format": (str, "csv"),
         **_COMMON_INTEGRATOR_KEYS,
     },
     "budget": {
-        "wavelength": (float, _REQUIRED),
-        "mode_area": (float, _REQUIRED),
-        "dipole": (float, _REQUIRED),
-        "field_amplitude": (float, _REQUIRED),
-        "epsilon": (float, 1e-4),
-        "duration": (float, None),
-        "raman_detuning": (float, None),
+        "wavelength": (_finite_float, _REQUIRED),
+        "mode_area": (_finite_float, _REQUIRED),
+        "dipole": (_finite_float, _REQUIRED),
+        "field_amplitude": (_finite_float, _REQUIRED),
+        "epsilon": (_finite_float, 1e-4),
+        "duration": (_finite_float, None),
+        "raman_detuning": (_finite_float, None),
         "area_sweep_points": (_non_negative_int, 7),
-        "area_sweep_max_factor": (float, 1e6),
+        "area_sweep_max_factor": (_finite_float, 1e6),
         "format": (str, "text"),
     },
     "compare": {
         "gate": (str, "pi"),
         "start": (str, "ground"),
-        "n_bars": (str, "100,400,1600"),
+        "n_bars": (_finite_floats, (100.0, 400.0, 1600.0)),
         "format": (str, "csv"),
         **_COMMON_INTEGRATOR_KEYS,
     },
@@ -154,12 +164,9 @@ def _coerce(command: str, raw: dict[str, str]) -> dict:
 
 def _integrator_config(cfg: dict, record_trajectory: bool = False,
                        sample_count: int = 200) -> IntegratorConfig:
-    if cfg["method"] not in (RK4_FIXED, RK45_ADAPTIVE):
-        raise ConfigError(f"unknown method {cfg['method']!r}")
     return IntegratorConfig(
         method=cfg["method"],
         step_count=cfg["step_count"],
-        rtol=cfg["rtol"],
         record_trajectory=record_trajectory,
         sample_count=sample_count,
     )
@@ -218,9 +225,8 @@ def run_sweep(cfg: dict) -> str:
     ratios = np.logspace(
         math.log10(cfg["ratio_min"]), math.log10(cfg["ratio_max"]), cfg["points"]
     )
-    config = _integrator_config(cfg)
-    coeff = gates.extract_coefficient(experiment, ratios, config)
-    probabilities = gates.sweep_failure_probabilities(experiment, ratios, config)
+    probabilities = gates.sweep_failure_probabilities(experiment, ratios, _integrator_config(cfg))
+    coeff = gates.fit_coefficient(experiment.pulse_area, ratios, probabilities)
 
     lines = ["ratio,p"]
     for ratio, p in zip(ratios, probabilities):
@@ -349,10 +355,7 @@ def run_compare(cfg: dict) -> str:
     _require_csv(cfg, "compare")
     theta = _gate_area(cfg["gate"])
     state = _start_state(cfg["start"])
-    try:
-        n_bars = [float(tok) for tok in cfg["n_bars"].split(",") if tok.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"invalid n_bars list {cfg['n_bars']!r}: {exc}") from exc
+    n_bars = cfg["n_bars"]
     if not n_bars:
         raise ConfigError("n_bars must list at least one photon number")
     if any(nb < 25 for nb in n_bars):

@@ -2,12 +2,12 @@
 first-order scaling in the decay-to-drive ratio.
 
 A gate is a resonant pulse of area theta applied to a chosen initial state.
-Its failure probability is one minus the fidelity against the decay-free
-evolution of the same Hamiltonian, so p(ratio=0) = 0 by construction and
-p = c * (kappa / g_alpha) to first order.  ``extract_coefficient`` measures c
-by a through-origin fit over a perturbative ratio grid and converts it to the
-photon-number form p = c' / nbar using c' = c * theta / 2 (see
-``budget.photon_coefficient``).
+Its failure probability is the population left in the state orthogonal to
+the decay-free output of the same Hamiltonian, so p(ratio=0) = 0 by
+construction and p = c * (kappa / g_alpha) to first order.
+``extract_coefficient`` measures c by a through-origin fit over a
+perturbative ratio grid and converts it to the photon-number form
+p = c' / nbar using c' = c * theta / 2 (see ``budget.photon_coefficient``).
 """
 
 from __future__ import annotations
@@ -20,10 +20,9 @@ from . import budget
 from .lindblad import (
     LASER_MODES_KAPPA,
     ALL_VACUUM_GAMMA,
-    DecaySpec,
     IntegratorConfig,
     PulseSpec,
-    evolve,
+    final_states,
 )
 from .qcore import InvalidStateError, PureState, fidelity_pure, make_operator
 
@@ -91,15 +90,12 @@ def failure_probability(experiment: GateExperiment, ratio: float,
     Returns
     -------
     float
-        p = 1 - <psi_target| rho(T) |psi_target> in [0, 1], where the target
-        is the decay-free evolution of the same initial state.
+        p = <psi_perp| rho(T) |psi_perp> in [0, 1], where psi_perp is
+        orthogonal to the decay-free evolution of the same initial state.
+        For a unit-trace rho this equals 1 - <psi_target| rho(T) |psi_target>
+        without the cancellation.
     """
-    if ratio < 0:
-        raise InvalidStateError(f"ratio must be >= 0, got {ratio}")
-    pulse = PulseSpec(drive_coupling=1.0, pulse_area=experiment.pulse_area)
-    decay = DecaySpec(rate=ratio, label=experiment.decay_label)
-    result = evolve(experiment.initial_state.to_density(), pulse, decay, config)
-    return 1.0 - fidelity_pure(result.final, ideal_target(experiment))
+    return float(sweep_failure_probabilities(experiment, [ratio], config)[0])
 
 
 def default_ratio_grid(count: int = 8) -> np.ndarray:
@@ -122,12 +118,22 @@ def extract_coefficient(experiment: GateExperiment, ratios=None,
     Returns
     -------
     ErrorCoefficient
-        Through-origin least-squares slope c, its photon-number counterpart
-        c' = c * theta / 2, and the fit residual.  ``degraded_fit`` is set when
-        the residual exceeds 1e-3 * c instead of raising.
+        See :func:`fit_coefficient`.
     """
     if ratios is None:
         ratios = default_ratio_grid()
+    p = sweep_failure_probabilities(experiment, ratios, config)
+    return fit_coefficient(experiment.pulse_area, ratios, p)
+
+
+def fit_coefficient(pulse_area: float, ratios, probabilities) -> ErrorCoefficient:
+    """Fit p = c * ratio through the origin over a perturbative sweep.
+
+    ``ratios`` must hold at least four strictly increasing positive values,
+    all <= 1e-2.  Returns the least-squares slope c, its photon-number
+    counterpart c' = c * theta / 2, and the fit residual; ``degraded_fit`` is
+    set when the residual exceeds 1e-3 * c instead of raising.
+    """
     r = np.asarray(ratios, dtype=float)
     if r.size < 4:
         raise InvalidStateError(f"need at least 4 sweep ratios, got {r.size}")
@@ -137,10 +143,10 @@ def extract_coefficient(experiment: GateExperiment, ratios=None,
         raise InvalidStateError(
             f"ratio {r.max():g} exceeds the perturbative bound {PERTURBATIVE_RATIO_MAX:g}"
         )
-    p = np.array([failure_probability(experiment, ri, config) for ri in r])
+    p = np.asarray(probabilities, dtype=float)
     c = float(np.dot(p, r) / np.dot(r, r))  # least squares through the origin
     residual = float(np.sqrt(np.mean((p / r - c) ** 2)))
-    c_prime = budget.photon_coefficient(c, experiment.pulse_area)
+    c_prime = budget.photon_coefficient(c, pulse_area)
     return ErrorCoefficient(
         coefficient_vs_ratio=c,
         coefficient_vs_photons=c_prime,
@@ -151,5 +157,10 @@ def extract_coefficient(experiment: GateExperiment, ratios=None,
 
 def sweep_failure_probabilities(experiment: GateExperiment, ratios,
                                 config: IntegratorConfig = IntegratorConfig()) -> np.ndarray:
-    """p(ratio) over an arbitrary non-negative grid (no perturbative restriction)."""
-    return np.array([failure_probability(experiment, ri, config) for ri in np.asarray(ratios)])
+    """p(ratio) over an arbitrary non-negative grid (no perturbative restriction),
+    from one batched :func:`lindblad.final_states` call."""
+    pulse = PulseSpec(drive_coupling=1.0, pulse_area=experiment.pulse_area)
+    finals = final_states(experiment.initial_state.to_density(), pulse, ratios, config)
+    target = ideal_target(experiment).amplitudes
+    orthogonal = PureState(np.array([-np.conj(target[1]), np.conj(target[0])]))
+    return np.array([fidelity_pure(rho, orthogonal) for rho in finals])

@@ -9,12 +9,16 @@ with hbar = 1 and the drive on resonance in the rotating frame.  The drive
 coupling ``g_alpha`` sets the Rabi frequency Omega_R = 2 g_alpha, so a pulse
 of area theta lasts T = theta / (2 g_alpha).
 
-Internally the integrators work in scaled time tau = g_alpha * t, where the
+Internally the solvers work in scaled time tau = g_alpha * t, where the
 dynamics depend only on the single dimensionless ratio kappa / g_alpha.
+Within a pulse the equation is linear with constant coefficients, so the
+default ``exact`` method maps vec(rho) through exp(L * tau) with the 4x4
+Liouvillian L; ``rk4_fixed`` steps the same equation with classical RK4.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,24 +31,33 @@ from .qcore import DensityMatrix, InvalidStateError, make_operator, max_abs
 LASER_MODES_KAPPA = "laser_modes_kappa"
 ALL_VACUUM_GAMMA = "all_vacuum_gamma"
 
+EXACT = "exact"
 RK4_FIXED = "rk4_fixed"
-RK45_ADAPTIVE = "rk45_adaptive"
-
-# Default adaptive tolerance: gate errors of interest are ~1e-3..1e-7, so the
-# integration error is kept at least two orders below that range.
-DEFAULT_RTOL = 1e-10
 
 _SIGMA_MINUS = make_operator("sigma_minus", 2)
 _SIGMA_X = make_operator("sigma_x", 2)
 _PROJ_EXCITED = make_operator("projector_excited", 2)
+_I2 = make_operator("identity", 2)
+
+# Liouvillian in scaled time, L = _L_DRIVE + (kappa/g_alpha) * _L_DECAY, acting
+# on row-major vec(rho): vec(A X B) = (A kron B^T) vec(X).
+_L_DRIVE = -1j * (np.kron(_SIGMA_X, _I2) - np.kron(_I2, _SIGMA_X.T))
+_L_DECAY = np.kron(_SIGMA_MINUS, _SIGMA_MINUS.conj()) - 0.5 * (
+    np.kron(_PROJ_EXCITED, _I2) + np.kron(_I2, _PROJ_EXCITED.T)
+)
+
+# [13/13] Pade coefficients b_0..b_13, and the 1-norm up to which that
+# approximant reaches double-precision roundoff (Higham 2005, Table 2.3).
+_PADE_13 = (
+    64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+    1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+    33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0,
+)
+_THETA_13 = 5.371920351148152
 
 
 class IntegrationError(RuntimeError):
-    """Adaptive step size underflowed; carries the last time reached."""
-
-    def __init__(self, message: str, last_good_time: float):
-        super().__init__(message)
-        self.last_good_time = last_good_time
+    """The pulse propagator is not finite; reported as a numerical failure."""
 
 
 @dataclass(frozen=True)
@@ -55,10 +68,12 @@ class PulseSpec:
     pulse_area: float
 
     def __post_init__(self):
-        if self.drive_coupling < 0:
-            raise InvalidStateError(f"drive_coupling must be >= 0, got {self.drive_coupling}")
-        if self.pulse_area < 0:
-            raise InvalidStateError(f"pulse_area must be >= 0, got {self.pulse_area}")
+        if not (math.isfinite(self.drive_coupling) and self.drive_coupling >= 0):
+            raise InvalidStateError(
+                f"drive_coupling must be finite and >= 0, got {self.drive_coupling}"
+            )
+        if not (math.isfinite(self.pulse_area) and self.pulse_area >= 0):
+            raise InvalidStateError(f"pulse_area must be finite and >= 0, got {self.pulse_area}")
         if self.pulse_area > 0 and self.drive_coupling == 0:
             raise InvalidStateError("nonzero pulse area requires drive_coupling > 0")
 
@@ -81,29 +96,28 @@ class DecaySpec:
     label: str = LASER_MODES_KAPPA
 
     def __post_init__(self):
-        if self.rate < 0:
-            raise InvalidStateError(f"decay rate must be >= 0, got {self.rate}")
+        if not (math.isfinite(self.rate) and self.rate >= 0):
+            raise InvalidStateError(f"decay rate must be finite and >= 0, got {self.rate}")
         if self.label not in (LASER_MODES_KAPPA, ALL_VACUUM_GAMMA):
             raise InvalidStateError(f"unknown decay label {self.label!r}")
 
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    method: str = RK45_ADAPTIVE
+    """Solver settings; ``step_count`` is read by ``rk4_fixed`` only."""
+
+    method: str = EXACT
     step_count: int = 1000
-    rtol: float = DEFAULT_RTOL
     record_trajectory: bool = False
     sample_count: int = 200
 
     def __post_init__(self):
-        if self.method not in (RK4_FIXED, RK45_ADAPTIVE):
+        if self.method not in (EXACT, RK4_FIXED):
             raise InvalidStateError(f"unknown integrator method {self.method!r}")
         if self.method == RK4_FIXED and self.step_count < 100:
             raise InvalidStateError(
                 f"rk4_fixed needs step_count >= 100 per pulse, got {self.step_count}"
             )
-        if self.method == RK45_ADAPTIVE and not (1e-12 <= self.rtol <= 1e-6):
-            raise InvalidStateError(f"rk45_adaptive rtol must be in [1e-12, 1e-6], got {self.rtol}")
         if self.sample_count < 1:
             raise InvalidStateError("sample_count must be >= 1")
 
@@ -169,70 +183,56 @@ def _rk4_segment(rho: np.ndarray, ratio: float, tau: float, steps: int) -> np.nd
     return rho
 
 
-# Dormand-Prince 5(4) embedded pair.
-_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_DP_A = [
-    [],
-    [1 / 5],
-    [3 / 40, 9 / 40],
-    [44 / 45, -56 / 15, 32 / 9],
-    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
-    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
-    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
-]
-_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_DP_B4 = np.array(
-    [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
-)
+def _expm(a: np.ndarray) -> np.ndarray:
+    """exp(A) for every matrix A in a stack of shape (k, n, n).
 
-
-def adaptive_rk45(deriv, y0: np.ndarray, t0: float, t1: float, rtol: float,
-                  min_step: float) -> np.ndarray:
-    """Embedded Dormand-Prince 5(4) integrator for complex array-valued ODEs.
-
-    ``deriv(t, y)`` must return an array of y's shape.  Raises
-    :class:`IntegrationError` if the accepted step falls below ``min_step``.
+    [13/13] Pade approximant with scaling and squaring (Higham, SIAM J.
+    Matrix Anal. Appl. 26, 1179 (2005)); each matrix gets its own number of
+    squarings.  No eigendecomposition: the Bloch generator has an exceptional
+    point at kappa/g_alpha = 8, where its eigenvectors become degenerate.
     """
-    span = t1 - t0
-    if span == 0.0:
-        return y0.copy()
-    y = y0.copy()
-    t = t0
-    h = span / 50.0
-    atol = 1e-14  # entries of rho are O(1); absolute floor guards zeros
-    while t < t1:
-        if h < min_step:
-            raise IntegrationError(
-                f"adaptive step underflow: h={h:.3e} below {min_step:.3e}", last_good_time=t
-            )
-        # the finishing step is clipped to the remaining span, however small
-        final = h >= t1 - t
-        h_step = t1 - t if final else h
-        ks = []
-        for i in range(7):
-            yi = y
-            for a, k in zip(_DP_A[i], ks):
-                yi = yi + (h_step * a) * k
-            ks.append(deriv(t + _DP_C[i] * h_step, yi))
-        y5 = y
-        for b, k in zip(_DP_B5, ks):
-            if b != 0.0:
-                y5 = y5 + (h_step * b) * k
-        err = np.zeros_like(y)
-        for b5, b4, k in zip(_DP_B5, _DP_B4, ks):
-            err = err + (h_step * (b5 - b4)) * k
-        scale = atol + rtol * max(max_abs(y), max_abs(y5))
-        err_norm = max_abs(err) / scale
-        if err_norm <= 1.0:
-            t = t1 if final else t + h_step
-            y = y5
-            if err_norm == 0.0:
-                h = h_step * 5.0
-            else:
-                h = h_step * min(5.0, max(0.2, 0.9 * err_norm ** -0.2))
-        else:
-            h = h_step * max(0.2, 0.9 * err_norm ** -0.2)
-    return y
+    b = _PADE_13
+    norms = np.abs(a).sum(axis=-2).max(axis=-1)
+    # 2**s >= norm / theta_13: the fewest squarings, one more at exact powers of two
+    squarings = np.maximum(np.frexp(norms / _THETA_13)[1], 0)
+    x = a / np.ldexp(1.0, squarings)[:, None, None]
+    ident = np.eye(a.shape[-1])
+    x2 = x @ x
+    x4 = x2 @ x2
+    x6 = x4 @ x2
+    u = x @ (
+        x6 @ (b[13] * x6 + b[11] * x4 + b[9] * x2)
+        + b[7] * x6 + b[5] * x4 + b[3] * x2 + b[1] * ident
+    )
+    v = (
+        x6 @ (b[12] * x6 + b[10] * x4 + b[8] * x2)
+        + b[6] * x6 + b[4] * x4 + b[2] * x2 + b[0] * ident
+    )
+    r = np.linalg.solve(v - u, v + u)
+    for k in range(int(squarings.max(initial=0))):
+        more = squarings > k
+        r[more] = r[more] @ r[more]
+    return r
+
+
+def _propagators(ratios, tau: float) -> np.ndarray:
+    """exp(L * tau) on row-major vec(rho), one 4x4 matrix per kappa/g_alpha
+    in ``ratios``, for a scaled duration ``tau`` = g_alpha * t.
+
+    Raises :class:`IntegrationError` if any propagator is not finite.
+    """
+    r = np.asarray(ratios, dtype=float).reshape(-1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        steps = _expm((_L_DRIVE + r[:, None, None] * _L_DECAY) * tau)
+    if not np.all(np.isfinite(steps)):
+        raise IntegrationError(
+            f"non-finite propagator for kappa/g_alpha up to {r.max():g} over tau={tau:g}"
+        )
+    return steps
+
+
+def _apply(step: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    return _hermitize((step @ rho.reshape(-1)).reshape(2, 2))
 
 
 def evolve(rho0: DensityMatrix, pulse: PulseSpec, decay: DecaySpec,
@@ -257,26 +257,37 @@ def evolve(rho0: DensityMatrix, pulse: PulseSpec, decay: DecaySpec,
     ratio = decay.rate / g
     tau_end = theta / 2.0  # scaled duration: g_alpha * T
     n_segments = config.sample_count if config.record_trajectory else 1
-
-    rho = rho0.matrix.copy()
-    samples: list[tuple[float, DensityMatrix]] = [(0.0, rho0)]
     tau_grid = np.linspace(0.0, tau_end, n_segments + 1)
-    if config.method == RK4_FIXED:
-        steps_per_segment = max(1, -(-config.step_count // n_segments))  # ceil division
-        for i in range(n_segments):
-            rho = _rk4_segment(rho, ratio, tau_grid[i + 1] - tau_grid[i], steps_per_segment)
-            if config.record_trajectory:
-                samples.append((tau_grid[i + 1] / g, DensityMatrix(rho)))
+    if config.method == EXACT:
+        step = _propagators([ratio], tau_end / n_segments)[0]
     else:
-        min_step = 1e-12 * tau_end
-        for i in range(n_segments):
-            rho = adaptive_rk45(
-                lambda _t, y: _rhs_scaled(y, ratio),
-                rho, tau_grid[i], tau_grid[i + 1], config.rtol, min_step,
-            )
-            rho = _hermitize(rho)
-            if config.record_trajectory:
-                samples.append((tau_grid[i + 1] / g, DensityMatrix(rho)))
+        steps_per_segment = max(1, -(-config.step_count // n_segments))  # ceil division
 
-    final = DensityMatrix(rho)
-    return EvolutionResult(final=final, trajectory=samples if config.record_trajectory else None)
+    rho = rho0.matrix
+    samples: list[tuple[float, DensityMatrix]] = [(0.0, rho0)]
+    for i in range(n_segments):
+        if config.method == EXACT:
+            rho = _apply(step, rho)
+        else:
+            rho = _rk4_segment(rho, ratio, tau_grid[i + 1] - tau_grid[i], steps_per_segment)
+        if config.record_trajectory:
+            samples.append((tau_grid[i + 1] / g, DensityMatrix(rho)))
+
+    if config.record_trajectory:
+        return EvolutionResult(final=samples[-1][1], trajectory=samples)
+    return EvolutionResult(final=DensityMatrix(rho))
+
+
+def final_states(rho0: DensityMatrix, pulse: PulseSpec, decay_rates,
+                 config: IntegratorConfig = IntegratorConfig()) -> list[DensityMatrix]:
+    """Final state of ``rho0`` after ``pulse`` for each rate in ``decay_rates``.
+
+    Same result as one :func:`evolve` per rate; the exact method builds all
+    propagators in one batched call.  Every final state is validated.
+    """
+    decays = [DecaySpec(rate=rate) for rate in np.asarray(decay_rates, dtype=float).reshape(-1)]
+    if config.method != EXACT or pulse.pulse_area == 0.0 or rho0.dim != 2:
+        return [evolve(rho0, pulse, decay, config).final for decay in decays]
+    ratios = [decay.rate / pulse.drive_coupling for decay in decays]
+    steps = _propagators(ratios, pulse.pulse_area / 2.0)
+    return [DensityMatrix(_apply(step, rho0.matrix)) for step in steps]

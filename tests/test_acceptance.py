@@ -211,7 +211,7 @@ def test_state_invariants_on_random_trajectories():
     trajectories_ok = worst_trace <= 1e-9 and worst_herm <= 1e-9 and worst_eig <= 1e-8
 
     worst_purity = 0.0
-    accurate = IntegratorConfig()  # adaptive at the default 1e-10 tolerance
+    accurate = IntegratorConfig()  # the default exact propagator
     for _ in range(100):
         amps = rng.normal(size=2) + 1j * rng.normal(size=2)
         psi = PureState(amps / np.linalg.norm(amps))

@@ -62,6 +62,11 @@ class TestSimulate:
         assert first == second
         assert b"\r" not in first  # LF only
 
+    @pytest.mark.parametrize("key", ["theta", "ratio"])
+    @pytest.mark.parametrize("value", ["inf", "nan", "-inf"])
+    def test_non_finite_input_is_config_error(self, tmp_path, key, value):
+        assert run(tmp_path, "simulate", f"--{key}", value)[0] == EXIT_CONFIG
+
     def test_decay_damps_purity(self, tmp_path):
         _, payload = run(tmp_path, "simulate", "--ratio", "0.2", "--samples", "10")
         purity = [float(line.split(",")[5]) for line in rows(payload)[1:]]
@@ -99,6 +104,19 @@ class TestSweep:
 
     def test_unknown_gate_rejected(self, tmp_path):
         assert run(tmp_path, "sweep", "--gate", "cnot")[0] == EXIT_CONFIG
+
+    def test_non_finite_input_is_config_error(self, tmp_path):
+        assert run(tmp_path, "sweep", "--ratio_min", "nan")[0] == EXIT_CONFIG
+        assert run(tmp_path, "sweep", "--ratio_max", "inf")[0] == EXIT_CONFIG
+
+    def test_fit_matches_printed_probabilities(self, tmp_path):
+        _, payload = run(tmp_path, "sweep", "--points", "16")
+        table = np.array([[float(x) for x in line.split(",")] for line in rows(payload)[1:]])
+        footer = comments(payload)[-1]
+        fields = dict(tok.split("=") for tok in footer[2:].split())
+        ratios, p = table.T
+        assert float(fields["c"]) == pytest.approx(np.dot(p, ratios) / np.dot(ratios, ratios),
+                                                   rel=1e-10)
 
 
 BUDGET_ARGS = [
@@ -177,6 +195,11 @@ class TestBudget:
         assert code == EXIT_OK
         assert report_values(payload)["epsilon"] == "1.00000000000e-02"
 
+    @pytest.mark.parametrize("key,value", [("wavelength", "nan"), ("epsilon", "inf"),
+                                           ("duration", "-inf")])
+    def test_non_finite_input_is_config_error(self, tmp_path, key, value):
+        assert run(tmp_path, *BUDGET_ARGS, f"--{key}", value)[0] == EXIT_CONFIG
+
     def test_malformed_config_line(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("wavelength 1e-6\n")
@@ -205,6 +228,10 @@ class TestCompare:
 
     def test_empty_grid_rejected(self, tmp_path):
         assert run(tmp_path, "compare", "--n_bars", "")[0] == EXIT_CONFIG
+
+    @pytest.mark.parametrize("n_bars", ["nan", "400,inf"])
+    def test_non_finite_photon_numbers_rejected(self, tmp_path, n_bars):
+        assert run(tmp_path, "compare", "--n_bars", n_bars)[0] == EXIT_CONFIG
 
     def test_small_photon_numbers_rejected(self, tmp_path):
         assert run(tmp_path, "compare", "--n_bars", "10,400")[0] == EXIT_CONFIG

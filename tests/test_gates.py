@@ -85,7 +85,7 @@ class TestFailureProbability:
         with pytest.raises(InvalidStateError):
             failure_probability(PI_FROM_GROUND, -1e-3)
 
-    def test_rk4_and_rk45_agree(self):
+    def test_rk4_and_exact_agree(self):
         cfg = IntegratorConfig(method=RK4_FIXED, step_count=2000)
         a = failure_probability(HALF_FROM_EXCITED, 1e-3)
         b = failure_probability(HALF_FROM_EXCITED, 1e-3, cfg)

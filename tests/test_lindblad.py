@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from lasergate.cli import EXIT_CONFIG, EXIT_NUMERIC, main
+from lasergate.gates import GateExperiment, sweep_failure_probabilities
 from lasergate.lindblad import (
     ALL_VACUUM_GAMMA,
     RK4_FIXED,
@@ -13,8 +15,8 @@ from lasergate.lindblad import (
     IntegrationError,
     IntegratorConfig,
     PulseSpec,
-    adaptive_rk45,
     evolve,
+    final_states,
     lindblad_rhs,
 )
 from lasergate.qcore import DensityMatrix, InvalidStateError, PureState
@@ -58,11 +60,14 @@ class TestSpecs:
         with pytest.raises(InvalidStateError):
             IntegratorConfig(method=RK4_FIXED, step_count=50)
 
-    def test_adaptive_tolerance_bounds(self):
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_inputs_rejected(self, bad):
         with pytest.raises(InvalidStateError):
-            IntegratorConfig(rtol=1e-5)
+            PulseSpec(1.0, bad)
         with pytest.raises(InvalidStateError):
-            IntegratorConfig(rtol=1e-13)
+            PulseSpec(bad, 1.0)
+        with pytest.raises(InvalidStateError):
+            DecaySpec(rate=bad)
 
 
 class TestRhs:
@@ -113,7 +118,7 @@ class TestEvolve:
         result = evolve(rho0, PulseSpec(1.0, 0.0), DecaySpec(0.3))
         assert np.array_equal(result.final.matrix, rho0.matrix)
 
-    @pytest.mark.parametrize("config", [IntegratorConfig(), RK4], ids=["rk45", "rk4"])
+    @pytest.mark.parametrize("config", [IntegratorConfig(), RK4], ids=["exact", "rk4"])
     def test_against_superoperator_exponential(self, config):
         rng = np.random.default_rng(5)
         for theta, ratio in [(math.pi, 1e-3), (math.pi / 2, 0.2), (2.1, 0.8), (5.0, 0.05)]:
@@ -219,23 +224,56 @@ class TestConvergenceOrder:
         assert 12.0 <= err_coarse / err_fine <= 20.0
 
 
-class TestAdaptiveStepper:
-    def test_step_underflow_raises_with_last_time(self):
-        # pole inside the integration window forces the step size to collapse
-        def singular(t, y):
-            return y / (0.55 - t)
+class TestExactPropagator:
+    STARTS = {
+        "ground": PureState.ground(),
+        "excited": PureState.excited(),
+        "plus": PureState.superposition(1.0, 1.0),
+        "tilted": PureState.superposition(0.3, 0.8 - 0.5j),
+    }
 
-        y0 = np.array([1.0 + 0.0j])
-        with pytest.raises(IntegrationError) as excinfo:
-            adaptive_rk45(singular, y0, 0.0, 1.0, rtol=1e-10, min_step=1e-12)
-        assert 0.0 < excinfo.value.last_good_time <= 0.55
+    @pytest.mark.parametrize("theta", [math.pi / 2, math.pi, 4 * math.pi])
+    def test_final_state_matches_scipy_expm(self, theta):
+        # 7.9, 8 and 8.1 bracket the exceptional point of the Bloch generator
+        ratios = [0.0, 1e-9, 1e-5, 7.9, 8.0, 8.1, 30.0, 1e3]
+        rho0 = PureState.superposition(1.0, 0.6 + 0.2j).to_density()
+        batched = final_states(rho0, PulseSpec(1.0, theta), ratios)
+        for ratio, got in zip(ratios, batched):
+            want = oracles.evolve_superop(rho0.matrix, theta, ratio)
+            single = evolve(rho0, PulseSpec(1.0, theta), DecaySpec(ratio)).final
+            assert np.max(np.abs(got.matrix - want)) <= 1e-12
+            assert np.max(np.abs(single.matrix - want)) <= 1e-12
 
-    def test_smooth_problem_matches_closed_form(self):
-        # y' = -2y from 1: y(t) = exp(-2 t)
-        got = adaptive_rk45(
-            lambda t, y: -2.0 * y, np.array([1.0 + 0.0j]), 0.0, 1.0, rtol=1e-10, min_step=1e-15
-        )
-        assert abs(got[0] - math.exp(-2.0)) <= 1e-9
+    @pytest.mark.parametrize("theta", [math.pi, math.pi / 2], ids=["pi", "pi2"])
+    @pytest.mark.parametrize("start", sorted(STARTS))
+    def test_no_decay_means_no_failure(self, theta, start):
+        experiment = GateExperiment(theta, self.STARTS[start])
+        assert sweep_failure_probabilities(experiment, [0.0])[0] <= 1e-14
+
+    def test_trajectory_applies_one_step_propagator(self):
+        rho0 = PureState.excited().to_density()
+        config = IntegratorConfig(record_trajectory=True, sample_count=64)
+        result = evolve(rho0, PulseSpec(2.0, 3.0), DecaySpec(0.5), config)
+        for t, rho in result.trajectory:
+            want = oracles.evolve_superop(rho0.matrix, 2.0 * 2.0 * t, 0.25)
+            assert np.max(np.abs(rho.matrix - want)) <= 1e-12
+        assert result.final is result.trajectory[-1][1]
+
+    def test_non_finite_propagator_is_integration_error(self, tmp_path):
+        rho0 = PureState.ground().to_density()
+        with pytest.raises(IntegrationError):
+            evolve(rho0, PulseSpec(1.0, math.pi), DecaySpec(1e308))
+        argv = ["simulate", "--ratio", "1e308", "--samples", "1", "--out", str(tmp_path / "o")]
+        assert main(argv) == EXIT_NUMERIC
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["simulate", "--method", "rk45_adaptive"], ["sweep", "--rtol", "1e-10"],
+         ["compare", "--rtol", "1e-8"]],
+        ids=["method", "rtol-sweep", "rtol-compare"],
+    )
+    def test_cli_rejects_removed_solver_keys(self, tmp_path, argv):
+        assert main([*argv, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
 
 
 class TestValidation:
