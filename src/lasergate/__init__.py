@@ -4,7 +4,18 @@ Simulates a resonantly driven two-level atom under Markovian decay, extracts
 gate failure probabilities and their photon-number scaling, evaluates the
 photon/energy budgets those errors imply, and cross-checks against an exact
 single-mode Jaynes-Cummings model.
+
+Every matrix here is 4 x 4 or smaller, so a BLAS thread pool only adds
+start-up cost and scheduling jitter: unless the caller has chosen otherwise,
+BLAS is kept to one thread.  This takes effect only if numpy is first
+imported through this package.
 """
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+del _var
 
 from .budget import (
     CODATA,
@@ -25,7 +36,7 @@ from .budget import (
     spontaneous_emission_margins,
 )
 from .gates import ErrorCoefficient, GateExperiment, extract_coefficient, failure_probability
-from .jc import CoherentField, JCSystem, jc_evolve, jc_gate_error
+from .jc import CoherentField, jc_evolve, jc_gate_error
 from .lindblad import (
     DecaySpec,
     EvolutionResult,
@@ -60,7 +71,6 @@ __all__ = [
     "IntegrationError",
     "IntegratorConfig",
     "InvalidStateError",
-    "JCSystem",
     "PhotonBudget",
     "PhysicalConstants",
     "PulseSpec",

@@ -362,11 +362,10 @@ def run_compare(cfg: dict) -> str:
         raise ConfigError("photon numbers must be >= 25 (semiclassical regime)")
 
     experiment = gates.GateExperiment(pulse_area=theta, initial_state=state)
-    config = _integrator_config(cfg)
+    ratios = [budget.drive_ratio_for_photons(theta, n_bar) for n_bar in n_bars]
+    markov = gates.sweep_failure_probabilities(experiment, ratios, _integrator_config(cfg))
     lines = ["model,gate,n_bar,p,p_times_n_bar"]
-    for n_bar in n_bars:
-        ratio = budget.drive_ratio_for_photons(theta, n_bar)
-        p_markov = gates.failure_probability(experiment, ratio, config)
+    for n_bar, p_markov in zip(n_bars, markov):
         p_jc = jc.jc_gate_error(theta, state, n_bar)
         for model, p in (("markov", p_markov), ("jc", p_jc)):
             lines.append(f"{model},{cfg['gate']},{_fmt(n_bar)},{_fmt(p)},{_fmt(p * n_bar)}")

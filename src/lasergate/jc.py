@@ -7,6 +7,15 @@ and summed over the (truncated, renormalized) Poisson amplitudes.  No ODE
 integration is involved, which removes one error source from the model
 comparison.
 
+Only the Poisson window n_min <= n <= n_max is evolved, with
+n_min = max(0, floor(nbar - 10 sqrt(nbar))) and by default
+n_max = ceil(nbar + 10 sqrt(nbar)) + 12: about 20 sqrt(nbar) levels, whatever
+nbar is.  The mass outside the window is bounded by the Chernoff bound
+exp(-nbar) (e nbar / k)^k, which holds for P(N <= k) with k < nbar and for
+P(N >= k) with k > nbar; it is below ~1e-21 for the default window and is
+required to stay below 1e-10.  The bound involves no cancellation, so a field
+is rejected only for a real truncation, never for rounding in 1 - sum(P_n).
+
 The semiclassical correspondence used throughout: a pulse of area theta lasts
 T = theta / (2 g sqrt(nbar)), i.e. the mean-field Rabi frequency is
 2 g sqrt(nbar), and the ideal target is the rotation exp(-i theta sigma_x / 2).
@@ -21,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qcore import DensityMatrix, InvalidStateError, PureState, fidelity_pure, make_operator
+from .qcore import DensityMatrix, InvalidStateError, PureState, make_operator
 
 POISSON_TAIL_TOL = 1e-10
 
@@ -34,18 +43,20 @@ class TruncationError(InvalidStateError):
     """Fock-space truncation leaves more than the allowed Poisson tail mass."""
 
 
-def _poisson_log_weights(n_bar: float, n_max: int) -> np.ndarray:
-    n = np.arange(n_max + 1, dtype=float)
-    return -n_bar + n * np.log(n_bar) - np.cumsum(np.concatenate(([0.0], np.log(n[1:]))))
+def _log_chernoff(n_bar: float, k: int) -> float:
+    """log of exp(-nbar) (e nbar / k)^k, which bounds P(N <= k) for k < nbar
+    and P(N >= k) for k > nbar."""
+    return -n_bar + k - (k * math.log(k / n_bar) if k else 0.0)
 
 
 @dataclass(frozen=True)
 class CoherentField:
-    """Coherent field of real amplitude alpha, truncated at ``n_max`` photons.
+    """Coherent field of real amplitude alpha, kept on Fock levels n_min..n_max.
 
-    The default truncation n_max = ceil(nbar + 10 sqrt(nbar)) + 12 keeps the
-    discarded Poisson tail below 1e-10 for any nbar; an explicit n_max must
-    satisfy n_max >= nbar + 10 sqrt(nbar) and the same tail bound.
+    ``n_min`` = max(0, floor(nbar - 10 sqrt(nbar))) is derived from alpha.  The
+    default truncation n_max = ceil(nbar + 10 sqrt(nbar)) + 12; an explicit
+    n_max must satisfy n_max >= nbar + 10 sqrt(nbar).  Either way the Chernoff
+    bound on the Poisson mass outside [n_min, n_max] must stay below 1e-10.
     """
 
     alpha: float
@@ -62,52 +73,52 @@ class CoherentField:
             raise TruncationError(
                 f"n_max={self.n_max} below nbar + 10 sqrt(nbar) = {floor:.2f}"
             )
-        tail = self._tail_mass()
+        tail = self._tail_bound()
         if tail > POISSON_TAIL_TOL:
-            raise TruncationError(f"Poisson tail beyond n_max is {tail:.3e} > {POISSON_TAIL_TOL}")
+            raise TruncationError(
+                f"Poisson mass outside [{self.n_min}, {self.n_max}] may reach "
+                f"{tail:.3e} > {POISSON_TAIL_TOL}"
+            )
 
-    def _tail_mass(self) -> float:
-        if self.alpha == 0.0:
+    def _tail_bound(self) -> float:
+        n_bar = self.alpha ** 2
+        if n_bar == 0.0:
             return 0.0
-        kept = np.exp(_poisson_log_weights(self.alpha ** 2, self.n_max)).sum()
-        return float(max(0.0, 1.0 - kept))
+        lower = math.exp(_log_chernoff(n_bar, self.n_min - 1)) if self.n_min > 0 else 0.0
+        return lower + math.exp(_log_chernoff(n_bar, self.n_max + 1))
 
     @property
     def mean_photons(self) -> float:
         return self.alpha ** 2
 
+    @property
+    def n_min(self) -> int:
+        """Lowest Fock level kept: max(0, floor(nbar - 10 sqrt(nbar)))."""
+        n_bar = self.alpha ** 2
+        return max(0, math.floor(n_bar - 10.0 * math.sqrt(n_bar)))
+
     def amplitudes(self) -> np.ndarray:
-        """Renormalized Fock amplitudes sqrt(P_n), n = 0..n_max."""
-        if self.alpha == 0.0:
+        """Renormalized Fock amplitudes sqrt(P_n), n = n_min..n_max."""
+        n_bar, n_lo = self.alpha ** 2, self.n_min
+        if n_bar == 0.0:
             out = np.zeros(self.n_max + 1)
             out[0] = 1.0
             return out
-        w = np.exp(_poisson_log_weights(self.alpha ** 2, self.n_max))
-        w /= w.sum()
-        return np.sqrt(w)
+        # log P_n = log P_{n_min} + sum_{k = n_min+1}^{n} log(nbar / k)
+        steps = np.log(n_bar / np.arange(n_lo + 1, self.n_max + 1, dtype=float))
+        log_w = np.concatenate(([0.0], np.cumsum(steps)))
+        log_w += -n_bar + n_lo * math.log(n_bar) - math.lgamma(n_lo + 1.0)
+        w = np.exp(log_w)
+        return np.sqrt(w / w.sum())
 
 
-@dataclass(frozen=True)
-class JCSystem:
-    """Atom-field coupling g (1/time, scaled) with a coherent field."""
+def _joint_state(atom_start: PureState, field: CoherentField, g: float,
+                 duration: float) -> tuple[np.ndarray, np.ndarray]:
+    """Normalized joint state after the pulse, as ground and excited amplitude
+    arrays on the shared Fock levels n_min - 1 .. n_max + 1.
 
-    coupling: float
-    field: CoherentField
-
-    def __post_init__(self):
-        if self.coupling <= 0:
-            raise InvalidStateError(f"coupling must be > 0, got {self.coupling}")
-
-    def evolve(self, atom_start: PureState, duration: float) -> DensityMatrix:
-        return jc_evolve(atom_start, self.field, self.coupling, duration)
-
-
-def jc_evolve(atom_start: PureState, field: CoherentField, g: float,
-              duration: float) -> DensityMatrix:
-    """Joint unitary evolution for one pulse; returns the reduced atomic state.
-
-    The b-amplitude array carries one extra Fock level so the top sector stays
-    unitary; the joint norm is checked to 1e-9 before tracing out the field.
+    The extra level at each end closes the window under the sector pairing;
+    the joint norm is checked to 1e-9.
     """
     if atom_start.dim != 2:
         raise InvalidStateError("atomic state must be two-level")
@@ -122,30 +133,38 @@ def jc_evolve(atom_start: PureState, field: CoherentField, g: float,
             "collapse/revival dynamics are out of scope"
         )
 
-    n_max = field.n_max
     amps = field.amplitudes()
-    c_ground = np.zeros(n_max + 2, dtype=complex)   # |b, n>, n = 0..n_max+1
-    c_excited = np.zeros(n_max + 1, dtype=complex)  # |a, n>, n = 0..n_max
-    c_ground[: n_max + 1] = atom_start.amplitudes[0] * amps
-    c_excited[: n_max + 1] = atom_start.amplitudes[1] * amps
+    ground = np.zeros(amps.size + 2, dtype=complex)
+    excited = np.zeros(amps.size + 2, dtype=complex)
+    ground[1:-1] = atom_start.amplitudes[0] * amps
+    excited[1:-1] = atom_start.amplitudes[1] * amps
 
-    # sector (|b, n+1>, |a, n>) rotates at angle g sqrt(n+1) t
-    phi = g * duration * np.sqrt(np.arange(1, n_max + 2, dtype=float))
+    # sector (|b, n+1>, |a, n>), n = n_min-1 .. n_max, rotates by angle
+    # g sqrt(n+1) t; for n_min = 0 the first angle is 0 and |b, 0> stays dark
+    n_lo = field.n_min
+    phi = g * duration * np.sqrt(np.arange(n_lo, n_lo + amps.size + 1, dtype=float))
     cos_phi, sin_phi = np.cos(phi), np.sin(phi)
-    b_upper = c_ground[1:].copy()
-    c_ground[1:] = cos_phi * b_upper - 1j * sin_phi * c_excited
-    c_excited[:] = cos_phi * c_excited - 1j * sin_phi * b_upper
+    b_upper = ground[1:].copy()
+    ground[1:] = cos_phi * b_upper - 1j * sin_phi * excited[:-1]
+    excited[:-1] = cos_phi * excited[:-1] - 1j * sin_phi * b_upper
 
-    norm2 = float(np.real(np.vdot(c_ground, c_ground) + np.vdot(c_excited, c_excited)))
+    norm2 = float(np.real(np.vdot(ground, ground) + np.vdot(excited, excited)))
     if abs(norm2 - 1.0) > 1e-9:
         raise InvalidStateError(f"joint-state norm drifted: |psi|^2 = {norm2:.12g}")
+    scale = 1.0 / math.sqrt(norm2)
+    return ground * scale, excited * scale
 
+
+def jc_evolve(atom_start: PureState, field: CoherentField, g: float,
+              duration: float) -> DensityMatrix:
+    """Joint unitary evolution for one pulse; returns the reduced atomic state."""
+    ground, excited = _joint_state(atom_start, field, g, duration)
     rho = np.empty((2, 2), dtype=complex)
-    rho[0, 0] = np.vdot(c_ground, c_ground)
-    rho[1, 1] = np.vdot(c_excited, c_excited)
-    rho[1, 0] = np.sum(c_excited * np.conj(c_ground[: n_max + 1]))
+    rho[0, 0] = np.vdot(ground, ground)
+    rho[1, 1] = np.vdot(excited, excited)
+    rho[1, 0] = np.vdot(ground, excited)
     rho[0, 1] = np.conj(rho[1, 0])
-    return DensityMatrix(rho / norm2)
+    return DensityMatrix(rho)
 
 
 def jc_gate_error(theta: float, atom_start: PureState, n_bar: float,
@@ -170,7 +189,10 @@ def jc_gate_error(theta: float, atom_start: PureState, n_bar: float,
     Returns
     -------
     float
-        p = 1 - <target| rho_atom(T) |target> with T = theta / (2 g sqrt(nbar)).
+        p = <psi_perp| rho_atom(T) |psi_perp> with T = theta / (2 g sqrt(nbar))
+        and psi_perp orthogonal to the target.  It is summed over Fock levels
+        from the joint state, so p is accurate relative to itself rather than
+        to 1, with no 1 - F cancellation.
     """
     if n_bar < 25:
         raise InvalidStateError(f"semiclassical regime requires nbar >= 25, got {n_bar}")
@@ -178,9 +200,11 @@ def jc_gate_error(theta: float, atom_start: PureState, n_bar: float,
         raise InvalidStateError("supported pulse areas are pi and pi/2")
     field = CoherentField(alpha=math.sqrt(n_bar), n_max=n_max)
     duration = theta / (2.0 * g * math.sqrt(n_bar))
-    rho = jc_evolve(atom_start, field, g, duration)
+    ground, excited = _joint_state(atom_start, field, g, duration)
 
     sigma_x = make_operator("sigma_x", 2)
     u = np.cos(theta / 2.0) * np.eye(2) - 1j * np.sin(theta / 2.0) * sigma_x
-    target = PureState(u @ atom_start.amplitudes)
-    return 1.0 - fidelity_pure(rho, target)
+    target = u @ atom_start.amplitudes
+    # <psi_perp| = (-target_a, target_b) projects each Fock level's atom state
+    overlap = target[0] * excited - target[1] * ground
+    return float(np.vdot(overlap, overlap).real)

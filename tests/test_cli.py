@@ -226,6 +226,12 @@ class TestCompare:
         assert p_nbar_jc == pytest.approx(0.62, abs=0.10)
         assert p_nbar_markov / p_nbar_jc == pytest.approx(1.5, abs=0.25)
 
+    def test_photon_number_30000_accepted(self, tmp_path):
+        code, payload = run(tmp_path, "compare", "--n_bars", "30000")
+        assert code == EXIT_OK
+        jc = rows(payload)[2].split(",")
+        assert float(jc[4]) == pytest.approx(0.62, abs=0.10)
+
     def test_empty_grid_rejected(self, tmp_path):
         assert run(tmp_path, "compare", "--n_bars", "")[0] == EXIT_CONFIG
 

@@ -1,12 +1,13 @@
 import math
+import time
 
 import numpy as np
 import pytest
+from scipy.stats import poisson
 
 import oracles
 from lasergate.jc import (
     CoherentField,
-    JCSystem,
     TruncationError,
     jc_evolve,
     jc_gate_error,
@@ -16,6 +17,16 @@ from lasergate.qcore import InvalidStateError, PureState
 # p * nbar for a pi pulse from the ground state, frozen from the Poisson sum
 # over sector rotations (asymptotically pi^2/16 ~ 0.617).
 P_TIMES_NBAR = {100: 0.61574343, 400: 0.61657366, 1600: 0.61678113}
+
+# 201 photon numbers spread evenly in log over [25, 2e5], plus values at which
+# a tail estimated as 1 - sum(weights) exceeds 1e-10 from rounding alone
+DENSE_N_BARS = sorted(set(np.geomspace(25.0, 2e5, 201).tolist()) | {6400.0, 30000.0, 40000.0})
+
+GATE_CASES = {
+    "pi-ground": (math.pi, PureState.ground()),
+    "pi2-ground": (math.pi / 2, PureState.ground()),
+    "pi2-excited": (math.pi / 2, PureState.excited()),
+}
 
 
 class TestCoherentField:
@@ -39,6 +50,26 @@ class TestCoherentField:
     def test_truncation_floor_enforced(self):
         with pytest.raises(TruncationError):
             CoherentField(alpha=10.0, n_max=150)  # below nbar + 10 sqrt(nbar) = 200
+
+    def test_window_starts_ten_deviations_below_the_mean(self):
+        field = CoherentField(alpha=20.0)
+        assert field.n_min == 200
+        assert field.amplitudes().size == field.n_max - field.n_min + 1
+        assert CoherentField(alpha=10.0).n_min == 0
+        assert CoherentField(alpha=0.0).n_min == 0
+
+    def test_real_truncation_rejected_by_tail_bound(self):
+        # nbar = 1: n_max = 12 clears the floor 11 but the bound on P(N >= 13) is 5.4e-10
+        with pytest.raises(TruncationError, match="Poisson mass"):
+            CoherentField(alpha=1.0, n_max=12)
+        CoherentField(alpha=1.0, n_max=13)
+
+    @pytest.mark.parametrize("n_bar", [1.0, 25.0, 121.0, 6400.0, 30000.0, 1e6])
+    def test_tail_bound_covers_the_exact_tail(self, n_bar):
+        for n_max in (None, 2 * int(n_bar) + 40):
+            field = CoherentField(alpha=math.sqrt(n_bar), n_max=n_max)
+            exact = poisson.cdf(field.n_min - 1, n_bar) + poisson.sf(field.n_max, n_bar)
+            assert exact <= field._tail_bound() <= 1e-10
 
     def test_negative_alpha_rejected(self):
         with pytest.raises(InvalidStateError):
@@ -72,6 +103,28 @@ class TestAgainstJointExponential:
         want = oracles.jc_bruteforce(state.amplitudes, alpha, n_max, g, duration)
         assert np.max(np.abs(got.matrix - want)) <= 1e-10
 
+    def test_window_above_vacuum_matches_bruteforce(self):
+        # nbar = 121: the window starts at n_min = 11, the oracle keeps 0..n_max
+        alpha, g = 11.0, 1.0
+        field = CoherentField(alpha=alpha)
+        assert field.n_min > 0
+        duration = math.pi / (2 * g * alpha)
+        state = PureState.superposition(1.0, 1.0j)
+        got = jc_evolve(state, field, g, duration)
+        want = oracles.jc_bruteforce(state.amplitudes, alpha, field.n_max, g, duration)
+        assert np.max(np.abs(got.matrix - want)) <= 1e-10
+
+
+class TestAgainstMultiprecision:
+    @pytest.mark.parametrize("case", sorted(GATE_CASES))
+    @pytest.mark.parametrize("n_bar", [100.0, 1000.0, 6400.0])
+    def test_gate_error_matches_40_digit_sum(self, case, n_bar):
+        theta, state = GATE_CASES[case]
+        n_max = CoherentField(alpha=math.sqrt(n_bar)).n_max
+        want = oracles.jc_gate_error_mp(theta, state.amplitudes, n_bar, n_max)
+        got = jc_gate_error(theta, state, n_bar)
+        assert abs(got - float(want)) <= 1e-11 * float(want)
+
 
 class TestGateError:
     def test_pi_from_ground_reference_values(self):
@@ -103,6 +156,17 @@ class TestGateError:
         with pytest.raises(InvalidStateError, match="pulse areas"):
             jc_gate_error(0.7, PureState.ground(), 400)
 
+    @pytest.mark.parametrize("n_bar", DENSE_N_BARS)
+    def test_every_photon_number_from_25_is_accepted(self, n_bar):
+        p = jc_gate_error(math.pi, PureState.ground(), n_bar)
+        assert abs(p * n_bar - 0.62) <= 0.10
+
+    def test_hundred_million_photons_is_cheap_and_asymptotic(self):
+        start = time.perf_counter()
+        p = jc_gate_error(math.pi, PureState.ground(), 1e8)
+        assert time.perf_counter() - start < 1.0
+        assert abs(p * 1e8 - math.pi**2 / 16) <= 1e-6
+
     def test_coupling_drops_out(self):
         a = jc_gate_error(math.pi, PureState.ground(), 100, g=1.0)
         b = jc_gate_error(math.pi, PureState.ground(), 100, g=3.5)
@@ -127,17 +191,9 @@ class TestGuards:
         with pytest.raises(InvalidStateError):
             jc_evolve(psi, CoherentField(alpha=1.0), 1.0, 0.1)
 
-
-class TestJCSystem:
-    def test_system_evolve_delegates(self):
-        field = CoherentField(alpha=2.0)
-        system = JCSystem(coupling=1.0, field=field)
-        direct = jc_evolve(PureState.excited(), field, 1.0, 0.3)
-        assert np.array_equal(system.evolve(PureState.excited(), 0.3).matrix, direct.matrix)
-
     def test_positive_coupling_required(self):
-        with pytest.raises(InvalidStateError):
-            JCSystem(coupling=0.0, field=CoherentField(alpha=1.0))
+        with pytest.raises(InvalidStateError, match="coupling"):
+            jc_evolve(PureState.excited(), CoherentField(alpha=1.0), 0.0, 0.1)
 
     def test_returned_state_has_unit_trace(self):
         rho = jc_evolve(PureState.superposition(1.0, -1.0), CoherentField(alpha=3.0), 1.0, 0.2)
