@@ -50,7 +50,6 @@ from .qcore import (
     DensityMatrix,
     InvalidStateError,
     PureState,
-    expectation,
     fidelity_pure,
     make_operator,
 )
@@ -79,7 +78,6 @@ __all__ = [
     "energy_density_bound",
     "error_vs_photons",
     "evolve",
-    "expectation",
     "extract_coefficient",
     "failure_probability",
     "fidelity_pure",

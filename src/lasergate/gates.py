@@ -17,13 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import budget
-from .lindblad import (
-    LASER_MODES_KAPPA,
-    ALL_VACUUM_GAMMA,
-    IntegratorConfig,
-    PulseSpec,
-    final_states,
-)
+from .lindblad import IntegratorConfig, PulseSpec, final_states
 from .qcore import InvalidStateError, PureState, fidelity_pure, make_operator
 
 # Ratios above this are outside the perturbative regime the linear fit assumes.
@@ -39,15 +33,12 @@ class GateExperiment:
 
     pulse_area: float
     initial_state: PureState
-    decay_label: str = LASER_MODES_KAPPA
 
     def __post_init__(self):
         if self.pulse_area < 0:
             raise InvalidStateError(f"pulse_area must be >= 0, got {self.pulse_area}")
         if self.initial_state.dim != 2:
             raise InvalidStateError("gate experiments are two-level only")
-        if self.decay_label not in (LASER_MODES_KAPPA, ALL_VACUUM_GAMMA):
-            raise InvalidStateError(f"unknown decay label {self.decay_label!r}")
 
 
 @dataclass(frozen=True)

@@ -9,11 +9,15 @@ with hbar = 1 and the drive on resonance in the rotating frame.  The drive
 coupling ``g_alpha`` sets the Rabi frequency Omega_R = 2 g_alpha, so a pulse
 of area theta lasts T = theta / (2 g_alpha).
 
-Internally the solvers work in scaled time tau = g_alpha * t, where the
-dynamics depend only on the single dimensionless ratio kappa / g_alpha.
-Within a pulse the equation is linear with constant coefficients, so the
-default ``exact`` method maps vec(rho) through exp(L * tau) with the 4x4
-Liouvillian L; ``rk4_fixed`` steps the same equation with classical RK4.
+The equation is written once, in Bloch form: rho = (I + x sigma_x + y sigma_y
++ z sigma_z) / 2 with sigma_z = |a><a| - |b><b| and rho_ab = (x + i y) / 2, and
+v = (1, x, y, z) obeys the real linear ODE dv/dt = (g_alpha B_drive + kappa
+B_decay) v.  The solvers work in scaled time tau = g_alpha * t, where the
+dynamics depend only on the single ratio kappa / g_alpha.  Within a pulse the
+coefficients are constant, so the default ``exact`` method maps v through
+exp(B * tau); ``rk4_fixed`` steps the same equation with classical RK4.  The
+first component of v is the trace: the generator's first row is zero, so the
+state carried between samples is (x, y, z) alone and the trace is exactly 1.
 """
 
 from __future__ import annotations
@@ -23,28 +27,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qcore import DensityMatrix, InvalidStateError, make_operator, max_abs
-
-# Decay-channel labels: kappa counts only the vacuum modes co-propagating with
-# the laser beam, Gamma the full free-space emission rate.  The labels do not
-# change the equation of motion; they tag which physical rate was supplied.
-LASER_MODES_KAPPA = "laser_modes_kappa"
-ALL_VACUUM_GAMMA = "all_vacuum_gamma"
+from .qcore import DensityMatrix, InvalidStateError
 
 EXACT = "exact"
 RK4_FIXED = "rk4_fixed"
 
-_SIGMA_MINUS = make_operator("sigma_minus", 2)
-_SIGMA_X = make_operator("sigma_x", 2)
-_PROJ_EXCITED = make_operator("projector_excited", 2)
-_I2 = make_operator("identity", 2)
-
-# Liouvillian in scaled time, L = _L_DRIVE + (kappa/g_alpha) * _L_DECAY, acting
-# on row-major vec(rho): vec(A X B) = (A kron B^T) vec(X).
-_L_DRIVE = -1j * (np.kron(_SIGMA_X, _I2) - np.kron(_I2, _SIGMA_X.T))
-_L_DECAY = np.kron(_SIGMA_MINUS, _SIGMA_MINUS.conj()) - 0.5 * (
-    np.kron(_PROJ_EXCITED, _I2) + np.kron(_I2, _PROJ_EXCITED.T)
-)
+# Bloch generator in scaled time, B = _B_DRIVE + (kappa/g_alpha) * _B_DECAY,
+# acting on v = (1, x, y, z).  The drive rotates (y, z) at twice the coupling;
+# the decay damps x and y at half the rate and relaxes z to -1 at the full rate.
+_B_DRIVE = np.array([[0.0, 0.0, 0.0, 0.0],
+                     [0.0, 0.0, 0.0, 0.0],
+                     [0.0, 0.0, 0.0, 2.0],
+                     [0.0, 0.0, -2.0, 0.0]])
+_B_DECAY = np.array([[0.0, 0.0, 0.0, 0.0],
+                     [0.0, -0.5, 0.0, 0.0],
+                     [0.0, 0.0, -0.5, 0.0],
+                     [-1.0, 0.0, 0.0, -1.0]])
 
 # [13/13] Pade coefficients b_0..b_13, and the 1-norm up to which that
 # approximant reaches double-precision roundoff (Higham 2005, Table 2.3).
@@ -57,7 +55,8 @@ _THETA_13 = 5.371920351148152
 
 
 class IntegrationError(RuntimeError):
-    """The pulse propagator is not finite; reported as a numerical failure."""
+    """The pulse propagator or the RK4 state is not finite; reported as a
+    numerical failure."""
 
 
 @dataclass(frozen=True)
@@ -93,13 +92,10 @@ class DecaySpec:
     """Single amplitude-damping channel at the given rate (same units as g_alpha)."""
 
     rate: float
-    label: str = LASER_MODES_KAPPA
 
     def __post_init__(self):
         if not (math.isfinite(self.rate) and self.rate >= 0):
             raise InvalidStateError(f"decay rate must be finite and >= 0, got {self.rate}")
-        if self.label not in (LASER_MODES_KAPPA, ALL_VACUUM_GAMMA):
-            raise InvalidStateError(f"unknown decay label {self.label!r}")
 
 
 @dataclass(frozen=True)
@@ -128,59 +124,46 @@ class EvolutionResult:
     trajectory: list[tuple[float, DensityMatrix]] | None = None
 
 
-def _rhs_scaled(rho: np.ndarray, ratio: float) -> np.ndarray:
-    # d rho / d tau with tau = g_alpha t, drive coupling 1, ratio = kappa/g_alpha.
-    h_rho = _SIGMA_X @ rho
-    comm = h_rho - h_rho.conj().T  # [H, rho] for Hermitian rho
-    out = -1j * comm
-    if ratio != 0.0:
-        p_rho = _PROJ_EXCITED @ rho
-        out = out + ratio * (
-            _SIGMA_MINUS @ rho @ _SIGMA_MINUS.conj().T - 0.5 * (p_rho + p_rho.conj().T)
-        )
-    return out
+def _bloch(rho: np.ndarray) -> np.ndarray:
+    """v = (1, x, y, z) of a 2x2 density matrix."""
+    rho_ab = complex(rho[1, 0])
+    return np.array([1.0, 2.0 * rho_ab.real, 2.0 * rho_ab.imag, (rho[1, 1] - rho[0, 0]).real])
 
 
-def _rhs_decay_only(rho: np.ndarray) -> np.ndarray:
-    # pure decay term (unit rate), used when the drive is off
-    p_rho = _PROJ_EXCITED @ rho
-    return _SIGMA_MINUS @ rho @ _SIGMA_MINUS.conj().T - 0.5 * (p_rho + p_rho.conj().T)
+def _matrix(w: float, x: float, y: float, z: float) -> np.ndarray:
+    """(w I + x sigma_x + y sigma_y + z sigma_z) / 2 as a 2x2 complex matrix."""
+    rho_ab = complex(x, y) / 2.0
+    return np.array([[(w - z) / 2.0, rho_ab.conjugate()], [rho_ab, (w + z) / 2.0]])
+
+
+def _density(s: np.ndarray) -> DensityMatrix:
+    """Validated density matrix of the Bloch vector s = (x, y, z)."""
+    return DensityMatrix(_matrix(1.0, *s.tolist()))
 
 
 def lindblad_rhs(rho: DensityMatrix, pulse: PulseSpec, decay: DecaySpec) -> np.ndarray:
-    """Right-hand side drho/dt in the caller's time units.
-
-    The result of the Lindblad form is traceless and Hermitian; both are
-    asserted to 1e-12 before returning.
-    """
+    """Right-hand side drho/dt in the caller's time units; traceless and
+    Hermitian by construction."""
     if rho.dim != 2:
         raise InvalidStateError("the driven-atom equation of motion is two-level only")
-    g = pulse.drive_coupling
-    if g > 0:
-        out = g * _rhs_scaled(rho.matrix, decay.rate / g)
-    else:
-        out = decay.rate * _rhs_decay_only(rho.matrix)
-    if abs(out.trace()) > 1e-12:
-        raise InvalidStateError(f"RHS trace residue {abs(out.trace()):.3e}")
-    if max_abs(out - out.conj().T) > 1e-12:
-        raise InvalidStateError("RHS is not Hermitian within 1e-12")
-    return out
+    gen = pulse.drive_coupling * _B_DRIVE + decay.rate * _B_DECAY
+    return _matrix(*(gen @ _bloch(rho.matrix)).tolist())
 
 
-def _hermitize(rho: np.ndarray) -> np.ndarray:
-    return 0.5 * (rho + rho.conj().T)
-
-
-def _rk4_segment(rho: np.ndarray, ratio: float, tau: float, steps: int) -> np.ndarray:
+def _rk4_segment(v: np.ndarray, gen: np.ndarray, tau: float, steps: int) -> np.ndarray:
+    """Classical RK4 for dv/dtau = gen @ v; raises :class:`IntegrationError`
+    if the state stops being finite (an unstable step for this ratio)."""
     h = tau / steps
-    for _ in range(steps):
-        k1 = _rhs_scaled(rho, ratio)
-        k2 = _rhs_scaled(rho + 0.5 * h * k1, ratio)
-        k3 = _rhs_scaled(rho + 0.5 * h * k2, ratio)
-        k4 = _rhs_scaled(rho + h * k3, ratio)
-        rho = rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        rho = _hermitize(rho)
-    return rho
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(steps):
+            k1 = gen @ v
+            k2 = gen @ (v + 0.5 * h * k1)
+            k3 = gen @ (v + 0.5 * h * k2)
+            k4 = gen @ (v + h * k3)
+            v = v + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    if not np.all(np.isfinite(v)):
+        raise IntegrationError(f"rk4_fixed diverged: step {h:g} is unstable for this ratio")
+    return v
 
 
 def _expm(a: np.ndarray) -> np.ndarray:
@@ -216,23 +199,19 @@ def _expm(a: np.ndarray) -> np.ndarray:
 
 
 def _propagators(ratios, tau: float) -> np.ndarray:
-    """exp(L * tau) on row-major vec(rho), one 4x4 matrix per kappa/g_alpha
+    """exp(B * tau) on v = (1, x, y, z), one real 4x4 matrix per kappa/g_alpha
     in ``ratios``, for a scaled duration ``tau`` = g_alpha * t.
 
     Raises :class:`IntegrationError` if any propagator is not finite.
     """
     r = np.asarray(ratios, dtype=float).reshape(-1)
     with np.errstate(over="ignore", invalid="ignore"):
-        steps = _expm((_L_DRIVE + r[:, None, None] * _L_DECAY) * tau)
+        steps = _expm((_B_DRIVE + r[:, None, None] * _B_DECAY) * tau)
     if not np.all(np.isfinite(steps)):
         raise IntegrationError(
             f"non-finite propagator for kappa/g_alpha up to {r.max():g} over tau={tau:g}"
         )
     return steps
-
-
-def _apply(step: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    return _hermitize((step @ rho.reshape(-1)).reshape(2, 2))
 
 
 def evolve(rho0: DensityMatrix, pulse: PulseSpec, decay: DecaySpec,
@@ -261,21 +240,22 @@ def evolve(rho0: DensityMatrix, pulse: PulseSpec, decay: DecaySpec,
     if config.method == EXACT:
         step = _propagators([ratio], tau_end / n_segments)[0]
     else:
+        gen = _B_DRIVE + ratio * _B_DECAY
         steps_per_segment = max(1, -(-config.step_count // n_segments))  # ceil division
 
-    rho = rho0.matrix
+    v = _bloch(rho0.matrix)
     samples: list[tuple[float, DensityMatrix]] = [(0.0, rho0)]
     for i in range(n_segments):
         if config.method == EXACT:
-            rho = _apply(step, rho)
+            v[1:] = step[1:] @ v  # row 0 of a propagator is the trace: left at 1
         else:
-            rho = _rk4_segment(rho, ratio, tau_grid[i + 1] - tau_grid[i], steps_per_segment)
+            v = _rk4_segment(v, gen, tau_grid[i + 1] - tau_grid[i], steps_per_segment)
         if config.record_trajectory:
-            samples.append((tau_grid[i + 1] / g, DensityMatrix(rho)))
+            samples.append((tau_grid[i + 1] / g, _density(v[1:])))
 
     if config.record_trajectory:
         return EvolutionResult(final=samples[-1][1], trajectory=samples)
-    return EvolutionResult(final=DensityMatrix(rho))
+    return EvolutionResult(final=_density(v[1:]))
 
 
 def final_states(rho0: DensityMatrix, pulse: PulseSpec, decay_rates,
@@ -290,4 +270,4 @@ def final_states(rho0: DensityMatrix, pulse: PulseSpec, decay_rates,
         return [evolve(rho0, pulse, decay, config).final for decay in decays]
     ratios = [decay.rate / pulse.drive_coupling for decay in decays]
     steps = _propagators(ratios, pulse.pulse_area / 2.0)
-    return [DensityMatrix(_apply(step, rho0.matrix)) for step in steps]
+    return [_density(s) for s in steps[:, 1:] @ _bloch(rho0.matrix)]

@@ -22,10 +22,6 @@ POSITIVITY_SLACK = 1e-9
 PURITY_SLACK = 1e-9
 NORM_TOL = 1e-12
 
-# Basis labels for PureState.
-ATOMIC = "atomic"
-ATOM_FOCK = "atom_fock"
-
 GROUND = 0
 EXCITED = 1
 
@@ -54,10 +50,6 @@ def max_abs(m: np.ndarray) -> float:
     return float(np.max(np.abs(m))) if m.size else 0.0
 
 
-def is_hermitian(m: np.ndarray, tol: float = HERMITICITY_TOL) -> bool:
-    return max_abs(m - m.conj().T) <= tol
-
-
 def min_eigenvalue(h: np.ndarray) -> float:
     """Smallest eigenvalue of a Hermitian matrix.
 
@@ -70,13 +62,6 @@ def min_eigenvalue(h: np.ndarray) -> float:
         disc = np.hypot(half_diff, abs(h[0, 1]))
         return float(half_tr - disc)
     return float(np.linalg.eigvalsh(h)[0])
-
-
-def hermitian_eigensystem(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and orthonormal eigenvectors of a Hermitian matrix."""
-    if not is_hermitian(h, tol=1e-10):
-        raise InvalidStateError("matrix is not Hermitian within 1e-10")
-    return np.linalg.eigh(h)
 
 
 @dataclass(frozen=True)
@@ -116,17 +101,14 @@ class DensityMatrix:
 
 @dataclass(frozen=True)
 class PureState:
-    """Normalized state vector with a basis tag (atomic or atom x Fock)."""
+    """Normalized state vector."""
 
     amplitudes: np.ndarray
-    basis_label: str = ATOMIC
 
     def __post_init__(self):
         v = np.array(self.amplitudes, dtype=complex).reshape(-1)
         if v.size < 1:
             raise InvalidStateError("state vector is empty")
-        if self.basis_label not in (ATOMIC, ATOM_FOCK):
-            raise InvalidStateError(f"unknown basis label {self.basis_label!r}")
         nrm2 = float(np.real(np.vdot(v, v)))
         if abs(nrm2 - 1.0) > NORM_TOL:
             raise InvalidStateError(f"state not normalized: |psi|^2 = {nrm2:.12g}")
@@ -179,20 +161,6 @@ def make_operator(kind: str, dim: int) -> np.ndarray:
     if kind == "sigma_x":
         return sigma_minus + sigma_minus.conj().T
     return np.diag([0.0, 1.0]).astype(complex)  # projector_excited
-
-
-def expectation(rho: DensityMatrix, obs: np.ndarray) -> float:
-    """Tr(rho * obs) for a Hermitian observable; the imaginary residue is checked
-    to be below 1e-9 and then discarded."""
-    obs = _as_complex_matrix(obs)
-    if obs.shape[0] != rho.dim:
-        raise InvalidStateError(f"dimension mismatch: rho dim {rho.dim}, obs dim {obs.shape[0]}")
-    if not is_hermitian(obs, tol=1e-10):
-        raise InvalidStateError("observable is not Hermitian within 1e-10")
-    val = np.trace(rho.matrix @ obs)
-    if abs(val.imag) > 1e-9:
-        raise InvalidStateError(f"expectation has imaginary residue {val.imag:.3e}")
-    return float(val.real)
 
 
 def fidelity_pure(rho: DensityMatrix, target: PureState) -> float:

@@ -3,7 +3,8 @@
 Every routine here deliberately avoids the code paths under test:
 
 * the driven-atom master equation is solved by exponentiating its 4x4
-  superoperator (scipy expm), not by Runge-Kutta stepping;
+  kron-form superoperator (scipy expm, or mpmath expm at 40 digits), not the
+  Bloch generator and not by Runge-Kutta stepping;
 * first-order error coefficients come from adaptive quadrature of the
   toggling-frame dissipator, not from a ratio sweep;
 * the Jaynes-Cummings model is evolved by exponentiating the full joint
@@ -54,6 +55,29 @@ def failure_superop(psi0: np.ndarray, theta: float, ratio: float) -> float:
     rho = evolve_superop(np.outer(psi0, psi0.conj()), theta, ratio)
     target = ideal_state(psi0, theta)
     return float(1.0 - np.real(target.conj() @ rho @ target))
+
+
+def failure_mp(psi0: np.ndarray, theta: float, ratio: float) -> mpmath.mpf:
+    """Gate failure <psi_perp| rho(T) |psi_perp> in 40-digit arithmetic.
+
+    rho(T) comes from the mpmath exponential of the kron-form ``liouvillian``
+    (whose entries are exact in double precision) applied to vec(rho0), and
+    psi_perp is orthogonal to the decay-free output of the same pulse.
+    """
+    with mpmath.workdps(40):
+        lv = mpmath.matrix([[mpmath.mpc(complex(x)) for x in row] for row in liouvillian(ratio)])
+        prop = mpmath.expm(lv * (mpmath.mpf(theta) / 2))
+        x_b, x_a = (mpmath.mpc(complex(x)) for x in psi0)
+        norm = mpmath.sqrt(abs(x_b) ** 2 + abs(x_a) ** 2)
+        x = [x_b / norm, x_a / norm]
+        rho = prop * mpmath.matrix([x[i] * mpmath.conj(x[j]) for i in range(2) for j in range(2)])
+        half = mpmath.mpf(theta) / 2
+        t_b = mpmath.cos(half) * x[0] - 1j * mpmath.sin(half) * x[1]
+        t_a = mpmath.cos(half) * x[1] - 1j * mpmath.sin(half) * x[0]
+        perp = [-mpmath.conj(t_a), mpmath.conj(t_b)]
+        p = mpmath.fsum(mpmath.conj(perp[i]) * rho[2 * i + j] * perp[j]
+                        for i in range(2) for j in range(2))
+        return mpmath.re(p)
 
 
 def first_order_coefficient(psi0: np.ndarray, theta: float) -> float:

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from lasergate.cli import EXIT_CONFIG, EXIT_OK, main
+from lasergate.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main
 
 
 def run(tmp_path, *argv, name="out.csv"):
@@ -71,6 +71,24 @@ class TestSimulate:
         _, payload = run(tmp_path, "simulate", "--ratio", "0.2", "--samples", "10")
         purity = [float(line.split(",")[5]) for line in rows(payload)[1:]]
         assert purity[-1] < 1.0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--theta", "1e5", "--ratio", "30"], ["--theta", "1e6", "--ratio", "30"],
+         ["--ratio", "1e9", "--samples", "1"]],
+        ids=["theta-1e5", "theta-1e6", "ratio-1e9"],
+    )
+    def test_many_squarings_keep_unit_trace(self, tmp_path, argv):
+        code, payload = run(tmp_path, "simulate", *argv)
+        assert code == EXIT_OK
+        for line in rows(payload)[1:]:
+            rho_bb, rho_aa = (float(x) for x in line.split(",")[1:3])
+            assert abs(rho_bb + rho_aa - 1.0) <= 1e-12
+
+    def test_rk4_divergence_is_numeric_error(self, tmp_path):
+        code, _ = run(tmp_path, "simulate", "--method", "rk4_fixed", "--ratio", "30",
+                      "--theta", "1e4", "--samples", "1")
+        assert code == EXIT_NUMERIC
 
 
 class TestSweep:

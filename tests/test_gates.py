@@ -5,6 +5,7 @@ import pytest
 
 import oracles
 from lasergate.budget import photon_coefficient
+from lasergate.cli import GATE_AREAS, START_STATES
 from lasergate.gates import (
     GateExperiment,
     default_ratio_grid,
@@ -14,7 +15,7 @@ from lasergate.gates import (
     sweep_failure_probabilities,
 )
 from lasergate.lindblad import RK4_FIXED, IntegratorConfig
-from lasergate.qcore import ATOM_FOCK, InvalidStateError, PureState
+from lasergate.qcore import InvalidStateError, PureState
 
 PI_FROM_GROUND = GateExperiment(math.pi, PureState.ground())
 HALF_FROM_GROUND = GateExperiment(math.pi / 2, PureState.ground())
@@ -92,6 +93,19 @@ class TestFailureProbability:
         assert a == pytest.approx(b, abs=1e-9)
 
 
+class TestAgainstMultiprecision:
+    # the five (gate, start) cases of the coefficient-table benchmark workload
+    @pytest.mark.parametrize("gate, start", [("pi", "ground"), ("pi", "excited"), ("pi", "plus"),
+                                             ("pi2", "ground"), ("pi2", "excited")])
+    def test_sweep_is_within_roundoff_of_40_digit_expm(self, gate, start):
+        theta, psi0 = GATE_AREAS[gate], START_STATES[start]()
+        ratios = default_ratio_grid()
+        got = sweep_failure_probabilities(GateExperiment(theta, psi0), ratios)
+        for ratio, p in zip(ratios, got):
+            want = oracles.failure_mp(psi0.amplitudes, theta, ratio)
+            assert abs(float(p - want)) <= 1e-15
+
+
 class TestIdealTarget:
     def test_pi_from_ground_targets_excited(self):
         target = ideal_target(PI_FROM_GROUND)
@@ -148,10 +162,6 @@ class TestGateExperimentValidation:
             GateExperiment(-1.0, PureState.ground())
 
     def test_fock_state_rejected(self):
-        fock = PureState(np.array([1, 0, 0, 0]), basis_label=ATOM_FOCK)
+        fock = PureState(np.array([1, 0, 0, 0]))
         with pytest.raises(InvalidStateError):
             GateExperiment(math.pi, fock)
-
-    def test_unknown_decay_label_rejected(self):
-        with pytest.raises(InvalidStateError):
-            GateExperiment(math.pi, PureState.ground(), decay_label="thermal")

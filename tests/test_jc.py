@@ -185,9 +185,7 @@ class TestGuards:
             jc_evolve(PureState.ground(), CoherentField(alpha=1.0), 1.0, -0.1)
 
     def test_fock_atom_state_rejected(self):
-        from lasergate.qcore import ATOM_FOCK
-
-        psi = PureState(np.array([1, 0, 0]), basis_label=ATOM_FOCK)
+        psi = PureState(np.array([1, 0, 0]))
         with pytest.raises(InvalidStateError):
             jc_evolve(psi, CoherentField(alpha=1.0), 1.0, 0.1)
 

@@ -9,7 +9,6 @@ import oracles
 from lasergate.cli import EXIT_CONFIG, EXIT_NUMERIC, main
 from lasergate.gates import GateExperiment, sweep_failure_probabilities
 from lasergate.lindblad import (
-    ALL_VACUUM_GAMMA,
     RK4_FIXED,
     DecaySpec,
     IntegrationError,
@@ -51,10 +50,6 @@ class TestSpecs:
             PulseSpec(-1.0, 1.0)
         with pytest.raises(InvalidStateError):
             DecaySpec(rate=-0.1)
-
-    def test_unknown_decay_label_rejected(self):
-        with pytest.raises(InvalidStateError):
-            DecaySpec(rate=0.1, label="cavity")
 
     def test_rk4_needs_enough_steps(self):
         with pytest.raises(InvalidStateError):
@@ -160,12 +155,6 @@ class TestEvolve:
         for _, rho in result.trajectory:
             assert abs(np.trace(rho.matrix) - 1.0) <= 1e-9
 
-    def test_gamma_label_behaves_identically(self):
-        rho0 = PureState.ground().to_density()
-        a = evolve(rho0, PulseSpec(1.0, math.pi), DecaySpec(0.01)).final
-        b = evolve(rho0, PulseSpec(1.0, math.pi), DecaySpec(0.01, label=ALL_VACUUM_GAMMA)).final
-        assert np.array_equal(a.matrix, b.matrix)
-
 
 class TestConservationLaws:
     @given(seed=st.integers(0, 2**32 - 1))
@@ -260,10 +249,12 @@ class TestExactPropagator:
         assert result.final is result.trajectory[-1][1]
 
     def test_non_finite_propagator_is_integration_error(self, tmp_path):
+        # kappa/g_alpha * tau = 1.7e308 * pi/2 overflows the generator itself;
+        # 1e308 does not, and gives the finite Zeno-limit propagator
         rho0 = PureState.ground().to_density()
         with pytest.raises(IntegrationError):
-            evolve(rho0, PulseSpec(1.0, math.pi), DecaySpec(1e308))
-        argv = ["simulate", "--ratio", "1e308", "--samples", "1", "--out", str(tmp_path / "o")]
+            evolve(rho0, PulseSpec(1.0, math.pi), DecaySpec(1.7e308))
+        argv = ["simulate", "--ratio", "1.7e308", "--samples", "1", "--out", str(tmp_path / "o")]
         assert main(argv) == EXIT_NUMERIC
 
     @pytest.mark.parametrize(

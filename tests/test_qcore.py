@@ -4,13 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lasergate.qcore import (
-    ATOM_FOCK,
     DensityMatrix,
     InvalidStateError,
     PureState,
-    expectation,
     fidelity_pure,
-    hermitian_eigensystem,
     make_operator,
     min_eigenvalue,
 )
@@ -57,30 +54,6 @@ class TestOperators:
             make_operator("identity", 0)
 
 
-class TestExpectation:
-    def test_ground_has_no_excitation(self):
-        rho = PureState.ground().to_density()
-        assert expectation(rho, make_operator("projector_excited", 2)) == 0.0
-
-    def test_excited_is_fully_excited(self):
-        rho = PureState.excited().to_density()
-        assert expectation(rho, make_operator("projector_excited", 2)) == 1.0
-
-    def test_maximally_mixed_is_half_excited(self):
-        rho = DensityMatrix.maximally_mixed(2)
-        assert expectation(rho, make_operator("projector_excited", 2)) == pytest.approx(0.5)
-
-    def test_non_hermitian_observable_rejected(self):
-        rho = DensityMatrix.maximally_mixed(2)
-        with pytest.raises(InvalidStateError):
-            expectation(rho, make_operator("sigma_minus", 2))
-
-    def test_dimension_mismatch_rejected(self):
-        rho = DensityMatrix.maximally_mixed(2)
-        with pytest.raises(InvalidStateError):
-            expectation(rho, np.eye(3))
-
-
 class TestFidelity:
     def test_matching_pure_states(self):
         assert fidelity_pure(PureState.excited().to_density(), PureState.excited()) == 1.0
@@ -94,7 +67,7 @@ class TestFidelity:
             assert fidelity_pure(rho, target) == pytest.approx(0.5)
 
     def test_dimension_mismatch_rejected(self):
-        fock_state = PureState(np.array([1, 0, 0, 0]), basis_label=ATOM_FOCK)
+        fock_state = PureState(np.array([1, 0, 0, 0]))
         with pytest.raises(InvalidStateError):
             fidelity_pure(DensityMatrix.maximally_mixed(2), fock_state)
 
@@ -145,10 +118,6 @@ class TestPureState:
         psi = PureState.superposition(3.0, 4.0j)
         assert np.vdot(psi.amplitudes, psi.amplitudes) == pytest.approx(1.0, abs=1e-14)
 
-    def test_rejects_unknown_basis_label(self):
-        with pytest.raises(InvalidStateError, match="basis"):
-            PureState(np.array([1.0, 0.0]), basis_label="spin")
-
     def test_to_density_roundtrip(self):
         psi = PureState.superposition(1.0, 1j)
         rho = psi.to_density()
@@ -156,20 +125,6 @@ class TestPureState:
 
 
 class TestEigensystem:
-    @given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([2, 3, 8, 40, 150]))
-    @settings(max_examples=30, deadline=None)
-    def test_reconstruction(self, seed, dim):
-        rng = np.random.default_rng(seed)
-        g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        h = g + g.conj().T
-        w, v = hermitian_eigensystem(h)
-        residue = np.max(np.abs(v @ np.diag(w) @ v.conj().T - h))
-        assert residue <= 1e-9 * max(1.0, np.max(np.abs(h)))
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(InvalidStateError):
-            hermitian_eigensystem(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
     def test_min_eigenvalue_2x2_closed_form_matches_solver(self, seed):
