@@ -17,6 +17,8 @@ import math
 import warnings
 from dataclasses import dataclass
 
+import numpy as np
+
 from .qcore import InvalidStateError
 
 # Failure probability of a resonant pi pulse from the ground state, per unit
@@ -425,43 +427,44 @@ def raman_constraint(raman: RamanSpec, gamma: float, duration: float,
 
 
 @dataclass(frozen=True)
-class AreaSweepPoint:
-    """One row of the fixed-intensity beam-area sweep."""
+class AreaSweep:
+    """The fixed-intensity beam-area sweep, one numpy column per quantity."""
 
-    area: float
-    kappa: float
-    kappa_times_area: float
-    n_bar: float
-    laser_mode_error: float
-    total_error: float
+    area: np.ndarray
+    kappa: np.ndarray
+    kappa_times_area: np.ndarray
+    n_bar: np.ndarray
+    laser_mode_error: np.ndarray
+    total_error: np.ndarray
 
 
 def fixed_intensity_area_sweep(atom: AtomModel, field: FieldSpec, wavelength: float,
-                               areas, constants: PhysicalConstants = CODATA) -> list[AreaSweepPoint]:
+                               areas, constants: PhysicalConstants = CODATA) -> AreaSweep:
     """kappa, nbar, and pi-pulse errors versus mode area at fixed intensity.
 
     The laser-mode error (3 pi/8) kappa / Omega_R falls off as 1/A while the
-    all-modes error, set by Gamma, does not depend on the area at all.
+    all-modes error, set by Gamma, does not depend on the area at all.  Each
+    column is computed as :func:`kappa_from_beam` and :func:`photon_budget`
+    compute it for one beam.
     """
+    area = np.array(areas, dtype=float).reshape(-1)
+    # one beam carries every check: the wavelength, and the smallest area
+    # (an empty sweep checks the wavelength alone)
+    beam = BeamGeometry(wavelength=wavelength, mode_area=float(area.min(initial=math.inf)))
+    sigma_eff = beam.scattering_cross_section
     rabi = field.rabi_frequency(atom, constants)
     duration = math.pi / rabi
     gamma = atom.decay_rate(constants)
-    rows = []
-    for area in areas:
-        beam = BeamGeometry(wavelength=wavelength, mode_area=float(area))
-        kappa = kappa_from_beam(atom, beam, constants)
-        n_bar = photon_budget(atom, beam, field, duration, constants=constants).n_bar
-        rows.append(
-            AreaSweepPoint(
-                area=float(area),
-                kappa=kappa,
-                kappa_times_area=kappa * float(area),
-                n_bar=n_bar,
-                laser_mode_error=PI_PULSE_RABI_SLOPE * kappa / rabi,
-                total_error=PI_PULSE_RABI_SLOPE * gamma / rabi,
-            )
-        )
-    return rows
+    photon_energy = constants.hbar * atom.transition_frequency
+    kappa = gamma * sigma_eff / area
+    return AreaSweep(
+        area=area,
+        kappa=kappa,
+        kappa_times_area=kappa * area,
+        n_bar=field.intensity(constants) * area * duration / photon_energy,
+        laser_mode_error=PI_PULSE_RABI_SLOPE * kappa / rabi,
+        total_error=np.full(area.shape, PI_PULSE_RABI_SLOPE * gamma / rabi),
+    )
 
 
 def _check_epsilon(epsilon: float) -> None:

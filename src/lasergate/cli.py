@@ -30,11 +30,15 @@ from .lindblad import (
     PulseSpec,
     evolve,
 )
-from .qcore import InvalidStateError, PureState
+from .qcore import InvalidStateError, PureState, purities
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
+
+# Most rows one invocation may ask for (samples, points, area_sweep_points):
+# a larger request is refused before anything is allocated.
+MAX_ROWS = 10**6
 
 COMMANDS = ("simulate", "sweep", "budget", "compare")
 
@@ -49,6 +53,14 @@ def _fmt(x: float) -> str:
     """12 significant digits, scientific notation; the one float format used
     everywhere so output is reproducible byte for byte."""
     return f"{x:.11e}"
+
+
+def _format_rows(table: np.ndarray) -> str:
+    """The rows of a 2-D float array as comma-separated :func:`_fmt` fields,
+    one line per row, formatted by a single %-template operation
+    (``'%.11e' % x`` equals ``f'{x:.11e}'`` for every float)."""
+    rows, cols = table.shape
+    return "\n".join([",".join(["%.11e"] * cols)] * rows) % tuple(table.ravel().tolist())
 
 
 def _finite_float(raw: str) -> float:
@@ -70,6 +82,13 @@ def _non_negative_int(raw: str) -> int:
     return value
 
 
+def _row_count(raw: str) -> int:
+    value = _non_negative_int(raw)
+    if value > MAX_ROWS:
+        raise ValueError(f"must be <= {MAX_ROWS}")
+    return value
+
+
 # key -> (converter, default); _REQUIRED means the key must be supplied.
 _COMMON_INTEGRATOR_KEYS = {
     "method": (str, EXACT),
@@ -81,7 +100,7 @@ KEY_SCHEMAS: dict[str, dict] = {
         "theta": (_finite_float, math.pi),
         "ratio": (_finite_float, 0.0),
         "start": (str, "ground"),
-        "samples": (_non_negative_int, 200),
+        "samples": (_row_count, 200),
         "format": (str, "csv"),
         **_COMMON_INTEGRATOR_KEYS,
     },
@@ -90,7 +109,7 @@ KEY_SCHEMAS: dict[str, dict] = {
         "start": (str, "ground"),
         "ratio_min": (_finite_float, 1e-5),
         "ratio_max": (_finite_float, 1e-3),
-        "points": (_non_negative_int, 8),
+        "points": (_row_count, 8),
         "format": (str, "csv"),
         **_COMMON_INTEGRATOR_KEYS,
     },
@@ -102,7 +121,7 @@ KEY_SCHEMAS: dict[str, dict] = {
         "epsilon": (_finite_float, 1e-4),
         "duration": (_finite_float, None),
         "raman_detuning": (_finite_float, None),
-        "area_sweep_points": (_non_negative_int, 7),
+        "area_sweep_points": (_row_count, 7),
         "area_sweep_max_factor": (_finite_float, 1e6),
         "format": (str, "text"),
     },
@@ -198,18 +217,12 @@ def run_simulate(cfg: dict) -> str:
     pulse = PulseSpec(drive_coupling=1.0, pulse_area=cfg["theta"])
     decay = DecaySpec(rate=cfg["ratio"])
     config = _integrator_config(cfg, record_trajectory=True, sample_count=cfg["samples"])
-    result = evolve(state.to_density(), pulse, decay, config)
+    trajectory = evolve(state.to_density(), pulse, decay, config).trajectory
 
-    lines = ["t,rho_bb,rho_aa,re_rho_ab,im_rho_ab,purity"]
-    for t, rho in result.trajectory:
-        m = rho.matrix
-        lines.append(
-            ",".join(
-                _fmt(v)
-                for v in (t, m[0, 0].real, m[1, 1].real, m[1, 0].real, m[1, 0].imag, rho.purity())
-            )
-        )
-    return "\n".join(lines) + "\n"
+    m = trajectory.states
+    table = np.column_stack((trajectory.times, m[:, 0, 0].real, m[:, 1, 1].real,
+                             m[:, 1, 0].real, m[:, 1, 0].imag, purities(m)))
+    return "t,rho_bb,rho_aa,re_rho_ab,im_rho_ab,purity\n" + _format_rows(table) + "\n"
 
 
 def run_sweep(cfg: dict) -> str:
@@ -315,26 +328,15 @@ def run_budget(cfg: dict) -> str:
         verdicts.append(("raman_constraint", "satisfied" if report.satisfied else "violated"))
 
     table_header = "area,kappa,kappa_times_area,n_bar,p_laser,p_total"
-    table_rows = [
-        ",".join(
-            _fmt(v)
-            for v in (
-                row.area,
-                row.kappa,
-                row.kappa_times_area,
-                row.n_bar,
-                row.laser_mode_error,
-                row.total_error,
-            )
-        )
-        for row in sweep
-    ]
+    table_rows = _format_rows(np.column_stack((
+        sweep.area, sweep.kappa, sweep.kappa_times_area,
+        sweep.n_bar, sweep.laser_mode_error, sweep.total_error,
+    )))
 
     if cfg["format"] == "csv":
         lines = [f"# {name}={_fmt(value)}" for name, value in scalars + raman_lines]
         lines += [f"# {name}={value}" for name, value in verdicts]
-        lines.append(table_header)
-        lines += table_rows
+        lines += [table_header, table_rows]
         return "\n".join(lines) + "\n"
 
     width = max(len(name) for name, _ in scalars + raman_lines + verdicts)
@@ -345,8 +347,8 @@ def run_budget(cfg: dict) -> str:
         lines.append("")
         lines += [f"{name:<{width}} = {_fmt(value)}" for name, value in raman_lines]
         lines += [f"{name:<{width}} = {value}" for name, value in verdicts[1:]]
-    lines += ["", "fixed-intensity area sweep (kappa * A = Gamma * sigma_eff):", table_header]
-    lines += table_rows
+    lines += ["", "fixed-intensity area sweep (kappa * A = Gamma * sigma_eff):", table_header,
+              table_rows]
     return "\n".join(lines) + "\n"
 
 

@@ -14,10 +14,15 @@ The equation is written once, in Bloch form: rho = (I + x sigma_x + y sigma_y
 v = (1, x, y, z) obeys the real linear ODE dv/dt = (g_alpha B_drive + kappa
 B_decay) v.  The solvers work in scaled time tau = g_alpha * t, where the
 dynamics depend only on the single ratio kappa / g_alpha.  Within a pulse the
-coefficients are constant, so the default ``exact`` method maps v through
-exp(B * tau); ``rk4_fixed`` steps the same equation with classical RK4.  The
-first component of v is the trace: the generator's first row is zero, so the
-state carried between samples is (x, y, z) alone and the trace is exactly 1.
+coefficients are constant, so one real 4x4 matrix maps v from each sample
+to the next: the default ``exact`` method multiplies by exp(B * tau), and
+``rk4_fixed`` adds P(h B)^k - I applied to v, with P(X) = I + X + X^2/2 +
+X^3/6 + X^4/24 the degree-4 Taylor polynomial, k = ceil(step_count /
+samples) and h = tau / k.  For a linear constant-coefficient ODE that is
+exactly classical RK4 with k steps of size h.  The first component of v is the trace: the generator's
+first row is zero, so the state carried between samples is (x, y, z) alone
+and the trace is exactly 1.  A trajectory is two arrays, the sample times and
+a (k, 2, 2) stack of density matrices validated in one call.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qcore import DensityMatrix, InvalidStateError
+from .qcore import DensityMatrix, InvalidStateError, check_densities
 
 EXACT = "exact"
 RK4_FIXED = "rk4_fixed"
@@ -55,8 +60,8 @@ _THETA_13 = 5.371920351148152
 
 
 class IntegrationError(RuntimeError):
-    """The pulse propagator or the RK4 state is not finite; reported as a
-    numerical failure."""
+    """The pulse propagator is not finite, or a propagated state is not a
+    density matrix; reported as a numerical failure."""
 
 
 @dataclass(frozen=True)
@@ -119,9 +124,22 @@ class IntegratorConfig:
 
 
 @dataclass(frozen=True)
+class Trajectory:
+    """Samples of one pulse: the times, shape (k,), and the density matrices
+    at those times, a read-only (k, 2, 2) stack that :func:`evolve` validated
+    in one call."""
+
+    times: np.ndarray
+    states: np.ndarray
+
+    def __len__(self) -> int:
+        return self.times.size
+
+
+@dataclass(frozen=True)
 class EvolutionResult:
     final: DensityMatrix
-    trajectory: list[tuple[float, DensityMatrix]] | None = None
+    trajectory: Trajectory | None = None
 
 
 def _bloch(rho: np.ndarray) -> np.ndarray:
@@ -130,15 +148,17 @@ def _bloch(rho: np.ndarray) -> np.ndarray:
     return np.array([1.0, 2.0 * rho_ab.real, 2.0 * rho_ab.imag, (rho[1, 1] - rho[0, 0]).real])
 
 
-def _matrix(w: float, x: float, y: float, z: float) -> np.ndarray:
-    """(w I + x sigma_x + y sigma_y + z sigma_z) / 2 as a 2x2 complex matrix."""
-    rho_ab = complex(x, y) / 2.0
-    return np.array([[(w - z) / 2.0, rho_ab.conjugate()], [rho_ab, (w + z) / 2.0]])
-
-
-def _density(s: np.ndarray) -> DensityMatrix:
-    """Validated density matrix of the Bloch vector s = (x, y, z)."""
-    return DensityMatrix(_matrix(1.0, *s.tolist()))
+def _matrices(v: np.ndarray) -> np.ndarray:
+    """(w I + x sigma_x + y sigma_y + z sigma_z) / 2 for each row (w, x, y, z)
+    of ``v``, as a (k, 2, 2) complex stack."""
+    w, x, y, z = v.T
+    m = np.zeros((len(v), 2, 2), dtype=complex)
+    m.real[:, 0, 0], m.real[:, 1, 1] = (w - z) / 2.0, (w + z) / 2.0
+    # rho_ab rounded as Python's complex(x, y) / 2.0, signs of zeros included
+    m.real[:, 1, 0] = m.real[:, 0, 1] = (x + y * 0.0) / 2.0
+    m.imag[:, 1, 0] = (y - x * 0.0) / 2.0
+    m.imag[:, 0, 1] = -m.imag[:, 1, 0]
+    return m
 
 
 def lindblad_rhs(rho: DensityMatrix, pulse: PulseSpec, decay: DecaySpec) -> np.ndarray:
@@ -147,23 +167,7 @@ def lindblad_rhs(rho: DensityMatrix, pulse: PulseSpec, decay: DecaySpec) -> np.n
     if rho.dim != 2:
         raise InvalidStateError("the driven-atom equation of motion is two-level only")
     gen = pulse.drive_coupling * _B_DRIVE + decay.rate * _B_DECAY
-    return _matrix(*(gen @ _bloch(rho.matrix)).tolist())
-
-
-def _rk4_segment(v: np.ndarray, gen: np.ndarray, tau: float, steps: int) -> np.ndarray:
-    """Classical RK4 for dv/dtau = gen @ v; raises :class:`IntegrationError`
-    if the state stops being finite (an unstable step for this ratio)."""
-    h = tau / steps
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(steps):
-            k1 = gen @ v
-            k2 = gen @ (v + 0.5 * h * k1)
-            k3 = gen @ (v + 0.5 * h * k2)
-            k4 = gen @ (v + h * k3)
-            v = v + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    if not np.all(np.isfinite(v)):
-        raise IntegrationError(f"rk4_fixed diverged: step {h:g} is unstable for this ratio")
-    return v
+    return _matrices((gen @ _bloch(rho.matrix))[None])[0]
 
 
 def _expm(a: np.ndarray) -> np.ndarray:
@@ -214,48 +218,77 @@ def _propagators(ratios, tau: float) -> np.ndarray:
     return steps
 
 
+def _rk4_increment(ratio: float, tau: float, steps: int) -> np.ndarray:
+    """P(h B)^steps - I, with h = tau / steps and P(X) = I + X + X^2/2 + X^3/6
+    + X^4/24: the change of v over ``steps`` classical RK4 steps of
+    dv/dtau = B v, as one 4x4 matrix.
+
+    Only the increment is formed, never I + increment: its small entries keep
+    full relative precision, where the rounding of a step matrix near I would
+    bias every application of it alike.
+    """
+    x = (_B_DRIVE + ratio * _B_DECAY) * (tau / steps)
+    ident = np.eye(4)
+    d = x @ (ident + x @ (ident + x @ (ident + x / 4.0) / 3.0) / 2.0)
+    total = np.zeros((4, 4))
+    while steps:  # binary powering, with (I + a)(I + b) - I = a + b + a b
+        if steps & 1:
+            total = total + d + total @ d
+        d = 2.0 * d + d @ d
+        steps >>= 1
+    return total
+
+
 def evolve(rho0: DensityMatrix, pulse: PulseSpec, decay: DecaySpec,
            config: IntegratorConfig = IntegratorConfig()) -> EvolutionResult:
-    """Evolve ``rho0`` through one pulse; all state invariants are re-validated
-    at the final time and at every recorded sample.
+    """Evolve ``rho0`` through one pulse.
 
-    Returns the final state, plus the (t, rho) samples at
-    ``config.sample_count + 1`` uniformly spaced times when
-    ``config.record_trajectory`` is set.
+    Returns the validated final state, plus the states at
+    ``config.sample_count + 1`` uniformly spaced times as a
+    :class:`Trajectory` when ``config.record_trajectory`` is set.  A
+    propagated state that is not a density matrix (the rounding of a long or
+    strongly damped pulse pushed its Bloch vector out of the unit ball, or an
+    unstable RK4 step made it blow up) raises :class:`IntegrationError`.
     """
     if rho0.dim != 2:
         raise InvalidStateError("evolve handles the two-level atom only")
     g = pulse.drive_coupling
     theta = pulse.pulse_area
-    if theta == 0.0 or g == 0.0:
-        traj = None
-        if config.record_trajectory:
-            traj = [(0.0, rho0) for _ in range(config.sample_count + 1)]
-        return EvolutionResult(final=rho0, trajectory=traj)
+    n_segments = config.sample_count if config.record_trajectory else 1
+    if theta == 0.0:
+        states = np.broadcast_to(rho0.matrix, (n_segments + 1, 2, 2))
+        trajectory = Trajectory(np.zeros(n_segments + 1), states)
+        return EvolutionResult(rho0, trajectory if config.record_trajectory else None)
 
     ratio = decay.rate / g
-    tau_end = theta / 2.0  # scaled duration: g_alpha * T
-    n_segments = config.sample_count if config.record_trajectory else 1
-    tau_grid = np.linspace(0.0, tau_end, n_segments + 1)
-    if config.method == EXACT:
-        step = _propagators([ratio], tau_end / n_segments)[0]
-    else:
-        gen = _B_DRIVE + ratio * _B_DECAY
-        steps_per_segment = max(1, -(-config.step_count // n_segments))  # ceil division
-
-    v = _bloch(rho0.matrix)
-    samples: list[tuple[float, DensityMatrix]] = [(0.0, rho0)]
-    for i in range(n_segments):
+    tau = theta / 2.0 / n_segments  # scaled duration g_alpha * T of one segment
+    v = np.empty((n_segments + 1, 4))
+    v[0] = _bloch(rho0.matrix)
+    v[1:, 0] = 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        # row 0 of a step matrix is the trace, and of an increment zero: v[:, 0] stays 1
         if config.method == EXACT:
-            v[1:] = step[1:] @ v  # row 0 of a propagator is the trace: left at 1
+            rows = _propagators([ratio], tau)[0][1:]
+            for i in range(n_segments):
+                v[i + 1, 1:] = rows @ v[i]
         else:
-            v = _rk4_segment(v, gen, tau_grid[i + 1] - tau_grid[i], steps_per_segment)
-        if config.record_trajectory:
-            samples.append((tau_grid[i + 1] / g, _density(v[1:])))
-
-    if config.record_trajectory:
-        return EvolutionResult(final=samples[-1][1], trajectory=samples)
-    return EvolutionResult(final=_density(v[1:]))
+            rows = _rk4_increment(ratio, tau, -(-config.step_count // n_segments))[1:]
+            for i in range(n_segments):
+                v[i + 1, 1:] = v[i, 1:] + rows @ v[i]
+        states = _matrices(v)
+        try:
+            check_densities(states)
+        except InvalidStateError as exc:  # exc names the sample: "state i: ..."
+            radius = np.linalg.norm(v[:, 1:], axis=1).max()
+            raise IntegrationError(
+                f"propagated state left the Bloch ball (largest |s| = {radius:.12g}): {exc}"
+            ) from exc
+    times = np.linspace(0.0, theta / 2.0, n_segments + 1) / g
+    for array in (times, states):
+        array.setflags(write=False)
+    trajectory = Trajectory(times, states)
+    return EvolutionResult(DensityMatrix(states[-1]),
+                           trajectory if config.record_trajectory else None)
 
 
 def final_states(rho0: DensityMatrix, pulse: PulseSpec, decay_rates,
@@ -270,4 +303,6 @@ def final_states(rho0: DensityMatrix, pulse: PulseSpec, decay_rates,
         return [evolve(rho0, pulse, decay, config).final for decay in decays]
     ratios = [decay.rate / pulse.drive_coupling for decay in decays]
     steps = _propagators(ratios, pulse.pulse_area / 2.0)
-    return [_density(s) for s in steps[:, 1:] @ _bloch(rho0.matrix)]
+    v = np.ones((len(ratios), 4))
+    v[:, 1:] = steps[:, 1:] @ _bloch(rho0.matrix)
+    return [DensityMatrix(m) for m in _matrices(v)]

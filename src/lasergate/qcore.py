@@ -3,7 +3,9 @@
 Matrices are plain ``numpy.ndarray`` (complex128, row-major).  The two wrapper
 types :class:`DensityMatrix` and :class:`PureState` validate the physical
 invariants (Hermiticity, unit trace, positivity, normalization) once at
-construction and are then treated as immutable values.
+construction and are then treated as immutable values.  The density-matrix
+invariants have one home, :func:`check_densities`, which checks a whole
+(k, n, n) stack in one call; a single :class:`DensityMatrix` is a stack of one.
 
 Basis ordering for the two-level atom is fixed package-wide:
 index 0 = ground ``|b>``, index 1 = excited ``|a>``.
@@ -45,23 +47,48 @@ def _as_complex_matrix(entries) -> np.ndarray:
     return m
 
 
-def max_abs(m: np.ndarray) -> float:
-    """Largest entrywise modulus (the max norm used by all invariant checks)."""
-    return float(np.max(np.abs(m))) if m.size else 0.0
-
-
-def min_eigenvalue(h: np.ndarray) -> float:
-    """Smallest eigenvalue of a Hermitian matrix.
+def min_eigenvalue(h: np.ndarray) -> np.ndarray | float:
+    """Smallest eigenvalue of a Hermitian matrix, or of each matrix in a
+    (k, n, n) stack.
 
     The 2x2 case is solved in closed form from trace and determinant; larger
     (truncated-Fock) matrices go through the dense Hermitian eigensolver.
     """
-    if h.shape == (2, 2):
-        half_tr = 0.5 * (h[0, 0].real + h[1, 1].real)
-        half_diff = 0.5 * (h[0, 0].real - h[1, 1].real)
-        disc = np.hypot(half_diff, abs(h[0, 1]))
-        return float(half_tr - disc)
-    return float(np.linalg.eigvalsh(h)[0])
+    if h.shape[-2:] == (2, 2):
+        a, d = h[..., 0, 0].real, h[..., 1, 1].real
+        return 0.5 * (a + d) - np.hypot(0.5 * (a - d), np.abs(h[..., 0, 1]))
+    return np.linalg.eigvalsh(h)[..., 0]
+
+
+def purities(m: np.ndarray) -> np.ndarray:
+    """tr(rho^2) of a matrix, or of each matrix in a (k, n, n) stack."""
+    return (m @ m).trace(axis1=-2, axis2=-1).real
+
+
+def check_densities(m: np.ndarray) -> None:
+    """Raise :class:`InvalidStateError` unless every matrix of the stack ``m``
+    (k, n, n) is Hermitian, of unit trace, positive semidefinite and of purity
+    in [1/n, 1], within the tolerances above.  The error names the first
+    broken invariant, in that order, and the first matrix that breaks it (by
+    index, in a stack of several)."""
+    herm = np.abs(m - m.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+    tr = m.trace(axis1=-2, axis2=-1)
+    lo = min_eigenvalue(m)
+    pur = purities(m)
+    purity_ok = (1.0 / m.shape[-1] - PURITY_SLACK <= pur) & (pur <= 1.0 + PURITY_SLACK)
+    checks = (
+        (herm > HERMITICITY_TOL, "density matrix not Hermitian: residue {:.3e}", herm),
+        (np.abs(tr - 1.0) > TRACE_TOL, "density matrix trace {:.12g} != 1", tr),
+        (lo < -POSITIVITY_SLACK, "density matrix not positive: min eigenvalue {:.3e}", lo),
+        (~purity_ok, "purity {:.12g} outside [1/dim, 1]", pur),
+    )
+    if not (checks[0][0] | checks[1][0] | checks[2][0] | checks[3][0]).any():
+        return
+    for broken, text, values in checks:
+        if broken.any():
+            i = int(np.argmax(broken))
+            message = text.format(values[i])
+            raise InvalidStateError(message if len(m) == 1 else f"state {i}: {message}")
 
 
 @dataclass(frozen=True)
@@ -72,18 +99,7 @@ class DensityMatrix:
 
     def __post_init__(self):
         m = _as_complex_matrix(self.matrix)
-        herm = max_abs(m - m.conj().T)
-        if herm > HERMITICITY_TOL:
-            raise InvalidStateError(f"density matrix not Hermitian: residue {herm:.3e}")
-        tr = m.trace()
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise InvalidStateError(f"density matrix trace {tr:.12g} != 1")
-        lo = min_eigenvalue(m)
-        if lo < -POSITIVITY_SLACK:
-            raise InvalidStateError(f"density matrix not positive: min eigenvalue {lo:.3e}")
-        pur = float(np.real(np.trace(m @ m)))
-        if not (1.0 / m.shape[0] - PURITY_SLACK <= pur <= 1.0 + PURITY_SLACK):
-            raise InvalidStateError(f"purity {pur:.12g} outside [1/dim, 1]")
+        check_densities(m[None])
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
@@ -92,7 +108,7 @@ class DensityMatrix:
         return self.matrix.shape[0]
 
     def purity(self) -> float:
-        return float(np.real(np.trace(self.matrix @ self.matrix)))
+        return float(purities(self.matrix))
 
     @staticmethod
     def maximally_mixed(dim: int) -> "DensityMatrix":

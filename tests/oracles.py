@@ -4,7 +4,8 @@ Every routine here deliberately avoids the code paths under test:
 
 * the driven-atom master equation is solved by exponentiating its 4x4
   kron-form superoperator (scipy expm, or mpmath expm at 40 digits), not the
-  Bloch generator and not by Runge-Kutta stepping;
+  Bloch generator; the fixed-step reference is a plain classical RK4 loop on
+  that same superoperator, not a Taylor step matrix;
 * first-order error coefficients come from adaptive quadrature of the
   toggling-frame dissipator, not from a ratio sweep;
 * the Jaynes-Cummings model is evolved by exponentiating the full joint
@@ -44,6 +45,26 @@ def evolve_superop(rho0: np.ndarray, theta: float, ratio: float) -> np.ndarray:
     """rho(T) for a theta pulse via the matrix exponential of the superoperator."""
     tau = theta / 2.0  # scaled duration g_alpha * T
     return (expm(liouvillian(ratio) * tau) @ rho0.reshape(-1)).reshape(2, 2)
+
+
+def rk4_trajectory(rho0: np.ndarray, theta: float, ratio: float, step_count: int,
+                   samples: int) -> np.ndarray:
+    """rho at samples + 1 uniform times of a theta pulse, by classical RK4 on
+    vec(rho) with ceil(step_count / samples) equal steps per sample interval."""
+    lv = liouvillian(ratio)
+    steps = -(-step_count // samples)
+    h = theta / 2.0 / (samples * steps)
+    r = rho0.reshape(-1).astype(complex)
+    out = [r]
+    for _ in range(samples):
+        for _ in range(steps):
+            k1 = lv @ r
+            k2 = lv @ (r + 0.5 * h * k1)
+            k3 = lv @ (r + 0.5 * h * k2)
+            k4 = lv @ (r + h * k3)
+            r = r + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        out.append(r)
+    return np.array(out).reshape(-1, 2, 2)
 
 
 def ideal_state(psi0: np.ndarray, theta: float) -> np.ndarray:

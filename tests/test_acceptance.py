@@ -201,8 +201,7 @@ def test_state_invariants_on_random_trajectories():
         theta = rng.uniform(0.1, 2.0 * math.pi)
         ratio = rng.uniform(0.0, 1.0)
         result = evolve(rho0, PulseSpec(1.0, theta), DecaySpec(ratio), config)
-        for _, rho in result.trajectory:
-            mat = rho.matrix
+        for mat in result.trajectory.states:
             worst_trace = max(worst_trace, abs(np.trace(mat).real - 1.0))
             worst_herm = max(worst_herm, float(np.max(np.abs(mat - mat.conj().T))))
             half_tr = 0.5 * (mat[0, 0].real + mat[1, 1].real)

@@ -290,16 +290,14 @@ class TestAreaSweep:
         sweep = fixed_intensity_area_sweep(
             atom, field, 1e-6, [sigma, 10 * sigma, 1e4 * sigma, 1e6 * sigma]
         )
-        products = [row.kappa_times_area for row in sweep]
         expected = atom.decay_rate() * sigma
-        for product in products:
+        for product in sweep.kappa_times_area:
             assert product == pytest.approx(expected, rel=1e-12)
-        laser_errors = [row.laser_mode_error for row in sweep]
+        laser_errors = sweep.laser_mode_error
         assert all(b < a for a, b in zip(laser_errors, laser_errors[1:]))
-        total_errors = {row.total_error for row in sweep}
-        assert len(total_errors) == 1
+        assert len(set(sweep.total_error)) == 1
         # at the matched area the two error columns coincide
-        assert sweep[0].laser_mode_error == pytest.approx(sweep[0].total_error, rel=1e-12)
+        assert sweep.laser_mode_error[0] == pytest.approx(sweep.total_error[0], rel=1e-12)
 
 
 class TestUnitRescaling:

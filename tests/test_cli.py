@@ -1,8 +1,13 @@
 
+import contextlib
+import io
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lasergate.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main
+from lasergate.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, MAX_ROWS, START_STATES, main
 
 
 def run(tmp_path, *argv, name="out.csv"):
@@ -89,6 +94,35 @@ class TestSimulate:
         code, _ = run(tmp_path, "simulate", "--method", "rk4_fixed", "--ratio", "30",
                       "--theta", "1e4", "--samples", "1")
         assert code == EXIT_NUMERIC
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--theta", "1e11"], ["--theta", "1e12"],
+         ["--ratio", "1e6", "--theta", "1e6", "--samples", "1"]],
+        ids=["theta-1e11", "theta-1e12", "ratio-theta-1e6"],
+    )
+    def test_state_off_the_bloch_ball_is_numeric_error(self, tmp_path, capsys, argv):
+        # rounding in the squarings, not the input, breaks positivity or purity here
+        code, _ = run(tmp_path, "simulate", *argv)
+        assert code == EXIT_NUMERIC
+        assert "Bloch ball" in capsys.readouterr().err
+
+    def test_unknown_start_is_config_error(self, tmp_path):
+        assert run(tmp_path, "simulate", "--start", "sideways")[0] == EXIT_CONFIG
+
+    @given(theta=st.floats(0.0, 1e13), ratio=st.floats(0.0, 1e308), samples=st.integers(1, 50),
+           method=st.sampled_from(["exact", "rk4_fixed"]),
+           start=st.sampled_from(sorted(START_STATES)))
+    @settings(max_examples=60, deadline=None)
+    def test_any_pulse_exits_cleanly_and_prints_finite_numbers(self, theta, ratio, samples,
+                                                               method, start):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["simulate", "--theta", repr(theta), "--ratio", repr(ratio),
+                         "--samples", str(samples), "--method", method, "--start", start])
+        assert code in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERIC)
+        if code == EXIT_OK:
+            assert "nan" not in out.getvalue() and "inf" not in out.getvalue()
 
 
 class TestSweep:
@@ -259,6 +293,16 @@ class TestCompare:
 
     def test_small_photon_numbers_rejected(self, tmp_path):
         assert run(tmp_path, "compare", "--n_bars", "10,400")[0] == EXIT_CONFIG
+
+
+class TestWorkBound:
+    @pytest.mark.parametrize(
+        "argv", [["simulate", "--samples"], ["sweep", "--points"],
+                 [*BUDGET_ARGS, "--area_sweep_points"]],
+        ids=["samples", "points", "area_sweep_points"],
+    )
+    def test_more_rows_than_the_cap_is_config_error(self, tmp_path, argv):
+        assert run(tmp_path, *argv, str(MAX_ROWS + 1))[0] == EXIT_CONFIG
 
 
 class TestPlumbing:

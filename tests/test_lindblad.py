@@ -147,13 +147,15 @@ class TestEvolve:
             IntegratorConfig(record_trajectory=True, sample_count=16),
         )
         assert len(result.trajectory) == 17
-        times = [t for t, _ in result.trajectory]
+        times = result.trajectory.times
         assert times[0] == 0.0
         assert times[-1] == pytest.approx(math.pi / 2)
         assert all(b > a for a, b in zip(times, times[1:]))
-        # every sample is a valid DensityMatrix by construction; spot-check trace
-        for _, rho in result.trajectory:
-            assert abs(np.trace(rho.matrix) - 1.0) <= 1e-9
+        # every sample is validated when the trajectory is built; spot-check trace
+        for m in result.trajectory.states:
+            assert abs(np.trace(m) - 1.0) <= 1e-9
+        with pytest.raises(ValueError):
+            result.trajectory.states[0, 0, 0] = 1.0
 
 
 class TestConservationLaws:
@@ -177,8 +179,7 @@ class TestConservationLaws:
             method=RK4_FIXED, step_count=200, record_trajectory=True, sample_count=8
         )
         result = evolve(rho0, PulseSpec(1.0, theta), DecaySpec(ratio), config)
-        for _, rho in result.trajectory:
-            m = rho.matrix
+        for m in result.trajectory.states:
             assert abs(np.trace(m) - 1.0) <= 1e-9
             assert np.max(np.abs(m - m.conj().T)) <= 1e-9
             # DensityMatrix construction already enforces eigenvalues >= -1e-9
@@ -212,6 +213,18 @@ class TestConvergenceOrder:
         assert err_fine > 0
         assert 12.0 <= err_coarse / err_fine <= 20.0
 
+    @pytest.mark.parametrize("step_count,samples", [(1000, 2000), (100, 5), (400, 8), (1000, 1)])
+    def test_rk4_matches_classical_stepper(self, step_count, samples):
+        # one Taylor step matrix per sample interval (k = 1 and k > 1) against
+        # a plain RK4 loop on the kron-form superoperator
+        rho0 = PureState.superposition(1.0, 0.6 + 0.2j).to_density()
+        theta, ratio = 3 * math.pi / 2, 0.3
+        config = IntegratorConfig(method=RK4_FIXED, step_count=step_count,
+                                  record_trajectory=True, sample_count=samples)
+        got = evolve(rho0, PulseSpec(1.0, theta), DecaySpec(ratio), config).trajectory.states
+        want = oracles.rk4_trajectory(rho0.matrix, theta, ratio, step_count, samples)
+        assert np.max(np.abs(got - want)) <= 1e-12
+
 
 class TestExactPropagator:
     STARTS = {
@@ -243,10 +256,10 @@ class TestExactPropagator:
         rho0 = PureState.excited().to_density()
         config = IntegratorConfig(record_trajectory=True, sample_count=64)
         result = evolve(rho0, PulseSpec(2.0, 3.0), DecaySpec(0.5), config)
-        for t, rho in result.trajectory:
+        for t, m in zip(result.trajectory.times, result.trajectory.states):
             want = oracles.evolve_superop(rho0.matrix, 2.0 * 2.0 * t, 0.25)
-            assert np.max(np.abs(rho.matrix - want)) <= 1e-12
-        assert result.final is result.trajectory[-1][1]
+            assert np.max(np.abs(m - want)) <= 1e-12
+        assert np.array_equal(result.final.matrix, result.trajectory.states[-1])
 
     def test_non_finite_propagator_is_integration_error(self, tmp_path):
         # kappa/g_alpha * tau = 1.7e308 * pi/2 overflows the generator itself;

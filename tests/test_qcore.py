@@ -7,6 +7,7 @@ from lasergate.qcore import (
     DensityMatrix,
     InvalidStateError,
     PureState,
+    check_densities,
     fidelity_pure,
     make_operator,
     min_eigenvalue,
@@ -90,6 +91,13 @@ class TestDensityMatrixInvariants:
     def test_rejects_negative_eigenvalue(self):
         with pytest.raises(InvalidStateError, match="positive"):
             DensityMatrix(np.diag([1.5, -0.5]))
+
+    def test_stack_check_names_the_first_bad_matrix(self):
+        half = np.eye(2) / 2
+        stack = np.array([half, half, np.diag([1.5, -0.5]), np.diag([2.0, -1.0])])
+        check_densities(stack[:2])
+        with pytest.raises(InvalidStateError, match="state 2: .*positive"):
+            check_densities(stack)
 
     def test_rejects_non_square(self):
         with pytest.raises(InvalidStateError):
