@@ -21,7 +21,6 @@ import sys
 
 import numpy as np
 
-from . import budget, gates, jc
 from .lindblad import (
     EXACT,
     DecaySpec,
@@ -36,8 +35,8 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
-# Most rows one invocation may ask for (samples, points, area_sweep_points):
-# a larger request is refused before anything is allocated.
+# Most rows one invocation may ask for (samples, points, area_sweep_points,
+# n_bars entries): a larger request is refused before anything is allocated.
 MAX_ROWS = 10**6
 
 COMMANDS = ("simulate", "sweep", "budget", "compare")
@@ -55,12 +54,103 @@ def _fmt(x: float) -> str:
     return f"{x:.11e}"
 
 
+# Powers of ten 1e-300 .. 1e300, each correctly rounded by the float parser.
+_POW10_MIN = -300
+_POW10 = np.array([float(f"1e{k}") for k in range(_POW10_MIN, 1 - _POW10_MIN)])
+
+
+def _words(texts) -> np.ndarray:
+    """Each 4-character ASCII text as one 4-byte word, in memory order."""
+    return np.frombuffer("".join(texts).encode("ascii"), np.uint32)
+
+
+# A printed number is five words: [sign, d0, '.', d1] [d2..d5] [d6..d9]
+# [d10, d11, 'e', exponent sign] [exponent digits, separator].  NUL bytes
+# pad the words and are dropped from the output.
+_DIGITS = np.stack(np.broadcast_arrays(*np.ix_(*[np.arange(48, 58, dtype=np.uint8)] * 4)),
+                   axis=-1).reshape(10000, 4)  # "0000" .. "9999"
+_FOUR = _DIGITS.view(np.uint32).reshape(-1)
+_EXPONENT = np.zeros((1000, 4), np.uint8)  # |e| in 3 digits, or NUL and 2 digits; NUL
+_EXPONENT[:, :3] = _DIGITS[:1000, 1:]
+_EXPONENT[:100, 0] = 0
+_EXPONENT = _EXPONENT.view(np.uint32).reshape(-1)
+_HEAD = _words(f"{sign}{k // 10}.{k % 10}" for k in range(100) for sign in "\0-")
+_TAIL = _words(f"{k:02d}e{sign}" for k in range(100) for sign in "+-")
+_COMMA, _NEWLINE = _words(["\0\0\0,", "\0\0\0\n"])
+
+
+def _decimal(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The 12-digit mantissa m and exponent e of ``'%.11e' % x`` per element,
+    so |x| rounds to m * 10**(e - 11) (m = e = 0 for zeros), and a mask of
+    the elements this cannot settle, left to the exact %-formatting.
+
+    |x| * 10**(11 - e) is rounded twice, so it is within 2.3e-4 of the exact
+    product once it is below 1e12; the mask holds every element whose scaled
+    value lies within 1e-3 of a rounding tie, and every element outside
+    [1e-280, 1e280) or not finite.
+    """
+    a = np.abs(x)
+    regular = (a >= 1e-280) & (a < 1e280)
+    a = np.where(regular, a, 1.0)
+    e = np.floor(np.log10(a)).astype(np.intp)
+    scaled = a * _POW10[11 - _POW10_MIN - e]
+    e += scaled >= 1e12  # log10 was one too low, or one too high
+    e -= scaled < 1e11
+    scaled = a * _POW10[11 - _POW10_MIN - e]
+    m = np.rint(scaled)
+    carry = m >= 1e12
+    m[carry] = 1e11
+    e += carry
+    zero = x == 0.0
+    exact = ~zero & (~regular | (m < 1e11) | (np.abs(scaled - np.floor(scaled) - 0.5) < 1e-3))
+    m[zero] = 0.0
+    e[zero] = 0
+    return m.astype(np.int64), e, exact
+
+
+# Numbers per block of _format_rows: its arrays stay below 0.5 MB, whatever
+# the size of the table.
+_BLOCK_NUMBERS = 1 << 12
+
+
 def _format_rows(table: np.ndarray) -> str:
     """The rows of a 2-D float array as comma-separated :func:`_fmt` fields,
-    one line per row, formatted by a single %-template operation
-    (``'%.11e' % x`` equals ``f'{x:.11e}'`` for every float)."""
+    one line per row, with no newline after the last row.
+
+    Byte for byte what ``'%.11e' % x`` prints for each element, written as
+    digits by table lookup into a buffer of 20 bytes per number, one block
+    of rows at a time; the few elements :func:`_decimal` cannot settle are
+    formatted by ``'%.11e' % x`` itself.
+    """
     rows, cols = table.shape
-    return "\n".join([",".join(["%.11e"] * cols)] * rows) % tuple(table.ravel().tolist())
+    step = max(1, _BLOCK_NUMBERS // cols)
+    return "\n".join(_format_block(table[i:i + step]) for i in range(0, rows, step))
+
+
+def _format_block(table: np.ndarray) -> str:
+    """:func:`_format_rows` of a table of at least one row."""
+    rows, cols = table.shape
+    x = np.ascontiguousarray(table, dtype=float).reshape(-1)
+    m, e, exact = _decimal(x)
+    top, m = np.divmod(m, 10**10)
+    middle, m = np.divmod(m, 10**6)
+    lower, last = np.divmod(m, 100)
+    words = np.empty((rows, cols, 5), np.uint32)
+    flat = words.reshape(-1, 5)
+    flat[:, 0] = _HEAD[2 * top + np.signbit(x)]
+    flat[:, 1] = _FOUR[middle]
+    flat[:, 2] = _FOUR[lower]
+    flat[:, 3] = _TAIL[2 * last + (e < 0)]
+    separators = np.full(cols, _COMMA)
+    separators[-1] = _NEWLINE
+    words[:, :, 4] = _EXPONENT[np.abs(e)].reshape(rows, cols) | separators
+    words[-1, -1, 4] &= ~_NEWLINE
+    text = flat.view(np.uint8)
+    for i in np.flatnonzero(exact):
+        field = np.frombuffer(("%.11e" % x[i]).encode("ascii"), np.uint8)
+        text[i, :19] = 0
+        text[i, :field.size] = field
+    return words.tobytes().replace(b"\0", b"").decode("ascii")
 
 
 def _finite_float(raw: str) -> float:
@@ -71,8 +161,12 @@ def _finite_float(raw: str) -> float:
 
 
 def _finite_floats(raw: str) -> tuple[float, ...]:
-    """Comma-separated list of finite floats; blank entries are skipped."""
-    return tuple(_finite_float(tok) for tok in raw.split(",") if tok.strip())
+    """Comma-separated list of at most MAX_ROWS finite floats; blank entries
+    are skipped."""
+    tokens = [tok for tok in raw.split(",") if tok.strip()]
+    if len(tokens) > MAX_ROWS:
+        raise ValueError(f"more than {MAX_ROWS} entries")
+    return tuple(_finite_float(tok) for tok in tokens)
 
 
 def _non_negative_int(raw: str) -> int:
@@ -227,6 +321,8 @@ def run_simulate(cfg: dict) -> str:
 
 def run_sweep(cfg: dict) -> str:
     """Ratio sweep CSV with a fitted-coefficient footer."""
+    from . import gates
+
     _require_csv(cfg, "sweep")
     if cfg["points"] < 1:
         raise ConfigError("empty ratio grid: points must be >= 1")
@@ -241,19 +337,18 @@ def run_sweep(cfg: dict) -> str:
     probabilities = gates.sweep_failure_probabilities(experiment, ratios, _integrator_config(cfg))
     coeff = gates.fit_coefficient(experiment.pulse_area, ratios, probabilities)
 
-    lines = ["ratio,p"]
-    for ratio, p in zip(ratios, probabilities):
-        lines.append(f"{_fmt(ratio)},{_fmt(p)}")
-    lines.append(
-        f"# c={_fmt(coeff.coefficient_vs_ratio)}"
+    return (
+        "ratio,p\n" + _format_rows(np.column_stack((ratios, probabilities)))
+        + f"\n# c={_fmt(coeff.coefficient_vs_ratio)}"
         f" c_prime={_fmt(coeff.coefficient_vs_photons)}"
-        f" residual={_fmt(coeff.fit_residual)}"
+        f" residual={_fmt(coeff.fit_residual)}\n"
     )
-    return "\n".join(lines) + "\n"
 
 
 def run_budget(cfg: dict) -> str:
     """Budget report: rates, photon numbers, constraint margins, area sweep."""
+    from . import budget
+
     if cfg["format"] not in ("text", "csv"):
         raise ConfigError(f"budget format must be text or csv, got {cfg['format']!r}")
     constants = budget.CODATA
@@ -327,11 +422,15 @@ def run_budget(cfg: dict) -> str:
         ]
         verdicts.append(("raman_constraint", "satisfied" if report.satisfied else "violated"))
 
-    table_header = "area,kappa,kappa_times_area,n_bar,p_laser,p_total"
-    table_rows = _format_rows(np.column_stack((
+    table = np.column_stack((
         sweep.area, sweep.kappa, sweep.kappa_times_area,
         sweep.n_bar, sweep.laser_mode_error, sweep.total_error,
-    )))
+    ))
+    if not (all(math.isfinite(value) for _, value in scalars + raman_lines)
+            and np.isfinite(table).all()):
+        raise FloatingPointError("a budget value leaves the double range for these inputs")
+    table_header = "area,kappa,kappa_times_area,n_bar,p_laser,p_total"
+    table_rows = _format_rows(table)
 
     if cfg["format"] == "csv":
         lines = [f"# {name}={_fmt(value)}" for name, value in scalars + raman_lines]
@@ -354,6 +453,8 @@ def run_budget(cfg: dict) -> str:
 
 def run_compare(cfg: dict) -> str:
     """Markov vs single-mode failure probabilities on a shared photon grid."""
+    from . import budget, gates, jc
+
     _require_csv(cfg, "compare")
     theta = _gate_area(cfg["gate"])
     state = _start_state(cfg["start"])
@@ -362,6 +463,8 @@ def run_compare(cfg: dict) -> str:
         raise ConfigError("n_bars must list at least one photon number")
     if any(nb < 25 for nb in n_bars):
         raise ConfigError("photon numbers must be >= 25 (semiclassical regime)")
+    for n_bar in n_bars:  # a Fock window too wide to evolve is refused before any work
+        jc.CoherentField(alpha=math.sqrt(n_bar))
 
     experiment = gates.GateExperiment(pulse_area=theta, initial_state=state)
     ratios = [budget.drive_ratio_for_photons(theta, n_bar) for n_bar in n_bars]
@@ -423,7 +526,7 @@ def main(argv=None) -> int:
         raw.update(_overrides_from_extras(extras))
         cfg = _coerce(args.command, raw)
         output = RUNNERS[args.command](cfg)
-    except IntegrationError as exc:
+    except (IntegrationError, ArithmeticError) as exc:
         print(f"error: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (ConfigError, InvalidStateError, ValueError) as exc:

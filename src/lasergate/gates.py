@@ -16,12 +16,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import budget
 from .lindblad import IntegratorConfig, PulseSpec, final_states
-from .qcore import InvalidStateError, PureState, fidelity_pure, make_operator
+from .qcore import InvalidStateError, PureState, make_operator, pure_fidelities
 
 # Ratios above this are outside the perturbative regime the linear fit assumes.
 PERTURBATIVE_RATIO_MAX = 1e-2
+
+# Ratios below this leave p too close to its ~6e-16 absolute error floor: at
+# 1e-10 that error is about 1e-4 of p for the smallest coefficient (pi/2 from
+# ground, c = 0.0445), and below it a slope p/ratio measures rounding.
+RESOLVABLE_RATIO_MIN = 1e-10
 
 # Relative RMS residual above which a fit is flagged as degraded.
 FIT_RESIDUAL_BOUND = 1e-3
@@ -102,8 +106,9 @@ def extract_coefficient(experiment: GateExperiment, ratios=None,
     ----------
     experiment : GateExperiment
     ratios : array-like, optional
-        At least four strictly increasing positive ratios, all within the
-        perturbative regime (<= 1e-2).  Defaults to ``default_ratio_grid()``.
+        At least four strictly increasing ratios, all within the
+        perturbative regime (<= 1e-2) and resolvable (>= 1e-10).  Defaults to
+        ``default_ratio_grid()``.
     config : IntegratorConfig
 
     Returns
@@ -120,8 +125,8 @@ def extract_coefficient(experiment: GateExperiment, ratios=None,
 def fit_coefficient(pulse_area: float, ratios, probabilities) -> ErrorCoefficient:
     """Fit p = c * ratio through the origin over a perturbative sweep.
 
-    ``ratios`` must hold at least four strictly increasing positive values,
-    all <= 1e-2.  Returns the least-squares slope c, its photon-number
+    ``ratios`` must hold at least four strictly increasing values, all in
+    [1e-10, 1e-2].  Returns the least-squares slope c, its photon-number
     counterpart c' = c * theta / 2, and the fit residual; ``degraded_fit`` is
     set when the residual exceeds 1e-3 * c instead of raising.
     """
@@ -134,6 +139,12 @@ def fit_coefficient(pulse_area: float, ratios, probabilities) -> ErrorCoefficien
         raise InvalidStateError(
             f"ratio {r.max():g} exceeds the perturbative bound {PERTURBATIVE_RATIO_MAX:g}"
         )
+    if float(r.min()) < RESOLVABLE_RATIO_MIN:
+        raise InvalidStateError(
+            f"ratio {r.min():g} is below {RESOLVABLE_RATIO_MIN:g}, where p is not resolved"
+        )
+    from . import budget
+
     p = np.asarray(probabilities, dtype=float)
     c = float(np.dot(p, r) / np.dot(r, r))  # least squares through the origin
     residual = float(np.sqrt(np.mean((p / r - c) ** 2)))
@@ -154,4 +165,4 @@ def sweep_failure_probabilities(experiment: GateExperiment, ratios,
     finals = final_states(experiment.initial_state.to_density(), pulse, ratios, config)
     target = ideal_target(experiment).amplitudes
     orthogonal = PureState(np.array([-np.conj(target[1]), np.conj(target[0])]))
-    return np.array([fidelity_pure(rho, orthogonal) for rho in finals])
+    return pure_fidelities(finals, orthogonal)

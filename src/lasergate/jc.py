@@ -38,6 +38,11 @@ POISSON_TAIL_TOL = 1e-10
 # physics beyond that is out of scope for single-pulse gates.
 MAX_RABI_PERIODS = 5.0
 
+# Most Fock levels a field may keep: a gate error holds about 120 bytes per
+# level, so this bounds it near 240 MB, reached by the default window at
+# nbar of about 1e10.
+MAX_FOCK_LEVELS = 2 * 10**6
+
 
 class TruncationError(InvalidStateError):
     """Fock-space truncation leaves more than the allowed Poisson tail mass."""
@@ -72,6 +77,11 @@ class CoherentField:
         elif self.n_max < floor:
             raise TruncationError(
                 f"n_max={self.n_max} below nbar + 10 sqrt(nbar) = {floor:.2f}"
+            )
+        levels = self.n_max - self.n_min + 1
+        if levels > MAX_FOCK_LEVELS:
+            raise InvalidStateError(
+                f"Poisson window of {levels} Fock levels exceeds {MAX_FOCK_LEVELS}"
             )
         tail = self._tail_bound()
         if tail > POISSON_TAIL_TOL:

@@ -161,6 +161,26 @@ def _matrices(v: np.ndarray) -> np.ndarray:
     return m
 
 
+def _density_stack(v: np.ndarray) -> np.ndarray:
+    """The density matrices of the Bloch rows ``v``, as a read-only (k, 2, 2)
+    stack validated in one call.
+
+    Raises :class:`IntegrationError` if a row left the Bloch ball: the
+    rounding of a long or strongly damped pulse, or an unstable RK4 step.
+    """
+    states = _matrices(v)
+    try:
+        check_densities(states)
+    except InvalidStateError as exc:  # exc names the sample: "state i: ..."
+        with np.errstate(over="ignore", invalid="ignore"):
+            radius = np.linalg.norm(v[:, 1:], axis=1).max()
+        raise IntegrationError(
+            f"propagated state left the Bloch ball (largest |s| = {radius:.12g}): {exc}"
+        ) from exc
+    states.setflags(write=False)
+    return states
+
+
 def lindblad_rhs(rho: DensityMatrix, pulse: PulseSpec, decay: DecaySpec) -> np.ndarray:
     """Right-hand side drho/dt in the caller's time units; traceless and
     Hermitian by construction."""
@@ -275,34 +295,34 @@ def evolve(rho0: DensityMatrix, pulse: PulseSpec, decay: DecaySpec,
             rows = _rk4_increment(ratio, tau, -(-config.step_count // n_segments))[1:]
             for i in range(n_segments):
                 v[i + 1, 1:] = v[i, 1:] + rows @ v[i]
-        states = _matrices(v)
-        try:
-            check_densities(states)
-        except InvalidStateError as exc:  # exc names the sample: "state i: ..."
-            radius = np.linalg.norm(v[:, 1:], axis=1).max()
-            raise IntegrationError(
-                f"propagated state left the Bloch ball (largest |s| = {radius:.12g}): {exc}"
-            ) from exc
+        states = _density_stack(v)
     times = np.linspace(0.0, theta / 2.0, n_segments + 1) / g
-    for array in (times, states):
-        array.setflags(write=False)
+    times.setflags(write=False)
     trajectory = Trajectory(times, states)
     return EvolutionResult(DensityMatrix(states[-1]),
                            trajectory if config.record_trajectory else None)
 
 
 def final_states(rho0: DensityMatrix, pulse: PulseSpec, decay_rates,
-                 config: IntegratorConfig = IntegratorConfig()) -> list[DensityMatrix]:
-    """Final state of ``rho0`` after ``pulse`` for each rate in ``decay_rates``.
+                 config: IntegratorConfig = IntegratorConfig()) -> np.ndarray:
+    """Final state of ``rho0`` after ``pulse`` for each rate in ``decay_rates``,
+    as a read-only (k, n, n) stack.
 
     Same result as one :func:`evolve` per rate; the exact method builds all
-    propagators in one batched call.  Every final state is validated.
+    propagators in one batched call and validates the stack in one call.
     """
-    decays = [DecaySpec(rate=rate) for rate in np.asarray(decay_rates, dtype=float).reshape(-1)]
+    rates = np.asarray(decay_rates, dtype=float).reshape(-1)
+    bad = ~(np.isfinite(rates) & (rates >= 0))
+    if bad.any():
+        raise InvalidStateError(
+            f"decay rate must be finite and >= 0, got {rates[np.argmax(bad)]}"
+        )
     if config.method != EXACT or pulse.pulse_area == 0.0 or rho0.dim != 2:
-        return [evolve(rho0, pulse, decay, config).final for decay in decays]
-    ratios = [decay.rate / pulse.drive_coupling for decay in decays]
-    steps = _propagators(ratios, pulse.pulse_area / 2.0)
-    v = np.ones((len(ratios), 4))
+        states = np.array([evolve(rho0, pulse, DecaySpec(rate), config).final.matrix
+                           for rate in rates]).reshape(-1, *rho0.matrix.shape)
+        states.setflags(write=False)
+        return states
+    steps = _propagators(rates / pulse.drive_coupling, pulse.pulse_area / 2.0)
+    v = np.ones((rates.size, 4))
     v[:, 1:] = steps[:, 1:] @ _bloch(rho0.matrix)
-    return [DensityMatrix(m) for m in _matrices(v)]
+    return _density_stack(v)

@@ -185,8 +185,17 @@ def fidelity_pure(rho: DensityMatrix, target: PureState) -> float:
         raise InvalidStateError(
             f"dimension mismatch: rho dim {rho.dim}, target dim {target.dim}"
         )
+    return float(pure_fidelities(rho.matrix[None], target)[0])
+
+
+def pure_fidelities(states: np.ndarray, target: PureState) -> np.ndarray:
+    """Overlap <psi|rho|psi> of each matrix in a validated (k, n, n) stack,
+    clamped into [0, 1]."""
     psi = target.amplitudes
-    val = np.vdot(psi, rho.matrix @ psi)
-    if abs(val.imag) > 1e-9:
-        raise InvalidStateError(f"fidelity has imaginary residue {val.imag:.3e}")
-    return float(min(1.0, max(0.0, val.real)))
+    out = np.empty(len(states))
+    for i, rho in enumerate(states):
+        val = np.vdot(psi, rho @ psi)
+        if abs(val.imag) > 1e-9:
+            raise InvalidStateError(f"fidelity has imaginary residue {val.imag:.3e}")
+        out[i] = min(1.0, max(0.0, val.real))
+    return out

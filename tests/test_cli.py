@@ -1,13 +1,23 @@
 
 import contextlib
 import io
+import json
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from lasergate.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, MAX_ROWS, START_STATES, main
+import lasergate
+from lasergate import cli
+from lasergate.cli import (
+    EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, GATE_AREAS, MAX_ROWS, START_STATES, main,
+)
 
 
 def run(tmp_path, *argv, name="out.csv"):
@@ -23,6 +33,26 @@ def rows(payload: bytes):
 
 def comments(payload: bytes):
     return [ln for ln in payload.decode().splitlines() if ln.startswith("#")]
+
+
+# a printed nan or inf, but not the letters inside a name such as "resonant"
+NON_FINITE = re.compile(r"(?<![A-Za-z_])[-+]?(?:nan|inf)(?![A-Za-z_])")
+
+
+def run_stdout(*argv):
+    """Exit code and stdout of one in-process run, stderr discarded."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue()
+
+
+def assert_exits_cleanly(*argv):
+    """Exit 0, 2 or 3, and nothing non-finite printed on success."""
+    code, out = run_stdout(*argv)
+    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERIC)
+    if code == EXIT_OK:
+        assert not NON_FINITE.search(out), NON_FINITE.search(out)
 
 
 def report_values(payload: bytes) -> dict:
@@ -116,13 +146,8 @@ class TestSimulate:
     @settings(max_examples=60, deadline=None)
     def test_any_pulse_exits_cleanly_and_prints_finite_numbers(self, theta, ratio, samples,
                                                                method, start):
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(["simulate", "--theta", repr(theta), "--ratio", repr(ratio),
-                         "--samples", str(samples), "--method", method, "--start", start])
-        assert code in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERIC)
-        if code == EXIT_OK:
-            assert "nan" not in out.getvalue() and "inf" not in out.getvalue()
+        assert_exits_cleanly("simulate", "--theta", repr(theta), "--ratio", repr(ratio),
+                             "--samples", str(samples), "--method", method, "--start", start)
 
 
 class TestSweep:
@@ -160,6 +185,15 @@ class TestSweep:
     def test_non_finite_input_is_config_error(self, tmp_path):
         assert run(tmp_path, "sweep", "--ratio_min", "nan")[0] == EXIT_CONFIG
         assert run(tmp_path, "sweep", "--ratio_max", "inf")[0] == EXIT_CONFIG
+
+    @given(gate=st.sampled_from(sorted(GATE_AREAS)), start=st.sampled_from(sorted(START_STATES)),
+           ratio_min=st.floats(0.0, 1e308), ratio_max=st.floats(0.0, 1e308),
+           points=st.integers(0, 12), method=st.sampled_from(["exact", "rk4_fixed"]))
+    @settings(max_examples=40, deadline=None)
+    def test_any_grid_exits_cleanly(self, gate, start, ratio_min, ratio_max, points, method):
+        assert_exits_cleanly("sweep", "--gate", gate, "--start", start,
+                             "--ratio_min", repr(ratio_min), "--ratio_max", repr(ratio_max),
+                             "--points", str(points), "--method", method)
 
     def test_fit_matches_printed_probabilities(self, tmp_path):
         _, payload = run(tmp_path, "sweep", "--points", "16")
@@ -252,6 +286,22 @@ class TestBudget:
     def test_non_finite_input_is_config_error(self, tmp_path, key, value):
         assert run(tmp_path, *BUDGET_ARGS, f"--{key}", value)[0] == EXIT_CONFIG
 
+    @given(wavelength=st.floats(1e-12, 1.0), mode_area=st.floats(1e-30, 1.0),
+           dipole=st.floats(1e-40, 1e-20), field=st.floats(1e-3, 1e12),
+           epsilon=st.floats(0.0, 1.0), points=st.integers(0, 12),
+           max_factor=st.floats(0.0, 1e12),
+           extra=st.sampled_from([[], ["--duration", "1e-6"], ["--raman_detuning", "1e12"]]),
+           fmt=st.sampled_from(["text", "csv"]))
+    @settings(max_examples=40, deadline=None)
+    def test_any_budget_exits_cleanly(self, wavelength, mode_area, dipole, field, epsilon,
+                                      points, max_factor, extra, fmt):
+        assert_exits_cleanly("budget", "--wavelength", repr(wavelength),
+                             "--mode_area", repr(mode_area), "--dipole", repr(dipole),
+                             "--field_amplitude", repr(field), "--epsilon", repr(epsilon),
+                             "--area_sweep_points", str(points),
+                             "--area_sweep_max_factor", repr(max_factor), "--format", fmt,
+                             *extra)
+
     def test_malformed_config_line(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("wavelength 1e-6\n")
@@ -294,6 +344,19 @@ class TestCompare:
     def test_small_photon_numbers_rejected(self, tmp_path):
         assert run(tmp_path, "compare", "--n_bars", "10,400")[0] == EXIT_CONFIG
 
+    def test_fock_window_beyond_the_level_cap_rejected(self, tmp_path, capsys):
+        # about 2e9 Fock levels: refused before the Markov or JC work starts
+        assert run(tmp_path, "compare", "--n_bars", "400,1e16")[0] == EXIT_CONFIG
+        assert "Fock levels" in capsys.readouterr().err
+
+    @given(gate=st.sampled_from(sorted(GATE_AREAS)), start=st.sampled_from(sorted(START_STATES)),
+           n_bars=st.lists(st.one_of(st.floats(0.0, 1e6), st.sampled_from([1e16, 1e300])),
+                           max_size=3))
+    @settings(max_examples=40, deadline=None)
+    def test_any_photon_grid_exits_cleanly(self, gate, start, n_bars):
+        assert_exits_cleanly("compare", "--gate", gate, "--start", start,
+                             "--n_bars", ",".join(repr(n) for n in n_bars))
+
 
 class TestWorkBound:
     @pytest.mark.parametrize(
@@ -303,6 +366,82 @@ class TestWorkBound:
     )
     def test_more_rows_than_the_cap_is_config_error(self, tmp_path, argv):
         assert run(tmp_path, *argv, str(MAX_ROWS + 1))[0] == EXIT_CONFIG
+
+    def test_more_photon_numbers_than_the_cap_is_config_error(self, tmp_path):
+        n_bars = ",".join(["400"] * (MAX_ROWS + 1))
+        assert run(tmp_path, "compare", "--n_bars", n_bars)[0] == EXIT_CONFIG
+
+
+def template_rows(table) -> str:
+    """The table printer's oracle: the %-template, one field at a time."""
+    return "\n".join(",".join("%.11e" % x for x in row) for row in np.asarray(table).tolist())
+
+
+class TestTablePrinter:
+    @given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=6),
+                      elements=st.floats()))
+    @settings(max_examples=300, deadline=None)
+    def test_any_floats_print_as_the_template(self, table):
+        # st.floats() covers +-0, subnormals, inf, nan and 3-digit exponents
+        assert cli._format_rows(table) == template_rows(table)
+
+    def test_adversarial_table_prints_as_the_template(self):
+        rng = np.random.default_rng(20261018)
+        n = 20000
+        k = rng.integers(-330, 309, n)
+        m = rng.integers(10**11, 10**12, n).astype(float)
+        with np.errstate(over="ignore", under="ignore"):
+            scale = 10.0 ** (k - 11)
+            table = np.column_stack((
+                (m + 0.5) * scale,  # ties of the 12th digit, as near as a double gets
+                -m * scale,
+                np.nextafter(10.0 ** k, 0.0),  # just below a power of ten: the carry
+                10.0 ** k,
+                np.nextafter(10.0 ** k, np.inf),
+                rng.uniform(-1.0, 1.0, n) * 10.0 ** rng.integers(-12, 12, n),
+            ))
+        assert cli._format_rows(table) == template_rows(table)
+
+    def test_empty_table(self):
+        assert cli._format_rows(np.empty((0, 3))) == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--start", "plus", "--theta", "11", "--ratio", "25", "--samples", "500"],
+        ["simulate", "--method", "rk4_fixed", "--ratio", "0.3", "--samples", "300"],
+        ["sweep", "--gate", "pi2", "--start", "excited", "--points", "64"],
+        [*BUDGET_ARGS, "--raman_detuning", "1e12", "--area_sweep_points", "20000"],
+        [*BUDGET_ARGS, "--format", "csv", "--area_sweep_points", "20000"],
+        ["compare", "--n_bars", "1000,30000"],
+    ], ids=["simulate", "simulate-rk4", "sweep", "budget-text", "budget-csv", "compare"])
+    def test_command_output_equals_the_template_printer(self, monkeypatch, argv):
+        fast = run_stdout(*argv)
+        monkeypatch.setattr(cli, "_format_rows", template_rows)
+        assert fast == run_stdout(*argv)
+        assert fast[0] == EXIT_OK
+
+
+class TestImports:
+    def test_each_command_loads_only_what_it_calls(self):
+        # a fresh interpreter, so that no other test has loaded the modules yet
+        code = f"""
+import json, os, sys
+sys.path.insert(0, {str(Path(lasergate.__file__).parents[1])!r})
+import lasergate.cli
+lazy = ("lasergate.budget", "lasergate.gates", "lasergate.jc")
+loaded = lambda: [name for name in lazy if name in sys.modules]
+after_import = loaded()
+code = lasergate.cli.main(["simulate", "--samples", "3", "--out", os.devnull])
+after_simulate = loaded()
+unresolved = [name for name in lasergate.__all__ if getattr(lasergate, name, None) is None]
+print(json.dumps([after_import, code, after_simulate, unresolved, loaded()]))
+"""
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True).stdout
+        after_import, code, after_simulate, unresolved, finally_loaded = json.loads(out)
+        assert after_import == [] and after_simulate == []
+        assert code == EXIT_OK
+        assert unresolved == []
+        assert len(finally_loaded) == 3
 
 
 class TestPlumbing:

@@ -7,6 +7,7 @@ from scipy.stats import poisson
 
 import oracles
 from lasergate.jc import (
+    MAX_FOCK_LEVELS,
     CoherentField,
     TruncationError,
     jc_evolve,
@@ -70,6 +71,15 @@ class TestCoherentField:
             field = CoherentField(alpha=math.sqrt(n_bar), n_max=n_max)
             exact = poisson.cdf(field.n_min - 1, n_bar) + poisson.sf(field.n_max, n_bar)
             assert exact <= field._tail_bound() <= 1e-10
+
+    def test_fock_window_capped(self):
+        # constructing a field allocates nothing; only its evolution would
+        wide = CoherentField(alpha=math.sqrt(0.99e10))
+        assert wide.n_max - wide.n_min + 1 <= MAX_FOCK_LEVELS
+        with pytest.raises(InvalidStateError, match="Fock levels"):
+            CoherentField(alpha=math.sqrt(1e10))
+        with pytest.raises(InvalidStateError, match="Fock levels"):
+            CoherentField(alpha=5.0, n_max=MAX_FOCK_LEVELS)
 
     def test_negative_alpha_rejected(self):
         with pytest.raises(InvalidStateError):

@@ -243,7 +243,7 @@ class TestExactPropagator:
         for ratio, got in zip(ratios, batched):
             want = oracles.evolve_superop(rho0.matrix, theta, ratio)
             single = evolve(rho0, PulseSpec(1.0, theta), DecaySpec(ratio)).final
-            assert np.max(np.abs(got.matrix - want)) <= 1e-12
+            assert np.max(np.abs(got - want)) <= 1e-12
             assert np.max(np.abs(single.matrix - want)) <= 1e-12
 
     @pytest.mark.parametrize("theta", [math.pi, math.pi / 2], ids=["pi", "pi2"])
