@@ -26,17 +26,15 @@ __version__ = "0.1.0"
 # module -> the public names it defines
 _EXPORTS = {
     "budget": ("AtomModel", "BeamGeometry", "CODATA", "FieldSpec", "PhotonBudget",
-               "PhysicalConstants", "RamanSpec", "energy_density_bound", "error_vs_photons",
+               "PhysicalConstants", "RamanSpec", "energy_density_bound",
                "fixed_intensity_area_sweep", "kappa_from_beam", "min_photon_constraint",
-               "photon_budget", "photon_flux", "raman_constraint",
-               "spontaneous_emission_margins"),
+               "photon_budget", "raman_constraint", "spontaneous_emission_margins"),
     "gates": ("ErrorCoefficient", "GateExperiment", "extract_coefficient",
               "failure_probability"),
     "jc": ("CoherentField", "jc_evolve", "jc_gate_error"),
     "lindblad": ("DecaySpec", "EvolutionResult", "IntegrationError", "IntegratorConfig",
-                 "PulseSpec", "evolve", "lindblad_rhs"),
-    "qcore": ("DensityMatrix", "InvalidStateError", "PureState", "fidelity_pure",
-              "make_operator"),
+                 "PulseSpec", "evolve"),
+    "qcore": ("DensityMatrix", "InvalidStateError", "PureState", "fidelity_pure"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 __all__ = sorted(_MODULE_OF)

@@ -251,37 +251,12 @@ def kappa_from_beam(atom: AtomModel, beam: BeamGeometry,
     return atom.decay_rate(constants) * beam.scattering_cross_section / beam.mode_area
 
 
-def error_vs_photons(coefficient: float, n_bar: float) -> float:
-    """p = c' / nbar; with c' = 3 pi^2 / 32 this is the pi-pulse error 0.93/nbar."""
-    if n_bar <= 0:
-        raise InvalidStateError(f"photon number must be > 0, got {n_bar}")
-    return coefficient / n_bar
-
-
-def photon_flux(rabi_frequency: float, kappa: float) -> float:
-    """Photon flux through the mode, Phi = Omega_R^2 / (4 kappa).
-
-    This is the consistency relation tying the ratio form of the pi-pulse
-    error, (3 pi / 8) kappa / Omega_R, to its photon form (3 pi^2 / 32)/nbar at
-    T = pi / Omega_R.  In SI it reduces to the identity
-    kappa / Omega_R^2 = hbar omega / (4 I A), a rearrangement of
-    kappa = Gamma sigma_eff / A with the standard Gamma and Omega_R formulas.
-    """
-    if kappa <= 0:
-        raise InvalidStateError("kappa must be > 0 (zero kappa means infinite flux)")
-    return rabi_frequency ** 2 / (4.0 * kappa)
-
-
-def kappa_over_rabi(theta: float, n_bar: float) -> float:
-    """kappa / Omega_R = theta / (4 nbar) for a theta pulse carrying nbar photons."""
-    if n_bar <= 0:
-        raise InvalidStateError(f"photon number must be > 0, got {n_bar}")
-    return theta / (4.0 * n_bar)
-
-
 def drive_ratio_for_photons(theta: float, n_bar: float) -> float:
-    """kappa / g_alpha = theta / (2 nbar); the integrator-facing form of the above."""
-    return 2.0 * kappa_over_rabi(theta, n_bar)
+    """kappa / g_alpha = theta / (2 nbar) for a theta pulse carrying nbar
+    photons, from kappa / Omega_R = theta / (4 nbar) and Omega_R = 2 g_alpha."""
+    if n_bar <= 0:
+        raise InvalidStateError(f"photon number must be > 0, got {n_bar}")
+    return theta / (2.0 * n_bar)
 
 
 def photon_coefficient(coefficient_vs_ratio: float, theta: float) -> float:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lindblad import IntegratorConfig, PulseSpec, final_states
-from .qcore import InvalidStateError, PureState, make_operator, pure_fidelities
+from .qcore import InvalidStateError, PureState, pure_fidelities, rotation
 
 # Ratios above this are outside the perturbative regime the linear fit assumes.
 PERTURBATIVE_RATIO_MAX = 1e-2
@@ -63,10 +63,7 @@ class ErrorCoefficient:
 
 def ideal_target(experiment: GateExperiment) -> PureState:
     """Decay-free output exp(-i theta sigma_x / 2) |psi0>."""
-    theta = experiment.pulse_area
-    sigma_x = make_operator("sigma_x", 2)
-    u = np.cos(theta / 2.0) * np.eye(2) - 1j * np.sin(theta / 2.0) * sigma_x
-    return PureState(u @ experiment.initial_state.amplitudes)
+    return PureState(rotation(experiment.pulse_area) @ experiment.initial_state.amplitudes)
 
 
 def failure_probability(experiment: GateExperiment, ratio: float,

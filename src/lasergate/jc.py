@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qcore import DensityMatrix, InvalidStateError, PureState, make_operator
+from .qcore import DensityMatrix, InvalidStateError, PureState, rotation
 
 POISSON_TAIL_TOL = 1e-10
 
@@ -60,8 +60,9 @@ class CoherentField:
 
     ``n_min`` = max(0, floor(nbar - 10 sqrt(nbar))) is derived from alpha.  The
     default truncation n_max = ceil(nbar + 10 sqrt(nbar)) + 12; an explicit
-    n_max must satisfy n_max >= nbar + 10 sqrt(nbar).  Either way the Chernoff
-    bound on the Poisson mass outside [n_min, n_max] must stay below 1e-10.
+    n_max must satisfy n_max >= nbar + 10 sqrt(nbar).  Either way the window
+    may hold at most ``MAX_FOCK_LEVELS`` levels, and the Chernoff bound on the
+    Poisson mass outside [n_min, n_max] must stay below 1e-10.
     """
 
     alpha: float
@@ -71,7 +72,15 @@ class CoherentField:
         if self.alpha < 0:
             raise InvalidStateError("alpha is taken real and >= 0 by phase convention")
         n_bar = self.alpha ** 2
-        floor = n_bar + 10.0 * math.sqrt(n_bar)
+        width = 20.0 * math.sqrt(n_bar)
+        # every window holds at least 20 sqrt(nbar) levels: checked before the
+        # window is rounded to nbar +- 10 sqrt(nbar), which from nbar ~ 1e33 on
+        # loses the width to the spacing of doubles
+        if width > MAX_FOCK_LEVELS:
+            raise InvalidStateError(
+                f"Poisson window of {width:.3g} Fock levels exceeds {MAX_FOCK_LEVELS}"
+            )
+        floor = n_bar + width / 2.0
         if self.n_max is None:
             object.__setattr__(self, "n_max", int(math.ceil(floor)) + 12)
         elif self.n_max < floor:
@@ -211,10 +220,7 @@ def jc_gate_error(theta: float, atom_start: PureState, n_bar: float,
     field = CoherentField(alpha=math.sqrt(n_bar), n_max=n_max)
     duration = theta / (2.0 * g * math.sqrt(n_bar))
     ground, excited = _joint_state(atom_start, field, g, duration)
-
-    sigma_x = make_operator("sigma_x", 2)
-    u = np.cos(theta / 2.0) * np.eye(2) - 1j * np.sin(theta / 2.0) * sigma_x
-    target = u @ atom_start.amplitudes
+    target = rotation(theta) @ atom_start.amplitudes
     # <psi_perp| = (-target_a, target_b) projects each Fock level's atom state
     overlap = target[0] * excited - target[1] * ground
     return float(np.vdot(overlap, overlap).real)

@@ -15,14 +15,18 @@ v = (1, x, y, z) obeys the real linear ODE dv/dt = (g_alpha B_drive + kappa
 B_decay) v.  The solvers work in scaled time tau = g_alpha * t, where the
 dynamics depend only on the single ratio kappa / g_alpha.  Within a pulse the
 coefficients are constant, so one real 4x4 matrix maps v from each sample
-to the next: the default ``exact`` method multiplies by exp(B * tau), and
+to the next, and one builder, :func:`_step_rows`, forms it for a whole stack
+of ratios: the default ``exact`` method multiplies by exp(B * tau), and
 ``rk4_fixed`` adds P(h B)^k - I applied to v, with P(X) = I + X + X^2/2 +
 X^3/6 + X^4/24 the degree-4 Taylor polynomial, k = ceil(step_count /
 samples) and h = tau / k.  For a linear constant-coefficient ODE that is
-exactly classical RK4 with k steps of size h.  The first component of v is the trace: the generator's
-first row is zero, so the state carried between samples is (x, y, z) alone
-and the trace is exactly 1.  A trajectory is two arrays, the sample times and
-a (k, 2, 2) stack of density matrices validated in one call.
+exactly classical RK4 with k steps of size h.  The first component of v is
+the trace: the generator's first row is zero, so only rows 1..3 of the map
+are formed, the state carried between samples is (x, y, z) alone and the
+trace is exactly 1.  :func:`evolve` applies the map of one ratio sample by
+sample; :func:`final_states` applies one segment's map for every ratio of a
+sweep at once.  Either validates its density matrices as one (k, 2, 2)
+stack; a trajectory is that stack and the sample times.
 """
 
 from __future__ import annotations
@@ -80,16 +84,6 @@ class PulseSpec:
             raise InvalidStateError(f"pulse_area must be finite and >= 0, got {self.pulse_area}")
         if self.pulse_area > 0 and self.drive_coupling == 0:
             raise InvalidStateError("nonzero pulse area requires drive_coupling > 0")
-
-    @property
-    def rabi_frequency(self) -> float:
-        return 2.0 * self.drive_coupling
-
-    @property
-    def duration(self) -> float:
-        if self.pulse_area == 0.0:
-            return 0.0
-        return self.pulse_area / (2.0 * self.drive_coupling)
 
 
 @dataclass(frozen=True)
@@ -181,15 +175,6 @@ def _density_stack(v: np.ndarray) -> np.ndarray:
     return states
 
 
-def lindblad_rhs(rho: DensityMatrix, pulse: PulseSpec, decay: DecaySpec) -> np.ndarray:
-    """Right-hand side drho/dt in the caller's time units; traceless and
-    Hermitian by construction."""
-    if rho.dim != 2:
-        raise InvalidStateError("the driven-atom equation of motion is two-level only")
-    gen = pulse.drive_coupling * _B_DRIVE + decay.rate * _B_DECAY
-    return _matrices((gen @ _bloch(rho.matrix))[None])[0]
-
-
 def _expm(a: np.ndarray) -> np.ndarray:
     """exp(A) for every matrix A in a stack of shape (k, n, n).
 
@@ -238,25 +223,33 @@ def _propagators(ratios, tau: float) -> np.ndarray:
     return steps
 
 
-def _rk4_increment(ratio: float, tau: float, steps: int) -> np.ndarray:
-    """P(h B)^steps - I, with h = tau / steps and P(X) = I + X + X^2/2 + X^3/6
-    + X^4/24: the change of v over ``steps`` classical RK4 steps of
-    dv/dtau = B v, as one 4x4 matrix.
+def _step_rows(ratios, tau: float, config: IntegratorConfig, segments: int) -> np.ndarray:
+    """Rows 1..3 of the map that carries v = (1, x, y, z) over one of
+    ``segments`` equal segments of scaled duration ``tau``, one (3, 4) matrix
+    per kappa/g_alpha in ``ratios``.
 
-    Only the increment is formed, never I + increment: its small entries keep
-    full relative precision, where the rounding of a step matrix near I would
-    bias every application of it alike.
+    ``exact`` gives the rows of exp(B * tau), from :func:`_propagators`.
+    ``rk4_fixed`` gives those of the increment P(h B)^k - I, with
+    k = ceil(step_count / segments), h = tau / k and P(X) = I + X + X^2/2 +
+    X^3/6 + X^4/24: the change of v over k classical RK4 steps of
+    dv/dtau = B v.  Only the increment is formed, never I + increment: its
+    small entries keep full relative precision, where the rounding of a step
+    matrix near I would bias every application of it alike.
     """
-    x = (_B_DRIVE + ratio * _B_DECAY) * (tau / steps)
+    if config.method == EXACT:
+        return _propagators(ratios, tau)[:, 1:]
+    r = np.asarray(ratios, dtype=float).reshape(-1)
+    steps = -(-config.step_count // segments)
+    x = (_B_DRIVE + r[:, None, None] * _B_DECAY) * (tau / steps)
     ident = np.eye(4)
     d = x @ (ident + x @ (ident + x @ (ident + x / 4.0) / 3.0) / 2.0)
-    total = np.zeros((4, 4))
+    total = np.zeros_like(d)
     while steps:  # binary powering, with (I + a)(I + b) - I = a + b + a b
         if steps & 1:
             total = total + d + total @ d
         d = 2.0 * d + d @ d
         steps >>= 1
-    return total
+    return total[:, 1:]
 
 
 def evolve(rho0: DensityMatrix, pulse: PulseSpec, decay: DecaySpec,
@@ -284,15 +277,13 @@ def evolve(rho0: DensityMatrix, pulse: PulseSpec, decay: DecaySpec,
     tau = theta / 2.0 / n_segments  # scaled duration g_alpha * T of one segment
     v = np.empty((n_segments + 1, 4))
     v[0] = _bloch(rho0.matrix)
-    v[1:, 0] = 1.0
+    v[1:, 0] = 1.0  # the map has no trace row: the trace stays 1
     with np.errstate(over="ignore", invalid="ignore"):
-        # row 0 of a step matrix is the trace, and of an increment zero: v[:, 0] stays 1
+        rows = _step_rows([ratio], tau, config, n_segments)[0]
         if config.method == EXACT:
-            rows = _propagators([ratio], tau)[0][1:]
             for i in range(n_segments):
                 v[i + 1, 1:] = rows @ v[i]
         else:
-            rows = _rk4_increment(ratio, tau, -(-config.step_count // n_segments))[1:]
             for i in range(n_segments):
                 v[i + 1, 1:] = v[i, 1:] + rows @ v[i]
         states = _density_stack(v)
@@ -306,10 +297,11 @@ def evolve(rho0: DensityMatrix, pulse: PulseSpec, decay: DecaySpec,
 def final_states(rho0: DensityMatrix, pulse: PulseSpec, decay_rates,
                  config: IntegratorConfig = IntegratorConfig()) -> np.ndarray:
     """Final state of ``rho0`` after ``pulse`` for each rate in ``decay_rates``,
-    as a read-only (k, n, n) stack.
+    as a read-only (k, 2, 2) stack.
 
-    Same result as one :func:`evolve` per rate; the exact method builds all
-    propagators in one batched call and validates the stack in one call.
+    The same states as one :func:`evolve` per rate without a trajectory
+    (``config.record_trajectory`` is not read), from one batched
+    :func:`_step_rows` call and one validation of the stack.
     """
     rates = np.asarray(decay_rates, dtype=float).reshape(-1)
     bad = ~(np.isfinite(rates) & (rates >= 0))
@@ -317,12 +309,13 @@ def final_states(rho0: DensityMatrix, pulse: PulseSpec, decay_rates,
         raise InvalidStateError(
             f"decay rate must be finite and >= 0, got {rates[np.argmax(bad)]}"
         )
-    if config.method != EXACT or pulse.pulse_area == 0.0 or rho0.dim != 2:
-        states = np.array([evolve(rho0, pulse, DecaySpec(rate), config).final.matrix
-                           for rate in rates]).reshape(-1, *rho0.matrix.shape)
-        states.setflags(write=False)
-        return states
-    steps = _propagators(rates / pulse.drive_coupling, pulse.pulse_area / 2.0)
+    if rho0.dim != 2:
+        raise InvalidStateError("final_states handles the two-level atom only")
+    if pulse.pulse_area == 0.0:
+        return np.broadcast_to(rho0.matrix, (rates.size, 2, 2))
+    b = _bloch(rho0.matrix)
     v = np.ones((rates.size, 4))
-    v[:, 1:] = steps[:, 1:] @ _bloch(rho0.matrix)
-    return _density_stack(v)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = _step_rows(rates / pulse.drive_coupling, pulse.pulse_area / 2.0, config, 1)
+        v[:, 1:] = rows @ b if config.method == EXACT else b[1:] + rows @ b
+        return _density_stack(v)

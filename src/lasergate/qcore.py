@@ -24,17 +24,6 @@ POSITIVITY_SLACK = 1e-9
 PURITY_SLACK = 1e-9
 NORM_TOL = 1e-12
 
-GROUND = 0
-EXCITED = 1
-
-OPERATOR_KINDS = (
-    "sigma_plus",
-    "sigma_minus",
-    "sigma_x",
-    "projector_excited",
-    "identity",
-)
-
 
 class InvalidStateError(ValueError):
     """A matrix or vector violates a quantum-state invariant."""
@@ -110,10 +99,6 @@ class DensityMatrix:
     def purity(self) -> float:
         return float(purities(self.matrix))
 
-    @staticmethod
-    def maximally_mixed(dim: int) -> "DensityMatrix":
-        return DensityMatrix(np.eye(dim, dtype=complex) / dim)
-
 
 @dataclass(frozen=True)
 class PureState:
@@ -155,28 +140,10 @@ class PureState:
         return PureState(v / nrm)
 
 
-def make_operator(kind: str, dim: int) -> np.ndarray:
-    """Standard atomic operators in the fixed (ground, excited) ordering.
-
-    sigma_plus = |a><b|, sigma_minus = |b><a|; the identity is available at
-    any dimension, everything else is strictly two-level.
-    """
-    if kind not in OPERATOR_KINDS:
-        raise InvalidStateError(f"unknown operator kind {kind!r}")
-    if kind == "identity":
-        if dim < 1:
-            raise InvalidStateError("identity needs dim >= 1")
-        return np.eye(dim, dtype=complex)
-    if dim != 2:
-        raise InvalidStateError(f"atomic operator {kind} requires dim=2, got {dim}")
-    sigma_minus = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-    if kind == "sigma_minus":
-        return sigma_minus
-    if kind == "sigma_plus":
-        return sigma_minus.conj().T
-    if kind == "sigma_x":
-        return sigma_minus + sigma_minus.conj().T
-    return np.diag([0.0, 1.0]).astype(complex)  # projector_excited
+def rotation(theta: float) -> np.ndarray:
+    """The decay-free pulse exp(-i theta sigma_x / 2), as a 2x2 complex matrix."""
+    sigma_x = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+    return np.cos(theta / 2.0) * np.eye(2) - 1j * np.sin(theta / 2.0) * sigma_x
 
 
 def fidelity_pure(rho: DensityMatrix, target: PureState) -> float:

@@ -19,7 +19,6 @@ from lasergate.budget import (
     FieldSpec,
     PhysicalConstants,
     RamanSpec,
-    error_vs_photons,
     kappa_from_beam,
     min_photon_constraint,
     photon_budget,
@@ -112,7 +111,7 @@ def test_all_modes_error_counts_local_photons():
         rabi = field.rabi_frequency(atom)
         n_bar_prime = photon_budget(atom, beam, field).n_bar_prime
         p_rate_form = PI_PULSE_RABI_SLOPE * atom.decay_rate() / rabi
-        p_photon_form = error_vs_photons(PI_PULSE_PHOTON_COEFFICIENT, n_bar_prime)
+        p_photon_form = PI_PULSE_PHOTON_COEFFICIENT / n_bar_prime
         worst = max(worst, abs(p_rate_form / p_photon_form - 1.0))
     _verdict(
         "all-modes error vs local photon count",

@@ -17,14 +17,11 @@ from lasergate.budget import (
     RamanSpec,
     drive_ratio_for_photons,
     energy_density_bound,
-    error_vs_photons,
     fixed_intensity_area_sweep,
     kappa_from_beam,
-    kappa_over_rabi,
     min_photon_constraint,
     photon_budget,
     photon_coefficient,
-    photon_flux,
     raman_constraint,
     spontaneous_emission_margins,
 )
@@ -94,23 +91,16 @@ class TestKappaFromBeam:
 @pytest.mark.filterwarnings("ignore:mode_area is below")
 class TestPhotonRelations:
     def test_error_vs_photons_reference(self):
-        # 0.93 / 1e6 ~ 9.3e-7
-        p = error_vs_photons(PI_PULSE_PHOTON_COEFFICIENT, 1e6)
-        assert p == pytest.approx(9.3e-7, rel=0.01)
-        assert error_vs_photons(PI_PULSE_PHOTON_COEFFICIENT, 1e12) < 1e-11
+        # p = c' / nbar with c' = 3 pi^2 / 32: 0.93 / 1e6 ~ 9.3e-7
+        assert PI_PULSE_PHOTON_COEFFICIENT / 1e6 == pytest.approx(9.3e-7, rel=0.01)
+        assert PI_PULSE_PHOTON_COEFFICIENT / 1e12 < 1e-11
 
     def test_error_needs_positive_photons(self):
         with pytest.raises(InvalidStateError):
-            error_vs_photons(0.93, 0.0)
-
-    def test_flux_relation_reference(self):
-        assert photon_flux(2.0, 0.5) == pytest.approx(2.0)
-        with pytest.raises(InvalidStateError):
-            photon_flux(2.0, 0.0)
+            drive_ratio_for_photons(math.pi, 0.0)
 
     def test_ratio_for_photon_number(self):
-        # theta = pi at nbar = 1e6: kappa/Omega_R = pi / 4e6
-        assert kappa_over_rabi(math.pi, 1e6) == pytest.approx(7.853981633974e-7, rel=1e-10)
+        # theta = pi at nbar = 1e6: kappa/Omega_R = pi / 4e6, kappa/g_alpha twice that
         assert drive_ratio_for_photons(math.pi, 1e6) == pytest.approx(2 * 7.853981633974e-7, rel=1e-10)
 
     def test_photon_coefficient_conversion(self):
@@ -127,7 +117,7 @@ class TestPhotonRelations:
         rabi = field.rabi_frequency(atom)
         kappa = kappa_from_beam(atom, beam)
         flux_direct = field.power(beam) / (CODATA.hbar * atom.transition_frequency)
-        assert photon_flux(rabi, kappa) == pytest.approx(flux_direct, rel=1e-12)
+        assert rabi**2 / (4.0 * kappa) == pytest.approx(flux_direct, rel=1e-12)
 
     @given(wavelength=wavelengths, dipole=dipoles, amplitude=amplitudes, area=areas)
     @settings(max_examples=100, deadline=None)
@@ -138,7 +128,7 @@ class TestPhotonRelations:
         kappa = kappa_from_beam(atom, beam)
         budget = photon_budget(atom, beam, field)
         p_ratio = PI_PULSE_RABI_SLOPE * kappa / rabi
-        p_photon = error_vs_photons(PI_PULSE_PHOTON_COEFFICIENT, budget.n_bar)
+        p_photon = PI_PULSE_PHOTON_COEFFICIENT / budget.n_bar
         assert p_ratio == pytest.approx(p_photon, rel=1e-10)
 
     @given(wavelength=wavelengths, dipole=dipoles, amplitude=amplitudes, area=areas)
@@ -149,7 +139,7 @@ class TestPhotonRelations:
         rabi = field.rabi_frequency(atom)
         budget = photon_budget(atom, beam, field)
         p_gamma = PI_PULSE_RABI_SLOPE * atom.decay_rate() / rabi
-        p_photon = error_vs_photons(PI_PULSE_PHOTON_COEFFICIENT, budget.n_bar_prime)
+        p_photon = PI_PULSE_PHOTON_COEFFICIENT / budget.n_bar_prime
         assert p_gamma == pytest.approx(p_photon, rel=1e-10)
 
     @given(wavelength=wavelengths, dipole=dipoles, amplitude=amplitudes, area=areas)

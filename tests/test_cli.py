@@ -349,6 +349,15 @@ class TestCompare:
         assert run(tmp_path, "compare", "--n_bars", "400,1e16")[0] == EXIT_CONFIG
         assert "Fock levels" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("n_bar", ["1e34", "1e40", "1e300"])
+    def test_huge_photon_number_refused_in_one_short_line(self, tmp_path, capsys, n_bar):
+        # nbar +- 10 sqrt(nbar) rounds to a window of a few levels from 1e33 on;
+        # the level cap must refuse it, not a tail bound over 300-digit integers
+        assert run(tmp_path, "compare", "--n_bars", n_bar)[0] == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and len(err) < 200
+        assert "Fock levels exceeds 2000000" in err
+
     @given(gate=st.sampled_from(sorted(GATE_AREAS)), start=st.sampled_from(sorted(START_STATES)),
            n_bars=st.lists(st.one_of(st.floats(0.0, 1e6), st.sampled_from([1e16, 1e300])),
                            max_size=3))

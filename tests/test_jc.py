@@ -80,6 +80,10 @@ class TestCoherentField:
             CoherentField(alpha=math.sqrt(1e10))
         with pytest.raises(InvalidStateError, match="Fock levels"):
             CoherentField(alpha=5.0, n_max=MAX_FOCK_LEVELS)
+        # nbar = 1e34: about 20 sqrt(nbar) = 2e18 levels, though nbar +- 10 sqrt(nbar)
+        # differ by 2**61 once rounded
+        with pytest.raises(InvalidStateError, match=r"window of 2e\+18 Fock levels"):
+            CoherentField(alpha=1e17)
 
     def test_negative_alpha_rejected(self):
         with pytest.raises(InvalidStateError):

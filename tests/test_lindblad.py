@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from lasergate import lindblad
 from lasergate.cli import EXIT_CONFIG, EXIT_NUMERIC, main
 from lasergate.gates import GateExperiment, sweep_failure_probabilities
 from lasergate.lindblad import (
@@ -16,7 +17,6 @@ from lasergate.lindblad import (
     PulseSpec,
     evolve,
     final_states,
-    lindblad_rhs,
 )
 from lasergate.qcore import DensityMatrix, InvalidStateError, PureState
 
@@ -29,17 +29,32 @@ def random_density(rng: np.random.Generator) -> DensityMatrix:
     return DensityMatrix(m / np.trace(m))
 
 
+def lindblad_rhs(rho: DensityMatrix, g: float, kappa: float) -> np.ndarray:
+    """drho/dt from the solver's Bloch generator g B_drive + kappa B_decay."""
+    gen = g * lindblad._B_DRIVE + kappa * lindblad._B_DECAY
+    return lindblad._matrices((gen @ lindblad._bloch(rho.matrix))[None])[0]
+
+
+def ground_trajectory(pulse: PulseSpec):
+    """16-sample trajectory of the ground state under ``pulse``, without decay."""
+    config = IntegratorConfig(record_trajectory=True, sample_count=16)
+    return evolve(PureState.ground().to_density(), pulse, DecaySpec(0.0), config).trajectory
+
+
 class TestSpecs:
     def test_pi_pulse_duration(self):
         # theta = pi is exactly T = pi / (2 g alpha)
-        assert PulseSpec(drive_coupling=1.0, pulse_area=math.pi).duration == math.pi / 2
-        assert PulseSpec(drive_coupling=2.5, pulse_area=math.pi).duration == math.pi / 5
+        assert ground_trajectory(PulseSpec(1.0, math.pi)).times[-1] == math.pi / 2
+        assert ground_trajectory(PulseSpec(2.5, math.pi)).times[-1] == math.pi / 5
 
     def test_rabi_frequency_is_twice_coupling(self):
-        assert PulseSpec(3.0, 1.0).rabi_frequency == 6.0
+        # from the ground state rho_aa(t) = (1 - cos(Omega_R t)) / 2, Omega_R = 2 g
+        traj = ground_trajectory(PulseSpec(3.0, 5.0))
+        want = (1.0 - np.cos(6.0 * traj.times)) / 2.0
+        assert np.max(np.abs(traj.states[:, 1, 1].real - want)) <= 1e-12
 
     def test_zero_area_zero_duration(self):
-        assert PulseSpec(0.0, 0.0).duration == 0.0
+        assert np.array_equal(ground_trajectory(PulseSpec(0.0, 0.0)).times, np.zeros(17))
 
     def test_area_without_drive_rejected(self):
         with pytest.raises(InvalidStateError):
@@ -68,27 +83,21 @@ class TestSpecs:
 class TestRhs:
     def test_ground_state_no_decay(self):
         # only the drive acts: populations stationary, coherence slope of unit magnitude
-        drho = lindblad_rhs(
-            PureState.ground().to_density(), PulseSpec(1.0, math.pi), DecaySpec(0.0)
-        )
+        drho = lindblad_rhs(PureState.ground().to_density(), 1.0, 0.0)
         assert drho[1, 1] == 0.0
         assert drho[0, 0] == 0.0
         assert abs(drho[1, 0]) == pytest.approx(1.0)
         assert drho[1, 0].real == pytest.approx(0.0)
 
     def test_pure_decay_from_excited(self):
-        drho = lindblad_rhs(
-            PureState.excited().to_density(), PulseSpec(0.0, 0.0), DecaySpec(1.0)
-        )
+        drho = lindblad_rhs(PureState.excited().to_density(), 0.0, 1.0)
         assert drho[1, 1].real == pytest.approx(-1.0)
         assert drho[0, 0].real == pytest.approx(1.0)
 
     def test_traceless_and_hermitian_on_random_states(self):
         rng = np.random.default_rng(11)
-        pulse = PulseSpec(1.0, math.pi)
         for _ in range(100):
-            decay = DecaySpec(rate=float(rng.uniform(0, 2)))
-            drho = lindblad_rhs(random_density(rng), pulse, decay)
+            drho = lindblad_rhs(random_density(rng), 1.0, float(rng.uniform(0, 2)))
             assert abs(np.trace(drho)) <= 1e-12
             assert np.max(np.abs(drho - drho.conj().T)) <= 1e-12
 
@@ -96,7 +105,7 @@ class TestRhs:
         rng = np.random.default_rng(3)
         for ratio in (0.0, 0.3, 1.7):
             rho = random_density(rng)
-            drho = lindblad_rhs(rho, PulseSpec(1.0, math.pi), DecaySpec(ratio))
+            drho = lindblad_rhs(rho, 1.0, ratio)
             expected = (oracles.liouvillian(ratio) @ rho.matrix.reshape(-1)).reshape(2, 2)
             assert np.max(np.abs(drho - expected)) <= 1e-13
 
@@ -246,6 +255,18 @@ class TestExactPropagator:
             assert np.max(np.abs(got - want)) <= 1e-12
             assert np.max(np.abs(single.matrix - want)) <= 1e-12
 
+    @pytest.mark.parametrize("config", [IntegratorConfig(), RK4], ids=["exact", "rk4"])
+    @pytest.mark.parametrize("theta", [0.0, math.pi / 2, 2.1])
+    def test_final_states_equal_evolve_bit_for_bit(self, config, theta):
+        rates = np.random.default_rng(17).uniform(0.0, 30.0, 16)
+        rates[0] = 0.0
+        rho0 = PureState.superposition(1.0, 0.6 + 0.2j).to_density()
+        pulse = PulseSpec(1.7, theta)
+        batched = final_states(rho0, pulse, rates, config)
+        assert batched.shape == (16, 2, 2) and not batched.flags.writeable
+        for rate, got in zip(rates, batched):
+            assert np.array_equal(got, evolve(rho0, pulse, DecaySpec(rate), config).final.matrix)
+
     @pytest.mark.parametrize("theta", [math.pi, math.pi / 2], ids=["pi", "pi2"])
     @pytest.mark.parametrize("start", sorted(STARTS))
     def test_no_decay_means_no_failure(self, theta, start):
@@ -282,8 +303,8 @@ class TestExactPropagator:
 
 class TestValidation:
     def test_fock_dimension_rejected(self):
-        big = DensityMatrix.maximally_mixed(4)
+        big = DensityMatrix(np.eye(4) / 4)
         with pytest.raises(InvalidStateError):
             evolve(big, PulseSpec(1.0, math.pi), DecaySpec(0.0))
         with pytest.raises(InvalidStateError):
-            lindblad_rhs(big, PulseSpec(1.0, math.pi), DecaySpec(0.0))
+            final_states(big, PulseSpec(1.0, math.pi), [0.0, 1.0])

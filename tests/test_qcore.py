@@ -1,16 +1,20 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
+import oracles
 from lasergate.qcore import (
     DensityMatrix,
     InvalidStateError,
     PureState,
     check_densities,
     fidelity_pure,
-    make_operator,
     min_eigenvalue,
+    rotation,
 )
 
 
@@ -21,38 +25,20 @@ def ginibre_density(rng: np.random.Generator, dim: int) -> DensityMatrix:
 
 
 class TestOperators:
-    def test_sigma_minus_matrix(self):
-        assert np.array_equal(make_operator("sigma_minus", 2), [[0, 1], [0, 0]])
-
-    def test_sigma_plus_matrix(self):
-        assert np.array_equal(make_operator("sigma_plus", 2), [[0, 0], [1, 0]])
+    @pytest.mark.parametrize("theta", [0.0, math.pi / 2, math.pi, 2 * math.pi, 11.0])
+    def test_rotation_matches_expm(self, theta):
+        sigma_x = np.array([[0, 1], [1, 0]], dtype=complex)
+        want = expm(-0.5j * theta * sigma_x)
+        assert np.max(np.abs(rotation(theta) - want)) <= 1e-15
 
     def test_identity(self):
-        assert np.array_equal(make_operator("identity", 2), np.eye(2))
-        assert np.array_equal(make_operator("identity", 5), np.eye(5))
-
-    def test_raising_times_lowering_is_excited_projector(self):
-        sp = make_operator("sigma_plus", 2)
-        sm = make_operator("sigma_minus", 2)
-        assert np.array_equal(sp @ sm, make_operator("projector_excited", 2))
+        assert np.array_equal(rotation(0.0), np.eye(2))
+        assert np.max(np.abs(rotation(4 * math.pi) - np.eye(2))) <= 1e-15
 
     def test_sigma_x_is_sum(self):
-        assert np.array_equal(
-            make_operator("sigma_x", 2),
-            make_operator("sigma_plus", 2) + make_operator("sigma_minus", 2),
-        )
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(InvalidStateError):
-            make_operator("sigma_y", 2)
-
-    def test_atomic_operator_needs_dim_2(self):
-        with pytest.raises(InvalidStateError):
-            make_operator("sigma_minus", 3)
-
-    def test_identity_needs_positive_dim(self):
-        with pytest.raises(InvalidStateError):
-            make_operator("identity", 0)
+        # a pi pulse is -i sigma_x, with sigma_x = sigma_+ + sigma_-
+        sigma_x = oracles.SIGMA_PLUS + oracles.SIGMA_MINUS
+        assert np.max(np.abs(rotation(math.pi) + 1j * sigma_x)) <= 1e-15
 
 
 class TestFidelity:
@@ -63,14 +49,14 @@ class TestFidelity:
         assert fidelity_pure(PureState.excited().to_density(), PureState.ground()) == 0.0
 
     def test_maximally_mixed_against_anything(self):
-        rho = DensityMatrix.maximally_mixed(2)
+        rho = DensityMatrix(np.eye(2) / 2)
         for target in (PureState.ground(), PureState.excited(), PureState.superposition(1, 1j)):
             assert fidelity_pure(rho, target) == pytest.approx(0.5)
 
     def test_dimension_mismatch_rejected(self):
         fock_state = PureState(np.array([1, 0, 0, 0]))
         with pytest.raises(InvalidStateError):
-            fidelity_pure(DensityMatrix.maximally_mixed(2), fock_state)
+            fidelity_pure(DensityMatrix(np.eye(2) / 2), fock_state)
 
     def test_result_is_clamped(self):
         # a state built from slightly noisy amplitudes still lands in [0, 1]
@@ -104,7 +90,7 @@ class TestDensityMatrixInvariants:
             DensityMatrix(np.ones((2, 3)))
 
     def test_matrix_is_frozen(self):
-        rho = DensityMatrix.maximally_mixed(2)
+        rho = DensityMatrix(np.eye(2) / 2)
         with pytest.raises(ValueError):
             rho.matrix[0, 0] = 3.0
 
