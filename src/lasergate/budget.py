@@ -15,11 +15,10 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
-from .qcore import InvalidStateError
+from .qcore import InvalidStateError, Record
 
 # Failure probability of a resonant pi pulse from the ground state, per unit
 # decay-to-Rabi ratio: p = (3 pi / 8) * kappa / Omega_R.
@@ -45,8 +44,7 @@ RESONANT_CHAIN_COEFFICIENT = math.pi ** 2
 RAMAN_ELIMINATION_COEFFICIENT = math.pi
 
 
-@dataclass(frozen=True)
-class PhysicalConstants:
+class PhysicalConstants(Record):
     """CODATA values in SI; pass a rescaled instance to change unit systems."""
 
     hbar: float = 1.054571817e-34   # J s
@@ -57,8 +55,7 @@ class PhysicalConstants:
 CODATA = PhysicalConstants()
 
 
-@dataclass(frozen=True)
-class BeamGeometry:
+class BeamGeometry(Record):
     """Uniform (top-hat) beam of area ``mode_area`` at a given wavelength."""
 
     wavelength: float
@@ -74,7 +71,7 @@ class BeamGeometry:
                 "mode_area is below the paraxial scattering cross-section "
                 f"({self.mode_area:.3e} < {self.scattering_cross_section:.3e} m^2); "
                 "a beam cannot be focused below about a wavelength",
-                stacklevel=2,
+                stacklevel=3,  # the caller of Record.__init__, which calls this
             )
 
     @property
@@ -88,8 +85,7 @@ class BeamGeometry:
         return 1.5 * math.pi / self.wavenumber ** 2
 
 
-@dataclass(frozen=True)
-class AtomModel:
+class AtomModel(Record):
     """Two-level transition: frequency omega (rad/s) and dipole moment (C m)."""
 
     transition_frequency: float
@@ -105,8 +101,7 @@ class AtomModel:
         return w ** 3 * d ** 2 / (3.0 * math.pi * constants.epsilon0 * constants.hbar * constants.c ** 3)
 
 
-@dataclass(frozen=True)
-class FieldSpec:
+class FieldSpec(Record):
     """Classical drive field of amplitude E0 (V/m)."""
 
     amplitude: float
@@ -127,8 +122,7 @@ class FieldSpec:
         return atom.dipole_moment * self.amplitude / constants.hbar
 
 
-@dataclass(frozen=True)
-class PhotonBudget:
+class PhotonBudget(Record):
     """Photon counts of one pulse and the accuracy verdict they imply.
 
     ``n_bar`` counts photons in the whole pulse (P T / hbar omega);
@@ -149,8 +143,7 @@ class PhotonBudget:
         return self.n_bar_prime > self.required_n_bar_prime
 
 
-@dataclass(frozen=True)
-class ConstraintReport:
+class ConstraintReport(Record):
     satisfied: bool
     margin: float
     energy_in_volume: float
@@ -159,8 +152,7 @@ class ConstraintReport:
     required_n_bar_prime: float
 
 
-@dataclass(frozen=True)
-class SpontaneousEmissionMargins:
+class SpontaneousEmissionMargins(Record):
     """One constraint, four algebraically identical forms (all ratios > 1 = pass):
 
     purity_form   eps / (Gamma T)
@@ -179,8 +171,7 @@ class SpontaneousEmissionMargins:
         return self.purity_form > 1.0
 
 
-@dataclass(frozen=True)
-class EnergyDensityBound:
+class EnergyDensityBound(Record):
     """Minimum field energy around the atom for gate error below epsilon.
 
     ``energy_per_wavelength_cubed`` = (16 pi^2 / 3) hbar / (epsilon T); the
@@ -195,8 +186,7 @@ class EnergyDensityBound:
     coefficient: float = ENERGY_PER_WAVELENGTH_CUBED_COEFFICIENT
 
 
-@dataclass(frozen=True)
-class RamanSpec:
+class RamanSpec(Record):
     """Far-detuned two-photon drive: detuning Delta and single-photon Omega_R."""
 
     detuning: float
@@ -216,8 +206,7 @@ class RamanSpec:
         return self.rabi_frequency ** 2 / self.detuning
 
 
-@dataclass(frozen=True)
-class RamanReport:
+class RamanReport(Record):
     """Verdict on Gamma/Delta < epsilon, plus the detuning-eliminated form.
 
     Substituting Delta = Omega_R^2 T / pi turns the purity-loss bound into
@@ -401,8 +390,7 @@ def raman_constraint(raman: RamanSpec, gamma: float, duration: float,
     )
 
 
-@dataclass(frozen=True)
-class AreaSweep:
+class AreaSweep(Record):
     """The fixed-intensity beam-area sweep, one numpy column per quantity."""
 
     area: np.ndarray

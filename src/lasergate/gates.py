@@ -12,12 +12,10 @@ p = c' / nbar using c' = c * theta / 2 (see ``budget.photon_coefficient``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .lindblad import IntegratorConfig, PulseSpec, final_states
-from .qcore import InvalidStateError, PureState, pure_fidelities, rotation
+from .qcore import InvalidStateError, PureState, Record, pure_fidelities, rotation
 
 # Ratios above this are outside the perturbative regime the linear fit assumes.
 PERTURBATIVE_RATIO_MAX = 1e-2
@@ -31,8 +29,7 @@ RESOLVABLE_RATIO_MIN = 1e-10
 FIT_RESIDUAL_BOUND = 1e-3
 
 
-@dataclass(frozen=True)
-class GateExperiment:
+class GateExperiment(Record):
     """A pulse area plus the state it is applied to."""
 
     pulse_area: float
@@ -45,8 +42,7 @@ class GateExperiment:
             raise InvalidStateError("gate experiments are two-level only")
 
 
-@dataclass(frozen=True)
-class ErrorCoefficient:
+class ErrorCoefficient(Record):
     """First-order error coefficients of one gate.
 
     ``coefficient_vs_ratio`` is c in p = c * (kappa/g_alpha);

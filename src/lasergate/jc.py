@@ -26,11 +26,10 @@ convention fixed for the classical drive in :mod:`lasergate.lindblad`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .qcore import DensityMatrix, InvalidStateError, PureState, rotation
+from .qcore import DensityMatrix, InvalidStateError, PureState, Record, rotation
 
 POISSON_TAIL_TOL = 1e-10
 
@@ -54,8 +53,7 @@ def _log_chernoff(n_bar: float, k: int) -> float:
     return -n_bar + k - (k * math.log(k / n_bar) if k else 0.0)
 
 
-@dataclass(frozen=True)
-class CoherentField:
+class CoherentField(Record):
     """Coherent field of real amplitude alpha, kept on Fock levels n_min..n_max.
 
     ``n_min`` = max(0, floor(nbar - 10 sqrt(nbar))) is derived from alpha.  The

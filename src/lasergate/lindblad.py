@@ -32,11 +32,10 @@ stack; a trajectory is that stack and the sample times.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .qcore import DensityMatrix, InvalidStateError, check_densities
+from .qcore import DensityMatrix, InvalidStateError, Record, check_densities
 
 EXACT = "exact"
 RK4_FIXED = "rk4_fixed"
@@ -68,8 +67,7 @@ class IntegrationError(RuntimeError):
     density matrix; reported as a numerical failure."""
 
 
-@dataclass(frozen=True)
-class PulseSpec:
+class PulseSpec(Record):
     """Resonant drive pulse: coupling g_alpha and rotation area theta = Omega_R T."""
 
     drive_coupling: float
@@ -86,8 +84,7 @@ class PulseSpec:
             raise InvalidStateError("nonzero pulse area requires drive_coupling > 0")
 
 
-@dataclass(frozen=True)
-class DecaySpec:
+class DecaySpec(Record):
     """Single amplitude-damping channel at the given rate (same units as g_alpha)."""
 
     rate: float
@@ -97,8 +94,7 @@ class DecaySpec:
             raise InvalidStateError(f"decay rate must be finite and >= 0, got {self.rate}")
 
 
-@dataclass(frozen=True)
-class IntegratorConfig:
+class IntegratorConfig(Record):
     """Solver settings; ``step_count`` is read by ``rk4_fixed`` only."""
 
     method: str = EXACT
@@ -117,8 +113,7 @@ class IntegratorConfig:
             raise InvalidStateError("sample_count must be >= 1")
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(Record):
     """Samples of one pulse: the times, shape (k,), and the density matrices
     at those times, a read-only (k, 2, 2) stack that :func:`evolve` validated
     in one call."""
@@ -130,8 +125,7 @@ class Trajectory:
         return self.times.size
 
 
-@dataclass(frozen=True)
-class EvolutionResult:
+class EvolutionResult(Record):
     final: DensityMatrix
     trajectory: Trajectory | None = None
 

@@ -6,14 +6,13 @@ invariants (Hermiticity, unit trace, positivity, normalization) once at
 construction and are then treated as immutable values.  The density-matrix
 invariants have one home, :func:`check_densities`, which checks a whole
 (k, n, n) stack in one call; a single :class:`DensityMatrix` is a stack of one.
+Every record type of the package derives from :class:`Record`.
 
 Basis ordering for the two-level atom is fixed package-wide:
 index 0 = ground ``|b>``, index 1 = excited ``|a>``.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,6 +26,75 @@ NORM_TOL = 1e-12
 
 class InvalidStateError(ValueError):
     """A matrix or vector violates a quantum-state invariant."""
+
+
+class Record:
+    """Immutable value with named fields, the base of every record type.
+
+    A subclass declares its fields as class annotations, in order, and a
+    class-level value is that field's default.  Construction takes the fields
+    positionally or by keyword, then calls ``__post_init__``, which may
+    normalize a field with ``object.__setattr__``.  Repr, equality and hash
+    are field-wise; assigning or deleting an attribute raises
+    :class:`AttributeError`.  Unlike ``dataclasses``, nothing is compiled per
+    class, so defining a record costs next to nothing at import.
+    """
+
+    _fields: tuple[str, ...] = ()
+    _defaults: dict = {}
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        own = cls.__annotations__
+        cls._fields = (*cls._fields, *own)
+        cls._defaults = {**cls._defaults, **{k: vars(cls)[k] for k in own if k in vars(cls)}}
+
+    def __init__(self, *args, **kwargs):
+        cls = type(self)
+        fields = cls._fields
+        if len(args) > len(fields):
+            raise TypeError(f"{cls.__name__} takes {len(fields)} fields, got {len(args)} "
+                            "positional arguments")
+        for name in kwargs:
+            if name not in fields:
+                raise TypeError(f"{cls.__name__} has no field {name!r}")
+        state = self.__dict__
+        for i, name in enumerate(fields):
+            if i < len(args):
+                if name in kwargs:
+                    raise TypeError(f"{cls.__name__} got field {name!r} twice")
+                state[name] = args[i]
+            elif name in kwargs:
+                state[name] = kwargs[name]
+            elif name in cls._defaults:
+                state[name] = cls._defaults[name]
+            else:
+                raise TypeError(f"{cls.__name__} is missing field {name!r}")
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot assign {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot delete {name!r}")
 
 
 def _as_complex_matrix(entries) -> np.ndarray:
@@ -80,8 +148,7 @@ def check_densities(m: np.ndarray) -> None:
             raise InvalidStateError(message if len(m) == 1 else f"state {i}: {message}")
 
 
-@dataclass(frozen=True)
-class DensityMatrix:
+class DensityMatrix(Record):
     """Validated density operator: Hermitian, unit-trace, positive semidefinite."""
 
     matrix: np.ndarray
@@ -100,8 +167,7 @@ class DensityMatrix:
         return float(purities(self.matrix))
 
 
-@dataclass(frozen=True)
-class PureState:
+class PureState(Record):
     """Normalized state vector."""
 
     amplitudes: np.ndarray

@@ -53,8 +53,9 @@ class TestGeometry:
         assert beam.scattering_cross_section == pytest.approx(1.1937e-13, rel=1e-4)
 
     def test_subwavelength_focus_warns(self):
-        with pytest.warns(UserWarning, match="cross-section"):
+        with pytest.warns(UserWarning, match="cross-section") as caught:
             BeamGeometry(wavelength=1e-6, mode_area=1e-14)
+        assert caught[0].filename == __file__
 
     def test_invalid_geometry_rejected(self):
         with pytest.raises(InvalidStateError):

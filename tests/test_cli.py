@@ -2,6 +2,7 @@
 import contextlib
 import io
 import json
+import os
 import re
 import subprocess
 import sys
@@ -436,21 +437,71 @@ class TestImports:
 import json, os, sys
 sys.path.insert(0, {str(Path(lasergate.__file__).parents[1])!r})
 import lasergate.cli
+stdlib = [name for name in ("dataclasses", "argparse") if name in sys.modules]
 lazy = ("lasergate.budget", "lasergate.gates", "lasergate.jc")
 loaded = lambda: [name for name in lazy if name in sys.modules]
 after_import = loaded()
 code = lasergate.cli.main(["simulate", "--samples", "3", "--out", os.devnull])
 after_simulate = loaded()
 unresolved = [name for name in lasergate.__all__ if getattr(lasergate, name, None) is None]
-print(json.dumps([after_import, code, after_simulate, unresolved, loaded()]))
+print(json.dumps([stdlib, after_import, code, after_simulate, unresolved, loaded()]))
 """
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              check=True).stdout
-        after_import, code, after_simulate, unresolved, finally_loaded = json.loads(out)
+        stdlib, after_import, code, after_simulate, unresolved, finally_loaded = json.loads(out)
+        assert stdlib == []
         assert after_import == [] and after_simulate == []
         assert code == EXIT_OK
         assert unresolved == []
         assert len(finally_loaded) == 3
+
+
+def run_entry(*argv):
+    """The console script in a fresh interpreter, its stdout a block-buffered pipe."""
+    env = {**os.environ, "PYTHONPATH": str(Path(lasergate.__file__).parents[1])}
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.run([sys.executable, "-c", "from lasergate.cli import entry; entry()",
+                           *argv], capture_output=True, env=env, timeout=120)
+
+
+BUDGET_20000 = ("budget", "--wavelength", "1e-6", "--mode_area", "1e-12", "--dipole", "1e-29",
+                "--field_amplitude", "1e5", "--area_sweep_points", "20000")
+
+
+class TestConsoleEntry:
+    """entry() exits without interpreter teardown; nothing it prints may be lost."""
+
+    @pytest.mark.parametrize("argv,expected", [
+        (("sweep", "--points", "0"), EXIT_CONFIG),
+        (("simulate", "--conf", "x"), EXIT_CONFIG),  # no abbreviated option names
+        (("simulate", "--theta", "1e11"), EXIT_NUMERIC),
+    ])
+    def test_exit_code_is_mains(self, argv, expected):
+        proc = run_entry(*argv)
+        assert proc.returncode == run_stdout(*argv)[0] == expected
+        assert proc.stdout == b"" and proc.stderr.startswith(b"error: ")
+
+    def test_large_output_through_a_pipe_and_a_file(self, tmp_path):
+        code, text = run_stdout(*BUDGET_20000)
+        assert code == EXIT_OK and text.count("\n") > 20000
+        proc = run_entry(*BUDGET_20000)
+        assert proc.returncode == EXIT_OK
+        assert proc.stdout == text.encode()
+        out = tmp_path / "budget.txt"
+        assert run_entry(*BUDGET_20000, "--out", str(out)).returncode == EXIT_OK
+        assert out.read_bytes() == text.encode()
+
+    @pytest.mark.parametrize("flag", ["-h", "--help"])
+    def test_help_exits_zero(self, flag):
+        proc = run_entry(flag)
+        assert proc.returncode == EXIT_OK and proc.stderr == b""
+        assert proc.stdout.startswith(b"usage: lasergate <command>")
+        assert all(f"\n  {name} ".encode() in proc.stdout for name in cli.RUNNERS)
+
+    def test_missing_command_exits_two(self):
+        proc = run_entry()
+        assert proc.returncode == EXIT_CONFIG and proc.stdout == b""
+        assert b"missing command" in proc.stderr
 
 
 class TestPlumbing:

@@ -7,6 +7,9 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 import oracles
+from lasergate.gates import ErrorCoefficient
+from lasergate.jc import CoherentField
+from lasergate.lindblad import EXACT, IntegratorConfig
 from lasergate.qcore import (
     DensityMatrix,
     InvalidStateError,
@@ -126,3 +129,59 @@ class TestEigensystem:
         g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         h = g + g.conj().T
         assert min_eigenvalue(h) == pytest.approx(float(np.linalg.eigvalsh(h)[0]), abs=1e-12)
+
+
+class TestRecord:
+    """The record base keeps what the frozen dataclasses it replaced did."""
+
+    def test_positional_and_keyword_construction_agree(self):
+        by_position = ErrorCoefficient(0.5, 1.5, 1e-6, True)
+        by_keyword = ErrorCoefficient(degraded_fit=True, fit_residual=1e-6,
+                                      coefficient_vs_photons=1.5, coefficient_vs_ratio=0.5)
+        mixed = ErrorCoefficient(0.5, 1.5, fit_residual=1e-6, degraded_fit=True)
+        assert by_position == by_keyword == mixed
+
+    def test_defaults_hold(self):
+        config = IntegratorConfig()
+        assert (config.method, config.step_count, config.record_trajectory,
+                config.sample_count) == (EXACT, 1000, False, 200)
+        assert ErrorCoefficient(1.0, 2.0, 0.0).degraded_fit is False
+        # a default of None that __post_init__ derives: ceil(100 + 10 * 10) + 12
+        assert CoherentField(alpha=10.0).n_max == 212
+        assert CoherentField(10.0, 300).n_max == 300
+
+    @pytest.mark.parametrize("args,kwargs,message", [
+        ((1.0, 2.0), {}, "missing field 'fit_residual'"),
+        ((1.0, 2.0, 0.0), {"residual": 0.0}, "no field 'residual'"),
+        ((1.0, 2.0, 0.0), {"coefficient_vs_ratio": 1.0}, "field 'coefficient_vs_ratio' twice"),
+        ((1.0, 2.0, 0.0, False, 5), {}, "takes 4 fields"),
+    ])
+    def test_bad_fields_raise_type_error(self, args, kwargs, message):
+        with pytest.raises(TypeError, match=message):
+            ErrorCoefficient(*args, **kwargs)
+
+    def test_fields_cannot_be_assigned_or_deleted(self):
+        config = IntegratorConfig()
+        with pytest.raises(AttributeError):
+            config.step_count = 5
+        with pytest.raises(AttributeError):
+            del config.method
+        with pytest.raises(AttributeError):
+            config.extra = 1
+        rho = DensityMatrix(np.eye(2) / 2)
+        with pytest.raises(AttributeError):
+            rho.matrix = np.eye(2)
+        assert config == IntegratorConfig() and "extra" not in vars(config)
+
+    def test_eq_hash_and_repr_are_field_wise(self):
+        a, b = ErrorCoefficient(1.0, 2.0, 3.0), ErrorCoefficient(1.0, 2.0, 3.0)
+        assert a == b and hash(a) == hash(b) == hash((1.0, 2.0, 3.0, False))
+        assert a != ErrorCoefficient(1.0, 2.0, 3.0, True)
+        assert len({a, b, ErrorCoefficient(1.0, 2.0, 4.0)}) == 2
+        assert repr(a) == ("ErrorCoefficient(coefficient_vs_ratio=1.0, coefficient_vs_photons=2.0,"
+                           " fit_residual=3.0, degraded_fit=False)")
+        config = IntegratorConfig(step_count=7)
+        assert config == IntegratorConfig(EXACT, 7) and hash(config) == hash(IntegratorConfig(EXACT, 7))
+        assert config != IntegratorConfig() and config != (EXACT, 7, False, 200)
+        assert repr(config) == ("IntegratorConfig(method='exact', step_count=7,"
+                                " record_trajectory=False, sample_count=200)")
