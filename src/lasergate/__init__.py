@@ -5,21 +5,13 @@ gate failure probabilities and their photon-number scaling, evaluates the
 photon/energy budgets those errors imply, and cross-checks against an exact
 single-mode Jaynes-Cummings model.
 
-Every matrix here is 4 x 4 or smaller, so a BLAS thread pool only adds
-start-up cost and scheduling jitter: unless the caller has chosen otherwise,
-BLAS is kept to one thread.  This takes effect only if numpy is first
-imported through this package.
+The package runs on the Python standard library alone.
 
 The public names are loaded on first use (PEP 562), so that importing one
 module, such as the command-line front end, loads only the modules it needs.
 """
 
 import importlib
-import os
-
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_var, "1")
-del _var
 
 __version__ = "0.1.0"
 

@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import math
 import warnings
-
-import numpy as np
+from operator import mul
 
 from .qcore import InvalidStateError, Record
 
@@ -391,14 +390,14 @@ def raman_constraint(raman: RamanSpec, gamma: float, duration: float,
 
 
 class AreaSweep(Record):
-    """The fixed-intensity beam-area sweep, one numpy column per quantity."""
+    """The fixed-intensity beam-area sweep, one tuple of floats per quantity."""
 
-    area: np.ndarray
-    kappa: np.ndarray
-    kappa_times_area: np.ndarray
-    n_bar: np.ndarray
-    laser_mode_error: np.ndarray
-    total_error: np.ndarray
+    area: tuple
+    kappa: tuple
+    kappa_times_area: tuple
+    n_bar: tuple
+    laser_mode_error: tuple
+    total_error: tuple
 
 
 def fixed_intensity_area_sweep(atom: AtomModel, field: FieldSpec, wavelength: float,
@@ -410,23 +409,24 @@ def fixed_intensity_area_sweep(atom: AtomModel, field: FieldSpec, wavelength: fl
     column is computed as :func:`kappa_from_beam` and :func:`photon_budget`
     compute it for one beam.
     """
-    area = np.array(areas, dtype=float).reshape(-1)
+    area = tuple(map(float, areas))
     # one beam carries every check: the wavelength, and the smallest area
     # (an empty sweep checks the wavelength alone)
-    beam = BeamGeometry(wavelength=wavelength, mode_area=float(area.min(initial=math.inf)))
-    sigma_eff = beam.scattering_cross_section
+    beam = BeamGeometry(wavelength=wavelength, mode_area=min(area, default=math.inf))
     rabi = field.rabi_frequency(atom, constants)
     duration = math.pi / rabi
     gamma = atom.decay_rate(constants)
     photon_energy = constants.hbar * atom.transition_frequency
-    kappa = gamma * sigma_eff / area
+    gamma_sigma = gamma * beam.scattering_cross_section
+    intensity = field.intensity(constants)
+    kappa = tuple(gamma_sigma / a for a in area)
     return AreaSweep(
         area=area,
         kappa=kappa,
-        kappa_times_area=kappa * area,
-        n_bar=field.intensity(constants) * area * duration / photon_energy,
-        laser_mode_error=PI_PULSE_RABI_SLOPE * kappa / rabi,
-        total_error=np.full(area.shape, PI_PULSE_RABI_SLOPE * gamma / rabi),
+        kappa_times_area=tuple(map(mul, kappa, area)),
+        n_bar=tuple(intensity * a * duration / photon_energy for a in area),
+        laser_mode_error=tuple(PI_PULSE_RABI_SLOPE * k / rabi for k in kappa),
+        total_error=(PI_PULSE_RABI_SLOPE * gamma / rabi,) * len(area),
     )
 
 

@@ -18,8 +18,7 @@ from __future__ import annotations
 import math
 import os
 import sys
-
-import numpy as np
+from itertools import chain
 
 from .lindblad import (
     EXACT,
@@ -29,7 +28,7 @@ from .lindblad import (
     PulseSpec,
     evolve,
 )
-from .qcore import InvalidStateError, PureState, purities
+from .qcore import InvalidStateError, PureState, logspace, purity
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -70,103 +69,17 @@ def _fmt(x: float) -> str:
     return f"{x:.11e}"
 
 
-# Powers of ten 1e-300 .. 1e300, each correctly rounded by the float parser.
-_POW10_MIN = -300
-_POW10 = np.array([float(f"1e{k}") for k in range(_POW10_MIN, 1 - _POW10_MIN)])
-
-
-def _words(texts) -> np.ndarray:
-    """Each 4-character ASCII text as one 4-byte word, in memory order."""
-    return np.frombuffer("".join(texts).encode("ascii"), np.uint32)
-
-
-# A printed number is five words: [sign, d0, '.', d1] [d2..d5] [d6..d9]
-# [d10, d11, 'e', exponent sign] [exponent digits, separator].  NUL bytes
-# pad the words and are dropped from the output.
-_DIGITS = np.stack(np.broadcast_arrays(*np.ix_(*[np.arange(48, 58, dtype=np.uint8)] * 4)),
-                   axis=-1).reshape(10000, 4)  # "0000" .. "9999"
-_FOUR = _DIGITS.view(np.uint32).reshape(-1)
-_EXPONENT = np.zeros((1000, 4), np.uint8)  # |e| in 3 digits, or NUL and 2 digits; NUL
-_EXPONENT[:, :3] = _DIGITS[:1000, 1:]
-_EXPONENT[:100, 0] = 0
-_EXPONENT = _EXPONENT.view(np.uint32).reshape(-1)
-_HEAD = _words(f"{sign}{k // 10}.{k % 10}" for k in range(100) for sign in "\0-")
-_TAIL = _words(f"{k:02d}e{sign}" for k in range(100) for sign in "+-")
-_COMMA, _NEWLINE = _words(["\0\0\0,", "\0\0\0\n"])
-
-
-def _decimal(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The 12-digit mantissa m and exponent e of ``'%.11e' % x`` per element,
-    so |x| rounds to m * 10**(e - 11) (m = e = 0 for zeros), and a mask of
-    the elements this cannot settle, left to the exact %-formatting.
-
-    |x| * 10**(11 - e) is rounded twice, so it is within 2.3e-4 of the exact
-    product once it is below 1e12; the mask holds every element whose scaled
-    value lies within 1e-3 of a rounding tie, and every element outside
-    [1e-280, 1e280) or not finite.
-    """
-    a = np.abs(x)
-    regular = (a >= 1e-280) & (a < 1e280)
-    a = np.where(regular, a, 1.0)
-    e = np.floor(np.log10(a)).astype(np.intp)
-    scaled = a * _POW10[11 - _POW10_MIN - e]
-    e += scaled >= 1e12  # log10 was one too low, or one too high
-    e -= scaled < 1e11
-    scaled = a * _POW10[11 - _POW10_MIN - e]
-    m = np.rint(scaled)
-    carry = m >= 1e12
-    m[carry] = 1e11
-    e += carry
-    zero = x == 0.0
-    exact = ~zero & (~regular | (m < 1e11) | (np.abs(scaled - np.floor(scaled) - 0.5) < 1e-3))
-    m[zero] = 0.0
-    e[zero] = 0
-    return m.astype(np.int64), e, exact
-
-
-# Numbers per block of _format_rows: its arrays stay below 0.5 MB, whatever
-# the size of the table.
-_BLOCK_NUMBERS = 1 << 12
-
-
-def _format_rows(table: np.ndarray) -> str:
-    """The rows of a 2-D float array as comma-separated :func:`_fmt` fields,
-    one line per row, with no newline after the last row.
-
-    Byte for byte what ``'%.11e' % x`` prints for each element, written as
-    digits by table lookup into a buffer of 20 bytes per number, one block
-    of rows at a time; the few elements :func:`_decimal` cannot settle are
-    formatted by ``'%.11e' % x`` itself.
-    """
-    rows, cols = table.shape
-    step = max(1, _BLOCK_NUMBERS // cols)
-    return "\n".join(_format_block(table[i:i + step]) for i in range(0, rows, step))
-
-
-def _format_block(table: np.ndarray) -> str:
-    """:func:`_format_rows` of a table of at least one row."""
-    rows, cols = table.shape
-    x = np.ascontiguousarray(table, dtype=float).reshape(-1)
-    m, e, exact = _decimal(x)
-    top, m = np.divmod(m, 10**10)
-    middle, m = np.divmod(m, 10**6)
-    lower, last = np.divmod(m, 100)
-    words = np.empty((rows, cols, 5), np.uint32)
-    flat = words.reshape(-1, 5)
-    flat[:, 0] = _HEAD[2 * top + np.signbit(x)]
-    flat[:, 1] = _FOUR[middle]
-    flat[:, 2] = _FOUR[lower]
-    flat[:, 3] = _TAIL[2 * last + (e < 0)]
-    separators = np.full(cols, _COMMA)
-    separators[-1] = _NEWLINE
-    words[:, :, 4] = _EXPONENT[np.abs(e)].reshape(rows, cols) | separators
-    words[-1, -1, 4] &= ~_NEWLINE
-    text = flat.view(np.uint8)
-    for i in np.flatnonzero(exact):
-        field = np.frombuffer(("%.11e" % x[i]).encode("ascii"), np.uint8)
-        text[i, :19] = 0
-        text[i, :field.size] = field
-    return words.tobytes().replace(b"\0", b"").decode("ascii")
+def _format_rows(rows) -> str:
+    """The rows of a table as comma-separated :func:`_fmt` fields, one line
+    per row, with no newline after the last row: one ``'%.11e'`` template
+    for the whole table, applied once."""
+    rows = iter(rows)
+    first = next(rows, None)
+    if first is None:
+        return ""
+    values = (*first, *chain.from_iterable(rows))
+    line = ",".join(["%.11e"] * len(first))
+    return "\n".join([line] * (len(values) // len(first))) % values
 
 
 def _finite_float(raw: str) -> float:
@@ -329,9 +242,8 @@ def run_simulate(cfg: dict) -> str:
     config = _integrator_config(cfg, record_trajectory=True, sample_count=cfg["samples"])
     trajectory = evolve(state.to_density(), pulse, decay, config).trajectory
 
-    m = trajectory.states
-    table = np.column_stack((trajectory.times, m[:, 0, 0].real, m[:, 1, 1].real,
-                             m[:, 1, 0].real, m[:, 1, 0].imag, purities(m)))
+    table = ((t, m[0][0].real, m[1][1].real, m[1][0].real, m[1][0].imag, purity(m))
+             for t, m in zip(trajectory.times, trajectory.states))
     return "t,rho_bb,rho_aa,re_rho_ab,im_rho_ab,purity\n" + _format_rows(table) + "\n"
 
 
@@ -347,14 +259,13 @@ def run_sweep(cfg: dict) -> str:
     experiment = gates.GateExperiment(
         pulse_area=_gate_area(cfg["gate"]), initial_state=_start_state(cfg["start"])
     )
-    ratios = np.logspace(
-        math.log10(cfg["ratio_min"]), math.log10(cfg["ratio_max"]), cfg["points"]
-    )
+    ratios = logspace(math.log10(cfg["ratio_min"]), math.log10(cfg["ratio_max"]),
+                      cfg["points"])
     probabilities = gates.sweep_failure_probabilities(experiment, ratios, _integrator_config(cfg))
     coeff = gates.fit_coefficient(experiment.pulse_area, ratios, probabilities)
 
     return (
-        "ratio,p\n" + _format_rows(np.column_stack((ratios, probabilities)))
+        "ratio,p\n" + _format_rows(zip(ratios, probabilities))
         + f"\n# c={_fmt(coeff.coefficient_vs_ratio)}"
         f" c_prime={_fmt(coeff.coefficient_vs_photons)}"
         f" residual={_fmt(coeff.fit_residual)}\n"
@@ -390,9 +301,9 @@ def run_budget(cfg: dict) -> str:
     if cfg["area_sweep_max_factor"] <= 1:
         raise ConfigError("area_sweep_max_factor must be > 1")
     sigma_eff = beam.scattering_cross_section
-    areas = np.geomspace(
-        sigma_eff, sigma_eff * cfg["area_sweep_max_factor"], cfg["area_sweep_points"]
-    )
+    largest = sigma_eff * cfg["area_sweep_max_factor"]
+    areas = logspace(math.log10(sigma_eff), math.log10(largest), cfg["area_sweep_points"])
+    areas = (sigma_eff, *areas[1:-1], largest)  # 10**log10(x) need not round back to x
     sweep = budget.fixed_intensity_area_sweep(atom, field, wavelength, areas, constants)
 
     scalars = [
@@ -438,15 +349,13 @@ def run_budget(cfg: dict) -> str:
         ]
         verdicts.append(("raman_constraint", "satisfied" if report.satisfied else "violated"))
 
-    table = np.column_stack((
-        sweep.area, sweep.kappa, sweep.kappa_times_area,
-        sweep.n_bar, sweep.laser_mode_error, sweep.total_error,
-    ))
+    columns = (sweep.area, sweep.kappa, sweep.kappa_times_area,
+               sweep.n_bar, sweep.laser_mode_error, sweep.total_error)
     if not (all(math.isfinite(value) for _, value in scalars + raman_lines)
-            and np.isfinite(table).all()):
+            and all(map(math.isfinite, chain.from_iterable(columns)))):
         raise FloatingPointError("a budget value leaves the double range for these inputs")
     table_header = "area,kappa,kappa_times_area,n_bar,p_laser,p_total"
-    table_rows = _format_rows(table)
+    table_rows = _format_rows(zip(*columns))
 
     if cfg["format"] == "csv":
         lines = [f"# {name}={_fmt(value)}" for name, value in scalars + raman_lines]

@@ -12,10 +12,11 @@ p = c' / nbar using c' = c * theta / 2 (see ``budget.photon_coefficient``).
 
 from __future__ import annotations
 
-import numpy as np
+import math
+from operator import mul
 
 from .lindblad import IntegratorConfig, PulseSpec, final_states
-from .qcore import InvalidStateError, PureState, Record, pure_fidelities, rotation
+from .qcore import InvalidStateError, PureState, Record, logspace, matvec, pure_fidelities, rotation
 
 # Ratios above this are outside the perturbative regime the linear fit assumes.
 PERTURBATIVE_RATIO_MAX = 1e-2
@@ -59,7 +60,7 @@ class ErrorCoefficient(Record):
 
 def ideal_target(experiment: GateExperiment) -> PureState:
     """Decay-free output exp(-i theta sigma_x / 2) |psi0>."""
-    return PureState(rotation(experiment.pulse_area) @ experiment.initial_state.amplitudes)
+    return PureState(matvec(rotation(experiment.pulse_area), experiment.initial_state.amplitudes))
 
 
 def failure_probability(experiment: GateExperiment, ratio: float,
@@ -83,12 +84,12 @@ def failure_probability(experiment: GateExperiment, ratio: float,
         For a unit-trace rho this equals 1 - <psi_target| rho(T) |psi_target>
         without the cancellation.
     """
-    return float(sweep_failure_probabilities(experiment, [ratio], config)[0])
+    return sweep_failure_probabilities(experiment, [ratio], config)[0]
 
 
-def default_ratio_grid(count: int = 8) -> np.ndarray:
+def default_ratio_grid(count: int = 8) -> tuple:
     """Log-spaced perturbative grid, 1e-5 .. 1e-3."""
-    return np.logspace(-5.0, -3.0, count)
+    return logspace(-5.0, -3.0, count)
 
 
 def extract_coefficient(experiment: GateExperiment, ratios=None,
@@ -123,24 +124,24 @@ def fit_coefficient(pulse_area: float, ratios, probabilities) -> ErrorCoefficien
     counterpart c' = c * theta / 2, and the fit residual; ``degraded_fit`` is
     set when the residual exceeds 1e-3 * c instead of raising.
     """
-    r = np.asarray(ratios, dtype=float)
-    if r.size < 4:
-        raise InvalidStateError(f"need at least 4 sweep ratios, got {r.size}")
-    if np.any(r <= 0) or np.any(np.diff(r) <= 0):
+    r = tuple(map(float, ratios))
+    if len(r) < 4:
+        raise InvalidStateError(f"need at least 4 sweep ratios, got {len(r)}")
+    if r[0] <= 0 or any(b <= a for a, b in zip(r, r[1:])):
         raise InvalidStateError("sweep ratios must be positive and strictly increasing")
-    if float(r.max()) > PERTURBATIVE_RATIO_MAX:
+    if r[-1] > PERTURBATIVE_RATIO_MAX:
         raise InvalidStateError(
-            f"ratio {r.max():g} exceeds the perturbative bound {PERTURBATIVE_RATIO_MAX:g}"
+            f"ratio {r[-1]:g} exceeds the perturbative bound {PERTURBATIVE_RATIO_MAX:g}"
         )
-    if float(r.min()) < RESOLVABLE_RATIO_MIN:
+    if r[0] < RESOLVABLE_RATIO_MIN:
         raise InvalidStateError(
-            f"ratio {r.min():g} is below {RESOLVABLE_RATIO_MIN:g}, where p is not resolved"
+            f"ratio {r[0]:g} is below {RESOLVABLE_RATIO_MIN:g}, where p is not resolved"
         )
     from . import budget
 
-    p = np.asarray(probabilities, dtype=float)
-    c = float(np.dot(p, r) / np.dot(r, r))  # least squares through the origin
-    residual = float(np.sqrt(np.mean((p / r - c) ** 2)))
+    p = tuple(map(float, probabilities))
+    c = sum(map(mul, p, r)) / sum(map(mul, r, r))  # least squares through the origin
+    residual = math.sqrt(sum((p_i / r_i - c) ** 2 for p_i, r_i in zip(p, r)) / len(r))
     c_prime = budget.photon_coefficient(c, pulse_area)
     return ErrorCoefficient(
         coefficient_vs_ratio=c,
@@ -151,11 +152,11 @@ def fit_coefficient(pulse_area: float, ratios, probabilities) -> ErrorCoefficien
 
 
 def sweep_failure_probabilities(experiment: GateExperiment, ratios,
-                                config: IntegratorConfig = IntegratorConfig()) -> np.ndarray:
+                                config: IntegratorConfig = IntegratorConfig()) -> tuple:
     """p(ratio) over an arbitrary non-negative grid (no perturbative restriction),
     from one batched :func:`lindblad.final_states` call."""
     pulse = PulseSpec(drive_coupling=1.0, pulse_area=experiment.pulse_area)
     finals = final_states(experiment.initial_state.to_density(), pulse, ratios, config)
     target = ideal_target(experiment).amplitudes
-    orthogonal = PureState(np.array([-np.conj(target[1]), np.conj(target[0])]))
+    orthogonal = PureState((-target[1].conjugate(), target[0].conjugate()))
     return pure_fidelities(finals, orthogonal)

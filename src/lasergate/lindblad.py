@@ -25,17 +25,18 @@ the trace: the generator's first row is zero, so only rows 1..3 of the map
 are formed, the state carried between samples is (x, y, z) alone and the
 trace is exactly 1.  :func:`evolve` applies the map of one ratio sample by
 sample; :func:`final_states` applies one segment's map for every ratio of a
-sweep at once.  Either validates its density matrices as one (k, 2, 2)
-stack; a trajectory is that stack and the sample times.
+sweep.  Either validates its density matrices as one stack, a tuple of 2x2
+matrices; a trajectory is that stack and the sample times.  Every matrix is
+a tuple or list of rows of Python floats, multiplied by
+:func:`qcore.matmul`.
 """
 
 from __future__ import annotations
 
 import math
+from operator import add, mul
 
-import numpy as np
-
-from .qcore import DensityMatrix, InvalidStateError, Record, check_densities
+from .qcore import DensityMatrix, InvalidStateError, Record, check_densities, matmul, matvec
 
 EXACT = "exact"
 RK4_FIXED = "rk4_fixed"
@@ -43,14 +44,14 @@ RK4_FIXED = "rk4_fixed"
 # Bloch generator in scaled time, B = _B_DRIVE + (kappa/g_alpha) * _B_DECAY,
 # acting on v = (1, x, y, z).  The drive rotates (y, z) at twice the coupling;
 # the decay damps x and y at half the rate and relaxes z to -1 at the full rate.
-_B_DRIVE = np.array([[0.0, 0.0, 0.0, 0.0],
-                     [0.0, 0.0, 0.0, 0.0],
-                     [0.0, 0.0, 0.0, 2.0],
-                     [0.0, 0.0, -2.0, 0.0]])
-_B_DECAY = np.array([[0.0, 0.0, 0.0, 0.0],
-                     [0.0, -0.5, 0.0, 0.0],
-                     [0.0, 0.0, -0.5, 0.0],
-                     [-1.0, 0.0, 0.0, -1.0]])
+_B_DRIVE = ((0.0, 0.0, 0.0, 0.0),
+            (0.0, 0.0, 0.0, 0.0),
+            (0.0, 0.0, 0.0, 2.0),
+            (0.0, 0.0, -2.0, 0.0))
+_B_DECAY = ((0.0, 0.0, 0.0, 0.0),
+            (0.0, -0.5, 0.0, 0.0),
+            (0.0, 0.0, -0.5, 0.0),
+            (-1.0, 0.0, 0.0, -1.0))
 
 # [13/13] Pade coefficients b_0..b_13, and the 1-norm up to which that
 # approximant reaches double-precision roundoff (Higham 2005, Table 2.3).
@@ -114,15 +115,15 @@ class IntegratorConfig(Record):
 
 
 class Trajectory(Record):
-    """Samples of one pulse: the times, shape (k,), and the density matrices
-    at those times, a read-only (k, 2, 2) stack that :func:`evolve` validated
-    in one call."""
+    """Samples of one pulse: the times, a tuple of k floats, and the density
+    matrices at those times, a stack of k 2x2 matrices that :func:`evolve`
+    validated in one call."""
 
-    times: np.ndarray
-    states: np.ndarray
+    times: tuple
+    states: tuple
 
     def __len__(self) -> int:
-        return self.times.size
+        return len(self.times)
 
 
 class EvolutionResult(Record):
@@ -130,28 +131,29 @@ class EvolutionResult(Record):
     trajectory: Trajectory | None = None
 
 
-def _bloch(rho: np.ndarray) -> np.ndarray:
-    """v = (1, x, y, z) of a 2x2 density matrix."""
-    rho_ab = complex(rho[1, 0])
-    return np.array([1.0, 2.0 * rho_ab.real, 2.0 * rho_ab.imag, (rho[1, 1] - rho[0, 0]).real])
+def _bloch(rho) -> tuple:
+    """v = (1, x, y, z) of a 2x2 density matrix, scaled to unit trace, so that
+    a pure state whose trace rounds below 1, such as (1, 1) / sqrt(2), stays pure."""
+    trace = (rho[0][0] + rho[1][1]).real
+    rho_ab = complex(rho[1][0])
+    z = (rho[1][1] - rho[0][0]).real
+    return 1.0, 2.0 * rho_ab.real / trace, 2.0 * rho_ab.imag / trace, z / trace
 
 
-def _matrices(v: np.ndarray) -> np.ndarray:
+def _matrices(v) -> tuple:
     """(w I + x sigma_x + y sigma_y + z sigma_z) / 2 for each row (w, x, y, z)
-    of ``v``, as a (k, 2, 2) complex stack."""
-    w, x, y, z = v.T
-    m = np.zeros((len(v), 2, 2), dtype=complex)
-    m.real[:, 0, 0], m.real[:, 1, 1] = (w - z) / 2.0, (w + z) / 2.0
-    # rho_ab rounded as Python's complex(x, y) / 2.0, signs of zeros included
-    m.real[:, 1, 0] = m.real[:, 0, 1] = (x + y * 0.0) / 2.0
-    m.imag[:, 1, 0] = (y - x * 0.0) / 2.0
-    m.imag[:, 0, 1] = -m.imag[:, 1, 0]
-    return m
+    of ``v``, as a stack of 2x2 complex matrices."""
+    out = []
+    for w, x, y, z in v:
+        rho_ab = complex(x, y) / 2.0
+        out.append(((complex((w - z) / 2.0, 0.0), rho_ab.conjugate()),
+                    (rho_ab, complex((w + z) / 2.0, 0.0))))
+    return tuple(out)
 
 
-def _density_stack(v: np.ndarray) -> np.ndarray:
-    """The density matrices of the Bloch rows ``v``, as a read-only (k, 2, 2)
-    stack validated in one call.
+def _density_stack(v) -> tuple:
+    """The density matrices of the Bloch rows ``v``, as a stack validated in
+    one call.
 
     Raises :class:`IntegrationError` if a row left the Bloch ball: the
     rounding of a long or strongly damped pulse, or an unstable RK4 step.
@@ -160,66 +162,100 @@ def _density_stack(v: np.ndarray) -> np.ndarray:
     try:
         check_densities(states)
     except InvalidStateError as exc:  # exc names the sample: "state i: ..."
-        with np.errstate(over="ignore", invalid="ignore"):
-            radius = np.linalg.norm(v[:, 1:], axis=1).max()
+        radii = [math.hypot(*row[1:]) for row in v]
+        radius = math.nan if any(map(math.isnan, radii)) else max(radii)
         raise IntegrationError(
             f"propagated state left the Bloch ball (largest |s| = {radius:.12g}): {exc}"
         ) from exc
-    states.setflags(write=False)
     return states
 
 
-def _expm(a: np.ndarray) -> np.ndarray:
-    """exp(A) for every matrix A in a stack of shape (k, n, n).
+def _generator(ratio: float, scale: float) -> list:
+    """(_B_DRIVE + ratio * _B_DECAY) * scale: the Bloch generator for
+    kappa/g_alpha = ``ratio``, times a scaled duration."""
+    return [[(d + ratio * k) * scale for d, k in zip(drive, decay)]
+            for drive, decay in zip(_B_DRIVE, _B_DECAY)]
+
+
+def _lincomb(*terms) -> list:
+    """The sum of c * M over the (c, M) pairs, entry by entry, left to right."""
+    coefficients = [c for c, _ in terms]
+    return [[sum(map(mul, coefficients, entries)) for entries in zip(*rows)]
+            for rows in zip(*(m for _, m in terms))]
+
+
+def _identity_plus(m, divisor: float) -> list:
+    """I + M / divisor, entry by entry."""
+    return [[float(i == j) + x / divisor for j, x in enumerate(row)] for i, row in enumerate(m)]
+
+
+def _solve(a, b) -> list:
+    """X with A X = B, by Gaussian elimination with partial pivoting."""
+    n = len(a)
+    rows = [[*ra, *rb] for ra, rb in zip(a, b)]
+    for k in range(n):
+        best = max(range(k, n), key=lambda i: abs(rows[i][k]))
+        rows[k], rows[best] = rows[best], rows[k]
+        top = rows[k]
+        for i in range(k + 1, n):
+            f = rows[i][k] / top[k]
+            rows[i] = [x - f * y for x, y in zip(rows[i], top)]
+    x = [None] * n
+    for k in reversed(range(n)):
+        row = rows[k]
+        x[k] = [(row[n + j] - sum(row[i] * x[i][j] for i in range(k + 1, n))) / row[k]
+                for j in range(len(b[0]))]
+    return x
+
+
+def _expm(a) -> list:
+    """exp(A) for a square matrix A.
 
     [13/13] Pade approximant with scaling and squaring (Higham, SIAM J.
-    Matrix Anal. Appl. 26, 1179 (2005)); each matrix gets its own number of
-    squarings.  No eigendecomposition: the Bloch generator has an exceptional
-    point at kappa/g_alpha = 8, where its eigenvectors become degenerate.
+    Matrix Anal. Appl. 26, 1179 (2005)).  No eigendecomposition: the Bloch
+    generator has an exceptional point at kappa/g_alpha = 8, where its
+    eigenvectors become degenerate.  A non-finite A gives a NaN matrix.
     """
+    n = len(a)
+    norm = max(sum(abs(row[j]) for row in a) for j in range(n))
+    if not math.isfinite(norm):
+        return [[math.nan] * n for _ in range(n)]
     b = _PADE_13
-    norms = np.abs(a).sum(axis=-2).max(axis=-1)
     # 2**s >= norm / theta_13: the fewest squarings, one more at exact powers of two
-    squarings = np.maximum(np.frexp(norms / _THETA_13)[1], 0)
-    x = a / np.ldexp(1.0, squarings)[:, None, None]
-    ident = np.eye(a.shape[-1])
-    x2 = x @ x
-    x4 = x2 @ x2
-    x6 = x4 @ x2
-    u = x @ (
-        x6 @ (b[13] * x6 + b[11] * x4 + b[9] * x2)
-        + b[7] * x6 + b[5] * x4 + b[3] * x2 + b[1] * ident
-    )
-    v = (
-        x6 @ (b[12] * x6 + b[10] * x4 + b[8] * x2)
-        + b[6] * x6 + b[4] * x4 + b[2] * x2 + b[0] * ident
-    )
-    r = np.linalg.solve(v - u, v + u)
-    for k in range(int(squarings.max(initial=0))):
-        more = squarings > k
-        r[more] = r[more] @ r[more]
+    squarings = max(math.frexp(norm / _THETA_13)[1], 0)
+    scale = math.ldexp(1.0, squarings)
+    x = [[v / scale for v in row] for row in a]
+    ident = [[float(i == j) for j in range(n)] for i in range(n)]
+    x2 = matmul(x, x)
+    x4 = matmul(x2, x2)
+    x6 = matmul(x4, x2)
+    u = matmul(x, _lincomb((1.0, matmul(x6, _lincomb((b[13], x6), (b[11], x4), (b[9], x2)))),
+                           (b[7], x6), (b[5], x4), (b[3], x2), (b[1], ident)))
+    v = _lincomb((1.0, matmul(x6, _lincomb((b[12], x6), (b[10], x4), (b[8], x2)))),
+                 (b[6], x6), (b[4], x4), (b[2], x2), (b[0], ident))
+    r = _solve(_lincomb((1.0, v), (-1.0, u)), _lincomb((1.0, v), (1.0, u)))
+    for _ in range(squarings):
+        r = matmul(r, r)
     return r
 
 
-def _propagators(ratios, tau: float) -> np.ndarray:
+def _propagators(ratios, tau: float) -> list:
     """exp(B * tau) on v = (1, x, y, z), one real 4x4 matrix per kappa/g_alpha
     in ``ratios``, for a scaled duration ``tau`` = g_alpha * t.
 
     Raises :class:`IntegrationError` if any propagator is not finite.
     """
-    r = np.asarray(ratios, dtype=float).reshape(-1)
-    with np.errstate(over="ignore", invalid="ignore"):
-        steps = _expm((_B_DRIVE + r[:, None, None] * _B_DECAY) * tau)
-    if not np.all(np.isfinite(steps)):
+    steps = [_expm(_generator(r, tau)) for r in ratios]
+    if not all(math.isfinite(x) for step in steps for row in step for x in row):
         raise IntegrationError(
-            f"non-finite propagator for kappa/g_alpha up to {r.max():g} over tau={tau:g}"
+            f"non-finite propagator for kappa/g_alpha up to {max(ratios):g} over tau={tau:g}"
         )
     return steps
 
 
-def _step_rows(ratios, tau: float, config: IntegratorConfig, segments: int) -> np.ndarray:
+def _step_rows(ratios, tau: float, config: IntegratorConfig, segments: int) -> list:
     """Rows 1..3 of the map that carries v = (1, x, y, z) over one of
-    ``segments`` equal segments of scaled duration ``tau``, one (3, 4) matrix
+    ``segments`` equal segments of scaled duration ``tau``, one 3x4 matrix
     per kappa/g_alpha in ``ratios``.
 
     ``exact`` gives the rows of exp(B * tau), from :func:`_propagators`.
@@ -231,19 +267,22 @@ def _step_rows(ratios, tau: float, config: IntegratorConfig, segments: int) -> n
     matrix near I would bias every application of it alike.
     """
     if config.method == EXACT:
-        return _propagators(ratios, tau)[:, 1:]
-    r = np.asarray(ratios, dtype=float).reshape(-1)
+        return [step[1:] for step in _propagators(ratios, tau)]
     steps = -(-config.step_count // segments)
-    x = (_B_DRIVE + r[:, None, None] * _B_DECAY) * (tau / steps)
-    ident = np.eye(4)
-    d = x @ (ident + x @ (ident + x @ (ident + x / 4.0) / 3.0) / 2.0)
-    total = np.zeros_like(d)
-    while steps:  # binary powering, with (I + a)(I + b) - I = a + b + a b
-        if steps & 1:
-            total = total + d + total @ d
-        d = 2.0 * d + d @ d
-        steps >>= 1
-    return total[:, 1:]
+    out = []
+    for r in ratios:
+        x = _generator(r, tau / steps)
+        d = matmul(x, _identity_plus(matmul(x, _identity_plus(matmul(x, _identity_plus(x, 4.0)),
+                                                              3.0)), 2.0))
+        total = [[0.0] * 4 for _ in range(4)]
+        k = steps
+        while k:  # binary powering, with (I + a)(I + b) - I = a + b + a b
+            if k & 1:
+                total = _lincomb((1.0, total), (1.0, d), (1.0, matmul(total, d)))
+            d = _lincomb((2.0, d), (1.0, matmul(d, d)))
+            k >>= 1
+        out.append(total[1:])
+    return out
 
 
 def evolve(rho0: DensityMatrix, pulse: PulseSpec, decay: DecaySpec,
@@ -263,53 +302,46 @@ def evolve(rho0: DensityMatrix, pulse: PulseSpec, decay: DecaySpec,
     theta = pulse.pulse_area
     n_segments = config.sample_count if config.record_trajectory else 1
     if theta == 0.0:
-        states = np.broadcast_to(rho0.matrix, (n_segments + 1, 2, 2))
-        trajectory = Trajectory(np.zeros(n_segments + 1), states)
+        trajectory = Trajectory((0.0,) * (n_segments + 1), (rho0.matrix,) * (n_segments + 1))
         return EvolutionResult(rho0, trajectory if config.record_trajectory else None)
 
-    ratio = decay.rate / g
     tau = theta / 2.0 / n_segments  # scaled duration g_alpha * T of one segment
-    v = np.empty((n_segments + 1, 4))
-    v[0] = _bloch(rho0.matrix)
-    v[1:, 0] = 1.0  # the map has no trace row: the trace stays 1
-    with np.errstate(over="ignore", invalid="ignore"):
-        rows = _step_rows([ratio], tau, config, n_segments)[0]
-        if config.method == EXACT:
-            for i in range(n_segments):
-                v[i + 1, 1:] = rows @ v[i]
-        else:
-            for i in range(n_segments):
-                v[i + 1, 1:] = v[i, 1:] + rows @ v[i]
-        states = _density_stack(v)
-    times = np.linspace(0.0, theta / 2.0, n_segments + 1) / g
-    times.setflags(write=False)
+    rows = _step_rows([decay.rate / g], tau, config, n_segments)[0]
+    v = [_bloch(rho0.matrix)]  # the map has no trace row: the trace stays 1
+    if config.method == EXACT:
+        for _ in range(n_segments):
+            v.append((1.0, *matvec(rows, v[-1])))
+    else:
+        for _ in range(n_segments):
+            s = v[-1]
+            v.append((1.0, *map(add, s[1:], matvec(rows, s))))
+    states = _density_stack(v)
+    times = (*(i * tau / g for i in range(n_segments)), theta / 2.0 / g)
     trajectory = Trajectory(times, states)
     return EvolutionResult(DensityMatrix(states[-1]),
                            trajectory if config.record_trajectory else None)
 
 
 def final_states(rho0: DensityMatrix, pulse: PulseSpec, decay_rates,
-                 config: IntegratorConfig = IntegratorConfig()) -> np.ndarray:
+                 config: IntegratorConfig = IntegratorConfig()) -> tuple:
     """Final state of ``rho0`` after ``pulse`` for each rate in ``decay_rates``,
-    as a read-only (k, 2, 2) stack.
+    as a stack of 2x2 matrices.
 
     The same states as one :func:`evolve` per rate without a trajectory
     (``config.record_trajectory`` is not read), from one batched
     :func:`_step_rows` call and one validation of the stack.
     """
-    rates = np.asarray(decay_rates, dtype=float).reshape(-1)
-    bad = ~(np.isfinite(rates) & (rates >= 0))
-    if bad.any():
-        raise InvalidStateError(
-            f"decay rate must be finite and >= 0, got {rates[np.argmax(bad)]}"
-        )
+    rates = tuple(map(float, decay_rates))
+    for rate in rates:
+        if not (math.isfinite(rate) and rate >= 0):
+            raise InvalidStateError(f"decay rate must be finite and >= 0, got {rate}")
     if rho0.dim != 2:
         raise InvalidStateError("final_states handles the two-level atom only")
     if pulse.pulse_area == 0.0:
-        return np.broadcast_to(rho0.matrix, (rates.size, 2, 2))
+        return (rho0.matrix,) * len(rates)
     b = _bloch(rho0.matrix)
-    v = np.ones((rates.size, 4))
-    with np.errstate(over="ignore", invalid="ignore"):
-        rows = _step_rows(rates / pulse.drive_coupling, pulse.pulse_area / 2.0, config, 1)
-        v[:, 1:] = rows @ b if config.method == EXACT else b[1:] + rows @ b
-        return _density_stack(v)
+    g = pulse.drive_coupling
+    rows = _step_rows([rate / g for rate in rates], pulse.pulse_area / 2.0, config, 1)
+    if config.method == EXACT:
+        return _density_stack([(1.0, *matvec(r, b)) for r in rows])
+    return _density_stack([(1.0, *map(add, b[1:], matvec(r, b))) for r in rows])

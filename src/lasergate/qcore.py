@@ -1,11 +1,13 @@
 """Dense complex linear algebra over small Hilbert spaces, with quantum-state semantics.
 
-Matrices are plain ``numpy.ndarray`` (complex128, row-major).  The two wrapper
-types :class:`DensityMatrix` and :class:`PureState` validate the physical
-invariants (Hermiticity, unit trace, positivity, normalization) once at
-construction and are then treated as immutable values.  The density-matrix
-invariants have one home, :func:`check_densities`, which checks a whole
-(k, n, n) stack in one call; a single :class:`DensityMatrix` is a stack of one.
+A matrix is a tuple of row tuples of Python ``complex``, a state vector a
+tuple of ``complex``, and a stack of matrices a tuple of matrices: immutable
+values, built from any nested sequence of numbers (numpy arrays included).
+The two wrapper types :class:`DensityMatrix` and :class:`PureState` validate
+the physical invariants (Hermiticity, unit trace, positivity, normalization)
+once at construction.  The density-matrix invariants have one home,
+:func:`check_densities`, which checks a whole stack in one call, in closed
+form for 2x2 matrices; a single :class:`DensityMatrix` is a stack of one.
 Every record type of the package derives from :class:`Record`.
 
 Basis ordering for the two-level atom is fixed package-wide:
@@ -14,7 +16,8 @@ index 0 = ground ``|b>``, index 1 = excited ``|a>``.
 
 from __future__ import annotations
 
-import numpy as np
+import math
+from operator import mul
 
 # Construction-time invariant tolerances.
 HERMITICITY_TOL = 1e-12
@@ -97,119 +100,198 @@ class Record:
         raise AttributeError(f"{type(self).__name__} is immutable: cannot delete {name!r}")
 
 
-def _as_complex_matrix(entries) -> np.ndarray:
-    m = np.array(entries, dtype=complex)  # always copies; wrappers own their storage
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
-        raise InvalidStateError(f"expected a square matrix, got shape {m.shape}")
+def _as_complex_matrix(entries) -> tuple:
+    try:
+        m = tuple(tuple(complex(x) for x in row) for row in entries)
+    except (TypeError, ValueError) as exc:
+        raise InvalidStateError(f"expected a square matrix of numbers: {exc}") from None
+    if not m or any(len(row) != len(m) for row in m):
+        raise InvalidStateError(
+            f"expected a square matrix, got rows of lengths {[len(row) for row in m]}"
+        )
     return m
 
 
-def min_eigenvalue(h: np.ndarray) -> np.ndarray | float:
-    """Smallest eigenvalue of a Hermitian matrix, or of each matrix in a
-    (k, n, n) stack.
+def matmul(a, b) -> tuple:
+    """The product of two matrices, each a sequence of rows."""
+    columns = tuple(zip(*b))
+    return tuple(tuple(sum(map(mul, row, col)) for col in columns) for row in a)
+
+
+def matvec(a, v) -> tuple:
+    """The product of a matrix, a sequence of rows, and a vector."""
+    return tuple(sum(map(mul, row, v)) for row in a)
+
+
+def _exp10(y: float) -> float:
+    """10**y, inf past the double range as in IEEE arithmetic."""
+    try:
+        return 10.0 ** y
+    except OverflowError:
+        return math.inf
+
+
+def logspace(start: float, stop: float, num: int) -> tuple:
+    """``num`` powers of ten with exponents evenly spaced from ``start`` to
+    ``stop``, both included: 10**(i * step + start), and 10**stop last."""
+    if num < 2:
+        return (_exp10(start),) * num
+    step = (stop - start) / (num - 1)
+    return (*(_exp10(i * step + start) for i in range(num - 1)), _exp10(stop))
+
+
+def _eigenvalues(h) -> list[float]:
+    """Eigenvalues of a Hermitian matrix, by cyclic complex Jacobi rotations.
+
+    Each rotation G = diag(1, e^{-i alpha}) R(phi) in the (p, q) plane, with
+    a_pq = |a_pq| e^{i alpha} and tan(2 phi) = 2 |a_pq| / (a_qq - a_pp),
+    zeroes a_pq of G^H A G.  Sweeps repeat until every off-diagonal entry is
+    below 1e-18 of the Frobenius norm.
+    """
+    a = [list(row) for row in h]
+    n = len(a)
+    negligible = 1e-18 * math.hypot(*(abs(x) for row in a for x in row))
+    for _ in range(100):
+        pairs = [(p, q) for p in range(n) for q in range(p + 1, n) if abs(a[p][q]) > negligible]
+        if not pairs:
+            break
+        for p, q in pairs:
+            r = abs(a[p][q])
+            if r <= negligible:  # an earlier rotation of this sweep cleared it
+                continue
+            phase = a[p][q] / r
+            gap = (a[q][q] - a[p][p]).real  # |phi| <= pi/4, so that the sweeps converge
+            phi = 0.5 * (math.atan2(2.0 * r, gap) if gap >= 0 else math.atan2(-2.0 * r, -gap))
+            c, s = math.cos(phi), math.sin(phi)
+            for row in a:  # A <- A G
+                row[p], row[q] = (c * row[p] - s * phase.conjugate() * row[q],
+                                  s * row[p] + c * phase.conjugate() * row[q])
+            row_p, row_q = a[p], a[q]  # A <- G^H A
+            a[p] = [c * x - s * phase * y for x, y in zip(row_p, row_q)]
+            a[q] = [s * x + c * phase * y for x, y in zip(row_p, row_q)]
+    return [a[i][i].real for i in range(n)]
+
+
+def min_eigenvalue(h) -> float:
+    """Smallest eigenvalue of a Hermitian matrix.
 
     The 2x2 case is solved in closed form from trace and determinant; larger
-    (truncated-Fock) matrices go through the dense Hermitian eigensolver.
+    (truncated-Fock) matrices go through :func:`_eigenvalues`.
     """
-    if h.shape[-2:] == (2, 2):
-        a, d = h[..., 0, 0].real, h[..., 1, 1].real
-        return 0.5 * (a + d) - np.hypot(0.5 * (a - d), np.abs(h[..., 0, 1]))
-    return np.linalg.eigvalsh(h)[..., 0]
+    if len(h) == 2:
+        (a, b), (_, d) = h
+        a, d = a.real, d.real
+        return 0.5 * (a + d) - math.hypot(0.5 * (a - d), abs(b))
+    return min(_eigenvalues(h))
 
 
-def purities(m: np.ndarray) -> np.ndarray:
-    """tr(rho^2) of a matrix, or of each matrix in a (k, n, n) stack."""
-    return (m @ m).trace(axis1=-2, axis2=-1).real
+def purity(m) -> float:
+    """tr(rho^2) of one matrix."""
+    if len(m) == 2:
+        (a, b), (c, d) = m
+        return ((a * a + b * c) + (c * b + d * d)).real
+    return sum(sum(map(mul, row, col)) for row, col in zip(m, zip(*m))).real
 
 
-def check_densities(m: np.ndarray) -> None:
-    """Raise :class:`InvalidStateError` unless every matrix of the stack ``m``
-    (k, n, n) is Hermitian, of unit trace, positive semidefinite and of purity
-    in [1/n, 1], within the tolerances above.  The error names the first
-    broken invariant, in that order, and the first matrix that breaks it (by
-    index, in a stack of several)."""
-    herm = np.abs(m - m.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
-    tr = m.trace(axis1=-2, axis2=-1)
-    lo = min_eigenvalue(m)
-    pur = purities(m)
-    purity_ok = (1.0 / m.shape[-1] - PURITY_SLACK <= pur) & (pur <= 1.0 + PURITY_SLACK)
-    checks = (
-        (herm > HERMITICITY_TOL, "density matrix not Hermitian: residue {:.3e}", herm),
-        (np.abs(tr - 1.0) > TRACE_TOL, "density matrix trace {:.12g} != 1", tr),
-        (lo < -POSITIVITY_SLACK, "density matrix not positive: min eigenvalue {:.3e}", lo),
-        (~purity_ok, "purity {:.12g} outside [1/dim, 1]", pur),
-    )
-    if not (checks[0][0] | checks[1][0] | checks[2][0] | checks[3][0]).any():
-        return
-    for broken, text, values in checks:
-        if broken.any():
-            i = int(np.argmax(broken))
-            message = text.format(values[i])
-            raise InvalidStateError(message if len(m) == 1 else f"state {i}: {message}")
+def _invariants(m) -> tuple:
+    """Hermiticity residue, trace, smallest eigenvalue and purity of one matrix."""
+    if len(m) == 2:
+        (a, b), (c, d) = m
+        herm = max(2.0 * abs(a.imag), abs(b - c.conjugate()), 2.0 * abs(d.imag))
+        return herm, a + d, min_eigenvalue(m), purity(m)
+    herm = max(abs(x - y.conjugate()) for row, col in zip(m, zip(*m)) for x, y in zip(row, col))
+    return herm, sum(row[i] for i, row in enumerate(m)), min_eigenvalue(m), purity(m)
+
+
+_BROKEN = (
+    "density matrix not Hermitian: residue {:.3e}",
+    "density matrix trace {:.12g} != 1",
+    "density matrix not positive: min eigenvalue {:.3e}",
+    "purity {:.12g} outside [1/dim, 1]",
+)
+
+
+def check_densities(states) -> None:
+    """Raise :class:`InvalidStateError` unless every matrix of the stack
+    ``states`` is Hermitian, of unit trace, positive semidefinite and of
+    purity in [1/n, 1], within the tolerances above.  The error names the
+    first broken invariant, in that order, and the first matrix that breaks
+    it (by index, in a stack of several)."""
+    values = [_invariants(m) for m in states]
+    broken = [(herm > HERMITICITY_TOL, abs(trace - 1.0) > TRACE_TOL, lo < -POSITIVITY_SLACK,
+               not 1.0 / len(m) - PURITY_SLACK <= pur <= 1.0 + PURITY_SLACK)
+              for m, (herm, trace, lo, pur) in zip(states, values)]
+    for k, text in enumerate(_BROKEN):
+        for i, flags in enumerate(broken):
+            if flags[k]:
+                message = text.format(values[i][k])
+                raise InvalidStateError(message if len(values) == 1 else f"state {i}: {message}")
 
 
 class DensityMatrix(Record):
     """Validated density operator: Hermitian, unit-trace, positive semidefinite."""
 
-    matrix: np.ndarray
+    matrix: tuple
 
     def __post_init__(self):
         m = _as_complex_matrix(self.matrix)
-        check_densities(m[None])
-        m.setflags(write=False)
+        check_densities((m,))
         object.__setattr__(self, "matrix", m)
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return len(self.matrix)
 
     def purity(self) -> float:
-        return float(purities(self.matrix))
+        return purity(self.matrix)
 
 
 class PureState(Record):
     """Normalized state vector."""
 
-    amplitudes: np.ndarray
+    amplitudes: tuple
 
     def __post_init__(self):
-        v = np.array(self.amplitudes, dtype=complex).reshape(-1)
-        if v.size < 1:
+        try:
+            v = tuple(complex(x) for x in self.amplitudes)
+        except (TypeError, ValueError) as exc:
+            raise InvalidStateError(f"expected a vector of numbers: {exc}") from None
+        if not v:
             raise InvalidStateError("state vector is empty")
-        nrm2 = float(np.real(np.vdot(v, v)))
+        nrm2 = sum(x.real * x.real + x.imag * x.imag for x in v)
         if abs(nrm2 - 1.0) > NORM_TOL:
             raise InvalidStateError(f"state not normalized: |psi|^2 = {nrm2:.12g}")
-        v.setflags(write=False)
         object.__setattr__(self, "amplitudes", v)
 
     @property
     def dim(self) -> int:
-        return self.amplitudes.size
+        return len(self.amplitudes)
 
     def to_density(self) -> DensityMatrix:
-        return DensityMatrix(np.outer(self.amplitudes, self.amplitudes.conj()))
+        v = self.amplitudes
+        return DensityMatrix(tuple(tuple(x * y.conjugate() for y in v) for x in v))
 
     @staticmethod
     def ground() -> "PureState":
-        return PureState(np.array([1.0, 0.0]))
+        return PureState((1.0, 0.0))
 
     @staticmethod
     def excited() -> "PureState":
-        return PureState(np.array([0.0, 1.0]))
+        return PureState((0.0, 1.0))
 
     @staticmethod
     def superposition(c_ground: complex, c_excited: complex) -> "PureState":
-        v = np.array([c_ground, c_excited], dtype=complex)
-        nrm = np.linalg.norm(v)
+        v = (complex(c_ground), complex(c_excited))
+        nrm = math.hypot(v[0].real, v[0].imag, v[1].real, v[1].imag)
         if nrm == 0.0:
             raise InvalidStateError("zero state vector")
-        return PureState(v / nrm)
+        return PureState((v[0] / nrm, v[1] / nrm))
 
 
-def rotation(theta: float) -> np.ndarray:
+def rotation(theta: float) -> tuple:
     """The decay-free pulse exp(-i theta sigma_x / 2), as a 2x2 complex matrix."""
-    sigma_x = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-    return np.cos(theta / 2.0) * np.eye(2) - 1j * np.sin(theta / 2.0) * sigma_x
+    c, s = complex(math.cos(theta / 2.0), 0.0), complex(0.0, -math.sin(theta / 2.0))
+    return ((c, s), (s, c))
 
 
 def fidelity_pure(rho: DensityMatrix, target: PureState) -> float:
@@ -218,17 +300,18 @@ def fidelity_pure(rho: DensityMatrix, target: PureState) -> float:
         raise InvalidStateError(
             f"dimension mismatch: rho dim {rho.dim}, target dim {target.dim}"
         )
-    return float(pure_fidelities(rho.matrix[None], target)[0])
+    return pure_fidelities((rho.matrix,), target)[0]
 
 
-def pure_fidelities(states: np.ndarray, target: PureState) -> np.ndarray:
-    """Overlap <psi|rho|psi> of each matrix in a validated (k, n, n) stack,
-    clamped into [0, 1]."""
+def pure_fidelities(states, target: PureState) -> tuple:
+    """Overlap <psi|rho|psi> of each matrix in a validated stack, clamped
+    into [0, 1]."""
     psi = target.amplitudes
-    out = np.empty(len(states))
-    for i, rho in enumerate(states):
-        val = np.vdot(psi, rho @ psi)
+    bra = tuple(x.conjugate() for x in psi)
+    out = []
+    for rho in states:
+        val = sum(map(mul, bra, matvec(rho, psi)))
         if abs(val.imag) > 1e-9:
             raise InvalidStateError(f"fidelity has imaginary residue {val.imag:.3e}")
-        out[i] = min(1.0, max(0.0, val.real))
-    return out
+        out.append(min(1.0, max(0.0, val.real)))
+    return tuple(out)

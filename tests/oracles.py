@@ -44,7 +44,7 @@ def liouvillian(ratio: float) -> np.ndarray:
 def evolve_superop(rho0: np.ndarray, theta: float, ratio: float) -> np.ndarray:
     """rho(T) for a theta pulse via the matrix exponential of the superoperator."""
     tau = theta / 2.0  # scaled duration g_alpha * T
-    return (expm(liouvillian(ratio) * tau) @ rho0.reshape(-1)).reshape(2, 2)
+    return (expm(liouvillian(ratio) * tau) @ np.asarray(rho0).reshape(-1)).reshape(2, 2)
 
 
 def rk4_trajectory(rho0: np.ndarray, theta: float, ratio: float, step_count: int,
@@ -54,7 +54,7 @@ def rk4_trajectory(rho0: np.ndarray, theta: float, ratio: float, step_count: int
     lv = liouvillian(ratio)
     steps = -(-step_count // samples)
     h = theta / 2.0 / (samples * steps)
-    r = rho0.reshape(-1).astype(complex)
+    r = np.asarray(rho0, dtype=complex).reshape(-1)
     out = [r]
     for _ in range(samples):
         for _ in range(steps):
@@ -73,6 +73,7 @@ def ideal_state(psi0: np.ndarray, theta: float) -> np.ndarray:
 
 
 def failure_superop(psi0: np.ndarray, theta: float, ratio: float) -> float:
+    psi0 = np.asarray(psi0, dtype=complex)
     rho = evolve_superop(np.outer(psi0, psi0.conj()), theta, ratio)
     target = ideal_state(psi0, theta)
     return float(1.0 - np.real(target.conj() @ rho @ target))

@@ -66,7 +66,7 @@ def test_pi_pulse_error_tracks_first_order():
         start = time.perf_counter()
         final = evolve(rho0, PulseSpec(1.0, math.pi), DecaySpec(ratio)).final
         slowest = max(slowest, time.perf_counter() - start)
-        deficit = 1.0 - final.matrix[1, 1].real
+        deficit = 1.0 - final.matrix[1][1].real
         rel = abs(deficit / (FIRST_ORDER_PI_SLOPE * ratio) - 1.0)
         worst = max(worst, rel / tol)
     ok = worst <= 1.0 and slowest < 1.0
@@ -200,7 +200,7 @@ def test_state_invariants_on_random_trajectories():
         theta = rng.uniform(0.1, 2.0 * math.pi)
         ratio = rng.uniform(0.0, 1.0)
         result = evolve(rho0, PulseSpec(1.0, theta), DecaySpec(ratio), config)
-        for mat in result.trajectory.states:
+        for mat in map(np.asarray, result.trajectory.states):
             worst_trace = max(worst_trace, abs(np.trace(mat).real - 1.0))
             worst_herm = max(worst_herm, float(np.max(np.abs(mat - mat.conj().T))))
             half_tr = 0.5 * (mat[0, 0].real + mat[1, 1].real)
@@ -223,7 +223,7 @@ def test_state_invariants_on_random_trajectories():
 
     def final_with(steps):
         cfg = IntegratorConfig(method=RK4_FIXED, step_count=steps)
-        return evolve(rho0, pulse, decay, cfg).final.matrix
+        return np.asarray(evolve(rho0, pulse, decay, cfg).final.matrix)
 
     reference = final_with(2000)
     factor = np.max(np.abs(final_with(100) - reference)) / np.max(

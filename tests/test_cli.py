@@ -455,6 +455,38 @@ print(json.dumps([stdlib, after_import, code, after_simulate, unresolved, loaded
         assert unresolved == []
         assert len(finally_loaded) == 3
 
+    def test_import_and_sweep_load_no_numpy(self):
+        code = f"""
+import os, sys
+sys.path.insert(0, {str(Path(lasergate.__file__).parents[1])!r})
+import lasergate.cli
+after_import = "numpy" in sys.modules
+code = lasergate.cli.main(["sweep", "--points", "4", "--out", os.devnull])
+print(code, after_import, "numpy" in sys.modules)
+"""
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True).stdout
+        assert out.split() == [str(EXIT_OK), "False", "False"]
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--start", "plus", "--ratio", "0.3", "--samples", "50"],
+        ["sweep", "--gate", "pi2", "--start", "excited", "--points", "16"],
+        [*BUDGET_ARGS, "--raman_detuning", "1e12", "--area_sweep_points", "50"],
+        ["compare", "--n_bars", "100,30000"],
+    ], ids=["simulate", "sweep", "budget", "compare"])
+    def test_each_command_runs_with_numpy_blocked(self, argv):
+        # a None entry in sys.modules makes "import numpy" raise ImportError
+        code = f"""
+import sys
+sys.modules["numpy"] = None
+sys.path.insert(0, {str(Path(lasergate.__file__).parents[1])!r})
+from lasergate.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+        proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert (proc.returncode, proc.stdout) == run_stdout(*argv)
+
 
 def run_entry(*argv):
     """The console script in a fresh interpreter, its stdout a block-buffered pipe."""

@@ -144,7 +144,7 @@ class TestExtractCoefficient:
     def test_pointwise_slopes_stay_within_two_percent(self):
         ratios = default_ratio_grid()
         ps = sweep_failure_probabilities(PI_FROM_GROUND, ratios)
-        slopes = ps / ratios
+        slopes = np.asarray(ps) / np.asarray(ratios)
         assert np.max(np.abs(slopes - SLOPE_PI_GROUND)) <= 0.02 * SLOPE_PI_GROUND
 
     def test_grid_validation(self):

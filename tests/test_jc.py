@@ -40,13 +40,13 @@ class TestCoherentField:
 
     def test_weights_normalized_after_truncation(self):
         amps = CoherentField(alpha=20.0).amplitudes()
-        assert abs(np.sum(amps**2) - 1.0) <= 1e-10
+        assert abs(np.sum(np.asarray(amps) ** 2) - 1.0) <= 1e-10
 
     def test_vacuum_field(self):
         field = CoherentField(alpha=0.0)
         amps = field.amplitudes()
         assert amps[0] == 1.0
-        assert np.all(amps[1:] == 0.0)
+        assert all(a == 0.0 for a in amps[1:])
 
     def test_truncation_floor_enforced(self):
         with pytest.raises(TruncationError):
@@ -55,7 +55,7 @@ class TestCoherentField:
     def test_window_starts_ten_deviations_below_the_mean(self):
         field = CoherentField(alpha=20.0)
         assert field.n_min == 200
-        assert field.amplitudes().size == field.n_max - field.n_min + 1
+        assert len(field.amplitudes()) == field.n_max - field.n_min + 1
         assert CoherentField(alpha=10.0).n_min == 0
         assert CoherentField(alpha=0.0).n_min == 0
 
@@ -96,12 +96,12 @@ class TestVacuumSector:
         field = CoherentField(alpha=0.0)
         for g, t in [(1.0, 0.3), (1.0, 0.7), (2.0, 0.55), (1.0, 1.4)]:
             rho = jc_evolve(PureState.excited(), field, g, t)
-            assert rho.matrix[1, 1].real == pytest.approx(math.cos(g * t) ** 2, abs=1e-12)
+            assert rho.matrix[1][1].real == pytest.approx(math.cos(g * t) ** 2, abs=1e-12)
 
     def test_ground_atom_vacuum_is_dark(self):
         rho = jc_evolve(PureState.ground(), CoherentField(alpha=0.0), 1.0, 1.3)
-        assert rho.matrix[0, 0].real == pytest.approx(1.0, abs=1e-14)
-        assert abs(rho.matrix[1, 0]) <= 1e-14
+        assert rho.matrix[0][0].real == pytest.approx(1.0, abs=1e-14)
+        assert abs(rho.matrix[1][0]) <= 1e-14
 
 
 class TestAgainstJointExponential:

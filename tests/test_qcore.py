@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ from scipy.linalg import expm
 import oracles
 from lasergate.gates import ErrorCoefficient
 from lasergate.jc import CoherentField
-from lasergate.lindblad import EXACT, IntegratorConfig
+from lasergate.lindblad import EXACT, DecaySpec, IntegratorConfig, PulseSpec, evolve
 from lasergate.qcore import (
     DensityMatrix,
     InvalidStateError,
@@ -94,8 +96,10 @@ class TestDensityMatrixInvariants:
 
     def test_matrix_is_frozen(self):
         rho = DensityMatrix(np.eye(2) / 2)
-        with pytest.raises(ValueError):
-            rho.matrix[0, 0] = 3.0
+        with pytest.raises(TypeError):
+            rho.matrix[0][0] = 3.0
+        with pytest.raises(TypeError):
+            rho.matrix[0] = (3.0, 0.0)
 
     @given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([2, 3, 5, 17]))
     @settings(max_examples=40, deadline=None)
@@ -185,3 +189,25 @@ class TestRecord:
         assert config != IntegratorConfig() and config != (EXACT, 7, False, 200)
         assert repr(config) == ("IntegratorConfig(method='exact', step_count=7,"
                                 " record_trajectory=False, sample_count=200)")
+
+    @pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy,
+                                       lambda record: pickle.loads(pickle.dumps(record))],
+                             ids=["copy", "deepcopy", "pickle"])
+    def test_copies_keep_their_storage_immutable(self, clone):
+        rho = DensityMatrix(np.eye(2) / 2)
+        psi = PureState.superposition(1.0, 1j)
+        config = IntegratorConfig(record_trajectory=True, sample_count=4)
+        trajectory = evolve(rho, PulseSpec(1.0, 1.0), DecaySpec(0.1), config).trajectory
+        for record, storage in ((rho, "matrix"), (psi, "amplitudes"),
+                                (trajectory, "times"), (trajectory, "states")):
+            twin = clone(record)
+            assert twin == record
+            with pytest.raises(TypeError):
+                getattr(twin, storage)[0] = 5.0
+            with pytest.raises(AttributeError):
+                setattr(twin, storage, ())
+        with pytest.raises(TypeError):
+            clone(rho).matrix[0][0] = 5.0
+        with pytest.raises(TypeError):
+            clone(trajectory).states[-1][1][1] = 5.0
+        assert clone(rho).matrix == ((0.5, 0.0), (0.0, 0.5))
