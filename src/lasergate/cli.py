@@ -204,12 +204,10 @@ def _coerce(command: str, raw: dict[str, str]) -> dict:
     return cfg
 
 
-def _integrator_config(cfg: dict, record_trajectory: bool = False,
-                       sample_count: int = 200) -> IntegratorConfig:
+def _integrator_config(cfg: dict, sample_count: int = 1) -> IntegratorConfig:
     return IntegratorConfig(
         method=cfg["method"],
         step_count=cfg["step_count"],
-        record_trajectory=record_trajectory,
         sample_count=sample_count,
     )
 
@@ -239,12 +237,12 @@ def run_simulate(cfg: dict) -> str:
     state = _start_state(cfg["start"])
     pulse = PulseSpec(drive_coupling=1.0, pulse_area=cfg["theta"])
     decay = DecaySpec(rate=cfg["ratio"])
-    config = _integrator_config(cfg, record_trajectory=True, sample_count=cfg["samples"])
+    config = _integrator_config(cfg, sample_count=cfg["samples"])
     trajectory = evolve(state.to_density(), pulse, decay, config).trajectory
 
     table = ((t, m[0][0].real, m[1][1].real, m[1][0].real, m[1][0].imag, purity(m))
              for t, m in zip(trajectory.times, trajectory.states))
-    return "t,rho_bb,rho_aa,re_rho_ab,im_rho_ab,purity\n" + _format_rows(table) + "\n"
+    return "\n".join(["t,rho_bb,rho_aa,re_rho_ab,im_rho_ab,purity", _format_rows(table), ""])
 
 
 def run_sweep(cfg: dict) -> str:
@@ -360,8 +358,7 @@ def run_budget(cfg: dict) -> str:
     if cfg["format"] == "csv":
         lines = [f"# {name}={_fmt(value)}" for name, value in scalars + raman_lines]
         lines += [f"# {name}={value}" for name, value in verdicts]
-        lines += [table_header, table_rows]
-        return "\n".join(lines) + "\n"
+        return "\n".join([*lines, table_header, table_rows, ""])
 
     width = max(len(name) for name, _ in scalars + raman_lines + verdicts)
     lines = ["laser pulse budget (SI base units)", ""]
@@ -372,8 +369,8 @@ def run_budget(cfg: dict) -> str:
         lines += [f"{name:<{width}} = {_fmt(value)}" for name, value in raman_lines]
         lines += [f"{name:<{width}} = {value}" for name, value in verdicts[1:]]
     lines += ["", "fixed-intensity area sweep (kappa * A = Gamma * sigma_eff):", table_header,
-              table_rows]
-    return "\n".join(lines) + "\n"
+              table_rows, ""]
+    return "\n".join(lines)
 
 
 def run_compare(cfg: dict) -> str:

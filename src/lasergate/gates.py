@@ -39,8 +39,6 @@ class GateExperiment(Record):
     def __post_init__(self):
         if self.pulse_area < 0:
             raise InvalidStateError(f"pulse_area must be >= 0, got {self.pulse_area}")
-        if self.initial_state.dim != 2:
-            raise InvalidStateError("gate experiments are two-level only")
 
 
 class ErrorCoefficient(Record):

@@ -143,8 +143,6 @@ def _population(atom_start: PureState, field: CoherentField, g: float, duration:
     already holds, and divides by the joint norm (|x_b|^2 + |x_a|^2) sum c_m^2.
     Each term is non-negative, so the sum has no 1 - F cancellation.
     """
-    if atom_start.dim != 2:
-        raise InvalidStateError("atomic state must be two-level")
     if g <= 0:
         raise InvalidStateError(f"coupling must be > 0, got {g}")
     if duration < 0:

@@ -96,12 +96,13 @@ class DecaySpec(Record):
 
 
 class IntegratorConfig(Record):
-    """Solver settings; ``step_count`` is read by ``rk4_fixed`` only."""
+    """Solver settings.  ``step_count`` is read by ``rk4_fixed`` only, and
+    ``sample_count`` by :func:`evolve` only: the number of equal segments
+    its trajectory samples, where 1 means the initial and final states only."""
 
     method: str = EXACT
     step_count: int = 1000
-    record_trajectory: bool = False
-    sample_count: int = 200
+    sample_count: int = 1
 
     def __post_init__(self):
         if self.method not in (EXACT, RK4_FIXED):
@@ -128,7 +129,7 @@ class Trajectory(Record):
 
 class EvolutionResult(Record):
     final: DensityMatrix
-    trajectory: Trajectory | None = None
+    trajectory: Trajectory
 
 
 def _bloch(rho) -> tuple:
@@ -289,21 +290,20 @@ def evolve(rho0: DensityMatrix, pulse: PulseSpec, decay: DecaySpec,
            config: IntegratorConfig = IntegratorConfig()) -> EvolutionResult:
     """Evolve ``rho0`` through one pulse.
 
-    Returns the validated final state, plus the states at
-    ``config.sample_count + 1`` uniformly spaced times as a
-    :class:`Trajectory` when ``config.record_trajectory`` is set.  A
-    propagated state that is not a density matrix (the rounding of a long or
-    strongly damped pulse pushed its Bloch vector out of the unit ball, or an
-    unstable RK4 step made it blow up) raises :class:`IntegrationError`.
+    Returns the validated final state and the :class:`Trajectory` of the
+    states at ``config.sample_count + 1`` uniformly spaced times, from the
+    initial to the final state; the default ``sample_count`` of 1 samples
+    those two only.  A propagated state that is not a density matrix (the
+    rounding of a long or strongly damped pulse pushed its Bloch vector out
+    of the unit ball, or an unstable RK4 step made it blow up) raises
+    :class:`IntegrationError`.
     """
-    if rho0.dim != 2:
-        raise InvalidStateError("evolve handles the two-level atom only")
     g = pulse.drive_coupling
     theta = pulse.pulse_area
-    n_segments = config.sample_count if config.record_trajectory else 1
+    n_segments = config.sample_count
     if theta == 0.0:
-        trajectory = Trajectory((0.0,) * (n_segments + 1), (rho0.matrix,) * (n_segments + 1))
-        return EvolutionResult(rho0, trajectory if config.record_trajectory else None)
+        return EvolutionResult(rho0, Trajectory((0.0,) * (n_segments + 1),
+                                                (rho0.matrix,) * (n_segments + 1)))
 
     tau = theta / 2.0 / n_segments  # scaled duration g_alpha * T of one segment
     rows = _step_rows([decay.rate / g], tau, config, n_segments)[0]
@@ -317,9 +317,7 @@ def evolve(rho0: DensityMatrix, pulse: PulseSpec, decay: DecaySpec,
             v.append((1.0, *map(add, s[1:], matvec(rows, s))))
     states = _density_stack(v)
     times = (*(i * tau / g for i in range(n_segments)), theta / 2.0 / g)
-    trajectory = Trajectory(times, states)
-    return EvolutionResult(DensityMatrix(states[-1]),
-                           trajectory if config.record_trajectory else None)
+    return EvolutionResult(DensityMatrix(states[-1]), Trajectory(times, states))
 
 
 def final_states(rho0: DensityMatrix, pulse: PulseSpec, decay_rates,
@@ -327,16 +325,14 @@ def final_states(rho0: DensityMatrix, pulse: PulseSpec, decay_rates,
     """Final state of ``rho0`` after ``pulse`` for each rate in ``decay_rates``,
     as a stack of 2x2 matrices.
 
-    The same states as one :func:`evolve` per rate without a trajectory
-    (``config.record_trajectory`` is not read), from one batched
+    The same states as one :func:`evolve` per rate with ``sample_count`` 1
+    (``config.sample_count`` is not read), from one batched
     :func:`_step_rows` call and one validation of the stack.
     """
     rates = tuple(map(float, decay_rates))
     for rate in rates:
         if not (math.isfinite(rate) and rate >= 0):
             raise InvalidStateError(f"decay rate must be finite and >= 0, got {rate}")
-    if rho0.dim != 2:
-        raise InvalidStateError("final_states handles the two-level atom only")
     if pulse.pulse_area == 0.0:
         return (rho0.matrix,) * len(rates)
     b = _bloch(rho0.matrix)

@@ -1,13 +1,15 @@
-"""Dense complex linear algebra over small Hilbert spaces, with quantum-state semantics.
+"""States of one two-level atom, and the small dense linear algebra they need.
 
 A matrix is a tuple of row tuples of Python ``complex``, a state vector a
 tuple of ``complex``, and a stack of matrices a tuple of matrices: immutable
 values, built from any nested sequence of numbers (numpy arrays included).
-The two wrapper types :class:`DensityMatrix` and :class:`PureState` validate
-the physical invariants (Hermiticity, unit trace, positivity, normalization)
-once at construction.  The density-matrix invariants have one home,
-:func:`check_densities`, which checks a whole stack in one call, in closed
-form for 2x2 matrices; a single :class:`DensityMatrix` is a stack of one.
+Both models of the package act on one two-level atom, and the two wrapper
+types enforce that once, at construction: :class:`DensityMatrix` accepts a
+2x2 matrix only and :class:`PureState` 2 amplitudes only.  They also
+validate the physical invariants (Hermiticity, unit trace, positivity,
+normalization).  The density-matrix invariants have one home,
+:func:`check_densities`, which checks a whole stack of 2x2 matrices in one
+call, in closed form; a single :class:`DensityMatrix` is a stack of one.
 Every record type of the package derives from :class:`Record`.
 
 Basis ordering for the two-level atom is fixed package-wide:
@@ -104,10 +106,10 @@ def _as_complex_matrix(entries) -> tuple:
     try:
         m = tuple(tuple(complex(x) for x in row) for row in entries)
     except (TypeError, ValueError) as exc:
-        raise InvalidStateError(f"expected a square matrix of numbers: {exc}") from None
-    if not m or any(len(row) != len(m) for row in m):
+        raise InvalidStateError(f"expected a 2x2 matrix of numbers: {exc}") from None
+    if len(m) != 2 or any(len(row) != 2 for row in m):
         raise InvalidStateError(
-            f"expected a square matrix, got rows of lengths {[len(row) for row in m]}"
+            f"expected a 2x2 matrix, got rows of lengths {[len(row) for row in m]}"
         )
     return m
 
@@ -140,87 +142,45 @@ def logspace(start: float, stop: float, num: int) -> tuple:
     return (*(_exp10(i * step + start) for i in range(num - 1)), _exp10(stop))
 
 
-def _eigenvalues(h) -> list[float]:
-    """Eigenvalues of a Hermitian matrix, by cyclic complex Jacobi rotations.
-
-    Each rotation G = diag(1, e^{-i alpha}) R(phi) in the (p, q) plane, with
-    a_pq = |a_pq| e^{i alpha} and tan(2 phi) = 2 |a_pq| / (a_qq - a_pp),
-    zeroes a_pq of G^H A G.  Sweeps repeat until every off-diagonal entry is
-    below 1e-18 of the Frobenius norm.
-    """
-    a = [list(row) for row in h]
-    n = len(a)
-    negligible = 1e-18 * math.hypot(*(abs(x) for row in a for x in row))
-    for _ in range(100):
-        pairs = [(p, q) for p in range(n) for q in range(p + 1, n) if abs(a[p][q]) > negligible]
-        if not pairs:
-            break
-        for p, q in pairs:
-            r = abs(a[p][q])
-            if r <= negligible:  # an earlier rotation of this sweep cleared it
-                continue
-            phase = a[p][q] / r
-            gap = (a[q][q] - a[p][p]).real  # |phi| <= pi/4, so that the sweeps converge
-            phi = 0.5 * (math.atan2(2.0 * r, gap) if gap >= 0 else math.atan2(-2.0 * r, -gap))
-            c, s = math.cos(phi), math.sin(phi)
-            for row in a:  # A <- A G
-                row[p], row[q] = (c * row[p] - s * phase.conjugate() * row[q],
-                                  s * row[p] + c * phase.conjugate() * row[q])
-            row_p, row_q = a[p], a[q]  # A <- G^H A
-            a[p] = [c * x - s * phase * y for x, y in zip(row_p, row_q)]
-            a[q] = [s * x + c * phase * y for x, y in zip(row_p, row_q)]
-    return [a[i][i].real for i in range(n)]
-
-
 def min_eigenvalue(h) -> float:
-    """Smallest eigenvalue of a Hermitian matrix.
-
-    The 2x2 case is solved in closed form from trace and determinant; larger
-    (truncated-Fock) matrices go through :func:`_eigenvalues`.
-    """
-    if len(h) == 2:
-        (a, b), (_, d) = h
-        a, d = a.real, d.real
-        return 0.5 * (a + d) - math.hypot(0.5 * (a - d), abs(b))
-    return min(_eigenvalues(h))
+    """Smallest eigenvalue of a 2x2 Hermitian matrix, in closed form from
+    trace and determinant."""
+    (a, b), (_, d) = h
+    a, d = a.real, d.real
+    return 0.5 * (a + d) - math.hypot(0.5 * (a - d), abs(b))
 
 
 def purity(m) -> float:
-    """tr(rho^2) of one matrix."""
-    if len(m) == 2:
-        (a, b), (c, d) = m
-        return ((a * a + b * c) + (c * b + d * d)).real
-    return sum(sum(map(mul, row, col)) for row, col in zip(m, zip(*m))).real
+    """tr(rho^2) of one 2x2 matrix."""
+    (a, b), (c, d) = m
+    return ((a * a + b * c) + (c * b + d * d)).real
 
 
 def _invariants(m) -> tuple:
-    """Hermiticity residue, trace, smallest eigenvalue and purity of one matrix."""
-    if len(m) == 2:
-        (a, b), (c, d) = m
-        herm = max(2.0 * abs(a.imag), abs(b - c.conjugate()), 2.0 * abs(d.imag))
-        return herm, a + d, min_eigenvalue(m), purity(m)
-    herm = max(abs(x - y.conjugate()) for row, col in zip(m, zip(*m)) for x, y in zip(row, col))
-    return herm, sum(row[i] for i, row in enumerate(m)), min_eigenvalue(m), purity(m)
+    """Hermiticity residue, trace, smallest eigenvalue and purity of one 2x2 matrix."""
+    (a, b), (c, d) = m
+    herm = max(2.0 * abs(a.imag), abs(b - c.conjugate()), 2.0 * abs(d.imag))
+    return herm, a + d, min_eigenvalue(m), purity(m)
 
 
 _BROKEN = (
     "density matrix not Hermitian: residue {:.3e}",
     "density matrix trace {:.12g} != 1",
     "density matrix not positive: min eigenvalue {:.3e}",
-    "purity {:.12g} outside [1/dim, 1]",
+    "purity {:.12g} outside [1/2, 1]",
 )
 
 
 def check_densities(states) -> None:
-    """Raise :class:`InvalidStateError` unless every matrix of the stack
+    """Raise :class:`InvalidStateError` unless every 2x2 matrix of the stack
     ``states`` is Hermitian, of unit trace, positive semidefinite and of
-    purity in [1/n, 1], within the tolerances above.  The error names the
+    purity in [1/2, 1], within the tolerances above.  The error names the
     first broken invariant, in that order, and the first matrix that breaks
     it (by index, in a stack of several)."""
     values = [_invariants(m) for m in states]
     broken = [(herm > HERMITICITY_TOL, abs(trace - 1.0) > TRACE_TOL, lo < -POSITIVITY_SLACK,
-               not 1.0 / len(m) - PURITY_SLACK <= pur <= 1.0 + PURITY_SLACK)
-              for m, (herm, trace, lo, pur) in zip(states, values)]
+               not 0.5 - PURITY_SLACK <= pur <= 1.0 + PURITY_SLACK)
+              for herm, trace, lo, pur in values]
     for k, text in enumerate(_BROKEN):
         for i, flags in enumerate(broken):
             if flags[k]:
@@ -229,7 +189,8 @@ def check_densities(states) -> None:
 
 
 class DensityMatrix(Record):
-    """Validated density operator: Hermitian, unit-trace, positive semidefinite."""
+    """Validated density operator of the two-level atom: a 2x2 matrix that is
+    Hermitian, unit-trace and positive semidefinite."""
 
     matrix: tuple
 
@@ -238,16 +199,12 @@ class DensityMatrix(Record):
         check_densities((m,))
         object.__setattr__(self, "matrix", m)
 
-    @property
-    def dim(self) -> int:
-        return len(self.matrix)
-
     def purity(self) -> float:
         return purity(self.matrix)
 
 
 class PureState(Record):
-    """Normalized state vector."""
+    """Normalized state vector of the two-level atom: 2 amplitudes."""
 
     amplitudes: tuple
 
@@ -256,16 +213,12 @@ class PureState(Record):
             v = tuple(complex(x) for x in self.amplitudes)
         except (TypeError, ValueError) as exc:
             raise InvalidStateError(f"expected a vector of numbers: {exc}") from None
-        if not v:
-            raise InvalidStateError("state vector is empty")
+        if len(v) != 2:
+            raise InvalidStateError(f"expected 2 amplitudes, got {len(v)}")
         nrm2 = sum(x.real * x.real + x.imag * x.imag for x in v)
         if abs(nrm2 - 1.0) > NORM_TOL:
             raise InvalidStateError(f"state not normalized: |psi|^2 = {nrm2:.12g}")
         object.__setattr__(self, "amplitudes", v)
-
-    @property
-    def dim(self) -> int:
-        return len(self.amplitudes)
 
     def to_density(self) -> DensityMatrix:
         v = self.amplitudes
@@ -296,10 +249,6 @@ def rotation(theta: float) -> tuple:
 
 def fidelity_pure(rho: DensityMatrix, target: PureState) -> float:
     """Overlap <psi|rho|psi>, clamped into [0, 1]."""
-    if target.dim != rho.dim:
-        raise InvalidStateError(
-            f"dimension mismatch: rho dim {rho.dim}, target dim {target.dim}"
-        )
     return pure_fidelities((rho.matrix,), target)[0]
 
 

@@ -189,9 +189,7 @@ def test_state_invariants_on_random_trajectories():
     Hermiticity, and positivity; pure drives conserve purity; the fixed-step
     integrator converges at fourth order; budgets ignore the time unit."""
     rng = np.random.default_rng(2024)
-    config = IntegratorConfig(
-        method=RK4_FIXED, step_count=100, record_trajectory=True, sample_count=5
-    )
+    config = IntegratorConfig(method=RK4_FIXED, step_count=100, sample_count=5)
     worst_trace = worst_herm = worst_eig = 0.0
     for _ in range(1000):
         g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))

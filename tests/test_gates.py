@@ -162,6 +162,5 @@ class TestGateExperimentValidation:
             GateExperiment(-1.0, PureState.ground())
 
     def test_fock_state_rejected(self):
-        fock = PureState(np.array([1, 0, 0, 0]))
-        with pytest.raises(InvalidStateError):
-            GateExperiment(math.pi, fock)
+        with pytest.raises(InvalidStateError, match="expected 2 amplitudes"):
+            GateExperiment(math.pi, PureState(np.array([1, 0, 0, 0])))

@@ -37,7 +37,7 @@ def lindblad_rhs(rho: DensityMatrix, g: float, kappa: float) -> np.ndarray:
 
 def ground_trajectory(pulse: PulseSpec):
     """16-sample trajectory of the ground state under ``pulse``, without decay."""
-    config = IntegratorConfig(record_trajectory=True, sample_count=16)
+    config = IntegratorConfig(sample_count=16)
     return evolve(PureState.ground().to_density(), pulse, DecaySpec(0.0), config).trajectory
 
 
@@ -153,7 +153,7 @@ class TestEvolve:
             PureState.ground().to_density(),
             PulseSpec(1.0, math.pi),
             DecaySpec(0.1),
-            IntegratorConfig(record_trajectory=True, sample_count=16),
+            IntegratorConfig(sample_count=16),
         )
         assert len(result.trajectory) == 17
         times = result.trajectory.times
@@ -184,9 +184,7 @@ class TestConservationLaws:
         rho0 = random_density(rng)
         theta = float(rng.uniform(0.1, 2 * math.pi))
         ratio = float(rng.uniform(0.0, 1.0))
-        config = IntegratorConfig(
-            method=RK4_FIXED, step_count=200, record_trajectory=True, sample_count=8
-        )
+        config = IntegratorConfig(method=RK4_FIXED, step_count=200, sample_count=8)
         result = evolve(rho0, PulseSpec(1.0, theta), DecaySpec(ratio), config)
         for m in map(np.asarray, result.trajectory.states):
             assert abs(np.trace(m) - 1.0) <= 1e-9
@@ -228,8 +226,7 @@ class TestConvergenceOrder:
         # a plain RK4 loop on the kron-form superoperator
         rho0 = PureState.superposition(1.0, 0.6 + 0.2j).to_density()
         theta, ratio = 3 * math.pi / 2, 0.3
-        config = IntegratorConfig(method=RK4_FIXED, step_count=step_count,
-                                  record_trajectory=True, sample_count=samples)
+        config = IntegratorConfig(method=RK4_FIXED, step_count=step_count, sample_count=samples)
         got = evolve(rho0, PulseSpec(1.0, theta), DecaySpec(ratio), config).trajectory.states
         want = oracles.rk4_trajectory(rho0.matrix, theta, ratio, step_count, samples)
         assert np.max(np.abs(got - want)) <= 1e-12
@@ -267,7 +264,9 @@ class TestExactPropagator:
         with pytest.raises(TypeError):
             batched[0][0][0] = 1.0
         for rate, got in zip(rates, batched):
-            assert np.array_equal(got, evolve(rho0, pulse, DecaySpec(rate), config).final.matrix)
+            result = evolve(rho0, pulse, DecaySpec(rate), config)
+            assert np.array_equal(got, result.final.matrix)
+            assert np.array_equal(got, result.trajectory.states[-1])
 
     @pytest.mark.parametrize("theta", [math.pi, math.pi / 2], ids=["pi", "pi2"])
     @pytest.mark.parametrize("start", sorted(STARTS))
@@ -277,7 +276,7 @@ class TestExactPropagator:
 
     def test_trajectory_applies_one_step_propagator(self):
         rho0 = PureState.excited().to_density()
-        config = IntegratorConfig(record_trajectory=True, sample_count=64)
+        config = IntegratorConfig(sample_count=64)
         result = evolve(rho0, PulseSpec(2.0, 3.0), DecaySpec(0.5), config)
         for t, m in zip(result.trajectory.times, result.trajectory.states):
             want = oracles.evolve_superop(rho0.matrix, 2.0 * 2.0 * t, 0.25)
@@ -305,8 +304,7 @@ class TestExactPropagator:
 
 class TestValidation:
     def test_fock_dimension_rejected(self):
-        big = DensityMatrix(np.eye(4) / 4)
-        with pytest.raises(InvalidStateError):
-            evolve(big, PulseSpec(1.0, math.pi), DecaySpec(0.0))
-        with pytest.raises(InvalidStateError):
-            final_states(big, PulseSpec(1.0, math.pi), [0.0, 1.0])
+        with pytest.raises(InvalidStateError, match="expected a 2x2 matrix"):
+            evolve(DensityMatrix(np.eye(4) / 4), PulseSpec(1.0, math.pi), DecaySpec(0.0))
+        with pytest.raises(InvalidStateError, match="expected a 2x2 matrix"):
+            final_states(DensityMatrix(np.eye(4) / 4), PulseSpec(1.0, math.pi), [0.0, 1.0])
