@@ -29,6 +29,21 @@ GATE_CASES = {
     "pi2-excited": (math.pi / 2, PureState.excited()),
 }
 
+# the plus start and areas other than pi and pi/2
+MORE_GATE_CASES = {
+    "pi-plus": (math.pi, PureState.superposition(1.0, 1.0)),
+    "pi2-plus": (math.pi / 2, PureState.superposition(1.0, 1.0)),
+    "0.7-ground": (0.7, PureState.ground()),
+    "0.7-plus": (0.7, PureState.superposition(1.0, 1.0)),
+    "2pi-excited": (2 * math.pi, PureState.excited()),
+    "2pi-plus": (2 * math.pi, PureState.superposition(1.0, 1.0)),
+}
+
+# (p nbar - pi^2/16) nbar for a pi pulse from the ground state, frozen from
+# oracles.jc_gate_error_mp at nbar = 1e5 (-0.110632795 at 1e4, so the next
+# order moves it by about 5e-8 from 1e5 on)
+PI_GROUND_NEXT_ORDER = -0.110632319333919
+
 
 class TestCoherentField:
     def test_mean_photons(self):
@@ -89,6 +104,11 @@ class TestCoherentField:
         with pytest.raises(InvalidStateError):
             CoherentField(alpha=-1.0)
 
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf])
+    def test_non_finite_alpha_rejected(self, alpha):
+        with pytest.raises(InvalidStateError, match="alpha"):
+            CoherentField(alpha=alpha)
+
 
 class TestVacuumSector:
     def test_excited_atom_vacuum_rabi_oscillation(self):
@@ -137,7 +157,24 @@ class TestAgainstMultiprecision:
         n_max = CoherentField(alpha=math.sqrt(n_bar)).n_max
         want = oracles.jc_gate_error_mp(theta, state.amplitudes, n_bar, n_max)
         got = jc_gate_error(theta, state, n_bar)
-        assert abs(got - float(want)) <= 1e-11 * float(want)
+        assert abs(got - float(want)) <= 1e-14 * float(want)
+
+    @pytest.mark.parametrize("case", sorted(MORE_GATE_CASES))
+    @pytest.mark.parametrize("n_bar", [25.0, 64.0, 1000.0])
+    def test_any_area_and_plus_start_match_40_digit_sum(self, case, n_bar):
+        # nbar = 25 is summed level by level, 64 and 1000 every 2nd and 7th level
+        theta, state = MORE_GATE_CASES[case]
+        n_max = CoherentField(alpha=math.sqrt(n_bar)).n_max
+        want = oracles.jc_gate_error_mp(theta, state.amplitudes, n_bar, n_max)
+        got = jc_gate_error(theta, state, n_bar)
+        assert abs(got - float(want)) <= 1e-14 * float(want)
+
+    @pytest.mark.parametrize("n_bar", [1e8, 1e9, 9.9e9])
+    def test_next_order_holds_up_to_the_level_cap(self, n_bar):
+        start = time.perf_counter()
+        p = jc_gate_error(math.pi, PureState.ground(), n_bar)
+        assert time.perf_counter() - start < 1.0
+        assert abs((p * n_bar - math.pi**2 / 16) * n_bar - PI_GROUND_NEXT_ORDER) <= 2e-4
 
 
 class TestGateError:
@@ -167,8 +204,16 @@ class TestGateError:
             jc_gate_error(math.pi, PureState.ground(), 9.0)
 
     def test_supported_areas_only(self):
-        with pytest.raises(InvalidStateError, match="pulse areas"):
-            jc_gate_error(0.7, PureState.ground(), 400)
+        # any area in (0, 2 pi] is summed; the rest is refused
+        for theta in (0.0, -math.pi, 2 * math.pi + 1e-9, math.nan):
+            with pytest.raises(InvalidStateError, match="pulse area"):
+                jc_gate_error(theta, PureState.ground(), 400)
+
+    def test_non_finite_photon_number_rejected(self):
+        with pytest.raises(InvalidStateError, match="nbar"):
+            jc_gate_error(math.pi, PureState.ground(), math.nan)
+        with pytest.raises(InvalidStateError, match="alpha"):
+            jc_gate_error(math.pi, PureState.ground(), math.inf)
 
     @pytest.mark.parametrize("n_bar", DENSE_N_BARS)
     def test_every_photon_number_from_25_is_accepted(self, n_bar):
@@ -205,6 +250,18 @@ class TestGuards:
     def test_positive_coupling_required(self):
         with pytest.raises(InvalidStateError, match="coupling"):
             jc_evolve(PureState.excited(), CoherentField(alpha=1.0), 0.0, 0.1)
+
+    @pytest.mark.parametrize("g", [math.nan, math.inf])
+    def test_non_finite_coupling_rejected(self, g):
+        with pytest.raises(InvalidStateError, match="coupling"):
+            jc_gate_error(math.pi, PureState.ground(), 100, g=g)
+        with pytest.raises(InvalidStateError, match="coupling"):
+            jc_evolve(PureState.excited(), CoherentField(alpha=1.0), g, 0.1)
+
+    @pytest.mark.parametrize("duration", [math.nan, math.inf])
+    def test_non_finite_duration_rejected(self, duration):
+        with pytest.raises(InvalidStateError, match="duration"):
+            jc_evolve(PureState.excited(), CoherentField(alpha=1.0), 1.0, duration)
 
     def test_returned_state_has_unit_trace(self):
         rho = jc_evolve(PureState.superposition(1.0, -1.0), CoherentField(alpha=3.0), 1.0, 0.2)
