@@ -20,14 +20,7 @@ import os
 import sys
 from itertools import chain
 
-from .lindblad import (
-    EXACT,
-    DecaySpec,
-    IntegrationError,
-    IntegratorConfig,
-    PulseSpec,
-    evolve,
-)
+from .lindblad import EXACT, DecaySpec, IntegrationError, IntegratorConfig, PulseSpec, evolve
 from .qcore import InvalidStateError, PureState, logspace, purity
 
 EXIT_OK = 0
@@ -113,19 +106,14 @@ def _row_count(raw: str) -> int:
 
 
 # key -> (converter, default); _REQUIRED means the key must be supplied.
-_COMMON_INTEGRATOR_KEYS = {
-    "method": (str, EXACT),
-    "step_count": (_non_negative_int, 1000),
-}
-
 KEY_SCHEMAS: dict[str, dict] = {
     "simulate": {
         "theta": (_finite_float, math.pi),
         "ratio": (_finite_float, 0.0),
         "start": (str, "ground"),
         "samples": (_row_count, 200),
-        "format": (str, "csv"),
-        **_COMMON_INTEGRATOR_KEYS,
+        "method": (str, EXACT),
+        "step_count": (_non_negative_int, 1000),
     },
     "sweep": {
         "gate": (str, "pi"),
@@ -133,8 +121,6 @@ KEY_SCHEMAS: dict[str, dict] = {
         "ratio_min": (_finite_float, 1e-5),
         "ratio_max": (_finite_float, 1e-3),
         "points": (_row_count, 8),
-        "format": (str, "csv"),
-        **_COMMON_INTEGRATOR_KEYS,
     },
     "budget": {
         "wavelength": (_finite_float, _REQUIRED),
@@ -152,8 +138,6 @@ KEY_SCHEMAS: dict[str, dict] = {
         "gate": (str, "pi"),
         "start": (str, "ground"),
         "n_bars": (_finite_floats, (100.0, 400.0, 1600.0)),
-        "format": (str, "csv"),
-        **_COMMON_INTEGRATOR_KEYS,
     },
 }
 
@@ -204,14 +188,6 @@ def _coerce(command: str, raw: dict[str, str]) -> dict:
     return cfg
 
 
-def _integrator_config(cfg: dict, sample_count: int = 1) -> IntegratorConfig:
-    return IntegratorConfig(
-        method=cfg["method"],
-        step_count=cfg["step_count"],
-        sample_count=sample_count,
-    )
-
-
 def _start_state(name: str) -> PureState:
     if name not in START_STATES:
         raise ConfigError(f"unknown start state {name!r}; choose from {sorted(START_STATES)}")
@@ -224,20 +200,14 @@ def _gate_area(name: str) -> float:
     return GATE_AREAS[name]
 
 
-def _require_csv(cfg: dict, command: str) -> None:
-    if cfg["format"] != "csv":
-        raise ConfigError(f"command {command!r} emits csv only, got format={cfg['format']!r}")
-
-
 def run_simulate(cfg: dict) -> str:
     """Trajectory CSV: t, populations, coherence, purity at samples+1 times."""
-    _require_csv(cfg, "simulate")
     if cfg["samples"] < 1:
         raise ConfigError("samples must be >= 1")
     state = _start_state(cfg["start"])
     pulse = PulseSpec(drive_coupling=1.0, pulse_area=cfg["theta"])
     decay = DecaySpec(rate=cfg["ratio"])
-    config = _integrator_config(cfg, sample_count=cfg["samples"])
+    config = IntegratorConfig(cfg["method"], cfg["step_count"], cfg["samples"])
     trajectory = evolve(state.to_density(), pulse, decay, config).trajectory
 
     table = ((t, m[0][0].real, m[1][1].real, m[1][0].real, m[1][0].imag, purity(m))
@@ -249,7 +219,6 @@ def run_sweep(cfg: dict) -> str:
     """Ratio sweep CSV with a fitted-coefficient footer."""
     from . import gates
 
-    _require_csv(cfg, "sweep")
     if cfg["points"] < 1:
         raise ConfigError("empty ratio grid: points must be >= 1")
     if not (0 < cfg["ratio_min"] < cfg["ratio_max"]):
@@ -259,7 +228,7 @@ def run_sweep(cfg: dict) -> str:
     )
     ratios = logspace(math.log10(cfg["ratio_min"]), math.log10(cfg["ratio_max"]),
                       cfg["points"])
-    probabilities = gates.sweep_failure_probabilities(experiment, ratios, _integrator_config(cfg))
+    probabilities = gates.sweep_failure_probabilities(experiment, ratios)
     coeff = gates.fit_coefficient(experiment.pulse_area, ratios, probabilities)
 
     return (
@@ -377,7 +346,6 @@ def run_compare(cfg: dict) -> str:
     """Markov vs single-mode failure probabilities on a shared photon grid."""
     from . import budget, gates, jc
 
-    _require_csv(cfg, "compare")
     theta = _gate_area(cfg["gate"])
     state = _start_state(cfg["start"])
     n_bars = cfg["n_bars"]
@@ -390,7 +358,7 @@ def run_compare(cfg: dict) -> str:
 
     experiment = gates.GateExperiment(pulse_area=theta, initial_state=state)
     ratios = [budget.drive_ratio_for_photons(theta, n_bar) for n_bar in n_bars]
-    markov = gates.sweep_failure_probabilities(experiment, ratios, _integrator_config(cfg))
+    markov = gates.sweep_failure_probabilities(experiment, ratios)
     lines = ["model,gate,n_bar,p,p_times_n_bar"]
     for n_bar, p_markov in zip(n_bars, markov):
         p_jc = jc.jc_gate_error(theta, state, n_bar)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from operator import mul
 
-from .lindblad import IntegratorConfig, PulseSpec, final_states
+from .lindblad import PulseSpec, final_states
 from .qcore import InvalidStateError, PureState, Record, logspace, matvec, pure_fidelities, rotation
 
 # Ratios above this are outside the perturbative regime the linear fit assumes.
@@ -37,8 +37,8 @@ class GateExperiment(Record):
     initial_state: PureState
 
     def __post_init__(self):
-        if self.pulse_area < 0:
-            raise InvalidStateError(f"pulse_area must be >= 0, got {self.pulse_area}")
+        if not (math.isfinite(self.pulse_area) and self.pulse_area >= 0):
+            raise InvalidStateError(f"pulse_area must be finite and >= 0, got {self.pulse_area}")
 
 
 class ErrorCoefficient(Record):
@@ -61,8 +61,7 @@ def ideal_target(experiment: GateExperiment) -> PureState:
     return PureState(matvec(rotation(experiment.pulse_area), experiment.initial_state.amplitudes))
 
 
-def failure_probability(experiment: GateExperiment, ratio: float,
-                        config: IntegratorConfig = IntegratorConfig()) -> float:
+def failure_probability(experiment: GateExperiment, ratio: float) -> float:
     """Failure probability of one gate at a given kappa/g_alpha.
 
     Parameters
@@ -71,18 +70,17 @@ def failure_probability(experiment: GateExperiment, ratio: float,
         Pulse area and initial state.
     ratio : float
         Decay-to-drive ratio kappa / g_alpha, >= 0.
-    config : IntegratorConfig
-        Integrator settings used for the dissipative run.
 
     Returns
     -------
     float
         p = <psi_perp| rho(T) |psi_perp> in [0, 1], where psi_perp is
-        orthogonal to the decay-free evolution of the same initial state.
-        For a unit-trace rho this equals 1 - <psi_target| rho(T) |psi_target>
+        orthogonal to the decay-free evolution of the same initial state,
+        and rho(T) is the exact solution of the master equation.  For a
+        unit-trace rho this equals 1 - <psi_target| rho(T) |psi_target>
         without the cancellation.
     """
-    return sweep_failure_probabilities(experiment, [ratio], config)[0]
+    return sweep_failure_probabilities(experiment, [ratio])[0]
 
 
 def default_ratio_grid(count: int = 8) -> tuple:
@@ -90,8 +88,7 @@ def default_ratio_grid(count: int = 8) -> tuple:
     return logspace(-5.0, -3.0, count)
 
 
-def extract_coefficient(experiment: GateExperiment, ratios=None,
-                        config: IntegratorConfig = IntegratorConfig()) -> ErrorCoefficient:
+def extract_coefficient(experiment: GateExperiment, ratios=None) -> ErrorCoefficient:
     """Measure the first-order error coefficient of a gate by a ratio sweep.
 
     Parameters
@@ -101,7 +98,6 @@ def extract_coefficient(experiment: GateExperiment, ratios=None,
         At least four strictly increasing ratios, all within the
         perturbative regime (<= 1e-2) and resolvable (>= 1e-10).  Defaults to
         ``default_ratio_grid()``.
-    config : IntegratorConfig
 
     Returns
     -------
@@ -110,7 +106,7 @@ def extract_coefficient(experiment: GateExperiment, ratios=None,
     """
     if ratios is None:
         ratios = default_ratio_grid()
-    p = sweep_failure_probabilities(experiment, ratios, config)
+    p = sweep_failure_probabilities(experiment, ratios)
     return fit_coefficient(experiment.pulse_area, ratios, p)
 
 
@@ -118,14 +114,21 @@ def fit_coefficient(pulse_area: float, ratios, probabilities) -> ErrorCoefficien
     """Fit p = c * ratio through the origin over a perturbative sweep.
 
     ``ratios`` must hold at least four strictly increasing values, all in
-    [1e-10, 1e-2].  Returns the least-squares slope c, its photon-number
-    counterpart c' = c * theta / 2, and the fit residual; ``degraded_fit`` is
-    set when the residual exceeds 1e-3 * c instead of raising.
+    [1e-10, 1e-2], and ``probabilities`` one finite value per ratio.
+    Returns the least-squares slope c, its photon-number counterpart
+    c' = c * theta / 2, and the fit residual; ``degraded_fit`` is set when
+    the residual exceeds 1e-3 * c instead of raising.
     """
     r = tuple(map(float, ratios))
+    p = tuple(map(float, probabilities))
+    if len(p) != len(r):
+        raise InvalidStateError(f"got {len(p)} probabilities for {len(r)} sweep ratios")
+    if not all(map(math.isfinite, p)):
+        raise InvalidStateError("sweep probabilities must be finite")
     if len(r) < 4:
         raise InvalidStateError(f"need at least 4 sweep ratios, got {len(r)}")
-    if r[0] <= 0 or any(b <= a for a, b in zip(r, r[1:])):
+    # written so that a NaN ratio fails: every comparison with NaN is False
+    if not (r[0] > 0 and all(b > a for a, b in zip(r, r[1:]))):
         raise InvalidStateError("sweep ratios must be positive and strictly increasing")
     if r[-1] > PERTURBATIVE_RATIO_MAX:
         raise InvalidStateError(
@@ -137,7 +140,6 @@ def fit_coefficient(pulse_area: float, ratios, probabilities) -> ErrorCoefficien
         )
     from . import budget
 
-    p = tuple(map(float, probabilities))
     c = sum(map(mul, p, r)) / sum(map(mul, r, r))  # least squares through the origin
     residual = math.sqrt(sum((p_i / r_i - c) ** 2 for p_i, r_i in zip(p, r)) / len(r))
     c_prime = budget.photon_coefficient(c, pulse_area)
@@ -149,12 +151,11 @@ def fit_coefficient(pulse_area: float, ratios, probabilities) -> ErrorCoefficien
     )
 
 
-def sweep_failure_probabilities(experiment: GateExperiment, ratios,
-                                config: IntegratorConfig = IntegratorConfig()) -> tuple:
+def sweep_failure_probabilities(experiment: GateExperiment, ratios) -> tuple:
     """p(ratio) over an arbitrary non-negative grid (no perturbative restriction),
-    from one batched :func:`lindblad.final_states` call."""
+    from one batched :func:`lindblad.final_states` call: the exact propagator."""
     pulse = PulseSpec(drive_coupling=1.0, pulse_area=experiment.pulse_area)
-    finals = final_states(experiment.initial_state.to_density(), pulse, ratios, config)
+    finals = final_states(experiment.initial_state.to_density(), pulse, ratios)
     target = ideal_target(experiment).amplitudes
     orthogonal = PureState((-target[1].conjugate(), target[0].conjugate()))
     return pure_fidelities(finals, orthogonal)

@@ -14,21 +14,21 @@ The equation is written once, in Bloch form: rho = (I + x sigma_x + y sigma_y
 v = (1, x, y, z) obeys the real linear ODE dv/dt = (g_alpha B_drive + kappa
 B_decay) v.  The solvers work in scaled time tau = g_alpha * t, where the
 dynamics depend only on the single ratio kappa / g_alpha.  Within a pulse the
-coefficients are constant, so one real 4x4 matrix maps v from each sample
-to the next, and one builder, :func:`_step_rows`, forms it for a whole stack
-of ratios: the default ``exact`` method multiplies by exp(B * tau), and
-``rk4_fixed`` adds P(h B)^k - I applied to v, with P(X) = I + X + X^2/2 +
-X^3/6 + X^4/24 the degree-4 Taylor polynomial, k = ceil(step_count /
-samples) and h = tau / k.  For a linear constant-coefficient ODE that is
-exactly classical RK4 with k steps of size h.  The first component of v is
-the trace: the generator's first row is zero, so only rows 1..3 of the map
-are formed, the state carried between samples is (x, y, z) alone and the
-trace is exactly 1.  :func:`evolve` applies the map of one ratio sample by
-sample; :func:`final_states` applies one segment's map for every ratio of a
-sweep.  Either validates its density matrices as one stack, a tuple of 2x2
-matrices; a trajectory is that stack and the sample times.  Every matrix is
-a tuple or list of rows of Python floats, multiplied by
-:func:`qcore.matmul`.
+coefficients are constant, so one real 4x4 matrix maps v exactly over any
+time: exp(B * tau), formed by :func:`_propagators` for a stack of ratios.
+:func:`final_states`, which every gate error is computed from, applies that
+map once per ratio.  :func:`evolve` samples one ratio's trajectory by
+applying the map of one segment, built by :func:`_step_rows`, segment after
+segment.  Its ``rk4_fixed`` method instead adds P(h B)^k - I applied to v,
+with P(X) = I + X + X^2/2 + X^3/6 + X^4/24 the degree-4 Taylor polynomial,
+k = ceil(step_count / samples) and h = tau / k.  For a linear
+constant-coefficient ODE that is exactly classical RK4 with k steps of size
+h.  The first component of v is the trace: the generator's first row is
+zero, so only rows 1..3 of the map are formed, the state carried between
+samples is (x, y, z) alone and the trace is exactly 1.  Either function
+validates its density matrices as one stack, a tuple of 2x2 matrices; a
+trajectory is that stack and the sample times.  Every matrix is a tuple or
+list of rows of Python floats, multiplied by :func:`qcore.matmul`.
 """
 
 from __future__ import annotations
@@ -254,10 +254,10 @@ def _propagators(ratios, tau: float) -> list:
     return steps
 
 
-def _step_rows(ratios, tau: float, config: IntegratorConfig, segments: int) -> list:
+def _step_rows(ratio: float, tau: float, config: IntegratorConfig, segments: int) -> list:
     """Rows 1..3 of the map that carries v = (1, x, y, z) over one of
-    ``segments`` equal segments of scaled duration ``tau``, one 3x4 matrix
-    per kappa/g_alpha in ``ratios``.
+    ``segments`` equal segments of scaled duration ``tau``, for
+    kappa/g_alpha = ``ratio``: a 3x4 matrix.
 
     ``exact`` gives the rows of exp(B * tau), from :func:`_propagators`.
     ``rk4_fixed`` gives those of the increment P(h B)^k - I, with
@@ -268,22 +268,18 @@ def _step_rows(ratios, tau: float, config: IntegratorConfig, segments: int) -> l
     matrix near I would bias every application of it alike.
     """
     if config.method == EXACT:
-        return [step[1:] for step in _propagators(ratios, tau)]
+        return _propagators([ratio], tau)[0][1:]
     steps = -(-config.step_count // segments)
-    out = []
-    for r in ratios:
-        x = _generator(r, tau / steps)
-        d = matmul(x, _identity_plus(matmul(x, _identity_plus(matmul(x, _identity_plus(x, 4.0)),
-                                                              3.0)), 2.0))
-        total = [[0.0] * 4 for _ in range(4)]
-        k = steps
-        while k:  # binary powering, with (I + a)(I + b) - I = a + b + a b
-            if k & 1:
-                total = _lincomb((1.0, total), (1.0, d), (1.0, matmul(total, d)))
-            d = _lincomb((2.0, d), (1.0, matmul(d, d)))
-            k >>= 1
-        out.append(total[1:])
-    return out
+    x = _generator(ratio, tau / steps)
+    d = matmul(x, _identity_plus(matmul(x, _identity_plus(matmul(x, _identity_plus(x, 4.0)),
+                                                          3.0)), 2.0))
+    total = [[0.0] * 4 for _ in range(4)]
+    while steps:  # binary powering, with (I + a)(I + b) - I = a + b + a b
+        if steps & 1:
+            total = _lincomb((1.0, total), (1.0, d), (1.0, matmul(total, d)))
+        d = _lincomb((2.0, d), (1.0, matmul(d, d)))
+        steps >>= 1
+    return total[1:]
 
 
 def evolve(rho0: DensityMatrix, pulse: PulseSpec, decay: DecaySpec,
@@ -306,7 +302,7 @@ def evolve(rho0: DensityMatrix, pulse: PulseSpec, decay: DecaySpec,
                                                 (rho0.matrix,) * (n_segments + 1)))
 
     tau = theta / 2.0 / n_segments  # scaled duration g_alpha * T of one segment
-    rows = _step_rows([decay.rate / g], tau, config, n_segments)[0]
+    rows = _step_rows(decay.rate / g, tau, config, n_segments)
     v = [_bloch(rho0.matrix)]  # the map has no trace row: the trace stays 1
     if config.method == EXACT:
         for _ in range(n_segments):
@@ -320,14 +316,13 @@ def evolve(rho0: DensityMatrix, pulse: PulseSpec, decay: DecaySpec,
     return EvolutionResult(DensityMatrix(states[-1]), Trajectory(times, states))
 
 
-def final_states(rho0: DensityMatrix, pulse: PulseSpec, decay_rates,
-                 config: IntegratorConfig = IntegratorConfig()) -> tuple:
+def final_states(rho0: DensityMatrix, pulse: PulseSpec, decay_rates) -> tuple:
     """Final state of ``rho0`` after ``pulse`` for each rate in ``decay_rates``,
     as a stack of 2x2 matrices.
 
-    The same states as one :func:`evolve` per rate with ``sample_count`` 1
-    (``config.sample_count`` is not read), from one batched
-    :func:`_step_rows` call and one validation of the stack.
+    The same states as one exact :func:`evolve` per rate with
+    ``sample_count`` 1, from one :func:`_propagators` call and one
+    validation of the stack.
     """
     rates = tuple(map(float, decay_rates))
     for rate in rates:
@@ -337,7 +332,5 @@ def final_states(rho0: DensityMatrix, pulse: PulseSpec, decay_rates,
         return (rho0.matrix,) * len(rates)
     b = _bloch(rho0.matrix)
     g = pulse.drive_coupling
-    rows = _step_rows([rate / g for rate in rates], pulse.pulse_area / 2.0, config, 1)
-    if config.method == EXACT:
-        return _density_stack([(1.0, *matvec(r, b)) for r in rows])
-    return _density_stack([(1.0, *map(add, b[1:], matvec(r, b))) for r in rows])
+    steps = _propagators([rate / g for rate in rates], pulse.pulse_area / 2.0)
+    return _density_stack([(1.0, *matvec(step[1:], b)) for step in steps])

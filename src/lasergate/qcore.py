@@ -216,7 +216,7 @@ class PureState(Record):
         if len(v) != 2:
             raise InvalidStateError(f"expected 2 amplitudes, got {len(v)}")
         nrm2 = sum(x.real * x.real + x.imag * x.imag for x in v)
-        if abs(nrm2 - 1.0) > NORM_TOL:
+        if not abs(nrm2 - 1.0) <= NORM_TOL:  # NaN amplitudes fail too
             raise InvalidStateError(f"state not normalized: |psi|^2 = {nrm2:.12g}")
         object.__setattr__(self, "amplitudes", v)
 

@@ -40,17 +40,26 @@ def comments(payload: bytes):
 NON_FINITE = re.compile(r"(?<![A-Za-z_])[-+]?(?:nan|inf)(?![A-Za-z_])")
 
 
-def run_stdout(*argv):
-    """Exit code and stdout of one in-process run, stderr discarded."""
+def run_captured(*argv):
+    """Exit code, stdout and stderr of one in-process run."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(list(argv))
-    return code, out.getvalue()
+    return code, out.getvalue(), err.getvalue()
+
+
+def run_stdout(*argv):
+    """Exit code and stdout of one in-process run, stderr discarded."""
+    code, out, _ = run_captured(*argv)
+    return code, out
 
 
 def assert_exits_cleanly(*argv):
-    """Exit 0, 2 or 3, and nothing non-finite printed on success."""
-    code, out = run_stdout(*argv)
+    """Exit 0, 2 or 3, and nothing non-finite printed on success.  A key the
+    command does not know fails the assertion: refusing every example for
+    one bad key would let the property pass without testing anything."""
+    code, out, err = run_captured(*argv)
+    assert "unknown key" not in err, err
     assert code in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERIC)
     if code == EXIT_OK:
         assert not NON_FINITE.search(out), NON_FINITE.search(out)
@@ -189,12 +198,12 @@ class TestSweep:
 
     @given(gate=st.sampled_from(sorted(GATE_AREAS)), start=st.sampled_from(sorted(START_STATES)),
            ratio_min=st.floats(0.0, 1e308), ratio_max=st.floats(0.0, 1e308),
-           points=st.integers(0, 12), method=st.sampled_from(["exact", "rk4_fixed"]))
+           points=st.integers(0, 12))
     @settings(max_examples=40, deadline=None)
-    def test_any_grid_exits_cleanly(self, gate, start, ratio_min, ratio_max, points, method):
+    def test_any_grid_exits_cleanly(self, gate, start, ratio_min, ratio_max, points):
         assert_exits_cleanly("sweep", "--gate", gate, "--start", start,
                              "--ratio_min", repr(ratio_min), "--ratio_max", repr(ratio_max),
-                             "--points", str(points), "--method", method)
+                             "--points", str(points))
 
     def test_fit_matches_printed_probabilities(self, tmp_path):
         _, payload = run(tmp_path, "sweep", "--points", "16")
@@ -551,3 +560,15 @@ class TestPlumbing:
     def test_error_message_names_the_invariant(self, tmp_path, capsys):
         run(tmp_path, "simulate", "--ratio", "-1")
         assert "decay rate" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--method", "rk4_fixed"], ["sweep", "--step_count", "500"],
+        ["sweep", "--format", "csv"], ["compare", "--method", "exact"],
+        ["compare", "--format", "csv"], ["simulate", "--format", "csv"],
+    ], ids=lambda argv: f"{argv[0]}-{argv[1][2:]}")
+    def test_removed_keys_are_unknown(self, argv):
+        # sweep and compare always use the exact propagator, and every command
+        # but budget prints CSV only, so none of these keys is accepted
+        code, out, err = run_captured(*argv)
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert f"unknown key {argv[1][2:]!r} for command {argv[0]!r}" in err

@@ -11,11 +11,12 @@ from lasergate.gates import (
     default_ratio_grid,
     extract_coefficient,
     failure_probability,
+    fit_coefficient,
     ideal_target,
     sweep_failure_probabilities,
 )
-from lasergate.lindblad import RK4_FIXED, IntegratorConfig
-from lasergate.qcore import InvalidStateError, PureState
+from lasergate.lindblad import RK4_FIXED, DecaySpec, IntegratorConfig, PulseSpec, evolve
+from lasergate.qcore import InvalidStateError, PureState, fidelity_pure
 
 PI_FROM_GROUND = GateExperiment(math.pi, PureState.ground())
 HALF_FROM_GROUND = GateExperiment(math.pi / 2, PureState.ground())
@@ -87,10 +88,12 @@ class TestFailureProbability:
             failure_probability(PI_FROM_GROUND, -1e-3)
 
     def test_rk4_and_exact_agree(self):
+        # the exact p against an independent RK4 run of the same pulse
         cfg = IntegratorConfig(method=RK4_FIXED, step_count=2000)
-        a = failure_probability(HALF_FROM_EXCITED, 1e-3)
-        b = failure_probability(HALF_FROM_EXCITED, 1e-3, cfg)
-        assert a == pytest.approx(b, abs=1e-9)
+        rho0 = HALF_FROM_EXCITED.initial_state.to_density()
+        final = evolve(rho0, PulseSpec(1.0, HALF_FROM_EXCITED.pulse_area), DecaySpec(1e-3), cfg)
+        rk4 = 1.0 - fidelity_pure(final.final, ideal_target(HALF_FROM_EXCITED))
+        assert failure_probability(HALF_FROM_EXCITED, 1e-3) == pytest.approx(rk4, abs=1e-9)
 
 
 class TestAgainstMultiprecision:
@@ -155,11 +158,36 @@ class TestExtractCoefficient:
         with pytest.raises(InvalidStateError, match="increasing"):
             extract_coefficient(PI_FROM_GROUND, [1e-3, 1e-4, 1e-5, 1e-6])
 
+    @pytest.mark.parametrize("ratios", [
+        [math.nan, 1e-4, 1e-3, 1e-2], [1e-5, math.nan, 1e-3, 1e-2], [1e-5, 1e-4, 1e-3, math.nan],
+        [1e-5, 1e-4, 1e-3, math.inf], [-math.inf, 1e-4, 1e-3, 1e-2],
+    ], ids=["nan-first", "nan-inner", "nan-last", "inf", "minus-inf"])
+    def test_fit_refuses_non_finite_ratios(self, ratios):
+        with pytest.raises(InvalidStateError):
+            fit_coefficient(math.pi, ratios, [1e-6, 1e-5, 1e-4, 1e-3])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_fit_refuses_non_finite_probabilities(self, bad):
+        with pytest.raises(InvalidStateError, match="probabilities must be finite"):
+            fit_coefficient(math.pi, [1e-5, 1e-4, 1e-3, 1e-2], [1e-6, bad, 1e-4, 1e-3])
+
+    @pytest.mark.parametrize("count", [3, 5])
+    def test_fit_refuses_length_mismatch(self, count):
+        # zip would pair the first three and still divide the residual by 4
+        probabilities = [1e-6, 1e-5, 1e-4, 1e-3, 1e-2][:count]
+        with pytest.raises(InvalidStateError, match=f"{count} probabilities for 4"):
+            fit_coefficient(math.pi, [1e-5, 1e-4, 1e-3, 1e-2], probabilities)
+
 
 class TestGateExperimentValidation:
     def test_negative_area_rejected(self):
         with pytest.raises(InvalidStateError):
             GateExperiment(-1.0, PureState.ground())
+
+    @pytest.mark.parametrize("area", [math.inf, math.nan, -math.inf])
+    def test_non_finite_area_rejected(self, area):
+        with pytest.raises(InvalidStateError, match="pulse_area must be finite"):
+            GateExperiment(area, PureState.ground())
 
     def test_fock_state_rejected(self):
         with pytest.raises(InvalidStateError, match="expected 2 amplitudes"):

@@ -124,6 +124,13 @@ class TestPureState:
         with pytest.raises(InvalidStateError, match="normalized"):
             PureState(np.array([1.0, 1.0]))
 
+    @pytest.mark.parametrize("amplitudes", [(math.nan, 0.0), (math.nan, 1.0)],
+                             ids=["nan-zero", "nan-one"])
+    def test_rejects_nan_amplitudes(self, amplitudes):
+        # |psi|^2 is NaN, and NaN - 1 compares False with any tolerance
+        with pytest.raises(InvalidStateError, match="normalized"):
+            PureState(amplitudes)
+
     def test_superposition_normalizes(self):
         psi = PureState.superposition(3.0, 4.0j)
         assert np.vdot(psi.amplitudes, psi.amplitudes) == pytest.approx(1.0, abs=1e-14)
