@@ -15,7 +15,13 @@ v = (1, x, y, z) obeys the real linear ODE dv/dt = (g_alpha B_drive + kappa
 B_decay) v.  The solvers work in scaled time tau = g_alpha * t, where the
 dynamics depend only on the single ratio kappa / g_alpha.  Within a pulse the
 coefficients are constant, so one real 4x4 matrix maps v exactly over any
-time: exp(B * tau), formed by :func:`_propagators` for a stack of ratios.
+time: exp(B * tau).  On resonance it has a closed form, the damped Torrey
+nutation (Torrey, Phys. Rev. 76, 1059 (1949)): x decays on its own, and
+(y, z) nutates and relaxes towards the driven steady state, with circular
+functions below the exceptional point kappa/g_alpha = 8 and hyperbolic ones
+above it.  :func:`_propagators` evaluates that form for a stack of ratios,
+with no matrix exponential and no eigenvectors; its only rounding that grows
+with the pulse is that of the rotation angle, about theta * 2.2e-16.
 :func:`final_states`, which every gate error is computed from, applies that
 map once per ratio.  :func:`evolve` samples one ratio's trajectory by
 applying the map of one segment, built by :func:`_step_rows`, segment after
@@ -52,16 +58,6 @@ _B_DECAY = ((0.0, 0.0, 0.0, 0.0),
             (0.0, -0.5, 0.0, 0.0),
             (0.0, 0.0, -0.5, 0.0),
             (-1.0, 0.0, 0.0, -1.0))
-
-# [13/13] Pade coefficients b_0..b_13, and the 1-norm up to which that
-# approximant reaches double-precision roundoff (Higham 2005, Table 2.3).
-_PADE_13 = (
-    64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
-    1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
-    33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0,
-)
-_THETA_13 = 5.371920351148152
-
 
 class IntegrationError(RuntimeError):
     """The pulse propagator is not finite, or a propagated state is not a
@@ -190,67 +186,46 @@ def _identity_plus(m, divisor: float) -> list:
     return [[float(i == j) + x / divisor for j, x in enumerate(row)] for i, row in enumerate(m)]
 
 
-def _solve(a, b) -> list:
-    """X with A X = B, by Gaussian elimination with partial pivoting."""
-    n = len(a)
-    rows = [[*ra, *rb] for ra, rb in zip(a, b)]
-    for k in range(n):
-        best = max(range(k, n), key=lambda i: abs(rows[i][k]))
-        rows[k], rows[best] = rows[best], rows[k]
-        top = rows[k]
-        for i in range(k + 1, n):
-            f = rows[i][k] / top[k]
-            rows[i] = [x - f * y for x, y in zip(rows[i], top)]
-    x = [None] * n
-    for k in reversed(range(n)):
-        row = rows[k]
-        x[k] = [(row[n + j] - sum(row[i] * x[i][j] for i in range(k + 1, n))) / row[k]
-                for j in range(len(b[0]))]
-    return x
-
-
-def _expm(a) -> list:
-    """exp(A) for a square matrix A.
-
-    [13/13] Pade approximant with scaling and squaring (Higham, SIAM J.
-    Matrix Anal. Appl. 26, 1179 (2005)).  No eigendecomposition: the Bloch
-    generator has an exceptional point at kappa/g_alpha = 8, where its
-    eigenvectors become degenerate.  A non-finite A gives a NaN matrix.
-    """
-    n = len(a)
-    norm = max(sum(abs(row[j]) for row in a) for j in range(n))
-    if not math.isfinite(norm):
-        return [[math.nan] * n for _ in range(n)]
-    b = _PADE_13
-    # 2**s >= norm / theta_13: the fewest squarings, one more at exact powers of two
-    squarings = max(math.frexp(norm / _THETA_13)[1], 0)
-    scale = math.ldexp(1.0, squarings)
-    x = [[v / scale for v in row] for row in a]
-    ident = [[float(i == j) for j in range(n)] for i in range(n)]
-    x2 = matmul(x, x)
-    x4 = matmul(x2, x2)
-    x6 = matmul(x4, x2)
-    u = matmul(x, _lincomb((1.0, matmul(x6, _lincomb((b[13], x6), (b[11], x4), (b[9], x2)))),
-                           (b[7], x6), (b[5], x4), (b[3], x2), (b[1], ident)))
-    v = _lincomb((1.0, matmul(x6, _lincomb((b[12], x6), (b[10], x4), (b[8], x2)))),
-                 (b[6], x6), (b[4], x4), (b[2], x2), (b[0], ident))
-    r = _solve(_lincomb((1.0, v), (-1.0, u)), _lincomb((1.0, v), (1.0, u)))
-    for _ in range(squarings):
-        r = matmul(r, r)
-    return r
-
-
 def _propagators(ratios, tau: float) -> list:
-    """exp(B * tau) on v = (1, x, y, z), one real 4x4 matrix per kappa/g_alpha
-    in ``ratios``, for a scaled duration ``tau`` = g_alpha * t.
+    """Rows 1..3 of exp(B * tau) on v = (1, x, y, z), a 3x4 matrix per
+    kappa/g_alpha = r in ``ratios``, for a scaled duration ``tau`` = g_alpha * t.
 
-    Raises :class:`IntegrationError` if any propagator is not finite.
+    Closed form, the damped Torrey nutation: x decays as exp(-r tau / 2), and
+    with q = r / 4 the (y, z) block of B is -3q I + N, N = [[q, 2], [-2, -q]],
+    N^2 = (q^2 - 4) I, so exp(B tau) restricted to (y, z) is
+    E = exp(-3q tau) (C I + S N): C = cos(mu tau), S = sin(mu tau) / mu with
+    mu = sqrt(4 - q^2) below the exceptional point r = 8, C = 1 and S = tau
+    at it, and cosh and sinh above it, written with expm1 so that nothing
+    overflows or cancels.  The constant column is (I - E) w*, with
+    w* = (-4 / (r + 8 / r), -1 / (1 + 8 / r^2)) the steady state of (y, z).
+
+    Raises :class:`IntegrationError` if r * tau is not finite.
     """
-    steps = [_expm(_generator(r, tau)) for r in ratios]
-    if not all(math.isfinite(x) for step in steps for row in step for x in row):
-        raise IntegrationError(
-            f"non-finite propagator for kappa/g_alpha up to {max(ratios):g} over tau={tau:g}"
-        )
+    steps = []
+    for r in ratios:
+        if not math.isfinite(r * tau):
+            raise IntegrationError(f"non-finite propagator for kappa/g_alpha = {r:g} "
+                                   f"over tau={tau:g}")
+        q = r / 4.0
+        if q < 2.0:
+            mu = math.sqrt((2.0 - q) * (2.0 + q))
+            damping = math.exp(-3.0 * q * tau)
+            c, s = damping * math.cos(mu * tau), damping * math.sin(mu * tau) / mu
+        elif q > 2.0:  # exp(-3q tau) cosh and sinh, from the slower of exp(-(3q -+ nu) tau)
+            nu = math.sqrt(q - 2.0) * math.sqrt(q + 2.0)
+            slow = math.exp((nu - 3.0 * q) * tau)
+            m = -math.expm1(-2.0 * nu * tau)
+            c, s = slow * (1.0 - m / 2.0), slow * m / (2.0 * nu)
+        else:
+            c = math.exp(-6.0 * tau)
+            s = c * tau
+        e_yy, e_yz, e_zy, e_zz = c + q * s, 2.0 * s, -2.0 * s, c - q * s
+        # 8 / r / r rather than 8 / r**2: a tiny r overflows it to inf, where
+        # r**2 would underflow to 0 and divide by zero
+        w_y, w_z = (-4.0 / (r + 8.0 / r), -1.0 / (1.0 + 8.0 / r / r)) if r else (0.0, 0.0)
+        steps.append(((0.0, math.exp(-r * tau / 2.0), 0.0, 0.0),
+                      (w_y - e_yy * w_y - e_yz * w_z, 0.0, e_yy, e_yz),
+                      (w_z - e_zy * w_y - e_zz * w_z, 0.0, e_zy, e_zz)))
     return steps
 
 
@@ -259,7 +234,8 @@ def _step_rows(ratio: float, tau: float, config: IntegratorConfig, segments: int
     ``segments`` equal segments of scaled duration ``tau``, for
     kappa/g_alpha = ``ratio``: a 3x4 matrix.
 
-    ``exact`` gives the rows of exp(B * tau), from :func:`_propagators`.
+    ``exact`` gives the rows of exp(B * tau) in closed form, from
+    :func:`_propagators`.
     ``rk4_fixed`` gives those of the increment P(h B)^k - I, with
     k = ceil(step_count / segments), h = tau / k and P(X) = I + X + X^2/2 +
     X^3/6 + X^4/24: the change of v over k classical RK4 steps of
@@ -268,7 +244,7 @@ def _step_rows(ratio: float, tau: float, config: IntegratorConfig, segments: int
     matrix near I would bias every application of it alike.
     """
     if config.method == EXACT:
-        return _propagators([ratio], tau)[0][1:]
+        return _propagators([ratio], tau)[0]
     steps = -(-config.step_count // segments)
     x = _generator(ratio, tau / steps)
     d = matmul(x, _identity_plus(matmul(x, _identity_plus(matmul(x, _identity_plus(x, 4.0)),
@@ -333,4 +309,4 @@ def final_states(rho0: DensityMatrix, pulse: PulseSpec, decay_rates) -> tuple:
     b = _bloch(rho0.matrix)
     g = pulse.drive_coupling
     steps = _propagators([rate / g for rate in rates], pulse.pulse_area / 2.0)
-    return _density_stack([(1.0, *matvec(step[1:], b)) for step in steps])
+    return _density_stack([(1.0, *matvec(step, b)) for step in steps])

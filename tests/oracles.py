@@ -3,9 +3,9 @@
 Every routine here deliberately avoids the code paths under test:
 
 * the driven-atom master equation is solved by exponentiating its 4x4
-  kron-form superoperator (scipy expm, or mpmath expm at 40 digits), not the
-  Bloch generator; the fixed-step reference is a plain classical RK4 loop on
-  that same superoperator, not a Taylor step matrix;
+  kron-form superoperator (scipy expm, or mpmath expm at 40 or 50 digits),
+  not the Bloch generator; the fixed-step reference is a plain classical RK4
+  loop on that same superoperator, not a Taylor step matrix;
 * first-order error coefficients come from adaptive quadrature of the
   toggling-frame dissipator, not from a ratio sweep;
 * the Jaynes-Cummings model is evolved by exponentiating the full joint
@@ -45,6 +45,16 @@ def evolve_superop(rho0: np.ndarray, theta: float, ratio: float) -> np.ndarray:
     """rho(T) for a theta pulse via the matrix exponential of the superoperator."""
     tau = theta / 2.0  # scaled duration g_alpha * T
     return (expm(liouvillian(ratio) * tau) @ np.asarray(rho0).reshape(-1)).reshape(2, 2)
+
+
+def evolve_mp(rho0: np.ndarray, theta: float, ratio: float) -> np.ndarray:
+    """rho(T) for a theta pulse from the 50-digit mpmath exponential of the
+    kron-form ``liouvillian``, rounded to complex128 once at the end."""
+    with mpmath.workdps(50):
+        lv = mpmath.matrix([[mpmath.mpc(complex(x)) for x in row] for row in liouvillian(ratio)])
+        prop = mpmath.expm(lv * (mpmath.mpf(theta) / 2))
+        rho = prop * mpmath.matrix([mpmath.mpc(complex(x)) for x in np.ravel(rho0)])
+        return np.array([complex(x) for x in rho]).reshape(2, 2)
 
 
 def rk4_trajectory(rho0: np.ndarray, theta: float, ratio: float, step_count: int,

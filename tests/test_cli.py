@@ -119,9 +119,8 @@ class TestSimulate:
 
     @pytest.mark.parametrize(
         "argv",
-        [["--theta", "1e5", "--ratio", "30"], ["--theta", "1e6", "--ratio", "30"],
-         ["--ratio", "1e9", "--samples", "1"]],
-        ids=["theta-1e5", "theta-1e6", "ratio-1e9"],
+        [["--theta", "1e4", "--ratio", "30"], ["--ratio", "1e9", "--samples", "1"]],
+        ids=["theta-1e4", "ratio-1e9"],
     )
     def test_many_squarings_keep_unit_trace(self, tmp_path, argv):
         code, payload = run(tmp_path, "simulate", *argv)
@@ -137,15 +136,19 @@ class TestSimulate:
 
     @pytest.mark.parametrize(
         "argv",
-        [["--theta", "1e11"], ["--theta", "1e12"],
-         ["--ratio", "1e6", "--theta", "1e6", "--samples", "1"]],
-        ids=["theta-1e11", "theta-1e12", "ratio-theta-1e6"],
+        [["--theta", "1e5", "--ratio", "30"], ["--theta", "1e6", "--ratio", "30"],
+         ["--theta", "1e11"], ["--theta", "1e12"],
+         ["--ratio", "1e6", "--theta", "1e6", "--samples", "1"],
+         ["--theta", "10000.000000000002"]],
+        ids=["theta-1e5", "theta-1e6", "theta-1e11", "theta-1e12", "ratio-theta-1e6",
+             "theta-above-1e4"],
     )
-    def test_state_off_the_bloch_ball_is_numeric_error(self, tmp_path, capsys, argv):
-        # rounding in the squarings, not the input, breaks positivity or purity here
-        code, _ = run(tmp_path, "simulate", *argv)
-        assert code == EXIT_NUMERIC
-        assert "Bloch ball" in capsys.readouterr().err
+    def test_pulse_longer_than_max_theta_is_config_error(self, tmp_path, capsys, argv):
+        # refused before any work: past MAX_THETA the rounding of the rotation
+        # angle would reach the printed digits
+        code, payload = run(tmp_path, "simulate", *argv)
+        assert code == EXIT_CONFIG and payload == b""
+        assert "'theta'" in capsys.readouterr().err
 
     def test_unknown_start_is_config_error(self, tmp_path):
         assert run(tmp_path, "simulate", "--start", "sideways")[0] == EXIT_CONFIG
@@ -515,7 +518,9 @@ class TestConsoleEntry:
     @pytest.mark.parametrize("argv,expected", [
         (("sweep", "--points", "0"), EXIT_CONFIG),
         (("simulate", "--conf", "x"), EXIT_CONFIG),  # no abbreviated option names
-        (("simulate", "--theta", "1e11"), EXIT_NUMERIC),
+        (("simulate", "--method", "rk4_fixed", "--ratio", "30", "--theta", "1e4",
+          "--samples", "1"), EXIT_NUMERIC),
+        (("simulate", "--theta", "1e11"), EXIT_CONFIG),
     ])
     def test_exit_code_is_mains(self, argv, expected):
         proc = run_entry(*argv)

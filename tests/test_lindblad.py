@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 import oracles
 from lasergate import lindblad
-from lasergate.cli import EXIT_CONFIG, EXIT_NUMERIC, main
+from lasergate.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main
 from lasergate.gates import GateExperiment, sweep_failure_probabilities
 from lasergate.lindblad import (
     RK4_FIXED,
@@ -251,6 +252,35 @@ class TestExactPropagator:
             single = evolve(rho0, PulseSpec(1.0, theta), DecaySpec(ratio)).final
             assert np.max(np.abs(got - want)) <= 1e-12
             assert np.max(np.abs(single.matrix - want)) <= 1e-12
+
+    @pytest.mark.parametrize("theta", [math.pi / 2, math.pi, 4 * math.pi])
+    def test_final_states_match_50_digit_exponential(self, theta):
+        # the closed-form map on both sides of the exceptional point r = 8 and
+        # deep in the strongly damped regime, against mpmath on the kron form
+        ratios = [0.0, 1e-9, 1e-3, 1.0, 7.9, 8.0 - 1e-6, 8.0, 8.0 + 1e-6, 8.1, 30.0, 1e3, 1e6]
+        for start in ("ground", "tilted"):
+            rho0 = self.STARTS[start].to_density()
+            batched = final_states(rho0, PulseSpec(1.0, theta), ratios)
+            for ratio, got in zip(ratios, batched):
+                want = oracles.evolve_mp(rho0.matrix, theta, ratio)
+                assert np.max(np.abs(got - want)) <= 1e-14, (start, ratio)
+
+    @pytest.mark.parametrize("ratio", [1e6, 1e10, 1e20, 1e200, 1e308])
+    def test_large_ratio_reaches_the_steady_state(self, tmp_path, ratio):
+        # every transient of a pi pulse decays at least as exp(-pi r / 4), 0 in
+        # double precision from r = 1e6, so the final state is the driven
+        # steady state, rho_aa = 4 / (8 + r^2) and rho_ab = -2i r / (8 + r^2)
+        r = Fraction(ratio)
+        rho_aa, im_rho_ab = float(4 / (8 + r * r)), float(-2 * r / (8 + r * r))
+        want = [[1.0 - rho_aa, -1j * im_rho_ab], [1j * im_rho_ab, rho_aa]]
+        final = evolve(PureState.ground().to_density(), PulseSpec(1.0, math.pi),
+                       DecaySpec(ratio)).final.matrix
+        assert np.max(np.abs(np.subtract(final, want))) <= 1e-15
+        if ratio == 1e6:
+            want = oracles.evolve_mp(PureState.ground().to_density().matrix, math.pi, ratio)
+            assert np.max(np.abs(final - want)) <= 1e-15
+        argv = ["simulate", "--ratio", repr(ratio), "--samples", "1", "--out", str(tmp_path / "o")]
+        assert main(argv) == EXIT_OK
 
     # final_states has no method of its own: it equals evolve's exact one
     @pytest.mark.parametrize("config", [IntegratorConfig()], ids=["exact"])
