@@ -61,9 +61,9 @@ class BeamGeometry(Record):
     mode_area: float
 
     def __post_init__(self):
-        if self.wavelength <= 0:
+        if not self.wavelength > 0:  # NaN fails too
             raise InvalidStateError(f"wavelength must be > 0, got {self.wavelength}")
-        if self.mode_area <= 0:
+        if not self.mode_area > 0:
             raise InvalidStateError(f"mode_area must be > 0, got {self.mode_area}")
         if self.mode_area < self.scattering_cross_section:
             warnings.warn(
@@ -91,7 +91,7 @@ class AtomModel(Record):
     dipole_moment: float
 
     def __post_init__(self):
-        if self.transition_frequency <= 0 or self.dipole_moment <= 0:
+        if not (self.transition_frequency > 0 and self.dipole_moment > 0):
             raise InvalidStateError("transition frequency and dipole moment must be > 0")
 
     def decay_rate(self, constants: PhysicalConstants = CODATA) -> float:
@@ -106,7 +106,7 @@ class FieldSpec(Record):
     amplitude: float
 
     def __post_init__(self):
-        if self.amplitude <= 0:
+        if not self.amplitude > 0:
             raise InvalidStateError(f"field amplitude must be > 0, got {self.amplitude}")
 
     def intensity(self, constants: PhysicalConstants = CODATA) -> float:
@@ -192,7 +192,7 @@ class RamanSpec(Record):
     rabi_frequency: float
 
     def __post_init__(self):
-        if self.detuning <= 0 or self.rabi_frequency <= 0:
+        if not (self.detuning > 0 and self.rabi_frequency > 0):
             raise InvalidStateError("detuning and rabi_frequency must be > 0")
         if self.detuning < 10.0 * self.rabi_frequency:
             raise InvalidStateError(
@@ -234,15 +234,13 @@ def kappa_from_beam(atom: AtomModel, beam: BeamGeometry,
     co-propagating modes, so kappa falls off as 1/A while kappa * A stays at
     Gamma * sigma_eff.
     """
-    if beam.mode_area == 0:
-        raise InvalidStateError("mode_area must be nonzero")
     return atom.decay_rate(constants) * beam.scattering_cross_section / beam.mode_area
 
 
 def drive_ratio_for_photons(theta: float, n_bar: float) -> float:
     """kappa / g_alpha = theta / (2 nbar) for a theta pulse carrying nbar
     photons, from kappa / Omega_R = theta / (4 nbar) and Omega_R = 2 g_alpha."""
-    if n_bar <= 0:
+    if not n_bar > 0:
         raise InvalidStateError(f"photon number must be > 0, got {n_bar}")
     return theta / (2.0 * n_bar)
 
@@ -260,10 +258,7 @@ def photon_budget(atom: AtomModel, beam: BeamGeometry, field: FieldSpec,
     omega = atom.transition_frequency
     intensity = field.intensity(constants)
     power = intensity * beam.mode_area
-    if duration is None:
-        duration = math.pi / field.rabi_frequency(atom, constants)
-    if duration <= 0:
-        raise InvalidStateError(f"duration must be > 0, got {duration}")
+    duration = _pulse_duration(duration, atom, field, constants)
     photon_energy = constants.hbar * omega
     return PhotonBudget(
         intensity=intensity,
@@ -286,10 +281,7 @@ def min_photon_constraint(atom: AtomModel, field: FieldSpec, beam: BeamGeometry,
     volume must exceed (pi^2 / 4) / epsilon.
     """
     _check_epsilon(epsilon)
-    if duration is None:
-        duration = math.pi / field.rabi_frequency(atom, constants)
-    if duration <= 0:
-        raise InvalidStateError(f"duration must be > 0, got {duration}")
+    duration = _pulse_duration(duration, atom, field, constants)
     energy_density = 0.5 * constants.epsilon0 * field.amplitude ** 2
     volume = beam.scattering_cross_section * constants.c * duration
     energy_in_volume = energy_density * volume
@@ -317,10 +309,7 @@ def spontaneous_emission_margins(atom: AtomModel, field: FieldSpec, beam: BeamGe
     _check_epsilon(epsilon)
     gamma = atom.decay_rate(constants)
     rabi = field.rabi_frequency(atom, constants)
-    if duration is None:
-        duration = math.pi / rabi
-    if duration <= 0:
-        raise InvalidStateError(f"duration must be > 0, got {duration}")
+    duration = _pulse_duration(duration, atom, field, constants)
 
     purity_form = epsilon / (gamma * duration)
     rabi_form = epsilon * rabi ** 2 * duration / (RESONANT_CHAIN_COEFFICIENT * gamma)
@@ -353,7 +342,7 @@ def energy_density_bound(duration: float, epsilon: float, wavelength: float,
     sigma_eff = 3 lambda^2 / (8 pi); the wavelength cancels.
     """
     _check_epsilon(epsilon)
-    if duration <= 0 or wavelength <= 0:
+    if not (duration > 0 and wavelength > 0):
         raise InvalidStateError("duration and wavelength must be > 0")
     per_lambda_cubed = ENERGY_PER_WAVELENGTH_CUBED_COEFFICIENT * constants.hbar / (epsilon * duration)
     return EnergyDensityBound(
@@ -372,7 +361,7 @@ def raman_constraint(raman: RamanSpec, gamma: float, duration: float,
     pi * Gamma / (Omega_R^2 T).
     """
     _check_epsilon(epsilon)
-    if gamma <= 0 or duration <= 0:
+    if not (gamma > 0 and duration > 0):
         raise InvalidStateError("gamma and duration must be > 0")
     pulse_area = raman.effective_rabi_frequency * duration
     if abs(pulse_area / math.pi - 1.0) > 1e-6:
@@ -428,6 +417,17 @@ def fixed_intensity_area_sweep(atom: AtomModel, field: FieldSpec, wavelength: fl
         laser_mode_error=tuple(PI_PULSE_RABI_SLOPE * k / rabi for k in kappa),
         total_error=(PI_PULSE_RABI_SLOPE * gamma / rabi,) * len(area),
     )
+
+
+def _pulse_duration(duration: float | None, atom: AtomModel, field: FieldSpec,
+                    constants: PhysicalConstants) -> float:
+    """``duration``, or the pi-pulse time pi / Omega_R when it is None;
+    refuses a duration that is not > 0."""
+    if duration is None:
+        duration = math.pi / field.rabi_frequency(atom, constants)
+    if not duration > 0:
+        raise InvalidStateError(f"duration must be > 0, got {duration}")
+    return duration
 
 
 def _check_epsilon(epsilon: float) -> None:

@@ -15,8 +15,8 @@ from __future__ import annotations
 import math
 from operator import mul
 
-from .lindblad import PulseSpec, final_states
-from .qcore import InvalidStateError, PureState, Record, logspace, matvec, pure_fidelities, rotation
+from .lindblad import DecaySpec, PulseSpec, evolve
+from .qcore import InvalidStateError, PureState, Record, fidelity_pure, logspace, matvec, rotation
 
 # Ratios above this are outside the perturbative regime the linear fit assumes.
 PERTURBATIVE_RATIO_MAX = 1e-2
@@ -153,9 +153,11 @@ def fit_coefficient(pulse_area: float, ratios, probabilities) -> ErrorCoefficien
 
 def sweep_failure_probabilities(experiment: GateExperiment, ratios) -> tuple:
     """p(ratio) over an arbitrary non-negative grid (no perturbative restriction),
-    from one batched :func:`lindblad.final_states` call: the exact propagator."""
+    from one exact :func:`lindblad.evolve` per ratio.  Every ratio is checked,
+    as a :class:`lindblad.DecaySpec`, before the first pulse is propagated."""
     pulse = PulseSpec(drive_coupling=1.0, pulse_area=experiment.pulse_area)
-    finals = final_states(experiment.initial_state.to_density(), pulse, ratios)
+    decays = [DecaySpec(float(ratio)) for ratio in ratios]
+    rho0 = experiment.initial_state.to_density()
     target = ideal_target(experiment).amplitudes
     orthogonal = PureState((-target[1].conjugate(), target[0].conjugate()))
-    return pure_fidelities(finals, orthogonal)
+    return tuple(fidelity_pure(evolve(rho0, pulse, decay).final, orthogonal) for decay in decays)

@@ -19,19 +19,19 @@ time: exp(B * tau).  On resonance it has a closed form, the damped Torrey
 nutation (Torrey, Phys. Rev. 76, 1059 (1949)): x decays on its own, and
 (y, z) nutates and relaxes towards the driven steady state, with circular
 functions below the exceptional point kappa/g_alpha = 8 and hyperbolic ones
-above it.  :func:`_propagators` evaluates that form for a stack of ratios,
-with no matrix exponential and no eigenvectors; its only rounding that grows
-with the pulse is that of the rotation angle, about theta * 2.2e-16.
-:func:`final_states`, which every gate error is computed from, applies that
-map once per ratio.  :func:`evolve` samples one ratio's trajectory by
-applying the map of one segment, built by :func:`_step_rows`, segment after
-segment.  Its ``rk4_fixed`` method instead adds P(h B)^k - I applied to v,
-with P(X) = I + X + X^2/2 + X^3/6 + X^4/24 the degree-4 Taylor polynomial,
-k = ceil(step_count / samples) and h = tau / k.  For a linear
+above it.  :func:`_propagator` evaluates that form for one ratio, with no
+matrix exponential and no eigenvectors; its only rounding that grows with the
+pulse is that of the rotation angle, about theta * 2.2e-16.  :func:`evolve`,
+which every trajectory and every gate error is computed from, samples one
+ratio's trajectory by applying the map of one segment, built by
+:func:`_step_rows`, segment after segment.  Its ``rk4_fixed`` method instead
+adds P(h B)^k - I applied to v, with P(X) = I + X + X^2/2 + X^3/6 + X^4/24
+the degree-4 Taylor polynomial, k = ceil(step_count / samples) and
+h = tau / k.  For a linear
 constant-coefficient ODE that is exactly classical RK4 with k steps of size
 h.  The first component of v is the trace: the generator's first row is
 zero, so only rows 1..3 of the map are formed, the state carried between
-samples is (x, y, z) alone and the trace is exactly 1.  Either function
+samples is (x, y, z) alone and the trace is exactly 1.  :func:`evolve`
 validates its density matrices as one stack, a tuple of 2x2 matrices; a
 trajectory is that stack and the sample times.  Every matrix is a tuple or
 list of rows of Python floats, multiplied by :func:`qcore.matmul`.
@@ -186,9 +186,9 @@ def _identity_plus(m, divisor: float) -> list:
     return [[float(i == j) + x / divisor for j, x in enumerate(row)] for i, row in enumerate(m)]
 
 
-def _propagators(ratios, tau: float) -> list:
-    """Rows 1..3 of exp(B * tau) on v = (1, x, y, z), a 3x4 matrix per
-    kappa/g_alpha = r in ``ratios``, for a scaled duration ``tau`` = g_alpha * t.
+def _propagator(r: float, tau: float) -> tuple:
+    """Rows 1..3 of exp(B * tau) on v = (1, x, y, z), a 3x4 matrix, for
+    kappa/g_alpha = ``r`` and a scaled duration ``tau`` = g_alpha * t.
 
     Closed form, the damped Torrey nutation: x decays as exp(-r tau / 2), and
     with q = r / 4 the (y, z) block of B is -3q I + N, N = [[q, 2], [-2, -q]],
@@ -201,32 +201,29 @@ def _propagators(ratios, tau: float) -> list:
 
     Raises :class:`IntegrationError` if r * tau is not finite.
     """
-    steps = []
-    for r in ratios:
-        if not math.isfinite(r * tau):
-            raise IntegrationError(f"non-finite propagator for kappa/g_alpha = {r:g} "
-                                   f"over tau={tau:g}")
-        q = r / 4.0
-        if q < 2.0:
-            mu = math.sqrt((2.0 - q) * (2.0 + q))
-            damping = math.exp(-3.0 * q * tau)
-            c, s = damping * math.cos(mu * tau), damping * math.sin(mu * tau) / mu
-        elif q > 2.0:  # exp(-3q tau) cosh and sinh, from the slower of exp(-(3q -+ nu) tau)
-            nu = math.sqrt(q - 2.0) * math.sqrt(q + 2.0)
-            slow = math.exp((nu - 3.0 * q) * tau)
-            m = -math.expm1(-2.0 * nu * tau)
-            c, s = slow * (1.0 - m / 2.0), slow * m / (2.0 * nu)
-        else:
-            c = math.exp(-6.0 * tau)
-            s = c * tau
-        e_yy, e_yz, e_zy, e_zz = c + q * s, 2.0 * s, -2.0 * s, c - q * s
-        # 8 / r / r rather than 8 / r**2: a tiny r overflows it to inf, where
-        # r**2 would underflow to 0 and divide by zero
-        w_y, w_z = (-4.0 / (r + 8.0 / r), -1.0 / (1.0 + 8.0 / r / r)) if r else (0.0, 0.0)
-        steps.append(((0.0, math.exp(-r * tau / 2.0), 0.0, 0.0),
-                      (w_y - e_yy * w_y - e_yz * w_z, 0.0, e_yy, e_yz),
-                      (w_z - e_zy * w_y - e_zz * w_z, 0.0, e_zy, e_zz)))
-    return steps
+    if not math.isfinite(r * tau):
+        raise IntegrationError(f"non-finite propagator for kappa/g_alpha = {r:g} "
+                               f"over tau={tau:g}")
+    q = r / 4.0
+    if q < 2.0:
+        mu = math.sqrt((2.0 - q) * (2.0 + q))
+        damping = math.exp(-3.0 * q * tau)
+        c, s = damping * math.cos(mu * tau), damping * math.sin(mu * tau) / mu
+    elif q > 2.0:  # exp(-3q tau) cosh and sinh, from the slower of exp(-(3q -+ nu) tau)
+        nu = math.sqrt(q - 2.0) * math.sqrt(q + 2.0)
+        slow = math.exp((nu - 3.0 * q) * tau)
+        m = -math.expm1(-2.0 * nu * tau)
+        c, s = slow * (1.0 - m / 2.0), slow * m / (2.0 * nu)
+    else:
+        c = math.exp(-6.0 * tau)
+        s = c * tau
+    e_yy, e_yz, e_zy, e_zz = c + q * s, 2.0 * s, -2.0 * s, c - q * s
+    # 8 / r / r rather than 8 / r**2: a tiny r overflows it to inf, where
+    # r**2 would underflow to 0 and divide by zero
+    w_y, w_z = (-4.0 / (r + 8.0 / r), -1.0 / (1.0 + 8.0 / r / r)) if r else (0.0, 0.0)
+    return ((0.0, math.exp(-r * tau / 2.0), 0.0, 0.0),
+            (w_y - e_yy * w_y - e_yz * w_z, 0.0, e_yy, e_yz),
+            (w_z - e_zy * w_y - e_zz * w_z, 0.0, e_zy, e_zz))
 
 
 def _step_rows(ratio: float, tau: float, config: IntegratorConfig, segments: int) -> list:
@@ -235,7 +232,7 @@ def _step_rows(ratio: float, tau: float, config: IntegratorConfig, segments: int
     kappa/g_alpha = ``ratio``: a 3x4 matrix.
 
     ``exact`` gives the rows of exp(B * tau) in closed form, from
-    :func:`_propagators`.
+    :func:`_propagator`.
     ``rk4_fixed`` gives those of the increment P(h B)^k - I, with
     k = ceil(step_count / segments), h = tau / k and P(X) = I + X + X^2/2 +
     X^3/6 + X^4/24: the change of v over k classical RK4 steps of
@@ -244,7 +241,7 @@ def _step_rows(ratio: float, tau: float, config: IntegratorConfig, segments: int
     matrix near I would bias every application of it alike.
     """
     if config.method == EXACT:
-        return _propagators([ratio], tau)[0]
+        return _propagator(ratio, tau)
     steps = -(-config.step_count // segments)
     x = _generator(ratio, tau / steps)
     d = matmul(x, _identity_plus(matmul(x, _identity_plus(matmul(x, _identity_plus(x, 4.0)),
@@ -291,22 +288,3 @@ def evolve(rho0: DensityMatrix, pulse: PulseSpec, decay: DecaySpec,
     times = (*(i * tau / g for i in range(n_segments)), theta / 2.0 / g)
     return EvolutionResult(DensityMatrix(states[-1]), Trajectory(times, states))
 
-
-def final_states(rho0: DensityMatrix, pulse: PulseSpec, decay_rates) -> tuple:
-    """Final state of ``rho0`` after ``pulse`` for each rate in ``decay_rates``,
-    as a stack of 2x2 matrices.
-
-    The same states as one exact :func:`evolve` per rate with
-    ``sample_count`` 1, from one :func:`_propagators` call and one
-    validation of the stack.
-    """
-    rates = tuple(map(float, decay_rates))
-    for rate in rates:
-        if not (math.isfinite(rate) and rate >= 0):
-            raise InvalidStateError(f"decay rate must be finite and >= 0, got {rate}")
-    if pulse.pulse_area == 0.0:
-        return (rho0.matrix,) * len(rates)
-    b = _bloch(rho0.matrix)
-    g = pulse.drive_coupling
-    steps = _propagators([rate / g for rate in rates], pulse.pulse_area / 2.0)
-    return _density_stack([(1.0, *matvec(step, b)) for step in steps])

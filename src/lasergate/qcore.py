@@ -249,18 +249,8 @@ def rotation(theta: float) -> tuple:
 
 def fidelity_pure(rho: DensityMatrix, target: PureState) -> float:
     """Overlap <psi|rho|psi>, clamped into [0, 1]."""
-    return pure_fidelities((rho.matrix,), target)[0]
-
-
-def pure_fidelities(states, target: PureState) -> tuple:
-    """Overlap <psi|rho|psi> of each matrix in a validated stack, clamped
-    into [0, 1]."""
     psi = target.amplitudes
-    bra = tuple(x.conjugate() for x in psi)
-    out = []
-    for rho in states:
-        val = sum(map(mul, bra, matvec(rho, psi)))
-        if abs(val.imag) > 1e-9:
-            raise InvalidStateError(f"fidelity has imaginary residue {val.imag:.3e}")
-        out.append(min(1.0, max(0.0, val.real)))
-    return tuple(out)
+    val = sum(map(mul, (x.conjugate() for x in psi), matvec(rho.matrix, psi)))
+    if abs(val.imag) > 1e-9:
+        raise InvalidStateError(f"fidelity has imaginary residue {val.imag:.3e}")
+    return min(1.0, max(0.0, val.real))

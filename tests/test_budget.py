@@ -348,3 +348,34 @@ class TestConstants:
         assert CODATA.hbar == 1.054571817e-34
         assert CODATA.c == 2.99792458e8
         assert CODATA.epsilon0 == 8.8541878128e-12
+
+
+class TestNaNInputs:
+    ATOM, BEAM, FIELD = _system(1e-6, 1e-29, 1e5, 1e-12)
+    RAMAN = RamanSpec(detuning=1e12, rabi_frequency=1e9)
+
+    # every positivity check is written so that NaN fails it; infinities are
+    # left to the caller, whose own finiteness check reports them
+    @pytest.mark.parametrize("build", [
+        lambda s: BeamGeometry(math.nan, 1e-12),
+        lambda s: BeamGeometry(1e-6, math.nan),
+        lambda s: AtomModel(math.nan, 1e-29),
+        lambda s: AtomModel(1e15, math.nan),
+        lambda s: FieldSpec(math.nan),
+        lambda s: RamanSpec(math.nan, 1e9),
+        lambda s: RamanSpec(1e12, math.nan),
+        lambda s: photon_budget(s.ATOM, s.BEAM, s.FIELD, duration=math.nan),
+        lambda s: min_photon_constraint(s.ATOM, s.FIELD, s.BEAM, duration=math.nan),
+        lambda s: spontaneous_emission_margins(s.ATOM, s.FIELD, s.BEAM, duration=math.nan),
+        lambda s: energy_density_bound(math.nan, 1e-4, 1e-6),
+        lambda s: energy_density_bound(1e-6, 1e-4, math.nan),
+        lambda s: raman_constraint(s.RAMAN, math.nan, math.pi / s.RAMAN.effective_rabi_frequency,
+                                   1e-4),
+        lambda s: raman_constraint(s.RAMAN, 1e7, math.nan, 1e-4),
+        lambda s: drive_ratio_for_photons(math.pi, math.nan),
+    ], ids=["beam-wavelength", "beam-area", "atom-omega", "atom-dipole", "field", "raman-detuning",
+            "raman-rabi", "photon-budget", "min-photon", "margins", "density-duration",
+            "density-wavelength", "raman-gamma", "raman-duration", "drive-ratio"])
+    def test_nan_input_is_refused(self, build):
+        with pytest.raises(InvalidStateError, match="must be"):
+            build(self)

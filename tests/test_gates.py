@@ -87,6 +87,13 @@ class TestFailureProbability:
         with pytest.raises(InvalidStateError):
             failure_probability(PI_FROM_GROUND, -1e-3)
 
+    def test_every_ratio_is_checked_before_any_pulse(self):
+        # kappa/g_alpha * tau = 1.7e308 * pi/2 overflows the propagator, so a
+        # sweep that propagated each ratio as it checked it would raise
+        # IntegrationError there, before it reached the infinite ratio
+        with pytest.raises(InvalidStateError, match="decay rate must be finite"):
+            sweep_failure_probabilities(PI_FROM_GROUND, [1e-3, 1.7e308, math.inf])
+
     def test_rk4_and_exact_agree(self):
         # the exact p against an independent RK4 run of the same pulse
         cfg = IntegratorConfig(method=RK4_FIXED, step_count=2000)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import oracles
 from lasergate import lindblad
 from lasergate.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main
-from lasergate.gates import GateExperiment, sweep_failure_probabilities
+from lasergate.gates import GateExperiment, failure_probability, sweep_failure_probabilities
 from lasergate.lindblad import (
     RK4_FIXED,
     DecaySpec,
@@ -17,7 +17,6 @@ from lasergate.lindblad import (
     IntegratorConfig,
     PulseSpec,
     evolve,
-    final_states,
 )
 from lasergate.qcore import DensityMatrix, InvalidStateError, PureState
 
@@ -246,22 +245,20 @@ class TestExactPropagator:
         # 7.9, 8 and 8.1 bracket the exceptional point of the Bloch generator
         ratios = [0.0, 1e-9, 1e-5, 7.9, 8.0, 8.1, 30.0, 1e3]
         rho0 = PureState.superposition(1.0, 0.6 + 0.2j).to_density()
-        batched = final_states(rho0, PulseSpec(1.0, theta), ratios)
-        for ratio, got in zip(ratios, batched):
+        for ratio in ratios:
             want = oracles.evolve_superop(rho0.matrix, theta, ratio)
             single = evolve(rho0, PulseSpec(1.0, theta), DecaySpec(ratio)).final
-            assert np.max(np.abs(got - want)) <= 1e-12
             assert np.max(np.abs(single.matrix - want)) <= 1e-12
 
     @pytest.mark.parametrize("theta", [math.pi / 2, math.pi, 4 * math.pi])
-    def test_final_states_match_50_digit_exponential(self, theta):
+    def test_final_state_matches_50_digit_exponential(self, theta):
         # the closed-form map on both sides of the exceptional point r = 8 and
         # deep in the strongly damped regime, against mpmath on the kron form
         ratios = [0.0, 1e-9, 1e-3, 1.0, 7.9, 8.0 - 1e-6, 8.0, 8.0 + 1e-6, 8.1, 30.0, 1e3, 1e6]
         for start in ("ground", "tilted"):
             rho0 = self.STARTS[start].to_density()
-            batched = final_states(rho0, PulseSpec(1.0, theta), ratios)
-            for ratio, got in zip(ratios, batched):
+            for ratio in ratios:
+                got = evolve(rho0, PulseSpec(1.0, theta), DecaySpec(ratio)).final.matrix
                 want = oracles.evolve_mp(rho0.matrix, theta, ratio)
                 assert np.max(np.abs(got - want)) <= 1e-14, (start, ratio)
 
@@ -282,22 +279,24 @@ class TestExactPropagator:
         argv = ["simulate", "--ratio", repr(ratio), "--samples", "1", "--out", str(tmp_path / "o")]
         assert main(argv) == EXIT_OK
 
-    # final_states has no method of its own: it equals evolve's exact one
+    # a sweep is one exact evolve per ratio: the grid around a ratio does not
+    # change its p, and the final state is the trajectory's last sample
     @pytest.mark.parametrize("config", [IntegratorConfig()], ids=["exact"])
     @pytest.mark.parametrize("theta", [0.0, math.pi / 2, 2.1])
-    def test_final_states_equal_evolve_bit_for_bit(self, config, theta):
+    def test_sweep_equals_single_ratios_bit_for_bit(self, config, theta):
         rates = np.random.default_rng(17).uniform(0.0, 30.0, 16)
         rates[0] = 0.0
-        rho0 = PureState.superposition(1.0, 0.6 + 0.2j).to_density()
-        pulse = PulseSpec(1.7, theta)
-        batched = final_states(rho0, pulse, rates)
-        assert np.shape(batched) == (16, 2, 2)
+        psi0 = PureState.superposition(1.0, 0.6 + 0.2j)
+        experiment = GateExperiment(theta, psi0)
+        swept = sweep_failure_probabilities(experiment, rates)
+        assert len(swept) == 16
         with pytest.raises(TypeError):
-            batched[0][0][0] = 1.0
-        for rate, got in zip(rates, batched):
-            result = evolve(rho0, pulse, DecaySpec(rate), config)
-            assert np.array_equal(got, result.final.matrix)
-            assert np.array_equal(got, result.trajectory.states[-1])
+            swept[0] = 1.0
+        pulse = PulseSpec(1.7, theta)
+        for rate, p in zip(rates, swept):
+            assert p == failure_probability(experiment, rate)
+            result = evolve(psi0.to_density(), pulse, DecaySpec(rate), config)
+            assert np.array_equal(result.final.matrix, result.trajectory.states[-1])
 
     @pytest.mark.parametrize("theta", [math.pi, math.pi / 2], ids=["pi", "pi2"])
     @pytest.mark.parametrize("start", sorted(STARTS))
@@ -337,5 +336,3 @@ class TestValidation:
     def test_fock_dimension_rejected(self):
         with pytest.raises(InvalidStateError, match="expected a 2x2 matrix"):
             evolve(DensityMatrix(np.eye(4) / 4), PulseSpec(1.0, math.pi), DecaySpec(0.0))
-        with pytest.raises(InvalidStateError, match="expected a 2x2 matrix"):
-            final_states(DensityMatrix(np.eye(4) / 4), PulseSpec(1.0, math.pi), [0.0, 1.0])
