@@ -399,7 +399,10 @@ def fixed_intensity_area_sweep(atom: AtomModel, field: FieldSpec, wavelength: fl
     compute it for one beam.
     """
     area = tuple(map(float, areas))
-    # one beam carries every check: the wavelength, and the smallest area
+    # min skips a NaN that is not first, so finiteness is checked on its own
+    if not all(map(math.isfinite, area)):
+        raise InvalidStateError("every mode area must be finite")
+    # one beam carries the other checks: the wavelength, and the smallest area
     # (an empty sweep checks the wavelength alone)
     beam = BeamGeometry(wavelength=wavelength, mode_area=min(area, default=math.inf))
     rabi = field.rabi_frequency(atom, constants)

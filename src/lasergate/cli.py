@@ -231,15 +231,14 @@ def run_sweep(cfg: dict) -> str:
     """Ratio sweep CSV with a fitted-coefficient footer."""
     from . import gates
 
-    if cfg["points"] < 1:
-        raise ConfigError("empty ratio grid: points must be >= 1")
     if not (0 < cfg["ratio_min"] < cfg["ratio_max"]):
         raise ConfigError("need 0 < ratio_min < ratio_max")
     experiment = gates.GateExperiment(
         pulse_area=_gate_area(cfg["gate"]), initial_state=_start_state(cfg["start"])
     )
-    ratios = logspace(math.log10(cfg["ratio_min"]), math.log10(cfg["ratio_max"]),
-                      cfg["points"])
+    # a grid the fit would refuse is refused before any ratio is propagated
+    ratios = gates.check_ratio_grid(logspace(math.log10(cfg["ratio_min"]),
+                                             math.log10(cfg["ratio_max"]), cfg["points"]))
     probabilities = gates.sweep_failure_probabilities(experiment, ratios)
     coeff = gates.fit_coefficient(experiment.pulse_area, ratios, probabilities)
 
@@ -259,9 +258,10 @@ def run_budget(cfg: dict) -> str:
         raise ConfigError(f"budget format must be text or csv, got {cfg['format']!r}")
     constants = budget.CODATA
     wavelength = cfg["wavelength"]
+    # the beam refuses a wavelength that is not > 0 before omega divides by it
+    beam = budget.BeamGeometry(wavelength=wavelength, mode_area=cfg["mode_area"])
     omega = 2.0 * math.pi * constants.c / wavelength
     atom = budget.AtomModel(transition_frequency=omega, dipole_moment=cfg["dipole"])
-    beam = budget.BeamGeometry(wavelength=wavelength, mode_area=cfg["mode_area"])
     field = budget.FieldSpec(amplitude=cfg["field_amplitude"])
 
     gamma = atom.decay_rate(constants)
@@ -281,6 +281,8 @@ def run_budget(cfg: dict) -> str:
         raise ConfigError("area_sweep_max_factor must be > 1")
     sigma_eff = beam.scattering_cross_section
     largest = sigma_eff * cfg["area_sweep_max_factor"]
+    if math.isinf(largest):  # finite inputs whose product overflows: numerical, not config
+        raise FloatingPointError("the largest sweep area leaves the double range")
     areas = logspace(math.log10(sigma_eff), math.log10(largest), cfg["area_sweep_points"])
     areas = (sigma_eff, *areas[1:-1], largest)  # 10**log10(x) need not round back to x
     sweep = budget.fixed_intensity_area_sweep(atom, field, wavelength, areas, constants)

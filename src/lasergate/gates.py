@@ -110,21 +110,11 @@ def extract_coefficient(experiment: GateExperiment, ratios=None) -> ErrorCoeffic
     return fit_coefficient(experiment.pulse_area, ratios, p)
 
 
-def fit_coefficient(pulse_area: float, ratios, probabilities) -> ErrorCoefficient:
-    """Fit p = c * ratio through the origin over a perturbative sweep.
-
-    ``ratios`` must hold at least four strictly increasing values, all in
-    [1e-10, 1e-2], and ``probabilities`` one finite value per ratio.
-    Returns the least-squares slope c, its photon-number counterpart
-    c' = c * theta / 2, and the fit residual; ``degraded_fit`` is set when
-    the residual exceeds 1e-3 * c instead of raising.
-    """
+def check_ratio_grid(ratios) -> tuple:
+    """``ratios`` as floats, refused unless the through-origin fit can use
+    them: at least four strictly increasing values, all in [1e-10, 1e-2].
+    A sweep calls it before it propagates any ratio."""
     r = tuple(map(float, ratios))
-    p = tuple(map(float, probabilities))
-    if len(p) != len(r):
-        raise InvalidStateError(f"got {len(p)} probabilities for {len(r)} sweep ratios")
-    if not all(map(math.isfinite, p)):
-        raise InvalidStateError("sweep probabilities must be finite")
     if len(r) < 4:
         raise InvalidStateError(f"need at least 4 sweep ratios, got {len(r)}")
     # written so that a NaN ratio fails: every comparison with NaN is False
@@ -138,6 +128,24 @@ def fit_coefficient(pulse_area: float, ratios, probabilities) -> ErrorCoefficien
         raise InvalidStateError(
             f"ratio {r[0]:g} is below {RESOLVABLE_RATIO_MIN:g}, where p is not resolved"
         )
+    return r
+
+
+def fit_coefficient(pulse_area: float, ratios, probabilities) -> ErrorCoefficient:
+    """Fit p = c * ratio through the origin over a perturbative sweep.
+
+    ``ratios`` must pass :func:`check_ratio_grid`, and ``probabilities``
+    hold one finite value per ratio.  Returns the least-squares slope c, its
+    photon-number counterpart c' = c * theta / 2, and the fit residual;
+    ``degraded_fit`` is set when the residual exceeds 1e-3 * c instead of
+    raising.
+    """
+    r = check_ratio_grid(ratios)
+    p = tuple(map(float, probabilities))
+    if len(p) != len(r):
+        raise InvalidStateError(f"got {len(p)} probabilities for {len(r)} sweep ratios")
+    if not all(map(math.isfinite, p)):
+        raise InvalidStateError("sweep probabilities must be finite")
     from . import budget
 
     c = sum(map(mul, p, r)) / sum(map(mul, r, r))  # least squares through the origin

@@ -10,9 +10,9 @@ with every difference in product form, so no term cancels; and since the
 summand is smooth on the scale of sqrt(nbar) levels, it is read only every
 h = max(1, floor(sqrt(nbar) / 4)) levels, a trapezoid rule whose aliasing error
 is about exp(-2 pi^2 nbar / h^2) <= exp(-316) (Trefethen and Weideman, SIAM
-Rev. 56, 385 (2014)).  That is about 80 terms per photon number, whatever nbar
-is; only the Poisson weight recurrence visits every level, and it keeps no
-per-level arrays.
+Rev. 56, 385 (2014)).  Each sampled Poisson weight is read in closed form, in
+Loader's saddle-point form of the pmf, so a gate error costs about 80 terms
+whatever nbar is and never visits the levels between the samples.
 
 Only the Poisson window n_min <= n <= n_max is evolved, with
 n_min = max(0, floor(nbar - 10 sqrt(nbar))) and by default
@@ -33,8 +33,6 @@ convention fixed for the classical drive in :mod:`lasergate.lindblad`.
 from __future__ import annotations
 
 import math
-from itertools import accumulate, chain, islice, pairwise, repeat
-from operator import mul, truediv
 
 from .qcore import DensityMatrix, InvalidStateError, PureState, Record, matvec, rotation
 
@@ -45,11 +43,20 @@ POISSON_TAIL_TOL = 1e-10
 MAX_RABI_PERIODS = 5.0
 
 # Most Fock levels a field may keep, reached by the default window at nbar of
-# about 1e10.  The sum holds no per-level memory and reads about 80 levels, so
-# this bounds the time of the Poisson weight recurrence, which visits them all:
-# one gate error over 1.99e6 levels took 0.39 s (about 0.2 us per level;
-# Python 3.11 on a 2-core x86-64 Xeon).
+# about 1e10.  A gate error reads about 80 of them whatever the window, so this
+# bounds the window that ``CoherentField.amplitudes`` materializes, one weight
+# per level, not the time of a gate error.
 MAX_FOCK_LEVELS = 2 * 10**6
+
+# stirlerr(m) = log(m!) - log(sqrt(2 pi m) (m / e)^m) for m = 0..15, to the
+# nearest double (the m = 0 entry is a placeholder: P_0 is read directly)
+_STIRLERR = (
+    0.0, 0.08106146679532726, 0.0413406959554093, 0.02767792568499834,
+    0.020790672103765093, 0.016644691189821193, 0.013876128823070748, 0.01189670994589177,
+    0.010411265261972096, 0.009255462182712733, 0.00833056343336287, 0.007573675487951841,
+    0.00694284010720953, 0.006408994188004207, 0.0059513701127588475, 0.005554733551962801,
+)
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 class TruncationError(InvalidStateError):
@@ -60,6 +67,41 @@ def _log_chernoff(n_bar: float, k: int) -> float:
     """log of exp(-nbar) (e nbar / k)^k, which bounds P(N <= k) for k < nbar
     and P(N >= k) for k > nbar."""
     return -n_bar + k - (k * math.log(k / n_bar) if k else 0.0)
+
+
+def _poisson_weight(m: int, n_bar: float) -> float:
+    """P_m sqrt(2 pi), the Poisson pmf of mean nbar at level m times sqrt(2 pi).
+
+    Loader's saddle-point form (C. Loader, "Fast and Accurate Computation of
+    Binomial Probabilities", 2000): P_m sqrt(2 pi) = exp(-stirlerr(m) -
+    bd0(m, nbar)) / sqrt(m), with bd0 = m log(m / nbar) + nbar - m summed as a
+    series in v = (m - nbar) / (m + nbar) where |v| < 0.1, so that it does not
+    cancel near the mean, and stirlerr from its asymptotic series above
+    m = 15.  Each weight is read on its own, with no recurrence over the
+    levels below it; P_0 = exp(-nbar), and the vacuum nbar = 0 has P_0 = 1.
+    """
+    if m == 0:
+        return _SQRT_2PI * math.exp(-n_bar)
+    if n_bar == 0.0:
+        return 0.0
+    d = m - n_bar
+    if abs(d) < 0.1 * (m + n_bar):
+        v = d / (m + n_bar)
+        bd0, term, v2, j = d * v, 2.0 * m * v, v * v, 3
+        while True:
+            term *= v2
+            nxt = bd0 + term / j
+            if nxt == bd0:
+                break
+            bd0, j = nxt, j + 2
+    else:
+        bd0 = m * math.log(m / n_bar) - d
+    if m > 15:
+        r = 1.0 / (m * m)
+        stirlerr = (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - r / 1188) * r) * r) * r) / m
+    else:
+        stirlerr = _STIRLERR[m]
+    return math.exp(-stirlerr - bd0) / math.sqrt(m)
 
 
 class CoherentField(Record):
@@ -124,16 +166,10 @@ class CoherentField(Record):
         n_bar = self.alpha ** 2
         return max(0, math.floor(n_bar - 10.0 * math.sqrt(n_bar)))
 
-    def _weights(self):
-        """Unnormalized Poisson weights w_n, proportional to P_n, for
-        n = n_min..n_max: w_{n_min} = 1 and w_n = w_{n-1} nbar / n."""
-        n_bar = self.alpha ** 2
-        return accumulate(map(truediv, repeat(n_bar), range(self.n_min + 1, self.n_max + 1)),
-                          mul, initial=1.0)
-
     def amplitudes(self) -> tuple:
         """Renormalized Fock amplitudes sqrt(P_n), n = n_min..n_max."""
-        w = tuple(self._weights())
+        n_bar = self.alpha ** 2
+        w = [_poisson_weight(n, n_bar) for n in range(self.n_min, self.n_max + 1)]
         total = sum(w)
         return tuple(math.sqrt(x / total) for x in w)
 
@@ -207,11 +243,10 @@ def _population(atom_start: PureState, field: CoherentField, g: float, duration:
     phi_0 = gt * root_ref
     mean_field = math.cos(phi_0) * (a + b) + math.sin(phi_0) * (c + d)
     h = max(1, int(math.sqrt(n_bar) / 4.0))
-    n_max = field.n_max
-    # (w_{m-1}, w_m) for m = n_min .. n_max + 1, zero outside the window
-    pairs = islice(pairwise(chain((0.0,), field._weights(), (0.0,))), 0, None, h)
+    n_min, n_max = field.n_min, field.n_max
     total = norm = total_err = norm_err = 0.0
-    for m, (w_lo, w) in zip(range(field.n_min, n_max + 2, h), pairs):
+    for m in range(n_min, n_max + 2, h):
+        w = _poisson_weight(m, n_bar) if m <= n_max else 0.0
         c_m = math.sqrt(w)
         root_m, root_up = math.sqrt(m), math.sqrt(m + 1)
         # phi_{m-1} against phi_0, and phi_m against phi_{m-1}
@@ -219,9 +254,14 @@ def _population(atom_start: PureState, field: CoherentField, g: float, duration:
         cos_lo, sin_lo = _chord(phi_0 + half, half)
         step_cos, step_sin = _chord(0.5 * gt * (root_m + root_up), 0.5 * gt / (root_up + root_m))
         s_lo, s_up = math.sin(gt * root_m), math.sin(gt * root_up)
-        # c_{m-1} - c_m and c_{m+1} - c_m; exact by subtraction where one is zero
-        down = (c_m * (m - n_bar) / (n_bar + math.sqrt(m * n_bar)) if w_lo and w
-                else math.sqrt(w_lo) - c_m)
+        # c_{m-1} - c_m and c_{m+1} - c_m; exact by subtraction where one is
+        # zero: level n_min - 1 is outside the window, and so is level m past n_max
+        if m == n_min:
+            down = -c_m
+        elif w:
+            down = c_m * (m - n_bar) / (n_bar + math.sqrt(m * n_bar))
+        else:
+            down = math.sqrt(_poisson_weight(m - 1, n_bar))
         up = (c_m * (n_bar - m - 1) / ((m + 1) * (math.sqrt(n_bar / (m + 1)) + 1.0))
               if m < n_max else -c_m)
         o = (c_m * (mean_field + cos_lo * (a + b) + sin_lo * (c + d) + step_cos * b + step_sin * d)

@@ -11,7 +11,9 @@ Every routine here deliberately avoids the code paths under test:
 * the Jaynes-Cummings model is evolved by exponentiating the full joint
   Hamiltonian, not sector by sector, and its gate error is summed over every
   Fock level 0..n_max in 40-digit mpmath arithmetic as 1 - F, where the
-  cancellation still leaves over 30 digits.
+  cancellation still leaves over 30 digits;
+* a Poisson weight is read from mpmath's log-gamma in 40 digits, not from a
+  Stirling series or a recurrence.
 """
 
 import mpmath
@@ -197,3 +199,14 @@ def jc_gate_error_mp(theta: float, psi_atom: np.ndarray, n_bar: float,
             fidelity += abs(mpmath.conj(t_b) * b_m + mpmath.conj(t_a) * a_m) ** 2
             cos_m, sin_m = cos_up, sin_up
         return 1 - fidelity
+
+
+def poisson_weight_mp(m: int, n_bar: float) -> mpmath.mpf:
+    """Poisson pmf of mean nbar at level m, times sqrt(2 pi), in 40-digit
+    arithmetic: sqrt(2 pi) exp(m log nbar - nbar - log m!)."""
+    with mpmath.workdps(40):
+        root = mpmath.sqrt(2 * mpmath.pi)
+        if n_bar == 0:
+            return root if m == 0 else mpmath.mpf(0)
+        nb = mpmath.mpf(n_bar)
+        return root * mpmath.exp(m * mpmath.log(nb) - nb - mpmath.loggamma(m + 1))

@@ -290,6 +290,15 @@ class TestAreaSweep:
         # at the matched area the two error columns coincide
         assert sweep.laser_mode_error[0] == pytest.approx(sweep.total_error[0], rel=1e-12)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1e-12])
+    @pytest.mark.parametrize("first", [True, False], ids=["first", "later"])
+    def test_area_that_is_not_finite_and_positive_is_refused(self, bad, first):
+        # min() skips a NaN that is not first, so NaN kappa and n_bar came back
+        atom, _, field = _system(1e-6, 1e-29, 1e5, 1e-12)
+        areas = [bad, 1e-12] if first else [1e-12, bad]
+        with pytest.raises(InvalidStateError, match="must be"):
+            fixed_intensity_area_sweep(atom, field, 1e-6, areas)
+
 
 class TestUnitRescaling:
     @pytest.mark.parametrize("scale", [1024.0, 1000.0, 1.0 / 4096.0])

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import lasergate
-from lasergate import cli
+from lasergate import cli, gates
 from lasergate.cli import (
     EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, GATE_AREAS, MAX_ROWS, START_STATES, main,
 )
@@ -195,6 +195,16 @@ class TestSweep:
     def test_unknown_gate_rejected(self, tmp_path):
         assert run(tmp_path, "sweep", "--gate", "cnot")[0] == EXIT_CONFIG
 
+    @pytest.mark.parametrize("argv", [
+        ["--points", "20000", "--ratio_max", "1"], ["--ratio_min", "1e-12"], ["--points", "3"],
+    ], ids=["non-perturbative", "unresolvable", "too-few"])
+    def test_refused_grid_propagates_nothing(self, monkeypatch, argv):
+        calls = []
+        monkeypatch.setattr(gates, "evolve", lambda *args: calls.append(args))
+        code, _, err = run_captured("sweep", *argv)
+        assert code == EXIT_CONFIG and err.startswith("error: ")
+        assert calls == []
+
     def test_non_finite_input_is_config_error(self, tmp_path):
         assert run(tmp_path, "sweep", "--ratio_min", "nan")[0] == EXIT_CONFIG
         assert run(tmp_path, "sweep", "--ratio_max", "inf")[0] == EXIT_CONFIG
@@ -265,6 +275,18 @@ class TestBudget:
     def test_missing_required_key(self, tmp_path):
         code, _ = run(tmp_path, "budget", "--wavelength", "1e-6")
         assert code == EXIT_CONFIG
+
+    @pytest.mark.parametrize("wavelength", ["0", "-1e-6"])
+    def test_non_positive_wavelength_is_config_error(self, wavelength):
+        # refused before omega = 2 pi c / wavelength is formed
+        code, out, err = run_captured(*BUDGET_ARGS, "--wavelength", wavelength)
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert err.startswith("error: wavelength must be > 0")
+
+    def test_overflowing_sweep_area_is_numeric_error(self):
+        code, _, err = run_captured(*BUDGET_ARGS, "--wavelength", "10", "--mode_area", "100",
+                                    "--area_sweep_max_factor", "1.7e308")
+        assert code == EXIT_NUMERIC and "double range" in err
 
     def test_raman_block(self, tmp_path):
         code, payload = run(tmp_path, *BUDGET_ARGS, "--raman_detuning", "1e11", name="r.txt")
