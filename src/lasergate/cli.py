@@ -21,7 +21,7 @@ import sys
 from itertools import chain
 
 from .lindblad import EXACT, DecaySpec, IntegrationError, IntegratorConfig, PulseSpec, evolve
-from .qcore import InvalidStateError, PureState, logspace, purity
+from .qcore import InvalidStateError, PureState, logspace, purities
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -78,6 +78,13 @@ def _format_rows(rows) -> str:
     values = (*first, *chain.from_iterable(rows))
     line = ",".join(["%.11e"] * len(first))
     return "\n".join([line] * (len(values) // len(first))) % values
+
+
+def _formatted(column) -> map:
+    """:func:`_fmt` of each value of ``column``, formatting each distinct
+    value once: for a column that repeats a few values."""
+    text = {value: _fmt(value) for value in set(column)}
+    return map(text.__getitem__, column)
 
 
 def _finite_float(raw: str) -> float:
@@ -222,8 +229,8 @@ def run_simulate(cfg: dict) -> str:
     config = IntegratorConfig(cfg["method"], cfg["step_count"], cfg["samples"])
     trajectory = evolve(state.to_density(), pulse, decay, config).trajectory
 
-    table = ((t, m[0][0].real, m[1][1].real, m[1][0].real, m[1][0].imag, purity(m))
-             for t, m in zip(trajectory.times, trajectory.states))
+    columns = (trajectory.rho_bb, trajectory.rho_aa, trajectory.re_rho_ab, trajectory.im_rho_ab)
+    table = zip(trajectory.times, *columns, purities(*columns))
     return "\n".join(["t,rho_bb,rho_aa,re_rho_ab,im_rho_ab,purity", _format_rows(table), ""])
 
 
@@ -336,7 +343,14 @@ def run_budget(cfg: dict) -> str:
             and all(map(math.isfinite, chain.from_iterable(columns)))):
         raise FloatingPointError("a budget value leaves the double range for these inputs")
     table_header = "area,kappa,kappa_times_area,n_bar,p_laser,p_total"
-    table_rows = _format_rows(zip(*columns))
+    # p_total is one value, and kappa * A = (Gamma sigma_eff / A) * A lies within
+    # a few ulps of Gamma sigma_eff: each distinct value of those two columns is
+    # formatted once.  Neither holds a negative zero, so equal values print alike.
+    line = "%.11e,%.11e,%s,%.11e,%.11e,%s"
+    values = chain.from_iterable(zip(sweep.area, sweep.kappa, _formatted(sweep.kappa_times_area),
+                                     sweep.n_bar, sweep.laser_mode_error,
+                                     _formatted(sweep.total_error)))
+    table_rows = "\n".join([line] * len(sweep.area)) % tuple(values)
 
     if cfg["format"] == "csv":
         lines = [f"# {name}={_fmt(value)}" for name, value in scalars + raman_lines]

@@ -43,9 +43,9 @@ POISSON_TAIL_TOL = 1e-10
 MAX_RABI_PERIODS = 5.0
 
 # Most Fock levels a field may keep, reached by the default window at nbar of
-# about 1e10.  A gate error reads about 80 of them whatever the window, so this
-# bounds the window that ``CoherentField.amplitudes`` materializes, one weight
-# per level, not the time of a gate error.
+# about 1e10.  Nothing holds the window level by level: a gate error reads
+# about 80 of its levels whatever its width.  So this fixes the photon range
+# that ``compare`` accepts, not a time or memory cost.
 MAX_FOCK_LEVELS = 2 * 10**6
 
 # stirlerr(m) = log(m!) - log(sqrt(2 pi m) (m / e)^m) for m = 0..15, to the
@@ -165,13 +165,6 @@ class CoherentField(Record):
         """Lowest Fock level kept: max(0, floor(nbar - 10 sqrt(nbar)))."""
         n_bar = self.alpha ** 2
         return max(0, math.floor(n_bar - 10.0 * math.sqrt(n_bar)))
-
-    def amplitudes(self) -> tuple:
-        """Renormalized Fock amplitudes sqrt(P_n), n = n_min..n_max."""
-        n_bar = self.alpha ** 2
-        w = [_poisson_weight(n, n_bar) for n in range(self.n_min, self.n_max + 1)]
-        total = sum(w)
-        return tuple(math.sqrt(x / total) for x in w)
 
 
 def _chord(mean: float, half: float) -> tuple:

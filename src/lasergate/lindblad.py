@@ -32,17 +32,21 @@ constant-coefficient ODE that is exactly classical RK4 with k steps of size
 h.  The first component of v is the trace: the generator's first row is
 zero, so only rows 1..3 of the map are formed, the state carried between
 samples is (x, y, z) alone and the trace is exactly 1.  :func:`evolve`
-validates its density matrices as one stack, a tuple of 2x2 matrices; a
-trajectory is that stack and the sample times.  Every matrix is a tuple or
-list of rows of Python floats, multiplied by :func:`qcore.matmul`.
+carries x, y and z as three columns of floats, one entry per sample, applying
+the 3x4 map term by term in the order of :func:`qcore.matvec`.  A trajectory
+is the sample times and four columns, the populations rho_bb and rho_aa and
+the coherence rho_ab, which :func:`qcore.check_density_columns` validates in
+one pass; no sample is ever a matrix unless one is asked for.  The generator
+and the step maps are tuples or lists of rows of Python floats, multiplied by
+:func:`qcore.matmul`.
 """
 
 from __future__ import annotations
 
 import math
-from operator import add, mul
+from operator import mul
 
-from .qcore import DensityMatrix, InvalidStateError, Record, check_densities, matmul, matvec
+from .qcore import DensityMatrix, InvalidStateError, Record, check_density_columns, matmul
 
 EXACT = "exact"
 RK4_FIXED = "rk4_fixed"
@@ -112,15 +116,24 @@ class IntegratorConfig(Record):
 
 
 class Trajectory(Record):
-    """Samples of one pulse: the times, a tuple of k floats, and the density
-    matrices at those times, a stack of k 2x2 matrices that :func:`evolve`
-    validated in one call."""
+    """Samples of one pulse: the times, and the density matrix at each time
+    as its populations rho_bb and rho_aa and the real and imaginary parts of
+    its coherence rho_ab = <a|rho|b>.  Each field is a tuple of k floats;
+    :func:`evolve` validated the samples in one call."""
 
     times: tuple
-    states: tuple
+    rho_bb: tuple
+    rho_aa: tuple
+    re_rho_ab: tuple
+    im_rho_ab: tuple
 
     def __len__(self) -> int:
         return len(self.times)
+
+    @property
+    def states(self) -> tuple:
+        """The samples as a stack of 2x2 complex matrices, built on each call."""
+        return tuple(map(_matrix, self.rho_bb, self.rho_aa, self.re_rho_ab, self.im_rho_ab))
 
 
 class EvolutionResult(Record):
@@ -137,34 +150,20 @@ def _bloch(rho) -> tuple:
     return 1.0, 2.0 * rho_ab.real / trace, 2.0 * rho_ab.imag / trace, z / trace
 
 
-def _matrices(v) -> tuple:
-    """(w I + x sigma_x + y sigma_y + z sigma_z) / 2 for each row (w, x, y, z)
-    of ``v``, as a stack of 2x2 complex matrices."""
-    out = []
-    for w, x, y, z in v:
-        rho_ab = complex(x, y) / 2.0
-        out.append(((complex((w - z) / 2.0, 0.0), rho_ab.conjugate()),
-                    (rho_ab, complex((w + z) / 2.0, 0.0))))
-    return tuple(out)
+def _matrix(rho_bb: float, rho_aa: float, re_rho_ab: float, im_rho_ab: float) -> tuple:
+    """The density matrix ((rho_bb, rho_ab*), (rho_ab, rho_aa)) as a 2x2 complex matrix."""
+    return ((complex(rho_bb, 0.0), complex(re_rho_ab, -im_rho_ab)),
+            (complex(re_rho_ab, im_rho_ab), complex(rho_aa, 0.0)))
 
 
-def _density_stack(v) -> tuple:
-    """The density matrices of the Bloch rows ``v``, as a stack validated in
-    one call.
-
-    Raises :class:`IntegrationError` if a row left the Bloch ball: the
-    rounding of a long or strongly damped pulse, or an unstable RK4 step.
-    """
-    states = _matrices(v)
-    try:
-        check_densities(states)
-    except InvalidStateError as exc:  # exc names the sample: "state i: ..."
-        radii = [math.hypot(*row[1:]) for row in v]
-        radius = math.nan if any(map(math.isnan, radii)) else max(radii)
-        raise IntegrationError(
-            f"propagated state left the Bloch ball (largest |s| = {radius:.12g}): {exc}"
-        ) from exc
-    return states
+def _columns(xs, ys, zs) -> tuple:
+    """The populations and coherence columns (rho_bb, rho_aa, Re rho_ab,
+    Im rho_ab) of the Bloch vectors (1, x, y, z): rho_bb = (1 - z) / 2,
+    rho_aa = (1 + z) / 2 and rho_ab = complex(x, y) / 2, each part rounded
+    as that complex division rounds it, signed zeros included."""
+    return (tuple([(1.0 - z) / 2.0 for z in zs]), tuple([(1.0 + z) / 2.0 for z in zs]),
+            tuple([(x + y * 0.0) / 2.0 for x, y in zip(xs, ys)]),
+            tuple([(y - x * 0.0) / 2.0 for x, y in zip(xs, ys)]))
 
 
 def _generator(ratio: float, scale: float) -> list:
@@ -270,21 +269,37 @@ def evolve(rho0: DensityMatrix, pulse: PulseSpec, decay: DecaySpec,
     g = pulse.drive_coupling
     theta = pulse.pulse_area
     n_segments = config.sample_count
-    if theta == 0.0:
-        return EvolutionResult(rho0, Trajectory((0.0,) * (n_segments + 1),
-                                                (rho0.matrix,) * (n_segments + 1)))
+    if theta == 0.0:  # every sample is rho0, which is also the final state
+        (rho_bb, _), (rho_ab, rho_aa) = rho0.matrix
+        columns = (rho_bb.real, rho_aa.real, rho_ab.real, rho_ab.imag)
+        return EvolutionResult(rho0, Trajectory(*((value,) * (n_segments + 1)
+                                                  for value in (0.0, *columns))))
 
     tau = theta / 2.0 / n_segments  # scaled duration g_alpha * T of one segment
-    rows = _step_rows(decay.rate / g, tau, config, n_segments)
-    v = [_bloch(rho0.matrix)]  # the map has no trace row: the trace stays 1
-    if config.method == EXACT:
-        for _ in range(n_segments):
-            v.append((1.0, *matvec(rows, v[-1])))
-    else:
-        for _ in range(n_segments):
-            s = v[-1]
-            v.append((1.0, *map(add, s[1:], matvec(rows, s))))
-    states = _density_stack(v)
+    (x0, xx, xy, xz), (y0, yx, yy, yz), (z0, zx, zy, zz) = _step_rows(decay.rate / g, tau,
+                                                                     config, n_segments)
+    # each row acts as in qcore.matvec: sum(map(mul, row, (1.0, x, y, z))) is
+    # (((0 + r0 * 1.0) + rx * x) + ry * y) + rz * z, and 0 + r0 * 1.0 is 0.0 + r0
+    x0, y0, z0 = 0.0 + x0, 0.0 + y0, 0.0 + z0
+    _, x, y, z = _bloch(rho0.matrix)  # the map has no trace row: the trace stays 1
+    increment = config.method == RK4_FIXED  # its map gives the change of v, not v
+    xs, ys, zs = [x], [y], [z]
+    for _ in range(n_segments):
+        mx, my, mz = (((x0 + xx * x) + xy * y) + xz * z, ((y0 + yx * x) + yy * y) + yz * z,
+                      ((z0 + zx * x) + zy * y) + zz * z)
+        x, y, z = (x + mx, y + my, z + mz) if increment else (mx, my, mz)
+        xs.append(x)
+        ys.append(y)
+        zs.append(z)
+    columns = _columns(xs, ys, zs)
+    try:
+        check_density_columns(*columns)
+    except InvalidStateError as exc:  # exc names the sample: "state i: ..."
+        radii = list(map(math.hypot, xs, ys, zs))
+        radius = math.nan if any(map(math.isnan, radii)) else max(radii)
+        raise IntegrationError(
+            f"propagated state left the Bloch ball (largest |s| = {radius:.12g}): {exc}"
+        ) from exc
     times = (*(i * tau / g for i in range(n_segments)), theta / 2.0 / g)
-    return EvolutionResult(DensityMatrix(states[-1]), Trajectory(times, states))
-
+    final = DensityMatrix(_matrix(*(column[-1] for column in columns)))
+    return EvolutionResult(final, Trajectory(times, *columns))

@@ -7,10 +7,13 @@ Both models of the package act on one two-level atom, and the two wrapper
 types enforce that once, at construction: :class:`DensityMatrix` accepts a
 2x2 matrix only and :class:`PureState` 2 amplitudes only.  They also
 validate the physical invariants (Hermiticity, unit trace, positivity,
-normalization).  The density-matrix invariants have one home,
-:func:`check_densities`, which checks a whole stack of 2x2 matrices in one
-call, in closed form; a single :class:`DensityMatrix` is a stack of one.
-Every record type of the package derives from :class:`Record`.
+normalization).  The density-matrix invariants have one home:
+:func:`check_densities` checks a whole stack of 2x2 matrices in one call, in
+closed form, and a single :class:`DensityMatrix` is a stack of one.
+:func:`check_density_columns` checks the same invariants, with the same
+arithmetic, tolerances and errors, on a trajectory held as columns of
+populations and coherence, without building its matrices.  Every record
+type of the package derives from :class:`Record`.
 
 Basis ordering for the two-level atom is fixed package-wide:
 index 0 = ground ``|b>``, index 1 = excited ``|a>``.
@@ -19,7 +22,8 @@ index 0 = ground ``|b>``, index 1 = excited ``|a>``.
 from __future__ import annotations
 
 import math
-from operator import mul
+from itertools import repeat
+from operator import add, mul
 
 # Construction-time invariant tolerances.
 HERMITICITY_TOL = 1e-12
@@ -171,13 +175,10 @@ _BROKEN = (
 )
 
 
-def check_densities(states) -> None:
-    """Raise :class:`InvalidStateError` unless every 2x2 matrix of the stack
-    ``states`` is Hermitian, of unit trace, positive semidefinite and of
-    purity in [1/2, 1], within the tolerances above.  The error names the
-    first broken invariant, in that order, and the first matrix that breaks
-    it (by index, in a stack of several)."""
-    values = [_invariants(m) for m in states]
+def _refuse_broken(values) -> None:
+    """Raise :class:`InvalidStateError` for the first broken invariant, in the
+    order of ``_BROKEN``, of the first matrix that breaks it; ``values`` holds
+    the :func:`_invariants` of each matrix of a stack."""
     broken = [(herm > HERMITICITY_TOL, abs(trace - 1.0) > TRACE_TOL, lo < -POSITIVITY_SLACK,
                not 0.5 - PURITY_SLACK <= pur <= 1.0 + PURITY_SLACK)
               for herm, trace, lo, pur in values]
@@ -186,6 +187,49 @@ def check_densities(states) -> None:
             if flags[k]:
                 message = text.format(values[i][k])
                 raise InvalidStateError(message if len(values) == 1 else f"state {i}: {message}")
+
+
+def check_densities(states) -> None:
+    """Raise :class:`InvalidStateError` unless every 2x2 matrix of the stack
+    ``states`` is Hermitian, of unit trace, positive semidefinite and of
+    purity in [1/2, 1], within the tolerances above.  The error names the
+    first broken invariant, in that order, and the first matrix that breaks
+    it (by index, in a stack of several)."""
+    _refuse_broken([_invariants(m) for m in states])
+
+
+def purities(rho_bb, rho_aa, re_rho_ab, im_rho_ab) -> list:
+    """tr(rho^2) of each matrix ((rho_bb, rho_ab*), (rho_ab, rho_aa)) given by
+    its columns of populations and coherence, bit for bit as :func:`purity`
+    computes it from the complex matrix."""
+    return [(b * b + (p := r * r + i * i)) + (p + a * a)
+            for b, a, r, i in zip(rho_bb, rho_aa, re_rho_ab, im_rho_ab)]
+
+
+def check_density_columns(rho_bb, rho_aa, re_rho_ab, im_rho_ab) -> None:
+    """:func:`check_densities` on the stack of matrices ((rho_bb, rho_ab*),
+    (rho_ab, rho_aa)), read from their columns of populations and coherence
+    without building a matrix.
+
+    Such a matrix is Hermitian by construction, and its trace, smallest
+    eigenvalue and purity are computed with the arithmetic of
+    :func:`_invariants`, so the verdict and the error are the same, NaN rows
+    included.
+    """
+    trace = list(map(add, rho_bb, rho_aa))
+    pur = purities(rho_bb, rho_aa, re_rho_ab, im_rho_ab)
+    # A non-finite entry makes its purity NaN or inf; once every purity is
+    # finite, the extremes of trace and purity decide.  A Hermitian 2x2 matrix
+    # of trace t and purity P has smallest eigenvalue (t - sqrt(2P - t^2)) / 2,
+    # so within the trace and purity tolerances it stays above -6.1e-10, inside
+    # POSITIVITY_SLACK: the eigenvalues are needed only to name what broke.
+    if (pur and math.isfinite(sum(pur))
+            and abs(max(trace) - 1.0) <= TRACE_TOL and abs(min(trace) - 1.0) <= TRACE_TOL
+            and 0.5 - PURITY_SLACK <= min(pur) and max(pur) <= 1.0 + PURITY_SLACK):
+        return
+    lowest = [0.5 * t - math.hypot(0.5 * (b - a), abs(complex(r, i)))
+              for t, b, a, r, i in zip(trace, rho_bb, rho_aa, re_rho_ab, im_rho_ab)]
+    _refuse_broken(list(zip(repeat(0.0), map(complex, trace), lowest, pur)))
 
 
 class DensityMatrix(Record):

@@ -19,6 +19,8 @@ from lasergate import cli, gates
 from lasergate.cli import (
     EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, GATE_AREAS, MAX_ROWS, START_STATES, main,
 )
+from lasergate.lindblad import DecaySpec, IntegratorConfig, PulseSpec, evolve
+from lasergate.qcore import purity
 
 
 def run(tmp_path, *argv, name="out.csv"):
@@ -128,6 +130,28 @@ class TestSimulate:
         for line in rows(payload)[1:]:
             rho_bb, rho_aa = (float(x) for x in line.split(",")[1:3])
             assert abs(rho_bb + rho_aa - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("argv", [
+        [], ["--ratio", "0.3", "--start", "excited"],
+        ["--start", "plus", "--theta", "11", "--ratio", "25", "--samples", "500"],
+        ["--method", "rk4_fixed", "--start", "plus", "--theta", "11"],
+        ["--method", "rk4_fixed", "--start", "excited", "--theta", "7", "--ratio", "3"],
+        ["--start", "plus", "--theta", "0", "--samples", "5"],
+        ["--start", "plus", "--ratio", "0.5", "--samples", "1"],
+        ["--ratio", "1e20", "--samples", "1"],
+    ], ids=["exact", "exact-decay", "exact-plus", "rk4", "rk4-decay", "theta-0", "samples-1",
+            "ratio-1e20"])
+    def test_csv_prints_the_trajectory_states(self, argv):
+        cfg = cli._coerce("simulate", cli._overrides_from_extras(argv))
+        config = IntegratorConfig(cfg["method"], cfg["step_count"], cfg["samples"])
+        trajectory = evolve(START_STATES[cfg["start"]]().to_density(),
+                            PulseSpec(1.0, cfg["theta"]), DecaySpec(cfg["ratio"]),
+                            config).trajectory
+        want = ["t,rho_bb,rho_aa,re_rho_ab,im_rho_ab,purity"]
+        for t, m in zip(trajectory.times, trajectory.states):
+            values = (t, m[0][0].real, m[1][1].real, m[1][0].real, m[1][0].imag, purity(m))
+            want.append(",".join(map(cli._fmt, values)))
+        assert run_stdout("simulate", *argv) == (EXIT_OK, "\n".join(want) + "\n")
 
     def test_rk4_divergence_is_numeric_error(self, tmp_path):
         code, _ = run(tmp_path, "simulate", "--method", "rk4_fixed", "--ratio", "30",
@@ -460,6 +484,7 @@ class TestTablePrinter:
     def test_command_output_equals_the_template_printer(self, monkeypatch, argv):
         fast = run_stdout(*argv)
         monkeypatch.setattr(cli, "_format_rows", template_rows)
+        monkeypatch.setattr(cli, "_formatted", lambda column: ("%.11e" % x for x in column))
         assert fast == run_stdout(*argv)
         assert fast[0] == EXIT_OK
 

@@ -56,14 +56,16 @@ class TestCoherentField:
         assert field.n_max >= 400 + 10 * 20
 
     def test_weights_normalized_after_truncation(self):
-        amps = CoherentField(alpha=20.0).amplitudes()
-        assert abs(np.sum(np.asarray(amps) ** 2) - 1.0) <= 1e-10
+        # the window holds all but 1e-10 of the Poisson mass
+        field = CoherentField(alpha=20.0)
+        weights = [_poisson_weight(n, 400.0) for n in range(field.n_min, field.n_max + 1)]
+        assert abs(math.fsum(weights) / math.sqrt(2.0 * math.pi) - 1.0) <= 1e-10
 
     def test_vacuum_field(self):
         field = CoherentField(alpha=0.0)
-        amps = field.amplitudes()
-        assert amps[0] == 1.0
-        assert all(a == 0.0 for a in amps[1:])
+        weights = [_poisson_weight(n, 0.0) for n in range(field.n_min, field.n_max + 1)]
+        assert weights[0] == math.sqrt(2.0 * math.pi)
+        assert all(w == 0.0 for w in weights[1:])
 
     def test_truncation_floor_enforced(self):
         with pytest.raises(TruncationError):
@@ -72,7 +74,9 @@ class TestCoherentField:
     def test_window_starts_ten_deviations_below_the_mean(self):
         field = CoherentField(alpha=20.0)
         assert field.n_min == 200
-        assert len(field.amplitudes()) == field.n_max - field.n_min + 1
+        window = [oracles.poisson_weight_mp(n, 400.0) for n in range(field.n_min, field.n_max + 1)]
+        assert len(window) == field.n_max - field.n_min + 1
+        assert abs(float(sum(window)) / math.sqrt(2.0 * math.pi) - 1.0) <= 1e-10
         assert CoherentField(alpha=10.0).n_min == 0
         assert CoherentField(alpha=0.0).n_min == 0
 
@@ -132,12 +136,18 @@ class TestPoissonWeight:
                 assert abs(got - want) <= 1e-12 * want, m
 
     def test_amplitudes_are_the_normalized_weights(self):
+        # the Fock amplitudes sqrt(P_n) renormalized on the window, from the
+        # closed-form weights and from the 40-digit pmf
         field = CoherentField(alpha=20.0)
-        weights = [float(oracles.poisson_weight_mp(m, 400.0))
-                   for m in range(field.n_min, field.n_max + 1)]
-        total = sum(weights)
-        want = [math.sqrt(w / total) for w in weights]
-        assert np.max(np.abs(np.asarray(field.amplitudes()) - want)) <= 1e-15
+        levels = range(field.n_min, field.n_max + 1)
+
+        def amplitudes(weights):
+            total = sum(weights)
+            return [math.sqrt(w / total) for w in weights]
+
+        got = amplitudes([_poisson_weight(m, 400.0) for m in levels])
+        want = amplitudes([float(oracles.poisson_weight_mp(m, 400.0)) for m in levels])
+        assert np.max(np.abs(np.subtract(got, want))) <= 1e-15
 
 
 class TestVacuumSector:

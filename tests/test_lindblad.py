@@ -32,7 +32,8 @@ def random_density(rng: np.random.Generator) -> DensityMatrix:
 def lindblad_rhs(rho: DensityMatrix, g: float, kappa: float) -> np.ndarray:
     """drho/dt from the solver's Bloch generator g B_drive + kappa B_decay."""
     gen = g * np.array(lindblad._B_DRIVE) + kappa * np.array(lindblad._B_DECAY)
-    return np.array(lindblad._matrices([gen @ lindblad._bloch(rho.matrix)])[0])
+    w, x, y, z = gen @ lindblad._bloch(rho.matrix)
+    return np.array([[w - z, x - 1j * y], [x + 1j * y, w + z]]) / 2.0
 
 
 def ground_trajectory(pulse: PulseSpec):

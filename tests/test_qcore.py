@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 import oracles
+from lasergate import lindblad
 from lasergate.gates import ErrorCoefficient
 from lasergate.jc import CoherentField
 from lasergate.lindblad import EXACT, DecaySpec, IntegratorConfig, PulseSpec, evolve
@@ -17,6 +18,7 @@ from lasergate.qcore import (
     InvalidStateError,
     PureState,
     check_densities,
+    check_density_columns,
     fidelity_pure,
     min_eigenvalue,
     rotation,
@@ -27,6 +29,34 @@ def ginibre_density(rng: np.random.Generator, dim: int) -> DensityMatrix:
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     m = g @ g.conj().T
     return DensityMatrix(m / np.trace(m))
+
+
+def refusal(check, *args):
+    """The error ``check(*args)`` raises, or None if it passes."""
+    try:
+        check(*args)
+    except (InvalidStateError, ArithmeticError) as exc:  # abs() of a complex can overflow
+        return f"{type(exc).__name__}: {exc}"
+    return None
+
+
+@st.composite
+def bloch_row(draw):
+    """(rho_bb, rho_aa, Re rho_ab, Im rho_ab) of a Bloch vector inside the
+    unit ball, within 3e-9 of its surface or outside it, converted as
+    lindblad.evolve converts the vectors it propagates; some with a trace
+    within 2e-10 of 1, and half of them with one entry NaN."""
+    x, y, z = (draw(st.floats(-1.0, 1.0)) for _ in range(3))
+    norm = math.hypot(x, y, z) or 1.0
+    near_surface = st.integers(-30, 30).map(lambda k: 1.0 + k * 1e-10)
+    radius = draw(st.floats(0.0, 1.0) | near_surface | st.floats(1.0, 1e9))
+    columns = lindblad._columns([x / norm * radius], [y / norm * radius], [z / norm * radius])
+    row = tuple(column[0] for column in columns)
+    row = (row[0] + draw(st.just(0.0) | st.floats(-2e-10, 2e-10)), *row[1:])
+    if draw(st.booleans()):  # one entry NaN, as an unstable step leaves it
+        k = draw(st.integers(0, 3))
+        row = (*row[:k], math.nan, *row[k + 1:])
+    return row
 
 
 class TestOperators:
@@ -88,6 +118,13 @@ class TestDensityMatrixInvariants:
         check_densities(stack[:2])
         with pytest.raises(InvalidStateError, match="state 2: .*positive"):
             check_densities(stack)
+
+    @given(rows=st.lists(bloch_row() | st.tuples(*[st.floats()] * 4), min_size=1, max_size=6))
+    @settings(max_examples=500, deadline=None)
+    def test_column_check_is_the_stack_check(self, rows):
+        # st.floats() adds NaN, inf, +-0 and rows whose trace is not 1
+        matrices = [lindblad._matrix(*row) for row in rows]
+        assert refusal(check_density_columns, *zip(*rows)) == refusal(check_densities, matrices)
 
     def test_rejects_non_square(self):
         with pytest.raises(InvalidStateError):
