@@ -15,13 +15,12 @@ Loader's saddle-point form of the pmf, so a gate error costs about 80 terms
 whatever nbar is and never visits the levels between the samples.
 
 Only the Poisson window n_min <= n <= n_max is evolved, with
-n_min = max(0, floor(nbar - 10 sqrt(nbar))) and by default
+n_min = max(0, floor(nbar - 10 sqrt(nbar))) and
 n_max = ceil(nbar + 10 sqrt(nbar)) + 12: about 20 sqrt(nbar) levels, whatever
-nbar is.  The mass outside the window is bounded by the Chernoff bound
-exp(-nbar) (e nbar / k)^k, which holds for P(N <= k) with k < nbar and for
-P(N >= k) with k > nbar; it is below ~1e-21 for the default window and is
-required to stay below 1e-10.  The bound involves no cancellation, so a field
-is rejected only for a real truncation, never for rounding in 1 - sum(P_n).
+nbar is.  The window is fixed, and the Poisson mass outside it is at most
+2e-21 at every nbar up to the level cap (about 1.1e-22 at its largest, near
+nbar = 24).  That is a property of the window, pinned by a test against the
+exact Poisson tails, not a check made at run time.
 
 The semiclassical correspondence used throughout: a pulse of area theta lasts
 T = theta / (2 g sqrt(nbar)), i.e. the mean-field Rabi frequency is
@@ -36,13 +35,11 @@ import math
 
 from .qcore import DensityMatrix, InvalidStateError, PureState, Record, matvec, rotation
 
-POISSON_TAIL_TOL = 1e-10
-
 # Stay within the first few mean-field Rabi periods; collapse and revival
 # physics beyond that is out of scope for single-pulse gates.
 MAX_RABI_PERIODS = 5.0
 
-# Most Fock levels a field may keep, reached by the default window at nbar of
+# Most Fock levels a field may keep, reached by the window at nbar of
 # about 1e10.  Nothing holds the window level by level: a gate error reads
 # about 80 of its levels whatever its width.  So this fixes the photon range
 # that ``compare`` accepts, not a time or memory cost.
@@ -57,16 +54,6 @@ _STIRLERR = (
     0.00694284010720953, 0.006408994188004207, 0.0059513701127588475, 0.005554733551962801,
 )
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
-
-
-class TruncationError(InvalidStateError):
-    """Fock-space truncation leaves more than the allowed Poisson tail mass."""
-
-
-def _log_chernoff(n_bar: float, k: int) -> float:
-    """log of exp(-nbar) (e nbar / k)^k, which bounds P(N <= k) for k < nbar
-    and P(N >= k) for k > nbar."""
-    return -n_bar + k - (k * math.log(k / n_bar) if k else 0.0)
 
 
 def _poisson_weight(m: int, n_bar: float) -> float:
@@ -107,22 +94,19 @@ def _poisson_weight(m: int, n_bar: float) -> float:
 class CoherentField(Record):
     """Coherent field of real amplitude alpha, kept on Fock levels n_min..n_max.
 
-    ``n_min`` = max(0, floor(nbar - 10 sqrt(nbar))) is derived from alpha.  The
-    default truncation n_max = ceil(nbar + 10 sqrt(nbar)) + 12; an explicit
-    n_max must satisfy n_max >= nbar + 10 sqrt(nbar).  Either way the window
-    may hold at most ``MAX_FOCK_LEVELS`` levels, and the Chernoff bound on the
-    Poisson mass outside [n_min, n_max] must stay below 1e-10.
+    The window is derived from alpha alone: n_min = max(0, floor(nbar -
+    10 sqrt(nbar))) and n_max = ceil(nbar + 10 sqrt(nbar)) + 12.  It may hold
+    at most ``MAX_FOCK_LEVELS`` levels.  The Poisson mass outside it is at most
+    2e-21 for every field that passes that cap.
     """
 
     alpha: float
-    n_max: int | None = None
 
     def __post_init__(self):
         if not (math.isfinite(self.alpha) and self.alpha >= 0):
             raise InvalidStateError(
                 f"alpha must be finite and >= 0 (real by phase convention), got {self.alpha}")
-        n_bar = self.alpha ** 2
-        width = 20.0 * math.sqrt(n_bar)
+        width = 20.0 * math.sqrt(self.alpha ** 2)
         # every window holds at least 20 sqrt(nbar) levels: checked before the
         # window is rounded to nbar +- 10 sqrt(nbar), which from nbar ~ 1e33 on
         # loses the width to the spacing of doubles
@@ -130,31 +114,11 @@ class CoherentField(Record):
             raise InvalidStateError(
                 f"Poisson window of {width:.3g} Fock levels exceeds {MAX_FOCK_LEVELS}"
             )
-        floor = n_bar + width / 2.0
-        if self.n_max is None:
-            object.__setattr__(self, "n_max", int(math.ceil(floor)) + 12)
-        elif self.n_max < floor:
-            raise TruncationError(
-                f"n_max={self.n_max} below nbar + 10 sqrt(nbar) = {floor:.2f}"
-            )
         levels = self.n_max - self.n_min + 1
         if levels > MAX_FOCK_LEVELS:
             raise InvalidStateError(
                 f"Poisson window of {levels} Fock levels exceeds {MAX_FOCK_LEVELS}"
             )
-        tail = self._tail_bound()
-        if tail > POISSON_TAIL_TOL:
-            raise TruncationError(
-                f"Poisson mass outside [{self.n_min}, {self.n_max}] may reach "
-                f"{tail:.3e} > {POISSON_TAIL_TOL}"
-            )
-
-    def _tail_bound(self) -> float:
-        n_bar = self.alpha ** 2
-        if n_bar == 0.0:
-            return 0.0
-        lower = math.exp(_log_chernoff(n_bar, self.n_min - 1)) if self.n_min > 0 else 0.0
-        return lower + math.exp(_log_chernoff(n_bar, self.n_max + 1))
 
     @property
     def mean_photons(self) -> float:
@@ -165,6 +129,12 @@ class CoherentField(Record):
         """Lowest Fock level kept: max(0, floor(nbar - 10 sqrt(nbar)))."""
         n_bar = self.alpha ** 2
         return max(0, math.floor(n_bar - 10.0 * math.sqrt(n_bar)))
+
+    @property
+    def n_max(self) -> int:
+        """Highest Fock level kept: ceil(nbar + 10 sqrt(nbar)) + 12."""
+        n_bar = self.alpha ** 2
+        return math.ceil(n_bar + 10.0 * math.sqrt(n_bar)) + 12
 
 
 def _chord(mean: float, half: float) -> tuple:
@@ -211,10 +181,10 @@ def _population(atom_start: PureState, field: CoherentField, g: float, duration:
     trapezoid rule, whose difference from the per-level sum Poisson summation
     bounds by about exp(-2 pi^2 nbar / h^2) <= exp(-316).  Below nbar = 64,
     h = 1 and n_min = 0, so the sum is the exact per-level sum over the
-    truncated window and the level above it: small explicit windows and the
-    vacuum included.  From nbar = 64 on, the window edges weigh below
-    exp(-47) of the peak, and the level below a window with n_min > 0 is left
-    out.  Each term is non-negative, so the sum has no 1 - F cancellation.
+    truncated window and the level above it, the vacuum included.  From
+    nbar = 64 on, the window edges weigh below exp(-47) of the peak, and the
+    level below a window with n_min > 0 is left out.  Each term is
+    non-negative, so the sum has no 1 - F cancellation.
     """
     if not (math.isfinite(g) and g > 0):
         raise InvalidStateError(f"coupling g must be finite and > 0, got {g}")
@@ -278,8 +248,7 @@ def jc_evolve(atom_start: PureState, field: CoherentField, g: float,
     return DensityMatrix(((rho_bb, rho_ab.conjugate()), (rho_ab, rho_aa)))
 
 
-def jc_gate_error(theta: float, atom_start: PureState, n_bar: float,
-                  n_max: int | None = None, g: float = 1.0) -> float:
+def jc_gate_error(theta: float, atom_start: PureState, n_bar: float) -> float:
     """Failure probability of a theta pulse against its semiclassical target.
 
     Parameters
@@ -289,28 +258,25 @@ def jc_gate_error(theta: float, atom_start: PureState, n_bar: float,
     atom_start : PureState
         Two-level initial state.
     n_bar : float
-        Mean photon number of the coherent field, >= 25.
-    n_max : int, optional
-        Fock truncation override, forwarded to :class:`CoherentField`.
-    g : float
-        Atom-field coupling; the result is g-independent since the pulse time
-        scales as 1/g.
+        Mean photon number of the coherent field, >= 25, and small enough
+        that its fixed Poisson window fits ``MAX_FOCK_LEVELS``.
 
     Returns
     -------
     float
         p = <psi_perp| rho_atom(T) |psi_perp> with T = theta / (2 g sqrt(nbar))
-        and psi_perp orthogonal to the target.  It is summed over Fock levels
-        from the joint state, so p is accurate relative to itself rather than
-        to 1, with no 1 - F cancellation.
+        and psi_perp orthogonal to the target; g drops out, since T scales as
+        1/g, and is taken as 1.  It is summed from the joint state over the
+        fixed window of :class:`CoherentField`, so p is accurate relative to
+        itself rather than to 1, with no 1 - F cancellation.
     """
     if not n_bar >= 25:
         raise InvalidStateError(f"semiclassical regime requires nbar >= 25, got {n_bar}")
     if not 0.0 < theta <= 2.0 * math.pi:
         raise InvalidStateError(f"pulse area theta must lie in (0, 2 pi], got {theta}")
-    field = CoherentField(alpha=math.sqrt(n_bar), n_max=n_max)
-    duration = theta / (2.0 * g * math.sqrt(n_bar))
+    field = CoherentField(alpha=math.sqrt(n_bar))
+    duration = theta / (2.0 * math.sqrt(n_bar))
     target = matvec(rotation(theta), atom_start.amplitudes)
     # <psi_perp| = (-target_a, target_b) projects each Fock level's atom state
-    return _population(atom_start, field, g, duration,
+    return _population(atom_start, field, 1.0, duration,
                        (-target[1].conjugate(), target[0].conjugate()))

@@ -151,7 +151,7 @@ def min_eigenvalue(h) -> float:
     trace and determinant."""
     (a, b), (_, d) = h
     a, d = a.real, d.real
-    return 0.5 * (a + d) - math.hypot(0.5 * (a - d), abs(b))
+    return 0.5 * (a + d) - math.hypot(0.5 * (a - d), math.hypot(b.real, b.imag))
 
 
 def purity(m) -> float:
@@ -163,7 +163,10 @@ def purity(m) -> float:
 def _invariants(m) -> tuple:
     """Hermiticity residue, trace, smallest eigenvalue and purity of one 2x2 matrix."""
     (a, b), (c, d) = m
-    herm = max(2.0 * abs(a.imag), abs(b - c.conjugate()), 2.0 * abs(d.imag))
+    # |b - c*| as hypot of its parts: abs() of a complex raises OverflowError
+    # where hypot returns inf
+    herm = max(2.0 * abs(a.imag), math.hypot(b.real - c.real, b.imag + c.imag),
+               2.0 * abs(d.imag))
     return herm, a + d, min_eigenvalue(m), purity(m)
 
 
@@ -227,7 +230,7 @@ def check_density_columns(rho_bb, rho_aa, re_rho_ab, im_rho_ab) -> None:
             and abs(max(trace) - 1.0) <= TRACE_TOL and abs(min(trace) - 1.0) <= TRACE_TOL
             and 0.5 - PURITY_SLACK <= min(pur) and max(pur) <= 1.0 + PURITY_SLACK):
         return
-    lowest = [0.5 * t - math.hypot(0.5 * (b - a), abs(complex(r, i)))
+    lowest = [0.5 * t - math.hypot(0.5 * (b - a), math.hypot(r, i))
               for t, b, a, r, i in zip(trace, rho_bb, rho_aa, re_rho_ab, im_rho_ab)]
     _refuse_broken(list(zip(repeat(0.0), map(complex, trace), lowest, pur)))
 

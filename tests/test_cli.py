@@ -2,6 +2,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -416,6 +417,27 @@ class TestCompare:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and len(err) < 200
         assert "Fock levels exceeds 2000000" in err
+
+    def test_photon_numbers_at_the_level_cap_keep_their_verdict(self):
+        # Near the cap the rounded window nbar +- 10 sqrt(nbar) holds one level
+        # more for some photon numbers than for their neighbours: integers are
+        # refused from 9999860001 on, half-integers accepted up to 9999869999.5.
+        # Each verdict is recomputed here from the level count, on
+        # alpha = sqrt(nbar), without CoherentField.
+        def accepted(n_bar):
+            n_bar = math.sqrt(n_bar) ** 2
+            root = math.sqrt(n_bar)
+            levels = (math.ceil(n_bar + 10 * root) + 12
+                      - max(0, math.floor(n_bar - 10 * root)) + 1)
+            return 20 * root <= 2e6 and levels <= 2e6
+
+        points = [base + step for base in range(9_999_859_990, 9_999_870_011, 100)
+                  for step in (0.0, 0.25, 0.5, 0.75)] + [9999860000.0, 9999860001.0, 9999869999.5]
+        verdicts = [accepted(n_bar) for n_bar in points]
+        assert any(verdicts) and not all(verdicts)
+        for n_bar, ok in zip(points, verdicts):
+            code, _ = run_stdout("compare", "--n_bars", repr(n_bar))
+            assert code == (EXIT_OK if ok else EXIT_CONFIG), n_bar
 
     @given(gate=st.sampled_from(sorted(GATE_AREAS)), start=st.sampled_from(sorted(START_STATES)),
            n_bars=st.lists(st.one_of(st.floats(0.0, 1e6), st.sampled_from([1e16, 1e300])),
