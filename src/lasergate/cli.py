@@ -10,7 +10,7 @@ C*m); no unit suffixes are parsed.  Output is CSV (or a text report for
 and floats printed to 12 significant digits, so identical configs produce
 byte-identical output.
 
-Exit codes: 0 success, 2 invalid config or parameter, 3 numerical failure.
+Exit codes: 0 success, 2 invalid config, parameter or unwritable output, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -68,15 +68,15 @@ def _fmt(x: float) -> str:
 
 
 def _format_rows(rows) -> str:
-    """The rows of a table as comma-separated :func:`_fmt` fields, one line
-    per row, with no newline after the last row: one ``'%.11e'`` template
-    for the whole table, applied once."""
+    """The rows of a table as comma-separated fields, one line per row, with no
+    newline after the last row: one template, by the field types of the first
+    row (:func:`_fmt` for floats, strings unchanged), applied once."""
     rows = iter(rows)
     first = next(rows, None)
     if first is None:
         return ""
     values = (*first, *chain.from_iterable(rows))
-    line = ",".join(["%.11e"] * len(first))
+    line = ",".join(["%s" if isinstance(field, str) else "%.11e" for field in first])
     return "\n".join([line] * (len(values) // len(first))) % values
 
 
@@ -346,11 +346,9 @@ def run_budget(cfg: dict) -> str:
     # p_total is one value, and kappa * A = (Gamma sigma_eff / A) * A lies within
     # a few ulps of Gamma sigma_eff: each distinct value of those two columns is
     # formatted once.  Neither holds a negative zero, so equal values print alike.
-    line = "%.11e,%.11e,%s,%.11e,%.11e,%s"
-    values = chain.from_iterable(zip(sweep.area, sweep.kappa, _formatted(sweep.kappa_times_area),
-                                     sweep.n_bar, sweep.laser_mode_error,
-                                     _formatted(sweep.total_error)))
-    table_rows = "\n".join([line] * len(sweep.area)) % tuple(values)
+    table_rows = _format_rows(zip(sweep.area, sweep.kappa, _formatted(sweep.kappa_times_area),
+                                  sweep.n_bar, sweep.laser_mode_error,
+                                  _formatted(sweep.total_error)))
 
     if cfg["format"] == "csv":
         lines = [f"# {name}={_fmt(value)}" for name, value in scalars + raman_lines]
@@ -376,23 +374,17 @@ def run_compare(cfg: dict) -> str:
 
     theta = _gate_area(cfg["gate"])
     state = _start_state(cfg["start"])
-    n_bars = cfg["n_bars"]
-    if not n_bars:
+    if not cfg["n_bars"]:
         raise ConfigError("n_bars must list at least one photon number")
-    if any(nb < 25 for nb in n_bars):
-        raise ConfigError("photon numbers must be >= 25 (semiclassical regime)")
-    for n_bar in n_bars:  # a Fock window too wide to evolve is refused before any work
-        jc.CoherentField(alpha=math.sqrt(n_bar))
+    n_bars = jc.check_photon_numbers(cfg["n_bars"])  # before any work
 
     experiment = gates.GateExperiment(pulse_area=theta, initial_state=state)
     ratios = [budget.drive_ratio_for_photons(theta, n_bar) for n_bar in n_bars]
     markov = gates.sweep_failure_probabilities(experiment, ratios)
-    lines = ["model,gate,n_bar,p,p_times_n_bar"]
-    for n_bar, p_markov in zip(n_bars, markov):
-        p_jc = jc.jc_gate_error(theta, state, n_bar)
-        for model, p in (("markov", p_markov), ("jc", p_jc)):
-            lines.append(f"{model},{cfg['gate']},{_fmt(n_bar)},{_fmt(p)},{_fmt(p * n_bar)}")
-    return "\n".join(lines) + "\n"
+    table = ((model, cfg["gate"], n_bar, p, p * n_bar)
+             for n_bar, p_markov in zip(n_bars, markov)
+             for model, p in (("markov", p_markov), ("jc", jc.jc_gate_error(theta, state, n_bar))))
+    return "\n".join(["model,gate,n_bar,p,p_times_n_bar", _format_rows(table), ""])
 
 
 RUNNERS = {
@@ -427,8 +419,7 @@ def main(argv=None) -> int:
     word, then ``--key value`` pairs.  Returns the exit code."""
     args = sys.argv[1:] if argv is None else list(argv)
     if "-h" in args or "--help" in args:
-        sys.stdout.write(HELP)
-        return EXIT_OK
+        return _write(HELP, None)
     if not args or args[0] not in RUNNERS:
         problem = f"unknown command {args[0]!r}" if args else "missing command"
         sys.stderr.write(f"{USAGE}error: {problem}; choose from {', '.join(RUNNERS)}\n")
@@ -449,27 +440,35 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    if out:
-        try:
+    return _write(output, out)
+
+
+def _write(text: str, out) -> int:
+    """Write ``text`` to the file ``out``, or to stdout and flush it; returns
+    the exit code, 2 if either fails.  A failed flush keeps its bytes
+    buffered, so nothing flushes stdout again: :func:`entry` skips the
+    teardown that would."""
+    try:
+        if out:
             with open(out, "w", encoding="utf-8", newline="") as fh:
-                fh.write(output)
-        except OSError as exc:
-            print(f"error: cannot write {out!r}: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
-    else:
-        sys.stdout.write(output)
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+    except OSError as exc:
+        print(f"error: cannot write {repr(out) if out else 'stdout'}: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     return EXIT_OK
 
 
 def entry() -> None:
     """The console script: :func:`main` on ``sys.argv``, then exit at once.
 
-    Once stdout and stderr are flushed (a failed flush raises here), nothing
-    is left to do, so the interpreter's teardown, about 20 ms of freeing
-    what the process is about to return anyway, is skipped.
+    :func:`main` has flushed stdout; once stderr is flushed too, nothing is
+    left to do, so the interpreter's teardown, about 20 ms of freeing what
+    the process is about to return anyway, is skipped.
     """
     code = main()
-    sys.stdout.flush()
     sys.stderr.flush()
     os._exit(code)
 

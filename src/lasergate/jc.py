@@ -18,9 +18,9 @@ Only the Poisson window n_min <= n <= n_max is evolved, with
 n_min = max(0, floor(nbar - 10 sqrt(nbar))) and
 n_max = ceil(nbar + 10 sqrt(nbar)) + 12: about 20 sqrt(nbar) levels, whatever
 nbar is.  The window is fixed, and the Poisson mass outside it is at most
-2e-21 at every nbar up to the level cap (about 1.1e-22 at its largest, near
-nbar = 24).  That is a property of the window, pinned by a test against the
-exact Poisson tails, not a check made at run time.
+2e-21 at every nbar up to the cap ``MAX_N_BAR`` = 1e10 (about 1.1e-22 at its
+largest, near nbar = 24).  That is a property of the window, pinned by a test
+against the exact Poisson tails, not a check made at run time.
 
 The semiclassical correspondence used throughout: a pulse of area theta lasts
 T = theta / (2 g sqrt(nbar)), i.e. the mean-field Rabi frequency is
@@ -39,11 +39,11 @@ from .qcore import DensityMatrix, InvalidStateError, PureState, Record, matvec, 
 # physics beyond that is out of scope for single-pulse gates.
 MAX_RABI_PERIODS = 5.0
 
-# Most Fock levels a field may keep, reached by the window at nbar of
-# about 1e10.  Nothing holds the window level by level: a gate error reads
-# about 80 of its levels whatever its width.  So this fixes the photon range
-# that ``compare`` accepts, not a time or memory cost.
-MAX_FOCK_LEVELS = 2 * 10**6
+# Largest mean photon number a field may hold.  A gate error reads about 80
+# levels of its window whatever nbar is, so this fixes the photon range that
+# ``compare`` accepts, not a cost.  It stays at 1e10 until the ~5e-24 floor
+# that p shows from about nbar = 1e12 on is understood.
+MAX_N_BAR = 1e10
 
 # stirlerr(m) = log(m!) - log(sqrt(2 pi m) (m / e)^m) for m = 0..15, to the
 # nearest double (the m = 0 entry is a placeholder: P_0 is read directly)
@@ -95,30 +95,18 @@ class CoherentField(Record):
     """Coherent field of real amplitude alpha, kept on Fock levels n_min..n_max.
 
     The window is derived from alpha alone: n_min = max(0, floor(nbar -
-    10 sqrt(nbar))) and n_max = ceil(nbar + 10 sqrt(nbar)) + 12.  It may hold
-    at most ``MAX_FOCK_LEVELS`` levels.  The Poisson mass outside it is at most
-    2e-21 for every field that passes that cap.
+    10 sqrt(nbar))) and n_max = ceil(nbar + 10 sqrt(nbar)) + 12.  The mean
+    photon number nbar = alpha^2 may be at most ``MAX_N_BAR``; the Poisson
+    mass outside the window is at most 2e-21 for every such field.
     """
 
     alpha: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.alpha) and self.alpha >= 0):
-            raise InvalidStateError(
-                f"alpha must be finite and >= 0 (real by phase convention), got {self.alpha}")
-        width = 20.0 * math.sqrt(self.alpha ** 2)
-        # every window holds at least 20 sqrt(nbar) levels: checked before the
-        # window is rounded to nbar +- 10 sqrt(nbar), which from nbar ~ 1e33 on
-        # loses the width to the spacing of doubles
-        if width > MAX_FOCK_LEVELS:
-            raise InvalidStateError(
-                f"Poisson window of {width:.3g} Fock levels exceeds {MAX_FOCK_LEVELS}"
-            )
-        levels = self.n_max - self.n_min + 1
-        if levels > MAX_FOCK_LEVELS:
-            raise InvalidStateError(
-                f"Poisson window of {levels} Fock levels exceeds {MAX_FOCK_LEVELS}"
-            )
+        # a NaN fails too; for every double, alpha <= 1e5 exactly when alpha^2 <= 1e10
+        if not 0 <= self.alpha <= math.sqrt(MAX_N_BAR):
+            raise InvalidStateError(f"alpha must lie in [0, sqrt(MAX_N_BAR)] (real by phase"
+                                    f" convention), got {self.alpha}")
 
     @property
     def mean_photons(self) -> float:
@@ -248,6 +236,18 @@ def jc_evolve(atom_start: PureState, field: CoherentField, g: float,
     return DensityMatrix(((rho_bb, rho_ab.conjugate()), (rho_ab, rho_aa)))
 
 
+def check_photon_numbers(n_bars) -> tuple:
+    """``n_bars`` as floats, refused unless each lies in [25, MAX_N_BAR]: the
+    semiclassical regime, up to the cap.  ``compare`` calls it before any
+    Markov or Jaynes-Cummings work, and :func:`jc_gate_error` on its nbar."""
+    n = tuple(map(float, n_bars))
+    for n_bar in n:
+        if not 25 <= n_bar <= MAX_N_BAR:  # a NaN fails too
+            raise InvalidStateError(f"nbar must lie in [25, MAX_N_BAR = {MAX_N_BAR:g}], the"
+                                    f" semiclassical regime up to the cap, got {n_bar}")
+    return n
+
+
 def jc_gate_error(theta: float, atom_start: PureState, n_bar: float) -> float:
     """Failure probability of a theta pulse against its semiclassical target.
 
@@ -258,8 +258,8 @@ def jc_gate_error(theta: float, atom_start: PureState, n_bar: float) -> float:
     atom_start : PureState
         Two-level initial state.
     n_bar : float
-        Mean photon number of the coherent field, >= 25, and small enough
-        that its fixed Poisson window fits ``MAX_FOCK_LEVELS``.
+        Mean photon number of the coherent field, in [25, ``MAX_N_BAR``]
+        (see :func:`check_photon_numbers`).
 
     Returns
     -------
@@ -270,8 +270,7 @@ def jc_gate_error(theta: float, atom_start: PureState, n_bar: float) -> float:
         fixed window of :class:`CoherentField`, so p is accurate relative to
         itself rather than to 1, with no 1 - F cancellation.
     """
-    if not n_bar >= 25:
-        raise InvalidStateError(f"semiclassical regime requires nbar >= 25, got {n_bar}")
+    check_photon_numbers((n_bar,))
     if not 0.0 < theta <= 2.0 * math.pi:
         raise InvalidStateError(f"pulse area theta must lie in (0, 2 pi], got {theta}")
     field = CoherentField(alpha=math.sqrt(n_bar))

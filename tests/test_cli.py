@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import lasergate
-from lasergate import cli, gates
+from lasergate import cli, gates, jc
 from lasergate.cli import (
     EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, GATE_AREAS, MAX_ROWS, START_STATES, main,
 )
@@ -404,40 +404,38 @@ class TestCompare:
     def test_small_photon_numbers_rejected(self, tmp_path):
         assert run(tmp_path, "compare", "--n_bars", "10,400")[0] == EXIT_CONFIG
 
-    def test_fock_window_beyond_the_level_cap_rejected(self, tmp_path, capsys):
-        # about 2e9 Fock levels: refused before the Markov or JC work starts
-        assert run(tmp_path, "compare", "--n_bars", "400,1e16")[0] == EXIT_CONFIG
-        assert "Fock levels" in capsys.readouterr().err
+    def test_fock_window_beyond_the_level_cap_rejected(self, monkeypatch):
+        # refused before the Markov or JC work starts
+        def no_work(*args):
+            raise AssertionError("work started on a refused photon grid")
+
+        monkeypatch.setattr(gates, "sweep_failure_probabilities", no_work)
+        monkeypatch.setattr(jc, "jc_gate_error", no_work)
+        code, out, err = run_captured("compare", "--n_bars", "400,1e16")
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert err == ("error: nbar must lie in [25, MAX_N_BAR = 1e+10], the semiclassical regime"
+                       " up to the cap, got 1e+16\n")
 
     @pytest.mark.parametrize("n_bar", ["1e34", "1e40", "1e300"])
     def test_huge_photon_number_refused_in_one_short_line(self, tmp_path, capsys, n_bar):
         # nbar +- 10 sqrt(nbar) rounds to a window of a few levels from 1e33 on;
-        # the level cap must refuse it, not a tail bound over 300-digit integers
+        # the cap on nbar refuses it, with no window built
         assert run(tmp_path, "compare", "--n_bars", n_bar)[0] == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and len(err) < 200
-        assert "Fock levels exceeds 2000000" in err
+        assert "MAX_N_BAR = 1e+10" in err
 
-    def test_photon_numbers_at_the_level_cap_keep_their_verdict(self):
-        # Near the cap the rounded window nbar +- 10 sqrt(nbar) holds one level
-        # more for some photon numbers than for their neighbours: integers are
-        # refused from 9999860001 on, half-integers accepted up to 9999869999.5.
-        # Each verdict is recomputed here from the level count, on
-        # alpha = sqrt(nbar), without CoherentField.
-        def accepted(n_bar):
-            n_bar = math.sqrt(n_bar) ** 2
-            root = math.sqrt(n_bar)
-            levels = (math.ceil(n_bar + 10 * root) + 12
-                      - max(0, math.floor(n_bar - 10 * root)) + 1)
-            return 20 * root <= 2e6 and levels <= 2e6
-
+    def test_photon_numbers_up_to_the_cap_are_accepted(self):
+        # The cap is on nbar, so acceptance is monotone: every point up to
+        # 1e10 runs, every point above it is refused.  Here the level count of
+        # the rounded window nbar +- 10 sqrt(nbar) crosses 2e6 back and forth
+        # with the fractional part of nbar; it must not decide the verdict.
         points = [base + step for base in range(9_999_859_990, 9_999_870_011, 100)
                   for step in (0.0, 0.25, 0.5, 0.75)] + [9999860000.0, 9999860001.0, 9999869999.5]
-        verdicts = [accepted(n_bar) for n_bar in points]
-        assert any(verdicts) and not all(verdicts)
-        for n_bar, ok in zip(points, verdicts):
-            code, _ = run_stdout("compare", "--n_bars", repr(n_bar))
-            assert code == (EXIT_OK if ok else EXIT_CONFIG), n_bar
+        for n_bar in [*points, 9999999999.0, 1e10]:
+            assert run_stdout("compare", "--n_bars", repr(n_bar))[0] == EXIT_OK, n_bar
+        for n_bar in (math.nextafter(1e10, math.inf), 1e11, 1e16):
+            assert run_stdout("compare", "--n_bars", repr(n_bar))[0] == EXIT_CONFIG, n_bar
 
     @given(gate=st.sampled_from(sorted(GATE_AREAS)), start=st.sampled_from(sorted(START_STATES)),
            n_bars=st.lists(st.one_of(st.floats(0.0, 1e6), st.sampled_from([1e16, 1e300])),
@@ -463,8 +461,10 @@ class TestWorkBound:
 
 
 def template_rows(table) -> str:
-    """The table printer's oracle: the %-template, one field at a time."""
-    return "\n".join(",".join("%.11e" % x for x in row) for row in np.asarray(table).tolist())
+    """The table printer's oracle: the %-template, one field at a time, and
+    strings unchanged."""
+    return "\n".join(",".join(x if isinstance(x, str) else "%.11e" % x for x in row)
+                     for row in table)
 
 
 class TestTablePrinter:
@@ -494,6 +494,13 @@ class TestTablePrinter:
 
     def test_empty_table(self):
         assert cli._format_rows(np.empty((0, 3))) == ""
+
+    def test_strings_pass_through(self):
+        # the template follows the types of the first row
+        table = [("jc", 2.5, "100%"), ("markov", -0.0, "%s %d")]
+        assert cli._format_rows(table) == template_rows(table)
+        assert cli._format_rows(table) == ("jc,2.50000000000e+00,100%\n"
+                                           "markov,-0.00000000000e+00,%s %d")
 
     @pytest.mark.parametrize("argv", [
         ["simulate", "--start", "plus", "--theta", "11", "--ratio", "25", "--samples", "500"],
@@ -569,12 +576,13 @@ sys.exit(main(sys.argv[1:]))
         assert (proc.returncode, proc.stdout) == run_stdout(*argv)
 
 
-def run_entry(*argv):
-    """The console script in a fresh interpreter, its stdout a block-buffered pipe."""
+def run_entry(*argv, stdout=subprocess.PIPE):
+    """The console script in a fresh interpreter, its stdout a block-buffered
+    pipe unless another file is given."""
     env = {**os.environ, "PYTHONPATH": str(Path(lasergate.__file__).parents[1])}
     env.pop("PYTHONUNBUFFERED", None)
     return subprocess.run([sys.executable, "-c", "from lasergate.cli import entry; entry()",
-                           *argv], capture_output=True, env=env, timeout=120)
+                           *argv], stdout=stdout, stderr=subprocess.PIPE, env=env, timeout=120)
 
 
 BUDGET_20000 = ("budget", "--wavelength", "1e-6", "--mode_area", "1e-12", "--dipole", "1e-29",
@@ -617,6 +625,17 @@ class TestConsoleEntry:
         proc = run_entry()
         assert proc.returncode == EXIT_CONFIG and proc.stdout == b""
         assert b"missing command" in proc.stderr
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("argv", [("sweep", "--points", "8"), BUDGET_20000],
+                             ids=["flush", "write"])
+    def test_failed_stdout_write_exits_two_in_one_line(self, argv):
+        # a small output fails at the flush, a large one already at the write
+        with open("/dev/full", "wb") as full:
+            proc = run_entry(*argv, stdout=full)
+        assert proc.returncode == EXIT_CONFIG
+        assert proc.stderr.startswith(b"error: cannot write stdout: ")
+        assert proc.stderr.count(b"\n") == 1 and len(proc.stderr) < 200
 
 
 class TestPlumbing:

@@ -8,9 +8,10 @@ from scipy.stats import poisson
 
 import oracles
 from lasergate.jc import (
-    MAX_FOCK_LEVELS,
+    MAX_N_BAR,
     CoherentField,
     _poisson_weight,
+    check_photon_numbers,
     jc_evolve,
     jc_gate_error,
 )
@@ -25,12 +26,12 @@ P_TIMES_NBAR = {100: 0.61574343, 400: 0.61657366, 1600: 0.61678113}
 DENSE_N_BARS = sorted(set(np.geomspace(25.0, 2e5, 201).tolist()) | {6400.0, 30000.0, 40000.0})
 
 # photon numbers at which the window's outside mass is pinned, from the
-# vacuum to the level cap.  Each tail is largest where its window edge steps
+# vacuum to the cap.  Each tail is largest where its window edge steps
 # up: where nbar + 10 sqrt(nbar) is an integer for n_max, and where
 # nbar - 10 sqrt(nbar) is one for n_min; those points are taken to well past
 # the peak near nbar = 24.  Also: the semiclassical floor 25, the stride step
 # at 64, n_min leaving 0 above 100, the benchmark's 1-2-5 compare grid and the
-# largest accepted photon numbers.
+# photon numbers at and just below the cap MAX_N_BAR = 1e10.
 TAIL_N_BARS = sorted(
     set(np.linspace(0.0, 130.0, 131).tolist())
     | set(np.geomspace(130.0, 9.99986e9, 100).tolist())
@@ -38,8 +39,12 @@ TAIL_N_BARS = sorted(
     | {(math.sqrt(25.0 + k) + 5.0) ** 2 for k in range(60)}
     | {0.5, 24.5, 25.5, 121.0, 6400.0, 30000.0}
     | {1e3, 2e3, 5e3, 1e4, 2e4, 5e4, 1e5, 2e5, 5e5, 1e6}
-    | {9.9e9, 9999860000.0, 9999869999.5}
+    | {9.9e9, 9999860000.0, 9999860001.0, 9999869999.5, 9999999999.0, 1e10}
 )
+
+# the largest photon numbers, up to the cap itself: windows of more than
+# 2e6 levels, ceil(nbar + 10 sqrt(nbar)) + 12 - floor(nbar - 10 sqrt(nbar)) + 1
+CAP_N_BARS = [9999860001.0, 9999999999.0, MAX_N_BAR]
 
 GATE_CASES = {
     "pi-ground": (math.pi, PureState.ground()),
@@ -101,18 +106,18 @@ class TestCoherentField:
         assert exact <= 2e-21
 
     def test_fock_window_capped(self):
+        # the cap is on nbar = alpha^2, checked as alpha <= sqrt(MAX_N_BAR) = 1e5;
+        # for every double the two agree, since sqrt and squaring round monotonically
+        root = math.sqrt(MAX_N_BAR)
+        assert root * root == MAX_N_BAR
+        assert math.sqrt(math.nextafter(MAX_N_BAR, math.inf)) > root
+        assert math.nextafter(root, math.inf) ** 2 > MAX_N_BAR
         # constructing a field allocates nothing; only its evolution would
-        wide = CoherentField(alpha=math.sqrt(0.99e10))
-        assert wide.n_max - wide.n_min + 1 <= MAX_FOCK_LEVELS
-        with pytest.raises(InvalidStateError, match="Fock levels"):
-            CoherentField(alpha=math.sqrt(1e10))
-        # 20 sqrt(nbar) = 1999986 levels fit, but the rounded window does not
-        with pytest.raises(InvalidStateError, match="window of 2000001 Fock levels"):
-            CoherentField(alpha=math.sqrt(9999860001.0))
-        # nbar = 1e34: about 20 sqrt(nbar) = 2e18 levels, though nbar +- 10 sqrt(nbar)
-        # differ by 2**61 once rounded
-        with pytest.raises(InvalidStateError, match=r"window of 2e\+18 Fock levels"):
-            CoherentField(alpha=1e17)
+        widest = CoherentField(alpha=root)
+        assert widest.mean_photons == MAX_N_BAR
+        for alpha in (math.nextafter(root, math.inf), math.sqrt(1e11), 1e17, 1e154):
+            with pytest.raises(InvalidStateError, match=r"in \[0, sqrt\(MAX_N_BAR\)\]"):
+                CoherentField(alpha=alpha)
 
     def test_negative_alpha_rejected(self):
         with pytest.raises(InvalidStateError):
@@ -122,6 +127,25 @@ class TestCoherentField:
     def test_non_finite_alpha_rejected(self, alpha):
         with pytest.raises(InvalidStateError, match="alpha"):
             CoherentField(alpha=alpha)
+
+
+class TestPhotonNumbers:
+    def test_domain_is_25_to_the_cap(self):
+        n_bars = [25, 25.0, 400, 9.9e9, *CAP_N_BARS]
+        assert check_photon_numbers(n_bars) == tuple(map(float, n_bars))
+        assert check_photon_numbers(()) == ()
+
+    @pytest.mark.parametrize("n_bar", [24.999999999999996, 0.0, -400.0, math.nan])
+    def test_below_the_semiclassical_floor_refused(self, n_bar):
+        with pytest.raises(InvalidStateError, match="semiclassical"):
+            check_photon_numbers([400.0, n_bar])
+
+    @pytest.mark.parametrize("n_bar", [math.nextafter(MAX_N_BAR, math.inf), 1e11, 1e300, math.inf])
+    def test_above_the_cap_refused(self, n_bar):
+        with pytest.raises(InvalidStateError, match=r"in \[25, MAX_N_BAR = 1e\+10\]"):
+            check_photon_numbers([400.0, n_bar])
+        with pytest.raises(InvalidStateError, match="MAX_N_BAR"):
+            jc_gate_error(math.pi, PureState.ground(), n_bar)
 
 
 class TestPoissonWeight:
@@ -225,6 +249,16 @@ class TestAgainstMultiprecision:
         assert time.perf_counter() - start < 0.1
         assert abs((p * n_bar - math.pi**2 / 16) * n_bar - PI_GROUND_NEXT_ORDER) <= 2e-6
 
+    @pytest.mark.parametrize("n_bar", CAP_N_BARS)
+    def test_next_order_holds_at_the_cap(self, n_bar):
+        # (p nbar - pi^2/16) nbar is at the double-precision floor here (about
+        # 2e-6 at 9999860001), so p itself is checked, to 1e-15 relative
+        start = time.perf_counter()
+        p = jc_gate_error(math.pi, PureState.ground(), n_bar)
+        assert time.perf_counter() - start < 0.1
+        want = (math.pi**2 / 16 + PI_GROUND_NEXT_ORDER / n_bar) / n_bar
+        assert abs(p - want) <= 1e-15 * want
+
 
 class TestGateError:
     def test_pi_from_ground_reference_values(self):
@@ -262,7 +296,8 @@ class TestGateError:
     def test_non_finite_photon_number_rejected(self):
         with pytest.raises(InvalidStateError, match="nbar"):
             jc_gate_error(math.pi, PureState.ground(), math.nan)
-        with pytest.raises(InvalidStateError, match="alpha"):
+        # inf is refused by the cap on nbar, before any field is built
+        with pytest.raises(InvalidStateError, match=r"MAX_N_BAR = 1e\+10\].*got inf$"):
             jc_gate_error(math.pi, PureState.ground(), math.inf)
 
     @pytest.mark.parametrize("n_bar", DENSE_N_BARS)
