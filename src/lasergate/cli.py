@@ -445,13 +445,16 @@ def main(argv=None) -> int:
 
 def _write(text: str, out) -> int:
     """Write ``text`` to the file ``out``, or to stdout and flush it; returns
-    the exit code, 2 if either fails.  A failed flush keeps its bytes
+    the exit code, 2 if either fails or stdout was closed when the process
+    started (``sys.stdout`` is None).  A failed flush keeps its bytes
     buffered, so nothing flushes stdout again: :func:`entry` skips the
     teardown that would."""
     try:
         if out:
             with open(out, "w", encoding="utf-8", newline="") as fh:
                 fh.write(text)
+        elif sys.stdout is None:
+            raise OSError("stdout is closed")
         else:
             sys.stdout.write(text)
             sys.stdout.flush()

@@ -261,19 +261,22 @@ def evolve(rho0: DensityMatrix, pulse: PulseSpec, decay: DecaySpec,
     Returns the validated final state and the :class:`Trajectory` of the
     states at ``config.sample_count + 1`` uniformly spaced times, from the
     initial to the final state; the default ``sample_count`` of 1 samples
-    those two only.  A propagated state that is not a density matrix (the
-    rounding of a long or strongly damped pulse pushed its Bloch vector out
-    of the unit ball, or an unstable RK4 step made it blow up) raises
+    those two only.  The final state is the last sample, at ``pulse_area`` 0
+    too: every sample is then ``rho0`` as its columns read it, with its
+    lower-left coherence.  A propagated state that is not a density matrix
+    (the rounding of a long or strongly damped pulse pushed its Bloch vector
+    out of the unit ball, or an unstable RK4 step made it blow up) raises
     :class:`IntegrationError`.
     """
     g = pulse.drive_coupling
     theta = pulse.pulse_area
     n_segments = config.sample_count
-    if theta == 0.0:  # every sample is rho0, which is also the final state
+    if theta == 0.0:  # every sample, the final state too, is rho0 as its columns read it
         (rho_bb, _), (rho_ab, rho_aa) = rho0.matrix
         columns = (rho_bb.real, rho_aa.real, rho_ab.real, rho_ab.imag)
-        return EvolutionResult(rho0, Trajectory(*((value,) * (n_segments + 1)
-                                                  for value in (0.0, *columns))))
+        return EvolutionResult(DensityMatrix(_matrix(*columns)),
+                               Trajectory(*((value,) * (n_segments + 1)
+                                            for value in (0.0, *columns))))
 
     tau = theta / 2.0 / n_segments  # scaled duration g_alpha * T of one segment
     (x0, xx, xy, xz), (y0, yx, yy, yz), (z0, zx, zy, zz) = _step_rows(decay.rate / g, tau,

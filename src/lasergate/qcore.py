@@ -8,12 +8,12 @@ types enforce that once, at construction: :class:`DensityMatrix` accepts a
 2x2 matrix only and :class:`PureState` 2 amplitudes only.  They also
 validate the physical invariants (Hermiticity, unit trace, positivity,
 normalization).  The density-matrix invariants have one home:
-:func:`check_densities` checks a whole stack of 2x2 matrices in one call, in
-closed form, and a single :class:`DensityMatrix` is a stack of one.
-:func:`check_density_columns` checks the same invariants, with the same
-arithmetic, tolerances and errors, on a trajectory held as columns of
-populations and coherence, without building its matrices.  Every record
-type of the package derives from :class:`Record`.
+:func:`check_density_columns` checks, in closed form, a stack of Hermitian
+matrices held as columns of populations and coherence, as a trajectory is,
+with the purity of :func:`purities`.  :func:`check_densities` checks a stack
+of 2x2 matrices as its Hermiticity residue and then those columns, and a
+single :class:`DensityMatrix` is a stack of one.  Every record type of the
+package derives from :class:`Record`.
 
 Basis ordering for the two-level atom is fixed package-wide:
 index 0 = ground ``|b>``, index 1 = excited ``|a>``.
@@ -22,7 +22,6 @@ index 0 = ground ``|b>``, index 1 = excited ``|a>``.
 from __future__ import annotations
 
 import math
-from itertools import repeat
 from operator import add, mul
 
 # Construction-time invariant tolerances.
@@ -108,13 +107,12 @@ class Record:
 
 def _as_complex_matrix(entries) -> tuple:
     try:
-        m = tuple(tuple(complex(x) for x in row) for row in entries)
+        m = tuple([tuple(map(complex, row)) for row in entries])
     except (TypeError, ValueError) as exc:
         raise InvalidStateError(f"expected a 2x2 matrix of numbers: {exc}") from None
-    if len(m) != 2 or any(len(row) != 2 for row in m):
-        raise InvalidStateError(
-            f"expected a 2x2 matrix, got rows of lengths {[len(row) for row in m]}"
-        )
+    lengths = [len(row) for row in m]
+    if lengths != [2, 2]:
+        raise InvalidStateError(f"expected a 2x2 matrix, got rows of lengths {lengths}")
     return m
 
 
@@ -146,78 +144,42 @@ def logspace(start: float, stop: float, num: int) -> tuple:
     return (*(_exp10(i * step + start) for i in range(num - 1)), _exp10(stop))
 
 
-def min_eigenvalue(h) -> float:
-    """Smallest eigenvalue of a 2x2 Hermitian matrix, in closed form from
-    trace and determinant."""
-    (a, b), (_, d) = h
-    a, d = a.real, d.real
-    return 0.5 * (a + d) - math.hypot(0.5 * (a - d), math.hypot(b.real, b.imag))
-
-
-def purity(m) -> float:
-    """tr(rho^2) of one 2x2 matrix."""
-    (a, b), (c, d) = m
-    return ((a * a + b * c) + (c * b + d * d)).real
-
-
-def _invariants(m) -> tuple:
-    """Hermiticity residue, trace, smallest eigenvalue and purity of one 2x2 matrix."""
-    (a, b), (c, d) = m
-    # |b - c*| as hypot of its parts: abs() of a complex raises OverflowError
-    # where hypot returns inf
-    herm = max(2.0 * abs(a.imag), math.hypot(b.real - c.real, b.imag + c.imag),
-               2.0 * abs(d.imag))
-    return herm, a + d, min_eigenvalue(m), purity(m)
-
-
 _BROKEN = (
-    "density matrix not Hermitian: residue {:.3e}",
-    "density matrix trace {:.12g} != 1",
-    "density matrix not positive: min eigenvalue {:.3e}",
-    "purity {:.12g} outside [1/2, 1]",
+    ("density matrix not Hermitian: residue {:.3e}", lambda herm: herm > HERMITICITY_TOL),
+    ("density matrix trace {:.12g} != 1", lambda trace: abs(trace - 1.0) > TRACE_TOL),
+    ("density matrix not positive: min eigenvalue {:.3e}", lambda lo: lo < -POSITIVITY_SLACK),
+    ("purity {:.12g} outside [1/2, 1]",
+     lambda pur: not 0.5 - PURITY_SLACK <= pur <= 1.0 + PURITY_SLACK),
 )
 
 
-def _refuse_broken(values) -> None:
-    """Raise :class:`InvalidStateError` for the first broken invariant, in the
-    order of ``_BROKEN``, of the first matrix that breaks it; ``values`` holds
-    the :func:`_invariants` of each matrix of a stack."""
-    broken = [(herm > HERMITICITY_TOL, abs(trace - 1.0) > TRACE_TOL, lo < -POSITIVITY_SLACK,
-               not 0.5 - PURITY_SLACK <= pur <= 1.0 + PURITY_SLACK)
-              for herm, trace, lo, pur in values]
-    for k, text in enumerate(_BROKEN):
-        for i, flags in enumerate(broken):
-            if flags[k]:
-                message = text.format(values[i][k])
-                raise InvalidStateError(message if len(values) == 1 else f"state {i}: {message}")
-
-
-def check_densities(states) -> None:
-    """Raise :class:`InvalidStateError` unless every 2x2 matrix of the stack
-    ``states`` is Hermitian, of unit trace, positive semidefinite and of
-    purity in [1/2, 1], within the tolerances above.  The error names the
-    first broken invariant, in that order, and the first matrix that breaks
-    it (by index, in a stack of several)."""
-    _refuse_broken([_invariants(m) for m in states])
+def _refuse_broken(checks, columns) -> None:
+    """Raise :class:`InvalidStateError` for the first of ``checks``, (message,
+    test) pairs of ``_BROKEN``, that a value of its column of ``columns``
+    fails, naming the matrix of the first such value (by index, in a stack
+    of several)."""
+    for (text, broken), column in zip(checks, columns):
+        for i, value in enumerate(column):
+            if broken(value):
+                message = text.format(value)
+                raise InvalidStateError(message if len(column) == 1 else f"state {i}: {message}")
 
 
 def purities(rho_bb, rho_aa, re_rho_ab, im_rho_ab) -> list:
     """tr(rho^2) of each matrix ((rho_bb, rho_ab*), (rho_ab, rho_aa)) given by
-    its columns of populations and coherence, bit for bit as :func:`purity`
-    computes it from the complex matrix."""
+    its columns of populations and coherence."""
     return [(b * b + (p := r * r + i * i)) + (p + a * a)
             for b, a, r, i in zip(rho_bb, rho_aa, re_rho_ab, im_rho_ab)]
 
 
 def check_density_columns(rho_bb, rho_aa, re_rho_ab, im_rho_ab) -> None:
-    """:func:`check_densities` on the stack of matrices ((rho_bb, rho_ab*),
-    (rho_ab, rho_aa)), read from their columns of populations and coherence
-    without building a matrix.
-
-    Such a matrix is Hermitian by construction, and its trace, smallest
-    eigenvalue and purity are computed with the arithmetic of
-    :func:`_invariants`, so the verdict and the error are the same, NaN rows
-    included.
+    """Raise :class:`InvalidStateError` unless every matrix ((rho_bb, rho_ab*),
+    (rho_ab, rho_aa)) of the stack given by its columns of populations and
+    coherence is of unit trace, positive semidefinite and of purity in
+    [1/2, 1], within the tolerances above; such a matrix is Hermitian by
+    construction.  The error names the first broken invariant, in that
+    order, and the first matrix that breaks it (by index, in a stack of
+    several).  NaN entries fail.
     """
     trace = list(map(add, rho_bb, rho_aa))
     pur = purities(rho_bb, rho_aa, re_rho_ab, im_rho_ab)
@@ -232,7 +194,28 @@ def check_density_columns(rho_bb, rho_aa, re_rho_ab, im_rho_ab) -> None:
         return
     lowest = [0.5 * t - math.hypot(0.5 * (b - a), math.hypot(r, i))
               for t, b, a, r, i in zip(trace, rho_bb, rho_aa, re_rho_ab, im_rho_ab)]
-    _refuse_broken(list(zip(repeat(0.0), map(complex, trace), lowest, pur)))
+    _refuse_broken(_BROKEN[1:], (list(map(complex, trace)), lowest, pur))
+
+
+def check_densities(states) -> None:
+    """Raise :class:`InvalidStateError` unless every 2x2 matrix of the stack
+    ``states`` is Hermitian within ``HERMITICITY_TOL`` and its Hermitian form
+    ((Re rho_bb, rho_ab*), (rho_ab, Re rho_aa)), with rho_ab its lower-left
+    entry, passes :func:`check_density_columns`.  A residue is refused first,
+    in the first matrix that has one, before any other invariant."""
+    residues, rho_bb, rho_aa, re_rho_ab, im_rho_ab = [], [], [], [], []
+    for (a, b), (c, d) in states:  # one pass: the cost of a single DensityMatrix
+        # |b - c*| as hypot of its parts: abs() of a complex raises
+        # OverflowError where hypot returns inf
+        residues.append(max(2.0 * abs(a.imag), math.hypot(b.real - c.real, b.imag + c.imag),
+                            2.0 * abs(d.imag)))
+        rho_bb.append(a.real)
+        rho_aa.append(d.real)
+        re_rho_ab.append(c.real)
+        im_rho_ab.append(c.imag)
+    if not max(residues, default=0.0) <= HERMITICITY_TOL:  # or a NaN hid a larger residue
+        _refuse_broken(_BROKEN[:1], (residues,))
+    check_density_columns(rho_bb, rho_aa, re_rho_ab, im_rho_ab)
 
 
 class DensityMatrix(Record):
@@ -247,7 +230,8 @@ class DensityMatrix(Record):
         object.__setattr__(self, "matrix", m)
 
     def purity(self) -> float:
-        return purity(self.matrix)
+        (rho_bb, _), (rho_ab, rho_aa) = self.matrix
+        return purities((rho_bb.real,), (rho_aa.real,), (rho_ab.real,), (rho_ab.imag,))[0]
 
 
 class PureState(Record):

@@ -13,13 +13,18 @@ Every routine here deliberately avoids the code paths under test:
   Fock level 0..n_max in 40-digit mpmath arithmetic as 1 - F, where the
   cancellation still leaves over 30 digits;
 * a Poisson weight is read from mpmath's log-gamma in 40 digits, not from a
-  Stirling series or a recurrence.
+  Stirling series or a recurrence;
+* a density matrix's invariants come from numpy's dense routines, the
+  smallest eigenvalue from LAPACK's ``eigvalsh``, not from the closed forms
+  of the validator.
 """
 
 import mpmath
 import numpy as np
 from scipy.integrate import quad
 from scipy.linalg import expm
+
+from lasergate.qcore import HERMITICITY_TOL, POSITIVITY_SLACK, PURITY_SLACK, TRACE_TOL
 
 SIGMA_MINUS = np.array([[0, 1], [0, 0]], dtype=complex)
 SIGMA_PLUS = SIGMA_MINUS.conj().T
@@ -210,3 +215,61 @@ def poisson_weight_mp(m: int, n_bar: float) -> mpmath.mpf:
             return root if m == 0 else mpmath.mpf(0)
         nb = mpmath.mpf(n_bar)
         return root * mpmath.exp(m * mpmath.log(nb) - nb - mpmath.loggamma(m + 1))
+
+
+def density_invariants(m) -> tuple:
+    """Hermiticity residue max |m - m^H|, trace, smallest eigenvalue and
+    purity tr(h^2) of a 2x2 matrix ``m``, the last two of its Hermitian form
+    h: the real diagonal of ``m`` and its lower-left entry, which is all
+    ``eigvalsh`` reads of it.
+
+    The eigenvalue is ``eigvalsh``'s, of h scaled to entries of at most 1 so
+    that it cannot overflow.  Where h is not finite it is the limit instead:
+    -inf for a finite diagonal and an infinite coherence, NaN otherwise.
+    tr(h^2) of a Hermitian h is the sum of its entries' squared moduli.
+    """
+    m = np.asarray(m, dtype=complex)
+    h = np.diag(m.diagonal().real).astype(complex)
+    h[1, 0], h[0, 1] = m[1, 0], np.conj(m[1, 0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        residue = float(np.max(np.abs(m - m.conj().T)))
+        if not np.isfinite(h.diagonal()).all():
+            lowest = np.nan
+        elif not np.isfinite(h[1, 0]):
+            lowest = -np.inf if np.abs(h[1, 0]) == np.inf else np.nan
+        else:
+            scale = float(np.max(np.abs(h.view(float)))) or 1.0
+            lowest = float(np.linalg.eigvalsh(h / scale)[0]) * scale
+        return residue, float(np.trace(h).real), lowest, float(np.vdot(h, h).real)
+
+
+# Each invariant of a density matrix, and when a value of it is broken:
+# a comparison with NaN is False, so NaN breaks the purity only.
+DENSITY_INVARIANTS = (
+    ("Hermitian", lambda residue: residue > HERMITICITY_TOL),
+    ("trace", lambda trace: abs(trace - 1.0) > TRACE_TOL),
+    ("positive", lambda lowest: lowest < -POSITIVITY_SLACK),
+    ("purity", lambda purity: not 0.5 - PURITY_SLACK <= purity <= 1.0 + PURITY_SLACK),
+)
+
+
+def first_broken_invariant(matrices):
+    """(name, i): the first of ``DENSITY_INVARIANTS`` that a matrix of the
+    stack breaks, and the first matrix i that breaks it; None if every
+    matrix is a density matrix."""
+    values = [density_invariants(m) for m in matrices]
+    for k, (name, broken) in enumerate(DENSITY_INVARIANTS):
+        for i, invariants in enumerate(values):
+            if broken(invariants[k]):
+                return name, i
+    return None
+
+
+def near_tolerance_edge(matrices, margin: float = 1e-12) -> bool:
+    """Whether an invariant of a matrix of the stack lies within ``margin``
+    of a tolerance edge, where rounding may decide the verdict."""
+    edges = ((HERMITICITY_TOL,), (1.0 - TRACE_TOL, 1.0 + TRACE_TOL), (-POSITIVITY_SLACK,),
+             (0.5 - PURITY_SLACK, 1.0 + PURITY_SLACK))
+    return any(abs(value - edge) < margin
+               for m in matrices
+               for value, at in zip(density_invariants(m), edges) for edge in at)

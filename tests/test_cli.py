@@ -21,7 +21,7 @@ from lasergate.cli import (
     EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, GATE_AREAS, MAX_ROWS, START_STATES, main,
 )
 from lasergate.lindblad import DecaySpec, IntegratorConfig, PulseSpec, evolve
-from lasergate.qcore import purity
+from lasergate.qcore import DensityMatrix
 
 
 def run(tmp_path, *argv, name="out.csv"):
@@ -150,7 +150,8 @@ class TestSimulate:
                             config).trajectory
         want = ["t,rho_bb,rho_aa,re_rho_ab,im_rho_ab,purity"]
         for t, m in zip(trajectory.times, trajectory.states):
-            values = (t, m[0][0].real, m[1][1].real, m[1][0].real, m[1][0].imag, purity(m))
+            values = (t, m[0][0].real, m[1][1].real, m[1][0].real, m[1][0].imag,
+                      DensityMatrix(m).purity())
             want.append(",".join(map(cli._fmt, values)))
         assert run_stdout("simulate", *argv) == (EXIT_OK, "\n".join(want) + "\n")
 
@@ -576,13 +577,14 @@ sys.exit(main(sys.argv[1:]))
         assert (proc.returncode, proc.stdout) == run_stdout(*argv)
 
 
-def run_entry(*argv, stdout=subprocess.PIPE):
+def run_entry(*argv, stdout=subprocess.PIPE, **options):
     """The console script in a fresh interpreter, its stdout a block-buffered
-    pipe unless another file is given."""
+    pipe unless another file is given; ``options`` go to ``subprocess.run``."""
     env = {**os.environ, "PYTHONPATH": str(Path(lasergate.__file__).parents[1])}
     env.pop("PYTHONUNBUFFERED", None)
     return subprocess.run([sys.executable, "-c", "from lasergate.cli import entry; entry()",
-                           *argv], stdout=stdout, stderr=subprocess.PIPE, env=env, timeout=120)
+                           *argv], stdout=stdout, stderr=subprocess.PIPE, env=env, timeout=120,
+                          **options)
 
 
 BUDGET_20000 = ("budget", "--wavelength", "1e-6", "--mode_area", "1e-12", "--dipole", "1e-29",
@@ -636,6 +638,15 @@ class TestConsoleEntry:
         assert proc.returncode == EXIT_CONFIG
         assert proc.stderr.startswith(b"error: cannot write stdout: ")
         assert proc.stderr.count(b"\n") == 1 and len(proc.stderr) < 200
+
+    @pytest.mark.skipif(os.name != "posix", reason="closes a descriptor before exec")
+    @pytest.mark.parametrize("argv", [("sweep", "--points", "8"), ("--help",)],
+                             ids=["sweep", "help"])
+    def test_closed_stdout_exits_two_in_one_line(self, argv):
+        # descriptor 1 closed when the interpreter starts leaves sys.stdout None
+        proc = run_entry(*argv, stdout=None, preexec_fn=lambda: os.close(1))
+        assert proc.returncode == EXIT_CONFIG
+        assert proc.stderr == b"error: cannot write stdout: stdout is closed\n"
 
 
 class TestPlumbing:

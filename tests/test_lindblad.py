@@ -123,6 +123,16 @@ class TestEvolve:
         result = evolve(rho0, PulseSpec(1.0, 0.0), DecaySpec(0.3))
         assert np.array_equal(result.final.matrix, rho0.matrix)
 
+    @pytest.mark.parametrize("theta", [0.0, 1e-300], ids=["zero", "tiny"])
+    def test_final_state_is_the_last_sample(self, theta):
+        # rho0 is Hermitian only within the tolerance; both areas read it as
+        # its lower-left coherence, 0.2, not as the upper-right 0.2 + 1e-13j
+        rho0 = DensityMatrix([[0.6, 0.2 + 1e-13j], [0.2, 0.4]])
+        config = IntegratorConfig(sample_count=3)
+        result = evolve(rho0, PulseSpec(1.0, theta), DecaySpec(0.3), config)
+        assert result.final.matrix == result.trajectory.states[-1]
+        assert abs(result.final.matrix[0][1] - 0.2) < 1e-14
+
     @pytest.mark.parametrize("config", [IntegratorConfig(), RK4], ids=["exact", "rk4"])
     def test_against_superoperator_exponential(self, config):
         rng = np.random.default_rng(5)

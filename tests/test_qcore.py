@@ -4,7 +4,7 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
@@ -20,7 +20,6 @@ from lasergate.qcore import (
     check_densities,
     check_density_columns,
     fidelity_pure,
-    min_eigenvalue,
     rotation,
 )
 
@@ -38,6 +37,16 @@ def refusal(check, *args):
     except InvalidStateError as exc:
         return str(exc)
     return None
+
+
+def named(message, count: int):
+    """(invariant, i) of a refusal of a stack of ``count`` matrices, in the
+    names of ``oracles.DENSITY_INVARIANTS``; None for no refusal."""
+    if message is None:
+        return None
+    index, text = message.split(": ", 1) if count > 1 else ("state 0", message)
+    name = next(name for name, _ in oracles.DENSITY_INVARIANTS if name in text)
+    return name, int(index.removeprefix("state "))
 
 
 @st.composite
@@ -124,7 +133,28 @@ class TestDensityMatrixInvariants:
     def test_column_check_is_the_stack_check(self, rows):
         # st.floats() adds NaN, inf, +-0 and rows whose trace is not 1
         matrices = [lindblad._matrix(*row) for row in rows]
-        assert refusal(check_density_columns, *zip(*rows)) == refusal(check_densities, matrices)
+        assume(not oracles.near_tolerance_edge(matrices))
+        want = oracles.first_broken_invariant(matrices)
+        columns = refusal(check_density_columns, *zip(*rows))
+        assert named(columns, len(rows)) == want
+        assert refusal(check_densities, matrices) == columns
+
+    def test_hermitian_within_tolerance_validates_as_its_hermitian_form(self):
+        # the stack check reads the diagonal's real part and the lower-left entry
+        rho = DensityMatrix([[0.6, 0.2 + 1e-13j], [0.2, 0.4]])
+        assert rho.purity() == DensityMatrix([[0.6, 0.2], [0.2, 0.4]]).purity()
+        assert rho.purity() == pytest.approx(oracles.density_invariants(rho.matrix)[3], abs=1e-15)
+        # its trace is that of the real diagonal: no imaginary part is printed
+        with pytest.raises(InvalidStateError, match=r"^density matrix trace 1\.5\+0j != 1$"):
+            DensityMatrix([[1.0 + 4e-13j, 0.0], [0.0, 0.5]])
+
+    def test_residue_is_refused_before_every_other_invariant(self):
+        # each matrix also breaks the trace; the residue is named all the same
+        with pytest.raises(InvalidStateError, match="^density matrix not Hermitian: residue 1"):
+            DensityMatrix([[1.5, 1e-11], [0.0, 0.5]])
+        stack = [np.diag([1.5, 0.5]), np.eye(2) / 2, [[0.5, 2e-12j], [0.0, 0.5]]]
+        with pytest.raises(InvalidStateError, match="^state 2: density matrix not Hermitian"):
+            check_densities(stack)
 
     # |rho_ab| = 1.84e308 leaves the double range though both its parts are finite
     def test_overflowing_coherence_refused_by_the_constructor(self):
@@ -197,10 +227,17 @@ class TestEigensystem:
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
     def test_min_eigenvalue_2x2_closed_form_matches_solver(self, seed):
+        # a unit-trace matrix of random eigenvectors whose smallest eigenvalue
+        # lies in [-1e-8, -1e-9), where the refusal's "%.3e" prints it to 1e-12
         rng = np.random.default_rng(seed)
-        g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        h = g + g.conj().T
-        assert min_eigenvalue(h) == pytest.approx(float(np.linalg.eigvalsh(h)[0]), abs=1e-12)
+        u, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+        low = rng.uniform(-9.9e-9, -1.1e-9)
+        h = u @ np.diag([low, 1.0 - low]) @ u.conj().T
+        h = (h + h.conj().T) / 2
+        message = refusal(DensityMatrix, h)
+        assert message.startswith("density matrix not positive: min eigenvalue ")
+        printed = float(message.rsplit(" ", 1)[1])
+        assert printed == pytest.approx(float(np.linalg.eigvalsh(h)[0]), abs=1e-12)
 
 
 class TestRecord:
