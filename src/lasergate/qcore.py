@@ -145,7 +145,7 @@ def logspace(start: float, stop: float, num: int) -> tuple:
 
 
 _BROKEN = (
-    ("density matrix not Hermitian: residue {:.3e}", lambda herm: herm > HERMITICITY_TOL),
+    ("density matrix not Hermitian: residue {:.3e}", lambda herm: not herm <= HERMITICITY_TOL),
     ("density matrix trace {:.12g} != 1", lambda trace: abs(trace - 1.0) > TRACE_TOL),
     ("density matrix not positive: min eigenvalue {:.3e}", lambda lo: lo < -POSITIVITY_SLACK),
     ("purity {:.12g} outside [1/2, 1]",
@@ -202,19 +202,22 @@ def check_densities(states) -> None:
     ``states`` is Hermitian within ``HERMITICITY_TOL`` and its Hermitian form
     ((Re rho_bb, rho_ab*), (rho_ab, Re rho_aa)), with rho_ab its lower-left
     entry, passes :func:`check_density_columns`.  A residue is refused first,
-    in the first matrix that has one, before any other invariant."""
+    in the first matrix that has one, before any other invariant; the
+    residue is NaN, and refused, where a NaN entry leaves it unknown."""
     residues, rho_bb, rho_aa, re_rho_ab, im_rho_ab = [], [], [], [], []
     for (a, b), (c, d) in states:  # one pass: the cost of a single DensityMatrix
         # |b - c*| as hypot of its parts: abs() of a complex raises
-        # OverflowError where hypot returns inf
-        residues.append(max(2.0 * abs(a.imag), math.hypot(b.real - c.real, b.imag + c.imag),
-                            2.0 * abs(d.imag)))
+        # OverflowError where hypot returns inf.  Each term is >= 0 or NaN, so
+        # their sum is NaN exactly when one is, a NaN max() may drop.
+        x, y, z = (2.0 * abs(a.imag), math.hypot(b.real - c.real, b.imag + c.imag),
+                   2.0 * abs(d.imag))
+        total = x + y + z
+        residues.append(total if math.isnan(total) else max(x, y, z))
         rho_bb.append(a.real)
         rho_aa.append(d.real)
         re_rho_ab.append(c.real)
         im_rho_ab.append(c.imag)
-    if not max(residues, default=0.0) <= HERMITICITY_TOL:  # or a NaN hid a larger residue
-        _refuse_broken(_BROKEN[:1], (residues,))
+    _refuse_broken(_BROKEN[:1], (residues,))
     check_density_columns(rho_bb, rho_aa, re_rho_ab, im_rho_ab)
 
 

@@ -223,6 +223,10 @@ def density_invariants(m) -> tuple:
     h: the real diagonal of ``m`` and its lower-left entry, which is all
     ``eigvalsh`` reads of it.
 
+    The residue is taken part by part, as the hypot of Re(m - m^H), whose
+    diagonal is 0 whatever the real diagonal holds, and of Im(m - m^H); it
+    is NaN where an entry leaves it unknown.
+
     The eigenvalue is ``eigvalsh``'s, of h scaled to entries of at most 1 so
     that it cannot overflow.  Where h is not finite it is the limit instead:
     -inf for a finite diagonal and an infinite coherence, NaN otherwise.
@@ -232,7 +236,9 @@ def density_invariants(m) -> tuple:
     h = np.diag(m.diagonal().real).astype(complex)
     h[1, 0], h[0, 1] = m[1, 0], np.conj(m[1, 0])
     with np.errstate(over="ignore", invalid="ignore"):
-        residue = float(np.max(np.abs(m - m.conj().T)))
+        re_diff, im_diff = m.real - m.real.T, m.imag + m.imag.T
+        np.fill_diagonal(re_diff, 0.0)
+        residue = float(np.max(np.hypot(re_diff, im_diff)))
         if not np.isfinite(h.diagonal()).all():
             lowest = np.nan
         elif not np.isfinite(h[1, 0]):
@@ -243,22 +249,26 @@ def density_invariants(m) -> tuple:
         return residue, float(np.trace(h).real), lowest, float(np.vdot(h, h).real)
 
 
-# Each invariant of a density matrix, and when a value of it is broken:
-# a comparison with NaN is False, so NaN breaks the purity only.
+# Each invariant of a density matrix, and when a value of it is broken: a
+# NaN residue breaks the Hermiticity, and past it a comparison with NaN is
+# False, so NaN breaks the purity only.
 DENSITY_INVARIANTS = (
-    ("Hermitian", lambda residue: residue > HERMITICITY_TOL),
+    ("Hermitian", lambda residue: not residue <= HERMITICITY_TOL),
     ("trace", lambda trace: abs(trace - 1.0) > TRACE_TOL),
     ("positive", lambda lowest: lowest < -POSITIVITY_SLACK),
     ("purity", lambda purity: not 0.5 - PURITY_SLACK <= purity <= 1.0 + PURITY_SLACK),
 )
 
 
-def first_broken_invariant(matrices):
+def first_broken_invariant(matrices, hermitian: bool = False):
     """(name, i): the first of ``DENSITY_INVARIANTS`` that a matrix of the
     stack breaks, and the first matrix i that breaks it; None if every
-    matrix is a density matrix."""
+    matrix is a density matrix.  A ``hermitian`` stack is Hermitian by
+    construction, as columns of populations and coherence hold it: its
+    residue is not checked."""
     values = [density_invariants(m) for m in matrices]
-    for k, (name, broken) in enumerate(DENSITY_INVARIANTS):
+    checks = list(enumerate(DENSITY_INVARIANTS))[1 if hermitian else 0:]
+    for k, (name, broken) in checks:
         for i, invariants in enumerate(values):
             if broken(invariants[k]):
                 return name, i
@@ -270,6 +280,10 @@ def near_tolerance_edge(matrices, margin: float = 1e-12) -> bool:
     of a tolerance edge, where rounding may decide the verdict."""
     edges = ((HERMITICITY_TOL,), (1.0 - TRACE_TOL, 1.0 + TRACE_TOL), (-POSITIVITY_SLACK,),
              (0.5 - PURITY_SLACK, 1.0 + PURITY_SLACK))
-    return any(abs(value - edge) < margin
+    # the residue is the same hypot or doubled part on both sides, within an
+    # ulp of each other, so its edge needs a margin relative to its size only
+    margins = (margin * HERMITICITY_TOL, margin, margin, margin)
+    return any(abs(value - edge) < within
                for m in matrices
-               for value, at in zip(density_invariants(m), edges) for edge in at)
+               for value, at, within in zip(density_invariants(m), edges, margins)
+               for edge in at)

@@ -68,6 +68,21 @@ def bloch_row(draw):
     return row
 
 
+@st.composite
+def near_hermitian_matrix(draw):
+    """The matrix of a bloch_row with its upper-right entry and the imaginary
+    parts of its diagonal drawn on their own: each part exact, within 3e-12
+    of exact, about HERMITICITY_TOL, or any finite float or NaN."""
+    (a, b), (c, d) = lindblad._matrix(*draw(bloch_row()))
+
+    def part(exact):
+        return draw(st.just(exact) | st.floats(-3e-12, 3e-12).map(lambda e: exact + e)
+                    | st.floats(allow_infinity=False))
+
+    return ((complex(a.real, part(0.0)), complex(part(b.real), part(b.imag))),
+            (c, complex(d.real, part(0.0))))
+
+
 class TestOperators:
     @pytest.mark.parametrize("theta", [0.0, math.pi / 2, math.pi, 2 * math.pi, 11.0])
     def test_rotation_matches_expm(self, theta):
@@ -134,10 +149,39 @@ class TestDensityMatrixInvariants:
         # st.floats() adds NaN, inf, +-0 and rows whose trace is not 1
         matrices = [lindblad._matrix(*row) for row in rows]
         assume(not oracles.near_tolerance_edge(matrices))
-        want = oracles.first_broken_invariant(matrices)
         columns = refusal(check_density_columns, *zip(*rows))
-        assert named(columns, len(rows)) == want
-        assert refusal(check_densities, matrices) == columns
+        assert named(columns, len(rows)) == oracles.first_broken_invariant(matrices,
+                                                                           hermitian=True)
+        # a NaN or infinite coherence leaves b - c* NaN, a residue the stack
+        # check refuses; short of one, it refuses as the columns do
+        stack = refusal(check_densities, matrices)
+        want = oracles.first_broken_invariant(matrices)
+        assert named(stack, len(rows)) == want
+        if want is None or want[0] != "Hermitian":
+            assert stack == columns
+
+    @given(stack=st.lists(near_hermitian_matrix(), min_size=1, max_size=4))
+    @settings(max_examples=500, deadline=None)
+    def test_stack_check_matches_the_oracle_off_hermitian(self, stack):
+        assume(not oracles.near_tolerance_edge(stack))
+        message = refusal(check_densities, stack)
+        want = oracles.first_broken_invariant(stack)
+        assert named(message, len(stack)) == want
+        if want is not None and want[0] == "Hermitian":
+            residue = oracles.density_invariants(stack[want[1]])[0]
+            assert message.endswith(f"not Hermitian: residue {residue:.3e}")
+
+    @pytest.mark.parametrize("matrix", [
+        [[0.5, math.nan], [0.0, 0.5]], [[complex(0.5, math.nan), 0.0], [0.0, 0.5]],
+        [[0.5, 0.0], [0.0, complex(0.5, math.nan)]], [[0.5, 0.0], [math.nan, 0.5]],
+    ], ids=["upper-right", "imag-ground", "imag-excited", "lower-left"])
+    def test_nan_residue_is_refused(self, matrix):
+        # the columns read neither the upper-right entry nor the diagonal's
+        # imaginary parts: a NaN there must fail as the residue it leaves
+        with pytest.raises(InvalidStateError, match="^density matrix not Hermitian: residue nan$"):
+            DensityMatrix(matrix)
+        with pytest.raises(InvalidStateError, match="^state 1: density matrix not Hermitian"):
+            check_densities([np.eye(2) / 2, matrix])
 
     def test_hermitian_within_tolerance_validates_as_its_hermitian_form(self):
         # the stack check reads the diagonal's real part and the lower-left entry
