@@ -17,10 +17,9 @@ __version__ = "0.1.0"
 
 # module -> the public names it defines
 _EXPORTS = {
-    "budget": ("AtomModel", "BeamGeometry", "CODATA", "FieldSpec", "PhotonBudget",
-               "PhysicalConstants", "RamanSpec", "energy_density_bound",
-               "fixed_intensity_area_sweep", "kappa_from_beam", "min_photon_constraint",
-               "photon_budget", "raman_constraint", "spontaneous_emission_margins"),
+    "budget": ("AtomModel", "BeamGeometry", "CODATA", "FieldSpec", "PhysicalConstants",
+               "PiPulseBudget", "RamanSpec", "fixed_intensity_area_sweep", "kappa_from_beam",
+               "pi_pulse_budget", "raman_constraint"),
     "gates": ("ErrorCoefficient", "GateExperiment", "extract_coefficient",
               "failure_probability"),
     "jc": ("CoherentField", "jc_evolve", "jc_gate_error"),

@@ -1,11 +1,15 @@
-"""Unit-bearing physics: beam geometry, decay-rate geometry, photon-number and
-energy budgets, and the minimum-energy constraint chain.
+"""Unit-bearing physics: beam geometry, decay-rate geometry, and the photon and
+energy budget of one resonant pi pulse, computed once by
+:func:`pi_pulse_budget`, with its far-detuned Raman variant and the
+fixed-intensity beam-area sweep.
 
 Everything here is an algebraic calculator over SI inputs (m, s, W, C*m); the
 dimensionless gate-error results from :mod:`lasergate.gates` connect to these
-through the flux relation Phi = Omega_R^2 / (4 kappa).  All functions accept an
-explicit :class:`PhysicalConstants`, so the whole module is invariant under a
-global change of the time unit (rates * s, times / s, hbar / s, c * s).
+through the flux relation Phi = Omega_R^2 / (4 kappa).  Every pulse is a pi
+pulse, its duration T = pi / Omega_R derived, not chosen.  The functions that
+use a physical constant accept an explicit :class:`PhysicalConstants`, so the
+whole module is invariant under a global change of the time unit (rates * s,
+times / s, hbar / s, c * s).
 
 Margins are reported as ratios (satisfied iff margin > 1), which keeps them
 meaningful across many orders of magnitude.
@@ -121,68 +125,46 @@ class FieldSpec(Record):
         return atom.dipole_moment * self.amplitude / constants.hbar
 
 
-class PhotonBudget(Record):
-    """Photon counts of one pulse and the accuracy verdict they imply.
+class PiPulseBudget(Record):
+    """The budget of one resonant pi pulse, T = pi / Omega_R: the report's
+    scalar lines, in SI base units and in print order.
 
-    ``n_bar`` counts photons in the whole pulse (P T / hbar omega);
-    ``n_bar_prime`` counts only those within the volume sigma_eff * c * T
-    around the atom.  Their ratio is the geometric factor A / sigma_eff.
+    ``n_bar`` counts photons in the whole pulse (P T / hbar omega),
+    ``n_bar_prime`` only those within sigma_eff * c * T around the atom.  The
+    four ``margin_*`` fields are one constraint (> 1 = pass) along independent
+    routes, a cross-check of the unit chain: eps / (Gamma T); eps Omega_R^2 T /
+    (pi^2 Gamma); the same from the raw (omega, d, E0); and the field energy in
+    sigma_eff c T over (pi^2/4) hbar omega / eps, which is ``constraint_margin``.
+    ``min_energy_per_lambda3_J`` = (16 pi^2 / 3) hbar / (epsilon T), exact for
+    one photon per epsilon, though usually quoted as ~hbar/(epsilon T).
     """
 
-    intensity: float
-    power: float
-    flux: float
+    wavelength_m: float
+    mode_area_m2: float
+    omega_rad_per_s: float
+    sigma_eff_m2: float
+    gamma_per_s: float
+    kappa_per_s: float
+    rabi_frequency_rad_per_s: float
+    intensity_W_per_m2: float
+    power_W: float
+    duration_s: float
+    epsilon: float
     n_bar: float
     n_bar_prime: float
-    epsilon: float
     required_n_bar_prime: float
+    energy_in_volume_J: float
+    energy_threshold_J: float
+    constraint_margin: float
+    margin_purity_form: float
+    margin_rabi_form: float
+    margin_explicit_form: float
+    margin_energy_form: float
+    min_energy_per_lambda3_J: float
 
     @property
     def satisfied(self) -> bool:
-        return self.n_bar_prime > self.required_n_bar_prime
-
-
-class ConstraintReport(Record):
-    satisfied: bool
-    margin: float
-    energy_in_volume: float
-    energy_threshold: float
-    n_bar_prime: float
-    required_n_bar_prime: float
-
-
-class SpontaneousEmissionMargins(Record):
-    """One constraint, four algebraically identical forms (all ratios > 1 = pass):
-
-    purity_form   eps / (Gamma T)
-    rabi_form     eps Omega_R^2 T / (pi^2 Gamma)
-    explicit_form same as rabi_form but evaluated from raw (omega, d, E0)
-    energy_form   field energy in sigma_eff c T over (pi^2/4) hbar omega / eps
-    """
-
-    purity_form: float
-    rabi_form: float
-    explicit_form: float
-    energy_form: float
-
-    @property
-    def satisfied(self) -> bool:
-        return self.purity_form > 1.0
-
-
-class EnergyDensityBound(Record):
-    """Minimum field energy around the atom for gate error below epsilon.
-
-    ``energy_per_wavelength_cubed`` = (16 pi^2 / 3) hbar / (epsilon T); the
-    coefficient is exact for the one-photon-per-epsilon requirement, though the
-    bound is usually quoted only to order of magnitude as hbar/(epsilon T).
-    Multiply by pi^2/4 for the stricter pulse-chain threshold used in
-    :func:`min_photon_constraint`.
-    """
-
-    energy_per_wavelength_cubed: float
-    energy_density: float
-    coefficient: float = ENERGY_PER_WAVELENGTH_CUBED_COEFFICIENT
+        return self.constraint_margin > 1.0
 
 
 class RamanSpec(Record):
@@ -206,7 +188,8 @@ class RamanSpec(Record):
 
 
 class RamanReport(Record):
-    """Verdict on Gamma/Delta < epsilon, plus the detuning-eliminated form.
+    """Verdict on Gamma/Delta < epsilon for a two-photon pi pulse of
+    ``duration`` T = pi / Omega_eff, plus the detuning-eliminated form.
 
     Substituting Delta = Omega_R^2 T / pi turns the purity-loss bound into
     pi * Gamma / (Omega_R^2 T) < epsilon: a single power of pi, a factor pi
@@ -214,6 +197,7 @@ class RamanReport(Record):
     absorbed.
     """
 
+    duration: float
     satisfied: bool
     margin: float
     purity_loss: float
@@ -250,127 +234,76 @@ def photon_coefficient(coefficient_vs_ratio: float, theta: float) -> float:
     return coefficient_vs_ratio * theta / 2.0
 
 
-def photon_budget(atom: AtomModel, beam: BeamGeometry, field: FieldSpec,
-                  duration: float | None = None, epsilon: float = 1e-4,
-                  constants: PhysicalConstants = CODATA) -> PhotonBudget:
-    """Photon counts for one pulse; ``duration=None`` means the pi-pulse time."""
-    _check_epsilon(epsilon)
-    omega = atom.transition_frequency
-    intensity = field.intensity(constants)
-    power = intensity * beam.mode_area
-    duration = _pulse_duration(duration, atom, field, constants)
-    photon_energy = constants.hbar * omega
-    return PhotonBudget(
-        intensity=intensity,
-        power=power,
-        flux=power / photon_energy,
-        n_bar=power * duration / photon_energy,
-        n_bar_prime=intensity * beam.scattering_cross_section * duration / photon_energy,
-        epsilon=epsilon,
-        required_n_bar_prime=PHOTON_THRESHOLD_COEFFICIENT / epsilon,
-    )
-
-
-def min_photon_constraint(atom: AtomModel, field: FieldSpec, beam: BeamGeometry,
-                          duration: float | None = None, epsilon: float = 1e-4,
-                          constants: PhysicalConstants = CODATA) -> ConstraintReport:
-    """Energy-form accuracy constraint for one pulse.
-
-    The field energy within the volume sigma_eff * c * T must exceed
-    (pi^2 / 4) hbar omega / epsilon; equivalently the photon count in that
-    volume must exceed (pi^2 / 4) / epsilon.
+def pi_pulse_budget(atom: AtomModel, beam: BeamGeometry, field: FieldSpec,
+                    epsilon: float = 1e-4,
+                    constants: PhysicalConstants = CODATA) -> PiPulseBudget:
+    """Photon counts, the minimum-energy constraint and the energy floor of one
+    resonant pi pulse.  The constraint: the field energy within sigma_eff * c * T
+    must exceed (pi^2 / 4) hbar omega / epsilon, i.e. nbar' > (pi^2 / 4) / epsilon.
     """
+    hbar, c, eps0 = constants.hbar, constants.c, constants.epsilon0
+    gamma = atom.decay_rate(constants)
+    sigma_eff = beam.scattering_cross_section
+    rabi = field.rabi_frequency(atom, constants)
+    duration = math.pi / rabi
+    # each refusal follows the arithmetic before it, so inputs that overflow
+    # there are a numerical failure (exit 3), not a refused value (exit 2)
     _check_epsilon(epsilon)
-    duration = _pulse_duration(duration, atom, field, constants)
-    energy_density = 0.5 * constants.epsilon0 * field.amplitude ** 2
-    volume = beam.scattering_cross_section * constants.c * duration
-    energy_in_volume = energy_density * volume
-    photon_energy = constants.hbar * atom.transition_frequency
+    intensity = field.intensity(constants)
+    if not duration > 0:  # Omega_R overflowed
+        raise InvalidStateError(f"duration must be > 0, got {duration}")
+    omega, d, e0 = atom.transition_frequency, atom.dipole_moment, field.amplitude
+    photon_energy = hbar * omega
+    power = intensity * beam.mode_area
+    energy_in_volume = 0.5 * eps0 * e0 ** 2 * (sigma_eff * c * duration)
     threshold = PHOTON_THRESHOLD_COEFFICIENT * photon_energy / epsilon
     margin = energy_in_volume / threshold
-    return ConstraintReport(
-        satisfied=margin > 1.0,
-        margin=margin,
-        energy_in_volume=energy_in_volume,
-        energy_threshold=threshold,
-        n_bar_prime=energy_in_volume / photon_energy,
+    # pi^2 Gamma / Omega_R^2 from the raw inputs, bypassing decay_rate and rabi_frequency
+    explicit_lhs = (RESONANT_CHAIN_COEFFICIENT
+                    * (omega ** 3 * d ** 2 / (3.0 * math.pi * eps0 * hbar * c ** 3))
+                    * (hbar / (d * e0)) ** 2)
+    return PiPulseBudget(
+        wavelength_m=beam.wavelength,
+        mode_area_m2=beam.mode_area,
+        omega_rad_per_s=omega,
+        sigma_eff_m2=sigma_eff,
+        gamma_per_s=gamma,
+        kappa_per_s=gamma * sigma_eff / beam.mode_area,
+        rabi_frequency_rad_per_s=rabi,
+        intensity_W_per_m2=intensity,
+        power_W=power,
+        duration_s=duration,
+        epsilon=epsilon,
+        n_bar=power * duration / photon_energy,
+        n_bar_prime=intensity * sigma_eff * duration / photon_energy,
         required_n_bar_prime=PHOTON_THRESHOLD_COEFFICIENT / epsilon,
+        energy_in_volume_J=energy_in_volume,
+        energy_threshold_J=threshold,
+        constraint_margin=margin,
+        margin_purity_form=epsilon / (gamma * duration),
+        margin_rabi_form=epsilon * rabi ** 2 * duration / (RESONANT_CHAIN_COEFFICIENT * gamma),
+        margin_explicit_form=epsilon * duration / explicit_lhs,
+        margin_energy_form=margin,
+        min_energy_per_lambda3_J=(ENERGY_PER_WAVELENGTH_CUBED_COEFFICIENT * hbar
+                                  / (epsilon * duration)),
     )
 
 
-def spontaneous_emission_margins(atom: AtomModel, field: FieldSpec, beam: BeamGeometry,
-                                 duration: float | None = None, epsilon: float = 1e-4,
-                                 constants: PhysicalConstants = CODATA) -> SpontaneousEmissionMargins:
-    """All four forms of the minimum-energy constraint for a pi pulse.
+def raman_constraint(raman: RamanSpec, gamma: float, epsilon: float) -> RamanReport:
+    """Accuracy verdict for a far-detuned Raman pi pulse, T = pi / Omega_eff.
 
-    With T = pi / Omega_R the four margins are algebraically identical; they
-    are computed along independent routes as a cross-check of the unit chain.
-    """
-    _check_epsilon(epsilon)
-    gamma = atom.decay_rate(constants)
-    rabi = field.rabi_frequency(atom, constants)
-    duration = _pulse_duration(duration, atom, field, constants)
-
-    purity_form = epsilon / (gamma * duration)
-    rabi_form = epsilon * rabi ** 2 * duration / (RESONANT_CHAIN_COEFFICIENT * gamma)
-
-    # Same bound evaluated from the raw inputs, bypassing decay_rate and
-    # rabi_frequency: pi^2 * [omega^3 d^2/(3 pi eps0 hbar c^3)] * [hbar/(d E0)]^2 < eps T.
-    w, d, e0 = atom.transition_frequency, atom.dipole_moment, field.amplitude
-    lhs = (
-        RESONANT_CHAIN_COEFFICIENT
-        * (w ** 3 * d ** 2 / (3.0 * math.pi * constants.epsilon0 * constants.hbar * constants.c ** 3))
-        * (constants.hbar / (d * e0)) ** 2
-    )
-    explicit_form = epsilon * duration / lhs
-
-    energy_form = min_photon_constraint(atom, field, beam, duration, epsilon, constants).margin
-    return SpontaneousEmissionMargins(
-        purity_form=purity_form,
-        rabi_form=rabi_form,
-        explicit_form=explicit_form,
-        energy_form=energy_form,
-    )
-
-
-def energy_density_bound(duration: float, epsilon: float, wavelength: float,
-                         constants: PhysicalConstants = CODATA) -> EnergyDensityBound:
-    """Minimum energy per wavelength cubed near the atom, (16 pi^2/3) hbar/(eps T).
-
-    Derivation: hbar omega / epsilon of energy spread over sigma_eff * c * T,
-    expressed per lambda^3 with omega = 2 pi c / lambda and
-    sigma_eff = 3 lambda^2 / (8 pi); the wavelength cancels.
-    """
-    _check_epsilon(epsilon)
-    if not (duration > 0 and wavelength > 0):
-        raise InvalidStateError("duration and wavelength must be > 0")
-    per_lambda_cubed = ENERGY_PER_WAVELENGTH_CUBED_COEFFICIENT * constants.hbar / (epsilon * duration)
-    return EnergyDensityBound(
-        energy_per_wavelength_cubed=per_lambda_cubed,
-        energy_density=per_lambda_cubed / wavelength ** 3,
-    )
-
-
-def raman_constraint(raman: RamanSpec, gamma: float, duration: float,
-                     epsilon: float) -> RamanReport:
-    """Accuracy verdict for a far-detuned Raman pulse.
-
-    Requires the two-photon pi-pulse condition Omega_eff * T = pi (to 1e-6
-    relative).  The purity loss is Gamma/Delta regardless of T; eliminating the
-    detuning through the pulse condition rewrites it as
+    The purity loss is Gamma/Delta regardless of T; eliminating the detuning
+    through the pulse condition Omega_eff * T = pi rewrites it as
     pi * Gamma / (Omega_R^2 T).
     """
     _check_epsilon(epsilon)
-    if not (gamma > 0 and duration > 0):
-        raise InvalidStateError("gamma and duration must be > 0")
-    pulse_area = raman.effective_rabi_frequency * duration
-    if abs(pulse_area / math.pi - 1.0) > 1e-6:
-        raise InvalidStateError(
-            f"two-photon pulse condition violated: Omega_eff * T = {pulse_area:.9g}, expected pi"
-        )
+    if not gamma > 0:
+        raise InvalidStateError(f"gamma must be > 0, got {gamma}")
+    duration = math.pi / raman.effective_rabi_frequency
     purity_loss = gamma / raman.detuning
     eliminated_lhs = RAMAN_ELIMINATION_COEFFICIENT * gamma / (raman.rabi_frequency ** 2 * duration)
     return RamanReport(
+        duration=duration,
         satisfied=purity_loss < epsilon,
         margin=epsilon / purity_loss,
         purity_loss=purity_loss,
@@ -395,8 +328,8 @@ def fixed_intensity_area_sweep(atom: AtomModel, field: FieldSpec, wavelength: fl
 
     The laser-mode error (3 pi/8) kappa / Omega_R falls off as 1/A while the
     all-modes error, set by Gamma, does not depend on the area at all.  Each
-    column is computed as :func:`kappa_from_beam` and :func:`photon_budget`
-    compute it for one beam.
+    ``kappa`` and ``n_bar`` is computed as :func:`pi_pulse_budget` computes
+    ``kappa_per_s`` and ``n_bar`` for a beam of that area, bit for bit.
     """
     area = tuple(map(float, areas))
     # min skips a NaN that is not first, so finiteness is checked on its own
@@ -420,17 +353,6 @@ def fixed_intensity_area_sweep(atom: AtomModel, field: FieldSpec, wavelength: fl
         laser_mode_error=tuple(PI_PULSE_RABI_SLOPE * k / rabi for k in kappa),
         total_error=(PI_PULSE_RABI_SLOPE * gamma / rabi,) * len(area),
     )
-
-
-def _pulse_duration(duration: float | None, atom: AtomModel, field: FieldSpec,
-                    constants: PhysicalConstants) -> float:
-    """``duration``, or the pi-pulse time pi / Omega_R when it is None;
-    refuses a duration that is not > 0."""
-    if duration is None:
-        duration = math.pi / field.rabi_frequency(atom, constants)
-    if not duration > 0:
-        raise InvalidStateError(f"duration must be > 0, got {duration}")
-    return duration
 
 
 def _check_epsilon(epsilon: float) -> None:

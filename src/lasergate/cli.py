@@ -147,7 +147,6 @@ KEY_SCHEMAS: dict[str, dict] = {
         "dipole": (_finite_float, _REQUIRED),
         "field_amplitude": (_finite_float, _REQUIRED),
         "epsilon": (_finite_float, 1e-4),
-        "duration": (_finite_float, None),
         "raman_detuning": (_finite_float, None),
         "area_sweep_points": (_row_count, 7),
         "area_sweep_max_factor": (_finite_float, 1e6),
@@ -271,22 +270,13 @@ def run_budget(cfg: dict) -> str:
     atom = budget.AtomModel(transition_frequency=omega, dipole_moment=cfg["dipole"])
     field = budget.FieldSpec(amplitude=cfg["field_amplitude"])
 
-    gamma = atom.decay_rate(constants)
-    kappa = budget.kappa_from_beam(atom, beam, constants)
-    rabi = field.rabi_frequency(atom, constants)
-    duration = cfg["duration"] if cfg["duration"] is not None else math.pi / rabi
-    photons = budget.photon_budget(atom, beam, field, duration, cfg["epsilon"], constants)
-    constraint = budget.min_photon_constraint(atom, field, beam, duration, cfg["epsilon"], constants)
-    margins = budget.spontaneous_emission_margins(
-        atom, field, beam, duration, cfg["epsilon"], constants
-    )
-    density_bound = budget.energy_density_bound(duration, cfg["epsilon"], wavelength, constants)
+    report = budget.pi_pulse_budget(atom, beam, field, cfg["epsilon"], constants)
 
     if cfg["area_sweep_points"] < 2:
         raise ConfigError("area_sweep_points must be >= 2")
     if cfg["area_sweep_max_factor"] <= 1:
         raise ConfigError("area_sweep_max_factor must be > 1")
-    sigma_eff = beam.scattering_cross_section
+    sigma_eff = report.sigma_eff_m2
     largest = sigma_eff * cfg["area_sweep_max_factor"]
     if math.isinf(largest):  # finite inputs whose product overflows: numerical, not config
         raise FloatingPointError("the largest sweep area leaves the double range")
@@ -294,48 +284,25 @@ def run_budget(cfg: dict) -> str:
     areas = (sigma_eff, *areas[1:-1], largest)  # 10**log10(x) need not round back to x
     sweep = budget.fixed_intensity_area_sweep(atom, field, wavelength, areas, constants)
 
-    scalars = [
-        ("wavelength_m", wavelength),
-        ("mode_area_m2", beam.mode_area),
-        ("omega_rad_per_s", omega),
-        ("sigma_eff_m2", sigma_eff),
-        ("gamma_per_s", gamma),
-        ("kappa_per_s", kappa),
-        ("rabi_frequency_rad_per_s", rabi),
-        ("intensity_W_per_m2", photons.intensity),
-        ("power_W", photons.power),
-        ("duration_s", duration),
-        ("epsilon", cfg["epsilon"]),
-        ("n_bar", photons.n_bar),
-        ("n_bar_prime", photons.n_bar_prime),
-        ("required_n_bar_prime", constraint.required_n_bar_prime),
-        ("energy_in_volume_J", constraint.energy_in_volume),
-        ("energy_threshold_J", constraint.energy_threshold),
-        ("constraint_margin", constraint.margin),
-        ("margin_purity_form", margins.purity_form),
-        ("margin_rabi_form", margins.rabi_form),
-        ("margin_explicit_form", margins.explicit_form),
-        ("margin_energy_form", margins.energy_form),
-        ("min_energy_per_lambda3_J", density_bound.energy_per_wavelength_cubed),
-    ]
-    verdicts = [("photon_constraint", "satisfied" if constraint.satisfied else "violated")]
+    scalars = list(zip(report._fields, report._values()))
+    verdicts = [("photon_constraint", "satisfied" if report.satisfied else "violated")]
 
     raman_lines: list[tuple[str, float]] = []
     if cfg["raman_detuning"] is not None:
-        raman = budget.RamanSpec(detuning=cfg["raman_detuning"], rabi_frequency=rabi)
-        raman_duration = math.pi / raman.effective_rabi_frequency
-        report = budget.raman_constraint(raman, gamma, raman_duration, cfg["epsilon"])
+        raman = budget.RamanSpec(detuning=cfg["raman_detuning"],
+                                 rabi_frequency=report.rabi_frequency_rad_per_s)
+        verdict = budget.raman_constraint(raman, report.gamma_per_s, cfg["epsilon"])
         raman_lines = [
             ("raman_detuning_rad_per_s", raman.detuning),
             ("raman_effective_rabi_rad_per_s", raman.effective_rabi_frequency),
-            ("raman_duration_s", raman_duration),
-            ("raman_purity_loss", report.purity_loss),
-            ("raman_margin", report.margin),
-            ("raman_eliminated_coefficient", report.eliminated_coefficient),
-            ("resonant_chain_coefficient", report.resonant_chain_coefficient),
-            ("raman_coefficient_gap", report.coefficient_gap),
+            ("raman_duration_s", verdict.duration),
+            ("raman_purity_loss", verdict.purity_loss),
+            ("raman_margin", verdict.margin),
+            ("raman_eliminated_coefficient", verdict.eliminated_coefficient),
+            ("resonant_chain_coefficient", verdict.resonant_chain_coefficient),
+            ("raman_coefficient_gap", verdict.coefficient_gap),
         ]
-        verdicts.append(("raman_constraint", "satisfied" if report.satisfied else "violated"))
+        verdicts.append(("raman_constraint", "satisfied" if verdict.satisfied else "violated"))
 
     columns = (sweep.area, sweep.kappa, sweep.kappa_times_area,
                sweep.n_bar, sweep.laser_mode_error, sweep.total_error)

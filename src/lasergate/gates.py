@@ -16,7 +16,8 @@ import math
 from operator import mul
 
 from .lindblad import DecaySpec, PulseSpec, evolve
-from .qcore import InvalidStateError, PureState, Record, fidelity_pure, logspace, matvec, rotation
+from .qcore import (InvalidStateError, PureState, Record, fidelity_pure, logspace, matvec,
+                    psi_perp, rotation)
 
 # Ratios above this are outside the perturbative regime the linear fit assumes.
 PERTURBATIVE_RATIO_MAX = 1e-2
@@ -166,6 +167,5 @@ def sweep_failure_probabilities(experiment: GateExperiment, ratios) -> tuple:
     pulse = PulseSpec(drive_coupling=1.0, pulse_area=experiment.pulse_area)
     decays = [DecaySpec(float(ratio)) for ratio in ratios]
     rho0 = experiment.initial_state.to_density()
-    target = ideal_target(experiment).amplitudes
-    orthogonal = PureState((-target[1].conjugate(), target[0].conjugate()))
+    orthogonal = PureState(psi_perp(experiment.pulse_area, experiment.initial_state.amplitudes))
     return tuple(fidelity_pure(evolve(rho0, pulse, decay).final, orthogonal) for decay in decays)

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 
-from .qcore import DensityMatrix, InvalidStateError, PureState, Record, matvec, rotation
+from .qcore import DensityMatrix, InvalidStateError, PureState, Record, psi_perp
 
 # Stay within the first few mean-field Rabi periods; collapse and revival
 # physics beyond that is out of scope for single-pulse gates.
@@ -275,7 +275,5 @@ def jc_gate_error(theta: float, atom_start: PureState, n_bar: float) -> float:
         raise InvalidStateError(f"pulse area theta must lie in (0, 2 pi], got {theta}")
     field = CoherentField(alpha=math.sqrt(n_bar))
     duration = theta / (2.0 * math.sqrt(n_bar))
-    target = matvec(rotation(theta), atom_start.amplitudes)
-    # <psi_perp| = (-target_a, target_b) projects each Fock level's atom state
-    return _population(atom_start, field, 1.0, duration,
-                       (-target[1].conjugate(), target[0].conjugate()))
+    # <psi_perp| projects each Fock level's atom state
+    return _population(atom_start, field, 1.0, duration, psi_perp(theta, atom_start.amplitudes))

@@ -281,6 +281,14 @@ def rotation(theta: float) -> tuple:
     return ((c, s), (s, c))
 
 
+def psi_perp(theta: float, psi) -> tuple:
+    """The state orthogonal to the decay-free output rotation(theta) psi:
+    (-t_a*, t_b*) for t = rotation(theta) psi, the state a gate error leaves
+    population in."""
+    t = matvec(rotation(theta), psi)
+    return (-t[1].conjugate(), t[0].conjugate())
+
+
 def fidelity_pure(rho: DensityMatrix, target: PureState) -> float:
     """Overlap <psi|rho|psi>, clamped into [0, 1]."""
     psi = target.amplitudes

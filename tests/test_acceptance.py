@@ -20,10 +20,8 @@ from lasergate.budget import (
     PhysicalConstants,
     RamanSpec,
     kappa_from_beam,
-    min_photon_constraint,
-    photon_budget,
+    pi_pulse_budget,
     raman_constraint,
-    spontaneous_emission_margins,
 )
 from lasergate.cli import EXIT_OK, main
 from lasergate.gates import GateExperiment, extract_coefficient
@@ -109,7 +107,7 @@ def test_all_modes_error_counts_local_photons():
     for _ in range(100):
         atom, beam, field = _random_system(rng)
         rabi = field.rabi_frequency(atom)
-        n_bar_prime = photon_budget(atom, beam, field).n_bar_prime
+        n_bar_prime = pi_pulse_budget(atom, beam, field).n_bar_prime
         p_rate_form = PI_PULSE_RABI_SLOPE * atom.decay_rate() / rabi
         p_photon_form = PI_PULSE_PHOTON_COEFFICIENT / n_bar_prime
         worst = max(worst, abs(p_rate_form / p_photon_form - 1.0))
@@ -128,9 +126,10 @@ def test_constraint_chain_margins_agree():
     for _ in range(100):
         atom, beam, field = _random_system(rng)
         epsilon = 10.0 ** rng.uniform(-6, -1)
-        margins = spontaneous_emission_margins(atom, field, beam, epsilon=epsilon)
-        base = margins.purity_form
-        for other in (margins.rabi_form, margins.explicit_form, margins.energy_form):
+        margins = pi_pulse_budget(atom, beam, field, epsilon=epsilon)
+        base = margins.margin_purity_form
+        for other in (margins.margin_rabi_form, margins.margin_explicit_form,
+                      margins.margin_energy_form):
             worst = max(worst, abs(other / base - 1.0))
     _verdict(
         "minimum-energy constraint chain",
@@ -143,8 +142,7 @@ def test_raman_elimination_coefficient():
     """Eliminating the detuning leaves pi * Gamma/(Omega_R^2 T) < eps; the
     factor-pi gap to the resonant chain's pi^2 is reported, not absorbed."""
     raman = RamanSpec(detuning=1e11, rabi_frequency=1e9)
-    duration = math.pi / raman.effective_rabi_frequency
-    report = raman_constraint(raman, gamma=1e6, duration=duration, epsilon=1e-4)
+    report = raman_constraint(raman, gamma=1e6, epsilon=1e-4)
     elimination_exact = abs(report.eliminated_lhs / report.purity_loss - 1.0) <= 1e-12
     ok = (
         elimination_exact
@@ -244,16 +242,13 @@ def test_state_invariants_on_random_trajectories():
             atom = AtomModel(transition_frequency=omega, dipole_moment=dipole)
             beam = BeamGeometry(wavelength=wavelength, mode_area=area)
             field = FieldSpec(amplitude=amplitude)
-            budget = photon_budget(atom, beam, field, epsilon=epsilon, constants=constants)
-            constraint = min_photon_constraint(
-                atom, field, beam, epsilon=epsilon, constants=constants
-            )
+            budget = pi_pulse_budget(atom, beam, field, epsilon=epsilon, constants=constants)
             p = (
                 PI_PULSE_RABI_SLOPE
                 * kappa_from_beam(atom, beam, constants)
                 / field.rabi_frequency(atom, constants)
             )
-            outputs.append((budget.n_bar, budget.n_bar_prime, constraint.margin, p))
+            outputs.append((budget.n_bar, budget.n_bar_prime, budget.constraint_margin, p))
         for a, b in zip(*outputs):
             worst_rescale = max(worst_rescale, abs(b / a - 1.0))
     rescale_ok = worst_rescale <= 1e-12

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import lasergate
-from lasergate import cli, gates, jc
+from lasergate import budget, cli, gates, jc
 from lasergate.cli import (
     EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, GATE_AREAS, MAX_ROWS, START_STATES, main,
 )
@@ -342,8 +342,9 @@ class TestBudget:
         assert code == EXIT_OK
         assert report_values(payload)["epsilon"] == "1.00000000000e-02"
 
+    # duration is no budget key: the pulse is a pi pulse, T = pi / Omega_R
     @pytest.mark.parametrize("key,value", [("wavelength", "nan"), ("epsilon", "inf"),
-                                           ("duration", "-inf")])
+                                           ("duration", "-inf"), ("raman_detuning", "-inf")])
     def test_non_finite_input_is_config_error(self, tmp_path, key, value):
         assert run(tmp_path, *BUDGET_ARGS, f"--{key}", value)[0] == EXIT_CONFIG
 
@@ -351,7 +352,7 @@ class TestBudget:
            dipole=st.floats(1e-40, 1e-20), field=st.floats(1e-3, 1e12),
            epsilon=st.floats(0.0, 1.0), points=st.integers(0, 12),
            max_factor=st.floats(0.0, 1e12),
-           extra=st.sampled_from([[], ["--duration", "1e-6"], ["--raman_detuning", "1e12"]]),
+           extra=st.sampled_from([[], ["--raman_detuning", "1e20"], ["--raman_detuning", "1e12"]]),
            fmt=st.sampled_from(["text", "csv"]))
     @settings(max_examples=40, deadline=None)
     def test_any_budget_exits_cleanly(self, wavelength, mode_area, dipole, field, epsilon,
@@ -368,6 +369,48 @@ class TestBudget:
         cfg.write_text("wavelength 1e-6\n")
         code, _ = run(tmp_path, "budget", "--config", str(cfg))
         assert code == EXIT_CONFIG
+
+    @pytest.mark.parametrize("fmt", ["text", "csv"])
+    def test_scalar_lines_are_the_budget_fields(self, fmt):
+        code, out, _ = run_captured(*BUDGET_ARGS, "--format", fmt)
+        assert code == EXIT_OK
+        report = budget.pi_pulse_budget(
+            budget.AtomModel(2 * math.pi * budget.CODATA.c / 1e-6, 1e-29),
+            budget.BeamGeometry(1e-6, 1e-12), budget.FieldSpec(1e5))
+        want = [(name, cli._fmt(value)) for name, value in zip(report._fields, report._values())]
+        if fmt == "csv":
+            lines = [line[2:].partition("=") for line in out.splitlines()[:len(want)]]
+            got = [(name, value) for name, _, value in lines]
+        else:
+            lines = out.splitlines()[2:2 + len(want)]
+            got = [(name.rstrip(), value) for name, _, value in (ln.partition(" = ")
+                                                                 for ln in lines)]
+        assert got == want
+
+    def test_duration_is_an_unknown_key(self):
+        code, out, err = run_captured(*BUDGET_ARGS, "--duration", "1e-6")
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert err == "error: unknown key 'duration' for command 'budget'\n"
+
+    def test_raman_duration_overflow_is_numeric_error(self):
+        # Omega_eff underflows far enough that T = pi / Omega_eff overflows
+        code, out, err = run_captured(
+            "budget", "--wavelength", "1.2308244472548009e+93",
+            "--mode_area", "2.4381461235298163e+275", "--dipole", "1.2779269595929032e+134",
+            "--field_amplitude", "6.241152743611056e-290", "--epsilon", "1.8303875294982557e-11",
+            "--raman_detuning", "1.399106507126475e+66")
+        assert (code, out) == (EXIT_NUMERIC, "")
+        assert "double range" in err
+
+    def test_huge_wavelength_budget_is_finite(self):
+        # lambda^3 overflows, but no printed value divides by it
+        code, out, _ = run_captured(
+            "budget", "--wavelength", "4.9403745838072e+110",
+            "--mode_area", "2.0628152787581344e+188", "--dipole", "5.9924290935557576e+110",
+            "--field_amplitude", "1.0770062411084801e-195", "--epsilon", "0.723239078704297",
+            "--format", "csv")
+        assert code == EXIT_OK
+        assert out and not NON_FINITE.search(out), NON_FINITE.search(out)
 
 
 class TestCompare:

@@ -20,6 +20,7 @@ from lasergate.qcore import (
     check_densities,
     check_density_columns,
     fidelity_pure,
+    psi_perp,
     rotation,
 )
 
@@ -98,6 +99,14 @@ class TestOperators:
         # a pi pulse is -i sigma_x, with sigma_x = sigma_+ + sigma_-
         sigma_x = oracles.SIGMA_PLUS + oracles.SIGMA_MINUS
         assert np.max(np.abs(rotation(math.pi) + 1j * sigma_x)) <= 1e-15
+
+    @pytest.mark.parametrize("theta", [0.0, math.pi / 2, math.pi, 11.0])
+    @pytest.mark.parametrize("psi", [(1.0, 0.0), (0.0, 1.0), (0.6, 0.8j)])
+    def test_psi_perp_is_orthogonal_to_the_target(self, theta, psi):
+        target = expm(-0.5j * theta * np.array([[0, 1], [1, 0]], dtype=complex)) @ psi
+        perp = np.array(psi_perp(theta, psi))
+        assert abs(np.vdot(perp, target)) <= 1e-15
+        assert np.linalg.norm(perp) == pytest.approx(1.0, abs=1e-15)
 
 
 class TestFidelity:
