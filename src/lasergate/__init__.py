@@ -22,7 +22,7 @@ _EXPORTS = {
                "pi_pulse_budget", "raman_constraint"),
     "gates": ("ErrorCoefficient", "GateExperiment", "extract_coefficient",
               "failure_probability"),
-    "jc": ("CoherentField", "jc_evolve", "jc_gate_error"),
+    "jc": ("jc_gate_error",),
     "lindblad": ("DecaySpec", "EvolutionResult", "IntegrationError", "IntegratorConfig",
                  "PulseSpec", "evolve"),
     "qcore": ("DensityMatrix", "InvalidStateError", "PureState", "fidelity_pure"),

@@ -245,13 +245,14 @@ def pi_pulse_budget(atom: AtomModel, beam: BeamGeometry, field: FieldSpec,
     gamma = atom.decay_rate(constants)
     sigma_eff = beam.scattering_cross_section
     rabi = field.rabi_frequency(atom, constants)
+    if not 0 < rabi < math.inf:  # T = pi / Omega_R needs a finite, non-zero Omega_R
+        raise FloatingPointError(f"Omega_R = d E0 / hbar = {rabi} leaves the positive double"
+                                 " range for these inputs")
     duration = math.pi / rabi
     # each refusal follows the arithmetic before it, so inputs that overflow
     # there are a numerical failure (exit 3), not a refused value (exit 2)
     _check_epsilon(epsilon)
     intensity = field.intensity(constants)
-    if not duration > 0:  # Omega_R overflowed
-        raise InvalidStateError(f"duration must be > 0, got {duration}")
     omega, d, e0 = atom.transition_frequency, atom.dipole_moment, field.amplitude
     photon_energy = hbar * omega
     power = intensity * beam.mode_area

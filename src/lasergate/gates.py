@@ -16,8 +16,7 @@ import math
 from operator import mul
 
 from .lindblad import DecaySpec, PulseSpec, evolve
-from .qcore import (InvalidStateError, PureState, Record, fidelity_pure, logspace, matvec,
-                    psi_perp, rotation)
+from .qcore import InvalidStateError, PureState, Record, fidelity_pure, logspace, psi_perp
 
 # Ratios above this are outside the perturbative regime the linear fit assumes.
 PERTURBATIVE_RATIO_MAX = 1e-2
@@ -55,11 +54,6 @@ class ErrorCoefficient(Record):
     coefficient_vs_photons: float
     fit_residual: float
     degraded_fit: bool = False
-
-
-def ideal_target(experiment: GateExperiment) -> PureState:
-    """Decay-free output exp(-i theta sigma_x / 2) |psi0>."""
-    return PureState(matvec(rotation(experiment.pulse_area), experiment.initial_state.amplitudes))
 
 
 def failure_probability(experiment: GateExperiment, ratio: float) -> float:

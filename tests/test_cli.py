@@ -402,6 +402,15 @@ class TestBudget:
         assert (code, out) == (EXIT_NUMERIC, "")
         assert "double range" in err
 
+    @pytest.mark.parametrize("dipole,field,value", [("1e130", "1e150", "inf"),
+                                                    ("1e-300", "1e-300", "0.0")],
+                             ids=["overflow", "underflow"])
+    def test_rabi_frequency_out_of_range_is_numeric_error(self, dipole, field, value):
+        # Omega_R = d E0 / hbar leaves (0, inf), so T = pi / Omega_R cannot be formed
+        code, out, err = run_captured(*BUDGET_ARGS, "--dipole", dipole, "--field_amplitude", field)
+        assert (code, out) == (EXIT_NUMERIC, "")
+        assert err.startswith(f"error: numerical failure: Omega_R = d E0 / hbar = {value} ")
+
     def test_huge_wavelength_budget_is_finite(self):
         # lambda^3 overflows, but no printed value divides by it
         code, out, _ = run_captured(

@@ -9,13 +9,13 @@ from scipy.stats import poisson
 import oracles
 from lasergate.jc import (
     MAX_N_BAR,
-    CoherentField,
     _poisson_weight,
+    _population,
+    _window,
     check_photon_numbers,
-    jc_evolve,
     jc_gate_error,
 )
-from lasergate.qcore import InvalidStateError, PureState
+from lasergate.qcore import InvalidStateError, PureState, psi_perp
 
 # p * nbar for a pi pulse from the ground state, frozen from the Poisson sum
 # over sector rotations (asymptotically pi^2/16 ~ 0.617).
@@ -25,9 +25,8 @@ P_TIMES_NBAR = {100: 0.61574343, 400: 0.61657366, 1600: 0.61678113}
 # a tail estimated as 1 - sum(weights) exceeds 1e-10 from rounding alone
 DENSE_N_BARS = sorted(set(np.geomspace(25.0, 2e5, 201).tolist()) | {6400.0, 30000.0, 40000.0})
 
-# photon numbers at which the window's outside mass is pinned, from the
-# vacuum to the cap.  Each tail is largest where its window edge steps
-# up: where nbar + 10 sqrt(nbar) is an integer for n_max, and where
+# photon numbers at which the window's outside mass is pinned, from 0 to
+# the cap.  Each tail is largest where its window edge steps up: where nbar + 10 sqrt(nbar) is an integer for n_max, and where
 # nbar - 10 sqrt(nbar) is one for n_min; those points are taken to well past
 # the peak near nbar = 24.  Also: the semiclassical floor 25, the stride step
 # at 64, n_min leaving 0 above 100, the benchmark's 1-2-5 compare grid and the
@@ -69,64 +68,56 @@ PI_GROUND_NEXT_ORDER = -0.110632319333919
 
 
 class TestCoherentField:
+    """The coherent field enters as its mean photon number nbar = alpha^2,
+    kept on the Fock window of ``_window``."""
+
     def test_mean_photons(self):
-        assert CoherentField(alpha=20.0).mean_photons == 400.0
+        # the window is centred on nbar, 12 levels of headroom aside
+        n_min, n_max = _window(400.0)
+        assert (n_min + n_max - 12) / 2 == 400.0
 
     def test_default_truncation_is_generous(self):
-        field = CoherentField(alpha=20.0)
-        assert field.n_max >= 400 + 10 * 20
+        assert _window(400.0)[1] >= 400 + 10 * 20
 
     def test_weights_normalized_after_truncation(self):
         # the window holds all but 1e-10 of the Poisson mass
-        field = CoherentField(alpha=20.0)
-        weights = [_poisson_weight(n, 400.0) for n in range(field.n_min, field.n_max + 1)]
+        n_min, n_max = _window(400.0)
+        weights = [_poisson_weight(n, 400.0) for n in range(n_min, n_max + 1)]
         assert abs(math.fsum(weights) / math.sqrt(2.0 * math.pi) - 1.0) <= 1e-10
 
-    def test_vacuum_field(self):
-        field = CoherentField(alpha=0.0)
-        weights = [_poisson_weight(n, 0.0) for n in range(field.n_min, field.n_max + 1)]
-        assert weights[0] == math.sqrt(2.0 * math.pi)
-        assert all(w == 0.0 for w in weights[1:])
-
     def test_window_starts_ten_deviations_below_the_mean(self):
-        field = CoherentField(alpha=20.0)
-        assert field.n_min == 200
-        window = [oracles.poisson_weight_mp(n, 400.0) for n in range(field.n_min, field.n_max + 1)]
-        assert len(window) == field.n_max - field.n_min + 1
+        n_min, n_max = _window(400.0)
+        assert n_min == 200
+        window = [oracles.poisson_weight_mp(n, 400.0) for n in range(n_min, n_max + 1)]
+        assert len(window) == n_max - n_min + 1
         assert abs(float(sum(window)) / math.sqrt(2.0 * math.pi) - 1.0) <= 1e-10
-        assert CoherentField(alpha=10.0).n_min == 0
-        assert CoherentField(alpha=0.0).n_min == 0
+        assert _window(100.0) == (0, 212)
+        assert _window(0.0) == (0, 12)
 
     @pytest.mark.parametrize("n_bar", TAIL_N_BARS)
     def test_tail_bound_covers_the_exact_tail(self, n_bar):
         # the window is fixed, so the mass it leaves out is checked here, not at run time
-        field = CoherentField(alpha=math.sqrt(n_bar))
-        n_bar = field.mean_photons
-        exact = poisson.cdf(field.n_min - 1, n_bar) + poisson.sf(field.n_max, n_bar)
+        n_min, n_max = _window(n_bar)
+        exact = poisson.cdf(n_min - 1, n_bar) + poisson.sf(n_max, n_bar)
         assert exact <= 2e-21
 
     def test_fock_window_capped(self):
-        # the cap is on nbar = alpha^2, checked as alpha <= sqrt(MAX_N_BAR) = 1e5;
-        # for every double the two agree, since sqrt and squaring round monotonically
-        root = math.sqrt(MAX_N_BAR)
-        assert root * root == MAX_N_BAR
-        assert math.sqrt(math.nextafter(MAX_N_BAR, math.inf)) > root
-        assert math.nextafter(root, math.inf) ** 2 > MAX_N_BAR
-        # constructing a field allocates nothing; only its evolution would
-        widest = CoherentField(alpha=root)
-        assert widest.mean_photons == MAX_N_BAR
-        for alpha in (math.nextafter(root, math.inf), math.sqrt(1e11), 1e17, 1e154):
-            with pytest.raises(InvalidStateError, match=r"in \[0, sqrt\(MAX_N_BAR\)\]"):
-                CoherentField(alpha=alpha)
+        # the widest window, about 2e6 levels at the cap, of which a gate error
+        # reads about 80; a field above the cap is refused before any is read
+        assert _window(MAX_N_BAR) == (MAX_N_BAR - 1e6, MAX_N_BAR + 1e6 + 12)
+        for n_bar in (math.nextafter(MAX_N_BAR, math.inf), 1e11, 1e34, 1e308):
+            with pytest.raises(InvalidStateError, match=r"in \[25, MAX_N_BAR = 1e\+10\]"):
+                jc_gate_error(math.pi, PureState.ground(), n_bar)
 
     def test_negative_alpha_rejected(self):
-        with pytest.raises(InvalidStateError):
-            CoherentField(alpha=-1.0)
+        # nbar = alpha^2 cannot be negative
+        with pytest.raises(InvalidStateError, match="nbar"):
+            jc_gate_error(math.pi, PureState.ground(), -1.0)
 
     @pytest.mark.parametrize("alpha", [math.nan, math.inf])
     def test_non_finite_alpha_rejected(self, alpha):
-        with pytest.raises(InvalidStateError, match="alpha"):
-            CoherentField(alpha=alpha)
+        with pytest.raises(InvalidStateError, match="nbar"):
+            jc_gate_error(math.pi, PureState.ground(), alpha ** 2)
 
 
 class TestPhotonNumbers:
@@ -149,13 +140,13 @@ class TestPhotonNumbers:
 
 
 class TestPoissonWeight:
-    @pytest.mark.parametrize("n_bar", [0.0, 25.0, 64.0, 100.0, 1e3, 1e6, 9.9e9])
+    @pytest.mark.parametrize("n_bar", [25.0, 64.0, 100.0, 1e3, 1e6, 9.9e9])
     def test_weight_matches_40_digit_pmf(self, n_bar):
-        field = CoherentField(alpha=math.sqrt(n_bar))
+        n_min, n_max = _window(n_bar)
         h = max(1, int(math.sqrt(n_bar) / 4.0))
         # the exact P_0, the table and the first series value of stirlerr, both
         # window edges, and every level the gate error samples
-        levels = {*range(17), field.n_min, field.n_max, *range(field.n_min, field.n_max + 2, h)}
+        levels = {*range(17), n_min, n_max, *range(n_min, n_max + 2, h)}
         # bd0 is a series for |m - nbar| < 0.1 (m + nbar), direct outside it
         for edge in (n_bar * 9 / 11, n_bar * 11 / 9):
             levels |= {math.floor(edge), math.floor(edge) + 1}
@@ -170,8 +161,8 @@ class TestPoissonWeight:
     def test_amplitudes_are_the_normalized_weights(self):
         # the Fock amplitudes sqrt(P_n) renormalized on the window, from the
         # closed-form weights and from the 40-digit pmf
-        field = CoherentField(alpha=20.0)
-        levels = range(field.n_min, field.n_max + 1)
+        n_min, n_max = _window(400.0)
+        levels = range(n_min, n_max + 1)
 
         def amplitudes(weights):
             total = sum(weights)
@@ -182,44 +173,43 @@ class TestPoissonWeight:
         assert np.max(np.abs(np.subtract(got, want))) <= 1e-15
 
 
-class TestVacuumSector:
-    def test_excited_atom_vacuum_rabi_oscillation(self):
-        # single-sector dynamics: rho_aa(t) = cos^2(g t), population period pi/g
-        field = CoherentField(alpha=0.0)
-        for g, t in [(1.0, 0.3), (1.0, 0.7), (2.0, 0.55), (1.0, 1.4)]:
-            rho = jc_evolve(PureState.excited(), field, g, t)
-            assert rho.matrix[1][1].real == pytest.approx(math.cos(g * t) ** 2, abs=1e-12)
+def bruteforce_gate_error(theta, state, n_bar, g=1.0):
+    """p = <psi_perp| rho |psi_perp> of the reduced state that the full joint
+    exponential on levels 0..n_max gives for a theta pulse of duration
+    theta / (2 g sqrt(nbar))."""
+    psi = np.asarray(state.amplitudes)
+    root = math.sqrt(n_bar)
+    rho = oracles.jc_bruteforce(psi, root, _window(n_bar)[1], g, theta / (2.0 * g * root))
+    target = oracles.ideal_state(psi, theta)
+    perp = np.array([-np.conj(target[1]), np.conj(target[0])])
+    return float(np.real(perp.conj() @ rho @ perp))
 
-    def test_ground_atom_vacuum_is_dark(self):
-        rho = jc_evolve(PureState.ground(), CoherentField(alpha=0.0), 1.0, 1.3)
-        assert rho.matrix[0][0].real == pytest.approx(1.0, abs=1e-14)
-        assert abs(rho.matrix[1][0]) <= 1e-14
+
+BRUTEFORCE_AREAS = (0.7, math.pi / 2, math.pi, 2 * math.pi)
+BRUTEFORCE_STARTS = {
+    "ground": PureState.ground(),
+    "excited": PureState.excited(),
+    "plus": PureState.superposition(1.0, 1.0),
+    "plus-i": PureState.superposition(1.0, 1.0j),
+}
 
 
 class TestAgainstJointExponential:
-    @pytest.mark.parametrize(
-        "state",
-        [PureState.ground(), PureState.excited(), PureState.superposition(1.0, 1.0)],
-        ids=["ground", "excited", "plus"],
-    )
-    def test_reduced_state_matches_bruteforce(self, state):
-        alpha, g = 2.0, 1.0
-        field = CoherentField(alpha=alpha)
-        duration = math.pi / (2 * g * alpha)
-        got = jc_evolve(state, field, g, duration)
-        want = oracles.jc_bruteforce(state.amplitudes, alpha, field.n_max, g, duration)
-        assert np.max(np.abs(got.matrix - want)) <= 1e-10
+    @pytest.mark.parametrize("start", sorted(BRUTEFORCE_STARTS))
+    def test_reduced_state_matches_bruteforce(self, start):
+        # nbar = 25: the window is 0..n_max, as in the oracle
+        state = BRUTEFORCE_STARTS[start]
+        for theta in BRUTEFORCE_AREAS:
+            want = bruteforce_gate_error(theta, state, 25.0)
+            assert abs(jc_gate_error(theta, state, 25.0) - want) <= 1e-10 * want, theta
 
     def test_window_above_vacuum_matches_bruteforce(self):
         # nbar = 121: the window starts at n_min = 11, the oracle keeps 0..n_max
-        alpha, g = 11.0, 1.0
-        field = CoherentField(alpha=alpha)
-        assert field.n_min > 0
-        duration = math.pi / (2 * g * alpha)
-        state = PureState.superposition(1.0, 1.0j)
-        got = jc_evolve(state, field, g, duration)
-        want = oracles.jc_bruteforce(state.amplitudes, alpha, field.n_max, g, duration)
-        assert np.max(np.abs(got.matrix - want)) <= 1e-10
+        assert _window(121.0)[0] == 11
+        for state in BRUTEFORCE_STARTS.values():
+            for theta in BRUTEFORCE_AREAS:
+                want = bruteforce_gate_error(theta, state, 121.0)
+                assert abs(jc_gate_error(theta, state, 121.0) - want) <= 1e-10 * want
 
 
 class TestAgainstMultiprecision:
@@ -227,7 +217,7 @@ class TestAgainstMultiprecision:
     @pytest.mark.parametrize("n_bar", [100.0, 1000.0, 6400.0])
     def test_gate_error_matches_40_digit_sum(self, case, n_bar):
         theta, state = GATE_CASES[case]
-        n_max = CoherentField(alpha=math.sqrt(n_bar)).n_max
+        n_max = _window(n_bar)[1]
         want = oracles.jc_gate_error_mp(theta, state.amplitudes, n_bar, n_max)
         got = jc_gate_error(theta, state, n_bar)
         assert abs(got - float(want)) <= 1e-14 * float(want)
@@ -237,7 +227,7 @@ class TestAgainstMultiprecision:
     def test_any_area_and_plus_start_match_40_digit_sum(self, case, n_bar):
         # nbar = 25 is summed level by level, 64 and 1000 every 2nd and 7th level
         theta, state = MORE_GATE_CASES[case]
-        n_max = CoherentField(alpha=math.sqrt(n_bar)).n_max
+        n_max = _window(n_bar)[1]
         want = oracles.jc_gate_error_mp(theta, state.amplitudes, n_bar, n_max)
         got = jc_gate_error(theta, state, n_bar)
         assert abs(got - float(want)) <= 1e-14 * float(want)
@@ -275,7 +265,7 @@ class TestGateError:
         # the fixed window against the 40-digit sum on a window twice as wide
         base = jc_gate_error(math.pi, PureState.ground(), 400)
         doubled = oracles.jc_gate_error_mp(math.pi, PureState.ground().amplitudes, 400.0,
-                                           2 * CoherentField(alpha=20.0).n_max)
+                                           2 * _window(400.0)[1])
         assert abs(base - float(doubled)) <= 1e-14 * float(doubled)
 
     def test_half_pulse_from_superposition_order_of_magnitude(self):
@@ -289,7 +279,7 @@ class TestGateError:
 
     def test_supported_areas_only(self):
         # any area in (0, 2 pi] is summed; the rest is refused
-        for theta in (0.0, -math.pi, 2 * math.pi + 1e-9, math.nan):
+        for theta in (0.0, -math.pi, 2 * math.pi + 1e-9, math.nan, math.inf):
             with pytest.raises(InvalidStateError, match="pulse area"):
                 jc_gate_error(theta, PureState.ground(), 400)
 
@@ -312,43 +302,36 @@ class TestGateError:
         assert abs(p * 1e8 - math.pi**2 / 16) <= 1e-6
 
     def test_coupling_drops_out(self):
-        # only g t enters: g up and the duration down by the same factor give the same state
-        field, state = CoherentField(alpha=10.0), PureState.superposition(1.0, 1.0j)
-        duration = math.pi / (2.0 * 10.0)
-        a = jc_evolve(state, field, 1.0, duration)
-        b = jc_evolve(state, field, 3.5, duration / 3.5)
-        assert np.max(np.abs(np.subtract(a.matrix, b.matrix))) <= 1e-14
+        # only g T enters: the oracle at g = 3.5, with T down by the same
+        # factor, gives the p that jc_gate_error computes without any g
+        state = PureState.superposition(1.0, 1.0j)
+        want = bruteforce_gate_error(math.pi / 2, state, 100.0, g=3.5)
+        assert abs(jc_gate_error(math.pi / 2, state, 100.0) - want) <= 1e-10 * want
 
 
 class TestGuards:
     def test_revival_regime_rejected(self):
-        field = CoherentField(alpha=5.0)
-        limit = 5.0 * 2.0 * math.pi / (2.0 * 5.0)  # five mean-field Rabi periods at g=1
-        with pytest.raises(InvalidStateError, match="Rabi periods"):
-            jc_evolve(PureState.ground(), field, 1.0, 1.01 * limit)
+        # theta <= 2 pi keeps the pulse within one mean-field Rabi period
+        with pytest.raises(InvalidStateError, match="pulse area"):
+            jc_gate_error(1.01 * 2.0 * math.pi, PureState.ground(), 25.0)
 
     def test_negative_duration_rejected(self):
-        with pytest.raises(InvalidStateError):
-            jc_evolve(PureState.ground(), CoherentField(alpha=1.0), 1.0, -0.1)
+        with pytest.raises(InvalidStateError, match="pulse area"):
+            jc_gate_error(-0.1, PureState.ground(), 25.0)
 
     def test_fock_atom_state_rejected(self):
         with pytest.raises(InvalidStateError, match="expected 2 amplitudes"):
-            jc_evolve(PureState(np.array([1, 0, 0])), CoherentField(alpha=1.0), 1.0, 0.1)
+            jc_gate_error(math.pi, PureState(np.array([1, 0, 0])), 25.0)
 
-    def test_positive_coupling_required(self):
-        with pytest.raises(InvalidStateError, match="coupling"):
-            jc_evolve(PureState.excited(), CoherentField(alpha=1.0), 0.0, 0.1)
-
-    @pytest.mark.parametrize("g", [math.nan, math.inf])
-    def test_non_finite_coupling_rejected(self, g):
-        with pytest.raises(InvalidStateError, match="coupling"):
-            jc_evolve(PureState.excited(), CoherentField(alpha=1.0), g, 0.1)
-
-    @pytest.mark.parametrize("duration", [math.nan, math.inf])
-    def test_non_finite_duration_rejected(self, duration):
-        with pytest.raises(InvalidStateError, match="duration"):
-            jc_evolve(PureState.excited(), CoherentField(alpha=1.0), 1.0, duration)
+    @pytest.mark.parametrize("theta", [math.nan, math.inf])
+    def test_non_finite_duration_rejected(self, theta):
+        with pytest.raises(InvalidStateError, match="pulse area"):
+            jc_gate_error(theta, PureState.excited(), 25.0)
 
     def test_returned_state_has_unit_trace(self):
-        rho = jc_evolve(PureState.superposition(1.0, -1.0), CoherentField(alpha=3.0), 1.0, 0.2)
-        assert abs(np.trace(rho.matrix) - 1.0) <= 1e-12
+        # the populations on the target and on psi_perp sum to the trace, 1
+        theta, state = 0.4, PureState.superposition(1.0, -1.0)
+        perp = psi_perp(theta, state.amplitudes)
+        target = (perp[1].conjugate(), -perp[0].conjugate())
+        trace = _population(state, 81.0, theta, perp) + _population(state, 81.0, theta, target)
+        assert abs(trace - 1.0) <= 1e-12

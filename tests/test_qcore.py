@@ -10,8 +10,8 @@ from scipy.linalg import expm
 
 import oracles
 from lasergate import lindblad
+from lasergate.budget import RamanSpec
 from lasergate.gates import ErrorCoefficient
-from lasergate.jc import CoherentField
 from lasergate.lindblad import EXACT, DecaySpec, IntegratorConfig, PulseSpec, evolve
 from lasergate.qcore import (
     DensityMatrix,
@@ -307,8 +307,8 @@ class TestRecord:
         config = IntegratorConfig()
         assert (config.method, config.step_count, config.sample_count) == (EXACT, 1000, 1)
         assert ErrorCoefficient(1.0, 2.0, 0.0).degraded_fit is False
-        # a property derived from the one field: ceil(100 + 10 * 10) + 12
-        assert CoherentField(alpha=10.0).n_max == 212
+        # a property derived from the fields: Omega_R^2 / Delta = 1e20 / 1e12
+        assert RamanSpec(detuning=1e12, rabi_frequency=1e10).effective_rabi_frequency == 1e8
 
     @pytest.mark.parametrize("args,kwargs,message", [
         ((1.0, 2.0), {}, "missing field 'fit_residual'"),
