@@ -20,8 +20,7 @@ _EXPORTS = {
     "budget": ("AtomModel", "BeamGeometry", "CODATA", "FieldSpec", "PhysicalConstants",
                "PiPulseBudget", "RamanSpec", "fixed_intensity_area_sweep", "kappa_from_beam",
                "pi_pulse_budget", "raman_constraint"),
-    "gates": ("ErrorCoefficient", "GateExperiment", "extract_coefficient",
-              "failure_probability"),
+    "gates": ("GateExperiment", "failure_probability", "first_order_coefficient"),
     "jc": ("jc_gate_error",),
     "lindblad": ("DecaySpec", "EvolutionResult", "IntegrationError", "IntegratorConfig",
                  "PulseSpec", "evolve"),

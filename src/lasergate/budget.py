@@ -46,6 +46,11 @@ RESONANT_CHAIN_COEFFICIENT = math.pi ** 2
 # (Gamma/Delta < eps with Omega_R^2 T / Delta = pi) gives a single power of pi.
 RAMAN_ELIMINATION_COEFFICIENT = math.pi
 
+# Largest relative spread of the four margin forms.  They agree to a few ulps
+# wherever every intermediate value is a normal double; a larger spread means
+# one route under- or overflowed, and its margin is not a result.
+MARGIN_AGREEMENT_TOL = 1e-12
+
 
 class PhysicalConstants(Record):
     """CODATA values in SI; pass a rescaled instance to change unit systems."""
@@ -263,6 +268,15 @@ def pi_pulse_budget(atom: AtomModel, beam: BeamGeometry, field: FieldSpec,
     explicit_lhs = (RESONANT_CHAIN_COEFFICIENT
                     * (omega ** 3 * d ** 2 / (3.0 * math.pi * eps0 * hbar * c ** 3))
                     * (hbar / (d * e0)) ** 2)
+    forms = {
+        "margin_purity_form": epsilon / (gamma * duration),
+        "margin_rabi_form": epsilon * rabi ** 2 * duration / (RESONANT_CHAIN_COEFFICIENT * gamma),
+        "margin_explicit_form": epsilon * duration / explicit_lhs,
+    }
+    for name, form in forms.items():
+        if abs(form - margin) > MARGIN_AGREEMENT_TOL * margin:
+            raise FloatingPointError(f"{name} = {form!r} but constraint_margin = {margin!r}:"
+                                     " a value leaves the double range for these inputs")
     return PiPulseBudget(
         wavelength_m=beam.wavelength,
         mode_area_m2=beam.mode_area,
@@ -281,9 +295,7 @@ def pi_pulse_budget(atom: AtomModel, beam: BeamGeometry, field: FieldSpec,
         energy_in_volume_J=energy_in_volume,
         energy_threshold_J=threshold,
         constraint_margin=margin,
-        margin_purity_form=epsilon / (gamma * duration),
-        margin_rabi_form=epsilon * rabi ** 2 * duration / (RESONANT_CHAIN_COEFFICIENT * gamma),
-        margin_explicit_form=epsilon * duration / explicit_lhs,
+        **forms,
         margin_energy_form=margin,
         min_energy_per_lambda3_J=(ENERGY_PER_WAVELENGTH_CUBED_COEFFICIENT * hbar
                                   / (epsilon * duration)),

@@ -234,25 +234,26 @@ def run_simulate(cfg: dict) -> str:
 
 
 def run_sweep(cfg: dict) -> str:
-    """Ratio sweep CSV with a fitted-coefficient footer."""
-    from . import gates
+    """Ratio sweep CSV with a first-order-coefficient footer."""
+    from . import budget, gates
 
     if not (0 < cfg["ratio_min"] < cfg["ratio_max"]):
         raise ConfigError("need 0 < ratio_min < ratio_max")
     experiment = gates.GateExperiment(
         pulse_area=_gate_area(cfg["gate"]), initial_state=_start_state(cfg["start"])
     )
-    # a grid the fit would refuse is refused before any ratio is propagated
+    # a grid outside the sweep contract is refused before any ratio is propagated
     ratios = gates.check_ratio_grid(logspace(math.log10(cfg["ratio_min"]),
                                              math.log10(cfg["ratio_max"]), cfg["points"]))
     probabilities = gates.sweep_failure_probabilities(experiment, ratios)
-    coeff = gates.fit_coefficient(experiment.pulse_area, ratios, probabilities)
+    c = gates.first_order_coefficient(experiment)
+    # the spread of p/ratio around c: the second-order signature of the sweep
+    residual = math.sqrt(sum((p / r - c) ** 2 for p, r in zip(probabilities, ratios)) / len(ratios))
 
     return (
         "ratio,p\n" + _format_rows(zip(ratios, probabilities))
-        + f"\n# c={_fmt(coeff.coefficient_vs_ratio)}"
-        f" c_prime={_fmt(coeff.coefficient_vs_photons)}"
-        f" residual={_fmt(coeff.fit_residual)}\n"
+        + f"\n# c={_fmt(c)} c_prime={_fmt(budget.photon_coefficient(c, experiment.pulse_area))}"
+        f" residual={_fmt(residual)}\n"
     )
 
 

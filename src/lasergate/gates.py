@@ -5,29 +5,25 @@ A gate is a resonant pulse of area theta applied to a chosen initial state.
 Its failure probability is the population left in the state orthogonal to
 the decay-free output of the same Hamiltonian, so p(ratio=0) = 0 by
 construction and p = c * (kappa / g_alpha) to first order.
-``extract_coefficient`` measures c by a through-origin fit over a
-perturbative ratio grid and converts it to the photon-number form
-p = c' / nbar using c' = c * theta / 2 (see ``budget.photon_coefficient``).
+``first_order_coefficient`` gives c in closed form; its photon-number form
+is p = c' / nbar with c' = c * theta / 2 (see ``budget.photon_coefficient``).
+A sweep propagates p over a ratio grid that ``check_ratio_grid`` accepts.
 """
 
 from __future__ import annotations
 
 import math
-from operator import mul
 
 from .lindblad import DecaySpec, PulseSpec, evolve
-from .qcore import InvalidStateError, PureState, Record, fidelity_pure, logspace, psi_perp
+from .qcore import InvalidStateError, PureState, Record, fidelity_pure, psi_perp
 
-# Ratios above this are outside the perturbative regime the linear fit assumes.
+# Ratios above this are outside the perturbative regime of a sweep.
 PERTURBATIVE_RATIO_MAX = 1e-2
 
 # Ratios below this leave p too close to its ~6e-16 absolute error floor: at
 # 1e-10 that error is about 1e-4 of p for the smallest coefficient (pi/2 from
 # ground, c = 0.0445), and below it a slope p/ratio measures rounding.
 RESOLVABLE_RATIO_MIN = 1e-10
-
-# Relative RMS residual above which a fit is flagged as degraded.
-FIT_RESIDUAL_BOUND = 1e-3
 
 
 class GateExperiment(Record):
@@ -39,21 +35,6 @@ class GateExperiment(Record):
     def __post_init__(self):
         if not (math.isfinite(self.pulse_area) and self.pulse_area >= 0):
             raise InvalidStateError(f"pulse_area must be finite and >= 0, got {self.pulse_area}")
-
-
-class ErrorCoefficient(Record):
-    """First-order error coefficients of one gate.
-
-    ``coefficient_vs_ratio`` is c in p = c * (kappa/g_alpha);
-    ``coefficient_vs_photons`` is c' in p = c'/nbar for a pulse carrying nbar
-    photons over its own duration.  ``fit_residual`` is the RMS spread of the
-    pointwise slopes p_i/ratio_i around c (same units as c).
-    """
-
-    coefficient_vs_ratio: float
-    coefficient_vs_photons: float
-    fit_residual: float
-    degraded_fit: bool = False
 
 
 def failure_probability(experiment: GateExperiment, ratio: float) -> float:
@@ -78,37 +59,31 @@ def failure_probability(experiment: GateExperiment, ratio: float) -> float:
     return sweep_failure_probabilities(experiment, [ratio])[0]
 
 
-def default_ratio_grid(count: int = 8) -> tuple:
-    """Log-spaced perturbative grid, 1e-5 .. 1e-3."""
-    return logspace(-5.0, -3.0, count)
+def first_order_coefficient(experiment: GateExperiment) -> float:
+    """c in p = c * (kappa / g_alpha) + O(ratio^2), in closed form.
 
-
-def extract_coefficient(experiment: GateExperiment, ratios=None) -> ErrorCoefficient:
-    """Measure the first-order error coefficient of a gate by a ratio sweep.
-
-    Parameters
-    ----------
-    experiment : GateExperiment
-    ratios : array-like, optional
-        At least four strictly increasing ratios, all within the
-        perturbative regime (<= 1e-2) and resolvable (>= 1e-10).  Defaults to
-        ``default_ratio_grid()``.
-
-    Returns
-    -------
-    ErrorCoefficient
-        See :func:`fit_coefficient`.
+    For the initial state (b0, a0), ground amplitude first, the excited
+    amplitude along the ideal rotation is a(tau) = cos(tau) a0 - i sin(tau) b0,
+    and to first order c = int_0^(theta/2) |a(tau)|^4 dtau.  With
+    |a|^2 = 1/2 + B cos(2 tau) + C sin(2 tau), B = (|a0|^2 - |b0|^2) / 2 and
+    C = -Im(a0 b0*), the square is integrated term by term.
     """
-    if ratios is None:
-        ratios = default_ratio_grid()
-    p = sweep_failure_probabilities(experiment, ratios)
-    return fit_coefficient(experiment.pulse_area, ratios, p)
+    theta = experiment.pulse_area
+    b0, a0 = experiment.initial_state.amplitudes
+    big_b = (abs(a0) ** 2 - abs(b0) ** 2) / 2.0
+    big_c = -(a0 * b0.conjugate()).imag
+    s, c = math.sin(theta), math.cos(theta)
+    # (1 - cos theta) / 2 is written sin(theta/2)^2, which keeps its digits at small theta
+    return (theta / 8.0 + (big_b ** 2 + big_c ** 2) * theta / 4.0
+            + (big_b ** 2 - big_c ** 2) * s * c / 4.0 + big_b * s / 2.0
+            + big_c * math.sin(theta / 2.0) ** 2 + big_b * big_c * s * s / 2.0)
 
 
 def check_ratio_grid(ratios) -> tuple:
-    """``ratios`` as floats, refused unless the through-origin fit can use
-    them: at least four strictly increasing values, all in [1e-10, 1e-2].
-    A sweep calls it before it propagates any ratio."""
+    """``ratios`` as floats, refused unless they make a sweep: at least four
+    strictly increasing values, all perturbative (<= 1e-2, where p/ratio
+    stays near c) and resolvable (>= 1e-10).  A sweep calls it before it
+    propagates any ratio."""
     r = tuple(map(float, ratios))
     if len(r) < 4:
         raise InvalidStateError(f"need at least 4 sweep ratios, got {len(r)}")
@@ -124,34 +99,6 @@ def check_ratio_grid(ratios) -> tuple:
             f"ratio {r[0]:g} is below {RESOLVABLE_RATIO_MIN:g}, where p is not resolved"
         )
     return r
-
-
-def fit_coefficient(pulse_area: float, ratios, probabilities) -> ErrorCoefficient:
-    """Fit p = c * ratio through the origin over a perturbative sweep.
-
-    ``ratios`` must pass :func:`check_ratio_grid`, and ``probabilities``
-    hold one finite value per ratio.  Returns the least-squares slope c, its
-    photon-number counterpart c' = c * theta / 2, and the fit residual;
-    ``degraded_fit`` is set when the residual exceeds 1e-3 * c instead of
-    raising.
-    """
-    r = check_ratio_grid(ratios)
-    p = tuple(map(float, probabilities))
-    if len(p) != len(r):
-        raise InvalidStateError(f"got {len(p)} probabilities for {len(r)} sweep ratios")
-    if not all(map(math.isfinite, p)):
-        raise InvalidStateError("sweep probabilities must be finite")
-    from . import budget
-
-    c = sum(map(mul, p, r)) / sum(map(mul, r, r))  # least squares through the origin
-    residual = math.sqrt(sum((p_i / r_i - c) ** 2 for p_i, r_i in zip(p, r)) / len(r))
-    c_prime = budget.photon_coefficient(c, pulse_area)
-    return ErrorCoefficient(
-        coefficient_vs_ratio=c,
-        coefficient_vs_photons=c_prime,
-        fit_residual=residual,
-        degraded_fit=residual > FIT_RESIDUAL_BOUND * c,
-    )
 
 
 def sweep_failure_probabilities(experiment: GateExperiment, ratios) -> tuple:

@@ -24,7 +24,7 @@ from lasergate.budget import (
     raman_constraint,
 )
 from lasergate.cli import EXIT_OK, main
-from lasergate.gates import GateExperiment, extract_coefficient
+from lasergate.gates import GateExperiment, first_order_coefficient, sweep_failure_probabilities
 from lasergate.jc import jc_gate_error
 from lasergate.lindblad import (
     RK4_FIXED,
@@ -33,7 +33,7 @@ from lasergate.lindblad import (
     PulseSpec,
     evolve,
 )
-from lasergate.qcore import DensityMatrix, PureState
+from lasergate.qcore import DensityMatrix, PureState, logspace
 
 FIRST_ORDER_PI_SLOPE = 3.0 * math.pi / 16.0  # p per unit kappa/g_alpha, pi pulse from ground
 
@@ -75,28 +75,40 @@ def test_pi_pulse_error_tracks_first_order():
     )
 
 
+def _photon_coefficients(experiment: GateExperiment) -> tuple:
+    """Closed-form c' = c theta/2 and the mean of theta/2 * p_i/r_i over the
+    8-point perturbative grid 1e-5..1e-3, each p_i from the dynamics."""
+    half = experiment.pulse_area / 2.0
+    ratios = logspace(-5.0, -3.0, 8)
+    p = sweep_failure_probabilities(experiment, ratios)
+    swept = sum(half * p_i / r_i for p_i, r_i in zip(p, ratios)) / len(ratios)
+    return first_order_coefficient(experiment) * half, swept
+
+
 def test_photon_coefficient_of_pi_pulse():
-    """Sweep-fit photon coefficient lands on 3 pi^2/32 ~ 0.93 within 2%."""
-    coeff = extract_coefficient(GateExperiment(math.pi, PureState.ground()))
-    got = coeff.coefficient_vs_photons
-    rel = abs(got / PI_PULSE_PHOTON_COEFFICIENT - 1.0)
+    """Closed-form and swept photon coefficients land on 3 pi^2/32 ~ 0.93 within 2%."""
+    closed, swept = _photon_coefficients(GateExperiment(math.pi, PureState.ground()))
+    rel = max(abs(got / PI_PULSE_PHOTON_COEFFICIENT - 1.0) for got in (closed, swept))
     _verdict(
         "pi-pulse photon coefficient",
         rel <= 0.02,
-        f"c' = {got:.4f} vs 3 pi^2/32 = {PI_PULSE_PHOTON_COEFFICIENT:.4f} ({rel:.2%})",
+        f"c' = {closed:.4f} (closed form), {swept:.4f} (swept) vs 3 pi^2/32 ="
+        f" {PI_PULSE_PHOTON_COEFFICIENT:.4f} ({rel:.2%})",
     )
 
 
 def test_half_pulse_photon_coefficients():
-    """Ground start ~0.04 (+-50%), excited start ~0.43 (+-15%), strictly ordered."""
-    ground = extract_coefficient(GateExperiment(math.pi / 2, PureState.ground()))
-    excited = extract_coefficient(GateExperiment(math.pi / 2, PureState.excited()))
-    cg, ce = ground.coefficient_vs_photons, excited.coefficient_vs_photons
-    ok = abs(cg / 0.04 - 1.0) <= 0.50 and abs(ce / 0.43 - 1.0) <= 0.15 and ce > cg
+    """Ground start ~0.04 (+-50%), excited start ~0.43 (+-15%), strictly ordered,
+    in closed form and swept."""
+    ground = _photon_coefficients(GateExperiment(math.pi / 2, PureState.ground()))
+    excited = _photon_coefficients(GateExperiment(math.pi / 2, PureState.excited()))
+    ok = all(abs(cg / 0.04 - 1.0) <= 0.50 and abs(ce / 0.43 - 1.0) <= 0.15 and ce > cg
+             for cg, ce in zip(ground, excited))
     _verdict(
         "half-pulse photon coefficients",
         ok,
-        f"ground c' = {cg:.4f} (target 0.04), excited c' = {ce:.4f} (target 0.43)",
+        f"ground c' = {ground[0]:.4f} / {ground[1]:.4f} (target 0.04), excited c' ="
+        f" {excited[0]:.4f} / {excited[1]:.4f} (target 0.43), closed form / swept",
     )
 
 

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import lasergate
+import oracles
 from lasergate import budget, cli, gates, jc
 from lasergate.cli import (
     EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, GATE_AREAS, MAX_ROWS, START_STATES, main,
@@ -245,13 +246,28 @@ class TestSweep:
                              "--points", str(points))
 
     def test_fit_matches_printed_probabilities(self, tmp_path):
+        # c is the closed form, not a slope of the rows; residual is the RMS
+        # spread of the printed p/ratio around it
         _, payload = run(tmp_path, "sweep", "--points", "16")
         table = np.array([[float(x) for x in line.split(",")] for line in rows(payload)[1:]])
         footer = comments(payload)[-1]
         fields = dict(tok.split("=") for tok in footer[2:].split())
         ratios, p = table.T
-        assert float(fields["c"]) == pytest.approx(np.dot(p, ratios) / np.dot(ratios, ratios),
-                                                   rel=1e-10)
+        c = float(fields["c"])
+        assert c == pytest.approx(3 * math.pi / 16, rel=1e-12)
+        assert float(fields["residual"]) == pytest.approx(
+            np.sqrt(np.mean((p / ratios - c) ** 2)), rel=1e-6)
+
+    @pytest.mark.parametrize("gate, start", [("pi", "ground"), ("pi", "excited"), ("pi", "plus"),
+                                             ("pi2", "ground"), ("pi2", "excited")])
+    def test_footer_prints_the_quadrature_coefficient(self, gate, start):
+        # every printed digit of c and c' = c theta / 2 against an independent quadrature
+        code, out = run_stdout("sweep", "--gate", gate, "--start", start)
+        fields = dict(tok.split("=") for tok in out.splitlines()[-1][2:].split())
+        theta = GATE_AREAS[gate]
+        c = oracles.first_order_coefficient(np.asarray(START_STATES[start]().amplitudes), theta)
+        assert code == EXIT_OK
+        assert (fields["c"], fields["c_prime"]) == (f"{c:.11e}", f"{c * theta / 2:.11e}")
 
 
 BUDGET_ARGS = [
@@ -411,13 +427,28 @@ class TestBudget:
         assert (code, out) == (EXIT_NUMERIC, "")
         assert err.startswith(f"error: numerical failure: Omega_R = d E0 / hbar = {value} ")
 
+    @pytest.mark.parametrize("argv,purity_form", [
+        (["--wavelength", "1e-6", "--mode_area", "1e-12", "--dipole", "1e-20",
+          "--field_amplitude", "1e-160"], "1.0708542867095047e-175"),
+        (["--wavelength", "4.9403745838072e+110", "--mode_area", "2.0628152787581344e+188",
+          "--dipole", "5.9924290935557576e+110", "--field_amplitude", "1.0770062411084801e-195",
+          "--epsilon", "0.723239078704297"], "16784453927265.803"),
+    ], ids=["small-beam", "huge-wavelength"])
+    def test_disagreeing_margins_are_numeric_error(self, argv, purity_form):
+        # the intensity underflows (to 1.5e-323 and to 0 W/m^2), so the energy
+        # routes read a margin of 0 where the purity route reads a positive one
+        code, out, err = run_captured("budget", *argv)
+        assert (code, out) == (EXIT_NUMERIC, "")
+        assert err == (f"error: numerical failure: margin_purity_form = {purity_form}"
+                       " but constraint_margin = 0.0: a value leaves the double range for"
+                       " these inputs\n")
+
     def test_huge_wavelength_budget_is_finite(self):
         # lambda^3 overflows, but no printed value divides by it
         code, out, _ = run_captured(
             "budget", "--wavelength", "4.9403745838072e+110",
             "--mode_area", "2.0628152787581344e+188", "--dipole", "5.9924290935557576e+110",
-            "--field_amplitude", "1.0770062411084801e-195", "--epsilon", "0.723239078704297",
-            "--format", "csv")
+            "--field_amplitude", "1e-100", "--epsilon", "0.723239078704297", "--format", "csv")
         assert code == EXIT_OK
         assert out and not NON_FINITE.search(out), NON_FINITE.search(out)
 

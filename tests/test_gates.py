@@ -8,14 +8,20 @@ from lasergate.budget import photon_coefficient
 from lasergate.cli import GATE_AREAS, START_STATES
 from lasergate.gates import (
     GateExperiment,
-    default_ratio_grid,
-    extract_coefficient,
+    check_ratio_grid,
     failure_probability,
-    fit_coefficient,
+    first_order_coefficient,
     sweep_failure_probabilities,
 )
 from lasergate.lindblad import RK4_FIXED, DecaySpec, IntegratorConfig, PulseSpec, evolve
-from lasergate.qcore import InvalidStateError, PureState, fidelity_pure, matvec, rotation
+from lasergate.qcore import (
+    InvalidStateError,
+    PureState,
+    fidelity_pure,
+    logspace,
+    matvec,
+    rotation,
+)
 
 PI_FROM_GROUND = GateExperiment(math.pi, PureState.ground())
 HALF_FROM_GROUND = GateExperiment(math.pi / 2, PureState.ground())
@@ -29,6 +35,13 @@ HALF_FROM_EXCITED = GateExperiment(math.pi / 2, PureState.excited())
 SLOPE_PI_GROUND = 3 * math.pi / 16
 SLOPE_HALF_GROUND = 3 * math.pi / 32 - 0.25
 SLOPE_HALF_EXCITED = 3 * math.pi / 32 + 0.25
+
+# The five (gate, start) cases of the coefficient-table benchmark workload.
+TABLE_CASES = [("pi", "ground"), ("pi", "excited"), ("pi", "plus"),
+               ("pi2", "ground"), ("pi2", "excited")]
+
+# The perturbative sweep grid of the README's coefficient table.
+SWEEP_GRID = logspace(-5.0, -3.0, 8)
 
 # Exact failure probabilities at ratio 1e-3, frozen from the superoperator
 # exponential in oracles.py (re-verified live below).
@@ -105,14 +118,11 @@ class TestFailureProbability:
 
 
 class TestAgainstMultiprecision:
-    # the five (gate, start) cases of the coefficient-table benchmark workload
-    @pytest.mark.parametrize("gate, start", [("pi", "ground"), ("pi", "excited"), ("pi", "plus"),
-                                             ("pi2", "ground"), ("pi2", "excited")])
+    @pytest.mark.parametrize("gate, start", TABLE_CASES)
     def test_sweep_is_within_roundoff_of_40_digit_expm(self, gate, start):
         theta, psi0 = GATE_AREAS[gate], START_STATES[start]()
-        ratios = default_ratio_grid()
-        got = sweep_failure_probabilities(GateExperiment(theta, psi0), ratios)
-        for ratio, p in zip(ratios, got):
+        got = sweep_failure_probabilities(GateExperiment(theta, psi0), SWEEP_GRID)
+        for ratio, p in zip(SWEEP_GRID, got):
             want = oracles.failure_mp(psi0.amplitudes, theta, ratio)
             assert abs(float(p - want)) <= 1e-15
 
@@ -130,42 +140,73 @@ class TestIdealTarget:
 
 
 class TestExtractCoefficient:
+    """The first-order coefficient c in closed form, its photon form, and the
+    ratio grid a sweep accepts."""
+
+    @pytest.mark.parametrize("experiment, want", [
+        (PI_FROM_GROUND, SLOPE_PI_GROUND), (HALF_FROM_GROUND, SLOPE_HALF_GROUND),
+        (HALF_FROM_EXCITED, SLOPE_HALF_EXCITED),
+        (GateExperiment(math.pi, PureState.superposition(1, 1)), math.pi / 8),
+    ], ids=["pi-ground", "half-ground", "half-excited", "pi-plus"])
+    def test_closed_form_matches_exact_values(self, experiment, want):
+        assert first_order_coefficient(experiment) == pytest.approx(want, rel=1e-13)
+
+    def test_closed_form_matches_quadrature(self):
+        # the benchmark's five gates, then 40 random (theta, psi)
+        cases = [(GATE_AREAS[gate], np.asarray(START_STATES[start]().amplitudes))
+                 for gate, start in TABLE_CASES]
+        rng = np.random.default_rng(2002)
+        for _ in range(40):
+            psi0 = rng.normal(size=2) + 1j * rng.normal(size=2)
+            cases.append((rng.uniform(0.1, 4 * math.pi), psi0 / np.linalg.norm(psi0)))
+        for theta, psi0 in cases:
+            got = first_order_coefficient(GateExperiment(theta, PureState(tuple(psi0))))
+            assert got == pytest.approx(oracles.first_order_coefficient(psi0, theta), rel=1e-13)
+
+    @pytest.mark.parametrize("gate, start", TABLE_CASES)
+    def test_dynamics_approach_the_closed_form(self, gate, start):
+        # p/r - c is the second-order term: measured (p/r - c)/(r c) lies in
+        # [-0.81, 0.07] on these cases
+        experiment = GateExperiment(GATE_AREAS[gate], START_STATES[start]())
+        c = first_order_coefficient(experiment)
+        ratios = (1e-6, 1e-5, 1e-4)
+        for ratio, p in zip(ratios, sweep_failure_probabilities(experiment, ratios)):
+            assert abs(p / ratio - c) <= ratio * c
+
     def test_pi_from_ground_coefficients(self):
-        coeff = extract_coefficient(PI_FROM_GROUND)
-        assert coeff.coefficient_vs_ratio == pytest.approx(SLOPE_PI_GROUND, rel=0.02)
-        # photon form lands on 3 pi^2/32 ~ 0.925 (quoted as 0.93)
-        assert coeff.coefficient_vs_photons == pytest.approx(3 * math.pi**2 / 32, rel=0.02)
-        assert coeff.fit_residual <= 1e-3 * coeff.coefficient_vs_ratio
-        assert not coeff.degraded_fit
+        # photon form is 3 pi^2/32 ~ 0.925 (quoted as 0.93)
+        assert photon_coefficient(first_order_coefficient(PI_FROM_GROUND), math.pi) == (
+            pytest.approx(3 * math.pi**2 / 32, rel=1e-13))
 
     def test_half_pulse_coefficients(self):
-        ground = extract_coefficient(HALF_FROM_GROUND)
-        excited = extract_coefficient(HALF_FROM_EXCITED)
-        assert ground.coefficient_vs_photons == pytest.approx(0.04, rel=0.5)
-        assert excited.coefficient_vs_photons == pytest.approx(0.43, rel=0.15)
+        ground = photon_coefficient(first_order_coefficient(HALF_FROM_GROUND), math.pi / 2)
+        excited = photon_coefficient(first_order_coefficient(HALF_FROM_EXCITED), math.pi / 2)
+        assert ground == pytest.approx(0.04, rel=0.5)
+        assert excited == pytest.approx(0.43, rel=0.15)
         # the excited start is strictly the lossier one
-        assert excited.coefficient_vs_photons > ground.coefficient_vs_photons
+        assert excited > ground
 
     def test_photon_conversion_is_half_theta(self):
-        coeff = extract_coefficient(HALF_FROM_EXCITED)
-        assert coeff.coefficient_vs_photons == pytest.approx(
-            coeff.coefficient_vs_ratio * (math.pi / 2) / 2, rel=1e-12
-        )
+        c = first_order_coefficient(HALF_FROM_EXCITED)
+        assert photon_coefficient(c, math.pi / 2) == pytest.approx(c * (math.pi / 2) / 2,
+                                                                   rel=1e-12)
         assert photon_coefficient(2.0, math.pi) == pytest.approx(math.pi)
 
     def test_pointwise_slopes_stay_within_two_percent(self):
-        ratios = default_ratio_grid()
-        ps = sweep_failure_probabilities(PI_FROM_GROUND, ratios)
-        slopes = np.asarray(ps) / np.asarray(ratios)
+        ps = sweep_failure_probabilities(PI_FROM_GROUND, SWEEP_GRID)
+        slopes = np.asarray(ps) / np.asarray(SWEEP_GRID)
         assert np.max(np.abs(slopes - SLOPE_PI_GROUND)) <= 0.02 * SLOPE_PI_GROUND
 
     def test_grid_validation(self):
         with pytest.raises(InvalidStateError, match="at least 4"):
-            extract_coefficient(PI_FROM_GROUND, [1e-4, 1e-3])
+            check_ratio_grid([1e-4, 1e-3])
         with pytest.raises(InvalidStateError, match="perturbative"):
-            extract_coefficient(PI_FROM_GROUND, [1e-4, 1e-3, 1e-2, 1e-1])
+            check_ratio_grid([1e-4, 1e-3, 1e-2, 1e-1])
         with pytest.raises(InvalidStateError, match="increasing"):
-            extract_coefficient(PI_FROM_GROUND, [1e-3, 1e-4, 1e-5, 1e-6])
+            check_ratio_grid([1e-3, 1e-4, 1e-5, 1e-6])
+        with pytest.raises(InvalidStateError, match="not resolved"):
+            check_ratio_grid([1e-11, 1e-4, 1e-3, 1e-2])
+        assert check_ratio_grid([1e-10, 1e-4, 1e-3, 1e-2]) == (1e-10, 1e-4, 1e-3, 1e-2)
 
     @pytest.mark.parametrize("ratios", [
         [math.nan, 1e-4, 1e-3, 1e-2], [1e-5, math.nan, 1e-3, 1e-2], [1e-5, 1e-4, 1e-3, math.nan],
@@ -173,19 +214,7 @@ class TestExtractCoefficient:
     ], ids=["nan-first", "nan-inner", "nan-last", "inf", "minus-inf"])
     def test_fit_refuses_non_finite_ratios(self, ratios):
         with pytest.raises(InvalidStateError):
-            fit_coefficient(math.pi, ratios, [1e-6, 1e-5, 1e-4, 1e-3])
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_fit_refuses_non_finite_probabilities(self, bad):
-        with pytest.raises(InvalidStateError, match="probabilities must be finite"):
-            fit_coefficient(math.pi, [1e-5, 1e-4, 1e-3, 1e-2], [1e-6, bad, 1e-4, 1e-3])
-
-    @pytest.mark.parametrize("count", [3, 5])
-    def test_fit_refuses_length_mismatch(self, count):
-        # zip would pair the first three and still divide the residual by 4
-        probabilities = [1e-6, 1e-5, 1e-4, 1e-3, 1e-2][:count]
-        with pytest.raises(InvalidStateError, match=f"{count} probabilities for 4"):
-            fit_coefficient(math.pi, [1e-5, 1e-4, 1e-3, 1e-2], probabilities)
+            check_ratio_grid(ratios)
 
 
 class TestGateExperimentValidation:

@@ -11,12 +11,12 @@ from scipy.linalg import expm
 import oracles
 from lasergate import lindblad
 from lasergate.budget import RamanSpec
-from lasergate.gates import ErrorCoefficient
 from lasergate.lindblad import EXACT, DecaySpec, IntegratorConfig, PulseSpec, evolve
 from lasergate.qcore import (
     DensityMatrix,
     InvalidStateError,
     PureState,
+    Record,
     check_densities,
     check_density_columns,
     fidelity_pure,
@@ -293,20 +293,29 @@ class TestEigensystem:
         assert printed == pytest.approx(float(np.linalg.eigvalsh(h)[0]), abs=1e-12)
 
 
+class Estimate(Record):
+    """A record of three required floats and one defaulted bool."""
+
+    coefficient_vs_ratio: float
+    coefficient_vs_photons: float
+    fit_residual: float
+    degraded_fit: bool = False
+
+
 class TestRecord:
     """The record base keeps what the frozen dataclasses it replaced did."""
 
     def test_positional_and_keyword_construction_agree(self):
-        by_position = ErrorCoefficient(0.5, 1.5, 1e-6, True)
-        by_keyword = ErrorCoefficient(degraded_fit=True, fit_residual=1e-6,
-                                      coefficient_vs_photons=1.5, coefficient_vs_ratio=0.5)
-        mixed = ErrorCoefficient(0.5, 1.5, fit_residual=1e-6, degraded_fit=True)
+        by_position = Estimate(0.5, 1.5, 1e-6, True)
+        by_keyword = Estimate(degraded_fit=True, fit_residual=1e-6,
+                              coefficient_vs_photons=1.5, coefficient_vs_ratio=0.5)
+        mixed = Estimate(0.5, 1.5, fit_residual=1e-6, degraded_fit=True)
         assert by_position == by_keyword == mixed
 
     def test_defaults_hold(self):
         config = IntegratorConfig()
         assert (config.method, config.step_count, config.sample_count) == (EXACT, 1000, 1)
-        assert ErrorCoefficient(1.0, 2.0, 0.0).degraded_fit is False
+        assert Estimate(1.0, 2.0, 0.0).degraded_fit is False
         # a property derived from the fields: Omega_R^2 / Delta = 1e20 / 1e12
         assert RamanSpec(detuning=1e12, rabi_frequency=1e10).effective_rabi_frequency == 1e8
 
@@ -318,7 +327,7 @@ class TestRecord:
     ])
     def test_bad_fields_raise_type_error(self, args, kwargs, message):
         with pytest.raises(TypeError, match=message):
-            ErrorCoefficient(*args, **kwargs)
+            Estimate(*args, **kwargs)
 
     def test_fields_cannot_be_assigned_or_deleted(self):
         config = IntegratorConfig()
@@ -334,11 +343,11 @@ class TestRecord:
         assert config == IntegratorConfig() and "extra" not in vars(config)
 
     def test_eq_hash_and_repr_are_field_wise(self):
-        a, b = ErrorCoefficient(1.0, 2.0, 3.0), ErrorCoefficient(1.0, 2.0, 3.0)
+        a, b = Estimate(1.0, 2.0, 3.0), Estimate(1.0, 2.0, 3.0)
         assert a == b and hash(a) == hash(b) == hash((1.0, 2.0, 3.0, False))
-        assert a != ErrorCoefficient(1.0, 2.0, 3.0, True)
-        assert len({a, b, ErrorCoefficient(1.0, 2.0, 4.0)}) == 2
-        assert repr(a) == ("ErrorCoefficient(coefficient_vs_ratio=1.0, coefficient_vs_photons=2.0,"
+        assert a != Estimate(1.0, 2.0, 3.0, True)
+        assert len({a, b, Estimate(1.0, 2.0, 4.0)}) == 2
+        assert repr(a) == ("Estimate(coefficient_vs_ratio=1.0, coefficient_vs_photons=2.0,"
                            " fit_residual=3.0, degraded_fit=False)")
         config = IntegratorConfig(step_count=7)
         assert config == IntegratorConfig(EXACT, 7) and hash(config) == hash(IntegratorConfig(EXACT, 7))
