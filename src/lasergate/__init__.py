@@ -22,8 +22,7 @@ _EXPORTS = {
                "pi_pulse_budget", "raman_constraint"),
     "gates": ("GateExperiment", "failure_probability", "first_order_coefficient"),
     "jc": ("jc_gate_error",),
-    "lindblad": ("DecaySpec", "EvolutionResult", "IntegrationError", "IntegratorConfig",
-                 "PulseSpec", "evolve"),
+    "lindblad": ("EvolutionResult", "IntegrationError", "IntegratorConfig", "evolve"),
     "qcore": ("DensityMatrix", "InvalidStateError", "PureState", "fidelity_pure"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

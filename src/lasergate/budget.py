@@ -21,7 +21,7 @@ import math
 import warnings
 from operator import mul
 
-from .qcore import InvalidStateError, Record
+from .qcore import InvalidStateError, Record, logspace
 
 # Failure probability of a resonant pi pulse from the ground state, per unit
 # decay-to-Rabi ratio: p = (3 pi / 8) * kappa / Omega_R.
@@ -335,28 +335,32 @@ class AreaSweep(Record):
     total_error: tuple
 
 
-def fixed_intensity_area_sweep(atom: AtomModel, field: FieldSpec, wavelength: float,
-                               areas, constants: PhysicalConstants = CODATA) -> AreaSweep:
-    """kappa, nbar, and pi-pulse errors versus mode area at fixed intensity.
+def fixed_intensity_area_sweep(report: PiPulseBudget, points: int, max_factor: float,
+                               constants: PhysicalConstants = CODATA) -> AreaSweep:
+    """kappa, nbar, and pi-pulse errors versus mode area at the intensity of
+    ``report``, over ``points`` areas spaced logarithmically from sigma_eff to
+    sigma_eff * ``max_factor``, both endpoints exact.
 
     The laser-mode error (3 pi/8) kappa / Omega_R falls off as 1/A while the
     all-modes error, set by Gamma, does not depend on the area at all.  Each
     ``kappa`` and ``n_bar`` is computed as :func:`pi_pulse_budget` computes
     ``kappa_per_s`` and ``n_bar`` for a beam of that area, bit for bit.
     """
-    area = tuple(map(float, areas))
-    # min skips a NaN that is not first, so finiteness is checked on its own
-    if not all(map(math.isfinite, area)):
-        raise InvalidStateError("every mode area must be finite")
-    # one beam carries the other checks: the wavelength, and the smallest area
-    # (an empty sweep checks the wavelength alone)
-    beam = BeamGeometry(wavelength=wavelength, mode_area=min(area, default=math.inf))
-    rabi = field.rabi_frequency(atom, constants)
-    duration = math.pi / rabi
-    gamma = atom.decay_rate(constants)
-    photon_energy = constants.hbar * atom.transition_frequency
-    gamma_sigma = gamma * beam.scattering_cross_section
-    intensity = field.intensity(constants)
+    if points < 2:
+        raise InvalidStateError("area_sweep_points must be >= 2")
+    if not max_factor > 1:  # NaN fails too
+        raise InvalidStateError("area_sweep_max_factor must be > 1")
+    sigma_eff = report.sigma_eff_m2
+    largest = sigma_eff * max_factor
+    if math.isinf(largest):  # finite inputs whose product overflows: numerical, not config
+        raise FloatingPointError("the largest sweep area leaves the double range")
+    areas = logspace(math.log10(sigma_eff), math.log10(largest), points)
+    area = (sigma_eff, *areas[1:-1], largest)  # 10**log10(x) need not round back to x
+    rabi, duration = report.rabi_frequency_rad_per_s, report.duration_s
+    gamma = report.gamma_per_s
+    photon_energy = constants.hbar * report.omega_rad_per_s
+    gamma_sigma = gamma * sigma_eff
+    intensity = report.intensity_W_per_m2
     kappa = tuple(gamma_sigma / a for a in area)
     return AreaSweep(
         area=area,

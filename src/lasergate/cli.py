@@ -20,7 +20,7 @@ import os
 import sys
 from itertools import chain
 
-from .lindblad import EXACT, DecaySpec, IntegrationError, IntegratorConfig, PulseSpec, evolve
+from .lindblad import EXACT, IntegrationError, IntegratorConfig, evolve
 from .qcore import InvalidStateError, PureState, logspace, purities
 
 EXIT_OK = 0
@@ -43,7 +43,8 @@ two-level atoms.
 
 commands:
   simulate  trajectory of one pulse: populations, coherence and purity (CSV)
-  sweep     failure probability over a ratio grid and its fitted coefficient (CSV)
+  sweep     failure probability over a ratio grid and its closed-form first-order
+            coefficient (CSV)
   budget    photon and energy budget of a beam, with a beam-area sweep (text or CSV)
   compare   Markov and Jaynes-Cummings failure probabilities per photon number (CSV)
 
@@ -223,10 +224,8 @@ def run_simulate(cfg: dict) -> str:
     if cfg["samples"] < 1:
         raise ConfigError("samples must be >= 1")
     state = _start_state(cfg["start"])
-    pulse = PulseSpec(drive_coupling=1.0, pulse_area=cfg["theta"])
-    decay = DecaySpec(rate=cfg["ratio"])
     config = IntegratorConfig(cfg["method"], cfg["step_count"], cfg["samples"])
-    trajectory = evolve(state.to_density(), pulse, decay, config).trajectory
+    trajectory = evolve(state.to_density(), cfg["theta"], cfg["ratio"], config).trajectory
 
     columns = (trajectory.rho_bb, trajectory.rho_aa, trajectory.re_rho_ab, trajectory.im_rho_ab)
     table = zip(trajectory.times, *columns, purities(*columns))
@@ -272,18 +271,8 @@ def run_budget(cfg: dict) -> str:
     field = budget.FieldSpec(amplitude=cfg["field_amplitude"])
 
     report = budget.pi_pulse_budget(atom, beam, field, cfg["epsilon"], constants)
-
-    if cfg["area_sweep_points"] < 2:
-        raise ConfigError("area_sweep_points must be >= 2")
-    if cfg["area_sweep_max_factor"] <= 1:
-        raise ConfigError("area_sweep_max_factor must be > 1")
-    sigma_eff = report.sigma_eff_m2
-    largest = sigma_eff * cfg["area_sweep_max_factor"]
-    if math.isinf(largest):  # finite inputs whose product overflows: numerical, not config
-        raise FloatingPointError("the largest sweep area leaves the double range")
-    areas = logspace(math.log10(sigma_eff), math.log10(largest), cfg["area_sweep_points"])
-    areas = (sigma_eff, *areas[1:-1], largest)  # 10**log10(x) need not round back to x
-    sweep = budget.fixed_intensity_area_sweep(atom, field, wavelength, areas, constants)
+    sweep = budget.fixed_intensity_area_sweep(report, cfg["area_sweep_points"],
+                                              cfg["area_sweep_max_factor"], constants)
 
     scalars = list(zip(report._fields, report._values()))
     verdicts = [("photon_constraint", "satisfied" if report.satisfied else "violated")]

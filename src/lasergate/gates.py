@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 
-from .lindblad import DecaySpec, PulseSpec, evolve
+from .lindblad import evolve
 from .qcore import InvalidStateError, PureState, Record, fidelity_pure, psi_perp
 
 # Ratios above this are outside the perturbative regime of a sweep.
@@ -103,10 +103,13 @@ def check_ratio_grid(ratios) -> tuple:
 
 def sweep_failure_probabilities(experiment: GateExperiment, ratios) -> tuple:
     """p(ratio) over an arbitrary non-negative grid (no perturbative restriction),
-    from one exact :func:`lindblad.evolve` per ratio.  Every ratio is checked,
-    as a :class:`lindblad.DecaySpec`, before the first pulse is propagated."""
-    pulse = PulseSpec(drive_coupling=1.0, pulse_area=experiment.pulse_area)
-    decays = [DecaySpec(float(ratio)) for ratio in ratios]
+    from one exact :func:`lindblad.evolve` per ratio.  Every ratio is checked
+    finite and >= 0 before the first pulse is propagated."""
+    ratios = tuple(map(float, ratios))
+    for ratio in ratios:
+        if not 0.0 <= ratio < math.inf:  # a NaN fails too
+            raise InvalidStateError(f"kappa/g_alpha must be finite and >= 0, got {ratio}")
+    theta = experiment.pulse_area
     rho0 = experiment.initial_state.to_density()
-    orthogonal = PureState(psi_perp(experiment.pulse_area, experiment.initial_state.amplitudes))
-    return tuple(fidelity_pure(evolve(rho0, pulse, decay).final, orthogonal) for decay in decays)
+    orthogonal = PureState(psi_perp(theta, experiment.initial_state.amplitudes))
+    return tuple(fidelity_pure(evolve(rho0, theta, ratio).final, orthogonal) for ratio in ratios)

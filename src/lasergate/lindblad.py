@@ -13,9 +13,10 @@ The equation is written once, in Bloch form: rho = (I + x sigma_x + y sigma_y
 + z sigma_z) / 2 with sigma_z = |a><a| - |b><b| and rho_ab = (x + i y) / 2, and
 v = (1, x, y, z) obeys the real linear ODE dv/dt = (g_alpha B_drive + kappa
 B_decay) v.  The solvers work in scaled time tau = g_alpha * t, where the
-dynamics depend only on the single ratio kappa / g_alpha.  Within a pulse the
-coefficients are constant, so one real 4x4 matrix maps v exactly over any
-time: exp(B * tau).  On resonance it has a closed form, the damped Torrey
+dynamics depend only on the single ratio kappa / g_alpha, so :func:`evolve`
+takes theta and that ratio and reports times in units of 1/g_alpha.  Within a
+pulse the coefficients are constant, so one real 4x4 matrix maps v exactly
+over any time: exp(B * tau).  On resonance it has a closed form, the damped Torrey
 nutation (Torrey, Phys. Rev. 76, 1059 (1949)): x decays on its own, and
 (y, z) nutates and relaxes towards the driven steady state, with circular
 functions below the exceptional point kappa/g_alpha = 8 and hyperbolic ones
@@ -66,33 +67,6 @@ _B_DECAY = ((0.0, 0.0, 0.0, 0.0),
 class IntegrationError(RuntimeError):
     """The pulse propagator is not finite, or a propagated state is not a
     density matrix; reported as a numerical failure."""
-
-
-class PulseSpec(Record):
-    """Resonant drive pulse: coupling g_alpha and rotation area theta = Omega_R T."""
-
-    drive_coupling: float
-    pulse_area: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.drive_coupling) and self.drive_coupling >= 0):
-            raise InvalidStateError(
-                f"drive_coupling must be finite and >= 0, got {self.drive_coupling}"
-            )
-        if not (math.isfinite(self.pulse_area) and self.pulse_area >= 0):
-            raise InvalidStateError(f"pulse_area must be finite and >= 0, got {self.pulse_area}")
-        if self.pulse_area > 0 and self.drive_coupling == 0:
-            raise InvalidStateError("nonzero pulse area requires drive_coupling > 0")
-
-
-class DecaySpec(Record):
-    """Single amplitude-damping channel at the given rate (same units as g_alpha)."""
-
-    rate: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.rate) and self.rate >= 0):
-            raise InvalidStateError(f"decay rate must be finite and >= 0, got {self.rate}")
 
 
 class IntegratorConfig(Record):
@@ -254,22 +228,25 @@ def _step_rows(ratio: float, tau: float, config: IntegratorConfig, segments: int
     return total[1:]
 
 
-def evolve(rho0: DensityMatrix, pulse: PulseSpec, decay: DecaySpec,
+def evolve(rho0: DensityMatrix, theta: float, ratio: float,
            config: IntegratorConfig = IntegratorConfig()) -> EvolutionResult:
-    """Evolve ``rho0`` through one pulse.
+    """Evolve ``rho0`` through one pulse of area ``theta`` at
+    kappa/g_alpha = ``ratio``, both finite and >= 0, with times in units of
+    1/g_alpha: the pulse lasts theta / 2.
 
     Returns the validated final state and the :class:`Trajectory` of the
     states at ``config.sample_count + 1`` uniformly spaced times, from the
     initial to the final state; the default ``sample_count`` of 1 samples
-    those two only.  The final state is the last sample, at ``pulse_area`` 0
+    those two only.  The final state is the last sample, at ``theta`` 0
     too: every sample is then ``rho0`` as its columns read it, with its
     lower-left coherence.  A propagated state that is not a density matrix
     (the rounding of a long or strongly damped pulse pushed its Bloch vector
     out of the unit ball, or an unstable RK4 step made it blow up) raises
     :class:`IntegrationError`.
     """
-    g = pulse.drive_coupling
-    theta = pulse.pulse_area
+    for name, value in (("theta", theta), ("kappa/g_alpha", ratio)):
+        if not (math.isfinite(value) and value >= 0):
+            raise InvalidStateError(f"{name} must be finite and >= 0, got {value}")
     n_segments = config.sample_count
     if theta == 0.0:  # every sample, the final state too, is rho0 as its columns read it
         (rho_bb, _), (rho_ab, rho_aa) = rho0.matrix
@@ -279,8 +256,8 @@ def evolve(rho0: DensityMatrix, pulse: PulseSpec, decay: DecaySpec,
                                             for value in (0.0, *columns))))
 
     tau = theta / 2.0 / n_segments  # scaled duration g_alpha * T of one segment
-    (x0, xx, xy, xz), (y0, yx, yy, yz), (z0, zx, zy, zz) = _step_rows(decay.rate / g, tau,
-                                                                     config, n_segments)
+    (x0, xx, xy, xz), (y0, yx, yy, yz), (z0, zx, zy, zz) = _step_rows(ratio, tau, config,
+                                                                     n_segments)
     # each row acts as in qcore.matvec: sum(map(mul, row, (1.0, x, y, z))) is
     # (((0 + r0 * 1.0) + rx * x) + ry * y) + rz * z, and 0 + r0 * 1.0 is 0.0 + r0
     x0, y0, z0 = 0.0 + x0, 0.0 + y0, 0.0 + z0
@@ -303,6 +280,6 @@ def evolve(rho0: DensityMatrix, pulse: PulseSpec, decay: DecaySpec,
         raise IntegrationError(
             f"propagated state left the Bloch ball (largest |s| = {radius:.12g}): {exc}"
         ) from exc
-    times = (*(i * tau / g for i in range(n_segments)), theta / 2.0 / g)
+    times = (*(i * tau for i in range(n_segments)), theta / 2.0)
     final = DensityMatrix(_matrix(*(column[-1] for column in columns)))
     return EvolutionResult(final, Trajectory(times, *columns))

@@ -26,13 +26,7 @@ from lasergate.budget import (
 from lasergate.cli import EXIT_OK, main
 from lasergate.gates import GateExperiment, first_order_coefficient, sweep_failure_probabilities
 from lasergate.jc import jc_gate_error
-from lasergate.lindblad import (
-    RK4_FIXED,
-    DecaySpec,
-    IntegratorConfig,
-    PulseSpec,
-    evolve,
-)
+from lasergate.lindblad import RK4_FIXED, IntegratorConfig, evolve
 from lasergate.qcore import DensityMatrix, PureState, logspace
 
 FIRST_ORDER_PI_SLOPE = 3.0 * math.pi / 16.0  # p per unit kappa/g_alpha, pi pulse from ground
@@ -62,7 +56,7 @@ def test_pi_pulse_error_tracks_first_order():
     slowest = 0.0
     for ratio, tol in ((1e-3, 0.01), (1e-4, 0.002)):
         start = time.perf_counter()
-        final = evolve(rho0, PulseSpec(1.0, math.pi), DecaySpec(ratio)).final
+        final = evolve(rho0, math.pi, ratio).final
         slowest = max(slowest, time.perf_counter() - start)
         deficit = 1.0 - final.matrix[1][1].real
         rel = abs(deficit / (FIRST_ORDER_PI_SLOPE * ratio) - 1.0)
@@ -206,7 +200,7 @@ def test_state_invariants_on_random_trajectories():
         rho0 = DensityMatrix(m / np.trace(m))
         theta = rng.uniform(0.1, 2.0 * math.pi)
         ratio = rng.uniform(0.0, 1.0)
-        result = evolve(rho0, PulseSpec(1.0, theta), DecaySpec(ratio), config)
+        result = evolve(rho0, theta, ratio, config)
         for mat in map(np.asarray, result.trajectory.states):
             worst_trace = max(worst_trace, abs(np.trace(mat).real - 1.0))
             worst_herm = max(worst_herm, float(np.max(np.abs(mat - mat.conj().T))))
@@ -221,16 +215,16 @@ def test_state_invariants_on_random_trajectories():
         amps = rng.normal(size=2) + 1j * rng.normal(size=2)
         psi = PureState(amps / np.linalg.norm(amps))
         theta = rng.uniform(0.1, 2.0 * math.pi)
-        final = evolve(psi.to_density(), PulseSpec(1.0, theta), DecaySpec(0.0), accurate).final
+        final = evolve(psi.to_density(), theta, 0.0, accurate).final
         worst_purity = max(worst_purity, abs(final.purity() - 1.0))
     purity_ok = worst_purity <= 1e-8
 
     rho0 = PureState.superposition(1.0, 0.6 + 0.2j).to_density()
-    pulse, decay = PulseSpec(1.0, 3.0 * math.pi / 2.0), DecaySpec(0.3)
+    theta, ratio = 3.0 * math.pi / 2.0, 0.3
 
     def final_with(steps):
         cfg = IntegratorConfig(method=RK4_FIXED, step_count=steps)
-        return np.asarray(evolve(rho0, pulse, decay, cfg).final.matrix)
+        return np.asarray(evolve(rho0, theta, ratio, cfg).final.matrix)
 
     reference = final_with(2000)
     factor = np.max(np.abs(final_with(100) - reference)) / np.max(

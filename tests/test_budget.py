@@ -328,9 +328,9 @@ class TestAreaSweep:
     def test_kappa_area_product_and_error_columns(self):
         atom, beam, field = _system(1e-6, 1e-29, 1e5, 1e-12)
         sigma = beam.scattering_cross_section
-        sweep = fixed_intensity_area_sweep(
-            atom, field, 1e-6, [sigma, 10 * sigma, 1e4 * sigma, 1e6 * sigma]
-        )
+        sweep = fixed_intensity_area_sweep(pi_pulse_budget(atom, beam, field), 4, 1e6)
+        assert sweep.area[0] == sigma and sweep.area[-1] == sigma * 1e6
+        assert [a / sigma for a in sweep.area] == pytest.approx([1.0, 1e2, 1e4, 1e6], rel=1e-12)
         expected = atom.decay_rate() * sigma
         for product in sweep.kappa_times_area:
             assert product == pytest.approx(expected, rel=1e-12)
@@ -340,24 +340,35 @@ class TestAreaSweep:
         # at the matched area the two error columns coincide
         assert sweep.laser_mode_error[0] == pytest.approx(sweep.total_error[0], rel=1e-12)
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1e-12])
-    @pytest.mark.parametrize("first", [True, False], ids=["first", "later"])
-    def test_area_that_is_not_finite_and_positive_is_refused(self, bad, first):
-        # min() skips a NaN that is not first, so NaN kappa and n_bar came back
-        atom, _, field = _system(1e-6, 1e-29, 1e5, 1e-12)
-        areas = [bad, 1e-12] if first else [1e-12, bad]
-        with pytest.raises(InvalidStateError, match="must be"):
-            fixed_intensity_area_sweep(atom, field, 1e-6, areas)
-
+    @pytest.mark.parametrize("points,max_factor,error,match", [
+        (1, 1e6, InvalidStateError, "area_sweep_points must be >= 2"),
+        (0, 1e6, InvalidStateError, "area_sweep_points must be >= 2"),
+        (7, 1.0, InvalidStateError, "area_sweep_max_factor must be > 1"),
+        (7, 0.0, InvalidStateError, "area_sweep_max_factor must be > 1"),
+        (7, -1e-12, InvalidStateError, "area_sweep_max_factor must be > 1"),
+        (7, math.nan, InvalidStateError, "area_sweep_max_factor must be > 1"),
+        (7, 1.7e308, FloatingPointError, "largest sweep area leaves the double range"),
+    ], ids=["points-1", "points-0", "factor-1", "factor-0", "factor-negative", "factor-nan",
+            "factor-overflows"])
+    def test_grid_outside_the_contract_is_refused(self, points, max_factor, error, match):
+        # a 10 m wavelength gives sigma_eff = 11.9 m^2, which 1.7e308 overflows
+        report = pi_pulse_budget(*_system(10.0, 1e-29, 1e5, 1e3))
+        with pytest.raises(error, match=match):
+            fixed_intensity_area_sweep(report, points, max_factor)
 
     @pytest.mark.filterwarnings("ignore:mode_area is below")
-    @given(wavelength=wavelengths, dipole=dipoles, amplitude=amplitudes,
-           beam_areas=st.lists(areas, min_size=1, max_size=20))
+    @given(wavelength=wavelengths, dipole=dipoles, amplitude=amplitudes, mode_area=areas,
+           points=st.integers(min_value=2, max_value=20),
+           max_factor=st.floats(min_value=0.01, max_value=12.0).map(lambda e: 10.0**e))
     @settings(max_examples=50, deadline=None)
-    def test_rows_are_the_budget_of_each_beam(self, wavelength, dipole, amplitude, beam_areas):
+    def test_rows_are_the_budget_of_each_beam(self, wavelength, dipole, amplitude, mode_area,
+                                              points, max_factor):
         # bit for bit: the sweep computes each row as pi_pulse_budget does
-        atom, _, field = _system(wavelength, dipole, amplitude, 1e-10)
-        sweep = fixed_intensity_area_sweep(atom, field, wavelength, beam_areas)
+        atom, beam, field = _system(wavelength, dipole, amplitude, mode_area)
+        sweep = fixed_intensity_area_sweep(pi_pulse_budget(atom, beam, field), points, max_factor)
+        sigma = beam.scattering_cross_section
+        assert len(sweep.area) == points
+        assert sweep.area[0] == sigma and sweep.area[-1] == sigma * max_factor
         for area, kappa, n_bar in zip(sweep.area, sweep.kappa, sweep.n_bar):
             report = pi_pulse_budget(atom, BeamGeometry(wavelength, area), field)
             assert (kappa, n_bar) == (report.kappa_per_s, report.n_bar)

@@ -21,7 +21,7 @@ from lasergate import budget, cli, gates, jc
 from lasergate.cli import (
     EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, GATE_AREAS, MAX_ROWS, START_STATES, main,
 )
-from lasergate.lindblad import DecaySpec, IntegratorConfig, PulseSpec, evolve
+from lasergate.lindblad import IntegratorConfig, evolve
 from lasergate.qcore import DensityMatrix
 
 
@@ -146,9 +146,8 @@ class TestSimulate:
     def test_csv_prints_the_trajectory_states(self, argv):
         cfg = cli._coerce("simulate", cli._overrides_from_extras(argv))
         config = IntegratorConfig(cfg["method"], cfg["step_count"], cfg["samples"])
-        trajectory = evolve(START_STATES[cfg["start"]]().to_density(),
-                            PulseSpec(1.0, cfg["theta"]), DecaySpec(cfg["ratio"]),
-                            config).trajectory
+        trajectory = evolve(START_STATES[cfg["start"]]().to_density(), cfg["theta"],
+                            cfg["ratio"], config).trajectory
         want = ["t,rho_bb,rho_aa,re_rho_ab,im_rho_ab,purity"]
         for t, m in zip(trajectory.times, trajectory.states):
             values = (t, m[0][0].real, m[1][1].real, m[1][0].real, m[1][0].imag,
@@ -745,8 +744,10 @@ class TestPlumbing:
         assert run(tmp_path, "simulate", "--ratio")[0] == EXIT_CONFIG
 
     def test_error_message_names_the_invariant(self, tmp_path, capsys):
-        run(tmp_path, "simulate", "--ratio", "-1")
-        assert "decay rate" in capsys.readouterr().err
+        assert run(tmp_path, "simulate", "--ratio", "-1")[0] == EXIT_CONFIG
+        assert "kappa/g_alpha must be finite and >= 0" in capsys.readouterr().err
+        assert run(tmp_path, "simulate", "--theta", "-1")[0] == EXIT_CONFIG
+        assert "theta must be finite and >= 0" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
         ["sweep", "--method", "rk4_fixed"], ["sweep", "--step_count", "500"],

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
+from lasergate import gates
 from lasergate.budget import photon_coefficient
 from lasergate.cli import GATE_AREAS, START_STATES
 from lasergate.gates import (
@@ -13,7 +14,7 @@ from lasergate.gates import (
     first_order_coefficient,
     sweep_failure_probabilities,
 )
-from lasergate.lindblad import RK4_FIXED, DecaySpec, IntegratorConfig, PulseSpec, evolve
+from lasergate.lindblad import RK4_FIXED, IntegratorConfig, evolve
 from lasergate.qcore import (
     InvalidStateError,
     PureState,
@@ -103,14 +104,29 @@ class TestFailureProbability:
         # kappa/g_alpha * tau = 1.7e308 * pi/2 overflows the propagator, so a
         # sweep that propagated each ratio as it checked it would raise
         # IntegrationError there, before it reached the infinite ratio
-        with pytest.raises(InvalidStateError, match="decay rate must be finite"):
+        with pytest.raises(InvalidStateError, match="kappa/g_alpha must be finite"):
             sweep_failure_probabilities(PI_FROM_GROUND, [1e-3, 1.7e308, math.inf])
+
+    @pytest.mark.parametrize("bad", [math.nan, -1e-3, math.inf])
+    def test_bad_last_ratio_is_refused_before_any_evolve(self, monkeypatch, bad):
+        calls = []
+
+        def counting_evolve(*args, **kwargs):
+            calls.append(args)
+            return evolve(*args, **kwargs)
+
+        monkeypatch.setattr(gates, "evolve", counting_evolve)
+        with pytest.raises(InvalidStateError, match="kappa/g_alpha must be finite"):
+            sweep_failure_probabilities(PI_FROM_GROUND, [0.0, 1e-4, 1e-3, bad])
+        assert calls == []
+        sweep_failure_probabilities(PI_FROM_GROUND, [0.0, 1e-4])
+        assert len(calls) == 2
 
     def test_rk4_and_exact_agree(self):
         # the exact p against an independent RK4 run of the same pulse
         cfg = IntegratorConfig(method=RK4_FIXED, step_count=2000)
         rho0 = HALF_FROM_EXCITED.initial_state.to_density()
-        final = evolve(rho0, PulseSpec(1.0, HALF_FROM_EXCITED.pulse_area), DecaySpec(1e-3), cfg)
+        final = evolve(rho0, HALF_FROM_EXCITED.pulse_area, 1e-3, cfg)
         target = oracles.ideal_state(np.asarray(HALF_FROM_EXCITED.initial_state.amplitudes),
                                      HALF_FROM_EXCITED.pulse_area)
         rk4 = 1.0 - fidelity_pure(final.final, PureState(target))

@@ -10,14 +10,7 @@ import oracles
 from lasergate import lindblad
 from lasergate.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main
 from lasergate.gates import GateExperiment, failure_probability, sweep_failure_probabilities
-from lasergate.lindblad import (
-    RK4_FIXED,
-    DecaySpec,
-    IntegrationError,
-    IntegratorConfig,
-    PulseSpec,
-    evolve,
-)
+from lasergate.lindblad import RK4_FIXED, IntegrationError, IntegratorConfig, evolve
 from lasergate.qcore import DensityMatrix, InvalidStateError, PureState
 
 RK4 = IntegratorConfig(method=RK4_FIXED, step_count=400)
@@ -36,36 +29,35 @@ def lindblad_rhs(rho: DensityMatrix, g: float, kappa: float) -> np.ndarray:
     return np.array([[w - z, x - 1j * y], [x + 1j * y, w + z]]) / 2.0
 
 
-def ground_trajectory(pulse: PulseSpec):
-    """16-sample trajectory of the ground state under ``pulse``, without decay."""
+def ground_trajectory(theta: float):
+    """16-sample trajectory of the ground state through a pulse of area
+    ``theta``, without decay."""
     config = IntegratorConfig(sample_count=16)
-    return evolve(PureState.ground().to_density(), pulse, DecaySpec(0.0), config).trajectory
+    return evolve(PureState.ground().to_density(), theta, 0.0, config).trajectory
 
 
 class TestSpecs:
     def test_pi_pulse_duration(self):
-        # theta = pi is exactly T = pi / (2 g alpha)
-        assert ground_trajectory(PulseSpec(1.0, math.pi)).times[-1] == math.pi / 2
-        assert ground_trajectory(PulseSpec(2.5, math.pi)).times[-1] == math.pi / 5
+        # theta = pi is exactly T = pi / (2 g alpha), times in units of 1/g alpha
+        assert ground_trajectory(math.pi).times[-1] == math.pi / 2
+        assert ground_trajectory(5.0).times[-1] == 2.5
 
     def test_rabi_frequency_is_twice_coupling(self):
-        # from the ground state rho_aa(t) = (1 - cos(Omega_R t)) / 2, Omega_R = 2 g
-        traj = ground_trajectory(PulseSpec(3.0, 5.0))
-        want = (1.0 - np.cos(6.0 * np.array(traj.times))) / 2.0
+        # from the ground state rho_aa(t) = (1 - cos(Omega_R t)) / 2, Omega_R = 2 g,
+        # with t in units of 1/g
+        traj = ground_trajectory(5.0)
+        want = (1.0 - np.cos(2.0 * np.array(traj.times))) / 2.0
         assert np.max(np.abs(np.array(traj.states)[:, 1, 1].real - want)) <= 1e-12
 
     def test_zero_area_zero_duration(self):
-        assert np.array_equal(ground_trajectory(PulseSpec(0.0, 0.0)).times, np.zeros(17))
-
-    def test_area_without_drive_rejected(self):
-        with pytest.raises(InvalidStateError):
-            PulseSpec(drive_coupling=0.0, pulse_area=1.0)
+        assert np.array_equal(ground_trajectory(0.0).times, np.zeros(17))
 
     def test_negative_inputs_rejected(self):
-        with pytest.raises(InvalidStateError):
-            PulseSpec(-1.0, 1.0)
-        with pytest.raises(InvalidStateError):
-            DecaySpec(rate=-0.1)
+        rho0 = PureState.ground().to_density()
+        with pytest.raises(InvalidStateError, match="theta must be"):
+            evolve(rho0, -1.0, 0.0)
+        with pytest.raises(InvalidStateError, match="kappa/g_alpha must be"):
+            evolve(rho0, 1.0, -0.1)
 
     def test_rk4_needs_enough_steps(self):
         with pytest.raises(InvalidStateError):
@@ -73,12 +65,11 @@ class TestSpecs:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_inputs_rejected(self, bad):
-        with pytest.raises(InvalidStateError):
-            PulseSpec(1.0, bad)
-        with pytest.raises(InvalidStateError):
-            PulseSpec(bad, 1.0)
-        with pytest.raises(InvalidStateError):
-            DecaySpec(rate=bad)
+        rho0 = PureState.ground().to_density()
+        with pytest.raises(InvalidStateError, match="theta must be"):
+            evolve(rho0, bad, 0.0)
+        with pytest.raises(InvalidStateError, match="kappa/g_alpha must be"):
+            evolve(rho0, 1.0, bad)
 
 
 class TestRhs:
@@ -114,13 +105,13 @@ class TestRhs:
 class TestEvolve:
     def test_unitary_pi_pulse_flips_ground(self):
         result = evolve(
-            PureState.ground().to_density(), PulseSpec(1.0, math.pi), DecaySpec(0.0)
+            PureState.ground().to_density(), math.pi, 0.0
         )
         assert result.final.matrix[1][1].real == pytest.approx(1.0, abs=1e-8)
 
     def test_zero_area_is_identity(self):
         rho0 = PureState.superposition(1.0, 1j).to_density()
-        result = evolve(rho0, PulseSpec(1.0, 0.0), DecaySpec(0.3))
+        result = evolve(rho0, 0.0, 0.3)
         assert np.array_equal(result.final.matrix, rho0.matrix)
 
     @pytest.mark.parametrize("theta", [0.0, 1e-300], ids=["zero", "tiny"])
@@ -129,7 +120,7 @@ class TestEvolve:
         # its lower-left coherence, 0.2, not as the upper-right 0.2 + 1e-13j
         rho0 = DensityMatrix([[0.6, 0.2 + 1e-13j], [0.2, 0.4]])
         config = IntegratorConfig(sample_count=3)
-        result = evolve(rho0, PulseSpec(1.0, theta), DecaySpec(0.3), config)
+        result = evolve(rho0, theta, 0.3, config)
         assert result.final.matrix == result.trajectory.states[-1]
         assert abs(result.final.matrix[0][1] - 0.2) < 1e-14
 
@@ -138,33 +129,23 @@ class TestEvolve:
         rng = np.random.default_rng(5)
         for theta, ratio in [(math.pi, 1e-3), (math.pi / 2, 0.2), (2.1, 0.8), (5.0, 0.05)]:
             rho0 = random_density(rng)
-            got = evolve(rho0, PulseSpec(1.0, theta), DecaySpec(ratio), config).final
+            got = evolve(rho0, theta, ratio, config).final
             want = oracles.evolve_superop(rho0.matrix, theta, ratio)
             assert np.max(np.abs(got.matrix - want)) <= 1e-9
-
-    def test_drive_rescaling_leaves_physics_invariant(self):
-        # doubling g alpha and kappa halves the duration but not the final state
-        rho0 = PureState.ground().to_density()
-        a = evolve(rho0, PulseSpec(1.0, math.pi), DecaySpec(1e-2)).final
-        b = evolve(rho0, PulseSpec(512.0, math.pi), DecaySpec(512.0 * 1e-2)).final
-        assert np.max(np.abs(np.subtract(a.matrix, b.matrix))) <= 1e-10
 
     def test_excited_population_deficit_first_order(self):
         # 1 - rho_aa(T) = (3 pi / 16) * kappa/g_alpha to first order, here
         # checked at 1% and 0.2% relative for ratios 1e-3 and 1e-4
         rho0 = PureState.ground().to_density()
         for ratio, rel in [(1e-3, 0.01), (1e-4, 0.002)]:
-            final = evolve(rho0, PulseSpec(1.0, math.pi), DecaySpec(ratio)).final
+            final = evolve(rho0, math.pi, ratio).final
             deficit = 1.0 - final.matrix[1][1].real
             expected = (3.0 * math.pi / 16.0) * ratio
             assert deficit == pytest.approx(expected, rel=rel)
 
     def test_trajectory_sampling(self):
         result = evolve(
-            PureState.ground().to_density(),
-            PulseSpec(1.0, math.pi),
-            DecaySpec(0.1),
-            IntegratorConfig(sample_count=16),
+            PureState.ground().to_density(), math.pi, 0.1, IntegratorConfig(sample_count=16)
         )
         assert len(result.trajectory) == 17
         times = result.trajectory.times
@@ -185,7 +166,7 @@ class TestConservationLaws:
         rng = np.random.default_rng(seed)
         rho0 = random_density(rng)
         theta = float(rng.uniform(0.1, 2 * math.pi))
-        final = evolve(rho0, PulseSpec(1.0, theta), DecaySpec(0.0), RK4).final
+        final = evolve(rho0, theta, 0.0, RK4).final
         assert abs(final.purity() - rho0.purity()) <= 1e-8
 
     @given(seed=st.integers(0, 2**32 - 1))
@@ -196,7 +177,7 @@ class TestConservationLaws:
         theta = float(rng.uniform(0.1, 2 * math.pi))
         ratio = float(rng.uniform(0.0, 1.0))
         config = IntegratorConfig(method=RK4_FIXED, step_count=200, sample_count=8)
-        result = evolve(rho0, PulseSpec(1.0, theta), DecaySpec(ratio), config)
+        result = evolve(rho0, theta, ratio, config)
         for m in map(np.asarray, result.trajectory.states):
             assert abs(np.trace(m) - 1.0) <= 1e-9
             assert np.max(np.abs(m - m.conj().T)) <= 1e-9
@@ -205,12 +186,12 @@ class TestConservationLaws:
     def test_linearity_in_the_initial_state(self):
         rng = np.random.default_rng(23)
         rho1, rho2 = random_density(rng), random_density(rng)
-        pulse, decay = PulseSpec(1.0, 2.5), DecaySpec(0.15)
-        out1 = np.asarray(evolve(rho1, pulse, decay, RK4).final.matrix)
-        out2 = np.asarray(evolve(rho2, pulse, decay, RK4).final.matrix)
+        theta, ratio = 2.5, 0.15
+        out1 = np.asarray(evolve(rho1, theta, ratio, RK4).final.matrix)
+        out2 = np.asarray(evolve(rho2, theta, ratio, RK4).final.matrix)
         for a in (0.25, 0.5, 0.75):
             mixed = DensityMatrix(a * np.asarray(rho1.matrix) + (1 - a) * np.asarray(rho2.matrix))
-            got = evolve(mixed, pulse, decay, RK4).final.matrix
+            got = evolve(mixed, theta, ratio, RK4).final.matrix
             assert np.max(np.abs(got - (a * out1 + (1 - a) * out2))) <= 1e-8
 
 
@@ -219,11 +200,11 @@ class TestConvergenceOrder:
         # halving h should shrink the final-state error by ~2^4 against a
         # reference 10x finer than the finer run
         rho0 = PureState.superposition(1.0, 0.6 + 0.2j).to_density()
-        pulse, decay = PulseSpec(1.0, 3 * math.pi / 2), DecaySpec(0.3)
+        theta, ratio = 3 * math.pi / 2, 0.3
 
         def final_with(steps):
             cfg = IntegratorConfig(method=RK4_FIXED, step_count=steps)
-            return np.asarray(evolve(rho0, pulse, decay, cfg).final.matrix)
+            return np.asarray(evolve(rho0, theta, ratio, cfg).final.matrix)
 
         reference = final_with(2000)
         err_coarse = np.max(np.abs(final_with(100) - reference))
@@ -238,7 +219,7 @@ class TestConvergenceOrder:
         rho0 = PureState.superposition(1.0, 0.6 + 0.2j).to_density()
         theta, ratio = 3 * math.pi / 2, 0.3
         config = IntegratorConfig(method=RK4_FIXED, step_count=step_count, sample_count=samples)
-        got = evolve(rho0, PulseSpec(1.0, theta), DecaySpec(ratio), config).trajectory.states
+        got = evolve(rho0, theta, ratio, config).trajectory.states
         want = oracles.rk4_trajectory(rho0.matrix, theta, ratio, step_count, samples)
         assert np.max(np.abs(got - want)) <= 1e-12
 
@@ -258,7 +239,7 @@ class TestExactPropagator:
         rho0 = PureState.superposition(1.0, 0.6 + 0.2j).to_density()
         for ratio in ratios:
             want = oracles.evolve_superop(rho0.matrix, theta, ratio)
-            single = evolve(rho0, PulseSpec(1.0, theta), DecaySpec(ratio)).final
+            single = evolve(rho0, theta, ratio).final
             assert np.max(np.abs(single.matrix - want)) <= 1e-12
 
     @pytest.mark.parametrize("theta", [math.pi / 2, math.pi, 4 * math.pi])
@@ -269,7 +250,7 @@ class TestExactPropagator:
         for start in ("ground", "tilted"):
             rho0 = self.STARTS[start].to_density()
             for ratio in ratios:
-                got = evolve(rho0, PulseSpec(1.0, theta), DecaySpec(ratio)).final.matrix
+                got = evolve(rho0, theta, ratio).final.matrix
                 want = oracles.evolve_mp(rho0.matrix, theta, ratio)
                 assert np.max(np.abs(got - want)) <= 1e-14, (start, ratio)
 
@@ -281,8 +262,7 @@ class TestExactPropagator:
         r = Fraction(ratio)
         rho_aa, im_rho_ab = float(4 / (8 + r * r)), float(-2 * r / (8 + r * r))
         want = [[1.0 - rho_aa, -1j * im_rho_ab], [1j * im_rho_ab, rho_aa]]
-        final = evolve(PureState.ground().to_density(), PulseSpec(1.0, math.pi),
-                       DecaySpec(ratio)).final.matrix
+        final = evolve(PureState.ground().to_density(), math.pi, ratio).final.matrix
         assert np.max(np.abs(np.subtract(final, want))) <= 1e-15
         if ratio == 1e6:
             want = oracles.evolve_mp(PureState.ground().to_density().matrix, math.pi, ratio)
@@ -303,10 +283,9 @@ class TestExactPropagator:
         assert len(swept) == 16
         with pytest.raises(TypeError):
             swept[0] = 1.0
-        pulse = PulseSpec(1.7, theta)
         for rate, p in zip(rates, swept):
             assert p == failure_probability(experiment, rate)
-            result = evolve(psi0.to_density(), pulse, DecaySpec(rate), config)
+            result = evolve(psi0.to_density(), theta, rate / 1.7, config)
             assert np.array_equal(result.final.matrix, result.trajectory.states[-1])
 
     @pytest.mark.parametrize("theta", [math.pi, math.pi / 2], ids=["pi", "pi2"])
@@ -318,9 +297,10 @@ class TestExactPropagator:
     def test_trajectory_applies_one_step_propagator(self):
         rho0 = PureState.excited().to_density()
         config = IntegratorConfig(sample_count=64)
-        result = evolve(rho0, PulseSpec(2.0, 3.0), DecaySpec(0.5), config)
+        result = evolve(rho0, 3.0, 0.25, config)
         for t, m in zip(result.trajectory.times, result.trajectory.states):
-            want = oracles.evolve_superop(rho0.matrix, 2.0 * 2.0 * t, 0.25)
+            # the area reached at time t (in units of 1/g alpha) is Omega_R t = 2 t
+            want = oracles.evolve_superop(rho0.matrix, 2.0 * t, 0.25)
             assert np.max(np.abs(m - want)) <= 1e-12
         assert np.array_equal(result.final.matrix, result.trajectory.states[-1])
 
@@ -329,7 +309,7 @@ class TestExactPropagator:
         # 1e308 does not, and gives the finite Zeno-limit propagator
         rho0 = PureState.ground().to_density()
         with pytest.raises(IntegrationError):
-            evolve(rho0, PulseSpec(1.0, math.pi), DecaySpec(1.7e308))
+            evolve(rho0, math.pi, 1.7e308)
         argv = ["simulate", "--ratio", "1.7e308", "--samples", "1", "--out", str(tmp_path / "o")]
         assert main(argv) == EXIT_NUMERIC
 
@@ -346,4 +326,4 @@ class TestExactPropagator:
 class TestValidation:
     def test_fock_dimension_rejected(self):
         with pytest.raises(InvalidStateError, match="expected a 2x2 matrix"):
-            evolve(DensityMatrix(np.eye(4) / 4), PulseSpec(1.0, math.pi), DecaySpec(0.0))
+            evolve(DensityMatrix(np.eye(4) / 4), math.pi, 0.0)

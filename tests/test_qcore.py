@@ -11,7 +11,7 @@ from scipy.linalg import expm
 import oracles
 from lasergate import lindblad
 from lasergate.budget import RamanSpec
-from lasergate.lindblad import EXACT, DecaySpec, IntegratorConfig, PulseSpec, evolve
+from lasergate.lindblad import EXACT, IntegratorConfig, evolve
 from lasergate.qcore import (
     DensityMatrix,
     InvalidStateError,
@@ -361,7 +361,7 @@ class TestRecord:
         rho = DensityMatrix(np.eye(2) / 2)
         psi = PureState.superposition(1.0, 1j)
         config = IntegratorConfig(sample_count=4)
-        trajectory = evolve(rho, PulseSpec(1.0, 1.0), DecaySpec(0.1), config).trajectory
+        trajectory = evolve(rho, 1.0, 0.1, config).trajectory
         for record, storage in ((rho, "matrix"), (psi, "amplitudes"),
                                 (trajectory, "times"), (trajectory, "states")):
             twin = clone(record)
