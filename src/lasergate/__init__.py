@@ -18,9 +18,9 @@ __version__ = "0.1.0"
 # module -> the public names it defines
 _EXPORTS = {
     "budget": ("AtomModel", "BeamGeometry", "CODATA", "FieldSpec", "PhysicalConstants",
-               "PiPulseBudget", "RamanSpec", "fixed_intensity_area_sweep", "kappa_from_beam",
-               "pi_pulse_budget", "raman_constraint"),
-    "gates": ("GateExperiment", "failure_probability", "first_order_coefficient"),
+               "PiPulseBudget", "RamanSpec", "fixed_intensity_area_sweep", "pi_pulse_budget",
+               "raman_constraint"),
+    "gates": ("first_order_coefficient",),
     "jc": ("jc_gate_error",),
     "lindblad": ("EvolutionResult", "IntegrationError", "IntegratorConfig", "evolve"),
     "qcore": ("DensityMatrix", "InvalidStateError", "PureState", "fidelity_pure"),

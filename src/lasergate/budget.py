@@ -122,9 +122,6 @@ class FieldSpec(Record):
         """Cycle-averaged intensity I = eps0 c E0^2 / 2 (W/m^2)."""
         return 0.5 * constants.epsilon0 * constants.c * self.amplitude ** 2
 
-    def power(self, beam: BeamGeometry, constants: PhysicalConstants = CODATA) -> float:
-        return self.intensity(constants) * beam.mode_area
-
     def rabi_frequency(self, atom: AtomModel, constants: PhysicalConstants = CODATA) -> float:
         """Omega_R = d E0 / hbar (rad/s)."""
         return atom.dipole_moment * self.amplitude / constants.hbar
@@ -134,6 +131,8 @@ class PiPulseBudget(Record):
     """The budget of one resonant pi pulse, T = pi / Omega_R: the report's
     scalar lines, in SI base units and in print order.
 
+    ``kappa_per_s`` = Gamma sigma_eff / A is the decay rate into the
+    beam-aligned vacuum modes, so kappa * A stays at Gamma sigma_eff.
     ``n_bar`` counts photons in the whole pulse (P T / hbar omega),
     ``n_bar_prime`` only those within sigma_eff * c * T around the atom.  The
     four ``margin_*`` fields are one constraint (> 1 = pass) along independent
@@ -213,17 +212,6 @@ class RamanReport(Record):
     @property
     def coefficient_gap(self) -> float:
         return self.resonant_chain_coefficient / self.eliminated_coefficient
-
-
-def kappa_from_beam(atom: AtomModel, beam: BeamGeometry,
-                    constants: PhysicalConstants = CODATA) -> float:
-    """Decay rate into the beam-aligned vacuum modes: kappa = Gamma sigma_eff / A.
-
-    Widening the beam at fixed intensity shrinks the acceptance angle of the
-    co-propagating modes, so kappa falls off as 1/A while kappa * A stays at
-    Gamma * sigma_eff.
-    """
-    return atom.decay_rate(constants) * beam.scattering_cross_section / beam.mode_area
 
 
 def drive_ratio_for_photons(theta: float, n_bar: float) -> float:
@@ -346,11 +334,13 @@ def fixed_intensity_area_sweep(report: PiPulseBudget, points: int, max_factor: f
     ``kappa`` and ``n_bar`` is computed as :func:`pi_pulse_budget` computes
     ``kappa_per_s`` and ``n_bar`` for a beam of that area, bit for bit.
     """
+    sigma_eff = report.sigma_eff_m2
+    if not 0 < sigma_eff < math.inf:  # NaN fails too
+        raise InvalidStateError(f"sigma_eff_m2 must be finite and > 0, got {sigma_eff}")
     if points < 2:
         raise InvalidStateError("area_sweep_points must be >= 2")
     if not max_factor > 1:  # NaN fails too
         raise InvalidStateError("area_sweep_max_factor must be > 1")
-    sigma_eff = report.sigma_eff_m2
     largest = sigma_eff * max_factor
     if math.isinf(largest):  # finite inputs whose product overflows: numerical, not config
         raise FloatingPointError("the largest sweep area leaves the double range")

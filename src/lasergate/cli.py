@@ -238,20 +238,18 @@ def run_sweep(cfg: dict) -> str:
 
     if not (0 < cfg["ratio_min"] < cfg["ratio_max"]):
         raise ConfigError("need 0 < ratio_min < ratio_max")
-    experiment = gates.GateExperiment(
-        pulse_area=_gate_area(cfg["gate"]), initial_state=_start_state(cfg["start"])
-    )
+    theta, state = _gate_area(cfg["gate"]), _start_state(cfg["start"])
     # a grid outside the sweep contract is refused before any ratio is propagated
     ratios = gates.check_ratio_grid(logspace(math.log10(cfg["ratio_min"]),
                                              math.log10(cfg["ratio_max"]), cfg["points"]))
-    probabilities = gates.sweep_failure_probabilities(experiment, ratios)
-    c = gates.first_order_coefficient(experiment)
+    probabilities = gates.sweep_failure_probabilities(theta, state, ratios)
+    c = gates.first_order_coefficient(theta, state)
     # the spread of p/ratio around c: the second-order signature of the sweep
     residual = math.sqrt(sum((p / r - c) ** 2 for p, r in zip(probabilities, ratios)) / len(ratios))
 
     return (
         "ratio,p\n" + _format_rows(zip(ratios, probabilities))
-        + f"\n# c={_fmt(c)} c_prime={_fmt(budget.photon_coefficient(c, experiment.pulse_area))}"
+        + f"\n# c={_fmt(c)} c_prime={_fmt(budget.photon_coefficient(c, theta))}"
         f" residual={_fmt(residual)}\n"
     )
 
@@ -335,9 +333,8 @@ def run_compare(cfg: dict) -> str:
         raise ConfigError("n_bars must list at least one photon number")
     n_bars = jc.check_photon_numbers(cfg["n_bars"])  # before any work
 
-    experiment = gates.GateExperiment(pulse_area=theta, initial_state=state)
     ratios = [budget.drive_ratio_for_photons(theta, n_bar) for n_bar in n_bars]
-    markov = gates.sweep_failure_probabilities(experiment, ratios)
+    markov = gates.sweep_failure_probabilities(theta, state, ratios)
     table = ((model, cfg["gate"], n_bar, p, p * n_bar)
              for n_bar, p_markov in zip(n_bars, markov)
              for model, p in (("markov", p_markov), ("jc", jc.jc_gate_error(theta, state, n_bar))))

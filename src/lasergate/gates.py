@@ -1,10 +1,12 @@
-"""Gate experiments on the driven atom: failure probabilities and their
+"""Gate errors of the driven atom: failure probabilities and their
 first-order scaling in the decay-to-drive ratio.
 
-A gate is a resonant pulse of area theta applied to a chosen initial state.
-Its failure probability is the population left in the state orthogonal to
-the decay-free output of the same Hamiltonian, so p(ratio=0) = 0 by
-construction and p = c * (kappa / g_alpha) to first order.
+A gate is a resonant pulse of area theta applied to an initial
+:class:`qcore.PureState` psi, and both functions here take (theta, psi) in
+that order, as ``jc.jc_gate_error`` does.  Its failure probability is the
+population left in the state orthogonal to the decay-free output of the
+same Hamiltonian, so p(ratio=0) = 0 by construction and
+p = c * (kappa / g_alpha) to first order.
 ``first_order_coefficient`` gives c in closed form; its photon-number form
 is p = c' / nbar with c' = c * theta / 2 (see ``budget.photon_coefficient``).
 A sweep propagates p over a ratio grid that ``check_ratio_grid`` accepts.
@@ -14,8 +16,8 @@ from __future__ import annotations
 
 import math
 
-from .lindblad import evolve
-from .qcore import InvalidStateError, PureState, Record, fidelity_pure, psi_perp
+from .lindblad import check_pulse, evolve
+from .qcore import InvalidStateError, PureState, fidelity_pure, psi_perp
 
 # Ratios above this are outside the perturbative regime of a sweep.
 PERTURBATIVE_RATIO_MAX = 1e-2
@@ -26,41 +28,9 @@ PERTURBATIVE_RATIO_MAX = 1e-2
 RESOLVABLE_RATIO_MIN = 1e-10
 
 
-class GateExperiment(Record):
-    """A pulse area plus the state it is applied to."""
-
-    pulse_area: float
-    initial_state: PureState
-
-    def __post_init__(self):
-        if not (math.isfinite(self.pulse_area) and self.pulse_area >= 0):
-            raise InvalidStateError(f"pulse_area must be finite and >= 0, got {self.pulse_area}")
-
-
-def failure_probability(experiment: GateExperiment, ratio: float) -> float:
-    """Failure probability of one gate at a given kappa/g_alpha.
-
-    Parameters
-    ----------
-    experiment : GateExperiment
-        Pulse area and initial state.
-    ratio : float
-        Decay-to-drive ratio kappa / g_alpha, >= 0.
-
-    Returns
-    -------
-    float
-        p = <psi_perp| rho(T) |psi_perp> in [0, 1], where psi_perp is
-        orthogonal to the decay-free evolution of the same initial state,
-        and rho(T) is the exact solution of the master equation.  For a
-        unit-trace rho this equals 1 - <psi_target| rho(T) |psi_target>
-        without the cancellation.
-    """
-    return sweep_failure_probabilities(experiment, [ratio])[0]
-
-
-def first_order_coefficient(experiment: GateExperiment) -> float:
-    """c in p = c * (kappa / g_alpha) + O(ratio^2), in closed form.
+def first_order_coefficient(theta: float, psi: PureState) -> float:
+    """c in p = c * (kappa / g_alpha) + O(ratio^2), in closed form, for the
+    pulse of area ``theta`` applied to ``psi``.
 
     For the initial state (b0, a0), ground amplitude first, the excited
     amplitude along the ideal rotation is a(tau) = cos(tau) a0 - i sin(tau) b0,
@@ -68,8 +38,8 @@ def first_order_coefficient(experiment: GateExperiment) -> float:
     |a|^2 = 1/2 + B cos(2 tau) + C sin(2 tau), B = (|a0|^2 - |b0|^2) / 2 and
     C = -Im(a0 b0*), the square is integrated term by term.
     """
-    theta = experiment.pulse_area
-    b0, a0 = experiment.initial_state.amplitudes
+    check_pulse(theta, ())
+    b0, a0 = psi.amplitudes
     big_b = (abs(a0) ** 2 - abs(b0) ** 2) / 2.0
     big_c = -(a0 * b0.conjugate()).imag
     s, c = math.sin(theta), math.cos(theta)
@@ -101,15 +71,15 @@ def check_ratio_grid(ratios) -> tuple:
     return r
 
 
-def sweep_failure_probabilities(experiment: GateExperiment, ratios) -> tuple:
-    """p(ratio) over an arbitrary non-negative grid (no perturbative restriction),
-    from one exact :func:`lindblad.evolve` per ratio.  Every ratio is checked
-    finite and >= 0 before the first pulse is propagated."""
+def sweep_failure_probabilities(theta: float, psi: PureState, ratios) -> tuple:
+    """p(ratio) of the pulse of area ``theta`` applied to ``psi``, over an
+    arbitrary non-negative grid (no perturbative restriction), from one exact
+    :func:`lindblad.evolve` per ratio.  Each p = <psi_perp| rho(T) |psi_perp>,
+    with psi_perp orthogonal to the decay-free output of the same pulse.
+    ``theta`` and every ratio are checked finite and >= 0 before the first
+    pulse is propagated."""
     ratios = tuple(map(float, ratios))
-    for ratio in ratios:
-        if not 0.0 <= ratio < math.inf:  # a NaN fails too
-            raise InvalidStateError(f"kappa/g_alpha must be finite and >= 0, got {ratio}")
-    theta = experiment.pulse_area
-    rho0 = experiment.initial_state.to_density()
-    orthogonal = PureState(psi_perp(theta, experiment.initial_state.amplitudes))
+    check_pulse(theta, ratios)
+    rho0 = psi.to_density()
+    orthogonal = PureState(psi_perp(theta, psi.amplitudes))
     return tuple(fidelity_pure(evolve(rho0, theta, ratio).final, orthogonal) for ratio in ratios)

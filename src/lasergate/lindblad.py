@@ -228,6 +228,14 @@ def _step_rows(ratio: float, tau: float, config: IntegratorConfig, segments: int
     return total[1:]
 
 
+def check_pulse(theta: float, ratios) -> None:
+    """Refuse a pulse area ``theta`` or a kappa/g_alpha in ``ratios`` that is
+    not finite and >= 0, a NaN included, naming the first such value."""
+    for name, value in (("theta", theta), *(("kappa/g_alpha", r) for r in ratios)):
+        if not (math.isfinite(value) and value >= 0):
+            raise InvalidStateError(f"{name} must be finite and >= 0, got {value}")
+
+
 def evolve(rho0: DensityMatrix, theta: float, ratio: float,
            config: IntegratorConfig = IntegratorConfig()) -> EvolutionResult:
     """Evolve ``rho0`` through one pulse of area ``theta`` at
@@ -244,9 +252,7 @@ def evolve(rho0: DensityMatrix, theta: float, ratio: float,
     out of the unit ball, or an unstable RK4 step made it blow up) raises
     :class:`IntegrationError`.
     """
-    for name, value in (("theta", theta), ("kappa/g_alpha", ratio)):
-        if not (math.isfinite(value) and value >= 0):
-            raise InvalidStateError(f"{name} must be finite and >= 0, got {value}")
+    check_pulse(theta, (ratio,))
     n_segments = config.sample_count
     if theta == 0.0:  # every sample, the final state too, is rho0 as its columns read it
         (rho_bb, _), (rho_ab, rho_aa) = rho0.matrix

@@ -19,12 +19,11 @@ from lasergate.budget import (
     FieldSpec,
     PhysicalConstants,
     RamanSpec,
-    kappa_from_beam,
     pi_pulse_budget,
     raman_constraint,
 )
 from lasergate.cli import EXIT_OK, main
-from lasergate.gates import GateExperiment, first_order_coefficient, sweep_failure_probabilities
+from lasergate.gates import first_order_coefficient, sweep_failure_probabilities
 from lasergate.jc import jc_gate_error
 from lasergate.lindblad import RK4_FIXED, IntegratorConfig, evolve
 from lasergate.qcore import DensityMatrix, PureState, logspace
@@ -69,19 +68,19 @@ def test_pi_pulse_error_tracks_first_order():
     )
 
 
-def _photon_coefficients(experiment: GateExperiment) -> tuple:
+def _photon_coefficients(theta: float, psi: PureState) -> tuple:
     """Closed-form c' = c theta/2 and the mean of theta/2 * p_i/r_i over the
     8-point perturbative grid 1e-5..1e-3, each p_i from the dynamics."""
-    half = experiment.pulse_area / 2.0
+    half = theta / 2.0
     ratios = logspace(-5.0, -3.0, 8)
-    p = sweep_failure_probabilities(experiment, ratios)
+    p = sweep_failure_probabilities(theta, psi, ratios)
     swept = sum(half * p_i / r_i for p_i, r_i in zip(p, ratios)) / len(ratios)
-    return first_order_coefficient(experiment) * half, swept
+    return first_order_coefficient(theta, psi) * half, swept
 
 
 def test_photon_coefficient_of_pi_pulse():
     """Closed-form and swept photon coefficients land on 3 pi^2/32 ~ 0.93 within 2%."""
-    closed, swept = _photon_coefficients(GateExperiment(math.pi, PureState.ground()))
+    closed, swept = _photon_coefficients(math.pi, PureState.ground())
     rel = max(abs(got / PI_PULSE_PHOTON_COEFFICIENT - 1.0) for got in (closed, swept))
     _verdict(
         "pi-pulse photon coefficient",
@@ -94,8 +93,8 @@ def test_photon_coefficient_of_pi_pulse():
 def test_half_pulse_photon_coefficients():
     """Ground start ~0.04 (+-50%), excited start ~0.43 (+-15%), strictly ordered,
     in closed form and swept."""
-    ground = _photon_coefficients(GateExperiment(math.pi / 2, PureState.ground()))
-    excited = _photon_coefficients(GateExperiment(math.pi / 2, PureState.excited()))
+    ground = _photon_coefficients(math.pi / 2, PureState.ground())
+    excited = _photon_coefficients(math.pi / 2, PureState.excited())
     ok = all(abs(cg / 0.04 - 1.0) <= 0.50 and abs(ce / 0.43 - 1.0) <= 0.15 and ce > cg
              for cg, ce in zip(ground, excited))
     _verdict(
@@ -249,11 +248,7 @@ def test_state_invariants_on_random_trajectories():
             beam = BeamGeometry(wavelength=wavelength, mode_area=area)
             field = FieldSpec(amplitude=amplitude)
             budget = pi_pulse_budget(atom, beam, field, epsilon=epsilon, constants=constants)
-            p = (
-                PI_PULSE_RABI_SLOPE
-                * kappa_from_beam(atom, beam, constants)
-                / field.rabi_frequency(atom, constants)
-            )
+            p = PI_PULSE_RABI_SLOPE * budget.kappa_per_s / budget.rabi_frequency_rad_per_s
             outputs.append((budget.n_bar, budget.n_bar_prime, budget.constraint_margin, p))
         for a, b in zip(*outputs):
             worst_rescale = max(worst_rescale, abs(b / a - 1.0))

@@ -18,7 +18,6 @@ from lasergate.budget import (
     RamanSpec,
     drive_ratio_for_photons,
     fixed_intensity_area_sweep,
-    kappa_from_beam,
     photon_coefficient,
     pi_pulse_budget,
     raman_constraint,
@@ -63,6 +62,9 @@ class TestGeometry:
 
 
 class TestKappaFromBeam:
+    """The budget's kappa = Gamma sigma_eff / A, the decay rate into the
+    beam-aligned vacuum modes."""
+
     def test_reference_point(self):
         # Gamma = 1e7 /s at lambda = 1 um, A = 1e-12 m^2 -> kappa = 1.1937e6 /s
         wavelength = 1e-6
@@ -74,17 +76,20 @@ class TestKappaFromBeam:
         atom = AtomModel(transition_frequency=omega, dipole_moment=dipole)
         assert atom.decay_rate() == pytest.approx(gamma_target, rel=1e-12)
         beam = BeamGeometry(wavelength=wavelength, mode_area=1e-12)
-        assert kappa_from_beam(atom, beam) == pytest.approx(1.1937e6, rel=1e-4)
+        report = pi_pulse_budget(atom, beam, FieldSpec(amplitude=1e5))
+        assert report.kappa_per_s == pytest.approx(1.1937e6, rel=1e-4)
 
     def test_matched_area_gives_full_rate(self):
-        atom, beam, _ = _system(1e-6, 1e-29, 1e5, 1e-12)
+        atom, beam, field = _system(1e-6, 1e-29, 1e5, 1e-12)
         matched = BeamGeometry(wavelength=1e-6, mode_area=beam.scattering_cross_section)
-        assert kappa_from_beam(atom, matched) == pytest.approx(atom.decay_rate(), rel=1e-12)
+        report = pi_pulse_budget(atom, matched, field)
+        assert report.kappa_per_s == pytest.approx(atom.decay_rate(), rel=1e-12)
 
     def test_wide_beam_suppression(self):
-        atom, beam, _ = _system(1e-6, 1e-29, 1e5, 1e-12)
+        atom, beam, field = _system(1e-6, 1e-29, 1e5, 1e-12)
         wide = BeamGeometry(wavelength=1e-6, mode_area=1e6 * beam.scattering_cross_section)
-        assert kappa_from_beam(atom, wide) == pytest.approx(1e-6 * atom.decay_rate(), rel=1e-12)
+        report = pi_pulse_budget(atom, wide, field)
+        assert report.kappa_per_s == pytest.approx(1e-6 * atom.decay_rate(), rel=1e-12)
 
 
 @pytest.mark.filterwarnings("ignore:mode_area is below")
@@ -114,8 +119,8 @@ class TestPhotonRelations:
         # Phi from the mode power equals Omega_R^2 / (4 kappa) identically
         atom, beam, field = _system(wavelength, dipole, amplitude, area)
         rabi = field.rabi_frequency(atom)
-        kappa = kappa_from_beam(atom, beam)
-        flux_direct = field.power(beam) / (CODATA.hbar * atom.transition_frequency)
+        kappa = atom.decay_rate() * beam.scattering_cross_section / beam.mode_area
+        flux_direct = field.intensity() * beam.mode_area / (CODATA.hbar * atom.transition_frequency)
         assert rabi**2 / (4.0 * kappa) == pytest.approx(flux_direct, rel=1e-12)
         # and the budget's power and rates close it too
         report = pi_pulse_budget(atom, beam, field)
@@ -129,7 +134,7 @@ class TestPhotonRelations:
         # pi-pulse error via (3 pi/8) kappa/Omega_R == (3 pi^2/32)/nbar
         atom, beam, field = _system(wavelength, dipole, amplitude, area)
         rabi = field.rabi_frequency(atom)
-        kappa = kappa_from_beam(atom, beam)
+        kappa = atom.decay_rate() * beam.scattering_cross_section / beam.mode_area
         budget = pi_pulse_budget(atom, beam, field)
         p_ratio = PI_PULSE_RABI_SLOPE * kappa / rabi
         p_photon = PI_PULSE_PHOTON_COEFFICIENT / budget.n_bar
@@ -209,10 +214,11 @@ class TestMinPhotonConstraint:
         assert report.omega_rad_per_s == atom.transition_frequency
         assert report.sigma_eff_m2 == beam.scattering_cross_section
         assert report.gamma_per_s == atom.decay_rate()
-        assert report.kappa_per_s == kappa_from_beam(atom, beam)
+        assert report.kappa_per_s == (
+            atom.decay_rate() * beam.scattering_cross_section / beam.mode_area)
         assert report.rabi_frequency_rad_per_s == field.rabi_frequency(atom)
         assert report.intensity_W_per_m2 == field.intensity()
-        assert report.power_W == field.power(beam)
+        assert report.power_W == field.intensity() * beam.mode_area
         # a pi pulse: Omega_R T = pi
         assert report.rabi_frequency_rad_per_s * report.duration_s == pytest.approx(
             math.pi, rel=1e-15)
@@ -356,6 +362,15 @@ class TestAreaSweep:
         with pytest.raises(error, match=match):
             fixed_intensity_area_sweep(report, points, max_factor)
 
+    @pytest.mark.parametrize("sigma_eff", [math.nan, math.inf, 0.0, -1.0])
+    def test_record_outside_the_contract_is_refused(self, sigma_eff):
+        # a hand-built record is checked, not trusted
+        report = pi_pulse_budget(*_system(1e-6, 1e-29, 1e5, 1e-12))
+        report = PiPulseBudget(**{**dict(zip(report._fields, report._values())),
+                                  "sigma_eff_m2": sigma_eff})
+        with pytest.raises(InvalidStateError, match="sigma_eff_m2 must be finite and > 0"):
+            fixed_intensity_area_sweep(report, 7, 1e6)
+
     @pytest.mark.filterwarnings("ignore:mode_area is below")
     @given(wavelength=wavelengths, dipole=dipoles, amplitude=amplitudes, mode_area=areas,
            points=st.integers(min_value=2, max_value=20),
@@ -411,8 +426,12 @@ class TestUnitRescaling:
                                                             rel=1e-12)
 
         # dimensionless pi-pulse error via rates
-        p_a = PI_PULSE_RABI_SLOPE * kappa_from_beam(atom_a, beam_a, base_const) / field_a.rabi_frequency(atom_a, base_const)
-        p_b = PI_PULSE_RABI_SLOPE * kappa_from_beam(atom_b, beam_b, scaled_const) / field_b.rabi_frequency(atom_b, scaled_const)
+        p_a = (PI_PULSE_RABI_SLOPE * atom_a.decay_rate(base_const)
+               * beam_a.scattering_cross_section / beam_a.mode_area
+               / field_a.rabi_frequency(atom_a, base_const))
+        p_b = (PI_PULSE_RABI_SLOPE * atom_b.decay_rate(scaled_const)
+               * beam_b.scattering_cross_section / beam_b.mode_area
+               / field_b.rabi_frequency(atom_b, scaled_const))
         assert p_b == pytest.approx(p_a, rel=1e-12)
 
 

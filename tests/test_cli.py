@@ -602,6 +602,16 @@ class TestTablePrinter:
 
 
 class TestImports:
+    def test_public_names_are_pinned(self):
+        # removing or adding a public name is a deliberate edit of this list
+        assert lasergate.__all__ == [
+            "AtomModel", "BeamGeometry", "CODATA", "DensityMatrix", "EvolutionResult",
+            "FieldSpec", "IntegrationError", "IntegratorConfig", "InvalidStateError",
+            "PhysicalConstants", "PiPulseBudget", "PureState", "RamanSpec", "evolve",
+            "fidelity_pure", "first_order_coefficient", "fixed_intensity_area_sweep",
+            "jc_gate_error", "pi_pulse_budget", "raman_constraint",
+        ]
+
     def test_each_command_loads_only_what_it_calls(self):
         # a fresh interpreter, so that no other test has loaded the modules yet
         code = f"""

@@ -7,13 +7,7 @@ import oracles
 from lasergate import gates
 from lasergate.budget import photon_coefficient
 from lasergate.cli import GATE_AREAS, START_STATES
-from lasergate.gates import (
-    GateExperiment,
-    check_ratio_grid,
-    failure_probability,
-    first_order_coefficient,
-    sweep_failure_probabilities,
-)
+from lasergate.gates import check_ratio_grid, first_order_coefficient, sweep_failure_probabilities
 from lasergate.lindblad import RK4_FIXED, IntegratorConfig, evolve
 from lasergate.qcore import (
     InvalidStateError,
@@ -24,9 +18,10 @@ from lasergate.qcore import (
     rotation,
 )
 
-PI_FROM_GROUND = GateExperiment(math.pi, PureState.ground())
-HALF_FROM_GROUND = GateExperiment(math.pi / 2, PureState.ground())
-HALF_FROM_EXCITED = GateExperiment(math.pi / 2, PureState.excited())
+# (theta, psi) of the three gates the paper quotes
+PI_FROM_GROUND = (math.pi, PureState.ground())
+HALF_FROM_GROUND = (math.pi / 2, PureState.ground())
+HALF_FROM_EXCITED = (math.pi / 2, PureState.excited())
 
 # First-order slopes of p versus kappa/g_alpha, in closed form from the
 # toggling-frame integrals (sin^4 / cos^4 over the pulse):
@@ -51,6 +46,11 @@ P_HALF_GROUND_1E3 = 4.452740888239e-05
 P_HALF_EXCITED_1E3 = 5.443399506861e-04
 
 
+def p_at(gate: tuple, ratio: float) -> float:
+    """p of one (theta, psi) gate at one kappa/g_alpha: a one-ratio sweep."""
+    return sweep_failure_probabilities(*gate, [ratio])[0]
+
+
 class TestFirstOrderOracle:
     def test_quadrature_matches_closed_forms(self):
         assert oracles.first_order_coefficient(oracles.GROUND, math.pi) == pytest.approx(
@@ -66,12 +66,12 @@ class TestFirstOrderOracle:
 
 class TestFailureProbability:
     def test_zero_decay_means_zero_failure(self):
-        for exp in (PI_FROM_GROUND, HALF_FROM_GROUND, HALF_FROM_EXCITED,
-                    GateExperiment(math.pi, PureState.superposition(1, 1))):
-            assert failure_probability(exp, 0.0) <= 1e-8
+        for gate in (PI_FROM_GROUND, HALF_FROM_GROUND, HALF_FROM_EXCITED,
+                     (math.pi, PureState.superposition(1, 1))):
+            assert p_at(gate, 0.0) <= 1e-8
 
     @pytest.mark.parametrize(
-        "exp,frozen",
+        "gate,frozen",
         [
             (PI_FROM_GROUND, P_PI_GROUND_1E3),
             (HALF_FROM_GROUND, P_HALF_GROUND_1E3),
@@ -79,33 +79,33 @@ class TestFailureProbability:
         ],
         ids=["pi-ground", "half-ground", "half-excited"],
     )
-    def test_matches_superoperator_oracle(self, exp, frozen):
-        p = failure_probability(exp, 1e-3)
+    def test_matches_superoperator_oracle(self, gate, frozen):
+        p = p_at(gate, 1e-3)
         assert p == pytest.approx(frozen, abs=5e-9)
-        psi0 = exp.initial_state.amplitudes
-        assert p == pytest.approx(oracles.failure_superop(psi0, exp.pulse_area, 1e-3), abs=5e-9)
+        theta, psi = gate
+        assert p == pytest.approx(oracles.failure_superop(psi.amplitudes, theta, 1e-3), abs=5e-9)
 
     def test_pi_pulse_first_order_value(self):
         # (3 pi/16) * 1e-3 = 5.890e-4, accurate to 1% at this ratio
-        assert failure_probability(PI_FROM_GROUND, 1e-3) == pytest.approx(
+        assert p_at(PI_FROM_GROUND, 1e-3) == pytest.approx(
             SLOPE_PI_GROUND * 1e-3, rel=0.01
         )
 
     def test_monotone_in_decay(self):
         ratios = [0.0, 1e-4, 1e-3, 1e-2, 0.1, 0.5]
-        ps = sweep_failure_probabilities(PI_FROM_GROUND, ratios)
+        ps = sweep_failure_probabilities(*PI_FROM_GROUND, ratios)
         assert all(b >= a for a, b in zip(ps, ps[1:]))
 
     def test_negative_ratio_rejected(self):
         with pytest.raises(InvalidStateError):
-            failure_probability(PI_FROM_GROUND, -1e-3)
+            p_at(PI_FROM_GROUND, -1e-3)
 
     def test_every_ratio_is_checked_before_any_pulse(self):
         # kappa/g_alpha * tau = 1.7e308 * pi/2 overflows the propagator, so a
         # sweep that propagated each ratio as it checked it would raise
         # IntegrationError there, before it reached the infinite ratio
         with pytest.raises(InvalidStateError, match="kappa/g_alpha must be finite"):
-            sweep_failure_probabilities(PI_FROM_GROUND, [1e-3, 1.7e308, math.inf])
+            sweep_failure_probabilities(*PI_FROM_GROUND, [1e-3, 1.7e308, math.inf])
 
     @pytest.mark.parametrize("bad", [math.nan, -1e-3, math.inf])
     def test_bad_last_ratio_is_refused_before_any_evolve(self, monkeypatch, bad):
@@ -117,27 +117,26 @@ class TestFailureProbability:
 
         monkeypatch.setattr(gates, "evolve", counting_evolve)
         with pytest.raises(InvalidStateError, match="kappa/g_alpha must be finite"):
-            sweep_failure_probabilities(PI_FROM_GROUND, [0.0, 1e-4, 1e-3, bad])
+            sweep_failure_probabilities(*PI_FROM_GROUND, [0.0, 1e-4, 1e-3, bad])
         assert calls == []
-        sweep_failure_probabilities(PI_FROM_GROUND, [0.0, 1e-4])
+        sweep_failure_probabilities(*PI_FROM_GROUND, [0.0, 1e-4])
         assert len(calls) == 2
 
     def test_rk4_and_exact_agree(self):
         # the exact p against an independent RK4 run of the same pulse
         cfg = IntegratorConfig(method=RK4_FIXED, step_count=2000)
-        rho0 = HALF_FROM_EXCITED.initial_state.to_density()
-        final = evolve(rho0, HALF_FROM_EXCITED.pulse_area, 1e-3, cfg)
-        target = oracles.ideal_state(np.asarray(HALF_FROM_EXCITED.initial_state.amplitudes),
-                                     HALF_FROM_EXCITED.pulse_area)
+        theta, psi = HALF_FROM_EXCITED
+        final = evolve(psi.to_density(), theta, 1e-3, cfg)
+        target = oracles.ideal_state(np.asarray(psi.amplitudes), theta)
         rk4 = 1.0 - fidelity_pure(final.final, PureState(target))
-        assert failure_probability(HALF_FROM_EXCITED, 1e-3) == pytest.approx(rk4, abs=1e-9)
+        assert p_at(HALF_FROM_EXCITED, 1e-3) == pytest.approx(rk4, abs=1e-9)
 
 
 class TestAgainstMultiprecision:
     @pytest.mark.parametrize("gate, start", TABLE_CASES)
     def test_sweep_is_within_roundoff_of_40_digit_expm(self, gate, start):
         theta, psi0 = GATE_AREAS[gate], START_STATES[start]()
-        got = sweep_failure_probabilities(GateExperiment(theta, psi0), SWEEP_GRID)
+        got = sweep_failure_probabilities(theta, psi0, SWEEP_GRID)
         for ratio, p in zip(SWEEP_GRID, got):
             want = oracles.failure_mp(psi0.amplitudes, theta, ratio)
             assert abs(float(p - want)) <= 1e-15
@@ -159,13 +158,13 @@ class TestExtractCoefficient:
     """The first-order coefficient c in closed form, its photon form, and the
     ratio grid a sweep accepts."""
 
-    @pytest.mark.parametrize("experiment, want", [
+    @pytest.mark.parametrize("gate, want", [
         (PI_FROM_GROUND, SLOPE_PI_GROUND), (HALF_FROM_GROUND, SLOPE_HALF_GROUND),
         (HALF_FROM_EXCITED, SLOPE_HALF_EXCITED),
-        (GateExperiment(math.pi, PureState.superposition(1, 1)), math.pi / 8),
+        ((math.pi, PureState.superposition(1, 1)), math.pi / 8),
     ], ids=["pi-ground", "half-ground", "half-excited", "pi-plus"])
-    def test_closed_form_matches_exact_values(self, experiment, want):
-        assert first_order_coefficient(experiment) == pytest.approx(want, rel=1e-13)
+    def test_closed_form_matches_exact_values(self, gate, want):
+        assert first_order_coefficient(*gate) == pytest.approx(want, rel=1e-13)
 
     def test_closed_form_matches_quadrature(self):
         # the benchmark's five gates, then 40 random (theta, psi)
@@ -176,40 +175,40 @@ class TestExtractCoefficient:
             psi0 = rng.normal(size=2) + 1j * rng.normal(size=2)
             cases.append((rng.uniform(0.1, 4 * math.pi), psi0 / np.linalg.norm(psi0)))
         for theta, psi0 in cases:
-            got = first_order_coefficient(GateExperiment(theta, PureState(tuple(psi0))))
+            got = first_order_coefficient(theta, PureState(tuple(psi0)))
             assert got == pytest.approx(oracles.first_order_coefficient(psi0, theta), rel=1e-13)
 
     @pytest.mark.parametrize("gate, start", TABLE_CASES)
     def test_dynamics_approach_the_closed_form(self, gate, start):
         # p/r - c is the second-order term: measured (p/r - c)/(r c) lies in
         # [-0.81, 0.07] on these cases
-        experiment = GateExperiment(GATE_AREAS[gate], START_STATES[start]())
-        c = first_order_coefficient(experiment)
+        theta, psi = GATE_AREAS[gate], START_STATES[start]()
+        c = first_order_coefficient(theta, psi)
         ratios = (1e-6, 1e-5, 1e-4)
-        for ratio, p in zip(ratios, sweep_failure_probabilities(experiment, ratios)):
+        for ratio, p in zip(ratios, sweep_failure_probabilities(theta, psi, ratios)):
             assert abs(p / ratio - c) <= ratio * c
 
     def test_pi_from_ground_coefficients(self):
         # photon form is 3 pi^2/32 ~ 0.925 (quoted as 0.93)
-        assert photon_coefficient(first_order_coefficient(PI_FROM_GROUND), math.pi) == (
+        assert photon_coefficient(first_order_coefficient(*PI_FROM_GROUND), math.pi) == (
             pytest.approx(3 * math.pi**2 / 32, rel=1e-13))
 
     def test_half_pulse_coefficients(self):
-        ground = photon_coefficient(first_order_coefficient(HALF_FROM_GROUND), math.pi / 2)
-        excited = photon_coefficient(first_order_coefficient(HALF_FROM_EXCITED), math.pi / 2)
+        ground = photon_coefficient(first_order_coefficient(*HALF_FROM_GROUND), math.pi / 2)
+        excited = photon_coefficient(first_order_coefficient(*HALF_FROM_EXCITED), math.pi / 2)
         assert ground == pytest.approx(0.04, rel=0.5)
         assert excited == pytest.approx(0.43, rel=0.15)
         # the excited start is strictly the lossier one
         assert excited > ground
 
     def test_photon_conversion_is_half_theta(self):
-        c = first_order_coefficient(HALF_FROM_EXCITED)
+        c = first_order_coefficient(*HALF_FROM_EXCITED)
         assert photon_coefficient(c, math.pi / 2) == pytest.approx(c * (math.pi / 2) / 2,
                                                                    rel=1e-12)
         assert photon_coefficient(2.0, math.pi) == pytest.approx(math.pi)
 
     def test_pointwise_slopes_stay_within_two_percent(self):
-        ps = sweep_failure_probabilities(PI_FROM_GROUND, SWEEP_GRID)
+        ps = sweep_failure_probabilities(*PI_FROM_GROUND, SWEEP_GRID)
         slopes = np.asarray(ps) / np.asarray(SWEEP_GRID)
         assert np.max(np.abs(slopes - SLOPE_PI_GROUND)) <= 0.02 * SLOPE_PI_GROUND
 
@@ -233,16 +232,29 @@ class TestExtractCoefficient:
             check_ratio_grid(ratios)
 
 
-class TestGateExperimentValidation:
-    def test_negative_area_rejected(self):
-        with pytest.raises(InvalidStateError):
-            GateExperiment(-1.0, PureState.ground())
+class TestPulseValidation:
+    """Both gate functions refuse a pulse area outside [0, inf) before any
+    pulse is propagated, with no ratio at all too; a state that is not one
+    qubit never reaches them."""
+
+    @staticmethod
+    def assert_refused(monkeypatch, area):
+        calls = []
+        monkeypatch.setattr(gates, "evolve", lambda *args: calls.append(args))
+        for ratios in ([], [0.0, 1e-3]):
+            with pytest.raises(InvalidStateError, match="theta must be finite and >= 0"):
+                sweep_failure_probabilities(area, PureState.ground(), ratios)
+        with pytest.raises(InvalidStateError, match="theta must be finite and >= 0"):
+            first_order_coefficient(area, PureState.ground())
+        assert calls == []
+
+    def test_negative_area_rejected(self, monkeypatch):
+        self.assert_refused(monkeypatch, -1.0)
 
     @pytest.mark.parametrize("area", [math.inf, math.nan, -math.inf])
-    def test_non_finite_area_rejected(self, area):
-        with pytest.raises(InvalidStateError, match="pulse_area must be finite"):
-            GateExperiment(area, PureState.ground())
+    def test_non_finite_area_rejected(self, monkeypatch, area):
+        self.assert_refused(monkeypatch, area)
 
     def test_fock_state_rejected(self):
         with pytest.raises(InvalidStateError, match="expected 2 amplitudes"):
-            GateExperiment(math.pi, PureState(np.array([1, 0, 0, 0])))
+            PureState(np.array([1, 0, 0, 0]))

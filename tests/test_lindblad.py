@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import oracles
 from lasergate import lindblad
 from lasergate.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main
-from lasergate.gates import GateExperiment, failure_probability, sweep_failure_probabilities
+from lasergate.gates import sweep_failure_probabilities
 from lasergate.lindblad import RK4_FIXED, IntegrationError, IntegratorConfig, evolve
 from lasergate.qcore import DensityMatrix, InvalidStateError, PureState
 
@@ -278,21 +278,19 @@ class TestExactPropagator:
         rates = np.random.default_rng(17).uniform(0.0, 30.0, 16)
         rates[0] = 0.0
         psi0 = PureState.superposition(1.0, 0.6 + 0.2j)
-        experiment = GateExperiment(theta, psi0)
-        swept = sweep_failure_probabilities(experiment, rates)
+        swept = sweep_failure_probabilities(theta, psi0, rates)
         assert len(swept) == 16
         with pytest.raises(TypeError):
             swept[0] = 1.0
         for rate, p in zip(rates, swept):
-            assert p == failure_probability(experiment, rate)
+            assert p == sweep_failure_probabilities(theta, psi0, [rate])[0]
             result = evolve(psi0.to_density(), theta, rate / 1.7, config)
             assert np.array_equal(result.final.matrix, result.trajectory.states[-1])
 
     @pytest.mark.parametrize("theta", [math.pi, math.pi / 2], ids=["pi", "pi2"])
     @pytest.mark.parametrize("start", sorted(STARTS))
     def test_no_decay_means_no_failure(self, theta, start):
-        experiment = GateExperiment(theta, self.STARTS[start])
-        assert sweep_failure_probabilities(experiment, [0.0])[0] <= 1e-14
+        assert sweep_failure_probabilities(theta, self.STARTS[start], [0.0])[0] <= 1e-14
 
     def test_trajectory_applies_one_step_propagator(self):
         rho0 = PureState.excited().to_density()
