@@ -17,9 +17,8 @@ __version__ = "0.1.0"
 
 # module -> the public names it defines
 _EXPORTS = {
-    "budget": ("AtomModel", "BeamGeometry", "CODATA", "FieldSpec", "PhysicalConstants",
-               "PiPulseBudget", "RamanSpec", "fixed_intensity_area_sweep", "pi_pulse_budget",
-               "raman_constraint"),
+    "budget": ("CODATA", "PhysicalConstants", "PiPulseBudget", "fixed_intensity_area_sweep",
+               "pi_pulse_budget", "raman_constraint"),
     "gates": ("first_order_coefficient",),
     "jc": ("jc_gate_error",),
     "lindblad": ("EvolutionResult", "IntegrationError", "IntegratorConfig", "evolve"),

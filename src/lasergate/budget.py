@@ -1,15 +1,16 @@
-"""Unit-bearing physics: beam geometry, decay-rate geometry, and the photon and
-energy budget of one resonant pi pulse, computed once by
-:func:`pi_pulse_budget`, with its far-detuned Raman variant and the
-fixed-intensity beam-area sweep.
+"""Unit-bearing physics: the photon and energy budget of one resonant pi
+pulse, computed once by :func:`pi_pulse_budget` from plain SI floats
+(wavelength, mode area, dipole moment, field amplitude), with its far-detuned
+Raman variant and the fixed-intensity beam-area sweep.
 
 Everything here is an algebraic calculator over SI inputs (m, s, W, C*m); the
 dimensionless gate-error results from :mod:`lasergate.gates` connect to these
-through the flux relation Phi = Omega_R^2 / (4 kappa).  Every pulse is a pi
-pulse, its duration T = pi / Omega_R derived, not chosen.  The functions that
-use a physical constant accept an explicit :class:`PhysicalConstants`, so the
-whole module is invariant under a global change of the time unit (rates * s,
-times / s, hbar / s, c * s).
+through the flux relation Phi = Omega_R^2 / (4 kappa).  The transition
+frequency is derived from the wavelength, omega = 2 pi c / lambda, so the two
+cannot disagree.  Every pulse is a pi pulse, its duration T = pi / Omega_R
+derived, not chosen.  The functions that use a physical constant accept an
+explicit :class:`PhysicalConstants`, so the whole module is invariant under a
+global change of the time unit (rates * s, times / s, hbar / s, c * s).
 
 Margins are reported as ratios (satisfied iff margin > 1), which keeps them
 meaningful across many orders of magnitude.
@@ -45,6 +46,8 @@ RESONANT_CHAIN_COEFFICIENT = math.pi ** 2
 # Literal elimination of the detuning from the Raman conditions
 # (Gamma/Delta < eps with Omega_R^2 T / Delta = pi) gives a single power of pi.
 RAMAN_ELIMINATION_COEFFICIENT = math.pi
+# The factor by which the Raman form undercuts the resonant chain.
+RAMAN_COEFFICIENT_GAP = RESONANT_CHAIN_COEFFICIENT / RAMAN_ELIMINATION_COEFFICIENT
 
 # Largest relative spread of the four margin forms.  They agree to a few ulps
 # wherever every intermediate value is a normal double; a larger spread means
@@ -63,70 +66,6 @@ class PhysicalConstants(Record):
 CODATA = PhysicalConstants()
 
 
-class BeamGeometry(Record):
-    """Uniform (top-hat) beam of area ``mode_area`` at a given wavelength."""
-
-    wavelength: float
-    mode_area: float
-
-    def __post_init__(self):
-        if not self.wavelength > 0:  # NaN fails too
-            raise InvalidStateError(f"wavelength must be > 0, got {self.wavelength}")
-        if not self.mode_area > 0:
-            raise InvalidStateError(f"mode_area must be > 0, got {self.mode_area}")
-        if self.mode_area < self.scattering_cross_section:
-            warnings.warn(
-                "mode_area is below the paraxial scattering cross-section "
-                f"({self.mode_area:.3e} < {self.scattering_cross_section:.3e} m^2); "
-                "a beam cannot be focused below about a wavelength",
-                stacklevel=3,  # the caller of Record.__init__, which calls this
-            )
-
-    @property
-    def wavenumber(self) -> float:
-        return 2.0 * math.pi / self.wavelength
-
-    @property
-    def scattering_cross_section(self) -> float:
-        """sigma_eff = 3 pi / (2 k^2) = 3 lambda^2 / (8 pi), the cross-section
-        for scattering out of the paraxial modes."""
-        return 1.5 * math.pi / self.wavenumber ** 2
-
-
-class AtomModel(Record):
-    """Two-level transition: frequency omega (rad/s) and dipole moment (C m)."""
-
-    transition_frequency: float
-    dipole_moment: float
-
-    def __post_init__(self):
-        if not (self.transition_frequency > 0 and self.dipole_moment > 0):
-            raise InvalidStateError("transition frequency and dipole moment must be > 0")
-
-    def decay_rate(self, constants: PhysicalConstants = CODATA) -> float:
-        """Free-space spontaneous emission rate Gamma = omega^3 d^2 / (3 pi eps0 hbar c^3)."""
-        w, d = self.transition_frequency, self.dipole_moment
-        return w ** 3 * d ** 2 / (3.0 * math.pi * constants.epsilon0 * constants.hbar * constants.c ** 3)
-
-
-class FieldSpec(Record):
-    """Classical drive field of amplitude E0 (V/m)."""
-
-    amplitude: float
-
-    def __post_init__(self):
-        if not self.amplitude > 0:
-            raise InvalidStateError(f"field amplitude must be > 0, got {self.amplitude}")
-
-    def intensity(self, constants: PhysicalConstants = CODATA) -> float:
-        """Cycle-averaged intensity I = eps0 c E0^2 / 2 (W/m^2)."""
-        return 0.5 * constants.epsilon0 * constants.c * self.amplitude ** 2
-
-    def rabi_frequency(self, atom: AtomModel, constants: PhysicalConstants = CODATA) -> float:
-        """Omega_R = d E0 / hbar (rad/s)."""
-        return atom.dipole_moment * self.amplitude / constants.hbar
-
-
 class PiPulseBudget(Record):
     """The budget of one resonant pi pulse, T = pi / Omega_R: the report's
     scalar lines, in SI base units and in print order.
@@ -137,8 +76,9 @@ class PiPulseBudget(Record):
     ``n_bar_prime`` only those within sigma_eff * c * T around the atom.  The
     four ``margin_*`` fields are one constraint (> 1 = pass) along independent
     routes, a cross-check of the unit chain: eps / (Gamma T); eps Omega_R^2 T /
-    (pi^2 Gamma); the same from the raw (omega, d, E0); and the field energy in
-    sigma_eff c T over (pi^2/4) hbar omega / eps, which is ``constraint_margin``.
+    (pi^2 Gamma); the same with Omega_R from the raw (d, E0); and the field
+    energy in sigma_eff c T over (pi^2/4) hbar omega / eps, which is
+    ``constraint_margin``.
     ``min_energy_per_lambda3_J`` = (16 pi^2 / 3) hbar / (epsilon T), exact for
     one photon per epsilon, though usually quoted as ~hbar/(epsilon T).
     """
@@ -171,49 +111,6 @@ class PiPulseBudget(Record):
         return self.constraint_margin > 1.0
 
 
-class RamanSpec(Record):
-    """Far-detuned two-photon drive: detuning Delta and single-photon Omega_R."""
-
-    detuning: float
-    rabi_frequency: float
-
-    def __post_init__(self):
-        if not (self.detuning > 0 and self.rabi_frequency > 0):
-            raise InvalidStateError("detuning and rabi_frequency must be > 0")
-        if self.detuning < 10.0 * self.rabi_frequency:
-            raise InvalidStateError(
-                f"far-detuned regime requires detuning >= 10 * Omega_R "
-                f"({self.detuning:.3e} < {10 * self.rabi_frequency:.3e})"
-            )
-
-    @property
-    def effective_rabi_frequency(self) -> float:
-        return self.rabi_frequency ** 2 / self.detuning
-
-
-class RamanReport(Record):
-    """Verdict on Gamma/Delta < epsilon for a two-photon pi pulse of
-    ``duration`` T = pi / Omega_eff, plus the detuning-eliminated form.
-
-    Substituting Delta = Omega_R^2 T / pi turns the purity-loss bound into
-    pi * Gamma / (Omega_R^2 T) < epsilon: a single power of pi, a factor pi
-    below the resonant-chain coefficient pi^2.  The gap is reported, not
-    absorbed.
-    """
-
-    duration: float
-    satisfied: bool
-    margin: float
-    purity_loss: float
-    eliminated_lhs: float
-    eliminated_coefficient: float = RAMAN_ELIMINATION_COEFFICIENT
-    resonant_chain_coefficient: float = RESONANT_CHAIN_COEFFICIENT
-
-    @property
-    def coefficient_gap(self) -> float:
-        return self.resonant_chain_coefficient / self.eliminated_coefficient
-
-
 def drive_ratio_for_photons(theta: float, n_bar: float) -> float:
     """kappa / g_alpha = theta / (2 nbar) for a theta pulse carrying nbar
     photons, from kappa / Omega_R = theta / (4 nbar) and Omega_R = 2 g_alpha."""
@@ -227,17 +124,46 @@ def photon_coefficient(coefficient_vs_ratio: float, theta: float) -> float:
     return coefficient_vs_ratio * theta / 2.0
 
 
-def pi_pulse_budget(atom: AtomModel, beam: BeamGeometry, field: FieldSpec,
+def pi_pulse_budget(wavelength: float, mode_area: float, dipole: float, field_amplitude: float,
                     epsilon: float = 1e-4,
                     constants: PhysicalConstants = CODATA) -> PiPulseBudget:
     """Photon counts, the minimum-energy constraint and the energy floor of one
-    resonant pi pulse.  The constraint: the field energy within sigma_eff * c * T
-    must exceed (pi^2 / 4) hbar omega / epsilon, i.e. nbar' > (pi^2 / 4) / epsilon.
+    resonant pi pulse on a two-level transition of ``wavelength`` (m) and
+    ``dipole`` moment (C m), driven by a uniform (top-hat) beam of ``mode_area``
+    (m^2) and ``field_amplitude`` E0 (V/m).  The transition frequency is
+    omega = 2 pi c / lambda.  The constraint: the field energy within
+    sigma_eff * c * T must exceed (pi^2 / 4) hbar omega / epsilon, i.e.
+    nbar' > (pi^2 / 4) / epsilon.
+
+    An input that is not > 0, or an epsilon outside (0, 1), is refused with
+    :class:`InvalidStateError`; a derived value that leaves the double range
+    raises :class:`FloatingPointError` naming it.
     """
     hbar, c, eps0 = constants.hbar, constants.c, constants.epsilon0
-    gamma = atom.decay_rate(constants)
-    sigma_eff = beam.scattering_cross_section
-    rabi = field.rabi_frequency(atom, constants)
+    if not wavelength > 0:  # NaN fails too
+        raise InvalidStateError(f"wavelength must be > 0, got {wavelength}")
+    if not mode_area > 0:
+        raise InvalidStateError(f"mode_area must be > 0, got {mode_area}")
+    # the cross-section for scattering out of the paraxial modes, 3 lambda^2 / (8 pi)
+    sigma_eff = _evaluated("sigma_eff = 3 pi / (2 k^2)",
+                           lambda: 1.5 * math.pi / (2.0 * math.pi / wavelength) ** 2)
+    if mode_area < sigma_eff:
+        warnings.warn(
+            "mode_area is below the paraxial scattering cross-section "
+            f"({mode_area:.3e} < {sigma_eff:.3e} m^2); "
+            "a beam cannot be focused below about a wavelength",
+            stacklevel=2,
+        )
+    omega = 2.0 * math.pi * c / wavelength
+    if not (omega > 0 and dipole > 0):
+        raise InvalidStateError("transition frequency and dipole moment must be > 0")
+    if not field_amplitude > 0:
+        raise InvalidStateError(f"field amplitude must be > 0, got {field_amplitude}")
+    # free-space spontaneous emission rate
+    gamma_formula = "Gamma = omega^3 d^2 / (3 pi eps0 hbar c^3)"
+    gamma = _evaluated(gamma_formula,
+                       lambda: omega ** 3 * dipole ** 2 / (3.0 * math.pi * eps0 * hbar * c ** 3))
+    rabi = dipole * field_amplitude / hbar
     if not 0 < rabi < math.inf:  # T = pi / Omega_R needs a finite, non-zero Omega_R
         raise FloatingPointError(f"Omega_R = d E0 / hbar = {rabi} leaves the positive double"
                                  " range for these inputs")
@@ -245,33 +171,35 @@ def pi_pulse_budget(atom: AtomModel, beam: BeamGeometry, field: FieldSpec,
     # each refusal follows the arithmetic before it, so inputs that overflow
     # there are a numerical failure (exit 3), not a refused value (exit 2)
     _check_epsilon(epsilon)
-    intensity = field.intensity(constants)
-    omega, d, e0 = atom.transition_frequency, atom.dipole_moment, field.amplitude
+    intensity = _evaluated("I = eps0 c E0^2 / 2", lambda: 0.5 * eps0 * c * field_amplitude ** 2)
     photon_energy = hbar * omega
-    power = intensity * beam.mode_area
-    energy_in_volume = 0.5 * eps0 * e0 ** 2 * (sigma_eff * c * duration)
+    power = intensity * mode_area
+    energy_in_volume = 0.5 * eps0 * field_amplitude ** 2 * (sigma_eff * c * duration)
     threshold = PHOTON_THRESHOLD_COEFFICIENT * photon_energy / epsilon
     margin = energy_in_volume / threshold
-    # pi^2 Gamma / Omega_R^2 from the raw inputs, bypassing decay_rate and rabi_frequency
-    explicit_lhs = (RESONANT_CHAIN_COEFFICIENT
-                    * (omega ** 3 * d ** 2 / (3.0 * math.pi * eps0 * hbar * c ** 3))
-                    * (hbar / (d * e0)) ** 2)
-    forms = {
+    # a Gamma that rounded to 0 or inf without raising is refused where the
+    # margins first divide by it, so the epsilon refusal keeps its place
+    if not 0 < gamma < math.inf:
+        raise FloatingPointError(f"{gamma_formula} = {gamma} leaves the positive double range"
+                                 " for these inputs")
+    # pi^2 Gamma / Omega_R^2 with Omega_R from the raw (d, E0), bypassing rabi
+    forms = _evaluated("a margin form", lambda: {
         "margin_purity_form": epsilon / (gamma * duration),
         "margin_rabi_form": epsilon * rabi ** 2 * duration / (RESONANT_CHAIN_COEFFICIENT * gamma),
-        "margin_explicit_form": epsilon * duration / explicit_lhs,
-    }
+        "margin_explicit_form": epsilon * duration / (
+            RESONANT_CHAIN_COEFFICIENT * gamma * (hbar / (dipole * field_amplitude)) ** 2),
+    })
     for name, form in forms.items():
         if abs(form - margin) > MARGIN_AGREEMENT_TOL * margin:
             raise FloatingPointError(f"{name} = {form!r} but constraint_margin = {margin!r}:"
                                      " a value leaves the double range for these inputs")
     return PiPulseBudget(
-        wavelength_m=beam.wavelength,
-        mode_area_m2=beam.mode_area,
+        wavelength_m=wavelength,
+        mode_area_m2=mode_area,
         omega_rad_per_s=omega,
         sigma_eff_m2=sigma_eff,
         gamma_per_s=gamma,
-        kappa_per_s=gamma * sigma_eff / beam.mode_area,
+        kappa_per_s=gamma * sigma_eff / mode_area,
         rabi_frequency_rad_per_s=rabi,
         intensity_W_per_m2=intensity,
         power_W=power,
@@ -290,25 +218,57 @@ def pi_pulse_budget(atom: AtomModel, beam: BeamGeometry, field: FieldSpec,
     )
 
 
-def raman_constraint(raman: RamanSpec, gamma: float, epsilon: float) -> RamanReport:
-    """Accuracy verdict for a far-detuned Raman pi pulse, T = pi / Omega_eff.
+class RamanReport(Record):
+    """A far-detuned two-photon pi pulse and its verdict on Gamma/Delta < epsilon:
+    the detuning Delta, Omega_eff = Omega_R^2 / Delta, T = pi / Omega_eff, the
+    purity loss Gamma/Delta and the margin epsilon / (Gamma/Delta), in print
+    order, then the verdict and the detuning-eliminated left-hand side.
+
+    Substituting Delta = Omega_R^2 T / pi turns the purity-loss bound into
+    pi * Gamma / (Omega_R^2 T) < epsilon: a single power of pi, a factor pi
+    below the resonant-chain coefficient pi^2 (:data:`RAMAN_COEFFICIENT_GAP`).
+    The gap is reported, not absorbed.
+    """
+
+    detuning: float
+    effective_rabi_frequency: float
+    duration: float
+    purity_loss: float
+    margin: float
+    satisfied: bool
+    eliminated_lhs: float
+
+
+def raman_constraint(detuning: float, rabi_frequency: float, gamma: float,
+                     epsilon: float) -> RamanReport:
+    """Accuracy verdict for a far-detuned Raman pi pulse of single-photon Rabi
+    frequency Omega_R, T = pi / Omega_eff.
 
     The purity loss is Gamma/Delta regardless of T; eliminating the detuning
     through the pulse condition Omega_eff * T = pi rewrites it as
     pi * Gamma / (Omega_R^2 T).
     """
+    if not (detuning > 0 and rabi_frequency > 0):
+        raise InvalidStateError("detuning and rabi_frequency must be > 0")
+    if detuning < 10.0 * rabi_frequency:
+        raise InvalidStateError(
+            f"far-detuned regime requires detuning >= 10 * Omega_R "
+            f"({detuning:.3e} < {10 * rabi_frequency:.3e})"
+        )
     _check_epsilon(epsilon)
     if not gamma > 0:
         raise InvalidStateError(f"gamma must be > 0, got {gamma}")
-    duration = math.pi / raman.effective_rabi_frequency
-    purity_loss = gamma / raman.detuning
-    eliminated_lhs = RAMAN_ELIMINATION_COEFFICIENT * gamma / (raman.rabi_frequency ** 2 * duration)
+    effective_rabi = rabi_frequency ** 2 / detuning
+    duration = math.pi / effective_rabi
+    purity_loss = gamma / detuning
     return RamanReport(
+        detuning=detuning,
+        effective_rabi_frequency=effective_rabi,
         duration=duration,
-        satisfied=purity_loss < epsilon,
-        margin=epsilon / purity_loss,
         purity_loss=purity_loss,
-        eliminated_lhs=eliminated_lhs,
+        margin=epsilon / purity_loss,
+        satisfied=purity_loss < epsilon,
+        eliminated_lhs=RAMAN_ELIMINATION_COEFFICIENT * gamma / (rabi_frequency ** 2 * duration),
     )
 
 
@@ -365,3 +325,12 @@ def fixed_intensity_area_sweep(report: PiPulseBudget, points: int, max_factor: f
 def _check_epsilon(epsilon: float) -> None:
     if not (0.0 < epsilon < 1.0):
         raise InvalidStateError(f"epsilon must be in (0, 1), got {epsilon}")
+
+
+def _evaluated(name: str, formula):
+    """``formula()``, where a power that overflows or a division by an
+    underflowed zero raises :class:`FloatingPointError` naming ``name``."""
+    try:
+        return formula()
+    except ArithmeticError:  # float ** and / raise where * rounds to inf or 0
+        raise FloatingPointError(f"{name} leaves the double range for these inputs") from None

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 import os
 import sys
+import warnings
 from itertools import chain
 
 from .lindblad import EXACT, IntegrationError, IntegratorConfig, evolve
@@ -260,37 +261,29 @@ def run_budget(cfg: dict) -> str:
 
     if cfg["format"] not in ("text", "csv"):
         raise ConfigError(f"budget format must be text or csv, got {cfg['format']!r}")
-    constants = budget.CODATA
-    wavelength = cfg["wavelength"]
-    # the beam refuses a wavelength that is not > 0 before omega divides by it
-    beam = budget.BeamGeometry(wavelength=wavelength, mode_area=cfg["mode_area"])
-    omega = 2.0 * math.pi * constants.c / wavelength
-    atom = budget.AtomModel(transition_frequency=omega, dipole_moment=cfg["dipole"])
-    field = budget.FieldSpec(amplitude=cfg["field_amplitude"])
-
-    report = budget.pi_pulse_budget(atom, beam, field, cfg["epsilon"], constants)
+    report = budget.pi_pulse_budget(cfg["wavelength"], cfg["mode_area"], cfg["dipole"],
+                                    cfg["field_amplitude"], cfg["epsilon"])
     sweep = budget.fixed_intensity_area_sweep(report, cfg["area_sweep_points"],
-                                              cfg["area_sweep_max_factor"], constants)
+                                              cfg["area_sweep_max_factor"])
 
     scalars = list(zip(report._fields, report._values()))
     verdicts = [("photon_constraint", "satisfied" if report.satisfied else "violated")]
 
     raman_lines: list[tuple[str, float]] = []
     if cfg["raman_detuning"] is not None:
-        raman = budget.RamanSpec(detuning=cfg["raman_detuning"],
-                                 rabi_frequency=report.rabi_frequency_rad_per_s)
-        verdict = budget.raman_constraint(raman, report.gamma_per_s, cfg["epsilon"])
+        raman = budget.raman_constraint(cfg["raman_detuning"], report.rabi_frequency_rad_per_s,
+                                        report.gamma_per_s, cfg["epsilon"])
         raman_lines = [
             ("raman_detuning_rad_per_s", raman.detuning),
             ("raman_effective_rabi_rad_per_s", raman.effective_rabi_frequency),
-            ("raman_duration_s", verdict.duration),
-            ("raman_purity_loss", verdict.purity_loss),
-            ("raman_margin", verdict.margin),
-            ("raman_eliminated_coefficient", verdict.eliminated_coefficient),
-            ("resonant_chain_coefficient", verdict.resonant_chain_coefficient),
-            ("raman_coefficient_gap", verdict.coefficient_gap),
+            ("raman_duration_s", raman.duration),
+            ("raman_purity_loss", raman.purity_loss),
+            ("raman_margin", raman.margin),
+            ("raman_eliminated_coefficient", budget.RAMAN_ELIMINATION_COEFFICIENT),
+            ("resonant_chain_coefficient", budget.RESONANT_CHAIN_COEFFICIENT),
+            ("raman_coefficient_gap", budget.RAMAN_COEFFICIENT_GAP),
         ]
-        verdicts.append(("raman_constraint", "satisfied" if verdict.satisfied else "violated"))
+        verdicts.append(("raman_constraint", "satisfied" if raman.satisfied else "violated"))
 
     columns = (sweep.area, sweep.kappa, sweep.kappa_times_area,
                sweep.n_bar, sweep.laser_mode_error, sweep.total_error)
@@ -368,6 +361,12 @@ def _overrides_from_extras(extras: list[str]) -> dict[str, str]:
     return overrides
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    """A warning as one ``warning: <message>`` line on stderr, with no source
+    path or line, so that it reads the same wherever the package lives."""
+    sys.stderr.write(f"warning: {message}\n")
+
+
 def main(argv=None) -> int:
     """Run one command on ``argv`` (default ``sys.argv[1:]``): the command
     word, then ``--key value`` pairs.  Returns the exit code."""
@@ -386,7 +385,9 @@ def main(argv=None) -> int:
         raw = parse_config_file(config) if config else {}
         raw.update(overrides)
         cfg = _coerce(command, raw)
-        output = RUNNERS[command](cfg)
+        with warnings.catch_warnings():  # restores the caller's showwarning on exit
+            warnings.showwarning = _show_warning
+            output = RUNNERS[command](cfg)
     except (IntegrationError, ArithmeticError) as exc:
         print(f"error: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -14,11 +14,9 @@ from lasergate.budget import (
     CODATA,
     PI_PULSE_PHOTON_COEFFICIENT,
     PI_PULSE_RABI_SLOPE,
-    AtomModel,
-    BeamGeometry,
-    FieldSpec,
+    RAMAN_COEFFICIENT_GAP,
+    RAMAN_ELIMINATION_COEFFICIENT,
     PhysicalConstants,
-    RamanSpec,
     pi_pulse_budget,
     raman_constraint,
 )
@@ -37,15 +35,13 @@ def _verdict(label: str, ok: bool, detail: str) -> None:
 
 
 def _random_system(rng):
+    """(wavelength, mode_area, dipole, field_amplitude), the arguments of
+    :func:`pi_pulse_budget`, drawn log-uniformly with A >= sigma_eff."""
     wavelength = 10.0 ** rng.uniform(-7, -5)
-    omega = 2.0 * math.pi * CODATA.c / wavelength
-    atom = AtomModel(transition_frequency=omega, dipole_moment=10.0 ** rng.uniform(-30, -28))
+    dipole = 10.0 ** rng.uniform(-30, -28)
     sigma_eff = 3.0 * wavelength ** 2 / (8.0 * math.pi)
-    beam = BeamGeometry(
-        wavelength=wavelength, mode_area=sigma_eff * 10.0 ** rng.uniform(0, 5)
-    )
-    field = FieldSpec(amplitude=10.0 ** rng.uniform(2, 7))
-    return atom, beam, field
+    mode_area = sigma_eff * 10.0 ** rng.uniform(0, 5)
+    return wavelength, mode_area, dipole, 10.0 ** rng.uniform(2, 7)
 
 
 def test_pi_pulse_error_tracks_first_order():
@@ -110,10 +106,13 @@ def test_all_modes_error_counts_local_photons():
     rng = np.random.default_rng(1234)
     worst = 0.0
     for _ in range(100):
-        atom, beam, field = _random_system(rng)
-        rabi = field.rabi_frequency(atom)
-        n_bar_prime = pi_pulse_budget(atom, beam, field).n_bar_prime
-        p_rate_form = PI_PULSE_RABI_SLOPE * atom.decay_rate() / rabi
+        wavelength, mode_area, dipole, amplitude = _random_system(rng)
+        omega = 2.0 * math.pi * CODATA.c / wavelength
+        gamma = omega ** 3 * dipole ** 2 / (
+            3.0 * math.pi * CODATA.epsilon0 * CODATA.hbar * CODATA.c ** 3)
+        rabi = dipole * amplitude / CODATA.hbar
+        n_bar_prime = pi_pulse_budget(wavelength, mode_area, dipole, amplitude).n_bar_prime
+        p_rate_form = PI_PULSE_RABI_SLOPE * gamma / rabi
         p_photon_form = PI_PULSE_PHOTON_COEFFICIENT / n_bar_prime
         worst = max(worst, abs(p_rate_form / p_photon_form - 1.0))
     _verdict(
@@ -129,9 +128,9 @@ def test_constraint_chain_margins_agree():
     rng = np.random.default_rng(99)
     worst = 0.0
     for _ in range(100):
-        atom, beam, field = _random_system(rng)
+        system = _random_system(rng)
         epsilon = 10.0 ** rng.uniform(-6, -1)
-        margins = pi_pulse_budget(atom, beam, field, epsilon=epsilon)
+        margins = pi_pulse_budget(*system, epsilon=epsilon)
         base = margins.margin_purity_form
         for other in (margins.margin_rabi_form, margins.margin_explicit_form,
                       margins.margin_energy_form):
@@ -146,20 +145,19 @@ def test_constraint_chain_margins_agree():
 def test_raman_elimination_coefficient():
     """Eliminating the detuning leaves pi * Gamma/(Omega_R^2 T) < eps; the
     factor-pi gap to the resonant chain's pi^2 is reported, not absorbed."""
-    raman = RamanSpec(detuning=1e11, rabi_frequency=1e9)
-    report = raman_constraint(raman, gamma=1e6, epsilon=1e-4)
+    report = raman_constraint(1e11, 1e9, gamma=1e6, epsilon=1e-4)
     elimination_exact = abs(report.eliminated_lhs / report.purity_loss - 1.0) <= 1e-12
     ok = (
         elimination_exact
-        and report.eliminated_coefficient == pytest.approx(math.pi, rel=1e-12)
-        and report.coefficient_gap == pytest.approx(math.pi, rel=1e-12)
+        and RAMAN_ELIMINATION_COEFFICIENT == pytest.approx(math.pi, rel=1e-12)
+        and RAMAN_COEFFICIENT_GAP == pytest.approx(math.pi, rel=1e-12)
         and report.satisfied  # literal Gamma/Delta = 1e-5 < 1e-4
     )
     _verdict(
         "raman detuning elimination",
         ok,
-        f"coefficient {report.eliminated_coefficient:.6f}, "
-        f"gap to resonant chain {report.coefficient_gap:.6f}",
+        f"coefficient {RAMAN_ELIMINATION_COEFFICIENT:.6f}, "
+        f"gap to resonant chain {RAMAN_COEFFICIENT_GAP:.6f}",
     )
 
 
@@ -243,11 +241,8 @@ def test_state_invariants_on_random_trajectories():
         epsilon = 10.0 ** rng.uniform(-6, -1)
         outputs = []
         for constants in (CODATA, scaled):
-            omega = 2.0 * math.pi * constants.c / wavelength
-            atom = AtomModel(transition_frequency=omega, dipole_moment=dipole)
-            beam = BeamGeometry(wavelength=wavelength, mode_area=area)
-            field = FieldSpec(amplitude=amplitude)
-            budget = pi_pulse_budget(atom, beam, field, epsilon=epsilon, constants=constants)
+            budget = pi_pulse_budget(wavelength, area, dipole, amplitude, epsilon=epsilon,
+                                     constants=constants)
             p = PI_PULSE_RABI_SLOPE * budget.kappa_per_s / budget.rabi_frequency_rad_per_s
             outputs.append((budget.n_bar, budget.n_bar_prime, budget.constraint_margin, p))
         for a, b in zip(*outputs):

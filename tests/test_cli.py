@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -278,6 +279,100 @@ BUDGET_ARGS = [
 ]
 
 
+# `budget --wavelength 1e-6 --mode_area 1e-12 --dipole 1e-29 --field_amplitude 1e5
+# --epsilon 1e-4 --raman_detuning 1e12`, as text and as csv
+README_BUDGET_TEXT = """\
+laser pulse budget (SI base units)
+
+wavelength_m                   = 1.00000000000e-06
+mode_area_m2                   = 1.00000000000e-12
+omega_rad_per_s                = 1.88365156731e+15
+sigma_eff_m2                   = 1.19366207319e-13
+gamma_per_s                    = 2.81866580598e+06
+kappa_per_s                    = 3.36453446959e+05
+rabi_frequency_rad_per_s       = 9.48252156828e+09
+intensity_W_per_m2             = 1.32720936400e+07
+power_W                        = 1.32720936400e-05
+duration_s                     = 3.31303507297e-10
+epsilon                        = 1.00000000000e-04
+n_bar                          = 2.21354695320e+04
+n_bar_prime                    = 2.64222704526e+03
+required_n_bar_prime           = 2.46740110027e+04
+energy_in_volume_J             = 5.24864096448e-16
+energy_threshold_J             = 4.90135869056e-15
+constraint_margin              = 1.07085428671e-01
+margin_purity_form             = 1.07085428671e-01
+margin_rabi_form               = 1.07085428671e-01
+margin_explicit_form           = 1.07085428671e-01
+margin_energy_form             = 1.07085428671e-01
+min_energy_per_lambda3_J       = 1.67551608191e-19
+photon_constraint              = violated
+
+raman_detuning_rad_per_s       = 1.00000000000e+12
+raman_effective_rabi_rad_per_s = 8.99182152928e+07
+raman_duration_s               = 3.49383341669e-08
+raman_purity_loss              = 2.81866580598e-06
+raman_margin                   = 3.54777780991e+01
+raman_eliminated_coefficient   = 3.14159265359e+00
+resonant_chain_coefficient     = 9.86960440109e+00
+raman_coefficient_gap          = 3.14159265359e+00
+raman_constraint               = satisfied
+
+fixed-intensity area sweep (kappa * A = Gamma * sigma_eff):
+area,kappa,kappa_times_area,n_bar,p_laser,p_total
+1.19366207319e-13,2.81866580598e+06,3.36453446959e-07,2.64222704526e+03,3.50187700282e-04,3.50187700282e-04
+1.19366207319e-12,2.81866580598e+05,3.36453446959e-07,2.64222704526e+04,3.50187700282e-05,3.50187700282e-04
+1.19366207319e-11,2.81866580598e+04,3.36453446959e-07,2.64222704526e+05,3.50187700282e-06,3.50187700282e-04
+1.19366207319e-10,2.81866580598e+03,3.36453446959e-07,2.64222704526e+06,3.50187700282e-07,3.50187700282e-04
+1.19366207319e-09,2.81866580598e+02,3.36453446959e-07,2.64222704526e+07,3.50187700282e-08,3.50187700282e-04
+1.19366207319e-08,2.81866580598e+01,3.36453446959e-07,2.64222704526e+08,3.50187700282e-09,3.50187700282e-04
+1.19366207319e-07,2.81866580598e+00,3.36453446959e-07,2.64222704526e+09,3.50187700282e-10,3.50187700282e-04
+"""
+
+README_BUDGET_CSV = """\
+# wavelength_m=1.00000000000e-06
+# mode_area_m2=1.00000000000e-12
+# omega_rad_per_s=1.88365156731e+15
+# sigma_eff_m2=1.19366207319e-13
+# gamma_per_s=2.81866580598e+06
+# kappa_per_s=3.36453446959e+05
+# rabi_frequency_rad_per_s=9.48252156828e+09
+# intensity_W_per_m2=1.32720936400e+07
+# power_W=1.32720936400e-05
+# duration_s=3.31303507297e-10
+# epsilon=1.00000000000e-04
+# n_bar=2.21354695320e+04
+# n_bar_prime=2.64222704526e+03
+# required_n_bar_prime=2.46740110027e+04
+# energy_in_volume_J=5.24864096448e-16
+# energy_threshold_J=4.90135869056e-15
+# constraint_margin=1.07085428671e-01
+# margin_purity_form=1.07085428671e-01
+# margin_rabi_form=1.07085428671e-01
+# margin_explicit_form=1.07085428671e-01
+# margin_energy_form=1.07085428671e-01
+# min_energy_per_lambda3_J=1.67551608191e-19
+# raman_detuning_rad_per_s=1.00000000000e+12
+# raman_effective_rabi_rad_per_s=8.99182152928e+07
+# raman_duration_s=3.49383341669e-08
+# raman_purity_loss=2.81866580598e-06
+# raman_margin=3.54777780991e+01
+# raman_eliminated_coefficient=3.14159265359e+00
+# resonant_chain_coefficient=9.86960440109e+00
+# raman_coefficient_gap=3.14159265359e+00
+# photon_constraint=violated
+# raman_constraint=satisfied
+area,kappa,kappa_times_area,n_bar,p_laser,p_total
+1.19366207319e-13,2.81866580598e+06,3.36453446959e-07,2.64222704526e+03,3.50187700282e-04,3.50187700282e-04
+1.19366207319e-12,2.81866580598e+05,3.36453446959e-07,2.64222704526e+04,3.50187700282e-05,3.50187700282e-04
+1.19366207319e-11,2.81866580598e+04,3.36453446959e-07,2.64222704526e+05,3.50187700282e-06,3.50187700282e-04
+1.19366207319e-10,2.81866580598e+03,3.36453446959e-07,2.64222704526e+06,3.50187700282e-07,3.50187700282e-04
+1.19366207319e-09,2.81866580598e+02,3.36453446959e-07,2.64222704526e+07,3.50187700282e-08,3.50187700282e-04
+1.19366207319e-08,2.81866580598e+01,3.36453446959e-07,2.64222704526e+08,3.50187700282e-09,3.50187700282e-04
+1.19366207319e-07,2.81866580598e+00,3.36453446959e-07,2.64222704526e+09,3.50187700282e-10,3.50187700282e-04
+"""
+
+
 class TestBudget:
     def test_text_report_contents(self, tmp_path):
         code, payload = run(tmp_path, *BUDGET_ARGS, name="report.txt")
@@ -389,9 +484,7 @@ class TestBudget:
     def test_scalar_lines_are_the_budget_fields(self, fmt):
         code, out, _ = run_captured(*BUDGET_ARGS, "--format", fmt)
         assert code == EXIT_OK
-        report = budget.pi_pulse_budget(
-            budget.AtomModel(2 * math.pi * budget.CODATA.c / 1e-6, 1e-29),
-            budget.BeamGeometry(1e-6, 1e-12), budget.FieldSpec(1e5))
+        report = budget.pi_pulse_budget(1e-6, 1e-12, 1e-29, 1e5)
         want = [(name, cli._fmt(value)) for name, value in zip(report._fields, report._values())]
         if fmt == "csv":
             lines = [line[2:].partition("=") for line in out.splitlines()[:len(want)]]
@@ -436,11 +529,44 @@ class TestBudget:
     def test_disagreeing_margins_are_numeric_error(self, argv, purity_form):
         # the intensity underflows (to 1.5e-323 and to 0 W/m^2), so the energy
         # routes read a margin of 0 where the purity route reads a positive one
+        # (the huge-wavelength beam is also below sigma_eff, which warns first)
         code, out, err = run_captured("budget", *argv)
         assert (code, out) == (EXIT_NUMERIC, "")
-        assert err == (f"error: numerical failure: margin_purity_form = {purity_form}"
-                       " but constraint_margin = 0.0: a value leaves the double range for"
-                       " these inputs\n")
+        *warned, error = err.splitlines()
+        assert all(line.startswith("warning: mode_area is below") for line in warned)
+        assert error == (f"error: numerical failure: margin_purity_form = {purity_form}"
+                         " but constraint_margin = 0.0: a value leaves the double range for"
+                         " these inputs")
+
+    def test_subwavelength_warning_is_one_line(self):
+        # the warning names no source file or line, so it reads the same from any checkout
+        before = warnings.showwarning
+        code, out, err = run_captured(*BUDGET_ARGS, "--mode_area", "1e-14")
+        assert code == EXIT_OK and out
+        assert err == ("warning: mode_area is below the paraxial scattering cross-section"
+                       " (1.000e-14 < 1.194e-13 m^2); a beam cannot be focused below about a"
+                       " wavelength\n")
+        assert warnings.showwarning is before
+
+    @pytest.mark.parametrize("wavelength,message", [
+        ("1e150", "Gamma = omega^3 d^2 / (3 pi eps0 hbar c^3) = 0.0 leaves the positive"
+                  " double range for these inputs"),
+        ("1e-120", "Gamma = omega^3 d^2 / (3 pi eps0 hbar c^3) leaves the double range for"
+                   " these inputs"),
+    ], ids=["gamma-underflows", "omega-cubed-overflows"])
+    def test_rate_out_of_range_names_the_rate(self, wavelength, message):
+        code, out, err = run_captured(*BUDGET_ARGS, "--wavelength", wavelength)
+        assert (code, out) == (EXIT_NUMERIC, "")
+        assert err.splitlines()[-1] == f"error: numerical failure: {message}"
+
+    @pytest.mark.parametrize("fmt,expected", [("text", README_BUDGET_TEXT),
+                                              ("csv", README_BUDGET_CSV)])
+    def test_readme_example_prints_the_pinned_report(self, fmt, expected):
+        # the README example with a Raman block, printed digit for digit
+        code, out, err = run_captured(*BUDGET_ARGS, "--epsilon", "1e-4",
+                                      "--raman_detuning", "1e12", "--format", fmt)
+        assert (code, err) == (EXIT_OK, "")
+        assert out == expected
 
     def test_huge_wavelength_budget_is_finite(self):
         # lambda^3 overflows, but no printed value divides by it
@@ -605,9 +731,9 @@ class TestImports:
     def test_public_names_are_pinned(self):
         # removing or adding a public name is a deliberate edit of this list
         assert lasergate.__all__ == [
-            "AtomModel", "BeamGeometry", "CODATA", "DensityMatrix", "EvolutionResult",
-            "FieldSpec", "IntegrationError", "IntegratorConfig", "InvalidStateError",
-            "PhysicalConstants", "PiPulseBudget", "PureState", "RamanSpec", "evolve",
+            "CODATA", "DensityMatrix", "EvolutionResult", "IntegrationError",
+            "IntegratorConfig", "InvalidStateError", "PhysicalConstants", "PiPulseBudget",
+            "PureState", "evolve",
             "fidelity_pure", "first_order_coefficient", "fixed_intensity_area_sweep",
             "jc_gate_error", "pi_pulse_budget", "raman_constraint",
         ]

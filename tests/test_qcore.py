@@ -10,7 +10,6 @@ from scipy.linalg import expm
 
 import oracles
 from lasergate import lindblad
-from lasergate.budget import RamanSpec
 from lasergate.lindblad import EXACT, IntegratorConfig, evolve
 from lasergate.qcore import (
     DensityMatrix,
@@ -301,6 +300,10 @@ class Estimate(Record):
     fit_residual: float
     degraded_fit: bool = False
 
+    @property
+    def photons_per_ratio(self) -> float:
+        return self.coefficient_vs_photons / self.coefficient_vs_ratio
+
 
 class TestRecord:
     """The record base keeps what the frozen dataclasses it replaced did."""
@@ -316,8 +319,8 @@ class TestRecord:
         config = IntegratorConfig()
         assert (config.method, config.step_count, config.sample_count) == (EXACT, 1000, 1)
         assert Estimate(1.0, 2.0, 0.0).degraded_fit is False
-        # a property derived from the fields: Omega_R^2 / Delta = 1e20 / 1e12
-        assert RamanSpec(detuning=1e12, rabi_frequency=1e10).effective_rabi_frequency == 1e8
+        # a property derived from the fields
+        assert Estimate(0.5, 1.5, 0.0).photons_per_ratio == 3.0
 
     @pytest.mark.parametrize("args,kwargs,message", [
         ((1.0, 2.0), {}, "missing field 'fit_residual'"),
