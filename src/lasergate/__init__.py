@@ -21,8 +21,8 @@ _EXPORTS = {
                "pi_pulse_budget", "raman_constraint"),
     "gates": ("first_order_coefficient",),
     "jc": ("jc_gate_error",),
-    "lindblad": ("EvolutionResult", "IntegrationError", "IntegratorConfig", "evolve"),
-    "qcore": ("DensityMatrix", "InvalidStateError", "PureState", "fidelity_pure"),
+    "lindblad": ("IntegrationError", "IntegratorConfig", "evolve"),
+    "qcore": ("InvalidStateError", "PureState"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 __all__ = sorted(_MODULE_OF)

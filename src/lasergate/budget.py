@@ -145,8 +145,11 @@ def pi_pulse_budget(wavelength: float, mode_area: float, dipole: float, field_am
     if not mode_area > 0:
         raise InvalidStateError(f"mode_area must be > 0, got {mode_area}")
     # the cross-section for scattering out of the paraxial modes, 3 lambda^2 / (8 pi)
-    sigma_eff = _evaluated("sigma_eff = 3 pi / (2 k^2)",
-                           lambda: 1.5 * math.pi / (2.0 * math.pi / wavelength) ** 2)
+    sigma_formula = "sigma_eff = 3 pi / (2 k^2)"
+    sigma_eff = _evaluated(sigma_formula, lambda: 1.5 * math.pi / (2.0 * math.pi / wavelength) ** 2)
+    if not 0 < sigma_eff < math.inf:  # a k^2 below about 2.6e-308 divides to inf
+        raise FloatingPointError(f"{sigma_formula} = {sigma_eff} leaves the positive double range"
+                                 " for these inputs")
     if mode_area < sigma_eff:
         warnings.warn(
             "mode_area is below the paraxial scattering cross-section "

@@ -226,7 +226,7 @@ def run_simulate(cfg: dict) -> str:
         raise ConfigError("samples must be >= 1")
     state = _start_state(cfg["start"])
     config = IntegratorConfig(cfg["method"], cfg["step_count"], cfg["samples"])
-    trajectory = evolve(state.to_density(), cfg["theta"], cfg["ratio"], config).trajectory
+    trajectory = evolve(state.bloch(), cfg["theta"], cfg["ratio"], config)
 
     columns = (trajectory.rho_bb, trajectory.rho_aa, trajectory.re_rho_ab, trajectory.im_rho_ab)
     table = zip(trajectory.times, *columns, purities(*columns))

@@ -3,10 +3,11 @@ first-order scaling in the decay-to-drive ratio.
 
 A gate is a resonant pulse of area theta applied to an initial
 :class:`qcore.PureState` psi, and both functions here take (theta, psi) in
-that order, as ``jc.jc_gate_error`` does.  Its failure probability is the
-population left in the state orthogonal to the decay-free output of the
-same Hamiltonian, so p(ratio=0) = 0 by construction and
-p = c * (kappa / g_alpha) to first order.
+that order, as ``jc.jc_gate_error`` does.  The pulse is propagated from the
+Bloch vector of psi, and its failure probability is read from the final
+state, the trajectory's last sample: the population left in the state
+orthogonal to the decay-free output of the same Hamiltonian, so
+p(ratio=0) = 0 by construction and p = c * (kappa / g_alpha) to first order.
 ``first_order_coefficient`` gives c in closed form; its photon-number form
 is p = c' / nbar with c' = c * theta / 2 (see ``budget.photon_coefficient``).
 A sweep propagates p over a ratio grid that ``check_ratio_grid`` accepts.
@@ -15,9 +16,10 @@ A sweep propagates p over a ratio grid that ``check_ratio_grid`` accepts.
 from __future__ import annotations
 
 import math
+from operator import mul
 
-from .lindblad import check_pulse, evolve
-from .qcore import InvalidStateError, PureState, fidelity_pure, psi_perp
+from .lindblad import Trajectory, check_pulse, evolve
+from .qcore import InvalidStateError, PureState, matvec, psi_perp
 
 # Ratios above this are outside the perturbative regime of a sweep.
 PERTURBATIVE_RATIO_MAX = 1e-2
@@ -71,6 +73,18 @@ def check_ratio_grid(ratios) -> tuple:
     return r
 
 
+def _final_population(trajectory: Trajectory, bra) -> float:
+    """<bra| rho |bra> of the final state rho of ``trajectory``, clamped into
+    [0, 1], for the amplitudes ``bra``; rho is the Hermitian matrix
+    ((rho_bb, rho_ab*), (rho_ab, rho_aa)) of the last sample, in complex
+    arithmetic."""
+    rho_bb, rho_aa, re, im = (trajectory.rho_bb[-1], trajectory.rho_aa[-1],
+                              trajectory.re_rho_ab[-1], trajectory.im_rho_ab[-1])
+    rho = ((complex(rho_bb, 0.0), complex(re, -im)), (complex(re, im), complex(rho_aa, 0.0)))
+    value = sum(map(mul, (x.conjugate() for x in bra), matvec(rho, bra)))
+    return min(1.0, max(0.0, value.real))
+
+
 def sweep_failure_probabilities(theta: float, psi: PureState, ratios) -> tuple:
     """p(ratio) of the pulse of area ``theta`` applied to ``psi``, over an
     arbitrary non-negative grid (no perturbative restriction), from one exact
@@ -80,6 +94,6 @@ def sweep_failure_probabilities(theta: float, psi: PureState, ratios) -> tuple:
     pulse is propagated."""
     ratios = tuple(map(float, ratios))
     check_pulse(theta, ratios)
-    rho0 = psi.to_density()
-    orthogonal = PureState(psi_perp(theta, psi.amplitudes))
-    return tuple(fidelity_pure(evolve(rho0, theta, ratio).final, orthogonal) for ratio in ratios)
+    s0 = psi.bloch()
+    orthogonal = psi_perp(theta, psi.amplitudes)
+    return tuple(_final_population(evolve(s0, theta, ratio), orthogonal) for ratio in ratios)

@@ -39,8 +39,8 @@ from .qcore import InvalidStateError, PureState, psi_perp
 
 # Largest mean photon number a field may hold.  A gate error reads about 80
 # levels of its window whatever nbar is, so this fixes the photon range that
-# ``compare`` accepts, not a cost.  It stays at 1e10 until the ~5e-24 floor
-# that p shows from about nbar = 1e12 on is understood.
+# ``compare`` accepts, not a cost.  It stays at 1e10 until p above it is
+# pinned against its large-nbar asymptote by a test.
 MAX_N_BAR = 1e10
 
 # stirlerr(m) = log(m!) - log(sqrt(2 pi m) (m / e)^m) for m = 0..15, to the
@@ -116,7 +116,7 @@ def _population(atom_start: PureState, n_bar: float, theta: float, bra) -> float
       b_m = cos(phi_{m-1}) c_m x_b - i sin(phi_{m-1}) c_{m-1} x_a
       a_m = cos(phi_m) c_m x_a - i sin(phi_m) c_{m+1} x_b,
     phi_n = g T sqrt(n+1) the angle of sector (|b, n+1>, |a, n>) and c_n the
-    field amplitudes, zero outside the window.  With (A, B, C, D) =
+    Poisson amplitudes of the field, with c_{-1} = 0.  With (A, B, C, D) =
     (u_b x_b, u_a x_a, -i u_b x_a, -i u_a x_b) for <bra| = (u_b, u_a) and the
     mean-field angle phi_0 = g T sqrt(nbar) = theta / 2, its overlap with <bra| is
       c_m [K + (cos phi_{m-1} - cos phi_0) (A + B) + (sin phi_{m-1} - sin phi_0) (C + D)
@@ -132,16 +132,17 @@ def _population(atom_start: PureState, n_bar: float, theta: float, bra) -> float
     log10(sqrt(nbar)) digits.
 
     The squared overlaps and the weights c_m^2 are summed at the levels
-    m = n_min, n_min + h, ... <= n_max + 1, h = max(1, floor(sqrt(nbar) / 4)),
+    m = n_min, n_min + h, ... <= n_max, h = max(1, floor(sqrt(nbar) / 4)),
     each standing for h levels (a factor that cancels in the ratio).  The
     summand has a Gaussian envelope of width sqrt(nbar), so this is the
     trapezoid rule, whose difference from the per-level sum Poisson summation
     bounds by about exp(-2 pi^2 nbar / h^2) <= exp(-316).  Below nbar = 64,
     h = 1 and n_min = 0, so the sum is the exact per-level sum over the
-    truncated window and the level above it, level 0 included.  From
-    nbar = 64 on, the window edges weigh below exp(-47) of the peak, and the
-    level below a window with n_min > 0 is left out.  Each term is
-    non-negative, so the sum has no 1 - F cancellation.
+    window, level 0 included.  Each level's neighbours c_{m-1} and c_{m+1}
+    are the field's own, at the window edges too, so an edge adds no jump to
+    the summand; the levels outside the window are left out, at most 2e-21
+    of the norm.  Each term is non-negative, so the sum has no 1 - F
+    cancellation.
     """
     x_b, x_a = atom_start.amplitudes
     u_b, u_a = bra[0].conjugate(), bra[1].conjugate()
@@ -153,8 +154,8 @@ def _population(atom_start: PureState, n_bar: float, theta: float, bra) -> float
     h = max(1, int(root_ref / 4.0))
     n_min, n_max = _window(n_bar)
     total = norm = total_err = norm_err = 0.0
-    for m in range(n_min, n_max + 2, h):
-        w = _poisson_weight(m, n_bar) if m <= n_max else 0.0
+    for m in range(n_min, n_max + 1, h):
+        w = _poisson_weight(m, n_bar)
         c_m = math.sqrt(w)
         root_m, root_up = math.sqrt(m), math.sqrt(m + 1)
         # phi_{m-1} against phi_0, and phi_m against phi_{m-1}
@@ -162,16 +163,10 @@ def _population(atom_start: PureState, n_bar: float, theta: float, bra) -> float
         cos_lo, sin_lo = _chord(phi_0 + half, half)
         step_cos, step_sin = _chord(0.5 * gt * (root_m + root_up), 0.5 * gt / (root_up + root_m))
         s_lo, s_up = math.sin(gt * root_m), math.sin(gt * root_up)
-        # c_{m-1} - c_m and c_{m+1} - c_m; exact by subtraction where one is
-        # zero: level n_min - 1 is outside the window, and so is level m past n_max
-        if m == n_min:
-            down = -c_m
-        elif w:
-            down = c_m * (m - n_bar) / (n_bar + math.sqrt(m * n_bar))
-        else:
-            down = math.sqrt(_poisson_weight(m - 1, n_bar))
-        up = (c_m * (n_bar - m - 1) / ((m + 1) * (math.sqrt(n_bar / (m + 1)) + 1.0))
-              if m < n_max else -c_m)
+        # c_{m-1} - c_m and c_{m+1} - c_m from the Poisson ratios, the field's
+        # own amplitudes on both sides; level -1 alone holds none
+        down = -c_m if m == 0 else c_m * (m - n_bar) / (n_bar + math.sqrt(m * n_bar))
+        up = c_m * (n_bar - m - 1) / ((m + 1) * (math.sqrt(n_bar / (m + 1)) + 1.0))
         o = (c_m * (mean_field + cos_lo * (a + b) + sin_lo * (c + d) + step_cos * b + step_sin * d)
              + down * s_lo * c + up * s_up * d)
         total, total_err = _kahan(total, total_err, o.real * o.real + o.imag * o.imag)

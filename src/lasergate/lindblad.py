@@ -33,12 +33,14 @@ constant-coefficient ODE that is exactly classical RK4 with k steps of size
 h.  The first component of v is the trace: the generator's first row is
 zero, so only rows 1..3 of the map are formed, the state carried between
 samples is (x, y, z) alone and the trace is exactly 1.  :func:`evolve`
-carries x, y and z as three columns of floats, one entry per sample, applying
-the 3x4 map term by term in the order of :func:`qcore.matvec`.  A trajectory
-is the sample times and four columns, the populations rho_bb and rho_aa and
-the coherence rho_ab, which :func:`qcore.check_density_columns` validates in
-one pass; no sample is ever a matrix unless one is asked for.  The generator
-and the step maps are tuples or lists of rows of Python floats, multiplied by
+takes the start as that Bloch vector, from :meth:`qcore.PureState.bloch` or
+any |s| <= 1 for a mixed start, and carries x, y and z as three columns of
+floats, one entry per sample, applying the 3x4 map term by term in the order
+of :func:`qcore.matvec`.  A trajectory is the sample times and four columns,
+the populations rho_bb and rho_aa and the coherence rho_ab, which
+:func:`qcore.check_density_columns` validates in one pass; its last sample is
+the final state, and no sample is ever a matrix.  The generator and the step
+maps are tuples or lists of rows of Python floats, multiplied by
 :func:`qcore.matmul`.
 """
 
@@ -47,7 +49,7 @@ from __future__ import annotations
 import math
 from operator import mul
 
-from .qcore import DensityMatrix, InvalidStateError, Record, check_density_columns, matmul
+from .qcore import InvalidStateError, Record, check_density_columns, matmul
 
 EXACT = "exact"
 RK4_FIXED = "rk4_fixed"
@@ -92,8 +94,9 @@ class IntegratorConfig(Record):
 class Trajectory(Record):
     """Samples of one pulse: the times, and the density matrix at each time
     as its populations rho_bb and rho_aa and the real and imaginary parts of
-    its coherence rho_ab = <a|rho|b>.  Each field is a tuple of k floats;
-    :func:`evolve` validated the samples in one call."""
+    its coherence rho_ab = <a|rho|b>.  Each field is a tuple of k floats, and
+    the last entry of each is the final state; :func:`evolve` validated the
+    samples in one call."""
 
     times: tuple
     rho_bb: tuple
@@ -103,31 +106,6 @@ class Trajectory(Record):
 
     def __len__(self) -> int:
         return len(self.times)
-
-    @property
-    def states(self) -> tuple:
-        """The samples as a stack of 2x2 complex matrices, built on each call."""
-        return tuple(map(_matrix, self.rho_bb, self.rho_aa, self.re_rho_ab, self.im_rho_ab))
-
-
-class EvolutionResult(Record):
-    final: DensityMatrix
-    trajectory: Trajectory
-
-
-def _bloch(rho) -> tuple:
-    """v = (1, x, y, z) of a 2x2 density matrix, scaled to unit trace, so that
-    a pure state whose trace rounds below 1, such as (1, 1) / sqrt(2), stays pure."""
-    trace = (rho[0][0] + rho[1][1]).real
-    rho_ab = complex(rho[1][0])
-    z = (rho[1][1] - rho[0][0]).real
-    return 1.0, 2.0 * rho_ab.real / trace, 2.0 * rho_ab.imag / trace, z / trace
-
-
-def _matrix(rho_bb: float, rho_aa: float, re_rho_ab: float, im_rho_ab: float) -> tuple:
-    """The density matrix ((rho_bb, rho_ab*), (rho_ab, rho_aa)) as a 2x2 complex matrix."""
-    return ((complex(rho_bb, 0.0), complex(re_rho_ab, -im_rho_ab)),
-            (complex(re_rho_ab, im_rho_ab), complex(rho_aa, 0.0)))
 
 
 def _columns(xs, ys, zs) -> tuple:
@@ -236,30 +214,33 @@ def check_pulse(theta: float, ratios) -> None:
             raise InvalidStateError(f"{name} must be finite and >= 0, got {value}")
 
 
-def evolve(rho0: DensityMatrix, theta: float, ratio: float,
-           config: IntegratorConfig = IntegratorConfig()) -> EvolutionResult:
-    """Evolve ``rho0`` through one pulse of area ``theta`` at
-    kappa/g_alpha = ``ratio``, both finite and >= 0, with times in units of
-    1/g_alpha: the pulse lasts theta / 2.
+def evolve(s0, theta: float, ratio: float,
+           config: IntegratorConfig = IntegratorConfig()) -> Trajectory:
+    """Evolve the Bloch vector ``s0`` = (x, y, z) through one pulse of area
+    ``theta`` at kappa/g_alpha = ``ratio``, both finite and >= 0, with times
+    in units of 1/g_alpha: the pulse lasts theta / 2.
 
-    Returns the validated final state and the :class:`Trajectory` of the
+    ``s0`` is refused with :class:`InvalidStateError` unless it holds three
+    numbers whose density matrix :func:`qcore.check_density_columns` accepts,
+    |s| <= 1 within its purity slack.  Returns the :class:`Trajectory` of the
     states at ``config.sample_count + 1`` uniformly spaced times, from the
-    initial to the final state; the default ``sample_count`` of 1 samples
-    those two only.  The final state is the last sample, at ``theta`` 0
-    too: every sample is then ``rho0`` as its columns read it, with its
-    lower-left coherence.  A propagated state that is not a density matrix
-    (the rounding of a long or strongly damped pulse pushed its Bloch vector
-    out of the unit ball, or an unstable RK4 step made it blow up) raises
+    initial to the final state, its last sample; the default
+    ``sample_count`` of 1 samples those two only.  At ``theta`` 0 every
+    sample is ``s0``.  A propagated state that is not a density matrix (the
+    rounding of a long or strongly damped pulse pushed its Bloch vector out
+    of the unit ball, or an unstable RK4 step made it blow up) raises
     :class:`IntegrationError`.
     """
+    try:
+        x, y, z = map(float, s0)
+    except (TypeError, ValueError) as exc:
+        raise InvalidStateError(f"expected a Bloch vector of 3 numbers: {exc}") from None
+    start = _columns([x], [y], [z])
+    check_density_columns(*start)
     check_pulse(theta, (ratio,))
     n_segments = config.sample_count
-    if theta == 0.0:  # every sample, the final state too, is rho0 as its columns read it
-        (rho_bb, _), (rho_ab, rho_aa) = rho0.matrix
-        columns = (rho_bb.real, rho_aa.real, rho_ab.real, rho_ab.imag)
-        return EvolutionResult(DensityMatrix(_matrix(*columns)),
-                               Trajectory(*((value,) * (n_segments + 1)
-                                            for value in (0.0, *columns))))
+    if theta == 0.0:
+        return Trajectory(*((column[0],) * (n_segments + 1) for column in ((0.0,), *start)))
 
     tau = theta / 2.0 / n_segments  # scaled duration g_alpha * T of one segment
     (x0, xx, xy, xz), (y0, yx, yy, yz), (z0, zx, zy, zz) = _step_rows(ratio, tau, config,
@@ -267,7 +248,6 @@ def evolve(rho0: DensityMatrix, theta: float, ratio: float,
     # each row acts as in qcore.matvec: sum(map(mul, row, (1.0, x, y, z))) is
     # (((0 + r0 * 1.0) + rx * x) + ry * y) + rz * z, and 0 + r0 * 1.0 is 0.0 + r0
     x0, y0, z0 = 0.0 + x0, 0.0 + y0, 0.0 + z0
-    _, x, y, z = _bloch(rho0.matrix)  # the map has no trace row: the trace stays 1
     increment = config.method == RK4_FIXED  # its map gives the change of v, not v
     xs, ys, zs = [x], [y], [z]
     for _ in range(n_segments):
@@ -287,5 +267,4 @@ def evolve(rho0: DensityMatrix, theta: float, ratio: float,
             f"propagated state left the Bloch ball (largest |s| = {radius:.12g}): {exc}"
         ) from exc
     times = (*(i * tau for i in range(n_segments)), theta / 2.0)
-    final = DensityMatrix(_matrix(*(column[-1] for column in columns)))
-    return EvolutionResult(final, Trajectory(times, *columns))
+    return Trajectory(times, *columns)

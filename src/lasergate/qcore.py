@@ -1,19 +1,18 @@
 """States of one two-level atom, and the small dense linear algebra they need.
 
-A matrix is a tuple of row tuples of Python ``complex``, a state vector a
-tuple of ``complex``, and a stack of matrices a tuple of matrices: immutable
-values, built from any nested sequence of numbers (numpy arrays included).
-Both models of the package act on one two-level atom, and the two wrapper
-types enforce that once, at construction: :class:`DensityMatrix` accepts a
-2x2 matrix only and :class:`PureState` 2 amplitudes only.  They also
-validate the physical invariants (Hermiticity, unit trace, positivity,
-normalization).  The density-matrix invariants have one home:
-:func:`check_density_columns` checks, in closed form, a stack of Hermitian
-matrices held as columns of populations and coherence, as a trajectory is,
-with the purity of :func:`purities`.  :func:`check_densities` checks a stack
-of 2x2 matrices as its Hermiticity residue and then those columns, and a
-single :class:`DensityMatrix` is a stack of one.  Every record type of the
-package derives from :class:`Record`.
+A matrix, such as the gate rotation, is a tuple of row tuples of Python
+``complex``, and a state vector a tuple of ``complex`` built from any
+sequence of numbers (numpy arrays included): immutable values.  The package
+has one state type, the Bloch vector (x, y, z) of rho = (I + x sigma_x +
+y sigma_y + z sigma_z) / 2, a tuple of three floats with |s| <= 1: every
+propagated state is one, and a trajectory holds its samples as columns of
+populations and coherence.  A pure start is a :class:`PureState`, 2
+normalized amplitudes, and :meth:`PureState.bloch` gives its vector.  The
+density-matrix invariants (unit trace, positivity, purity in [1/2, 1]) have
+one home: :func:`check_density_columns` checks, in closed form, a stack of
+Hermitian matrices held as those columns, with the purity of
+:func:`purities`.  Every record type of the package derives from
+:class:`Record`.
 
 Basis ordering for the two-level atom is fixed package-wide:
 index 0 = ground ``|b>``, index 1 = excited ``|a>``.
@@ -25,7 +24,6 @@ import math
 from operator import add, mul
 
 # Construction-time invariant tolerances.
-HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-10
 POSITIVITY_SLACK = 1e-9
 PURITY_SLACK = 1e-9
@@ -105,17 +103,6 @@ class Record:
         raise AttributeError(f"{type(self).__name__} is immutable: cannot delete {name!r}")
 
 
-def _as_complex_matrix(entries) -> tuple:
-    try:
-        m = tuple([tuple(map(complex, row)) for row in entries])
-    except (TypeError, ValueError) as exc:
-        raise InvalidStateError(f"expected a 2x2 matrix of numbers: {exc}") from None
-    lengths = [len(row) for row in m]
-    if lengths != [2, 2]:
-        raise InvalidStateError(f"expected a 2x2 matrix, got rows of lengths {lengths}")
-    return m
-
-
 def matmul(a, b) -> tuple:
     """The product of two matrices, each a sequence of rows."""
     columns = tuple(zip(*b))
@@ -144,25 +131,14 @@ def logspace(start: float, stop: float, num: int) -> tuple:
     return (*(_exp10(i * step + start) for i in range(num - 1)), _exp10(stop))
 
 
+# Each invariant of check_density_columns, in the order it is checked: the
+# message that names a broken value, and the test that finds one.
 _BROKEN = (
-    ("density matrix not Hermitian: residue {:.3e}", lambda herm: not herm <= HERMITICITY_TOL),
     ("density matrix trace {:.12g} != 1", lambda trace: abs(trace - 1.0) > TRACE_TOL),
     ("density matrix not positive: min eigenvalue {:.3e}", lambda lo: lo < -POSITIVITY_SLACK),
     ("purity {:.12g} outside [1/2, 1]",
      lambda pur: not 0.5 - PURITY_SLACK <= pur <= 1.0 + PURITY_SLACK),
 )
-
-
-def _refuse_broken(checks, columns) -> None:
-    """Raise :class:`InvalidStateError` for the first of ``checks``, (message,
-    test) pairs of ``_BROKEN``, that a value of its column of ``columns``
-    fails, naming the matrix of the first such value (by index, in a stack
-    of several)."""
-    for (text, broken), column in zip(checks, columns):
-        for i, value in enumerate(column):
-            if broken(value):
-                message = text.format(value)
-                raise InvalidStateError(message if len(column) == 1 else f"state {i}: {message}")
 
 
 def purities(rho_bb, rho_aa, re_rho_ab, im_rho_ab) -> list:
@@ -194,47 +170,11 @@ def check_density_columns(rho_bb, rho_aa, re_rho_ab, im_rho_ab) -> None:
         return
     lowest = [0.5 * t - math.hypot(0.5 * (b - a), math.hypot(r, i))
               for t, b, a, r, i in zip(trace, rho_bb, rho_aa, re_rho_ab, im_rho_ab)]
-    _refuse_broken(_BROKEN[1:], (list(map(complex, trace)), lowest, pur))
-
-
-def check_densities(states) -> None:
-    """Raise :class:`InvalidStateError` unless every 2x2 matrix of the stack
-    ``states`` is Hermitian within ``HERMITICITY_TOL`` and its Hermitian form
-    ((Re rho_bb, rho_ab*), (rho_ab, Re rho_aa)), with rho_ab its lower-left
-    entry, passes :func:`check_density_columns`.  A residue is refused first,
-    in the first matrix that has one, before any other invariant; the
-    residue is NaN, and refused, where a NaN entry leaves it unknown."""
-    residues, rho_bb, rho_aa, re_rho_ab, im_rho_ab = [], [], [], [], []
-    for (a, b), (c, d) in states:  # one pass: the cost of a single DensityMatrix
-        # |b - c*| as hypot of its parts: abs() of a complex raises
-        # OverflowError where hypot returns inf.  Each term is >= 0 or NaN, so
-        # their sum is NaN exactly when one is, a NaN max() may drop.
-        x, y, z = (2.0 * abs(a.imag), math.hypot(b.real - c.real, b.imag + c.imag),
-                   2.0 * abs(d.imag))
-        total = x + y + z
-        residues.append(total if math.isnan(total) else max(x, y, z))
-        rho_bb.append(a.real)
-        rho_aa.append(d.real)
-        re_rho_ab.append(c.real)
-        im_rho_ab.append(c.imag)
-    _refuse_broken(_BROKEN[:1], (residues,))
-    check_density_columns(rho_bb, rho_aa, re_rho_ab, im_rho_ab)
-
-
-class DensityMatrix(Record):
-    """Validated density operator of the two-level atom: a 2x2 matrix that is
-    Hermitian, unit-trace and positive semidefinite."""
-
-    matrix: tuple
-
-    def __post_init__(self):
-        m = _as_complex_matrix(self.matrix)
-        check_densities((m,))
-        object.__setattr__(self, "matrix", m)
-
-    def purity(self) -> float:
-        (rho_bb, _), (rho_ab, rho_aa) = self.matrix
-        return purities((rho_bb.real,), (rho_aa.real,), (rho_ab.real,), (rho_ab.imag,))[0]
+    for (text, broken), column in zip(_BROKEN, (list(map(complex, trace)), lowest, pur)):
+        for i, value in enumerate(column):
+            if broken(value):
+                message = text.format(value)
+                raise InvalidStateError(message if len(column) == 1 else f"state {i}: {message}")
 
 
 class PureState(Record):
@@ -254,9 +194,14 @@ class PureState(Record):
             raise InvalidStateError(f"state not normalized: |psi|^2 = {nrm2:.12g}")
         object.__setattr__(self, "amplitudes", v)
 
-    def to_density(self) -> DensityMatrix:
-        v = self.amplitudes
-        return DensityMatrix(tuple(tuple(x * y.conjugate() for y in v) for x in v))
+    def bloch(self) -> tuple:
+        """The Bloch vector (x, y, z) of |psi><psi|, scaled to unit trace, so
+        that a state whose |psi|^2 rounds below 1, such as (1, 1) / sqrt(2),
+        stays on the surface of the ball."""
+        b, a = self.amplitudes
+        rho_bb, rho_ab, rho_aa = b * b.conjugate(), a * b.conjugate(), a * a.conjugate()
+        trace = (rho_bb + rho_aa).real
+        return 2.0 * rho_ab.real / trace, 2.0 * rho_ab.imag / trace, (rho_aa - rho_bb).real / trace
 
     @staticmethod
     def ground() -> "PureState":
@@ -287,12 +232,3 @@ def psi_perp(theta: float, psi) -> tuple:
     population in."""
     t = matvec(rotation(theta), psi)
     return (-t[1].conjugate(), t[0].conjugate())
-
-
-def fidelity_pure(rho: DensityMatrix, target: PureState) -> float:
-    """Overlap <psi|rho|psi>, clamped into [0, 1]."""
-    psi = target.amplitudes
-    val = sum(map(mul, (x.conjugate() for x in psi), matvec(rho.matrix, psi)))
-    if abs(val.imag) > 1e-9:
-        raise InvalidStateError(f"fidelity has imaginary residue {val.imag:.3e}")
-    return min(1.0, max(0.0, val.real))

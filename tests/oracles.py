@@ -24,7 +24,12 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.linalg import expm
 
-from lasergate.qcore import HERMITICITY_TOL, POSITIVITY_SLACK, PURITY_SLACK, TRACE_TOL
+from lasergate.qcore import POSITIVITY_SLACK, PURITY_SLACK, TRACE_TOL
+
+# The largest Hermiticity residue max |m - m^H| a density matrix may carry,
+# the tolerance a 2x2 matrix is read against; the package holds its states as
+# Bloch vectors, Hermitian by construction, and keeps no such tolerance.
+HERMITICITY_TOL = 1e-12
 
 SIGMA_MINUS = np.array([[0, 1], [0, 0]], dtype=complex)
 SIGMA_PLUS = SIGMA_MINUS.conj().T
@@ -35,6 +40,30 @@ I2 = np.eye(2, dtype=complex)
 GROUND = np.array([1, 0], dtype=complex)
 EXCITED = np.array([0, 1], dtype=complex)
 PLUS = np.array([1, 1], dtype=complex) / np.sqrt(2)
+
+
+def bloch_density(s) -> np.ndarray:
+    """The 2x2 density matrix (I + x sigma_x + y sigma_y + z sigma_z) / 2 of
+    the Bloch vector ``s`` = (x, y, z)."""
+    x, y, z = s
+    return np.array([[1.0 - z, x - 1j * y], [x + 1j * y, 1.0 + z]]) / 2.0
+
+
+def density_bloch(m) -> tuple:
+    """The Bloch vector (x, y, z) of the Hermitian 2x2 matrix ``m``, read from
+    its lower-left entry and its diagonal."""
+    m = np.asarray(m, dtype=complex)
+    return 2.0 * m[1, 0].real, 2.0 * m[1, 0].imag, (m[1, 1] - m[0, 0]).real
+
+
+def sample_matrices(trajectory) -> np.ndarray:
+    """The samples of a ``lindblad.Trajectory`` as a stack of 2x2 density
+    matrices, built from its columns of populations and coherence."""
+    rho_ab = np.array(trajectory.re_rho_ab) + 1j * np.array(trajectory.im_rho_ab)
+    stack = np.zeros((len(trajectory.times), 2, 2), dtype=complex)
+    stack[:, 0, 0], stack[:, 1, 1] = trajectory.rho_bb, trajectory.rho_aa
+    stack[:, 1, 0], stack[:, 0, 1] = rho_ab, rho_ab.conj()
+    return stack
 
 
 def liouvillian(ratio: float) -> np.ndarray:

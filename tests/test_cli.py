@@ -23,7 +23,7 @@ from lasergate.cli import (
     EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, GATE_AREAS, MAX_ROWS, START_STATES, main,
 )
 from lasergate.lindblad import IntegratorConfig, evolve
-from lasergate.qcore import DensityMatrix
+from lasergate.qcore import purities
 
 
 def run(tmp_path, *argv, name="out.csv"):
@@ -147,12 +147,12 @@ class TestSimulate:
     def test_csv_prints_the_trajectory_states(self, argv):
         cfg = cli._coerce("simulate", cli._overrides_from_extras(argv))
         config = IntegratorConfig(cfg["method"], cfg["step_count"], cfg["samples"])
-        trajectory = evolve(START_STATES[cfg["start"]]().to_density(), cfg["theta"],
-                            cfg["ratio"], config).trajectory
+        trajectory = evolve(START_STATES[cfg["start"]]().bloch(), cfg["theta"],
+                            cfg["ratio"], config)
         want = ["t,rho_bb,rho_aa,re_rho_ab,im_rho_ab,purity"]
-        for t, m in zip(trajectory.times, trajectory.states):
-            values = (t, m[0][0].real, m[1][1].real, m[1][0].real, m[1][0].imag,
-                      DensityMatrix(m).purity())
+        columns = (trajectory.rho_bb, trajectory.rho_aa,
+                   trajectory.re_rho_ab, trajectory.im_rho_ab)
+        for values in zip(trajectory.times, *columns, purities(*columns)):
             want.append(",".join(map(cli._fmt, values)))
         assert run_stdout("simulate", *argv) == (EXIT_OK, "\n".join(want) + "\n")
 
@@ -559,6 +559,15 @@ class TestBudget:
         assert (code, out) == (EXIT_NUMERIC, "")
         assert err.splitlines()[-1] == f"error: numerical failure: {message}"
 
+    def test_sigma_eff_out_of_range_is_refused_before_the_warning(self):
+        # k^2 = 3.9e-319 divides 3 pi / 2 to inf: refused with its name, and
+        # the sub-wavelength warning that would compare against it is not reached
+        code, out, err = run_captured(*BUDGET_ARGS, "--wavelength", "1e160")
+        assert (code, out) == (EXIT_NUMERIC, "")
+        assert err == ("error: numerical failure: sigma_eff = 3 pi / (2 k^2) = inf leaves the"
+                       " positive double range for these inputs\n")
+        assert "warning:" not in err
+
     @pytest.mark.parametrize("fmt,expected", [("text", README_BUDGET_TEXT),
                                               ("csv", README_BUDGET_CSV)])
     def test_readme_example_prints_the_pinned_report(self, fmt, expected):
@@ -587,6 +596,12 @@ class TestCompare:
         assert len(data) == 3
         assert data[1].startswith("markov,pi,")
         assert data[2].startswith("jc,pi,")
+
+    def test_plus_start_at_a_billion_photons_prints_its_asymptote(self):
+        # p nbar = 1/4 + 1/(16 nbar) = 0.2500000000625, which rounds to ...062
+        code, out = run_stdout("compare", "--gate", "pi", "--start", "plus", "--n_bars", "1e9")
+        assert code == EXIT_OK
+        assert out.splitlines()[2] == "jc,pi,1.00000000000e+09,2.50000000062e-10,2.50000000062e-01"
 
     def test_pi_pulse_coefficients_at_400(self, tmp_path):
         _, payload = run(tmp_path, "compare", "--n_bars", "400")
@@ -731,10 +746,9 @@ class TestImports:
     def test_public_names_are_pinned(self):
         # removing or adding a public name is a deliberate edit of this list
         assert lasergate.__all__ == [
-            "CODATA", "DensityMatrix", "EvolutionResult", "IntegrationError",
-            "IntegratorConfig", "InvalidStateError", "PhysicalConstants", "PiPulseBudget",
-            "PureState", "evolve",
-            "fidelity_pure", "first_order_coefficient", "fixed_intensity_area_sweep",
+            "CODATA", "IntegrationError", "IntegratorConfig", "InvalidStateError",
+            "PhysicalConstants", "PiPulseBudget", "PureState", "evolve",
+            "first_order_coefficient", "fixed_intensity_area_sweep",
             "jc_gate_error", "pi_pulse_budget", "raman_constraint",
         ]
 

@@ -250,6 +250,15 @@ class TestAgainstMultiprecision:
         assert abs(p - want) <= 1e-15 * want
 
 
+    @pytest.mark.parametrize("n_bar", [1e8, 1e9, 1e10])
+    def test_plus_start_meets_its_asymptote_at_large_photon_numbers(self, n_bar):
+        # a pi pulse from (|b> + |a>) / sqrt(2) fails with p = (1/4 + 1/(16 nbar)) / nbar;
+        # the window edges add nothing to p, which stays within rounding of it
+        p = jc_gate_error(math.pi, PureState.superposition(1.0, 1.0), n_bar)
+        want = (0.25 + 1.0 / (16.0 * n_bar)) / n_bar
+        assert abs(p - want) <= 1e-15 * want
+
+
 class TestGateError:
     def test_pi_from_ground_reference_values(self):
         for n_bar, frozen in P_TIMES_NBAR.items():

@@ -8,24 +8,32 @@ from hypothesis import strategies as st
 
 import oracles
 from lasergate import lindblad
+from lasergate import gates
 from lasergate.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main
 from lasergate.gates import sweep_failure_probabilities
 from lasergate.lindblad import RK4_FIXED, IntegrationError, IntegratorConfig, evolve
-from lasergate.qcore import DensityMatrix, InvalidStateError, PureState
+from lasergate.qcore import PURITY_SLACK, InvalidStateError, PureState, psi_perp
+from oracles import bloch_density, sample_matrices
 
 RK4 = IntegratorConfig(method=RK4_FIXED, step_count=400)
 
 
-def random_density(rng: np.random.Generator) -> DensityMatrix:
+def random_bloch(rng: np.random.Generator) -> tuple:
+    """The Bloch vector of a random mixed state, from a Ginibre matrix."""
     g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     m = g @ g.conj().T
-    return DensityMatrix(m / np.trace(m))
+    return oracles.density_bloch(m / np.trace(m))
 
 
-def lindblad_rhs(rho: DensityMatrix, g: float, kappa: float) -> np.ndarray:
+def final_matrix(s0, theta: float, ratio: float, config=IntegratorConfig()) -> np.ndarray:
+    """The final state of ``evolve``, its trajectory's last sample, as a 2x2 matrix."""
+    return sample_matrices(evolve(s0, theta, ratio, config))[-1]
+
+
+def lindblad_rhs(s, g: float, kappa: float) -> np.ndarray:
     """drho/dt from the solver's Bloch generator g B_drive + kappa B_decay."""
     gen = g * np.array(lindblad._B_DRIVE) + kappa * np.array(lindblad._B_DECAY)
-    w, x, y, z = gen @ lindblad._bloch(rho.matrix)
+    w, x, y, z = gen @ (1.0, *s)
     return np.array([[w - z, x - 1j * y], [x + 1j * y, w + z]]) / 2.0
 
 
@@ -33,7 +41,7 @@ def ground_trajectory(theta: float):
     """16-sample trajectory of the ground state through a pulse of area
     ``theta``, without decay."""
     config = IntegratorConfig(sample_count=16)
-    return evolve(PureState.ground().to_density(), theta, 0.0, config).trajectory
+    return evolve(PureState.ground().bloch(), theta, 0.0, config)
 
 
 class TestSpecs:
@@ -47,13 +55,13 @@ class TestSpecs:
         # with t in units of 1/g
         traj = ground_trajectory(5.0)
         want = (1.0 - np.cos(2.0 * np.array(traj.times))) / 2.0
-        assert np.max(np.abs(np.array(traj.states)[:, 1, 1].real - want)) <= 1e-12
+        assert np.max(np.abs(np.array(traj.rho_aa) - want)) <= 1e-12
 
     def test_zero_area_zero_duration(self):
         assert np.array_equal(ground_trajectory(0.0).times, np.zeros(17))
 
     def test_negative_inputs_rejected(self):
-        rho0 = PureState.ground().to_density()
+        rho0 = PureState.ground().bloch()
         with pytest.raises(InvalidStateError, match="theta must be"):
             evolve(rho0, -1.0, 0.0)
         with pytest.raises(InvalidStateError, match="kappa/g_alpha must be"):
@@ -65,7 +73,7 @@ class TestSpecs:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_inputs_rejected(self, bad):
-        rho0 = PureState.ground().to_density()
+        rho0 = PureState.ground().bloch()
         with pytest.raises(InvalidStateError, match="theta must be"):
             evolve(rho0, bad, 0.0)
         with pytest.raises(InvalidStateError, match="kappa/g_alpha must be"):
@@ -75,88 +83,83 @@ class TestSpecs:
 class TestRhs:
     def test_ground_state_no_decay(self):
         # only the drive acts: populations stationary, coherence slope of unit magnitude
-        drho = lindblad_rhs(PureState.ground().to_density(), 1.0, 0.0)
+        drho = lindblad_rhs(PureState.ground().bloch(), 1.0, 0.0)
         assert drho[1, 1] == 0.0
         assert drho[0, 0] == 0.0
         assert abs(drho[1, 0]) == pytest.approx(1.0)
         assert drho[1, 0].real == pytest.approx(0.0)
 
     def test_pure_decay_from_excited(self):
-        drho = lindblad_rhs(PureState.excited().to_density(), 0.0, 1.0)
+        drho = lindblad_rhs(PureState.excited().bloch(), 0.0, 1.0)
         assert drho[1, 1].real == pytest.approx(-1.0)
         assert drho[0, 0].real == pytest.approx(1.0)
 
     def test_traceless_and_hermitian_on_random_states(self):
         rng = np.random.default_rng(11)
         for _ in range(100):
-            drho = lindblad_rhs(random_density(rng), 1.0, float(rng.uniform(0, 2)))
+            drho = lindblad_rhs(random_bloch(rng), 1.0, float(rng.uniform(0, 2)))
             assert abs(np.trace(drho)) <= 1e-12
             assert np.max(np.abs(drho - drho.conj().T)) <= 1e-12
 
     def test_matches_superoperator_generator(self):
         rng = np.random.default_rng(3)
         for ratio in (0.0, 0.3, 1.7):
-            rho = random_density(rng)
-            drho = lindblad_rhs(rho, 1.0, ratio)
-            expected = (oracles.liouvillian(ratio) @ np.ravel(rho.matrix)).reshape(2, 2)
+            s = random_bloch(rng)
+            drho = lindblad_rhs(s, 1.0, ratio)
+            expected = (oracles.liouvillian(ratio) @ np.ravel(bloch_density(s))).reshape(2, 2)
             assert np.max(np.abs(drho - expected)) <= 1e-13
 
 
 class TestEvolve:
     def test_unitary_pi_pulse_flips_ground(self):
-        result = evolve(
-            PureState.ground().to_density(), math.pi, 0.0
-        )
-        assert result.final.matrix[1][1].real == pytest.approx(1.0, abs=1e-8)
+        trajectory = evolve(PureState.ground().bloch(), math.pi, 0.0)
+        assert trajectory.rho_aa[-1] == pytest.approx(1.0, abs=1e-8)
 
     def test_zero_area_is_identity(self):
-        rho0 = PureState.superposition(1.0, 1j).to_density()
-        result = evolve(rho0, 0.0, 0.3)
-        assert np.array_equal(result.final.matrix, rho0.matrix)
+        s0 = PureState.superposition(1.0, 1j).bloch()
+        assert np.array_equal(sample_matrices(evolve(s0, 0.0, 0.3)), [bloch_density(s0)] * 2)
 
     @pytest.mark.parametrize("theta", [0.0, 1e-300], ids=["zero", "tiny"])
     def test_final_state_is_the_last_sample(self, theta):
-        # rho0 is Hermitian only within the tolerance; both areas read it as
-        # its lower-left coherence, 0.2, not as the upper-right 0.2 + 1e-13j
-        rho0 = DensityMatrix([[0.6, 0.2 + 1e-13j], [0.2, 0.4]])
+        # the final state is the last of the sample_count + 1 samples; at
+        # both areas it is the mixed start ((0.6, 0.2), (0.2, 0.4))
         config = IntegratorConfig(sample_count=3)
-        result = evolve(rho0, theta, 0.3, config)
-        assert result.final.matrix == result.trajectory.states[-1]
-        assert abs(result.final.matrix[0][1] - 0.2) < 1e-14
+        trajectory = evolve((0.4, 0.0, -0.2), theta, 0.3, config)
+        assert len(trajectory) == 4 and trajectory.times[-1] == theta / 2.0
+        final = sample_matrices(trajectory)[-1]
+        assert np.max(np.abs(final - [[0.6, 0.2], [0.2, 0.4]])) < 1e-14
 
     @pytest.mark.parametrize("config", [IntegratorConfig(), RK4], ids=["exact", "rk4"])
     def test_against_superoperator_exponential(self, config):
         rng = np.random.default_rng(5)
         for theta, ratio in [(math.pi, 1e-3), (math.pi / 2, 0.2), (2.1, 0.8), (5.0, 0.05)]:
-            rho0 = random_density(rng)
-            got = evolve(rho0, theta, ratio, config).final
-            want = oracles.evolve_superop(rho0.matrix, theta, ratio)
-            assert np.max(np.abs(got.matrix - want)) <= 1e-9
+            s0 = random_bloch(rng)
+            got = final_matrix(s0, theta, ratio, config)
+            want = oracles.evolve_superop(bloch_density(s0), theta, ratio)
+            assert np.max(np.abs(got - want)) <= 1e-9
 
     def test_excited_population_deficit_first_order(self):
         # 1 - rho_aa(T) = (3 pi / 16) * kappa/g_alpha to first order, here
         # checked at 1% and 0.2% relative for ratios 1e-3 and 1e-4
-        rho0 = PureState.ground().to_density()
+        s0 = PureState.ground().bloch()
         for ratio, rel in [(1e-3, 0.01), (1e-4, 0.002)]:
-            final = evolve(rho0, math.pi, ratio).final
-            deficit = 1.0 - final.matrix[1][1].real
+            deficit = 1.0 - evolve(s0, math.pi, ratio).rho_aa[-1]
             expected = (3.0 * math.pi / 16.0) * ratio
             assert deficit == pytest.approx(expected, rel=rel)
 
     def test_trajectory_sampling(self):
-        result = evolve(
-            PureState.ground().to_density(), math.pi, 0.1, IntegratorConfig(sample_count=16)
-        )
-        assert len(result.trajectory) == 17
-        times = result.trajectory.times
+        trajectory = evolve(PureState.ground().bloch(), math.pi, 0.1,
+                            IntegratorConfig(sample_count=16))
+        assert len(trajectory) == 17
+        times = trajectory.times
         assert times[0] == 0.0
         assert times[-1] == pytest.approx(math.pi / 2)
         assert all(b > a for a, b in zip(times, times[1:]))
         # every sample is validated when the trajectory is built; spot-check trace
-        for m in result.trajectory.states:
+        for m in sample_matrices(trajectory):
             assert abs(np.trace(m) - 1.0) <= 1e-9
         with pytest.raises(TypeError):
-            result.trajectory.states[0][0][0] = 1.0
+            trajectory.rho_bb[0] = 1.0
 
 
 class TestConservationLaws:
@@ -164,34 +167,32 @@ class TestConservationLaws:
     @settings(max_examples=15, deadline=None)
     def test_purity_conserved_without_decay(self, seed):
         rng = np.random.default_rng(seed)
-        rho0 = random_density(rng)
+        s0 = random_bloch(rng)
         theta = float(rng.uniform(0.1, 2 * math.pi))
-        final = evolve(rho0, theta, 0.0, RK4).final
-        assert abs(final.purity() - rho0.purity()) <= 1e-8
+        final = final_matrix(s0, theta, 0.0, RK4)
+        purity = oracles.density_invariants(final)[3]
+        assert abs(purity - oracles.density_invariants(bloch_density(s0))[3]) <= 1e-8
 
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=15, deadline=None)
     def test_trajectory_invariants(self, seed):
         rng = np.random.default_rng(seed)
-        rho0 = random_density(rng)
+        s0 = random_bloch(rng)
         theta = float(rng.uniform(0.1, 2 * math.pi))
         ratio = float(rng.uniform(0.0, 1.0))
         config = IntegratorConfig(method=RK4_FIXED, step_count=200, sample_count=8)
-        result = evolve(rho0, theta, ratio, config)
-        for m in map(np.asarray, result.trajectory.states):
+        for m in sample_matrices(evolve(s0, theta, ratio, config)):
             assert abs(np.trace(m) - 1.0) <= 1e-9
-            assert np.max(np.abs(m - m.conj().T)) <= 1e-9
-            # DensityMatrix construction already enforces eigenvalues >= -1e-9
+            assert np.linalg.eigvalsh(m)[0] >= -1e-9
 
     def test_linearity_in_the_initial_state(self):
         rng = np.random.default_rng(23)
-        rho1, rho2 = random_density(rng), random_density(rng)
+        s1, s2 = random_bloch(rng), random_bloch(rng)
         theta, ratio = 2.5, 0.15
-        out1 = np.asarray(evolve(rho1, theta, ratio, RK4).final.matrix)
-        out2 = np.asarray(evolve(rho2, theta, ratio, RK4).final.matrix)
+        out1, out2 = final_matrix(s1, theta, ratio, RK4), final_matrix(s2, theta, ratio, RK4)
         for a in (0.25, 0.5, 0.75):
-            mixed = DensityMatrix(a * np.asarray(rho1.matrix) + (1 - a) * np.asarray(rho2.matrix))
-            got = evolve(mixed, theta, ratio, RK4).final.matrix
+            mixed = a * np.asarray(s1) + (1 - a) * np.asarray(s2)
+            got = final_matrix(mixed, theta, ratio, RK4)
             assert np.max(np.abs(got - (a * out1 + (1 - a) * out2))) <= 1e-8
 
 
@@ -199,12 +200,12 @@ class TestConvergenceOrder:
     def test_rk4_error_scales_as_h4(self):
         # halving h should shrink the final-state error by ~2^4 against a
         # reference 10x finer than the finer run
-        rho0 = PureState.superposition(1.0, 0.6 + 0.2j).to_density()
+        s0 = PureState.superposition(1.0, 0.6 + 0.2j).bloch()
         theta, ratio = 3 * math.pi / 2, 0.3
 
         def final_with(steps):
-            cfg = IntegratorConfig(method=RK4_FIXED, step_count=steps)
-            return np.asarray(evolve(rho0, theta, ratio, cfg).final.matrix)
+            return final_matrix(s0, theta, ratio, IntegratorConfig(method=RK4_FIXED,
+                                                                   step_count=steps))
 
         reference = final_with(2000)
         err_coarse = np.max(np.abs(final_with(100) - reference))
@@ -216,11 +217,11 @@ class TestConvergenceOrder:
     def test_rk4_matches_classical_stepper(self, step_count, samples):
         # one Taylor step matrix per sample interval (k = 1 and k > 1) against
         # a plain RK4 loop on the kron-form superoperator
-        rho0 = PureState.superposition(1.0, 0.6 + 0.2j).to_density()
+        s0 = PureState.superposition(1.0, 0.6 + 0.2j).bloch()
         theta, ratio = 3 * math.pi / 2, 0.3
         config = IntegratorConfig(method=RK4_FIXED, step_count=step_count, sample_count=samples)
-        got = evolve(rho0, theta, ratio, config).trajectory.states
-        want = oracles.rk4_trajectory(rho0.matrix, theta, ratio, step_count, samples)
+        got = sample_matrices(evolve(s0, theta, ratio, config))
+        want = oracles.rk4_trajectory(bloch_density(s0), theta, ratio, step_count, samples)
         assert np.max(np.abs(got - want)) <= 1e-12
 
 
@@ -236,11 +237,10 @@ class TestExactPropagator:
     def test_final_state_matches_scipy_expm(self, theta):
         # 7.9, 8 and 8.1 bracket the exceptional point of the Bloch generator
         ratios = [0.0, 1e-9, 1e-5, 7.9, 8.0, 8.1, 30.0, 1e3]
-        rho0 = PureState.superposition(1.0, 0.6 + 0.2j).to_density()
+        s0 = PureState.superposition(1.0, 0.6 + 0.2j).bloch()
         for ratio in ratios:
-            want = oracles.evolve_superop(rho0.matrix, theta, ratio)
-            single = evolve(rho0, theta, ratio).final
-            assert np.max(np.abs(single.matrix - want)) <= 1e-12
+            want = oracles.evolve_superop(bloch_density(s0), theta, ratio)
+            assert np.max(np.abs(final_matrix(s0, theta, ratio) - want)) <= 1e-12
 
     @pytest.mark.parametrize("theta", [math.pi / 2, math.pi, 4 * math.pi])
     def test_final_state_matches_50_digit_exponential(self, theta):
@@ -248,10 +248,10 @@ class TestExactPropagator:
         # deep in the strongly damped regime, against mpmath on the kron form
         ratios = [0.0, 1e-9, 1e-3, 1.0, 7.9, 8.0 - 1e-6, 8.0, 8.0 + 1e-6, 8.1, 30.0, 1e3, 1e6]
         for start in ("ground", "tilted"):
-            rho0 = self.STARTS[start].to_density()
+            s0 = self.STARTS[start].bloch()
             for ratio in ratios:
-                got = evolve(rho0, theta, ratio).final.matrix
-                want = oracles.evolve_mp(rho0.matrix, theta, ratio)
+                got = final_matrix(s0, theta, ratio)
+                want = oracles.evolve_mp(bloch_density(s0), theta, ratio)
                 assert np.max(np.abs(got - want)) <= 1e-14, (start, ratio)
 
     @pytest.mark.parametrize("ratio", [1e6, 1e10, 1e20, 1e200, 1e308])
@@ -262,16 +262,16 @@ class TestExactPropagator:
         r = Fraction(ratio)
         rho_aa, im_rho_ab = float(4 / (8 + r * r)), float(-2 * r / (8 + r * r))
         want = [[1.0 - rho_aa, -1j * im_rho_ab], [1j * im_rho_ab, rho_aa]]
-        final = evolve(PureState.ground().to_density(), math.pi, ratio).final.matrix
+        final = final_matrix(PureState.ground().bloch(), math.pi, ratio)
         assert np.max(np.abs(np.subtract(final, want))) <= 1e-15
         if ratio == 1e6:
-            want = oracles.evolve_mp(PureState.ground().to_density().matrix, math.pi, ratio)
+            want = oracles.evolve_mp(bloch_density(PureState.ground().bloch()), math.pi, ratio)
             assert np.max(np.abs(final - want)) <= 1e-15
         argv = ["simulate", "--ratio", repr(ratio), "--samples", "1", "--out", str(tmp_path / "o")]
         assert main(argv) == EXIT_OK
 
     # a sweep is one exact evolve per ratio: the grid around a ratio does not
-    # change its p, and the final state is the trajectory's last sample
+    # change its p, which is read from the trajectory's last sample
     @pytest.mark.parametrize("config", [IntegratorConfig()], ids=["exact"])
     @pytest.mark.parametrize("theta", [0.0, math.pi / 2, 2.1])
     def test_sweep_equals_single_ratios_bit_for_bit(self, config, theta):
@@ -282,10 +282,11 @@ class TestExactPropagator:
         assert len(swept) == 16
         with pytest.raises(TypeError):
             swept[0] = 1.0
+        perp = psi_perp(theta, psi0.amplitudes)
         for rate, p in zip(rates, swept):
             assert p == sweep_failure_probabilities(theta, psi0, [rate])[0]
-            result = evolve(psi0.to_density(), theta, rate / 1.7, config)
-            assert np.array_equal(result.final.matrix, result.trajectory.states[-1])
+            trajectory = evolve(psi0.bloch(), theta, rate, config)
+            assert p == gates._final_population(trajectory, perp)
 
     @pytest.mark.parametrize("theta", [math.pi, math.pi / 2], ids=["pi", "pi2"])
     @pytest.mark.parametrize("start", sorted(STARTS))
@@ -293,21 +294,18 @@ class TestExactPropagator:
         assert sweep_failure_probabilities(theta, self.STARTS[start], [0.0])[0] <= 1e-14
 
     def test_trajectory_applies_one_step_propagator(self):
-        rho0 = PureState.excited().to_density()
-        config = IntegratorConfig(sample_count=64)
-        result = evolve(rho0, 3.0, 0.25, config)
-        for t, m in zip(result.trajectory.times, result.trajectory.states):
+        s0 = PureState.excited().bloch()
+        trajectory = evolve(s0, 3.0, 0.25, IntegratorConfig(sample_count=64))
+        for t, m in zip(trajectory.times, sample_matrices(trajectory)):
             # the area reached at time t (in units of 1/g alpha) is Omega_R t = 2 t
-            want = oracles.evolve_superop(rho0.matrix, 2.0 * t, 0.25)
+            want = oracles.evolve_superop(bloch_density(s0), 2.0 * t, 0.25)
             assert np.max(np.abs(m - want)) <= 1e-12
-        assert np.array_equal(result.final.matrix, result.trajectory.states[-1])
 
     def test_non_finite_propagator_is_integration_error(self, tmp_path):
         # kappa/g_alpha * tau = 1.7e308 * pi/2 overflows the generator itself;
         # 1e308 does not, and gives the finite Zeno-limit propagator
-        rho0 = PureState.ground().to_density()
         with pytest.raises(IntegrationError):
-            evolve(rho0, math.pi, 1.7e308)
+            evolve(PureState.ground().bloch(), math.pi, 1.7e308)
         argv = ["simulate", "--ratio", "1.7e308", "--samples", "1", "--out", str(tmp_path / "o")]
         assert main(argv) == EXIT_NUMERIC
 
@@ -323,5 +321,26 @@ class TestExactPropagator:
 
 class TestValidation:
     def test_fock_dimension_rejected(self):
-        with pytest.raises(InvalidStateError, match="expected a 2x2 matrix"):
-            evolve(DensityMatrix(np.eye(4) / 4), math.pi, 0.0)
+        # the maximally mixed state of four levels, as its 15 Bloch components
+        with pytest.raises(InvalidStateError, match="expected a Bloch vector of 3 numbers"):
+            evolve(np.zeros(15), math.pi, 0.0)
+
+    @pytest.mark.parametrize("s0", [
+        (0.0, 0.0, 1.0 + 4 * PURITY_SLACK), (0.6, 0.8, 0.1), (2.0, 0.0, 0.0),
+        (math.nan, 0.0, 0.0), (0.0, math.nan, 0.0), (0.0, 0.0, math.nan),
+        (0.0, 0.0), (0.0, 0.0, 0.0, 0.0), ("x", 0.0, 0.0), (1j, 0.0, 0.0),
+    ], ids=["past-slack", "outside", "far-outside", "nan-x", "nan-y", "nan-z", "length-2",
+            "length-4", "text", "complex"])
+    def test_start_that_is_not_a_bloch_vector_is_refused(self, s0):
+        with pytest.raises(InvalidStateError):
+            evolve(s0, math.pi, 0.0)
+
+    def test_start_on_the_surface_within_the_slack_is_accepted(self):
+        trajectory = evolve((0.0, 0.0, 1.0 + PURITY_SLACK / 4), math.pi, 0.0)
+        assert trajectory.rho_bb[-1] == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("ratio", [1e-3, 30.0])
+    def test_mixed_start_matches_50_digit_exponential(self, ratio):
+        s0 = (0.2, -0.4, 0.4)  # |s| = 0.6
+        want = oracles.evolve_mp(bloch_density(s0), math.pi, ratio)
+        assert np.max(np.abs(final_matrix(s0, math.pi, ratio) - want)) <= 1e-14

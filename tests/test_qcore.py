@@ -10,24 +10,42 @@ from scipy.linalg import expm
 
 import oracles
 from lasergate import lindblad
+from lasergate.gates import _final_population
 from lasergate.lindblad import EXACT, IntegratorConfig, evolve
 from lasergate.qcore import (
-    DensityMatrix,
     InvalidStateError,
     PureState,
     Record,
-    check_densities,
     check_density_columns,
-    fidelity_pure,
     psi_perp,
+    purities,
     rotation,
 )
 
 
-def ginibre_density(rng: np.random.Generator, dim: int) -> DensityMatrix:
+def ginibre_density(rng: np.random.Generator, dim: int) -> np.ndarray:
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     m = g @ g.conj().T
-    return DensityMatrix(m / np.trace(m))
+    return m / np.trace(m)
+
+
+def columns_of(matrices) -> tuple:
+    """The columns (rho_bb, rho_aa, Re rho_ab, Im rho_ab) of a stack of 2x2
+    matrices, read from their real diagonals and lower-left entries."""
+    m = np.asarray(matrices, dtype=complex)
+    return (tuple(m[:, 0, 0].real), tuple(m[:, 1, 1].real), tuple(m[:, 1, 0].real),
+            tuple(m[:, 1, 0].imag))
+
+
+def evolve_start(s0):
+    """A trajectory of one short pulse from the Bloch vector ``s0``."""
+    return evolve(s0, 1.0, 0.0)
+
+
+def population(s, psi: PureState) -> float:
+    """<psi| rho |psi> of the Bloch vector ``s``, read as gates reads p: from
+    the last sample of a zero-area trajectory."""
+    return _final_population(evolve(s, 0.0, 0.0), psi.amplitudes)
 
 
 def refusal(check, *args):
@@ -68,21 +86,6 @@ def bloch_row(draw):
     return row
 
 
-@st.composite
-def near_hermitian_matrix(draw):
-    """The matrix of a bloch_row with its upper-right entry and the imaginary
-    parts of its diagonal drawn on their own: each part exact, within 3e-12
-    of exact, about HERMITICITY_TOL, or any finite float or NaN."""
-    (a, b), (c, d) = lindblad._matrix(*draw(bloch_row()))
-
-    def part(exact):
-        return draw(st.just(exact) | st.floats(-3e-12, 3e-12).map(lambda e: exact + e)
-                    | st.floats(allow_infinity=False))
-
-    return ((complex(a.real, part(0.0)), complex(part(b.real), part(b.imag))),
-            (c, complex(d.real, part(0.0))))
-
-
 class TestOperators:
     @pytest.mark.parametrize("theta", [0.0, math.pi / 2, math.pi, 2 * math.pi, 11.0])
     def test_rotation_matches_expm(self, theta):
@@ -109,114 +112,69 @@ class TestOperators:
 
 
 class TestFidelity:
+    """<psi| rho |psi> as gates reads a failure probability from a final state."""
+
     def test_matching_pure_states(self):
-        assert fidelity_pure(PureState.excited().to_density(), PureState.excited()) == 1.0
+        assert population(PureState.excited().bloch(), PureState.excited()) == 1.0
 
     def test_orthogonal_pure_states(self):
-        assert fidelity_pure(PureState.excited().to_density(), PureState.ground()) == 0.0
+        assert population(PureState.excited().bloch(), PureState.ground()) == 0.0
 
     def test_maximally_mixed_against_anything(self):
-        rho = DensityMatrix(np.eye(2) / 2)
         for target in (PureState.ground(), PureState.excited(), PureState.superposition(1, 1j)):
-            assert fidelity_pure(rho, target) == pytest.approx(0.5)
+            assert population((0.0, 0.0, 0.0), target) == pytest.approx(0.5)
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(InvalidStateError, match="expected 2 amplitudes"):
-            fidelity_pure(DensityMatrix(np.eye(2) / 2), PureState(np.array([1, 0, 0, 0])))
+            PureState(np.array([1, 0, 0, 0]))
 
     def test_result_is_clamped(self):
         # a state built from slightly noisy amplitudes still lands in [0, 1]
-        rho = PureState.superposition(1.0, 1.0).to_density()
-        f = fidelity_pure(rho, PureState.superposition(1.0, 1.0))
-        assert 0.0 <= f <= 1.0
+        psi = PureState.superposition(1.0, 1.0)
+        assert 0.0 <= population(psi.bloch(), psi) <= 1.0
 
 
 class TestDensityMatrixInvariants:
     def test_rejects_non_hermitian(self):
-        with pytest.raises(InvalidStateError, match="Hermitian"):
-            DensityMatrix(np.array([[0.5, 0.1], [0.3, 0.5]]))
+        # ((0.5, 0.1), (0.3, 0.5)) = (I + x sigma_x + y sigma_y) / 2 with x = 0.4
+        # and y = -0.2i: a state is Hermitian exactly when its Bloch vector is real
+        with pytest.raises(InvalidStateError, match="expected a Bloch vector of 3 numbers"):
+            evolve((0.4, -0.2j, 0.0), 1.0, 0.0)
 
     def test_rejects_wrong_trace(self):
         with pytest.raises(InvalidStateError, match="trace"):
-            DensityMatrix(np.eye(2))
+            check_density_columns(*columns_of([np.eye(2)]))
 
     def test_rejects_negative_eigenvalue(self):
         with pytest.raises(InvalidStateError, match="positive"):
-            DensityMatrix(np.diag([1.5, -0.5]))
+            check_density_columns(*columns_of([np.diag([1.5, -0.5])]))
 
     def test_stack_check_names_the_first_bad_matrix(self):
         half = np.eye(2) / 2
         stack = np.array([half, half, np.diag([1.5, -0.5]), np.diag([2.0, -1.0])])
-        check_densities(stack[:2])
+        check_density_columns(*columns_of(stack[:2]))
         with pytest.raises(InvalidStateError, match="state 2: .*positive"):
-            check_densities(stack)
+            check_density_columns(*columns_of(stack))
 
     @given(rows=st.lists(bloch_row() | st.tuples(*[st.floats()] * 4), min_size=1, max_size=6))
     @settings(max_examples=500, deadline=None)
     def test_column_check_is_the_stack_check(self, rows):
-        # st.floats() adds NaN, inf, +-0 and rows whose trace is not 1
-        matrices = [lindblad._matrix(*row) for row in rows]
+        # the one check of a stack of density matrices, held as columns,
+        # against the oracle's dense routines; st.floats() adds NaN, inf, +-0
+        # and rows whose trace is not 1
+        matrices = [[[b, complex(r, -i)], [complex(r, i), a]] for b, a, r, i in rows]
         assume(not oracles.near_tolerance_edge(matrices))
         columns = refusal(check_density_columns, *zip(*rows))
         assert named(columns, len(rows)) == oracles.first_broken_invariant(matrices,
                                                                            hermitian=True)
-        # a NaN or infinite coherence leaves b - c* NaN, a residue the stack
-        # check refuses; short of one, it refuses as the columns do
-        stack = refusal(check_densities, matrices)
-        want = oracles.first_broken_invariant(matrices)
-        assert named(stack, len(rows)) == want
-        if want is None or want[0] != "Hermitian":
-            assert stack == columns
 
-    @given(stack=st.lists(near_hermitian_matrix(), min_size=1, max_size=4))
-    @settings(max_examples=500, deadline=None)
-    def test_stack_check_matches_the_oracle_off_hermitian(self, stack):
-        assume(not oracles.near_tolerance_edge(stack))
-        message = refusal(check_densities, stack)
-        want = oracles.first_broken_invariant(stack)
-        assert named(message, len(stack)) == want
-        if want is not None and want[0] == "Hermitian":
-            residue = oracles.density_invariants(stack[want[1]])[0]
-            assert message.endswith(f"not Hermitian: residue {residue:.3e}")
-
-    @pytest.mark.parametrize("matrix", [
-        [[0.5, math.nan], [0.0, 0.5]], [[complex(0.5, math.nan), 0.0], [0.0, 0.5]],
-        [[0.5, 0.0], [0.0, complex(0.5, math.nan)]], [[0.5, 0.0], [math.nan, 0.5]],
-    ], ids=["upper-right", "imag-ground", "imag-excited", "lower-left"])
-    def test_nan_residue_is_refused(self, matrix):
-        # the columns read neither the upper-right entry nor the diagonal's
-        # imaginary parts: a NaN there must fail as the residue it leaves
-        with pytest.raises(InvalidStateError, match="^density matrix not Hermitian: residue nan$"):
-            DensityMatrix(matrix)
-        with pytest.raises(InvalidStateError, match="^state 1: density matrix not Hermitian"):
-            check_densities([np.eye(2) / 2, matrix])
-
-    def test_hermitian_within_tolerance_validates_as_its_hermitian_form(self):
-        # the stack check reads the diagonal's real part and the lower-left entry
-        rho = DensityMatrix([[0.6, 0.2 + 1e-13j], [0.2, 0.4]])
-        assert rho.purity() == DensityMatrix([[0.6, 0.2], [0.2, 0.4]]).purity()
-        assert rho.purity() == pytest.approx(oracles.density_invariants(rho.matrix)[3], abs=1e-15)
-        # its trace is that of the real diagonal: no imaginary part is printed
-        with pytest.raises(InvalidStateError, match=r"^density matrix trace 1\.5\+0j != 1$"):
-            DensityMatrix([[1.0 + 4e-13j, 0.0], [0.0, 0.5]])
-
-    def test_residue_is_refused_before_every_other_invariant(self):
-        # each matrix also breaks the trace; the residue is named all the same
-        with pytest.raises(InvalidStateError, match="^density matrix not Hermitian: residue 1"):
-            DensityMatrix([[1.5, 1e-11], [0.0, 0.5]])
-        stack = [np.diag([1.5, 0.5]), np.eye(2) / 2, [[0.5, 2e-12j], [0.0, 0.5]]]
-        with pytest.raises(InvalidStateError, match="^state 2: density matrix not Hermitian"):
-            check_densities(stack)
+    def test_overflowing_coherence_refused_by_the_constructor(self):
+        # evolve's start check: x = y = 1.7e308 is a coherence of |rho_ab| =
+        # 1.2e308, whose square leaves the double range
+        with pytest.raises(InvalidStateError, match="min eigenvalue -1.202e"):
+            evolve((1.7e308, 1.7e308, 0.0), 1.0, 0.0)
 
     # |rho_ab| = 1.84e308 leaves the double range though both its parts are finite
-    def test_overflowing_coherence_refused_by_the_constructor(self):
-        with pytest.raises(InvalidStateError, match="min eigenvalue -inf"):
-            DensityMatrix([[0.5, 1.3e308 - 1.3e308j], [1.3e308 + 1.3e308j, 0.5]])
-
-    def test_overflowing_residue_refused_by_the_stack_check(self):
-        with pytest.raises(InvalidStateError, match="not Hermitian: residue inf"):
-            check_densities([((0.5, 1.3e308 + 1.3e308j), (0.0, 0.5))])
-
     def test_overflowing_coherence_refused_by_the_column_check(self):
         with pytest.raises(InvalidStateError, match="trace 0"):
             check_density_columns((0.0,), (0.0,), (1.3e308,), (1.3e308,))
@@ -224,33 +182,39 @@ class TestDensityMatrixInvariants:
             check_density_columns((0.5,), (0.5,), (1.3e308,), (1.3e308,))
 
     def test_rejects_non_square(self):
+        # a 2x3 matrix is no state: neither amplitudes nor a Bloch vector
         with pytest.raises(InvalidStateError):
-            DensityMatrix(np.ones((2, 3)))
+            PureState(np.ones((2, 3)))
+        with pytest.raises(InvalidStateError):
+            evolve(np.ones((2, 3)), 1.0, 0.0)
 
+    # a d-level density matrix has d^2 - 1 Bloch components: 0 for one level,
+    # 8 for three; a 2x3 "state" is given as its 6 entries
     @pytest.mark.parametrize("build,entries", [
         (PureState, [1.0]), (PureState, [1.0, 0.0, 0.0]), (PureState, [0.5] * 4),
-        (DensityMatrix, np.eye(1)), (DensityMatrix, np.eye(3) / 3),
-        (DensityMatrix, np.ones((2, 3)) / 2),
+        (evolve_start, []), (evolve_start, [0.0] * 8), (evolve_start, [0.0] * 6),
     ], ids=["pure-1", "pure-3", "pure-4", "density-1x1", "density-3x3", "density-2x3"])
     def test_only_the_two_level_atom_is_accepted(self, build, entries):
-        # each input is otherwise valid: normalized, or unit-trace and positive
-        with pytest.raises(InvalidStateError, match="expected (2 amplitudes|a 2x2 matrix)"):
+        # each input is otherwise valid: normalized, or inside the ball
+        with pytest.raises(InvalidStateError,
+                           match="expected (2 amplitudes|a Bloch vector of 3 numbers)"):
             build(entries)
 
     def test_matrix_is_frozen(self):
-        rho = DensityMatrix(np.eye(2) / 2)
+        # a trajectory holds its density matrices as tuples of floats
+        trajectory = evolve((0.0, 0.0, 0.0), 1.0, 0.0)
         with pytest.raises(TypeError):
-            rho.matrix[0][0] = 3.0
+            trajectory.rho_bb[0] = 3.0
         with pytest.raises(TypeError):
-            rho.matrix[0] = (3.0, 0.0)
+            trajectory.re_rho_ab[-1] = 3.0
 
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
     def test_random_states_are_valid(self, seed):
         rng = np.random.default_rng(seed)
-        rho = ginibre_density(rng, 2)
-        assert np.shape(rho.matrix) == (2, 2)
-        assert 0.5 - 1e-9 <= rho.purity() <= 1.0 + 1e-9
+        columns = columns_of([ginibre_density(rng, 2)])
+        check_density_columns(*columns)
+        assert 0.5 - 1e-9 <= purities(*columns)[0] <= 1.0 + 1e-9
 
 
 class TestPureState:
@@ -269,10 +233,16 @@ class TestPureState:
         psi = PureState.superposition(3.0, 4.0j)
         assert np.vdot(psi.amplitudes, psi.amplitudes) == pytest.approx(1.0, abs=1e-14)
 
-    def test_to_density_roundtrip(self):
+    def test_bloch_roundtrip(self):
         psi = PureState.superposition(1.0, 1j)
-        rho = psi.to_density()
-        assert fidelity_pure(rho, psi) == pytest.approx(1.0)
+        assert math.hypot(*psi.bloch()) == pytest.approx(1.0, abs=1e-15)
+        assert population(psi.bloch(), psi) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("amplitudes", [(1.0, 0.0), (0.0, 1.0), (0.6, 0.8j), (0.28, -0.96)])
+    def test_bloch_vector_is_that_of_the_projector(self, amplitudes):
+        psi = PureState(amplitudes)
+        rho = np.outer(psi.amplitudes, np.conj(psi.amplitudes))
+        assert np.max(np.abs(np.subtract(psi.bloch(), oracles.density_bloch(rho)))) <= 1e-15
 
 
 class TestEigensystem:
@@ -286,7 +256,7 @@ class TestEigensystem:
         low = rng.uniform(-9.9e-9, -1.1e-9)
         h = u @ np.diag([low, 1.0 - low]) @ u.conj().T
         h = (h + h.conj().T) / 2
-        message = refusal(DensityMatrix, h)
+        message = refusal(check_density_columns, *columns_of([h]))
         assert message.startswith("density matrix not positive: min eigenvalue ")
         printed = float(message.rsplit(" ", 1)[1])
         assert printed == pytest.approx(float(np.linalg.eigvalsh(h)[0]), abs=1e-12)
@@ -340,9 +310,9 @@ class TestRecord:
             del config.method
         with pytest.raises(AttributeError):
             config.extra = 1
-        rho = DensityMatrix(np.eye(2) / 2)
+        psi = PureState.ground()
         with pytest.raises(AttributeError):
-            rho.matrix = np.eye(2)
+            psi.amplitudes = (0.0, 1.0)
         assert config == IntegratorConfig() and "extra" not in vars(config)
 
     def test_eq_hash_and_repr_are_field_wise(self):
@@ -361,12 +331,11 @@ class TestRecord:
                                        lambda record: pickle.loads(pickle.dumps(record))],
                              ids=["copy", "deepcopy", "pickle"])
     def test_copies_keep_their_storage_immutable(self, clone):
-        rho = DensityMatrix(np.eye(2) / 2)
         psi = PureState.superposition(1.0, 1j)
         config = IntegratorConfig(sample_count=4)
-        trajectory = evolve(rho, 1.0, 0.1, config).trajectory
-        for record, storage in ((rho, "matrix"), (psi, "amplitudes"),
-                                (trajectory, "times"), (trajectory, "states")):
+        trajectory = evolve((0.0, 0.0, 0.0), 1.0, 0.1, config)
+        for record, storage in ((psi, "amplitudes"), (trajectory, "times"),
+                                (trajectory, "rho_aa"), (trajectory, "im_rho_ab")):
             twin = clone(record)
             assert twin == record
             with pytest.raises(TypeError):
@@ -374,7 +343,5 @@ class TestRecord:
             with pytest.raises(AttributeError):
                 setattr(twin, storage, ())
         with pytest.raises(TypeError):
-            clone(rho).matrix[0][0] = 5.0
-        with pytest.raises(TypeError):
-            clone(trajectory).states[-1][1][1] = 5.0
-        assert clone(rho).matrix == ((0.5, 0.0), (0.0, 0.5))
+            clone(trajectory).rho_aa[-1] = 5.0
+        assert clone(psi).amplitudes == psi.amplitudes
