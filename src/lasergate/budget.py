@@ -28,9 +28,6 @@ from .qcore import InvalidStateError, Record, logspace
 # decay-to-Rabi ratio: p = (3 pi / 8) * kappa / Omega_R.
 PI_PULSE_RABI_SLOPE = 3.0 * math.pi / 8.0
 
-# The same error in photon-number form: p = (3 pi^2 / 32) / nbar ~ 0.93 / nbar.
-PI_PULSE_PHOTON_COEFFICIENT = 3.0 * math.pi ** 2 / 32.0
-
 # Minimum photons within the volume sigma_eff * c * T demanded by the
 # energy-form constraint: nbar' > (pi^2 / 4) / epsilon.
 PHOTON_THRESHOLD_COEFFICIENT = math.pi ** 2 / 4.0

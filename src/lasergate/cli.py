@@ -22,7 +22,7 @@ import warnings
 from itertools import chain
 
 from .lindblad import EXACT, IntegrationError, IntegratorConfig, evolve
-from .qcore import InvalidStateError, PureState, logspace, purities
+from .qcore import InvalidStateError, PureState, density_columns, logspace, purities
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -228,7 +228,7 @@ def run_simulate(cfg: dict) -> str:
     config = IntegratorConfig(cfg["method"], cfg["step_count"], cfg["samples"])
     trajectory = evolve(state.bloch(), cfg["theta"], cfg["ratio"], config)
 
-    columns = (trajectory.rho_bb, trajectory.rho_aa, trajectory.re_rho_ab, trajectory.im_rho_ab)
+    columns = density_columns(trajectory.x, trajectory.y, trajectory.z)
     table = zip(trajectory.times, *columns, purities(*columns))
     return "\n".join(["t,rho_bb,rho_aa,re_rho_ab,im_rho_ab,purity", _format_rows(table), ""])
 

@@ -5,8 +5,9 @@ A gate is a resonant pulse of area theta applied to an initial
 :class:`qcore.PureState` psi, and both functions here take (theta, psi) in
 that order, as ``jc.jc_gate_error`` does.  The pulse is propagated from the
 Bloch vector of psi, and its failure probability is read from the final
-state, the trajectory's last sample: the population left in the state
-orthogonal to the decay-free output of the same Hamiltonian, so
+state, the trajectory's last Bloch vector taken to its density-matrix entries
+by ``qcore.density_columns``: the population left in the state orthogonal to
+the decay-free output of the same Hamiltonian, so
 p(ratio=0) = 0 by construction and p = c * (kappa / g_alpha) to first order.
 ``first_order_coefficient`` gives c in closed form; its photon-number form
 is p = c' / nbar with c' = c * theta / 2 (see ``budget.photon_coefficient``).
@@ -19,7 +20,7 @@ import math
 from operator import mul
 
 from .lindblad import Trajectory, check_pulse, evolve
-from .qcore import InvalidStateError, PureState, matvec, psi_perp
+from .qcore import InvalidStateError, PureState, density_columns, matvec, psi_perp
 
 # Ratios above this are outside the perturbative regime of a sweep.
 PERTURBATIVE_RATIO_MAX = 1e-2
@@ -76,10 +77,10 @@ def check_ratio_grid(ratios) -> tuple:
 def _final_population(trajectory: Trajectory, bra) -> float:
     """<bra| rho |bra> of the final state rho of ``trajectory``, clamped into
     [0, 1], for the amplitudes ``bra``; rho is the Hermitian matrix
-    ((rho_bb, rho_ab*), (rho_ab, rho_aa)) of the last sample, in complex
-    arithmetic."""
-    rho_bb, rho_aa, re, im = (trajectory.rho_bb[-1], trajectory.rho_aa[-1],
-                              trajectory.re_rho_ab[-1], trajectory.im_rho_ab[-1])
+    ((rho_bb, rho_ab*), (rho_ab, rho_aa)) of the last sample's
+    :func:`qcore.density_columns`, in complex arithmetic."""
+    (rho_bb,), (rho_aa,), (re,), (im,) = density_columns(
+        trajectory.x[-1:], trajectory.y[-1:], trajectory.z[-1:])
     rho = ((complex(rho_bb, 0.0), complex(re, -im)), (complex(re, im), complex(rho_aa, 0.0)))
     value = sum(map(mul, (x.conjugate() for x in bra), matvec(rho, bra)))
     return min(1.0, max(0.0, value.real))

@@ -36,11 +36,10 @@ samples is (x, y, z) alone and the trace is exactly 1.  :func:`evolve`
 takes the start as that Bloch vector, from :meth:`qcore.PureState.bloch` or
 any |s| <= 1 for a mixed start, and carries x, y and z as three columns of
 floats, one entry per sample, applying the 3x4 map term by term in the order
-of :func:`qcore.matvec`.  A trajectory is the sample times and four columns,
-the populations rho_bb and rho_aa and the coherence rho_ab, which
-:func:`qcore.check_density_columns` validates in one pass; its last sample is
-the final state, and no sample is ever a matrix.  The generator and the step
-maps are tuples or lists of rows of Python floats, multiplied by
+of :func:`qcore.matvec`.  A trajectory is the sample times and those three
+columns, which :func:`qcore.check_bloch` validates in one pass; its last
+sample is the final state, and no sample is ever a matrix.  The generator and
+the step maps are tuples or lists of rows of Python floats, multiplied by
 :func:`qcore.matmul`.
 """
 
@@ -49,7 +48,7 @@ from __future__ import annotations
 import math
 from operator import mul
 
-from .qcore import InvalidStateError, Record, check_density_columns, matmul
+from .qcore import InvalidStateError, Record, check_bloch, matmul
 
 EXACT = "exact"
 RK4_FIXED = "rk4_fixed"
@@ -67,8 +66,8 @@ _B_DECAY = ((0.0, 0.0, 0.0, 0.0),
             (-1.0, 0.0, 0.0, -1.0))
 
 class IntegrationError(RuntimeError):
-    """The pulse propagator is not finite, or a propagated state is not a
-    density matrix; reported as a numerical failure."""
+    """The pulse propagator is not finite, or a propagated state left the
+    Bloch ball; reported as a numerical failure."""
 
 
 class IntegratorConfig(Record):
@@ -92,30 +91,19 @@ class IntegratorConfig(Record):
 
 
 class Trajectory(Record):
-    """Samples of one pulse: the times, and the density matrix at each time
-    as its populations rho_bb and rho_aa and the real and imaginary parts of
-    its coherence rho_ab = <a|rho|b>.  Each field is a tuple of k floats, and
-    the last entry of each is the final state; :func:`evolve` validated the
-    samples in one call."""
+    """Samples of one pulse: the times, and the Bloch vector (x, y, z) at
+    each time as three columns.  Each field is a tuple of k floats, and the
+    last entry of each is the final state; :func:`evolve` validated the
+    samples in one call, and :func:`qcore.density_columns` gives their
+    populations and coherence."""
 
     times: tuple
-    rho_bb: tuple
-    rho_aa: tuple
-    re_rho_ab: tuple
-    im_rho_ab: tuple
+    x: tuple
+    y: tuple
+    z: tuple
 
     def __len__(self) -> int:
         return len(self.times)
-
-
-def _columns(xs, ys, zs) -> tuple:
-    """The populations and coherence columns (rho_bb, rho_aa, Re rho_ab,
-    Im rho_ab) of the Bloch vectors (1, x, y, z): rho_bb = (1 - z) / 2,
-    rho_aa = (1 + z) / 2 and rho_ab = complex(x, y) / 2, each part rounded
-    as that complex division rounds it, signed zeros included."""
-    return (tuple([(1.0 - z) / 2.0 for z in zs]), tuple([(1.0 + z) / 2.0 for z in zs]),
-            tuple([(x + y * 0.0) / 2.0 for x, y in zip(xs, ys)]),
-            tuple([(y - x * 0.0) / 2.0 for x, y in zip(xs, ys)]))
 
 
 def _generator(ratio: float, scale: float) -> list:
@@ -221,13 +209,13 @@ def evolve(s0, theta: float, ratio: float,
     in units of 1/g_alpha: the pulse lasts theta / 2.
 
     ``s0`` is refused with :class:`InvalidStateError` unless it holds three
-    numbers whose density matrix :func:`qcore.check_density_columns` accepts,
-    |s| <= 1 within its purity slack.  Returns the :class:`Trajectory` of the
-    states at ``config.sample_count + 1`` uniformly spaced times, from the
-    initial to the final state, its last sample; the default
-    ``sample_count`` of 1 samples those two only.  At ``theta`` 0 every
-    sample is ``s0``.  A propagated state that is not a density matrix (the
-    rounding of a long or strongly damped pulse pushed its Bloch vector out
+    numbers that :func:`qcore.check_bloch` accepts, |s| <= 1 within
+    ``BLOCH_SLACK``.  Returns the :class:`Trajectory` of the states at
+    ``config.sample_count + 1`` uniformly spaced times, from the initial to
+    the final state, its last sample; the default ``sample_count`` of 1
+    samples those two only.  At ``theta`` 0 every
+    sample is ``s0``.  A propagated state that :func:`qcore.check_bloch`
+    refuses (the rounding of a long or strongly damped pulse pushed it out
     of the unit ball, or an unstable RK4 step made it blow up) raises
     :class:`IntegrationError`.
     """
@@ -235,12 +223,11 @@ def evolve(s0, theta: float, ratio: float,
         x, y, z = map(float, s0)
     except (TypeError, ValueError) as exc:
         raise InvalidStateError(f"expected a Bloch vector of 3 numbers: {exc}") from None
-    start = _columns([x], [y], [z])
-    check_density_columns(*start)
+    check_bloch([x], [y], [z])
     check_pulse(theta, (ratio,))
     n_segments = config.sample_count
     if theta == 0.0:
-        return Trajectory(*((column[0],) * (n_segments + 1) for column in ((0.0,), *start)))
+        return Trajectory(*((value,) * (n_segments + 1) for value in (0.0, x, y, z)))
 
     tau = theta / 2.0 / n_segments  # scaled duration g_alpha * T of one segment
     (x0, xx, xy, xz), (y0, yx, yy, yz), (z0, zx, zy, zz) = _step_rows(ratio, tau, config,
@@ -257,14 +244,9 @@ def evolve(s0, theta: float, ratio: float,
         xs.append(x)
         ys.append(y)
         zs.append(z)
-    columns = _columns(xs, ys, zs)
     try:
-        check_density_columns(*columns)
+        check_bloch(xs, ys, zs)
     except InvalidStateError as exc:  # exc names the sample: "state i: ..."
-        radii = list(map(math.hypot, xs, ys, zs))
-        radius = math.nan if any(map(math.isnan, radii)) else max(radii)
-        raise IntegrationError(
-            f"propagated state left the Bloch ball (largest |s| = {radius:.12g}): {exc}"
-        ) from exc
+        raise IntegrationError(f"propagated state left the Bloch ball: {exc}") from exc
     times = (*(i * tau for i in range(n_segments)), theta / 2.0)
-    return Trajectory(times, *columns)
+    return Trajectory(times, tuple(xs), tuple(ys), tuple(zs))

@@ -5,14 +5,14 @@ A matrix, such as the gate rotation, is a tuple of row tuples of Python
 sequence of numbers (numpy arrays included): immutable values.  The package
 has one state type, the Bloch vector (x, y, z) of rho = (I + x sigma_x +
 y sigma_y + z sigma_z) / 2, a tuple of three floats with |s| <= 1: every
-propagated state is one, and a trajectory holds its samples as columns of
-populations and coherence.  A pure start is a :class:`PureState`, 2
-normalized amplitudes, and :meth:`PureState.bloch` gives its vector.  The
-density-matrix invariants (unit trace, positivity, purity in [1/2, 1]) have
-one home: :func:`check_density_columns` checks, in closed form, a stack of
-Hermitian matrices held as those columns, with the purity of
-:func:`purities`.  Every record type of the package derives from
-:class:`Record`.
+propagated state is one, and a trajectory holds its samples as columns of x,
+y and z.  A pure start is a :class:`PureState`, 2 normalized amplitudes, and
+:meth:`PureState.bloch` gives its vector.  For a real s, rho has trace 1,
+eigenvalues (1 -+ |s|) / 2 and purity (1 + |s|^2) / 2, so one rule says that
+s is a state: |s| <= 1, which :func:`check_bloch` checks on a stack of
+vectors.  The matrix entries of those columns, :func:`density_columns`, and
+their purity, :func:`purities`, are the one home of the Bloch-to-matrix
+format.  Every record type of the package derives from :class:`Record`.
 
 Basis ordering for the two-level atom is fixed package-wide:
 index 0 = ground ``|b>``, index 1 = excited ``|a>``.
@@ -21,12 +21,11 @@ index 0 = ground ``|b>``, index 1 = excited ``|a>``.
 from __future__ import annotations
 
 import math
-from operator import add, mul
+from operator import mul
 
-# Construction-time invariant tolerances.
-TRACE_TOL = 1e-10
-POSITIVITY_SLACK = 1e-9
-PURITY_SLACK = 1e-9
+# How far past the unit sphere a Bloch vector's length may round, and how far
+# from 1 a pure state's squared norm.
+BLOCH_SLACK = 1e-9
 NORM_TOL = 1e-12
 
 
@@ -131,14 +130,14 @@ def logspace(start: float, stop: float, num: int) -> tuple:
     return (*(_exp10(i * step + start) for i in range(num - 1)), _exp10(stop))
 
 
-# Each invariant of check_density_columns, in the order it is checked: the
-# message that names a broken value, and the test that finds one.
-_BROKEN = (
-    ("density matrix trace {:.12g} != 1", lambda trace: abs(trace - 1.0) > TRACE_TOL),
-    ("density matrix not positive: min eigenvalue {:.3e}", lambda lo: lo < -POSITIVITY_SLACK),
-    ("purity {:.12g} outside [1/2, 1]",
-     lambda pur: not 0.5 - PURITY_SLACK <= pur <= 1.0 + PURITY_SLACK),
-)
+def density_columns(xs, ys, zs) -> tuple:
+    """The populations and coherence columns (rho_bb, rho_aa, Re rho_ab,
+    Im rho_ab) of the Bloch vectors (x, y, z): rho_bb = (1 - z) / 2,
+    rho_aa = (1 + z) / 2 and rho_ab = complex(x, y) / 2, each part rounded
+    as that complex division rounds it, signed zeros included."""
+    return (tuple([(1.0 - z) / 2.0 for z in zs]), tuple([(1.0 + z) / 2.0 for z in zs]),
+            tuple([(x + y * 0.0) / 2.0 for x, y in zip(xs, ys)]),
+            tuple([(y - x * 0.0) / 2.0 for x, y in zip(xs, ys)]))
 
 
 def purities(rho_bb, rho_aa, re_rho_ab, im_rho_ab) -> list:
@@ -148,33 +147,16 @@ def purities(rho_bb, rho_aa, re_rho_ab, im_rho_ab) -> list:
             for b, a, r, i in zip(rho_bb, rho_aa, re_rho_ab, im_rho_ab)]
 
 
-def check_density_columns(rho_bb, rho_aa, re_rho_ab, im_rho_ab) -> None:
-    """Raise :class:`InvalidStateError` unless every matrix ((rho_bb, rho_ab*),
-    (rho_ab, rho_aa)) of the stack given by its columns of populations and
-    coherence is of unit trace, positive semidefinite and of purity in
-    [1/2, 1], within the tolerances above; such a matrix is Hermitian by
-    construction.  The error names the first broken invariant, in that
-    order, and the first matrix that breaks it (by index, in a stack of
-    several).  NaN entries fail.
-    """
-    trace = list(map(add, rho_bb, rho_aa))
-    pur = purities(rho_bb, rho_aa, re_rho_ab, im_rho_ab)
-    # A non-finite entry makes its purity NaN or inf; once every purity is
-    # finite, the extremes of trace and purity decide.  A Hermitian 2x2 matrix
-    # of trace t and purity P has smallest eigenvalue (t - sqrt(2P - t^2)) / 2,
-    # so within the trace and purity tolerances it stays above -6.1e-10, inside
-    # POSITIVITY_SLACK: the eigenvalues are needed only to name what broke.
-    if (pur and math.isfinite(sum(pur))
-            and abs(max(trace) - 1.0) <= TRACE_TOL and abs(min(trace) - 1.0) <= TRACE_TOL
-            and 0.5 - PURITY_SLACK <= min(pur) and max(pur) <= 1.0 + PURITY_SLACK):
-        return
-    lowest = [0.5 * t - math.hypot(0.5 * (b - a), math.hypot(r, i))
-              for t, b, a, r, i in zip(trace, rho_bb, rho_aa, re_rho_ab, im_rho_ab)]
-    for (text, broken), column in zip(_BROKEN, (list(map(complex, trace)), lowest, pur)):
-        for i, value in enumerate(column):
-            if broken(value):
-                message = text.format(value)
-                raise InvalidStateError(message if len(column) == 1 else f"state {i}: {message}")
+def check_bloch(xs, ys, zs) -> None:
+    """Raise :class:`InvalidStateError` unless every Bloch vector of the stack
+    given by its columns ``xs``, ``ys`` and ``zs`` lies in the unit ball,
+    |s| <= 1 + BLOCH_SLACK: the one rule that makes (I + s.sigma) / 2 a
+    density matrix.  A NaN component fails.  The error names the first
+    vector that breaks it (by index, in a stack of several)."""
+    for i, radius in enumerate(map(math.hypot, xs, ys, zs)):
+        if not radius <= 1.0 + BLOCH_SLACK:  # NaN compares False
+            message = f"Bloch vector |s| = {radius:.12g} lies outside the unit ball"
+            raise InvalidStateError(message if len(xs) == 1 else f"state {i}: {message}")
 
 
 class PureState(Record):

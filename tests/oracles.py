@@ -14,22 +14,20 @@ Every routine here deliberately avoids the code paths under test:
   cancellation still leaves over 30 digits;
 * a Poisson weight is read from mpmath's log-gamma in 40 digits, not from a
   Stirling series or a recurrence;
-* a density matrix's invariants come from numpy's dense routines, the
-  smallest eigenvalue from LAPACK's ``eigvalsh``, not from the closed forms
-  of the validator.
+* whether a Bloch vector is a state is read from LAPACK's ``eigvalsh`` of
+  its 2x2 density matrix, not from the vector's length.
 """
+
+import math
 
 import mpmath
 import numpy as np
 from scipy.integrate import quad
 from scipy.linalg import expm
 
-from lasergate.qcore import POSITIVITY_SLACK, PURITY_SLACK, TRACE_TOL
-
-# The largest Hermiticity residue max |m - m^H| a density matrix may carry,
-# the tolerance a 2x2 matrix is read against; the package holds its states as
-# Bloch vectors, Hermitian by construction, and keeps no such tolerance.
-HERMITICITY_TOL = 1e-12
+# p nbar of a resonant pi pulse from the ground state, c'_M(pi, ground):
+# c = 3 pi / 16 per unit kappa/g_alpha, times theta / 2.
+PI_PULSE_PHOTON_COEFFICIENT = 3.0 * math.pi ** 2 / 32.0
 
 SIGMA_MINUS = np.array([[0, 1], [0, 0]], dtype=complex)
 SIGMA_PLUS = SIGMA_MINUS.conj().T
@@ -58,12 +56,16 @@ def density_bloch(m) -> tuple:
 
 def sample_matrices(trajectory) -> np.ndarray:
     """The samples of a ``lindblad.Trajectory`` as a stack of 2x2 density
-    matrices, built from its columns of populations and coherence."""
-    rho_ab = np.array(trajectory.re_rho_ab) + 1j * np.array(trajectory.im_rho_ab)
-    stack = np.zeros((len(trajectory.times), 2, 2), dtype=complex)
-    stack[:, 0, 0], stack[:, 1, 1] = trajectory.rho_bb, trajectory.rho_aa
-    stack[:, 1, 0], stack[:, 0, 1] = rho_ab, rho_ab.conj()
-    return stack
+    matrices, the :func:`bloch_density` of each of its Bloch vectors."""
+    return np.array([bloch_density(s) for s in zip(trajectory.x, trajectory.y, trajectory.z)])
+
+
+def lowest_eigenvalue(s) -> float:
+    """LAPACK's smallest eigenvalue of :func:`bloch_density` of ``s``, or NaN
+    where a component is not finite and no matrix exists."""
+    if not np.isfinite(s).all():
+        return math.nan
+    return float(np.linalg.eigvalsh(bloch_density(s))[0])
 
 
 def liouvillian(ratio: float) -> np.ndarray:
@@ -244,75 +246,3 @@ def poisson_weight_mp(m: int, n_bar: float) -> mpmath.mpf:
             return root if m == 0 else mpmath.mpf(0)
         nb = mpmath.mpf(n_bar)
         return root * mpmath.exp(m * mpmath.log(nb) - nb - mpmath.loggamma(m + 1))
-
-
-def density_invariants(m) -> tuple:
-    """Hermiticity residue max |m - m^H|, trace, smallest eigenvalue and
-    purity tr(h^2) of a 2x2 matrix ``m``, the last two of its Hermitian form
-    h: the real diagonal of ``m`` and its lower-left entry, which is all
-    ``eigvalsh`` reads of it.
-
-    The residue is taken part by part, as the hypot of Re(m - m^H), whose
-    diagonal is 0 whatever the real diagonal holds, and of Im(m - m^H); it
-    is NaN where an entry leaves it unknown.
-
-    The eigenvalue is ``eigvalsh``'s, of h scaled to entries of at most 1 so
-    that it cannot overflow.  Where h is not finite it is the limit instead:
-    -inf for a finite diagonal and an infinite coherence, NaN otherwise.
-    tr(h^2) of a Hermitian h is the sum of its entries' squared moduli.
-    """
-    m = np.asarray(m, dtype=complex)
-    h = np.diag(m.diagonal().real).astype(complex)
-    h[1, 0], h[0, 1] = m[1, 0], np.conj(m[1, 0])
-    with np.errstate(over="ignore", invalid="ignore"):
-        re_diff, im_diff = m.real - m.real.T, m.imag + m.imag.T
-        np.fill_diagonal(re_diff, 0.0)
-        residue = float(np.max(np.hypot(re_diff, im_diff)))
-        if not np.isfinite(h.diagonal()).all():
-            lowest = np.nan
-        elif not np.isfinite(h[1, 0]):
-            lowest = -np.inf if np.abs(h[1, 0]) == np.inf else np.nan
-        else:
-            scale = float(np.max(np.abs(h.view(float)))) or 1.0
-            lowest = float(np.linalg.eigvalsh(h / scale)[0]) * scale
-        return residue, float(np.trace(h).real), lowest, float(np.vdot(h, h).real)
-
-
-# Each invariant of a density matrix, and when a value of it is broken: a
-# NaN residue breaks the Hermiticity, and past it a comparison with NaN is
-# False, so NaN breaks the purity only.
-DENSITY_INVARIANTS = (
-    ("Hermitian", lambda residue: not residue <= HERMITICITY_TOL),
-    ("trace", lambda trace: abs(trace - 1.0) > TRACE_TOL),
-    ("positive", lambda lowest: lowest < -POSITIVITY_SLACK),
-    ("purity", lambda purity: not 0.5 - PURITY_SLACK <= purity <= 1.0 + PURITY_SLACK),
-)
-
-
-def first_broken_invariant(matrices, hermitian: bool = False):
-    """(name, i): the first of ``DENSITY_INVARIANTS`` that a matrix of the
-    stack breaks, and the first matrix i that breaks it; None if every
-    matrix is a density matrix.  A ``hermitian`` stack is Hermitian by
-    construction, as columns of populations and coherence hold it: its
-    residue is not checked."""
-    values = [density_invariants(m) for m in matrices]
-    checks = list(enumerate(DENSITY_INVARIANTS))[1 if hermitian else 0:]
-    for k, (name, broken) in checks:
-        for i, invariants in enumerate(values):
-            if broken(invariants[k]):
-                return name, i
-    return None
-
-
-def near_tolerance_edge(matrices, margin: float = 1e-12) -> bool:
-    """Whether an invariant of a matrix of the stack lies within ``margin``
-    of a tolerance edge, where rounding may decide the verdict."""
-    edges = ((HERMITICITY_TOL,), (1.0 - TRACE_TOL, 1.0 + TRACE_TOL), (-POSITIVITY_SLACK,),
-             (0.5 - PURITY_SLACK, 1.0 + PURITY_SLACK))
-    # the residue is the same hypot or doubled part on both sides, within an
-    # ulp of each other, so its edge needs a margin relative to its size only
-    margins = (margin * HERMITICITY_TOL, margin, margin, margin)
-    return any(abs(value - edge) < within
-               for m in matrices
-               for value, at, within in zip(density_invariants(m), edges, margins)
-               for edge in at)

@@ -1,5 +1,6 @@
 
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -23,7 +24,7 @@ from lasergate.cli import (
     EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, GATE_AREAS, MAX_ROWS, START_STATES, main,
 )
 from lasergate.lindblad import IntegratorConfig, evolve
-from lasergate.qcore import purities
+from lasergate.qcore import density_columns, purities
 
 
 def run(tmp_path, *argv, name="out.csv"):
@@ -150,11 +151,29 @@ class TestSimulate:
         trajectory = evolve(START_STATES[cfg["start"]]().bloch(), cfg["theta"],
                             cfg["ratio"], config)
         want = ["t,rho_bb,rho_aa,re_rho_ab,im_rho_ab,purity"]
-        columns = (trajectory.rho_bb, trajectory.rho_aa,
-                   trajectory.re_rho_ab, trajectory.im_rho_ab)
+        columns = density_columns(trajectory.x, trajectory.y, trajectory.z)
         for values in zip(trajectory.times, *columns, purities(*columns)):
             want.append(",".join(map(cli._fmt, values)))
         assert run_stdout("simulate", *argv) == (EXIT_OK, "\n".join(want) + "\n")
+
+    # sha256 of stdout for the four CI simulate commands and the README
+    # example: a byte moved in any printed column fails
+    @pytest.mark.parametrize("argv,digest", [
+        ("--start plus --theta 11 --ratio 25 --samples 500",
+         "7aad6340631a495188714690e236358e04e6de6712d8b861e286b02279b0dce6"),
+        ("--method rk4_fixed --start excited --theta 7 --ratio 3 --samples 300",
+         "8d2b3c908dab2dd83328c58b329f5c5e7f1ce8029ee223e0dbd5f1e786e20209"),
+        ("--start plus --theta 0 --samples 5",
+         "b4c97947ed39a5b786af88be604d6691349cef587a323fbef28ebd308537fd44"),
+        ("--ratio 1e20 --samples 1",
+         "8c329f3e8cd01d3f33717dd558586e4833cfd2d30b8d933ca12bfac27ef82eba"),
+        ("--theta 3.141592653589793 --ratio 1e-3 --samples 200",
+         "cf8f83a7ba9a68a3efaacb4e4c047f88a05f26458c79ee3b8cc4927a1976c228"),
+    ], ids=["plus-decay", "rk4-excited", "theta-0", "ratio-1e20", "readme"])
+    def test_csv_is_pinned_byte_for_byte(self, argv, digest):
+        code, out = run_stdout("simulate", *argv.split())
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_rk4_divergence_is_numeric_error(self, tmp_path):
         code, _ = run(tmp_path, "simulate", "--method", "rk4_fixed", "--ratio", "30",

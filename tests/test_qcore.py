@@ -9,14 +9,15 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 import oracles
-from lasergate import lindblad
 from lasergate.gates import _final_population
 from lasergate.lindblad import EXACT, IntegratorConfig, evolve
 from lasergate.qcore import (
+    BLOCH_SLACK,
     InvalidStateError,
     PureState,
     Record,
-    check_density_columns,
+    check_bloch,
+    density_columns,
     psi_perp,
     purities,
     rotation,
@@ -27,14 +28,6 @@ def ginibre_density(rng: np.random.Generator, dim: int) -> np.ndarray:
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     m = g @ g.conj().T
     return m / np.trace(m)
-
-
-def columns_of(matrices) -> tuple:
-    """The columns (rho_bb, rho_aa, Re rho_ab, Im rho_ab) of a stack of 2x2
-    matrices, read from their real diagonals and lower-left entries."""
-    m = np.asarray(matrices, dtype=complex)
-    return (tuple(m[:, 0, 0].real), tuple(m[:, 1, 1].real), tuple(m[:, 1, 0].real),
-            tuple(m[:, 1, 0].imag))
 
 
 def evolve_start(s0):
@@ -57,33 +50,29 @@ def refusal(check, *args):
     return None
 
 
-def named(message, count: int):
-    """(invariant, i) of a refusal of a stack of ``count`` matrices, in the
-    names of ``oracles.DENSITY_INVARIANTS``; None for no refusal."""
+def refused_index(message, count: int):
+    """The index of the vector a refusal of a stack of ``count`` names, or
+    None for no refusal."""
     if message is None:
         return None
-    index, text = message.split(": ", 1) if count > 1 else ("state 0", message)
-    name = next(name for name, _ in oracles.DENSITY_INVARIANTS if name in text)
-    return name, int(index.removeprefix("state "))
+    if count == 1:
+        return 0
+    return int(message.split(": ", 1)[0].removeprefix("state "))
 
 
 @st.composite
-def bloch_row(draw):
-    """(rho_bb, rho_aa, Re rho_ab, Im rho_ab) of a Bloch vector inside the
-    unit ball, within 3e-9 of its surface or outside it, converted as
-    lindblad.evolve converts the vectors it propagates; some with a trace
-    within 2e-10 of 1, and half of them with one entry NaN."""
+def bloch_vector(draw):
+    """A Bloch vector inside the unit ball, within 3e-9 of its surface or far
+    outside it, in a random direction, or three arbitrary floats: NaN, inf,
+    +-0 and lengths that overflow included."""
+    if draw(st.booleans()):
+        return tuple(draw(st.floats()) for _ in range(3))
     x, y, z = (draw(st.floats(-1.0, 1.0)) for _ in range(3))
     norm = math.hypot(x, y, z) or 1.0
     near_surface = st.integers(-30, 30).map(lambda k: 1.0 + k * 1e-10)
-    radius = draw(st.floats(0.0, 1.0) | near_surface | st.floats(1.0, 1e9))
-    columns = lindblad._columns([x / norm * radius], [y / norm * radius], [z / norm * radius])
-    row = tuple(column[0] for column in columns)
-    row = (row[0] + draw(st.just(0.0) | st.floats(-2e-10, 2e-10)), *row[1:])
-    if draw(st.booleans()):  # one entry NaN, as an unstable step leaves it
-        k = draw(st.integers(0, 3))
-        row = (*row[:k], math.nan, *row[k + 1:])
-    return row
+    radius = draw(st.floats(0.0, 1.0) | near_surface | st.floats(1.0 - 3e-9, 1.0 + 3e-9)
+                  | st.floats(1.0, 1e9))
+    return x / norm * radius, y / norm * radius, z / norm * radius
 
 
 class TestOperators:
@@ -141,45 +130,44 @@ class TestDensityMatrixInvariants:
         with pytest.raises(InvalidStateError, match="expected a Bloch vector of 3 numbers"):
             evolve((0.4, -0.2j, 0.0), 1.0, 0.0)
 
-    def test_rejects_wrong_trace(self):
-        with pytest.raises(InvalidStateError, match="trace"):
-            check_density_columns(*columns_of([np.eye(2)]))
-
     def test_rejects_negative_eigenvalue(self):
-        with pytest.raises(InvalidStateError, match="positive"):
-            check_density_columns(*columns_of([np.diag([1.5, -0.5])]))
+        # diag(1.5, -0.5) = (I - 2 sigma_z) / 2: z = -2
+        with pytest.raises(InvalidStateError, match="outside the unit ball"):
+            check_bloch((0.0,), (0.0,), (-2.0,))
 
     def test_stack_check_names_the_first_bad_matrix(self):
-        half = np.eye(2) / 2
-        stack = np.array([half, half, np.diag([1.5, -0.5]), np.diag([2.0, -1.0])])
-        check_density_columns(*columns_of(stack[:2]))
-        with pytest.raises(InvalidStateError, match="state 2: .*positive"):
-            check_density_columns(*columns_of(stack))
+        # the maximally mixed state twice, then diag(1.5, -0.5) and diag(2, -1)
+        xs, ys, zs = (0.0,) * 4, (0.0,) * 4, (0.0, 0.0, -2.0, -3.0)
+        check_bloch(xs[:2], ys[:2], zs[:2])
+        with pytest.raises(InvalidStateError, match=r"state 2: Bloch vector \|s\| = 2 lies"):
+            check_bloch(xs, ys, zs)
 
-    @given(rows=st.lists(bloch_row() | st.tuples(*[st.floats()] * 4), min_size=1, max_size=6))
+    @given(vectors=st.lists(bloch_vector(), min_size=1, max_size=6))
     @settings(max_examples=500, deadline=None)
-    def test_column_check_is_the_stack_check(self, rows):
-        # the one check of a stack of density matrices, held as columns,
-        # against the oracle's dense routines; st.floats() adds NaN, inf, +-0
-        # and rows whose trace is not 1
-        matrices = [[[b, complex(r, -i)], [complex(r, i), a]] for b, a, r, i in rows]
-        assume(not oracles.near_tolerance_edge(matrices))
-        columns = refusal(check_density_columns, *zip(*rows))
-        assert named(columns, len(rows)) == oracles.first_broken_invariant(matrices,
-                                                                           hermitian=True)
+    def test_column_check_is_the_stack_check(self, vectors):
+        # the one check of a stack of Bloch vectors, held as columns, against
+        # LAPACK's smallest eigenvalue of each matrix of the stack: (I + s.sigma)
+        # / 2 has eigenvalues (1 -+ |s|) / 2, so |s| <= 1 + BLOCH_SLACK is that
+        # eigenvalue >= -BLOCH_SLACK / 2; vectors within 1e-12 of that edge,
+        # where rounding decides, are skipped
+        lowest = [oracles.lowest_eigenvalue(s) for s in vectors]
+        assume(not any(abs(2.0 * value + BLOCH_SLACK) < 1e-12 for value in lowest))
+        bad = [i for i, value in enumerate(lowest) if not value >= -BLOCH_SLACK / 2]
+        message = refusal(check_bloch, *zip(*vectors))
+        assert refused_index(message, len(vectors)) == (bad[0] if bad else None)
 
     def test_overflowing_coherence_refused_by_the_constructor(self):
         # evolve's start check: x = y = 1.7e308 is a coherence of |rho_ab| =
-        # 1.2e308, whose square leaves the double range
-        with pytest.raises(InvalidStateError, match="min eigenvalue -1.202e"):
+        # 1.2e308, and |s| overflows to inf
+        with pytest.raises(InvalidStateError, match=r"\|s\| = inf lies outside"):
             evolve((1.7e308, 1.7e308, 0.0), 1.0, 0.0)
 
-    # |rho_ab| = 1.84e308 leaves the double range though both its parts are finite
+    # |s| = 1.84e308 leaves the double range though both its parts are finite
     def test_overflowing_coherence_refused_by_the_column_check(self):
-        with pytest.raises(InvalidStateError, match="trace 0"):
-            check_density_columns((0.0,), (0.0,), (1.3e308,), (1.3e308,))
-        with pytest.raises(InvalidStateError, match="min eigenvalue -inf"):
-            check_density_columns((0.5,), (0.5,), (1.3e308,), (1.3e308,))
+        with pytest.raises(InvalidStateError, match=r"\|s\| = inf lies outside"):
+            check_bloch((1.3e308,), (1.3e308,), (0.0,))
+        with pytest.raises(InvalidStateError, match=r"state 1: Bloch vector \|s\| = inf"):
+            check_bloch((0.0, 1.3e308), (0.0, 1.3e308), (0.0, 0.0))
 
     def test_rejects_non_square(self):
         # a 2x3 matrix is no state: neither amplitudes nor a Bloch vector
@@ -201,20 +189,20 @@ class TestDensityMatrixInvariants:
             build(entries)
 
     def test_matrix_is_frozen(self):
-        # a trajectory holds its density matrices as tuples of floats
+        # a trajectory holds its Bloch vectors as tuples of floats
         trajectory = evolve((0.0, 0.0, 0.0), 1.0, 0.0)
         with pytest.raises(TypeError):
-            trajectory.rho_bb[0] = 3.0
+            trajectory.x[0] = 3.0
         with pytest.raises(TypeError):
-            trajectory.re_rho_ab[-1] = 3.0
+            trajectory.z[-1] = 3.0
 
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
     def test_random_states_are_valid(self, seed):
         rng = np.random.default_rng(seed)
-        columns = columns_of([ginibre_density(rng, 2)])
-        check_density_columns(*columns)
-        assert 0.5 - 1e-9 <= purities(*columns)[0] <= 1.0 + 1e-9
+        vector = oracles.density_bloch(ginibre_density(rng, 2))
+        check_bloch(*zip(vector))
+        assert 0.5 - 1e-9 <= purities(*density_columns(*zip(vector)))[0] <= 1.0 + 1e-9
 
 
 class TestPureState:
@@ -250,17 +238,19 @@ class TestEigensystem:
     @settings(max_examples=40, deadline=None)
     def test_min_eigenvalue_2x2_closed_form_matches_solver(self, seed):
         # a unit-trace matrix of random eigenvectors whose smallest eigenvalue
-        # lies in [-1e-8, -1e-9), where the refusal's "%.3e" prints it to 1e-12
+        # lies in [-1e-8, -1e-9): its Bloch vector lies just outside the ball,
+        # and the closed form (1 - |s|) / 2 of the |s| the refusal prints, to 12
+        # digits and so to 5e-12, is that eigenvalue to 2.5e-12
         rng = np.random.default_rng(seed)
         u, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
         low = rng.uniform(-9.9e-9, -1.1e-9)
         h = u @ np.diag([low, 1.0 - low]) @ u.conj().T
         h = (h + h.conj().T) / 2
-        message = refusal(check_density_columns, *columns_of([h]))
-        assert message.startswith("density matrix not positive: min eigenvalue ")
-        printed = float(message.rsplit(" ", 1)[1])
-        assert printed == pytest.approx(float(np.linalg.eigvalsh(h)[0]), abs=1e-12)
-
+        message = refusal(check_bloch, *zip(oracles.density_bloch(h)))
+        assert message.startswith("Bloch vector |s| = ")
+        printed = float(message.split(" = ", 1)[1].split(" ", 1)[0])
+        assert (1.0 - printed) / 2.0 == pytest.approx(float(np.linalg.eigvalsh(h)[0]),
+                                                      abs=2.5e-12 + 1e-15)
 
 class Estimate(Record):
     """A record of three required floats and one defaulted bool."""
@@ -335,7 +325,7 @@ class TestRecord:
         config = IntegratorConfig(sample_count=4)
         trajectory = evolve((0.0, 0.0, 0.0), 1.0, 0.1, config)
         for record, storage in ((psi, "amplitudes"), (trajectory, "times"),
-                                (trajectory, "rho_aa"), (trajectory, "im_rho_ab")):
+                                (trajectory, "x"), (trajectory, "z")):
             twin = clone(record)
             assert twin == record
             with pytest.raises(TypeError):
@@ -343,5 +333,5 @@ class TestRecord:
             with pytest.raises(AttributeError):
                 setattr(twin, storage, ())
         with pytest.raises(TypeError):
-            clone(trajectory).rho_aa[-1] = 5.0
+            clone(trajectory).z[-1] = 5.0
         assert clone(psi).amplitudes == psi.amplitudes
