@@ -3,15 +3,16 @@ first-order scaling in the decay-to-drive ratio.
 
 A gate is a resonant pulse of area theta applied to an initial
 :class:`qcore.PureState` psi, and both functions here take (theta, psi) in
-that order, as ``jc.jc_gate_error`` does.  The pulse is propagated from the
-Bloch vector of psi, and its failure probability is read from the final
-state, the trajectory's last Bloch vector taken to its density-matrix entries
-by ``qcore.density_columns``: the population left in the state orthogonal to
-the decay-free output of the same Hamiltonian, so
-p(ratio=0) = 0 by construction and p = c * (kappa / g_alpha) to first order.
+that order, as ``jc.jc_gate_error`` does.  Its failure probability is the
+population left in the state orthogonal to the decay-free output of the same
+pulse.  For the Bloch vector s_ideal of that output and the final state
+s_ideal + delta, it is p = -s_ideal . delta / 2, exact for a pure start;
+delta comes from the deviation form of the exact map,
+``lindblad._propagator``, so p keeps its relative precision however small
+kappa / g_alpha is: p(0) = 0 and p = c * (kappa / g_alpha) to first order.
 ``first_order_coefficient`` gives c in closed form; its photon-number form
 is p = c' / nbar with c' = c * theta / 2 (see ``budget.photon_coefficient``).
-A sweep propagates p over a ratio grid that ``check_ratio_grid`` accepts.
+A sweep reads p over a ratio grid that ``check_ratio_grid`` accepts.
 """
 
 from __future__ import annotations
@@ -19,16 +20,11 @@ from __future__ import annotations
 import math
 from operator import mul
 
-from .lindblad import Trajectory, check_pulse, evolve
-from .qcore import InvalidStateError, PureState, density_columns, matvec, psi_perp
+from .lindblad import _propagator, check_pulse
+from .qcore import InvalidStateError, PureState
 
 # Ratios above this are outside the perturbative regime of a sweep.
 PERTURBATIVE_RATIO_MAX = 1e-2
-
-# Ratios below this leave p too close to its ~6e-16 absolute error floor: at
-# 1e-10 that error is about 1e-4 of p for the smallest coefficient (pi/2 from
-# ground, c = 0.0445), and below it a slope p/ratio measures rounding.
-RESOLVABLE_RATIO_MIN = 1e-10
 
 
 def first_order_coefficient(theta: float, psi: PureState) -> float:
@@ -55,8 +51,7 @@ def first_order_coefficient(theta: float, psi: PureState) -> float:
 def check_ratio_grid(ratios) -> tuple:
     """``ratios`` as floats, refused unless they make a sweep: at least four
     strictly increasing values, all perturbative (<= 1e-2, where p/ratio
-    stays near c) and resolvable (>= 1e-10).  A sweep calls it before it
-    propagates any ratio."""
+    stays near c).  A sweep calls it before it reads any ratio."""
     r = tuple(map(float, ratios))
     if len(r) < 4:
         raise InvalidStateError(f"need at least 4 sweep ratios, got {len(r)}")
@@ -67,34 +62,23 @@ def check_ratio_grid(ratios) -> tuple:
         raise InvalidStateError(
             f"ratio {r[-1]:g} exceeds the perturbative bound {PERTURBATIVE_RATIO_MAX:g}"
         )
-    if r[0] < RESOLVABLE_RATIO_MIN:
-        raise InvalidStateError(
-            f"ratio {r[0]:g} is below {RESOLVABLE_RATIO_MIN:g}, where p is not resolved"
-        )
     return r
-
-
-def _final_population(trajectory: Trajectory, bra) -> float:
-    """<bra| rho |bra> of the final state rho of ``trajectory``, clamped into
-    [0, 1], for the amplitudes ``bra``; rho is the Hermitian matrix
-    ((rho_bb, rho_ab*), (rho_ab, rho_aa)) of the last sample's
-    :func:`qcore.density_columns`, in complex arithmetic."""
-    (rho_bb,), (rho_aa,), (re,), (im,) = density_columns(
-        trajectory.x[-1:], trajectory.y[-1:], trajectory.z[-1:])
-    rho = ((complex(rho_bb, 0.0), complex(re, -im)), (complex(re, im), complex(rho_aa, 0.0)))
-    value = sum(map(mul, (x.conjugate() for x in bra), matvec(rho, bra)))
-    return min(1.0, max(0.0, value.real))
 
 
 def sweep_failure_probabilities(theta: float, psi: PureState, ratios) -> tuple:
     """p(ratio) of the pulse of area ``theta`` applied to ``psi``, over an
-    arbitrary non-negative grid (no perturbative restriction), from one exact
-    :func:`lindblad.evolve` per ratio.  Each p = <psi_perp| rho(T) |psi_perp>,
-    with psi_perp orthogonal to the decay-free output of the same pulse.
-    ``theta`` and every ratio are checked finite and >= 0 before the first
-    pulse is propagated."""
+    arbitrary non-negative grid (no perturbative restriction), clamped into
+    [0, 1]: p = -s_ideal . delta / 2, with s_ideal the Bloch vector s_0 of
+    psi rotated by theta about x, and delta = D (1, x_0, y_0, 1 + z_0) from
+    the deviation D of :func:`lindblad._propagator`.  ``theta`` and every
+    ratio are checked finite and >= 0 before the first map is formed."""
     ratios = tuple(map(float, ratios))
     check_pulse(theta, ratios)
-    s0 = psi.bloch()
-    orthogonal = psi_perp(theta, psi.amplitudes)
-    return tuple(_final_population(evolve(s0, theta, ratio), orthogonal) for ratio in ratios)
+    x, y, z = psi.bloch()
+    cos, sin = math.cos(theta), math.sin(theta)
+    ideal, start = (x, cos * y + sin * z, cos * z - sin * y), (1.0, x, y, 1.0 + z)
+    probabilities = []
+    for ratio in ratios:
+        delta = [sum(map(mul, row, start)) for row in _propagator(ratio, theta / 2.0)[1]]
+        probabilities.append(min(1.0, max(0.0, -sum(map(mul, ideal, delta)) / 2.0)))
+    return tuple(probabilities)

@@ -18,7 +18,7 @@ Only the Poisson window n_min <= n <= n_max is evolved, with
 n_min = max(0, floor(nbar - 10 sqrt(nbar))) and
 n_max = ceil(nbar + 10 sqrt(nbar)) + 12: about 20 sqrt(nbar) levels, whatever
 nbar is.  The window is fixed, and the Poisson mass outside it is at most
-2e-21 at every nbar up to the cap ``MAX_N_BAR`` = 1e10 (about 1.1e-22 at its
+2e-21 at every nbar up to the cap ``MAX_N_BAR`` = 1e14 (about 1.1e-22 at its
 largest, near nbar = 24).  That is a property of the window, pinned by a test
 against the exact Poisson tails, not a check made at run time.
 
@@ -35,13 +35,14 @@ from __future__ import annotations
 
 import math
 
-from .qcore import InvalidStateError, PureState, psi_perp
+from .qcore import InvalidStateError, PureState
 
 # Largest mean photon number a field may hold.  A gate error reads about 80
 # levels of its window whatever nbar is, so this fixes the photon range that
-# ``compare`` accepts, not a cost.  It stays at 1e10 until p above it is
-# pinned against its large-nbar asymptote by a test.
-MAX_N_BAR = 1e10
+# ``compare`` accepts, not a cost: up to it, tests pin p against its
+# large-nbar asymptote (c'_JC + b / nbar) / nbar, and the level offsets m - nbar
+# stay exact in a double up to about 9e15.
+MAX_N_BAR = 1e14
 
 # stirlerr(m) = log(m!) - log(sqrt(2 pi m) (m / e)^m) for m = 0..15, to the
 # nearest double (the m = 0 entry is a placeholder: P_0 is read directly)
@@ -204,7 +205,8 @@ def jc_gate_error(theta: float, atom_start: PureState, n_bar: float) -> float:
     -------
     float
         p = <psi_perp| rho_atom(T) |psi_perp> with T = theta / (2 g sqrt(nbar))
-        and psi_perp orthogonal to the target; g drops out, since T scales as
+        and psi_perp = (-t_a*, t_b*) orthogonal to the target
+        t = exp(-i theta sigma_x / 2) psi; g drops out, since T scales as
         1/g.  It is summed from the joint state over the fixed window of
         :func:`_window`, so p is accurate relative to itself rather than to
         1, with no 1 - F cancellation.
@@ -212,5 +214,8 @@ def jc_gate_error(theta: float, atom_start: PureState, n_bar: float) -> float:
     (n_bar,) = check_photon_numbers((n_bar,))
     if not 0.0 < theta <= 2.0 * math.pi:
         raise InvalidStateError(f"pulse area theta must lie in (0, 2 pi], got {theta}")
+    cos, sin = complex(math.cos(theta / 2.0), 0.0), complex(0.0, -math.sin(theta / 2.0))
+    x_b, x_a = atom_start.amplitudes
+    t_b, t_a = cos * x_b + sin * x_a, sin * x_b + cos * x_a
     # <psi_perp| projects each Fock level's atom state
-    return _population(atom_start, n_bar, theta, psi_perp(theta, atom_start.amplitudes))
+    return _population(atom_start, n_bar, theta, (-t_a.conjugate(), t_b.conjugate()))

@@ -12,35 +12,28 @@ of area theta lasts T = theta / (2 g_alpha).
 The equation is written once, in Bloch form: rho = (I + x sigma_x + y sigma_y
 + z sigma_z) / 2 with sigma_z = |a><a| - |b><b| and rho_ab = (x + i y) / 2, and
 v = (1, x, y, z) obeys the real linear ODE dv/dt = (g_alpha B_drive + kappa
-B_decay) v.  The solvers work in scaled time tau = g_alpha * t, where the
-dynamics depend only on the single ratio kappa / g_alpha, so :func:`evolve`
-takes theta and that ratio and reports times in units of 1/g_alpha.  Within a
-pulse the coefficients are constant, so one real 4x4 matrix maps v exactly
-over any time: exp(B * tau).  On resonance it has a closed form, the damped Torrey
-nutation (Torrey, Phys. Rev. 76, 1059 (1949)): x decays on its own, and
-(y, z) nutates and relaxes towards the driven steady state, with circular
-functions below the exceptional point kappa/g_alpha = 8 and hyperbolic ones
-above it.  :func:`_propagator` evaluates that form for one ratio, with no
-matrix exponential and no eigenvectors; its only rounding that grows with the
-pulse is that of the rotation angle, about theta * 2.2e-16.  :func:`evolve`,
-which every trajectory and every gate error is computed from, samples one
-ratio's trajectory by applying the map of one segment, built by
-:func:`_step_rows`, segment after segment.  Its ``rk4_fixed`` method instead
-adds P(h B)^k - I applied to v, with P(X) = I + X + X^2/2 + X^3/6 + X^4/24
-the degree-4 Taylor polynomial, k = ceil(step_count / samples) and
-h = tau / k.  For a linear
-constant-coefficient ODE that is exactly classical RK4 with k steps of size
-h.  The first component of v is the trace: the generator's first row is
-zero, so only rows 1..3 of the map are formed, the state carried between
-samples is (x, y, z) alone and the trace is exactly 1.  :func:`evolve`
-takes the start as that Bloch vector, from :meth:`qcore.PureState.bloch` or
-any |s| <= 1 for a mixed start, and carries x, y and z as three columns of
-floats, one entry per sample, applying the 3x4 map term by term in the order
-of :func:`qcore.matvec`.  A trajectory is the sample times and those three
+B_decay) v.  In scaled time tau = g_alpha * t the dynamics depend only on
+kappa / g_alpha, so :func:`evolve` takes theta and that ratio and reports
+times in units of 1/g_alpha.  The generator's first row is zero, so only rows
+1..3 of a map are formed, and the trace stays exactly 1.
+
+Within a pulse the map exp(B * tau) has a closed form, the damped Torrey
+nutation (Torrey, Phys. Rev. 76, 1059 (1949)): circular functions below the
+exceptional point kappa/g_alpha = 8 and hyperbolic ones above it, with no
+matrix exponential and no eigenvectors.  :func:`_propagator` evaluates it as
+the map R + D: the ideal rotation R, and the deviation D that the decay adds,
+each entry of D formed without cancellation.  Its only rounding that grows
+with the pulse is that of the rotation angle, about theta * 2.2e-16.  Every
+gate error is read from D.  :func:`evolve` samples one ratio's trajectory by
+applying the map of one segment, from :func:`_step_rows`, segment after
+segment: the closed form, or for ``rk4_fixed`` the increment of k classical
+RK4 steps.  It takes the start as a Bloch vector, from
+:meth:`qcore.PureState.bloch` or any |s| <= 1 for a mixed start, carries x, y
+and z as three columns of floats, one entry per sample, and applies the 3x4
+map term by term, left to right.  A trajectory is the sample times and those
 columns, which :func:`qcore.check_bloch` validates in one pass; its last
-sample is the final state, and no sample is ever a matrix.  The generator and
-the step maps are tuples or lists of rows of Python floats, multiplied by
-:func:`qcore.matmul`.
+sample is the final state.  Maps are tuples or lists of rows of Python
+floats, multiplied by :func:`qcore.matmul`.
 """
 
 from __future__ import annotations
@@ -126,17 +119,27 @@ def _identity_plus(m, divisor: float) -> list:
 
 
 def _propagator(r: float, tau: float) -> tuple:
-    """Rows 1..3 of exp(B * tau) on v = (1, x, y, z), a 3x4 matrix, for
-    kappa/g_alpha = ``r`` and a scaled duration ``tau`` = g_alpha * t.
+    """(E, D): rows 1..3 of the map E = exp(B * tau) on v = (1, x, y, z), and
+    of its deviation D from the ideal rotation R (the map at r = 0), for
+    kappa/g_alpha = ``r`` and a scaled duration ``tau`` = g_alpha * t: two
+    3x4 matrices.  D acts on (1, x, y, 1 + z), so E v = R v + D (1, x, y, 1 + z)
+    and D's first column is the deviation g of the ground state's image.
 
-    Closed form, the damped Torrey nutation: x decays as exp(-r tau / 2), and
-    with q = r / 4 the (y, z) block of B is -3q I + N, N = [[q, 2], [-2, -q]],
-    N^2 = (q^2 - 4) I, so exp(B tau) restricted to (y, z) is
-    E = exp(-3q tau) (C I + S N): C = cos(mu tau), S = sin(mu tau) / mu with
-    mu = sqrt(4 - q^2) below the exceptional point r = 8, C = 1 and S = tau
-    at it, and cosh and sinh above it, written with expm1 so that nothing
-    overflows or cancels.  The constant column is (I - E) w*, with
-    w* = (-4 / (r + 8 / r), -1 / (1 + 8 / r^2)) the steady state of (y, z).
+    With q = r / 4 the (y, z) block of B is -3q I + N, N = [[q, 2], [-2, -q]],
+    N^2 = (q^2 - 4) I, so E on (y, z) is exp(-3q tau) (C I + S N):
+    C = cos(mu tau) and S = sin(mu tau) / mu, mu = sqrt(4 - q^2), below r = 8,
+    C = 1 and S = tau at it, cosh and sinh (with expm1) above it; x decays as
+    exp(-r tau / 2).  The constant column is (I - E) w*, for the steady state
+    w* = (-4 / (r + 8 / r), -1 / (1 + 8 / r^2)) of (y, z), with 1 - E_yy
+    written as 2 sin^2 tau - D_yy.  R rotates (y, z) by 2 tau.
+
+    Below r = 4 each entry of D keeps its relative precision however small r
+    is: mu tau = 2 tau - 2 k tau, k = q^2 / (2 (mu + 2)), with the slip in
+    product form, expm1 for the damping, and for tau < 1 the Taylor series of
+    g from dg/dtau = A g + (A - A_0) u: A and A_0 are the (y, z) blocks of B
+    at r and at 0, and u is the ground state's ideal image.  From r = 4 on,
+    D is E - R: p is then large enough to lose nothing.  E is formed
+    directly, never as R + D, so a strongly damped entry keeps its digits.
 
     Raises :class:`IntegrationError` if r * tau is not finite.
     """
@@ -144,10 +147,17 @@ def _propagator(r: float, tau: float) -> tuple:
         raise IntegrationError(f"non-finite propagator for kappa/g_alpha = {r:g} "
                                f"over tau={tau:g}")
     q = r / 4.0
+    cos_2, sin_2 = math.cos(2.0 * tau), math.sin(2.0 * tau)
     if q < 2.0:
         mu = math.sqrt((2.0 - q) * (2.0 + q))
+        cos_mu, sin_mu = math.cos(mu * tau), math.sin(mu * tau)
+        if q < 1.0:  # the ideal angle 2 tau, then the slip 2 k tau in product form
+            k = q * q / (2.0 * (mu + 2.0))
+            slip, half = math.sin(k * tau), (2.0 - k) * tau
+            slip_c, slip_s = 2.0 * math.sin(half) * slip, -2.0 * math.cos(half) * slip
+            cos_mu, sin_mu = cos_2 + slip_c, sin_2 + slip_s
         damping = math.exp(-3.0 * q * tau)
-        c, s = damping * math.cos(mu * tau), damping * math.sin(mu * tau) / mu
+        c, s = damping * cos_mu, damping * sin_mu / mu
     elif q > 2.0:  # exp(-3q tau) cosh and sinh, from the slower of exp(-(3q -+ nu) tau)
         nu = math.sqrt(q - 2.0) * math.sqrt(q + 2.0)
         slow = math.exp((nu - 3.0 * q) * tau)
@@ -156,13 +166,32 @@ def _propagator(r: float, tau: float) -> tuple:
     else:
         c = math.exp(-6.0 * tau)
         s = c * tau
-    e_yy, e_yz, e_zy, e_zz = c + q * s, 2.0 * s, -2.0 * s, c - q * s
+    if q < 1.0:  # c - cos(2 tau) and s - sin(2 tau) / 2
+        decay = math.expm1(-3.0 * q * tau)
+        d_c, d_s = decay * cos_mu + slip_c, (decay * sin_mu + k * sin_2 + slip_s) / mu
+    else:
+        d_c, d_s = c - cos_2, s - sin_2 / 2.0
+    d_yy, d_zz = d_c + q * s, d_c - q * s
     # 8 / r / r rather than 8 / r**2: a tiny r overflows it to inf, where
     # r**2 would underflow to 0 and divide by zero
     w_y, w_z = (-4.0 / (r + 8.0 / r), -1.0 / (1.0 + 8.0 / r / r)) if r else (0.0, 0.0)
-    return ((0.0, math.exp(-r * tau / 2.0), 0.0, 0.0),
-            (w_y - e_yy * w_y - e_yz * w_z, 0.0, e_yy, e_yz),
-            (w_z - e_zy * w_y - e_zz * w_z, 0.0, e_zy, e_zz))
+    turn = 2.0 * math.sin(tau) ** 2  # 1 - cos(2 tau)
+    y_0, z_0 = (turn - d_yy) * w_y - 2.0 * s * w_z, (turn - d_zz) * w_z + 2.0 * s * w_y
+    g_y, g_z = y_0 - 2.0 * d_s, z_0 - d_zz
+    if q < 1.0 and tau < 1.0:  # g and u term by term, each with its tau^n / n!
+        g_y = g_z = e_y = e_z = 0.0
+        u_y, u_z = -2.0 * tau, 0.0
+        for n in range(2, 32):
+            h = tau / n
+            e_y, e_z = (2.0 * e_z - (e_y + u_y) * r / 2.0) * h, (-2.0 * e_y - (e_z + u_z) * r) * h
+            u_y, u_z = 2.0 * u_z * h, -2.0 * u_y * h
+            g_y, g_z = g_y + e_y, g_z + e_z
+    return (((0.0, math.exp(-r * tau / 2.0), 0.0, 0.0),
+             (y_0, 0.0, c + q * s, 2.0 * s),
+             (z_0, 0.0, -2.0 * s, c - q * s)),
+            ((0.0, math.expm1(-r * tau / 2.0), 0.0, 0.0),
+             (g_y, 0.0, d_yy, 2.0 * d_s),
+             (g_z, 0.0, -2.0 * d_s, d_zz)))
 
 
 def _step_rows(ratio: float, tau: float, config: IntegratorConfig, segments: int) -> list:
@@ -180,7 +209,7 @@ def _step_rows(ratio: float, tau: float, config: IntegratorConfig, segments: int
     matrix near I would bias every application of it alike.
     """
     if config.method == EXACT:
-        return _propagator(ratio, tau)
+        return _propagator(ratio, tau)[0]
     steps = -(-config.step_count // segments)
     x = _generator(ratio, tau / steps)
     d = matmul(x, _identity_plus(matmul(x, _identity_plus(matmul(x, _identity_plus(x, 4.0)),
@@ -232,8 +261,7 @@ def evolve(s0, theta: float, ratio: float,
     tau = theta / 2.0 / n_segments  # scaled duration g_alpha * T of one segment
     (x0, xx, xy, xz), (y0, yx, yy, yz), (z0, zx, zy, zz) = _step_rows(ratio, tau, config,
                                                                      n_segments)
-    # each row acts as in qcore.matvec: sum(map(mul, row, (1.0, x, y, z))) is
-    # (((0 + r0 * 1.0) + rx * x) + ry * y) + rz * z, and 0 + r0 * 1.0 is 0.0 + r0
+    # each row acts on (1.0, x, y, z) as (((0.0 + r0) + rx * x) + ry * y) + rz * z
     x0, y0, z0 = 0.0 + x0, 0.0 + y0, 0.0 + z0
     increment = config.method == RK4_FIXED  # its map gives the change of v, not v
     xs, ys, zs = [x], [y], [z]

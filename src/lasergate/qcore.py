@@ -1,18 +1,18 @@
 """States of one two-level atom, and the small dense linear algebra they need.
 
-A matrix, such as the gate rotation, is a tuple of row tuples of Python
-``complex``, and a state vector a tuple of ``complex`` built from any
-sequence of numbers (numpy arrays included): immutable values.  The package
-has one state type, the Bloch vector (x, y, z) of rho = (I + x sigma_x +
-y sigma_y + z sigma_z) / 2, a tuple of three floats with |s| <= 1: every
-propagated state is one, and a trajectory holds its samples as columns of x,
-y and z.  A pure start is a :class:`PureState`, 2 normalized amplitudes, and
-:meth:`PureState.bloch` gives its vector.  For a real s, rho has trace 1,
-eigenvalues (1 -+ |s|) / 2 and purity (1 + |s|^2) / 2, so one rule says that
-s is a state: |s| <= 1, which :func:`check_bloch` checks on a stack of
-vectors.  The matrix entries of those columns, :func:`density_columns`, and
-their purity, :func:`purities`, are the one home of the Bloch-to-matrix
-format.  Every record type of the package derives from :class:`Record`.
+The package has one state format, real: the Bloch vector (x, y, z) of
+rho = (I + x sigma_x + y sigma_y + z sigma_z) / 2, a tuple of three floats
+with |s| <= 1.  Every propagated state is one, and a trajectory holds its
+samples as columns of x, y and z.  Complex numbers appear only in a pure
+start, a :class:`PureState` of 2 normalized amplitudes whose
+:meth:`PureState.bloch` gives its vector, and in the single-mode model of
+``jc``.  For a real s, rho has trace 1, eigenvalues (1 -+ |s|) / 2 and
+purity (1 + |s|^2) / 2, so one rule says that s is a state: |s| <= 1, which
+:func:`check_bloch` checks on a stack of vectors.  The matrix entries of
+those columns, :func:`density_columns`, and their purity, :func:`purities`,
+are the one home of the Bloch-to-matrix format.  A matrix, such as a
+propagator, is a tuple of row tuples of floats.  Every record type of the
+package derives from :class:`Record`.
 
 Basis ordering for the two-level atom is fixed package-wide:
 index 0 = ground ``|b>``, index 1 = excited ``|a>``.
@@ -108,11 +108,6 @@ def matmul(a, b) -> tuple:
     return tuple(tuple(sum(map(mul, row, col)) for col in columns) for row in a)
 
 
-def matvec(a, v) -> tuple:
-    """The product of a matrix, a sequence of rows, and a vector."""
-    return tuple(sum(map(mul, row, v)) for row in a)
-
-
 def _exp10(y: float) -> float:
     """10**y, inf past the double range as in IEEE arithmetic."""
     try:
@@ -200,17 +195,3 @@ class PureState(Record):
         if nrm == 0.0:
             raise InvalidStateError("zero state vector")
         return PureState((v[0] / nrm, v[1] / nrm))
-
-
-def rotation(theta: float) -> tuple:
-    """The decay-free pulse exp(-i theta sigma_x / 2), as a 2x2 complex matrix."""
-    c, s = complex(math.cos(theta / 2.0), 0.0), complex(0.0, -math.sin(theta / 2.0))
-    return ((c, s), (s, c))
-
-
-def psi_perp(theta: float, psi) -> tuple:
-    """The state orthogonal to the decay-free output rotation(theta) psi:
-    (-t_a*, t_b*) for t = rotation(theta) psi, the state a gate error leaves
-    population in."""
-    t = matvec(rotation(theta), psi)
-    return (-t[1].conjugate(), t[0].conjugate())

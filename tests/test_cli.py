@@ -160,7 +160,7 @@ class TestSimulate:
     # example: a byte moved in any printed column fails
     @pytest.mark.parametrize("argv,digest", [
         ("--start plus --theta 11 --ratio 25 --samples 500",
-         "7aad6340631a495188714690e236358e04e6de6712d8b861e286b02279b0dce6"),
+         "2a363559c6f011a711970aec31c5d18793301e6101adf0bcc2c4b8e6d1624b99"),
         ("--method rk4_fixed --start excited --theta 7 --ratio 3 --samples 300",
          "8d2b3c908dab2dd83328c58b329f5c5e7f1ce8029ee223e0dbd5f1e786e20209"),
         ("--start plus --theta 0 --samples 5",
@@ -242,11 +242,11 @@ class TestSweep:
         assert run(tmp_path, "sweep", "--gate", "cnot")[0] == EXIT_CONFIG
 
     @pytest.mark.parametrize("argv", [
-        ["--points", "20000", "--ratio_max", "1"], ["--ratio_min", "1e-12"], ["--points", "3"],
-    ], ids=["non-perturbative", "unresolvable", "too-few"])
+        ["--points", "20000", "--ratio_max", "1"], ["--points", "3"],
+    ], ids=["non-perturbative", "too-few"])
     def test_refused_grid_propagates_nothing(self, monkeypatch, argv):
         calls = []
-        monkeypatch.setattr(gates, "evolve", lambda *args: calls.append(args))
+        monkeypatch.setattr(gates, "_propagator", lambda *args: calls.append(args))
         code, _, err = run_captured("sweep", *argv)
         assert code == EXIT_CONFIG and err.startswith("error: ")
         assert calls == []
@@ -656,7 +656,7 @@ class TestCompare:
         monkeypatch.setattr(jc, "jc_gate_error", no_work)
         code, out, err = run_captured("compare", "--n_bars", "400,1e16")
         assert (code, out) == (EXIT_CONFIG, "")
-        assert err == ("error: nbar must lie in [25, MAX_N_BAR = 1e+10], the semiclassical regime"
+        assert err == ("error: nbar must lie in [25, MAX_N_BAR = 1e+14], the semiclassical regime"
                        " up to the cap, got 1e+16\n")
 
     @pytest.mark.parametrize("n_bar", ["1e34", "1e40", "1e300"])
@@ -666,18 +666,18 @@ class TestCompare:
         assert run(tmp_path, "compare", "--n_bars", n_bar)[0] == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and len(err) < 200
-        assert "MAX_N_BAR = 1e+10" in err
+        assert "MAX_N_BAR = 1e+14" in err
 
     def test_photon_numbers_up_to_the_cap_are_accepted(self):
         # The cap is on nbar, so acceptance is monotone: every point up to
-        # 1e10 runs, every point above it is refused.  Here the level count of
-        # the rounded window nbar +- 10 sqrt(nbar) crosses 2e6 back and forth
+        # 1e14 runs, every point above it is refused.  Near 1e10 the level count
+        # of the rounded window nbar +- 10 sqrt(nbar) crosses 2e6 back and forth
         # with the fractional part of nbar; it must not decide the verdict.
         points = [base + step for base in range(9_999_859_990, 9_999_870_011, 100)
                   for step in (0.0, 0.25, 0.5, 0.75)] + [9999860000.0, 9999860001.0, 9999869999.5]
-        for n_bar in [*points, 9999999999.0, 1e10]:
+        for n_bar in [*points, 9999999999.0, 1e10, 1e11, 1e13, 99999999999999.0, 1e14]:
             assert run_stdout("compare", "--n_bars", repr(n_bar))[0] == EXIT_OK, n_bar
-        for n_bar in (math.nextafter(1e10, math.inf), 1e11, 1e16):
+        for n_bar in (math.nextafter(1e14, math.inf), 1e15, 1e16):
             assert run_stdout("compare", "--n_bars", repr(n_bar))[0] == EXIT_CONFIG, n_bar
 
     @given(gate=st.sampled_from(sorted(GATE_AREAS)), start=st.sampled_from(sorted(START_STATES)),

@@ -5,12 +5,12 @@ import pytest
 
 import oracles
 from lasergate import gates
-from lasergate.budget import photon_coefficient
+from lasergate.budget import drive_ratio_for_photons, photon_coefficient
 from lasergate.cli import GATE_AREAS, START_STATES
 from lasergate.gates import check_ratio_grid, first_order_coefficient, sweep_failure_probabilities
-from lasergate.lindblad import RK4_FIXED, IntegratorConfig, evolve
-from lasergate.qcore import InvalidStateError, PureState, logspace, matvec, rotation
-from oracles import sample_matrices
+from lasergate.lindblad import RK4_FIXED, IntegratorConfig, _propagator, evolve
+from lasergate.qcore import InvalidStateError, PureState, logspace
+from oracles import density_bloch, sample_matrices
 
 # (theta, psi) of the three gates the paper quotes
 PI_FROM_GROUND = (math.pi, PureState.ground())
@@ -103,13 +103,14 @@ class TestFailureProbability:
 
     @pytest.mark.parametrize("bad", [math.nan, -1e-3, math.inf])
     def test_bad_last_ratio_is_refused_before_any_evolve(self, monkeypatch, bad):
+        # no pulse map is formed for a grid with a bad ratio anywhere in it
         calls = []
 
-        def counting_evolve(*args, **kwargs):
+        def counting_propagator(*args):
             calls.append(args)
-            return evolve(*args, **kwargs)
+            return _propagator(*args)
 
-        monkeypatch.setattr(gates, "evolve", counting_evolve)
+        monkeypatch.setattr(gates, "_propagator", counting_propagator)
         with pytest.raises(InvalidStateError, match="kappa/g_alpha must be finite"):
             sweep_failure_probabilities(*PI_FROM_GROUND, [0.0, 1e-4, 1e-3, bad])
         assert calls == []
@@ -126,6 +127,24 @@ class TestFailureProbability:
         assert p_at(HALF_FROM_EXCITED, 1e-3) == pytest.approx(rk4, abs=1e-9)
 
 
+def oracle_starts() -> dict:
+    """Pure starts for the oracle bounds: the four named ones and two random."""
+    starts = {"ground": PureState.ground(), "excited": PureState.excited(),
+              "plus": PureState.superposition(1.0, 1.0),
+              "plus-i": PureState.superposition(1.0, 1.0j)}
+    rng = np.random.default_rng(28)
+    for i in range(2):
+        amplitudes = rng.normal(size=2) + 1j * rng.normal(size=2)
+        starts[f"random-{i}"] = PureState(tuple(amplitudes / np.linalg.norm(amplitudes)))
+    return starts
+
+
+ORACLE_STARTS = oracle_starts()
+
+# kappa/g_alpha from 1e-14 to just below the exceptional point r = 8, log-spaced
+ORACLE_RATIOS = logspace(-14.0, math.log10(7.9), 12)
+
+
 class TestAgainstMultiprecision:
     @pytest.mark.parametrize("gate, start", TABLE_CASES)
     def test_sweep_is_within_roundoff_of_40_digit_expm(self, gate, start):
@@ -135,15 +154,94 @@ class TestAgainstMultiprecision:
             want = oracles.failure_mp(psi0.amplitudes, theta, ratio)
             assert abs(float(p - want)) <= 1e-15
 
+    @pytest.mark.parametrize("theta", [0.5, 0.7, math.pi / 2, math.pi, 2 * math.pi, 4 * math.pi])
+    def test_p_is_relatively_exact_down_to_the_smallest_ratio(self, theta):
+        # p is read from the deviation of the map, so it keeps its relative
+        # precision as it falls with the ratio, 1e-14 included
+        for name, psi in ORACLE_STARTS.items():
+            got = sweep_failure_probabilities(theta, psi, ORACLE_RATIOS)
+            for ratio, p in zip(ORACLE_RATIOS, got):
+                want = float(oracles.failure_mp(psi.amplitudes, theta, ratio))
+                assert abs(p - want) <= 1e-13 * want, (name, ratio)
+
+    @pytest.mark.parametrize("theta", [1e-3, 1e-2, 0.1, 0.3, math.pi, 4 * math.pi])
+    def test_short_pulses_and_strong_decay(self, theta):
+        # a short pulse from the ground state fails with p ~ ratio theta^5 / 160,
+        # so an absolute 2e-16 is allowed; above r = 8 the map is hyperbolic
+        ratios = (*(ORACLE_RATIOS[::3] if theta < 0.5 else ()), 8.0, 8.5, 30.0)
+        for name, psi in ORACLE_STARTS.items():
+            got = sweep_failure_probabilities(theta, psi, ratios)
+            for ratio, p in zip(ratios, got):
+                want = float(oracles.failure_mp(psi.amplitudes, theta, ratio))
+                assert abs(p - want) <= max(1e-13 * want, 2e-16), (name, ratio)
+
+    def test_no_decay_is_positive_zero(self):
+        for theta in (0.0, 0.5, math.pi / 2, math.pi, 11.0):
+            for psi in ORACLE_STARTS.values():
+                (p,) = sweep_failure_probabilities(theta, psi, [0.0])
+                assert p == 0.0 and math.copysign(1.0, p) == 1.0
+
+    @pytest.mark.parametrize("gate, c_prime", [
+        ("pi", oracles.PI_PULSE_PHOTON_COEFFICIENT),
+        ("pi2", (3 * math.pi / 32 - 0.25) * math.pi / 4),
+    ])
+    def test_markov_photon_coefficient_is_approached_as_one_over_nbar(self, gate, c_prime):
+        # p nbar = c'_M + b / nbar + O(1/nbar^2) from the ground state, with b
+        # read at nbar = 1e6; the gap to c'_M shrinks as b / nbar up to 1e14
+        assert f"{oracles.PI_PULSE_PHOTON_COEFFICIENT:.11e}" == "9.25275412602e-01"
+        assert f"{(3 * math.pi / 32 - 0.25) * math.pi / 4:.11e}" == "3.49693123012e-02"
+        theta = GATE_AREAS[gate]
+        n_bars = [10.0 ** k for k in range(6, 15)]
+        ps = sweep_failure_probabilities(theta, PureState.ground(),
+                                         [drive_ratio_for_photons(theta, n) for n in n_bars])
+        b = (ps[0] * n_bars[0] - c_prime) * n_bars[0]
+        for n_bar, p in zip(n_bars, ps):
+            gap = p * n_bar - c_prime
+            assert abs(gap - b / n_bar) <= 1e-6 * abs(b) / n_bar + 2e-15 * c_prime, n_bar
+
+
+class TestOneClosedForm:
+    """A trajectory and a gate error come from one map, E = R + D."""
+
+    def test_final_state_is_the_ideal_output_plus_the_deviation(self):
+        rng = np.random.default_rng(2802)
+        for _ in range(200):
+            theta, ratio = rng.uniform(0.0, 4 * math.pi), 10.0 ** rng.uniform(-14.0, 1.5)
+            amplitudes = rng.normal(size=2) + 1j * rng.normal(size=2)
+            psi = PureState(tuple(amplitudes / np.linalg.norm(amplitudes)))
+            # s_0 rotated by theta about x: the oracle's decay-free output, read
+            # with cos theta and sin theta rather than its half-angle products
+            x, y, z = psi.bloch()
+            rotation = np.array([[1.0, 0.0, 0.0], [0.0, np.cos(theta), np.sin(theta)],
+                                 [0.0, -np.sin(theta), np.cos(theta)]])
+            ideal = rotation @ (x, y, z)
+            target = oracles.ideal_state(np.asarray(psi.amplitudes), theta)
+            bloch_target = density_bloch(np.outer(target, target.conj()))
+            assert np.max(np.abs(ideal - bloch_target)) <= (2.0 + theta) * 2.2e-16
+            delta = [sum(d * v for d, v in zip(row, (1.0, x, y, 1.0 + z)))
+                     for row in _propagator(ratio, theta / 2.0)[1]]
+            trajectory = evolve((x, y, z), theta, ratio)
+            final = np.array([trajectory.x[-1], trajectory.y[-1], trajectory.z[-1]])
+            assert np.max(np.abs(final - (ideal + delta))) <= 1e-15, (theta, ratio)
+            (p,) = sweep_failure_probabilities(theta, psi, [ratio])
+            assert abs((1.0 - ideal @ final) / 2.0 - p) <= 1e-15, (theta, ratio)
+
 
 class TestIdealTarget:
-    # the decay-free output exp(-i theta sigma_x / 2) |psi0> that p is measured against
+    # the decay-free output exp(-i theta sigma_x / 2) |psi0> that p is measured
+    # against, from the oracle: the package's decay-free pulse reaches it
+    @staticmethod
+    def decay_free_output(theta):
+        target = oracles.ideal_state(oracles.GROUND, theta)
+        final = sample_matrices(evolve(PureState.ground().bloch(), theta, 0.0))[-1]
+        assert np.max(np.abs(final - np.outer(target, target.conj()))) <= 1e-15
+        return target
+
     def test_pi_from_ground_targets_excited(self):
-        target = matvec(rotation(math.pi), PureState.ground().amplitudes)
-        assert abs(target[1]) == pytest.approx(1.0)
+        assert abs(self.decay_free_output(math.pi)[1]) == pytest.approx(1.0)
 
     def test_half_pulse_makes_equal_superposition(self):
-        target = matvec(rotation(math.pi / 2), PureState.ground().amplitudes)
+        target = self.decay_free_output(math.pi / 2)
         assert abs(target[0]) == pytest.approx(1 / math.sqrt(2))
         assert abs(target[1]) == pytest.approx(1 / math.sqrt(2))
 
@@ -213,9 +311,17 @@ class TestExtractCoefficient:
             check_ratio_grid([1e-4, 1e-3, 1e-2, 1e-1])
         with pytest.raises(InvalidStateError, match="increasing"):
             check_ratio_grid([1e-3, 1e-4, 1e-5, 1e-6])
-        with pytest.raises(InvalidStateError, match="not resolved"):
-            check_ratio_grid([1e-11, 1e-4, 1e-3, 1e-2])
         assert check_ratio_grid([1e-10, 1e-4, 1e-3, 1e-2]) == (1e-10, 1e-4, 1e-3, 1e-2)
+
+    @pytest.mark.parametrize("gate, start", TABLE_CASES)
+    def test_tiny_ratios_resolve_the_coefficient(self, gate, start):
+        # no grid is too small to resolve: at 1e-14 .. 1e-12, p/ratio is c to
+        # within the second-order term (at most 1e-12 c) and p's rounding
+        ratios = check_ratio_grid(logspace(-14.0, -12.0, 8))
+        theta, psi = GATE_AREAS[gate], START_STATES[start]()
+        c = first_order_coefficient(theta, psi)
+        for ratio, p in zip(ratios, sweep_failure_probabilities(theta, psi, ratios)):
+            assert abs(p / ratio - c) <= 1e-10 * c
 
     @pytest.mark.parametrize("ratios", [
         [math.nan, 1e-4, 1e-3, 1e-2], [1e-5, math.nan, 1e-3, 1e-2], [1e-5, 1e-4, 1e-3, math.nan],
@@ -234,7 +340,7 @@ class TestPulseValidation:
     @staticmethod
     def assert_refused(monkeypatch, area):
         calls = []
-        monkeypatch.setattr(gates, "evolve", lambda *args: calls.append(args))
+        monkeypatch.setattr(gates, "_propagator", lambda *args: calls.append(args))
         for ratios in ([], [0.0, 1e-3]):
             with pytest.raises(InvalidStateError, match="theta must be finite and >= 0"):
                 sweep_failure_probabilities(area, PureState.ground(), ratios)

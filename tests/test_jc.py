@@ -15,7 +15,7 @@ from lasergate.jc import (
     check_photon_numbers,
     jc_gate_error,
 )
-from lasergate.qcore import InvalidStateError, PureState, psi_perp
+from lasergate.qcore import InvalidStateError, PureState
 
 # p * nbar for a pi pulse from the ground state, frozen from the Poisson sum
 # over sector rotations (asymptotically pi^2/16 ~ 0.617).
@@ -29,8 +29,8 @@ DENSE_N_BARS = sorted(set(np.geomspace(25.0, 2e5, 201).tolist()) | {6400.0, 3000
 # the cap.  Each tail is largest where its window edge steps up: where nbar + 10 sqrt(nbar) is an integer for n_max, and where
 # nbar - 10 sqrt(nbar) is one for n_min; those points are taken to well past
 # the peak near nbar = 24.  Also: the semiclassical floor 25, the stride step
-# at 64, n_min leaving 0 above 100, the benchmark's 1-2-5 compare grid and the
-# photon numbers at and just below the cap MAX_N_BAR = 1e10.
+# at 64, n_min leaving 0 above 100, the benchmark's 1-2-5 compare grid, the
+# photon numbers at and just below 1e10, and up to the cap MAX_N_BAR = 1e14.
 TAIL_N_BARS = sorted(
     set(np.linspace(0.0, 130.0, 131).tolist())
     | set(np.geomspace(130.0, 9.99986e9, 100).tolist())
@@ -39,11 +39,12 @@ TAIL_N_BARS = sorted(
     | {0.5, 24.5, 25.5, 121.0, 6400.0, 30000.0}
     | {1e3, 2e3, 5e3, 1e4, 2e4, 5e4, 1e5, 2e5, 5e5, 1e6}
     | {9.9e9, 9999860000.0, 9999860001.0, 9999869999.5, 9999999999.0, 1e10}
+    | set(np.geomspace(1e10, 1e14, 9).tolist()) | {99999999999999.0}
 )
 
-# the largest photon numbers, up to the cap itself: windows of more than
-# 2e6 levels, ceil(nbar + 10 sqrt(nbar)) + 12 - floor(nbar - 10 sqrt(nbar)) + 1
-CAP_N_BARS = [9999860001.0, 9999999999.0, MAX_N_BAR]
+# the largest photon numbers, near 1e10 and up to the cap itself: windows of
+# 2e6 to 2e8 levels, ceil(nbar + 10 sqrt(nbar)) + 12 - floor(nbar - 10 sqrt(nbar)) + 1
+CAP_N_BARS = [9999860001.0, 9999999999.0, 1e10, 99999999999999.0, MAX_N_BAR]
 
 GATE_CASES = {
     "pi-ground": (math.pi, PureState.ground()),
@@ -102,11 +103,11 @@ class TestCoherentField:
         assert exact <= 2e-21
 
     def test_fock_window_capped(self):
-        # the widest window, about 2e6 levels at the cap, of which a gate error
+        # the widest window, about 2e8 levels at the cap, of which a gate error
         # reads about 80; a field above the cap is refused before any is read
-        assert _window(MAX_N_BAR) == (MAX_N_BAR - 1e6, MAX_N_BAR + 1e6 + 12)
-        for n_bar in (math.nextafter(MAX_N_BAR, math.inf), 1e11, 1e34, 1e308):
-            with pytest.raises(InvalidStateError, match=r"in \[25, MAX_N_BAR = 1e\+10\]"):
+        assert _window(MAX_N_BAR) == (MAX_N_BAR - 1e8, MAX_N_BAR + 1e8 + 12)
+        for n_bar in (math.nextafter(MAX_N_BAR, math.inf), 1e15, 1e34, 1e308):
+            with pytest.raises(InvalidStateError, match=r"in \[25, MAX_N_BAR = 1e\+14\]"):
                 jc_gate_error(math.pi, PureState.ground(), n_bar)
 
     def test_negative_alpha_rejected(self):
@@ -131,9 +132,9 @@ class TestPhotonNumbers:
         with pytest.raises(InvalidStateError, match="semiclassical"):
             check_photon_numbers([400.0, n_bar])
 
-    @pytest.mark.parametrize("n_bar", [math.nextafter(MAX_N_BAR, math.inf), 1e11, 1e300, math.inf])
+    @pytest.mark.parametrize("n_bar", [math.nextafter(MAX_N_BAR, math.inf), 1e15, 1e300, math.inf])
     def test_above_the_cap_refused(self, n_bar):
-        with pytest.raises(InvalidStateError, match=r"in \[25, MAX_N_BAR = 1e\+10\]"):
+        with pytest.raises(InvalidStateError, match=r"in \[25, MAX_N_BAR = 1e\+14\]"):
             check_photon_numbers([400.0, n_bar])
         with pytest.raises(InvalidStateError, match="MAX_N_BAR"):
             jc_gate_error(math.pi, PureState.ground(), n_bar)
@@ -250,6 +251,24 @@ class TestAgainstMultiprecision:
         assert abs(p - want) <= 1e-15 * want
 
 
+    @pytest.mark.parametrize("theta, start, b", [
+        (math.pi, PureState.superposition(1.0, 1.0), 1.0 / 16.0),
+        (math.pi / 2, PureState.ground(), None), (math.pi / 2, PureState.excited(), None),
+    ], ids=["pi-plus", "pi2-ground", "pi2-excited"])
+    def test_second_order_holds_up_to_the_cap(self, theta, start, b):
+        # p = (c'_JC + b / nbar) / nbar, c'_JC = |int_0^(theta/2) a(tau)^2 dtau|^2
+        # along the ideal rotation a(tau) = cos(tau) a_0 - i sin(tau) b_0, and
+        # b read at nbar = 1e7 where it is not given; from 1e10 to the cap
+        b_0, a_0 = start.amplitudes
+        i_cc, i_ss = theta / 4 + math.sin(theta) / 4, theta / 4 - math.sin(theta) / 4
+        i_cs = math.sin(theta / 2) ** 2 / 2
+        c_prime = abs(a_0 * a_0 * i_cc - 2j * a_0 * b_0 * i_cs - b_0 * b_0 * i_ss) ** 2
+        if b is None:
+            b = (jc_gate_error(theta, start, 1e7) * 1e7 - c_prime) * 1e7
+        for n_bar in (1e10, 1e11, 1e12, 1e13, MAX_N_BAR):
+            p = jc_gate_error(theta, start, n_bar)
+            assert abs(p - (c_prime + b / n_bar) / n_bar) <= 1e-15 * p, n_bar
+
     @pytest.mark.parametrize("n_bar", [1e8, 1e9, 1e10])
     def test_plus_start_meets_its_asymptote_at_large_photon_numbers(self, n_bar):
         # a pi pulse from (|b> + |a>) / sqrt(2) fails with p = (1/4 + 1/(16 nbar)) / nbar;
@@ -296,7 +315,7 @@ class TestGateError:
         with pytest.raises(InvalidStateError, match="nbar"):
             jc_gate_error(math.pi, PureState.ground(), math.nan)
         # inf is refused by the cap on nbar, before any field is built
-        with pytest.raises(InvalidStateError, match=r"MAX_N_BAR = 1e\+10\].*got inf$"):
+        with pytest.raises(InvalidStateError, match=r"MAX_N_BAR = 1e\+14\].*got inf$"):
             jc_gate_error(math.pi, PureState.ground(), math.inf)
 
     @pytest.mark.parametrize("n_bar", DENSE_N_BARS)
@@ -340,7 +359,7 @@ class TestGuards:
     def test_returned_state_has_unit_trace(self):
         # the populations on the target and on psi_perp sum to the trace, 1
         theta, state = 0.4, PureState.superposition(1.0, -1.0)
-        perp = psi_perp(theta, state.amplitudes)
-        target = (perp[1].conjugate(), -perp[0].conjugate())
+        target = tuple(oracles.ideal_state(np.asarray(state.amplitudes), theta))
+        perp = (-target[1].conjugate(), target[0].conjugate())
         trace = _population(state, 81.0, theta, perp) + _population(state, 81.0, theta, target)
         assert abs(trace - 1.0) <= 1e-12

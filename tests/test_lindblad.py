@@ -8,11 +8,10 @@ from hypothesis import strategies as st
 
 import oracles
 from lasergate import lindblad
-from lasergate import gates
 from lasergate.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main
 from lasergate.gates import sweep_failure_probabilities
 from lasergate.lindblad import RK4_FIXED, IntegrationError, IntegratorConfig, evolve
-from lasergate.qcore import BLOCH_SLACK, InvalidStateError, PureState, psi_perp
+from lasergate.qcore import BLOCH_SLACK, InvalidStateError, PureState
 from oracles import bloch_density, sample_matrices
 
 RK4 = IntegratorConfig(method=RK4_FIXED, step_count=400)
@@ -270,8 +269,9 @@ class TestExactPropagator:
         argv = ["simulate", "--ratio", repr(ratio), "--samples", "1", "--out", str(tmp_path / "o")]
         assert main(argv) == EXIT_OK
 
-    # a sweep is one exact evolve per ratio: the grid around a ratio does not
-    # change its p, which is read from the trajectory's last sample
+    # a sweep reads each ratio's p from that ratio's map alone, so the grid
+    # around it does not change it, and p is the final state's population
+    # orthogonal to the oracle's decay-free output
     @pytest.mark.parametrize("config", [IntegratorConfig()], ids=["exact"])
     @pytest.mark.parametrize("theta", [0.0, math.pi / 2, 2.1])
     def test_sweep_equals_single_ratios_bit_for_bit(self, config, theta):
@@ -282,11 +282,12 @@ class TestExactPropagator:
         assert len(swept) == 16
         with pytest.raises(TypeError):
             swept[0] = 1.0
-        perp = psi_perp(theta, psi0.amplitudes)
+        target = oracles.ideal_state(np.asarray(psi0.amplitudes), theta)
+        perp = np.array([-np.conj(target[1]), np.conj(target[0])])
         for rate, p in zip(rates, swept):
             assert p == sweep_failure_probabilities(theta, psi0, [rate])[0]
-            trajectory = evolve(psi0.bloch(), theta, rate, config)
-            assert p == gates._final_population(trajectory, perp)
+            final = final_matrix(psi0.bloch(), theta, rate, config)
+            assert abs(p - np.vdot(perp, final @ perp).real) <= 1e-15
 
     @pytest.mark.parametrize("theta", [math.pi, math.pi / 2], ids=["pi", "pi2"])
     @pytest.mark.parametrize("start", sorted(STARTS))

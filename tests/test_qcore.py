@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 import oracles
-from lasergate.gates import _final_population
+from lasergate.gates import sweep_failure_probabilities
 from lasergate.lindblad import EXACT, IntegratorConfig, evolve
 from lasergate.qcore import (
     BLOCH_SLACK,
@@ -18,9 +18,7 @@ from lasergate.qcore import (
     Record,
     check_bloch,
     density_columns,
-    psi_perp,
     purities,
-    rotation,
 )
 
 
@@ -36,9 +34,24 @@ def evolve_start(s0):
 
 
 def population(s, psi: PureState) -> float:
-    """<psi| rho |psi> of the Bloch vector ``s``, read as gates reads p: from
-    the last sample of a zero-area trajectory."""
-    return _final_population(evolve(s, 0.0, 0.0), psi.amplitudes)
+    """<psi| rho |psi> of the Bloch vector ``s``, its matrix read from
+    :func:`qcore.density_columns`."""
+    (rho_bb,), (rho_aa,), (re,), (im,) = density_columns(*([value] for value in s))
+    t = np.asarray(psi.amplitudes)
+    return np.vdot(t, np.array([[rho_bb, complex(re, -im)], [complex(re, im), rho_aa]]) @ t).real
+
+
+def decay_free_bloch(psi, theta: float) -> np.ndarray:
+    """The final Bloch vector of a decay-free pulse of area ``theta`` from the
+    amplitudes ``psi``."""
+    trajectory = evolve(PureState(psi).bloch(), theta, 0.0)
+    return np.array([trajectory.x[-1], trajectory.y[-1], trajectory.z[-1]])
+
+
+def expm_bloch(psi, theta: float) -> np.ndarray:
+    """The Bloch vector of exp(-i theta sigma_x / 2) psi, from scipy's expm."""
+    t = expm(-0.5j * theta * np.array([[0, 1], [1, 0]], dtype=complex)) @ psi
+    return np.array(oracles.density_bloch(np.outer(t, t.conj())))
 
 
 def refusal(check, *args):
@@ -76,38 +89,55 @@ def bloch_vector(draw):
 
 
 class TestOperators:
+    """The decay-free pulse is the rotation exp(-i theta sigma_x / 2)."""
+
     @pytest.mark.parametrize("theta", [0.0, math.pi / 2, math.pi, 2 * math.pi, 11.0])
     def test_rotation_matches_expm(self, theta):
-        sigma_x = np.array([[0, 1], [1, 0]], dtype=complex)
-        want = expm(-0.5j * theta * sigma_x)
-        assert np.max(np.abs(rotation(theta) - want)) <= 1e-15
+        for psi in ((1.0, 0.0), (0.0, 1.0), (0.6, 0.8j)):
+            got = decay_free_bloch(psi, theta)
+            assert np.max(np.abs(got - expm_bloch(np.asarray(psi), theta))) <= 4e-15
 
     def test_identity(self):
-        assert np.array_equal(rotation(0.0), np.eye(2))
-        assert np.max(np.abs(rotation(4 * math.pi) - np.eye(2))) <= 1e-15
+        psi = (0.6, 0.8j)
+        start = PureState(psi).bloch()
+        assert tuple(decay_free_bloch(psi, 0.0)) == start
+        assert np.max(np.abs(decay_free_bloch(psi, 4 * math.pi) - start)) <= 4e-15
 
     def test_sigma_x_is_sum(self):
         # a pi pulse is -i sigma_x, with sigma_x = sigma_+ + sigma_-
         sigma_x = oracles.SIGMA_PLUS + oracles.SIGMA_MINUS
-        assert np.max(np.abs(rotation(math.pi) + 1j * sigma_x)) <= 1e-15
+        psi = np.array([0.6, 0.8j])
+        t = sigma_x @ psi
+        want = oracles.density_bloch(np.outer(t, t.conj()))
+        assert np.max(np.abs(decay_free_bloch(tuple(psi), math.pi) - want)) <= 1e-15
 
     @pytest.mark.parametrize("theta", [0.0, math.pi / 2, math.pi, 11.0])
     @pytest.mark.parametrize("psi", [(1.0, 0.0), (0.0, 1.0), (0.6, 0.8j)])
     def test_psi_perp_is_orthogonal_to_the_target(self, theta, psi):
+        # gates reads p on the state orthogonal to the decay-free output: none
+        # without decay, and with it the final state's population there
         target = expm(-0.5j * theta * np.array([[0, 1], [1, 0]], dtype=complex)) @ psi
-        perp = np.array(psi_perp(theta, psi))
+        perp = np.array([-np.conj(target[1]), np.conj(target[0])])
         assert abs(np.vdot(perp, target)) <= 1e-15
-        assert np.linalg.norm(perp) == pytest.approx(1.0, abs=1e-15)
+        state = PureState(psi)
+        assert sweep_failure_probabilities(theta, state, [0.0]) == (0.0,)
+        (p,) = sweep_failure_probabilities(theta, state, [0.3])
+        final = oracles.sample_matrices(evolve(state.bloch(), theta, 0.3))[-1]
+        assert abs(p - np.vdot(perp, final @ perp).real) <= 4e-15
 
 
 class TestFidelity:
-    """<psi| rho |psi> as gates reads a failure probability from a final state."""
+    """The population gates reads as p, and the matrix entries a final state
+    is read as: <psi| rho |psi> of a Bloch vector's matrix."""
 
     def test_matching_pure_states(self):
-        assert population(PureState.excited().bloch(), PureState.excited()) == 1.0
+        # no decay: the final state is the target, and nothing is left orthogonal
+        assert sweep_failure_probabilities(math.pi, PureState.excited(), [0.0]) == (0.0,)
 
     def test_orthogonal_pure_states(self):
-        assert population(PureState.excited().bloch(), PureState.ground()) == 0.0
+        # overwhelming decay holds the ground state, orthogonal to the pi
+        # pulse's target, the excited state: all of it fails
+        assert sweep_failure_probabilities(math.pi, PureState.ground(), [1e10]) == (1.0,)
 
     def test_maximally_mixed_against_anything(self):
         for target in (PureState.ground(), PureState.excited(), PureState.superposition(1, 1j)):
@@ -118,9 +148,10 @@ class TestFidelity:
             PureState(np.array([1, 0, 0, 0]))
 
     def test_result_is_clamped(self):
-        # a state built from slightly noisy amplitudes still lands in [0, 1]
+        # p of a start from slightly noisy amplitudes still lands in [0, 1]
         psi = PureState.superposition(1.0, 1.0)
-        assert 0.0 <= population(psi.bloch(), psi) <= 1.0
+        for p in sweep_failure_probabilities(math.pi, psi, [0.0, 1e-3, 1.0, 30.0, 1e10]):
+            assert 0.0 <= p <= 1.0
 
 
 class TestDensityMatrixInvariants:
