@@ -22,11 +22,8 @@ import math
 import warnings
 from operator import mul
 
-from .qcore import InvalidStateError, Record, logspace
-
-# Failure probability of a resonant pi pulse from the ground state, per unit
-# decay-to-Rabi ratio: p = (3 pi / 8) * kappa / Omega_R.
-PI_PULSE_RABI_SLOPE = 3.0 * math.pi / 8.0
+from .gates import first_order_coefficient
+from .qcore import InvalidStateError, PureState, Record, logspace
 
 # Minimum photons within the volume sigma_eff * c * T demanded by the
 # energy-form constraint: nbar' > (pi^2 / 4) / epsilon.
@@ -312,13 +309,16 @@ def fixed_intensity_area_sweep(report: PiPulseBudget, points: int, max_factor: f
     gamma_sigma = gamma * sigma_eff
     intensity = report.intensity_W_per_m2
     kappa = tuple(gamma_sigma / a for a in area)
+    # p per unit kappa / Omega_R of a pi pulse from the ground state, 3 pi / 8:
+    # twice its slope c per unit kappa / g_alpha, as Omega_R = 2 g_alpha
+    slope = 2.0 * first_order_coefficient(math.pi, PureState.ground())
     return AreaSweep(
         area=area,
         kappa=kappa,
         kappa_times_area=tuple(map(mul, kappa, area)),
         n_bar=tuple(intensity * a * duration / photon_energy for a in area),
-        laser_mode_error=tuple(PI_PULSE_RABI_SLOPE * k / rabi for k in kappa),
-        total_error=(PI_PULSE_RABI_SLOPE * gamma / rabi,) * len(area),
+        laser_mode_error=tuple(slope * k / rabi for k in kappa),
+        total_error=(slope * gamma / rabi,) * len(area),
     )
 
 

@@ -11,11 +11,13 @@ of area theta lasts T = theta / (2 g_alpha).
 
 The equation is written once, in Bloch form: rho = (I + x sigma_x + y sigma_y
 + z sigma_z) / 2 with sigma_z = |a><a| - |b><b| and rho_ab = (x + i y) / 2, and
-v = (1, x, y, z) obeys the real linear ODE dv/dt = (g_alpha B_drive + kappa
-B_decay) v.  In scaled time tau = g_alpha * t the dynamics depend only on
-kappa / g_alpha, so :func:`evolve` takes theta and that ratio and reports
-times in units of 1/g_alpha.  The generator's first row is zero, so only rows
-1..3 of a map are formed, and the trace stays exactly 1.
+v = (1, x, y, z) obeys the real linear ODE dv/dtau = B v in scaled time
+tau = g_alpha * t, where the dynamics depend only on r = kappa / g_alpha:
+B damps x at r/2, and moves (y, z) about the steady state w* under
+-3q I + N, with q = r / 4, N = [[q, 2], [-2, -q]] and N^2 = (q^2 - 4) I.  So
+:func:`evolve` takes theta and r and reports times in units of 1/g_alpha.
+B leaves the first entry of v alone, so only rows 1..3 of a map are formed,
+and the trace stays exactly 1.
 
 Within a pulse the map exp(B * tau) has a closed form, the damped Torrey
 nutation (Torrey, Phys. Rev. 76, 1059 (1949)): circular functions below the
@@ -32,31 +34,17 @@ RK4 steps.  It takes the start as a Bloch vector, from
 and z as three columns of floats, one entry per sample, and applies the 3x4
 map term by term, left to right.  A trajectory is the sample times and those
 columns, which :func:`qcore.check_bloch` validates in one pass; its last
-sample is the final state.  Maps are tuples or lists of rows of Python
-floats, multiplied by :func:`qcore.matmul`.
+sample is the final state.  Maps are tuples of rows of Python floats.
 """
 
 from __future__ import annotations
 
 import math
-from operator import mul
 
-from .qcore import InvalidStateError, Record, check_bloch, matmul
+from .qcore import InvalidStateError, Record, check_bloch
 
 EXACT = "exact"
 RK4_FIXED = "rk4_fixed"
-
-# Bloch generator in scaled time, B = _B_DRIVE + (kappa/g_alpha) * _B_DECAY,
-# acting on v = (1, x, y, z).  The drive rotates (y, z) at twice the coupling;
-# the decay damps x and y at half the rate and relaxes z to -1 at the full rate.
-_B_DRIVE = ((0.0, 0.0, 0.0, 0.0),
-            (0.0, 0.0, 0.0, 0.0),
-            (0.0, 0.0, 0.0, 2.0),
-            (0.0, 0.0, -2.0, 0.0))
-_B_DECAY = ((0.0, 0.0, 0.0, 0.0),
-            (0.0, -0.5, 0.0, 0.0),
-            (0.0, 0.0, -0.5, 0.0),
-            (-1.0, 0.0, 0.0, -1.0))
 
 class IntegrationError(RuntimeError):
     """The pulse propagator is not finite, or a propagated state left the
@@ -99,23 +87,12 @@ class Trajectory(Record):
         return len(self.times)
 
 
-def _generator(ratio: float, scale: float) -> list:
-    """(_B_DRIVE + ratio * _B_DECAY) * scale: the Bloch generator for
-    kappa/g_alpha = ``ratio``, times a scaled duration."""
-    return [[(d + ratio * k) * scale for d, k in zip(drive, decay)]
-            for drive, decay in zip(_B_DRIVE, _B_DECAY)]
-
-
-def _lincomb(*terms) -> list:
-    """The sum of c * M over the (c, M) pairs, entry by entry, left to right."""
-    coefficients = [c for c, _ in terms]
-    return [[sum(map(mul, coefficients, entries)) for entries in zip(*rows)]
-            for rows in zip(*(m for _, m in terms))]
-
-
-def _identity_plus(m, divisor: float) -> list:
-    """I + M / divisor, entry by entry."""
-    return [[float(i == j) + x / divisor for j, x in enumerate(row)] for i, row in enumerate(m)]
+def _steady_state(r: float) -> tuple:
+    """The fixed point w* = (-4 / (r + 8 / r), -1 / (1 + 8 / r^2)) of (y, z)
+    for kappa/g_alpha = ``r``; x relaxes to 0."""
+    # 8 / r / r rather than 8 / r**2: a tiny r overflows it to inf, where
+    # r**2 would underflow to 0 and divide by zero
+    return (-4.0 / (r + 8.0 / r), -1.0 / (1.0 + 8.0 / r / r)) if r else (0.0, 0.0)
 
 
 def _propagator(r: float, tau: float) -> tuple:
@@ -130,16 +107,18 @@ def _propagator(r: float, tau: float) -> tuple:
     C = cos(mu tau) and S = sin(mu tau) / mu, mu = sqrt(4 - q^2), below r = 8,
     C = 1 and S = tau at it, cosh and sinh (with expm1) above it; x decays as
     exp(-r tau / 2).  The constant column is (I - E) w*, for the steady state
-    w* = (-4 / (r + 8 / r), -1 / (1 + 8 / r^2)) of (y, z), with 1 - E_yy
-    written as 2 sin^2 tau - D_yy.  R rotates (y, z) by 2 tau.
+    w* of (y, z) from :func:`_steady_state`, with 1 - E_yy written as
+    2 sin^2 tau - D_yy.  R rotates (y, z) by 2 tau.
 
     Below r = 4 each entry of D keeps its relative precision however small r
     is: mu tau = 2 tau - 2 k tau, k = q^2 / (2 (mu + 2)), with the slip in
     product form, expm1 for the damping, and for tau < 1 the Taylor series of
     g from dg/dtau = A g + (A - A_0) u: A and A_0 are the (y, z) blocks of B
     at r and at 0, and u is the ground state's ideal image.  From r = 4 on,
-    D is E - R: p is then large enough to lose nothing.  E is formed
-    directly, never as R + D, so a strongly damped entry keeps its digits.
+    D is E - R: p is then large enough to lose nothing, except after a short
+    pulse, so g comes from the same series wherever tau < 1 and r tau < 1.
+    E is formed directly, never as R + D, so a strongly damped entry keeps
+    its digits.
 
     Raises :class:`IntegrationError` if r * tau is not finite.
     """
@@ -172,13 +151,11 @@ def _propagator(r: float, tau: float) -> tuple:
     else:
         d_c, d_s = c - cos_2, s - sin_2 / 2.0
     d_yy, d_zz = d_c + q * s, d_c - q * s
-    # 8 / r / r rather than 8 / r**2: a tiny r overflows it to inf, where
-    # r**2 would underflow to 0 and divide by zero
-    w_y, w_z = (-4.0 / (r + 8.0 / r), -1.0 / (1.0 + 8.0 / r / r)) if r else (0.0, 0.0)
+    w_y, w_z = _steady_state(r)
     turn = 2.0 * math.sin(tau) ** 2  # 1 - cos(2 tau)
     y_0, z_0 = (turn - d_yy) * w_y - 2.0 * s * w_z, (turn - d_zz) * w_z + 2.0 * s * w_y
     g_y, g_z = y_0 - 2.0 * d_s, z_0 - d_zz
-    if q < 1.0 and tau < 1.0:  # g and u term by term, each with its tau^n / n!
+    if tau < 1.0 and (q < 1.0 or r * tau < 1.0):  # g and u term by term, with tau^n / n!
         g_y = g_z = e_y = e_z = 0.0
         u_y, u_z = -2.0 * tau, 0.0
         for n in range(2, 32):
@@ -194,7 +171,7 @@ def _propagator(r: float, tau: float) -> tuple:
              (g_z, 0.0, -2.0 * d_s, d_zz)))
 
 
-def _step_rows(ratio: float, tau: float, config: IntegratorConfig, segments: int) -> list:
+def _step_rows(ratio: float, tau: float, config: IntegratorConfig, segments: int) -> tuple:
     """Rows 1..3 of the map that carries v = (1, x, y, z) over one of
     ``segments`` equal segments of scaled duration ``tau``, for
     kappa/g_alpha = ``ratio``: a 3x4 matrix.
@@ -204,23 +181,36 @@ def _step_rows(ratio: float, tau: float, config: IntegratorConfig, segments: int
     ``rk4_fixed`` gives those of the increment P(h B)^k - I, with
     k = ceil(step_count / segments), h = tau / k and P(X) = I + X + X^2/2 +
     X^3/6 + X^4/24: the change of v over k classical RK4 steps of
-    dv/dtau = B v.  Only the increment is formed, never I + increment: its
-    small entries keep full relative precision, where the rounding of a step
-    matrix near I would bias every application of it alike.
+    dv/dtau = B v.  As B acts on (x, y, z) - w* as -r/2 on x and -3q I + N on
+    (y, z), the increment is a scalar xi on x and a pair (alpha, beta),
+    alpha I + beta N, on (y, z), and its constant column is -increment w*.
+    Only the increment is formed, never I + increment, whose rounding near I
+    would bias every application of the step alike.
     """
     if config.method == EXACT:
         return _propagator(ratio, tau)[0]
     steps = -(-config.step_count // segments)
-    x = _generator(ratio, tau / steps)
-    d = matmul(x, _identity_plus(matmul(x, _identity_plus(matmul(x, _identity_plus(x, 4.0)),
-                                                          3.0)), 2.0))
-    total = [[0.0] * 4 for _ in range(4)]
+    q, h = ratio / 4.0, tau / steps
+    n_squared = (q - 2.0) * (q + 2.0)
+
+    def times(a, b):  # the product of two (alpha, beta, xi)
+        return (a[0] * b[0] + n_squared * a[1] * b[1], a[0] * b[1] + a[1] * b[0], a[2] * b[2])
+
+    x = (-3.0 * q * h, h, -2.0 * q * h)  # X = h B
+    d = x
+    for n in (4.0, 3.0, 2.0):  # P(X) - I = X (I + X (I + X (I + X/4) / 3) / 2)
+        d = times(x, (1.0 + d[0] / n, d[1] / n, 1.0 + d[2] / n))
+    total = (0.0, 0.0, 0.0)
     while steps:  # binary powering, with (I + a)(I + b) - I = a + b + a b
         if steps & 1:
-            total = _lincomb((1.0, total), (1.0, d), (1.0, matmul(total, d)))
-        d = _lincomb((2.0, d), (1.0, matmul(d, d)))
+            total = tuple(t + e + te for t, e, te in zip(total, d, times(total, d)))
+        d = tuple(2.0 * e + ee for e, ee in zip(d, times(d, d)))
         steps >>= 1
-    return total[1:]
+    alpha, beta, xi = total
+    yy, yz, zz = alpha + q * beta, 2.0 * beta, alpha - q * beta
+    w_y, w_z = _steady_state(ratio)
+    return ((0.0, xi, 0.0, 0.0), (-(yy * w_y + yz * w_z), 0.0, yy, yz),
+            (yz * w_y - zz * w_z, 0.0, -yz, zz))
 
 
 def check_pulse(theta: float, ratios) -> None:

@@ -1,4 +1,4 @@
-"""States of one two-level atom, and the small dense linear algebra they need.
+"""States of one two-level atom.
 
 The package has one state format, real: the Bloch vector (x, y, z) of
 rho = (I + x sigma_x + y sigma_y + z sigma_z) / 2, a tuple of three floats
@@ -10,8 +10,7 @@ start, a :class:`PureState` of 2 normalized amplitudes whose
 purity (1 + |s|^2) / 2, so one rule says that s is a state: |s| <= 1, which
 :func:`check_bloch` checks on a stack of vectors.  The matrix entries of
 those columns, :func:`density_columns`, and their purity, :func:`purities`,
-are the one home of the Bloch-to-matrix format.  A matrix, such as a
-propagator, is a tuple of row tuples of floats.  Every record type of the
+are the one home of the Bloch-to-matrix format.  Every record type of the
 package derives from :class:`Record`.
 
 Basis ordering for the two-level atom is fixed package-wide:
@@ -21,7 +20,6 @@ index 0 = ground ``|b>``, index 1 = excited ``|a>``.
 from __future__ import annotations
 
 import math
-from operator import mul
 
 # How far past the unit sphere a Bloch vector's length may round, and how far
 # from 1 a pure state's squared norm.
@@ -100,12 +98,6 @@ class Record:
 
     def __delattr__(self, name):
         raise AttributeError(f"{type(self).__name__} is immutable: cannot delete {name!r}")
-
-
-def matmul(a, b) -> tuple:
-    """The product of two matrices, each a sequence of rows."""
-    columns = tuple(zip(*b))
-    return tuple(tuple(sum(map(mul, row, col)) for col in columns) for row in a)
 
 
 def _exp10(y: float) -> float:

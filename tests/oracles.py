@@ -5,7 +5,8 @@ Every routine here deliberately avoids the code paths under test:
 * the driven-atom master equation is solved by exponentiating its 4x4
   kron-form superoperator (scipy expm, or mpmath expm at 40 or 50 digits),
   not the Bloch generator; the fixed-step reference is a plain classical RK4
-  loop on that same superoperator, not a Taylor step matrix;
+  loop on that same superoperator, not a Taylor step matrix, and its
+  40-digit map is the RK4 polynomial of that superoperator;
 * first-order error coefficients come from adaptive quadrature of the
   toggling-frame dissipator, not from a ratio sweep;
 * the Jaynes-Cummings model is evolved by exponentiating the full joint
@@ -28,6 +29,9 @@ from scipy.linalg import expm
 # p nbar of a resonant pi pulse from the ground state, c'_M(pi, ground):
 # c = 3 pi / 16 per unit kappa/g_alpha, times theta / 2.
 PI_PULSE_PHOTON_COEFFICIENT = 3.0 * math.pi ** 2 / 32.0
+# p per unit kappa/Omega_R of the same pulse, to first order: twice c, as
+# Omega_R = 2 g_alpha.
+PI_PULSE_RABI_SLOPE = 3.0 * math.pi / 8.0
 
 SIGMA_MINUS = np.array([[0, 1], [0, 0]], dtype=complex)
 SIGMA_PLUS = SIGMA_MINUS.conj().T
@@ -113,6 +117,18 @@ def rk4_trajectory(rho0: np.ndarray, theta: float, ratio: float, step_count: int
             r = r + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         out.append(r)
     return np.array(out).reshape(-1, 2, 2)
+
+
+def rk4_map_mp(ratio: float, tau: float, steps: int) -> mpmath.matrix:
+    """The map of ``steps`` classical RK4 steps of h = tau / steps on
+    vec(rho), P(h L)^steps with P(X) = I + X + X^2/2 + X^3/6 + X^4/24 and L
+    the kron-form ``liouvillian``, in 40-digit arithmetic."""
+    with mpmath.workdps(40):
+        lv = mpmath.matrix([[mpmath.mpc(complex(x)) for x in row] for row in liouvillian(ratio)])
+        x = lv * (mpmath.mpf(tau) / steps)
+        one = mpmath.eye(4)
+        step = one + x * (one + x * (one + x * (one + x / 4) / 3) / 2)
+        return step ** steps
 
 
 def ideal_state(psi0: np.ndarray, theta: float) -> np.ndarray:

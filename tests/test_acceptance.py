@@ -12,7 +12,6 @@ import pytest
 
 from lasergate.budget import (
     CODATA,
-    PI_PULSE_RABI_SLOPE,
     RAMAN_COEFFICIENT_GAP,
     RAMAN_ELIMINATION_COEFFICIENT,
     PhysicalConstants,
@@ -24,7 +23,7 @@ from lasergate.gates import first_order_coefficient, sweep_failure_probabilities
 from lasergate.jc import jc_gate_error
 from lasergate.lindblad import RK4_FIXED, IntegratorConfig, evolve
 from lasergate.qcore import PureState, logspace
-from oracles import PI_PULSE_PHOTON_COEFFICIENT, density_bloch, sample_matrices
+from oracles import PI_PULSE_PHOTON_COEFFICIENT, PI_PULSE_RABI_SLOPE, density_bloch, sample_matrices
 
 FIRST_ORDER_PI_SLOPE = 3.0 * math.pi / 16.0  # p per unit kappa/g_alpha, pi pulse from ground
 

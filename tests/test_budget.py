@@ -9,7 +9,6 @@ from lasergate.budget import (
     CODATA,
     ENERGY_PER_WAVELENGTH_CUBED_COEFFICIENT,
     PHOTON_THRESHOLD_COEFFICIENT,
-    PI_PULSE_RABI_SLOPE,
     RAMAN_COEFFICIENT_GAP,
     RAMAN_ELIMINATION_COEFFICIENT,
     RESONANT_CHAIN_COEFFICIENT,
@@ -22,7 +21,7 @@ from lasergate.budget import (
     raman_constraint,
 )
 from lasergate.qcore import InvalidStateError
-from oracles import PI_PULSE_PHOTON_COEFFICIENT
+from oracles import PI_PULSE_PHOTON_COEFFICIENT, PI_PULSE_RABI_SLOPE
 
 # log-uniform physical parameter ranges for the randomized identity checks
 wavelengths = st.floats(min_value=-7.0, max_value=-5.0).map(lambda e: 10.0**e)

@@ -156,7 +156,7 @@ class TestSimulate:
             want.append(",".join(map(cli._fmt, values)))
         assert run_stdout("simulate", *argv) == (EXIT_OK, "\n".join(want) + "\n")
 
-    # sha256 of stdout for the four CI simulate commands and the README
+    # sha256 of stdout for the five CI simulate commands and the README
     # example: a byte moved in any printed column fails
     @pytest.mark.parametrize("argv,digest", [
         ("--start plus --theta 11 --ratio 25 --samples 500",
@@ -169,7 +169,10 @@ class TestSimulate:
          "8c329f3e8cd01d3f33717dd558586e4833cfd2d30b8d933ca12bfac27ef82eba"),
         ("--theta 3.141592653589793 --ratio 1e-3 --samples 200",
          "cf8f83a7ba9a68a3efaacb4e4c047f88a05f26458c79ee3b8cc4927a1976c228"),
-    ], ids=["plus-decay", "rk4-excited", "theta-0", "ratio-1e20", "readme"])
+        ("--method rk4_fixed --start plus --ratio 8 --theta 5 --samples 7",
+         "7322ea989e71edb54070e6e26e345a85ee4027df83d56f3d7bf46c821a1a7b86"),
+    ], ids=["plus-decay", "rk4-excited", "theta-0", "ratio-1e20", "readme",
+            "rk4-exceptional-point"])
     def test_csv_is_pinned_byte_for_byte(self, argv, digest):
         code, out = run_stdout("simulate", *argv.split())
         assert code == EXIT_OK

@@ -175,6 +175,17 @@ class TestAgainstMultiprecision:
                 want = float(oracles.failure_mp(psi.amplitudes, theta, ratio))
                 assert abs(p - want) <= max(1e-13 * want, 2e-16), (name, ratio)
 
+    @pytest.mark.parametrize("theta", [1e-3, 1e-2, 0.1, 0.3, 0.5, 1.0, 1.9])
+    def test_short_pulses_below_the_exceptional_point(self, theta):
+        # from r = 4 to 8, D is E - R but for g, which a pulse with r tau < 1
+        # takes from the series, so p keeps its relative precision there too
+        ratios = (3.9, 4.0, 4.5, 5.0, 6.0, 7.0, 7.5, 7.9, 7.99)
+        for name, psi in ORACLE_STARTS.items():
+            got = sweep_failure_probabilities(theta, psi, ratios)
+            for ratio, p in zip(ratios, got):
+                want = float(oracles.failure_mp(psi.amplitudes, theta, ratio))
+                assert abs(p - want) <= 2e-12 * want, (name, ratio)
+
     def test_no_decay_is_positive_zero(self):
         for theta in (0.0, 0.5, math.pi / 2, math.pi, 11.0):
             for psi in ORACLE_STARTS.values():

@@ -1,13 +1,13 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from lasergate import lindblad
 from lasergate.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main
 from lasergate.gates import sweep_failure_probabilities
 from lasergate.lindblad import RK4_FIXED, IntegrationError, IntegratorConfig, evolve
@@ -29,9 +29,19 @@ def final_matrix(s0, theta: float, ratio: float, config=IntegratorConfig()) -> n
     return sample_matrices(evolve(s0, theta, ratio, config))[-1]
 
 
+# The Bloch equations on v = (1, x, y, z), written out by hand: the drive turns
+# (y, z) at twice the coupling; the decay damps x and y at half its rate and
+# relaxes z to -1 at the full rate.  TestRhs checks them against the kron-form
+# superoperator of oracles.py.
+BLOCH_DRIVE = np.array([[0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0],
+                        [0.0, 0.0, 0.0, 2.0], [0.0, 0.0, -2.0, 0.0]])
+BLOCH_DECAY = np.array([[0.0, 0.0, 0.0, 0.0], [0.0, -0.5, 0.0, 0.0],
+                        [0.0, 0.0, -0.5, 0.0], [-1.0, 0.0, 0.0, -1.0]])
+
+
 def lindblad_rhs(s, g: float, kappa: float) -> np.ndarray:
-    """drho/dt from the solver's Bloch generator g B_drive + kappa B_decay."""
-    gen = g * np.array(lindblad._B_DRIVE) + kappa * np.array(lindblad._B_DECAY)
+    """drho/dt from the Bloch equations g BLOCH_DRIVE + kappa BLOCH_DECAY."""
+    gen = g * BLOCH_DRIVE + kappa * BLOCH_DECAY
     w, x, y, z = gen @ (1.0, *s)
     return np.array([[w - z, x - 1j * y], [x + 1j * y, w + z]]) / 2.0
 
@@ -212,16 +222,39 @@ class TestConvergenceOrder:
         assert err_fine > 0
         assert 12.0 <= err_coarse / err_fine <= 20.0
 
-    @pytest.mark.parametrize("step_count,samples", [(1000, 2000), (100, 5), (400, 8), (1000, 1)])
-    def test_rk4_matches_classical_stepper(self, step_count, samples):
-        # one Taylor step matrix per sample interval (k = 1 and k > 1) against
+    # ratio 0 has the steady state w* = 0, and 8 is the exceptional point,
+    # where N^2 = 0
+    @pytest.mark.parametrize("step_count,samples,ratio", [
+        (1000, 2000, 0.3), (100, 5, 0.3), (400, 8, 0.3), (1000, 1, 0.3),
+        (400, 8, 0.0), (400, 8, 8.0), (400, 8, 30.0),
+    ], ids=["1000-2000", "100-5", "400-8", "1000-1", "ratio-0", "ratio-8", "ratio-30"])
+    def test_rk4_matches_classical_stepper(self, step_count, samples, ratio):
+        # one RK4 increment per sample interval (k = 1 and k > 1) against
         # a plain RK4 loop on the kron-form superoperator
         s0 = PureState.superposition(1.0, 0.6 + 0.2j).bloch()
-        theta, ratio = 3 * math.pi / 2, 0.3
+        theta = 3 * math.pi / 2
         config = IntegratorConfig(method=RK4_FIXED, step_count=step_count, sample_count=samples)
         got = sample_matrices(evolve(s0, theta, ratio, config))
         want = oracles.rk4_trajectory(bloch_density(s0), theta, ratio, step_count, samples)
         assert np.max(np.abs(got - want)) <= 1e-12
+
+    @pytest.mark.parametrize("ratio", [0.0, 0.3, 8.0, 30.0])
+    @pytest.mark.parametrize("step_count,samples", [(100, 100), (400, 8)], ids=["k-1", "k-50"])
+    def test_rk4_samples_are_the_40_digit_rk4_map_applied(self, step_count, samples, ratio):
+        # each sample is the previous one moved by the map of k RK4 steps; with
+        # that map and its application in 40 digits, only rounding is left
+        s0 = PureState.superposition(1.0, 0.6 + 0.2j).bloch()
+        theta = 3 * math.pi / 2
+        config = IntegratorConfig(method=RK4_FIXED, step_count=step_count, sample_count=samples)
+        got = sample_matrices(evolve(s0, theta, ratio, config)).reshape(-1, 4)
+        step = oracles.rk4_map_mp(ratio, theta / 2.0 / samples, -(-step_count // samples))
+        with mpmath.workdps(40):
+            x, y, z = map(mpmath.mpf, s0)
+            rho = mpmath.matrix([(1 - z) / 2, (x - 1j * y) / 2, (x + 1j * y) / 2, (1 + z) / 2])
+            for i, sample in enumerate(got):
+                error = max(abs(mpmath.mpc(complex(v)) - rho[j]) for j, v in enumerate(sample))
+                assert error <= 1e-15, i
+                rho = step * rho
 
 
 class TestExactPropagator:
