@@ -21,8 +21,8 @@ import sys
 import warnings
 from itertools import chain
 
-from .lindblad import EXACT, IntegrationError, IntegratorConfig, evolve
-from .qcore import InvalidStateError, PureState, density_columns, logspace, purities
+from .lindblad import EXACT, IntegratorConfig, evolve
+from .qcore import PureState, density_columns, logspace, purities
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -388,10 +388,10 @@ def main(argv=None) -> int:
         with warnings.catch_warnings():  # restores the caller's showwarning on exit
             warnings.showwarning = _show_warning
             output = RUNNERS[command](cfg)
-    except (IntegrationError, ArithmeticError) as exc:
+    except ArithmeticError as exc:
         print(f"error: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (ConfigError, InvalidStateError, ValueError) as exc:
+    except ValueError as exc:  # ConfigError and InvalidStateError among them
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -18,9 +18,8 @@ A sweep reads p over a ratio grid that ``check_ratio_grid`` accepts.
 from __future__ import annotations
 
 import math
-from operator import mul
 
-from .lindblad import _propagator, check_pulse
+from .lindblad import _apply, _propagator, check_pulse
 from .qcore import InvalidStateError, PureState
 
 # Ratios above this are outside the perturbative regime of a sweep.
@@ -69,16 +68,18 @@ def sweep_failure_probabilities(theta: float, psi: PureState, ratios) -> tuple:
     """p(ratio) of the pulse of area ``theta`` applied to ``psi``, over an
     arbitrary non-negative grid (no perturbative restriction), clamped into
     [0, 1]: p = -s_ideal . delta / 2, with s_ideal the Bloch vector s_0 of
-    psi rotated by theta about x, and delta = D (1, x_0, y_0, 1 + z_0) from
-    the deviation D of :func:`lindblad._propagator`.  ``theta`` and every
-    ratio are checked finite and >= 0 before the first map is formed."""
+    psi rotated by theta about x, and delta the deviation D of
+    :func:`lindblad._propagator` applied to (1, x_0, y_0, 1 + z_0) by
+    :func:`lindblad._apply`.  ``theta`` and every ratio are checked finite
+    and >= 0 before the first map is formed."""
     ratios = tuple(map(float, ratios))
     check_pulse(theta, ratios)
     x, y, z = psi.bloch()
     cos, sin = math.cos(theta), math.sin(theta)
-    ideal, start = (x, cos * y + sin * z, cos * z - sin * y), (1.0, x, y, 1.0 + z)
+    ideal_y, ideal_z, lift = cos * y + sin * z, cos * z - sin * y, 1.0 + z
     probabilities = []
     for ratio in ratios:
-        delta = [sum(map(mul, row, start)) for row in _propagator(ratio, theta / 2.0)[1]]
-        probabilities.append(min(1.0, max(0.0, -sum(map(mul, ideal, delta)) / 2.0)))
+        d_x, d_y, d_z = _apply(_propagator(ratio, theta / 2.0)[1], x, y, lift)
+        p = -((x * d_x + ideal_y * d_y) + ideal_z * d_z) / 2.0
+        probabilities.append(min(1.0, max(0.0, p)))
     return tuple(probabilities)

@@ -102,13 +102,6 @@ def _chord(mean: float, half: float) -> tuple:
     return -2.0 * math.sin(mean) * s, 2.0 * math.cos(mean) * s
 
 
-def _kahan(total: float, err: float, x: float) -> tuple:
-    """One step of Kahan summation: total + x, and the part of it lost to rounding."""
-    x -= err
-    s = total + x
-    return s, (s - total) - x
-
-
 def _population(atom_start: PureState, n_bar: float, theta: float, bra) -> float:
     """<bra| rho_atom |bra> after a theta pulse, summed over the Fock levels of
     the window of :func:`_window`.
@@ -143,7 +136,7 @@ def _population(atom_start: PureState, n_bar: float, theta: float, bra) -> float
     are the field's own, at the window edges too, so an edge adds no jump to
     the summand; the levels outside the window are left out, at most 2e-21
     of the norm.  Each term is non-negative, so the sum has no 1 - F
-    cancellation.
+    cancellation, and both sums are correctly rounded (``math.fsum``).
     """
     x_b, x_a = atom_start.amplitudes
     u_b, u_a = bra[0].conjugate(), bra[1].conjugate()
@@ -154,7 +147,7 @@ def _population(atom_start: PureState, n_bar: float, theta: float, bra) -> float
     mean_field = math.cos(phi_0) * (a + b) + math.sin(phi_0) * (c + d)
     h = max(1, int(root_ref / 4.0))
     n_min, n_max = _window(n_bar)
-    total = norm = total_err = norm_err = 0.0
+    terms, weights = [], []
     for m in range(n_min, n_max + 1, h):
         w = _poisson_weight(m, n_bar)
         c_m = math.sqrt(w)
@@ -170,10 +163,10 @@ def _population(atom_start: PureState, n_bar: float, theta: float, bra) -> float
         up = c_m * (n_bar - m - 1) / ((m + 1) * (math.sqrt(n_bar / (m + 1)) + 1.0))
         o = (c_m * (mean_field + cos_lo * (a + b) + sin_lo * (c + d) + step_cos * b + step_sin * d)
              + down * s_lo * c + up * s_up * d)
-        total, total_err = _kahan(total, total_err, o.real * o.real + o.imag * o.imag)
-        norm, norm_err = _kahan(norm, norm_err, w)
+        terms.append(o.real * o.real + o.imag * o.imag)
+        weights.append(w)
     atom_norm = x_b.real ** 2 + x_b.imag ** 2 + x_a.real ** 2 + x_a.imag ** 2
-    return total / (norm * atom_norm)
+    return math.fsum(terms) / (math.fsum(weights) * atom_norm)
 
 
 def check_photon_numbers(n_bars) -> tuple:

@@ -16,8 +16,11 @@ tau = g_alpha * t, where the dynamics depend only on r = kappa / g_alpha:
 B damps x at r/2, and moves (y, z) about the steady state w* under
 -3q I + N, with q = r / 4, N = [[q, 2], [-2, -q]] and N^2 = (q^2 - 4) I.  So
 :func:`evolve` takes theta and r and reports times in units of 1/g_alpha.
-B leaves the first entry of v alone, so only rows 1..3 of a map are formed,
-and the trace stays exactly 1.
+B leaves the first entry of v alone, and the trace stays exactly 1.  On
+resonance x decouples from (y, z), so every map formed here (the exact map,
+its deviation, the RK4 increment) is a factor xx on x and an affine map on
+(y, z) whose off-diagonal entries are +yz and -yz: six floats
+(xx, y0, yy, yz, z0, zz), which :func:`_apply` alone reads.
 
 Within a pulse the map exp(B * tau) has a closed form, the damped Torrey
 nutation (Torrey, Phys. Rev. 76, 1059 (1949)): circular functions below the
@@ -27,14 +30,13 @@ the map R + D: the ideal rotation R, and the deviation D that the decay adds,
 each entry of D formed without cancellation.  Its only rounding that grows
 with the pulse is that of the rotation angle, about theta * 2.2e-16.  Every
 gate error is read from D.  :func:`evolve` samples one ratio's trajectory by
-applying the map of one segment, from :func:`_step_rows`, segment after
+applying the map of one segment, from :func:`_segment_map`, segment after
 segment: the closed form, or for ``rk4_fixed`` the increment of k classical
 RK4 steps.  It takes the start as a Bloch vector, from
-:meth:`qcore.PureState.bloch` or any |s| <= 1 for a mixed start, carries x, y
-and z as three columns of floats, one entry per sample, and applies the 3x4
-map term by term, left to right.  A trajectory is the sample times and those
-columns, which :func:`qcore.check_bloch` validates in one pass; its last
-sample is the final state.  Maps are tuples of rows of Python floats.
+:meth:`qcore.PureState.bloch` or any |s| <= 1 for a mixed start, and carries
+x, y and z as three columns of floats, one entry per sample.  A trajectory is
+the sample times and those columns, which :func:`qcore.check_bloch` validates
+in one pass; its last sample is the final state.
 """
 
 from __future__ import annotations
@@ -45,10 +47,6 @@ from .qcore import InvalidStateError, Record, check_bloch
 
 EXACT = "exact"
 RK4_FIXED = "rk4_fixed"
-
-class IntegrationError(RuntimeError):
-    """The pulse propagator is not finite, or a propagated state left the
-    Bloch ball; reported as a numerical failure."""
 
 
 class IntegratorConfig(Record):
@@ -96,17 +94,18 @@ def _steady_state(r: float) -> tuple:
 
 
 def _propagator(r: float, tau: float) -> tuple:
-    """(E, D): rows 1..3 of the map E = exp(B * tau) on v = (1, x, y, z), and
-    of its deviation D from the ideal rotation R (the map at r = 0), for
-    kappa/g_alpha = ``r`` and a scaled duration ``tau`` = g_alpha * t: two
-    3x4 matrices.  D acts on (1, x, y, 1 + z), so E v = R v + D (1, x, y, 1 + z)
-    and D's first column is the deviation g of the ground state's image.
+    """(E, D): the map E = exp(B * tau) on v = (1, x, y, z), and its deviation
+    D from the ideal rotation R (the map at r = 0), for kappa/g_alpha = ``r``
+    and a scaled duration ``tau`` = g_alpha * t, each in the six-number form
+    that :func:`_apply` reads.  D acts on (1, x, y, 1 + z), so
+    E v = R v + D (1, x, y, 1 + z) and D's constant terms (y0, z0) are the
+    deviation g of the ground state's image.
 
     With q = r / 4 the (y, z) block of B is -3q I + N, N = [[q, 2], [-2, -q]],
     N^2 = (q^2 - 4) I, so E on (y, z) is exp(-3q tau) (C I + S N):
     C = cos(mu tau) and S = sin(mu tau) / mu, mu = sqrt(4 - q^2), below r = 8,
     C = 1 and S = tau at it, cosh and sinh (with expm1) above it; x decays as
-    exp(-r tau / 2).  The constant column is (I - E) w*, for the steady state
+    exp(-r tau / 2).  The constant terms are (I - E) w*, for the steady state
     w* of (y, z) from :func:`_steady_state`, with 1 - E_yy written as
     2 sin^2 tau - D_yy.  R rotates (y, z) by 2 tau.
 
@@ -120,11 +119,11 @@ def _propagator(r: float, tau: float) -> tuple:
     E is formed directly, never as R + D, so a strongly damped entry keeps
     its digits.
 
-    Raises :class:`IntegrationError` if r * tau is not finite.
+    Raises :class:`FloatingPointError` if r * tau is not finite.
     """
     if not math.isfinite(r * tau):
-        raise IntegrationError(f"non-finite propagator for kappa/g_alpha = {r:g} "
-                               f"over tau={tau:g}")
+        raise FloatingPointError(f"non-finite propagator for kappa/g_alpha = {r:g} "
+                                 f"over tau={tau:g}")
     q = r / 4.0
     cos_2, sin_2 = math.cos(2.0 * tau), math.sin(2.0 * tau)
     if q < 2.0:
@@ -163,33 +162,29 @@ def _propagator(r: float, tau: float) -> tuple:
             e_y, e_z = (2.0 * e_z - (e_y + u_y) * r / 2.0) * h, (-2.0 * e_y - (e_z + u_z) * r) * h
             u_y, u_z = 2.0 * u_z * h, -2.0 * u_y * h
             g_y, g_z = g_y + e_y, g_z + e_z
-    return (((0.0, math.exp(-r * tau / 2.0), 0.0, 0.0),
-             (y_0, 0.0, c + q * s, 2.0 * s),
-             (z_0, 0.0, -2.0 * s, c - q * s)),
-            ((0.0, math.expm1(-r * tau / 2.0), 0.0, 0.0),
-             (g_y, 0.0, d_yy, 2.0 * d_s),
-             (g_z, 0.0, -2.0 * d_s, d_zz)))
+    return ((math.exp(-r * tau / 2.0), y_0, c + q * s, 2.0 * s, z_0, c - q * s),
+            (math.expm1(-r * tau / 2.0), g_y, d_yy, 2.0 * d_s, g_z, d_zz))
 
 
-def _step_rows(ratio: float, tau: float, config: IntegratorConfig, segments: int) -> tuple:
-    """Rows 1..3 of the map that carries v = (1, x, y, z) over one of
-    ``segments`` equal segments of scaled duration ``tau``, for
-    kappa/g_alpha = ``ratio``: a 3x4 matrix.
+def _segment_map(ratio: float, tau: float, config: IntegratorConfig) -> tuple:
+    """The map that carries v = (1, x, y, z) over one of the
+    ``config.sample_count`` equal segments of a trajectory, each of scaled
+    duration ``tau``, for kappa/g_alpha = ``ratio``, in the six-number form
+    that :func:`_apply` reads.
 
-    ``exact`` gives the rows of exp(B * tau) in closed form, from
-    :func:`_propagator`.
-    ``rk4_fixed`` gives those of the increment P(h B)^k - I, with
-    k = ceil(step_count / segments), h = tau / k and P(X) = I + X + X^2/2 +
+    ``exact`` gives exp(B * tau) in closed form, from :func:`_propagator`.
+    ``rk4_fixed`` gives the increment P(h B)^k - I, with
+    k = ceil(step_count / sample_count), h = tau / k and P(X) = I + X + X^2/2 +
     X^3/6 + X^4/24: the change of v over k classical RK4 steps of
     dv/dtau = B v.  As B acts on (x, y, z) - w* as -r/2 on x and -3q I + N on
     (y, z), the increment is a scalar xi on x and a pair (alpha, beta),
-    alpha I + beta N, on (y, z), and its constant column is -increment w*.
+    alpha I + beta N, on (y, z), and its constant terms are -increment w*.
     Only the increment is formed, never I + increment, whose rounding near I
     would bias every application of the step alike.
     """
     if config.method == EXACT:
         return _propagator(ratio, tau)[0]
-    steps = -(-config.step_count // segments)
+    steps = -(-config.step_count // config.sample_count)
     q, h = ratio / 4.0, tau / steps
     n_squared = (q - 2.0) * (q + 2.0)
 
@@ -209,8 +204,14 @@ def _step_rows(ratio: float, tau: float, config: IntegratorConfig, segments: int
     alpha, beta, xi = total
     yy, yz, zz = alpha + q * beta, 2.0 * beta, alpha - q * beta
     w_y, w_z = _steady_state(ratio)
-    return ((0.0, xi, 0.0, 0.0), (-(yy * w_y + yz * w_z), 0.0, yy, yz),
-            (yz * w_y - zz * w_z, 0.0, -yz, zz))
+    return (xi, -(yy * w_y + yz * w_z), yy, yz, yz * w_y - zz * w_z, zz)
+
+
+def _apply(m: tuple, x: float, y: float, z: float) -> tuple:
+    """The map ``m`` = (xx, y0, yy, yz, z0, zz) applied to (1, x, y, z): the
+    one place that knows how a map is laid out."""
+    xx, y0, yy, yz, z0, zz = m
+    return xx * x, (y0 + yy * y) + yz * z, (z0 - yz * y) + zz * z
 
 
 def check_pulse(theta: float, ratios) -> None:
@@ -236,7 +237,7 @@ def evolve(s0, theta: float, ratio: float,
     sample is ``s0``.  A propagated state that :func:`qcore.check_bloch`
     refuses (the rounding of a long or strongly damped pulse pushed it out
     of the unit ball, or an unstable RK4 step made it blow up) raises
-    :class:`IntegrationError`.
+    :class:`FloatingPointError`, as a map that is not finite does.
     """
     try:
         x, y, z = map(float, s0)
@@ -249,15 +250,11 @@ def evolve(s0, theta: float, ratio: float,
         return Trajectory(*((value,) * (n_segments + 1) for value in (0.0, x, y, z)))
 
     tau = theta / 2.0 / n_segments  # scaled duration g_alpha * T of one segment
-    (x0, xx, xy, xz), (y0, yx, yy, yz), (z0, zx, zy, zz) = _step_rows(ratio, tau, config,
-                                                                     n_segments)
-    # each row acts on (1.0, x, y, z) as (((0.0 + r0) + rx * x) + ry * y) + rz * z
-    x0, y0, z0 = 0.0 + x0, 0.0 + y0, 0.0 + z0
+    m = _segment_map(ratio, tau, config)
     increment = config.method == RK4_FIXED  # its map gives the change of v, not v
     xs, ys, zs = [x], [y], [z]
     for _ in range(n_segments):
-        mx, my, mz = (((x0 + xx * x) + xy * y) + xz * z, ((y0 + yx * x) + yy * y) + yz * z,
-                      ((z0 + zx * x) + zy * y) + zz * z)
+        mx, my, mz = _apply(m, x, y, z)
         x, y, z = (x + mx, y + my, z + mz) if increment else (mx, my, mz)
         xs.append(x)
         ys.append(y)
@@ -265,6 +262,6 @@ def evolve(s0, theta: float, ratio: float,
     try:
         check_bloch(xs, ys, zs)
     except InvalidStateError as exc:  # exc names the sample: "state i: ..."
-        raise IntegrationError(f"propagated state left the Bloch ball: {exc}") from exc
+        raise FloatingPointError(f"propagated state left the Bloch ball: {exc}") from exc
     times = (*(i * tau for i in range(n_segments)), theta / 2.0)
     return Trajectory(times, tuple(xs), tuple(ys), tuple(zs))

@@ -280,6 +280,23 @@ class TestSweep:
         assert float(fields["residual"]) == pytest.approx(
             np.sqrt(np.mean((p / ratios - c) ** 2)), rel=1e-6)
 
+    # sha256 of stdout for the three CI coefficient sweeps and its 64-point
+    # sweep: a byte moved in any printed p, or in the footer, fails
+    @pytest.mark.parametrize("argv,digest", [
+        ("--gate pi --start ground",
+         "02f54fb7112b07e73fb46329681a8fbf15a900d81ef2676efcde5d08f56f52f8"),
+        ("--gate pi2 --start ground",
+         "a1fc5d6549204316064cbf43af504ca717554b259ab453d701b1cdb5a3ccff39"),
+        ("--gate pi2 --start excited",
+         "990fea0caec47b6c04800920f30b0d4f1df340a3e014ea8b0d8008c70068169b"),
+        ("--gate pi2 --start excited --points 64",
+         "04e2c3b3048cfd23fd61814bdd2c0cb9a180fa5fe173aceb77534f4108205222"),
+    ], ids=["c-pi-ground", "c-pi2-ground", "c-pi2-excited", "pi2-excited-64"])
+    def test_csv_is_pinned_byte_for_byte(self, argv, digest):
+        code, out = run_stdout("sweep", *argv.split())
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     @pytest.mark.parametrize("gate, start", [("pi", "ground"), ("pi", "excited"), ("pi", "plus"),
                                              ("pi2", "ground"), ("pi2", "excited")])
     def test_footer_prints_the_quadrature_coefficient(self, gate, start):
@@ -610,6 +627,22 @@ class TestBudget:
 
 
 class TestCompare:
+    # sha256 of stdout for the CI markov-vs-jc and stride compares and the two
+    # largest-nbar ground-state rows: every printed digit of the Markov p and
+    # of the single-mode p is pinned
+    @pytest.mark.parametrize("argv,digest", [
+        ("--n_bars 100,400,1600,6400",
+         "d0a25e55cde9dceab44b9b5d52b4af9779e2f4c882fa603e48e6bd0b8bacbc13"),
+        ("--gate pi2 --start excited --n_bars 25,63,64,100,101,1e8",
+         "eb49ff28a0e686e843790bcd9687044ead392dc0546e072d1c1327defa07ae3b"),
+        ("--gate pi2 --start ground --n_bars 9.9e9,1e14",
+         "a9ab990b01ca7e963e20b16fc23409c51ca89e0a9ccdf2cfdc7996e19e356913"),
+    ], ids=["markov-vs-jc", "stride", "pi2-ground-large-nbar"])
+    def test_csv_is_pinned_byte_for_byte(self, argv, digest):
+        code, out = run_stdout("compare", *argv.split())
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_single_point_emits_two_rows(self, tmp_path):
         code, payload = run(tmp_path, "compare", "--n_bars", "400")
         assert code == EXIT_OK
@@ -768,7 +801,7 @@ class TestImports:
     def test_public_names_are_pinned(self):
         # removing or adding a public name is a deliberate edit of this list
         assert lasergate.__all__ == [
-            "CODATA", "IntegrationError", "IntegratorConfig", "InvalidStateError",
+            "CODATA", "IntegratorConfig", "InvalidStateError",
             "PhysicalConstants", "PiPulseBudget", "PureState", "evolve",
             "first_order_coefficient", "fixed_intensity_area_sweep",
             "jc_gate_error", "pi_pulse_budget", "raman_constraint",

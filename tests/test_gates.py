@@ -8,7 +8,7 @@ from lasergate import gates
 from lasergate.budget import drive_ratio_for_photons, photon_coefficient
 from lasergate.cli import GATE_AREAS, START_STATES
 from lasergate.gates import check_ratio_grid, first_order_coefficient, sweep_failure_probabilities
-from lasergate.lindblad import RK4_FIXED, IntegratorConfig, _propagator, evolve
+from lasergate.lindblad import RK4_FIXED, IntegratorConfig, _apply, _propagator, evolve
 from lasergate.qcore import InvalidStateError, PureState, logspace
 from oracles import density_bloch, sample_matrices
 
@@ -97,7 +97,7 @@ class TestFailureProbability:
     def test_every_ratio_is_checked_before_any_pulse(self):
         # kappa/g_alpha * tau = 1.7e308 * pi/2 overflows the propagator, so a
         # sweep that propagated each ratio as it checked it would raise
-        # IntegrationError there, before it reached the infinite ratio
+        # FloatingPointError there, before it reached the infinite ratio
         with pytest.raises(InvalidStateError, match="kappa/g_alpha must be finite"):
             sweep_failure_probabilities(*PI_FROM_GROUND, [1e-3, 1.7e308, math.inf])
 
@@ -229,8 +229,7 @@ class TestOneClosedForm:
             target = oracles.ideal_state(np.asarray(psi.amplitudes), theta)
             bloch_target = density_bloch(np.outer(target, target.conj()))
             assert np.max(np.abs(ideal - bloch_target)) <= (2.0 + theta) * 2.2e-16
-            delta = [sum(d * v for d, v in zip(row, (1.0, x, y, 1.0 + z)))
-                     for row in _propagator(ratio, theta / 2.0)[1]]
+            delta = _apply(_propagator(ratio, theta / 2.0)[1], x, y, 1.0 + z)
             trajectory = evolve((x, y, z), theta, ratio)
             final = np.array([trajectory.x[-1], trajectory.y[-1], trajectory.z[-1]])
             assert np.max(np.abs(final - (ideal + delta))) <= 1e-15, (theta, ratio)

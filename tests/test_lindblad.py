@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import oracles
 from lasergate.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main
 from lasergate.gates import sweep_failure_probabilities
-from lasergate.lindblad import RK4_FIXED, IntegrationError, IntegratorConfig, evolve
+from lasergate.lindblad import RK4_FIXED, IntegratorConfig, evolve
 from lasergate.qcore import BLOCH_SLACK, InvalidStateError, PureState
 from oracles import bloch_density, sample_matrices
 
@@ -124,9 +124,14 @@ class TestEvolve:
         trajectory = evolve(PureState.ground().bloch(), math.pi, 0.0)
         assert trajectory.z[-1] == pytest.approx(1.0, abs=2e-8)
 
-    def test_zero_area_is_identity(self):
+    # the zero-area branch of evolve: without it, rk4_fixed at 1.7e300 forms
+    # N^2 = inf times a zero step, a map of NaNs, and its first sample is NaN
+    @pytest.mark.parametrize("config", [IntegratorConfig(), RK4], ids=["exact", "rk4"])
+    @pytest.mark.parametrize("ratio", [0.3, 1e20, 1.7e300])
+    def test_zero_area_is_identity(self, config, ratio):
         s0 = PureState.superposition(1.0, 1j).bloch()
-        assert np.array_equal(sample_matrices(evolve(s0, 0.0, 0.3)), [bloch_density(s0)] * 2)
+        assert np.array_equal(sample_matrices(evolve(s0, 0.0, ratio, config)),
+                              [bloch_density(s0)] * 2)
 
     @pytest.mark.parametrize("theta", [0.0, 1e-300], ids=["zero", "tiny"])
     def test_final_state_is_the_last_sample(self, theta):
@@ -335,10 +340,10 @@ class TestExactPropagator:
             want = oracles.evolve_superop(bloch_density(s0), 2.0 * t, 0.25)
             assert np.max(np.abs(m - want)) <= 1e-12
 
-    def test_non_finite_propagator_is_integration_error(self, tmp_path):
+    def test_non_finite_propagator_is_floating_point_error(self, tmp_path):
         # kappa/g_alpha * tau = 1.7e308 * pi/2 overflows the generator itself;
         # 1e308 does not, and gives the finite Zeno-limit propagator
-        with pytest.raises(IntegrationError):
+        with pytest.raises(FloatingPointError):
             evolve(PureState.ground().bloch(), math.pi, 1.7e308)
         argv = ["simulate", "--ratio", "1.7e308", "--samples", "1", "--out", str(tmp_path / "o")]
         assert main(argv) == EXIT_NUMERIC
