@@ -21,7 +21,7 @@ _EXPORTS = {
                "pi_pulse_budget", "raman_constraint"),
     "gates": ("first_order_coefficient",),
     "jc": ("jc_gate_error",),
-    "lindblad": ("IntegratorConfig", "evolve"),
+    "lindblad": ("evolve",),
     "qcore": ("InvalidStateError", "PureState"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -30,9 +30,9 @@ the map R + D: the ideal rotation R, and the deviation D that the decay adds,
 each entry of D formed without cancellation.  Its only rounding that grows
 with the pulse is that of the rotation angle, about theta * 2.2e-16.  Every
 gate error is read from D.  :func:`evolve` samples one ratio's trajectory by
-applying the map of one segment, from :func:`_segment_map`, segment after
-segment: the closed form, or for ``rk4_fixed`` the increment of k classical
-RK4 steps.  It takes the start as a Bloch vector, from
+applying the map of one segment, segment after segment: the closed form, or
+for ``rk4_fixed`` the increment of k classical RK4 steps from
+:func:`_segment_map`.  It takes the start as a Bloch vector, from
 :meth:`qcore.PureState.bloch` or any |s| <= 1 for a mixed start, and carries
 x, y and z as three columns of floats, one entry per sample.  A trajectory is
 the sample times and those columns, which :func:`qcore.check_bloch` validates
@@ -47,26 +47,6 @@ from .qcore import InvalidStateError, Record, check_bloch
 
 EXACT = "exact"
 RK4_FIXED = "rk4_fixed"
-
-
-class IntegratorConfig(Record):
-    """Solver settings.  ``step_count`` is read by ``rk4_fixed`` only, and
-    ``sample_count`` by :func:`evolve` only: the number of equal segments
-    its trajectory samples, where 1 means the initial and final states only."""
-
-    method: str = EXACT
-    step_count: int = 1000
-    sample_count: int = 1
-
-    def __post_init__(self):
-        if self.method not in (EXACT, RK4_FIXED):
-            raise InvalidStateError(f"unknown integrator method {self.method!r}")
-        if self.method == RK4_FIXED and self.step_count < 100:
-            raise InvalidStateError(
-                f"rk4_fixed needs step_count >= 100 per pulse, got {self.step_count}"
-            )
-        if self.sample_count < 1:
-            raise InvalidStateError("sample_count must be >= 1")
 
 
 class Trajectory(Record):
@@ -166,25 +146,18 @@ def _propagator(r: float, tau: float) -> tuple:
             (math.expm1(-r * tau / 2.0), g_y, d_yy, 2.0 * d_s, g_z, d_zz))
 
 
-def _segment_map(ratio: float, tau: float, config: IntegratorConfig) -> tuple:
-    """The map that carries v = (1, x, y, z) over one of the
-    ``config.sample_count`` equal segments of a trajectory, each of scaled
-    duration ``tau``, for kappa/g_alpha = ``ratio``, in the six-number form
-    that :func:`_apply` reads.
-
-    ``exact`` gives exp(B * tau) in closed form, from :func:`_propagator`.
-    ``rk4_fixed`` gives the increment P(h B)^k - I, with
-    k = ceil(step_count / sample_count), h = tau / k and P(X) = I + X + X^2/2 +
-    X^3/6 + X^4/24: the change of v over k classical RK4 steps of
-    dv/dtau = B v.  As B acts on (x, y, z) - w* as -r/2 on x and -3q I + N on
-    (y, z), the increment is a scalar xi on x and a pair (alpha, beta),
-    alpha I + beta N, on (y, z), and its constant terms are -increment w*.
-    Only the increment is formed, never I + increment, whose rounding near I
-    would bias every application of the step alike.
+def _segment_map(ratio: float, tau: float, steps: int) -> tuple:
+    """The ``rk4_fixed`` increment P(h B)^k - I over one segment of scaled
+    duration ``tau``, for kappa/g_alpha = ``ratio`` and k = ``steps``, in the
+    six-number form that :func:`_apply` reads: with h = tau / k and
+    P(X) = I + X + X^2/2 + X^3/6 + X^4/24, the change of v = (1, x, y, z)
+    over k classical RK4 steps of dv/dtau = B v.  As B acts on
+    (x, y, z) - w* as -r/2 on x and -3q I + N on (y, z), the increment is a
+    scalar xi on x and a pair (alpha, beta), alpha I + beta N, on (y, z), and
+    its constant terms are -increment w*.  Only the increment is formed,
+    never I + increment, whose rounding near I would bias every application
+    of the step alike.
     """
-    if config.method == EXACT:
-        return _propagator(ratio, tau)[0]
-    steps = -(-config.step_count // config.sample_count)
     q, h = ratio / 4.0, tau / steps
     n_squared = (q - 2.0) * (q + 2.0)
 
@@ -222,38 +195,46 @@ def check_pulse(theta: float, ratios) -> None:
             raise InvalidStateError(f"{name} must be finite and >= 0, got {value}")
 
 
-def evolve(s0, theta: float, ratio: float,
-           config: IntegratorConfig = IntegratorConfig()) -> Trajectory:
+def evolve(s0, theta: float, ratio: float, samples: int = 1, method: str = EXACT,
+           step_count: int = 1000) -> Trajectory:
     """Evolve the Bloch vector ``s0`` = (x, y, z) through one pulse of area
-    ``theta`` at kappa/g_alpha = ``ratio``, both finite and >= 0, with times
-    in units of 1/g_alpha: the pulse lasts theta / 2.
+    ``theta`` at kappa/g_alpha = ``ratio``, with times in units of 1/g_alpha:
+    the pulse lasts theta / 2.  Returns the :class:`Trajectory` of the states
+    at ``samples`` + 1 uniformly spaced times, the final state last; at
+    ``theta`` 0 every sample is ``s0``.  ``method`` is ``exact``, the closed
+    form, or ``rk4_fixed``, k = ceil(step_count / samples) classical RK4
+    steps per segment.
 
-    ``s0`` is refused with :class:`InvalidStateError` unless it holds three
-    numbers that :func:`qcore.check_bloch` accepts, |s| <= 1 within
-    ``BLOCH_SLACK``.  Returns the :class:`Trajectory` of the states at
-    ``config.sample_count + 1`` uniformly spaced times, from the initial to
-    the final state, its last sample; the default ``sample_count`` of 1
-    samples those two only.  At ``theta`` 0 every
-    sample is ``s0``.  A propagated state that :func:`qcore.check_bloch`
-    refuses (the rounding of a long or strongly damped pulse pushed it out
-    of the unit ball, or an unstable RK4 step made it blow up) raises
-    :class:`FloatingPointError`, as a map that is not finite does.
+    Refuses with :class:`InvalidStateError`, in this order: ``samples`` < 1,
+    an unknown ``method``, ``rk4_fixed`` with ``step_count`` < 100, an ``s0``
+    that is not three numbers inside the unit ball (:func:`qcore.check_bloch`),
+    then ``theta`` or ``ratio`` as :func:`check_pulse` does.  A propagated
+    state that :func:`qcore.check_bloch` refuses (rounding of a long or
+    strongly damped pulse pushed it out of the ball, or an unstable RK4 step
+    made it blow up) raises :class:`FloatingPointError`, as a map that is not
+    finite does.
     """
+    if samples < 1:
+        raise InvalidStateError("samples must be >= 1")
+    if method not in (EXACT, RK4_FIXED):
+        raise InvalidStateError(f"unknown integrator method {method!r}")
+    increment = method == RK4_FIXED  # its map gives the change of v, not v
+    if increment and step_count < 100:
+        raise InvalidStateError(f"rk4_fixed needs step_count >= 100 per pulse, got {step_count}")
     try:
         x, y, z = map(float, s0)
     except (TypeError, ValueError) as exc:
         raise InvalidStateError(f"expected a Bloch vector of 3 numbers: {exc}") from None
     check_bloch([x], [y], [z])
     check_pulse(theta, (ratio,))
-    n_segments = config.sample_count
     if theta == 0.0:
-        return Trajectory(*((value,) * (n_segments + 1) for value in (0.0, x, y, z)))
+        return Trajectory(*((value,) * (samples + 1) for value in (0.0, x, y, z)))
 
-    tau = theta / 2.0 / n_segments  # scaled duration g_alpha * T of one segment
-    m = _segment_map(ratio, tau, config)
-    increment = config.method == RK4_FIXED  # its map gives the change of v, not v
+    tau = theta / 2.0 / samples  # scaled duration g_alpha * T of one segment
+    m = (_segment_map(ratio, tau, -(-step_count // samples)) if increment
+         else _propagator(ratio, tau)[0])
     xs, ys, zs = [x], [y], [z]
-    for _ in range(n_segments):
+    for _ in range(samples):
         mx, my, mz = _apply(m, x, y, z)
         x, y, z = (x + mx, y + my, z + mz) if increment else (mx, my, mz)
         xs.append(x)
@@ -263,5 +244,5 @@ def evolve(s0, theta: float, ratio: float,
         check_bloch(xs, ys, zs)
     except InvalidStateError as exc:  # exc names the sample: "state i: ..."
         raise FloatingPointError(f"propagated state left the Bloch ball: {exc}") from exc
-    times = (*(i * tau for i in range(n_segments)), theta / 2.0)
+    times = (*(i * tau for i in range(samples)), theta / 2.0)
     return Trajectory(times, tuple(xs), tuple(ys), tuple(zs))

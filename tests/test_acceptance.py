@@ -21,7 +21,7 @@ from lasergate.budget import (
 from lasergate.cli import EXIT_OK, main
 from lasergate.gates import first_order_coefficient, sweep_failure_probabilities
 from lasergate.jc import jc_gate_error
-from lasergate.lindblad import RK4_FIXED, IntegratorConfig, evolve
+from lasergate.lindblad import RK4_FIXED, evolve
 from lasergate.qcore import PureState, logspace
 from oracles import PI_PULSE_PHOTON_COEFFICIENT, PI_PULSE_RABI_SLOPE, density_bloch, sample_matrices
 
@@ -188,7 +188,6 @@ def test_state_invariants_on_random_trajectories():
     Hermiticity, and positivity; pure drives conserve purity; the fixed-step
     integrator converges at fourth order; budgets ignore the time unit."""
     rng = np.random.default_rng(2024)
-    config = IntegratorConfig(method=RK4_FIXED, step_count=100, sample_count=5)
     worst_trace = worst_herm = worst_eig = 0.0
     for _ in range(1000):
         g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
@@ -196,7 +195,7 @@ def test_state_invariants_on_random_trajectories():
         s0 = density_bloch(m / np.trace(m))
         theta = rng.uniform(0.1, 2.0 * math.pi)
         ratio = rng.uniform(0.0, 1.0)
-        for mat in sample_matrices(evolve(s0, theta, ratio, config)):
+        for mat in sample_matrices(evolve(s0, theta, ratio, 5, RK4_FIXED, 100)):
             worst_trace = max(worst_trace, abs(np.trace(mat).real - 1.0))
             worst_herm = max(worst_herm, float(np.max(np.abs(mat - mat.conj().T))))
             half_tr = 0.5 * (mat[0, 0].real + mat[1, 1].real)
@@ -205,12 +204,11 @@ def test_state_invariants_on_random_trajectories():
     trajectories_ok = worst_trace <= 1e-9 and worst_herm <= 1e-9 and worst_eig <= 1e-8
 
     worst_purity = 0.0
-    accurate = IntegratorConfig()  # the default exact propagator
     for _ in range(100):
         amps = rng.normal(size=2) + 1j * rng.normal(size=2)
         psi = PureState(amps / np.linalg.norm(amps))
         theta = rng.uniform(0.1, 2.0 * math.pi)
-        final = sample_matrices(evolve(psi.bloch(), theta, 0.0, accurate))[-1]
+        final = sample_matrices(evolve(psi.bloch(), theta, 0.0))[-1]  # the exact propagator
         worst_purity = max(worst_purity, abs(np.vdot(final, final).real - 1.0))
     purity_ok = worst_purity <= 1e-8
 
@@ -218,8 +216,7 @@ def test_state_invariants_on_random_trajectories():
     theta, ratio = 3.0 * math.pi / 2.0, 0.3
 
     def final_with(steps):
-        cfg = IntegratorConfig(method=RK4_FIXED, step_count=steps)
-        return sample_matrices(evolve(s0, theta, ratio, cfg))[-1]
+        return sample_matrices(evolve(s0, theta, ratio, method=RK4_FIXED, step_count=steps))[-1]
 
     reference = final_with(2000)
     factor = np.max(np.abs(final_with(100) - reference)) / np.max(

@@ -23,7 +23,7 @@ from lasergate import budget, cli, gates, jc
 from lasergate.cli import (
     EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, GATE_AREAS, MAX_ROWS, START_STATES, main,
 )
-from lasergate.lindblad import IntegratorConfig, evolve
+from lasergate.lindblad import evolve
 from lasergate.qcore import density_columns, purities
 
 
@@ -147,9 +147,8 @@ class TestSimulate:
             "ratio-1e20"])
     def test_csv_prints_the_trajectory_states(self, argv):
         cfg = cli._coerce("simulate", cli._overrides_from_extras(argv))
-        config = IntegratorConfig(cfg["method"], cfg["step_count"], cfg["samples"])
-        trajectory = evolve(START_STATES[cfg["start"]]().bloch(), cfg["theta"],
-                            cfg["ratio"], config)
+        trajectory = evolve(START_STATES[cfg["start"]]().bloch(), cfg["theta"], cfg["ratio"],
+                            cfg["samples"], cfg["method"], cfg["step_count"])
         want = ["t,rho_bb,rho_aa,re_rho_ab,im_rho_ab,purity"]
         columns = density_columns(trajectory.x, trajectory.y, trajectory.z)
         for values in zip(trajectory.times, *columns, purities(*columns)):
@@ -201,6 +200,26 @@ class TestSimulate:
 
     def test_unknown_start_is_config_error(self, tmp_path):
         assert run(tmp_path, "simulate", "--start", "sideways")[0] == EXIT_CONFIG
+
+    # evolve refuses samples, then method, then step_count, before it reads the
+    # start vector or theta; so the theta 0 shortcut does not hide a step count
+    @pytest.mark.parametrize("argv,message", [
+        (["--method", "bogus"], "unknown integrator method 'bogus'"),
+        (["--method", "rk4_fixed", "--step_count", "50"],
+         "rk4_fixed needs step_count >= 100 per pulse, got 50"),
+        (["--samples", "0"], "samples must be >= 1"),
+        (["--method", "rk4_fixed", "--step_count", "50", "--theta", "0"],
+         "rk4_fixed needs step_count >= 100 per pulse, got 50"),
+        (["--samples", "0", "--method", "rk4_fixed", "--step_count", "50"],
+         "samples must be >= 1"),
+        (["--method", "bogus", "--ratio", "-1"], "unknown integrator method 'bogus'"),
+        # the start state is resolved before evolve is called
+        (["--samples", "0", "--start", "bogus"],
+         "unknown start state 'bogus'; choose from ['excited', 'ground', 'plus']"),
+    ], ids=["method", "step-count", "samples", "step-count-theta-0", "samples-first",
+            "method-before-ratio", "start-before-samples"])
+    def test_solver_refusals_keep_message_and_order(self, argv, message):
+        assert run_captured("simulate", *argv) == (EXIT_CONFIG, "", f"error: {message}\n")
 
     @given(theta=st.floats(0.0, 1e13), ratio=st.floats(0.0, 1e308), samples=st.integers(1, 50),
            method=st.sampled_from(["exact", "rk4_fixed"]),
@@ -801,7 +820,7 @@ class TestImports:
     def test_public_names_are_pinned(self):
         # removing or adding a public name is a deliberate edit of this list
         assert lasergate.__all__ == [
-            "CODATA", "IntegratorConfig", "InvalidStateError",
+            "CODATA", "InvalidStateError",
             "PhysicalConstants", "PiPulseBudget", "PureState", "evolve",
             "first_order_coefficient", "fixed_intensity_area_sweep",
             "jc_gate_error", "pi_pulse_budget", "raman_constraint",

@@ -8,7 +8,7 @@ from lasergate import gates
 from lasergate.budget import drive_ratio_for_photons, photon_coefficient
 from lasergate.cli import GATE_AREAS, START_STATES
 from lasergate.gates import check_ratio_grid, first_order_coefficient, sweep_failure_probabilities
-from lasergate.lindblad import RK4_FIXED, IntegratorConfig, _apply, _propagator, evolve
+from lasergate.lindblad import RK4_FIXED, _apply, _propagator, evolve
 from lasergate.qcore import InvalidStateError, PureState, logspace
 from oracles import density_bloch, sample_matrices
 
@@ -119,9 +119,9 @@ class TestFailureProbability:
 
     def test_rk4_and_exact_agree(self):
         # the exact p against an independent RK4 run of the same pulse
-        cfg = IntegratorConfig(method=RK4_FIXED, step_count=2000)
         theta, psi = HALF_FROM_EXCITED
-        final = sample_matrices(evolve(psi.bloch(), theta, 1e-3, cfg))[-1]
+        final = sample_matrices(evolve(psi.bloch(), theta, 1e-3, method=RK4_FIXED,
+                                       step_count=2000))[-1]
         target = oracles.ideal_state(np.asarray(psi.amplitudes), theta)
         rk4 = 1.0 - np.vdot(target, final @ target).real
         assert p_at(HALF_FROM_EXCITED, 1e-3) == pytest.approx(rk4, abs=1e-9)

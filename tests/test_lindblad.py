@@ -10,11 +10,11 @@ from hypothesis import strategies as st
 import oracles
 from lasergate.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main
 from lasergate.gates import sweep_failure_probabilities
-from lasergate.lindblad import RK4_FIXED, IntegratorConfig, evolve
+from lasergate.lindblad import EXACT, RK4_FIXED, evolve
 from lasergate.qcore import BLOCH_SLACK, InvalidStateError, PureState
 from oracles import bloch_density, sample_matrices
 
-RK4 = IntegratorConfig(method=RK4_FIXED, step_count=400)
+RK4 = {"method": RK4_FIXED, "step_count": 400}  # evolve's keywords for a 400-step RK4
 
 
 def random_bloch(rng: np.random.Generator) -> tuple:
@@ -24,9 +24,9 @@ def random_bloch(rng: np.random.Generator) -> tuple:
     return oracles.density_bloch(m / np.trace(m))
 
 
-def final_matrix(s0, theta: float, ratio: float, config=IntegratorConfig()) -> np.ndarray:
+def final_matrix(s0, theta: float, ratio: float, **keywords) -> np.ndarray:
     """The final state of ``evolve``, its trajectory's last sample, as a 2x2 matrix."""
-    return sample_matrices(evolve(s0, theta, ratio, config))[-1]
+    return sample_matrices(evolve(s0, theta, ratio, **keywords))[-1]
 
 
 # The Bloch equations on v = (1, x, y, z), written out by hand: the drive turns
@@ -49,8 +49,7 @@ def lindblad_rhs(s, g: float, kappa: float) -> np.ndarray:
 def ground_trajectory(theta: float):
     """16-sample trajectory of the ground state through a pulse of area
     ``theta``, without decay."""
-    config = IntegratorConfig(sample_count=16)
-    return evolve(PureState.ground().bloch(), theta, 0.0, config)
+    return evolve(PureState.ground().bloch(), theta, 0.0, samples=16)
 
 
 class TestSpecs:
@@ -77,8 +76,12 @@ class TestSpecs:
             evolve(rho0, 1.0, -0.1)
 
     def test_rk4_needs_enough_steps(self):
-        with pytest.raises(InvalidStateError):
-            IntegratorConfig(method=RK4_FIXED, step_count=50)
+        rho0 = PureState.ground().bloch()
+        message = "rk4_fixed needs step_count >= 100 per pulse, got 50"
+        with pytest.raises(InvalidStateError, match=message):
+            evolve(rho0, 1.0, 0.0, method=RK4_FIXED, step_count=50)
+        # the exact map reads no step count
+        assert len(evolve(rho0, 1.0, 0.0, method=EXACT, step_count=50)) == 2
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_inputs_rejected(self, bad):
@@ -126,29 +129,28 @@ class TestEvolve:
 
     # the zero-area branch of evolve: without it, rk4_fixed at 1.7e300 forms
     # N^2 = inf times a zero step, a map of NaNs, and its first sample is NaN
-    @pytest.mark.parametrize("config", [IntegratorConfig(), RK4], ids=["exact", "rk4"])
+    @pytest.mark.parametrize("keywords", [{}, RK4], ids=["exact", "rk4"])
     @pytest.mark.parametrize("ratio", [0.3, 1e20, 1.7e300])
-    def test_zero_area_is_identity(self, config, ratio):
+    def test_zero_area_is_identity(self, keywords, ratio):
         s0 = PureState.superposition(1.0, 1j).bloch()
-        assert np.array_equal(sample_matrices(evolve(s0, 0.0, ratio, config)),
+        assert np.array_equal(sample_matrices(evolve(s0, 0.0, ratio, **keywords)),
                               [bloch_density(s0)] * 2)
 
     @pytest.mark.parametrize("theta", [0.0, 1e-300], ids=["zero", "tiny"])
     def test_final_state_is_the_last_sample(self, theta):
-        # the final state is the last of the sample_count + 1 samples; at
+        # the final state is the last of the samples + 1 samples; at
         # both areas it is the mixed start ((0.6, 0.2), (0.2, 0.4))
-        config = IntegratorConfig(sample_count=3)
-        trajectory = evolve((0.4, 0.0, -0.2), theta, 0.3, config)
+        trajectory = evolve((0.4, 0.0, -0.2), theta, 0.3, samples=3)
         assert len(trajectory) == 4 and trajectory.times[-1] == theta / 2.0
         final = sample_matrices(trajectory)[-1]
         assert np.max(np.abs(final - [[0.6, 0.2], [0.2, 0.4]])) < 1e-14
 
-    @pytest.mark.parametrize("config", [IntegratorConfig(), RK4], ids=["exact", "rk4"])
-    def test_against_superoperator_exponential(self, config):
+    @pytest.mark.parametrize("keywords", [{}, RK4], ids=["exact", "rk4"])
+    def test_against_superoperator_exponential(self, keywords):
         rng = np.random.default_rng(5)
         for theta, ratio in [(math.pi, 1e-3), (math.pi / 2, 0.2), (2.1, 0.8), (5.0, 0.05)]:
             s0 = random_bloch(rng)
-            got = final_matrix(s0, theta, ratio, config)
+            got = final_matrix(s0, theta, ratio, **keywords)
             want = oracles.evolve_superop(bloch_density(s0), theta, ratio)
             assert np.max(np.abs(got - want)) <= 1e-9
 
@@ -162,8 +164,7 @@ class TestEvolve:
             assert deficit == pytest.approx(expected, rel=rel)
 
     def test_trajectory_sampling(self):
-        trajectory = evolve(PureState.ground().bloch(), math.pi, 0.1,
-                            IntegratorConfig(sample_count=16))
+        trajectory = evolve(PureState.ground().bloch(), math.pi, 0.1, samples=16)
         assert len(trajectory) == 17
         times = trajectory.times
         assert times[0] == 0.0
@@ -183,7 +184,7 @@ class TestConservationLaws:
         rng = np.random.default_rng(seed)
         s0 = random_bloch(rng)
         theta = float(rng.uniform(0.1, 2 * math.pi))
-        final = final_matrix(s0, theta, 0.0, RK4)
+        final = final_matrix(s0, theta, 0.0, **RK4)
         start = bloch_density(s0)
         assert abs(np.trace(final @ final) - np.trace(start @ start)) <= 1e-8
 
@@ -194,8 +195,7 @@ class TestConservationLaws:
         s0 = random_bloch(rng)
         theta = float(rng.uniform(0.1, 2 * math.pi))
         ratio = float(rng.uniform(0.0, 1.0))
-        config = IntegratorConfig(method=RK4_FIXED, step_count=200, sample_count=8)
-        for m in sample_matrices(evolve(s0, theta, ratio, config)):
+        for m in sample_matrices(evolve(s0, theta, ratio, 8, RK4_FIXED, 200)):
             assert abs(np.trace(m) - 1.0) <= 1e-9
             assert np.linalg.eigvalsh(m)[0] >= -1e-9
 
@@ -203,10 +203,10 @@ class TestConservationLaws:
         rng = np.random.default_rng(23)
         s1, s2 = random_bloch(rng), random_bloch(rng)
         theta, ratio = 2.5, 0.15
-        out1, out2 = final_matrix(s1, theta, ratio, RK4), final_matrix(s2, theta, ratio, RK4)
+        out1, out2 = final_matrix(s1, theta, ratio, **RK4), final_matrix(s2, theta, ratio, **RK4)
         for a in (0.25, 0.5, 0.75):
             mixed = a * np.asarray(s1) + (1 - a) * np.asarray(s2)
-            got = final_matrix(mixed, theta, ratio, RK4)
+            got = final_matrix(mixed, theta, ratio, **RK4)
             assert np.max(np.abs(got - (a * out1 + (1 - a) * out2))) <= 1e-8
 
 
@@ -218,8 +218,7 @@ class TestConvergenceOrder:
         theta, ratio = 3 * math.pi / 2, 0.3
 
         def final_with(steps):
-            return final_matrix(s0, theta, ratio, IntegratorConfig(method=RK4_FIXED,
-                                                                   step_count=steps))
+            return final_matrix(s0, theta, ratio, method=RK4_FIXED, step_count=steps)
 
         reference = final_with(2000)
         err_coarse = np.max(np.abs(final_with(100) - reference))
@@ -238,8 +237,7 @@ class TestConvergenceOrder:
         # a plain RK4 loop on the kron-form superoperator
         s0 = PureState.superposition(1.0, 0.6 + 0.2j).bloch()
         theta = 3 * math.pi / 2
-        config = IntegratorConfig(method=RK4_FIXED, step_count=step_count, sample_count=samples)
-        got = sample_matrices(evolve(s0, theta, ratio, config))
+        got = sample_matrices(evolve(s0, theta, ratio, samples, RK4_FIXED, step_count))
         want = oracles.rk4_trajectory(bloch_density(s0), theta, ratio, step_count, samples)
         assert np.max(np.abs(got - want)) <= 1e-12
 
@@ -250,8 +248,8 @@ class TestConvergenceOrder:
         # that map and its application in 40 digits, only rounding is left
         s0 = PureState.superposition(1.0, 0.6 + 0.2j).bloch()
         theta = 3 * math.pi / 2
-        config = IntegratorConfig(method=RK4_FIXED, step_count=step_count, sample_count=samples)
-        got = sample_matrices(evolve(s0, theta, ratio, config)).reshape(-1, 4)
+        got = sample_matrices(evolve(s0, theta, ratio, samples, RK4_FIXED, step_count))
+        got = got.reshape(-1, 4)
         step = oracles.rk4_map_mp(ratio, theta / 2.0 / samples, -(-step_count // samples))
         with mpmath.workdps(40):
             x, y, z = map(mpmath.mpf, s0)
@@ -310,9 +308,9 @@ class TestExactPropagator:
     # a sweep reads each ratio's p from that ratio's map alone, so the grid
     # around it does not change it, and p is the final state's population
     # orthogonal to the oracle's decay-free output
-    @pytest.mark.parametrize("config", [IntegratorConfig()], ids=["exact"])
+    @pytest.mark.parametrize("keywords", [{}], ids=["exact"])
     @pytest.mark.parametrize("theta", [0.0, math.pi / 2, 2.1])
-    def test_sweep_equals_single_ratios_bit_for_bit(self, config, theta):
+    def test_sweep_equals_single_ratios_bit_for_bit(self, keywords, theta):
         rates = np.random.default_rng(17).uniform(0.0, 30.0, 16)
         rates[0] = 0.0
         psi0 = PureState.superposition(1.0, 0.6 + 0.2j)
@@ -324,7 +322,7 @@ class TestExactPropagator:
         perp = np.array([-np.conj(target[1]), np.conj(target[0])])
         for rate, p in zip(rates, swept):
             assert p == sweep_failure_probabilities(theta, psi0, [rate])[0]
-            final = final_matrix(psi0.bloch(), theta, rate, config)
+            final = final_matrix(psi0.bloch(), theta, rate, **keywords)
             assert abs(p - np.vdot(perp, final @ perp).real) <= 1e-15
 
     @pytest.mark.parametrize("theta", [math.pi, math.pi / 2], ids=["pi", "pi2"])
@@ -334,7 +332,7 @@ class TestExactPropagator:
 
     def test_trajectory_applies_one_step_propagator(self):
         s0 = PureState.excited().bloch()
-        trajectory = evolve(s0, 3.0, 0.25, IntegratorConfig(sample_count=64))
+        trajectory = evolve(s0, 3.0, 0.25, samples=64)
         for t, m in zip(trajectory.times, sample_matrices(trajectory)):
             # the area reached at time t (in units of 1/g alpha) is Omega_R t = 2 t
             want = oracles.evolve_superop(bloch_density(s0), 2.0 * t, 0.25)

@@ -10,7 +10,8 @@ from scipy.linalg import expm
 
 import oracles
 from lasergate.gates import sweep_failure_probabilities
-from lasergate.lindblad import EXACT, IntegratorConfig, evolve
+from lasergate.budget import PhysicalConstants
+from lasergate.lindblad import evolve
 from lasergate.qcore import (
     BLOCH_SLACK,
     InvalidStateError,
@@ -296,6 +297,10 @@ class Estimate(Record):
         return self.coefficient_vs_photons / self.coefficient_vs_ratio
 
 
+# PhysicalConstants' defaults: CODATA hbar (J s), c (m / s) and epsilon0 (F / m)
+HBAR_C_EPSILON0 = (1.054571817e-34, 2.99792458e8, 8.8541878128e-12)
+
+
 class TestRecord:
     """The record base keeps what the frozen dataclasses it replaced did."""
 
@@ -307,8 +312,10 @@ class TestRecord:
         assert by_position == by_keyword == mixed
 
     def test_defaults_hold(self):
-        config = IntegratorConfig()
-        assert (config.method, config.step_count, config.sample_count) == (EXACT, 1000, 1)
+        constants = PhysicalConstants()
+        assert (constants.hbar, constants.c, constants.epsilon0) == HBAR_C_EPSILON0
+        # a trailing field left out keeps its default
+        assert PhysicalConstants(1.0, 2.0).epsilon0 == HBAR_C_EPSILON0[2]
         assert Estimate(1.0, 2.0, 0.0).degraded_fit is False
         # a property derived from the fields
         assert Estimate(0.5, 1.5, 0.0).photons_per_ratio == 3.0
@@ -324,17 +331,17 @@ class TestRecord:
             Estimate(*args, **kwargs)
 
     def test_fields_cannot_be_assigned_or_deleted(self):
-        config = IntegratorConfig()
+        constants = PhysicalConstants()
         with pytest.raises(AttributeError):
-            config.step_count = 5
+            constants.c = 5.0
         with pytest.raises(AttributeError):
-            del config.method
+            del constants.hbar
         with pytest.raises(AttributeError):
-            config.extra = 1
+            constants.extra = 1
         psi = PureState.ground()
         with pytest.raises(AttributeError):
             psi.amplitudes = (0.0, 1.0)
-        assert config == IntegratorConfig() and "extra" not in vars(config)
+        assert constants == PhysicalConstants() and "extra" not in vars(constants)
 
     def test_eq_hash_and_repr_are_field_wise(self):
         a, b = Estimate(1.0, 2.0, 3.0), Estimate(1.0, 2.0, 3.0)
@@ -343,18 +350,23 @@ class TestRecord:
         assert len({a, b, Estimate(1.0, 2.0, 4.0)}) == 2
         assert repr(a) == ("Estimate(coefficient_vs_ratio=1.0, coefficient_vs_photons=2.0,"
                            " fit_residual=3.0, degraded_fit=False)")
-        config = IntegratorConfig(step_count=7)
-        assert config == IntegratorConfig(EXACT, 7) and hash(config) == hash(IntegratorConfig(EXACT, 7))
-        assert config != IntegratorConfig() and config != (EXACT, 7, 1)
-        assert repr(config) == "IntegratorConfig(method='exact', step_count=7, sample_count=1)"
+        hbar, _, epsilon0 = HBAR_C_EPSILON0
+        constants = PhysicalConstants(c=7.0)
+        assert constants == PhysicalConstants(hbar, 7.0)
+        assert hash(constants) == hash(PhysicalConstants(hbar, 7.0))
+        assert constants != PhysicalConstants() and constants != (hbar, 7.0, epsilon0)
+        assert repr(constants) == f"PhysicalConstants(hbar={hbar!r}, c=7.0, epsilon0={epsilon0!r})"
+        trajectory = evolve((0.0, 0.0, 0.0), 1.0, 0.1, samples=2)
+        assert trajectory == evolve((0.0, 0.0, 0.0), 1.0, 0.1, samples=2)
+        assert hash(trajectory) == hash(evolve((0.0, 0.0, 0.0), 1.0, 0.1, samples=2))
+        assert trajectory != evolve((0.0, 0.0, 0.0), 1.0, 0.1, samples=3)
 
     @pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy,
                                        lambda record: pickle.loads(pickle.dumps(record))],
                              ids=["copy", "deepcopy", "pickle"])
     def test_copies_keep_their_storage_immutable(self, clone):
         psi = PureState.superposition(1.0, 1j)
-        config = IntegratorConfig(sample_count=4)
-        trajectory = evolve((0.0, 0.0, 0.0), 1.0, 0.1, config)
+        trajectory = evolve((0.0, 0.0, 0.0), 1.0, 0.1, samples=4)
         for record, storage in ((psi, "amplitudes"), (trajectory, "times"),
                                 (trajectory, "x"), (trajectory, "z")):
             twin = clone(record)
