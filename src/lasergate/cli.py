@@ -32,6 +32,9 @@ EXIT_NUMERIC = 3
 # n_bars entries): a larger request is refused before anything is allocated.
 MAX_ROWS = 10**6
 
+# Rows per piece of text written: a table is held as columns, never as one string.
+TABLE_CHUNK = 4096
+
 # Largest simulate pulse area, in rad.  The closed-form map of one pulse is off
 # by the rounding of its rotation angle, about theta * 2.2e-16: within 2.2e-12
 # up to 1e4.  A trajectory reaches sample i by applying one segment's rounded
@@ -72,24 +75,24 @@ def _fmt(x: float) -> str:
     return f"{x:.11e}"
 
 
-def _format_rows(rows) -> str:
-    """The rows of a table as comma-separated fields, one line per row, with no
-    newline after the last row: one template, by the field types of the first
-    row (:func:`_fmt` for floats, strings unchanged), applied once."""
-    rows = iter(rows)
-    first = next(rows, None)
-    if first is None:
-        return ""
-    values = (*first, *chain.from_iterable(rows))
-    line = ",".join(["%s" if isinstance(field, str) else "%.11e" for field in first])
-    return "\n".join([line] * (len(values) // len(first))) % values
+def _table(columns):
+    """The rows of the table given by its ``columns``, sequences of one
+    length, as comma-separated fields, one line per row, yielded as the text
+    of TABLE_CHUNK rows at a time: one row template, by the field types of the
+    first row (:func:`_fmt` for floats, strings unchanged), applied per chunk."""
+    if not len(columns[0]):
+        return
+    line = ",".join(["%s" if isinstance(column[0], str) else "%.11e" for column in columns])
+    for start in range(0, len(columns[0]), TABLE_CHUNK):
+        chunk = [column[start:start + TABLE_CHUNK] for column in columns]
+        yield f"{line}\n" * len(chunk[0]) % tuple(chain.from_iterable(zip(*chunk)))
 
 
-def _formatted(column) -> map:
+def _formatted(column) -> list:
     """:func:`_fmt` of each value of ``column``, formatting each distinct
     value once: for a column that repeats a few values."""
     text = {value: _fmt(value) for value in set(column)}
-    return map(text.__getitem__, column)
+    return list(map(text.__getitem__, column))
 
 
 def _finite_float(raw: str) -> float:
@@ -203,11 +206,9 @@ def _coerce(command: str, raw: dict[str, str]) -> dict:
         except ValueError as exc:
             raise ConfigError(f"invalid value for {key!r}: {value!r} ({exc})") from exc
     for key, (_, default) in schema.items():
-        if key in cfg:
-            continue
-        if default is _REQUIRED:
+        if key not in cfg and default is _REQUIRED:
             raise ConfigError(f"missing required key {key!r} for command {command!r}")
-        cfg[key] = default
+        cfg.setdefault(key, default)
     return cfg
 
 
@@ -223,18 +224,18 @@ def _gate_area(name: str) -> float:
     return GATE_AREAS[name]
 
 
-def run_simulate(cfg: dict) -> str:
+def run_simulate(cfg: dict) -> chain:
     """Trajectory CSV: t, populations, coherence, purity at samples+1 times."""
     state = _start_state(cfg["start"])
     trajectory = evolve(state.bloch(), cfg["theta"], cfg["ratio"], cfg["samples"], cfg["method"],
                         cfg["step_count"])
 
     columns = density_columns(trajectory.x, trajectory.y, trajectory.z)
-    table = zip(trajectory.times, *columns, purities(*columns))
-    return "\n".join(["t,rho_bb,rho_aa,re_rho_ab,im_rho_ab,purity", _format_rows(table), ""])
+    return chain(["t,rho_bb,rho_aa,re_rho_ab,im_rho_ab,purity\n"],
+                 _table((trajectory.times, *columns, purities(*columns))))
 
 
-def run_sweep(cfg: dict) -> str:
+def run_sweep(cfg: dict) -> chain:
     """Ratio sweep CSV with a first-order-coefficient footer."""
     from . import budget, gates
 
@@ -249,14 +250,12 @@ def run_sweep(cfg: dict) -> str:
     # the spread of p/ratio around c: the second-order signature of the sweep
     residual = math.sqrt(sum((p / r - c) ** 2 for p, r in zip(probabilities, ratios)) / len(ratios))
 
-    return (
-        "ratio,p\n" + _format_rows(zip(ratios, probabilities))
-        + f"\n# c={_fmt(c)} c_prime={_fmt(budget.photon_coefficient(c, theta))}"
-        f" residual={_fmt(residual)}\n"
-    )
+    return chain(["ratio,p\n"], _table((ratios, probabilities)),
+                 [f"# c={_fmt(c)} c_prime={_fmt(budget.photon_coefficient(c, theta))}"
+                  f" residual={_fmt(residual)}\n"])
 
 
-def run_budget(cfg: dict) -> str:
+def run_budget(cfg: dict) -> chain:
     """Budget report: rates, photon numbers, constraint margins, area sweep."""
     from . import budget
 
@@ -286,38 +285,32 @@ def run_budget(cfg: dict) -> str:
         ]
         verdicts.append(("raman_constraint", "satisfied" if raman.satisfied else "violated"))
 
-    columns = (sweep.area, sweep.kappa, sweep.kappa_times_area,
-               sweep.n_bar, sweep.laser_mode_error, sweep.total_error)
     if not (all(math.isfinite(value) for _, value in scalars + raman_lines)
-            and all(map(math.isfinite, chain.from_iterable(columns)))):
+            and all(map(math.isfinite, chain.from_iterable(sweep._values())))):
         raise FloatingPointError("a budget value leaves the double range for these inputs")
-    table_header = "area,kappa,kappa_times_area,n_bar,p_laser,p_total"
-    # p_total is one value, and kappa * A = (Gamma sigma_eff / A) * A lies within
-    # a few ulps of Gamma sigma_eff: each distinct value of those two columns is
-    # formatted once.  Neither holds a negative zero, so equal values print alike.
-    table_rows = _format_rows(zip(sweep.area, sweep.kappa, _formatted(sweep.kappa_times_area),
-                                  sweep.n_bar, sweep.laser_mode_error,
-                                  _formatted(sweep.total_error)))
 
     if cfg["format"] == "csv":
         lines = [f"# {name}={_fmt(value)}" for name, value in scalars + raman_lines]
         lines += [f"# {name}={value}" for name, value in verdicts]
-        return "\n".join([*lines, table_header, table_rows, ""])
+    else:
+        width = max(len(name) for name, _ in scalars + raman_lines + verdicts)
+        lines = ["laser pulse budget (SI base units)", ""]
+        lines += [f"{name:<{width}} = {_fmt(value)}" for name, value in scalars]
+        lines += [f"{name:<{width}} = {value}" for name, value in verdicts[:1]]
+        if raman_lines:
+            lines.append("")
+            lines += [f"{name:<{width}} = {_fmt(value)}" for name, value in raman_lines]
+            lines += [f"{name:<{width}} = {value}" for name, value in verdicts[1:]]
+        lines += ["", "fixed-intensity area sweep (kappa * A = Gamma * sigma_eff):"]
+    # p_total is one value, and kappa * A = (Gamma sigma_eff / A) * A lies within
+    # a few ulps of Gamma sigma_eff: each distinct value of those two columns is
+    # formatted once.  Neither holds a negative zero, so equal values print alike.
+    return chain(["\n".join([*lines, "area,kappa,kappa_times_area,n_bar,p_laser,p_total", ""])],
+                 _table((sweep.area, sweep.kappa, _formatted(sweep.kappa_times_area), sweep.n_bar,
+                         sweep.laser_mode_error, _formatted(sweep.total_error))))
 
-    width = max(len(name) for name, _ in scalars + raman_lines + verdicts)
-    lines = ["laser pulse budget (SI base units)", ""]
-    lines += [f"{name:<{width}} = {_fmt(value)}" for name, value in scalars]
-    lines += [f"{name:<{width}} = {value}" for name, value in verdicts[:1]]
-    if raman_lines:
-        lines.append("")
-        lines += [f"{name:<{width}} = {_fmt(value)}" for name, value in raman_lines]
-        lines += [f"{name:<{width}} = {value}" for name, value in verdicts[1:]]
-    lines += ["", "fixed-intensity area sweep (kappa * A = Gamma * sigma_eff):", table_header,
-              table_rows, ""]
-    return "\n".join(lines)
 
-
-def run_compare(cfg: dict) -> str:
+def run_compare(cfg: dict) -> chain:
     """Markov vs single-mode failure probabilities on a shared photon grid."""
     from . import budget, gates, jc
 
@@ -329,10 +322,13 @@ def run_compare(cfg: dict) -> str:
 
     ratios = [budget.drive_ratio_for_photons(theta, n_bar) for n_bar in n_bars]
     markov = gates.sweep_failure_probabilities(theta, state, ratios)
-    table = ((model, cfg["gate"], n_bar, p, p * n_bar)
-             for n_bar, p_markov in zip(n_bars, markov)
-             for model, p in (("markov", p_markov), ("jc", jc.jc_gate_error(theta, state, n_bar))))
-    return "\n".join(["model,gate,n_bar,p,p_times_n_bar", _format_rows(table), ""])
+    single_mode = [jc.jc_gate_error(theta, state, n_bar) for n_bar in n_bars]
+    # a markov row, then a jc row, per photon number
+    n_bar = [*chain.from_iterable(zip(n_bars, n_bars))]
+    p = [*chain.from_iterable(zip(markov, single_mode))]
+    return chain(["model,gate,n_bar,p,p_times_n_bar\n"],
+                 _table((("markov", "jc") * len(n_bars), (cfg["gate"],) * len(p), n_bar, p,
+                         [p_i * n_i for p_i, n_i in zip(p, n_bar)])))
 
 
 RUNNERS = {
@@ -345,19 +341,13 @@ RUNNERS = {
 
 def _overrides_from_extras(extras: list[str]) -> dict[str, str]:
     overrides = {}
-    i = 0
-    while i < len(extras):
-        token = extras[i]
+    tokens = iter(extras)
+    for token in tokens:
         if not token.startswith("--") or len(token) == 2:
             raise ConfigError(f"expected --key value pairs, got {token!r}")
-        if "=" in token:
-            key, _, value = token[2:].partition("=")
-            i += 1
-        else:
-            if i + 1 >= len(extras):
-                raise ConfigError(f"option {token!r} is missing a value")
-            key, value = token[2:], extras[i + 1]
-            i += 2
+        key, equals, value = token[2:].partition("=")
+        if not equals and (value := next(tokens, None)) is None:
+            raise ConfigError(f"option {token!r} is missing a value")
         overrides[key.replace("-", "_")] = value
     return overrides
 
@@ -373,7 +363,7 @@ def main(argv=None) -> int:
     word, then ``--key value`` pairs.  Returns the exit code."""
     args = sys.argv[1:] if argv is None else list(argv)
     if "-h" in args or "--help" in args:
-        return _write(HELP, None)
+        return _write([HELP], None)
     if not args or args[0] not in RUNNERS:
         problem = f"unknown command {args[0]!r}" if args else "missing command"
         sys.stderr.write(f"{USAGE}error: {problem}; choose from {', '.join(RUNNERS)}\n")
@@ -399,20 +389,20 @@ def main(argv=None) -> int:
     return _write(output, out)
 
 
-def _write(text: str, out) -> int:
-    """Write ``text`` to the file ``out``, or to stdout and flush it; returns
-    the exit code, 2 if either fails or stdout was closed when the process
-    started (``sys.stdout`` is None).  A failed flush keeps its bytes
-    buffered, so nothing flushes stdout again: :func:`entry` skips the
-    teardown that would."""
+def _write(chunks, out) -> int:
+    """Write the strings of ``chunks``, which only format values the runner has
+    already checked, to the file ``out``, or to stdout and flush it; returns the
+    exit code, 2 if either fails or stdout was closed when the process started
+    (``sys.stdout`` is None).  A failed flush keeps its bytes buffered, so
+    nothing flushes stdout again: :func:`entry` skips the teardown that would."""
     try:
         if out:
             with open(out, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
+                fh.writelines(chunks)
         elif sys.stdout is None:
             raise OSError("stdout is closed")
         else:
-            sys.stdout.write(text)
+            sys.stdout.writelines(chunks)
             sys.stdout.flush()
     except OSError as exc:
         print(f"error: cannot write {repr(out) if out else 'stdout'}: {exc}", file=sys.stderr)

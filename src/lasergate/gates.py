@@ -33,13 +33,13 @@ def first_order_coefficient(theta: float, psi: PureState) -> float:
     For the initial state (b0, a0), ground amplitude first, the excited
     amplitude along the ideal rotation is a(tau) = cos(tau) a0 - i sin(tau) b0,
     and to first order c = int_0^(theta/2) |a(tau)|^4 dtau.  With
-    |a|^2 = 1/2 + B cos(2 tau) + C sin(2 tau), B = (|a0|^2 - |b0|^2) / 2 and
-    C = -Im(a0 b0*), the square is integrated term by term.
+    |a|^2 = 1/2 + B cos(2 tau) + C sin(2 tau), read from the Bloch vector
+    (x, y, z) of psi as B = z / 2 and C = -y / 2, the square is integrated
+    term by term.
     """
     check_pulse(theta, ())
-    b0, a0 = psi.amplitudes
-    big_b = (abs(a0) ** 2 - abs(b0) ** 2) / 2.0
-    big_c = -(a0 * b0.conjugate()).imag
+    _, y, z = psi.bloch()
+    big_b, big_c = z / 2.0, -y / 2.0
     s, c = math.sin(theta), math.cos(theta)
     # (1 - cos theta) / 2 is written sin(theta/2)^2, which keeps its digits at small theta
     return (theta / 8.0 + (big_b ** 2 + big_c ** 2) * theta / 4.0

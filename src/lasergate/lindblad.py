@@ -42,6 +42,7 @@ in one pass; its last sample is the final state.
 from __future__ import annotations
 
 import math
+import operator
 
 from .qcore import InvalidStateError, Record, check_bloch
 
@@ -187,6 +188,14 @@ def _apply(m: tuple, x: float, y: float, z: float) -> tuple:
     return xx * x, (y0 + yy * y) + yz * z, (z0 - yz * y) + zz * z
 
 
+def _count(name: str, value) -> int:
+    """``value`` as an int; a float, 2.0 and nan included, is refused."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidStateError(f"{name} must be an integer, got {value!r}") from None
+
+
 def check_pulse(theta: float, ratios) -> None:
     """Refuse a pulse area ``theta`` or a kappa/g_alpha in ``ratios`` that is
     not finite and >= 0, a NaN included, naming the first such value."""
@@ -205,8 +214,9 @@ def evolve(s0, theta: float, ratio: float, samples: int = 1, method: str = EXACT
     form, or ``rk4_fixed``, k = ceil(step_count / samples) classical RK4
     steps per segment.
 
-    Refuses with :class:`InvalidStateError`, in this order: ``samples`` < 1,
-    an unknown ``method``, ``rk4_fixed`` with ``step_count`` < 100, an ``s0``
+    Refuses with :class:`InvalidStateError`, in this order: ``samples`` not
+    an integer or < 1, an unknown ``method``, ``rk4_fixed`` with
+    ``step_count`` not an integer or < 100 (``exact`` ignores it), an ``s0``
     that is not three numbers inside the unit ball (:func:`qcore.check_bloch`),
     then ``theta`` or ``ratio`` as :func:`check_pulse` does.  A propagated
     state that :func:`qcore.check_bloch` refuses (rounding of a long or
@@ -214,12 +224,12 @@ def evolve(s0, theta: float, ratio: float, samples: int = 1, method: str = EXACT
     made it blow up) raises :class:`FloatingPointError`, as a map that is not
     finite does.
     """
-    if samples < 1:
+    if _count("samples", samples) < 1:
         raise InvalidStateError("samples must be >= 1")
     if method not in (EXACT, RK4_FIXED):
         raise InvalidStateError(f"unknown integrator method {method!r}")
     increment = method == RK4_FIXED  # its map gives the change of v, not v
-    if increment and step_count < 100:
+    if increment and _count("step_count", step_count) < 100:
         raise InvalidStateError(f"rk4_fixed needs step_count >= 100 per pulse, got {step_count}")
     try:
         x, y, z = map(float, s0)

@@ -61,14 +61,17 @@ def run_stdout(*argv):
 
 
 def assert_exits_cleanly(*argv):
-    """Exit 0, 2 or 3, and nothing non-finite printed on success.  A key the
-    command does not know fails the assertion: refusing every example for
-    one bad key would let the property pass without testing anything."""
+    """Exit 0, 2 or 3; nothing non-finite printed on success, and nothing at
+    all on stdout otherwise.  A key the command does not know fails the
+    assertion: refusing every example for one bad key would let the property
+    pass without testing anything."""
     code, out, err = run_captured(*argv)
     assert "unknown key" not in err, err
     assert code in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERIC)
     if code == EXIT_OK:
         assert not NON_FINITE.search(out), NON_FINITE.search(out)
+    else:  # a refused or failed command prints nothing on stdout
+        assert out == "", out[:200]
 
 
 def report_values(payload: bytes) -> dict:
@@ -760,9 +763,19 @@ class TestWorkBound:
 
 def template_rows(table) -> str:
     """The table printer's oracle: the %-template, one field at a time, and
-    strings unchanged."""
-    return "\n".join(",".join(x if isinstance(x, str) else "%.11e" % x for x in row)
-                     for row in table)
+    strings unchanged, each row ending in a newline."""
+    return "".join(",".join(x if isinstance(x, str) else "%.11e" % x for x in row) + "\n"
+                   for row in table)
+
+
+def printed(table) -> str:
+    """cli._table's text for ``table``, a 2-D array or a list of rows, handed
+    to it as its columns."""
+    columns = table.T if isinstance(table, np.ndarray) else list(zip(*table))
+    return "".join(cli._table(columns))
+
+
+CHUNK = cli.TABLE_CHUNK
 
 
 class TestTablePrinter:
@@ -771,7 +784,7 @@ class TestTablePrinter:
     @settings(max_examples=300, deadline=None)
     def test_any_floats_print_as_the_template(self, table):
         # st.floats() covers +-0, subnormals, inf, nan and 3-digit exponents
-        assert cli._format_rows(table) == template_rows(table)
+        assert printed(table) == template_rows(table)
 
     def test_adversarial_table_prints_as_the_template(self):
         rng = np.random.default_rng(20261018)
@@ -788,17 +801,27 @@ class TestTablePrinter:
                 np.nextafter(10.0 ** k, np.inf),
                 rng.uniform(-1.0, 1.0, n) * 10.0 ** rng.integers(-12, 12, n),
             ))
-        assert cli._format_rows(table) == template_rows(table)
+        assert printed(table) == template_rows(table)
 
     def test_empty_table(self):
-        assert cli._format_rows(np.empty((0, 3))) == ""
+        assert list(cli._table(np.empty((0, 3)).T)) == []
 
     def test_strings_pass_through(self):
         # the template follows the types of the first row
         table = [("jc", 2.5, "100%"), ("markov", -0.0, "%s %d")]
-        assert cli._format_rows(table) == template_rows(table)
-        assert cli._format_rows(table) == ("jc,2.50000000000e+00,100%\n"
-                                           "markov,-0.00000000000e+00,%s %d")
+        assert printed(table) == template_rows(table)
+        assert printed(table) == ("jc,2.50000000000e+00,100%\n"
+                                  "markov,-0.00000000000e+00,%s %d\n")
+
+    @pytest.mark.parametrize("rows", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1])
+    def test_each_chunk_holds_at_most_table_chunk_rows(self, rows):
+        rng = np.random.default_rng(rows)
+        values = rng.standard_normal(rows) * 10.0 ** rng.integers(-300, 300, rows)
+        columns = (["jc", "markov"] * rows)[:rows], values, list(values[::-1])
+        chunks = list(cli._table(columns))
+        assert [chunk.count("\n") for chunk in chunks] == (
+            [CHUNK] * (rows // CHUNK) + [rows % CHUNK] * (rows % CHUNK > 0))
+        assert "".join(chunks) == template_rows(zip(*columns))
 
     @pytest.mark.parametrize("argv", [
         ["simulate", "--start", "plus", "--theta", "11", "--ratio", "25", "--samples", "500"],
@@ -810,10 +833,24 @@ class TestTablePrinter:
     ], ids=["simulate", "simulate-rk4", "sweep", "budget-text", "budget-csv", "compare"])
     def test_command_output_equals_the_template_printer(self, monkeypatch, argv):
         fast = run_stdout(*argv)
-        monkeypatch.setattr(cli, "_format_rows", template_rows)
-        monkeypatch.setattr(cli, "_formatted", lambda column: ("%.11e" % x for x in column))
+        monkeypatch.setattr(cli, "_table", lambda columns: [template_rows(zip(*columns))])
+        monkeypatch.setattr(cli, "_formatted", lambda column: ["%.11e" % x for x in column])
         assert fast == run_stdout(*argv)
         assert fast[0] == EXIT_OK
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--samples", str(2 * CHUNK)],
+        [*BUDGET_ARGS, "--raman_detuning", "1e12", "--area_sweep_points", str(2 * CHUNK + 1)],
+        [*BUDGET_ARGS, "--format", "csv", "--area_sweep_points", str(2 * CHUNK + 1)],
+    ], ids=["simulate", "budget-text", "budget-csv"])
+    def test_a_long_table_reaches_the_output_in_chunks(self, argv):
+        # the runner returns its report as pieces of text, none longer than
+        # TABLE_CHUNK rows plus the header lines, which main writes in turn
+        command, raw = argv[0], cli._overrides_from_extras(argv[1:])
+        pieces = list(cli.RUNNERS[command](cli._coerce(command, raw)))
+        assert len(pieces) >= 4
+        assert max(piece.count("\n") for piece in pieces) == CHUNK
+        assert "".join(pieces) == run_stdout(*argv)[1]
 
 
 class TestImports:
@@ -921,6 +958,19 @@ class TestConsoleEntry:
         out = tmp_path / "budget.txt"
         assert run_entry(*BUDGET_20000, "--out", str(out)).returncode == EXIT_OK
         assert out.read_bytes() == text.encode()
+
+    @pytest.mark.parametrize("argv", [
+        ("simulate", "--start", "plus", "--ratio", "0.3", "--samples", str(2 * CHUNK + 1)),
+        (*BUDGET_20000, "--raman_detuning", "1e12"),
+        (*BUDGET_20000, "--format", "csv"),
+    ], ids=["simulate", "budget-text", "budget-csv"])
+    def test_out_file_holds_the_bytes_of_stdout(self, tmp_path, argv):
+        # tables of several chunks, written through a pipe and to --out
+        proc = run_entry(*argv)
+        assert proc.returncode == EXIT_OK and proc.stdout.count(b"\n") > 2 * CHUNK
+        out = tmp_path / "out"
+        assert run_entry(*argv, "--out", str(out)).returncode == EXIT_OK
+        assert out.read_bytes() == proc.stdout
 
     @pytest.mark.parametrize("flag", ["-h", "--help"])
     def test_help_exits_zero(self, flag):

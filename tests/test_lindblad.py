@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import mpmath
@@ -82,6 +83,33 @@ class TestSpecs:
             evolve(rho0, 1.0, 0.0, method=RK4_FIXED, step_count=50)
         # the exact map reads no step count
         assert len(evolve(rho0, 1.0, 0.0, method=EXACT, step_count=50)) == 2
+
+    # the counts are refused, samples first, then method, then step_count, as
+    # InvalidStateError rather than a TypeError from range or from the stepper
+    @pytest.mark.parametrize("keywords,message", [
+        ({"samples": 2.5}, "samples must be an integer, got 2.5"),
+        ({"samples": math.nan}, "samples must be an integer, got nan"),
+        ({"samples": 2.0}, "samples must be an integer, got 2.0"),
+        ({"samples": "3"}, "samples must be an integer, got '3'"),
+        ({"method": RK4_FIXED, "step_count": math.nan}, "step_count must be an integer, got nan"),
+        ({"method": RK4_FIXED, "step_count": 250.0}, "step_count must be an integer, got 250.0"),
+        ({"samples": 2.5, "method": "bogus"}, "samples must be an integer, got 2.5"),
+        ({"method": "bogus", "step_count": 2.5}, "unknown integrator method 'bogus'"),
+        ({"samples": 0, "method": RK4_FIXED, "step_count": 2.5}, "samples must be >= 1"),
+    ], ids=["samples-half", "samples-nan", "samples-float", "samples-text", "steps-nan",
+            "steps-float", "samples-before-method", "method-before-steps",
+            "samples-before-steps"])
+    def test_non_integer_counts_are_refused(self, keywords, message):
+        with pytest.raises(InvalidStateError, match=re.escape(message)):
+            evolve((0.0, 0.0, -1.0), 1.0, 0.1, **keywords)
+
+    def test_integer_counts_of_any_type_are_read(self):
+        # numpy integers are integers; the exact map reads no step count at all
+        s0 = PureState.ground().bloch()
+        want = evolve(s0, 1.0, 0.1, samples=3, method=RK4_FIXED, step_count=200)
+        assert evolve(s0, 1.0, 0.1, samples=np.int64(3), method=RK4_FIXED,
+                      step_count=np.int32(200)) == want
+        assert evolve(s0, 1.0, 0.1, samples=3, step_count=math.nan) == evolve(s0, 1.0, 0.1, 3)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_inputs_rejected(self, bad):
