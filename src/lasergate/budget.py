@@ -23,7 +23,7 @@ import warnings
 from operator import mul
 
 from .gates import first_order_coefficient
-from .qcore import InvalidStateError, PureState, Record, logspace
+from .qcore import InvalidStateError, PureState, Record, check_count, logspace
 
 # Minimum photons within the volume sigma_eff * c * T demanded by the
 # energy-form constraint: nbar' > (pi^2 / 4) / epsilon.
@@ -294,7 +294,7 @@ def fixed_intensity_area_sweep(report: PiPulseBudget, points: int, max_factor: f
     sigma_eff = report.sigma_eff_m2
     if not 0 < sigma_eff < math.inf:  # NaN fails too
         raise InvalidStateError(f"sigma_eff_m2 must be finite and > 0, got {sigma_eff}")
-    if points < 2:
+    if check_count("area_sweep_points", points) < 2:
         raise InvalidStateError("area_sweep_points must be >= 2")
     if not max_factor > 1:  # NaN fails too
         raise InvalidStateError("area_sweep_max_factor must be > 1")

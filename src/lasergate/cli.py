@@ -22,7 +22,7 @@ import warnings
 from itertools import chain
 
 from .lindblad import EXACT, evolve
-from .qcore import PureState, density_columns, logspace, purities
+from .qcore import PureState, density_columns, logspace
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -75,16 +75,22 @@ def _fmt(x: float) -> str:
     return f"{x:.11e}"
 
 
+def _chunks(columns):
+    """The table given by its ``columns``, sequences of one length, as the
+    slices of each column that hold TABLE_CHUNK rows at a time."""
+    for start in range(0, len(columns[0]), TABLE_CHUNK):
+        yield [column[start:start + TABLE_CHUNK] for column in columns]
+
+
 def _table(columns):
     """The rows of the table given by its ``columns``, sequences of one
     length, as comma-separated fields, one line per row, yielded as the text
-    of TABLE_CHUNK rows at a time: one row template, by the field types of the
+    of each of its :func:`_chunks`: one row template, by the field types of the
     first row (:func:`_fmt` for floats, strings unchanged), applied per chunk."""
     if not len(columns[0]):
         return
     line = ",".join(["%s" if isinstance(column[0], str) else "%.11e" for column in columns])
-    for start in range(0, len(columns[0]), TABLE_CHUNK):
-        chunk = [column[start:start + TABLE_CHUNK] for column in columns]
+    for chunk in _chunks(columns):
         yield f"{line}\n" * len(chunk[0]) % tuple(chain.from_iterable(zip(*chunk)))
 
 
@@ -212,27 +218,21 @@ def _coerce(command: str, raw: dict[str, str]) -> dict:
     return cfg
 
 
-def _start_state(name: str) -> PureState:
-    if name not in START_STATES:
-        raise ConfigError(f"unknown start state {name!r}; choose from {sorted(START_STATES)}")
-    return START_STATES[name]()
-
-
-def _gate_area(name: str) -> float:
-    if name not in GATE_AREAS:
-        raise ConfigError(f"unknown gate {name!r}; choose from {sorted(GATE_AREAS)}")
-    return GATE_AREAS[name]
+def _lookup(kind: str, table: dict, name: str):
+    if name not in table:
+        raise ConfigError(f"unknown {kind} {name!r}; choose from {sorted(table)}")
+    return table[name]
 
 
 def run_simulate(cfg: dict) -> chain:
     """Trajectory CSV: t, populations, coherence, purity at samples+1 times."""
-    state = _start_state(cfg["start"])
+    state = _lookup("start state", START_STATES, cfg["start"])()
     trajectory = evolve(state.bloch(), cfg["theta"], cfg["ratio"], cfg["samples"], cfg["method"],
                         cfg["step_count"])
 
-    columns = density_columns(trajectory.x, trajectory.y, trajectory.z)
     return chain(["t,rho_bb,rho_aa,re_rho_ab,im_rho_ab,purity\n"],
-                 _table((trajectory.times, *columns, purities(*columns))))
+                 chain.from_iterable(_table((times, *density_columns(xs, ys, zs)))
+                                     for times, xs, ys, zs in _chunks(trajectory._values())))
 
 
 def run_sweep(cfg: dict) -> chain:
@@ -241,7 +241,8 @@ def run_sweep(cfg: dict) -> chain:
 
     if not (0 < cfg["ratio_min"] < cfg["ratio_max"]):
         raise ConfigError("need 0 < ratio_min < ratio_max")
-    theta, state = _gate_area(cfg["gate"]), _start_state(cfg["start"])
+    theta = _lookup("gate", GATE_AREAS, cfg["gate"])
+    state = _lookup("start state", START_STATES, cfg["start"])()
     # a grid outside the sweep contract is refused before any ratio is propagated
     ratios = gates.check_ratio_grid(logspace(math.log10(cfg["ratio_min"]),
                                              math.log10(cfg["ratio_max"]), cfg["points"]))
@@ -314,8 +315,8 @@ def run_compare(cfg: dict) -> chain:
     """Markov vs single-mode failure probabilities on a shared photon grid."""
     from . import budget, gates, jc
 
-    theta = _gate_area(cfg["gate"])
-    state = _start_state(cfg["start"])
+    theta = _lookup("gate", GATE_AREAS, cfg["gate"])
+    state = _lookup("start state", START_STATES, cfg["start"])()
     if not cfg["n_bars"]:
         raise ConfigError("n_bars must list at least one photon number")
     n_bars = jc.check_photon_numbers(cfg["n_bars"])  # before any work
@@ -390,11 +391,13 @@ def main(argv=None) -> int:
 
 
 def _write(chunks, out) -> int:
-    """Write the strings of ``chunks``, which only format values the runner has
-    already checked, to the file ``out``, or to stdout and flush it; returns the
-    exit code, 2 if either fails or stdout was closed when the process started
-    (``sys.stdout`` is None).  A failed flush keeps its bytes buffered, so
-    nothing flushes stdout again: :func:`entry` skips the teardown that would."""
+    """Write the strings of ``chunks`` to the file ``out``, or to stdout and
+    flush it; returns the exit code, 2 if either fails or stdout was closed
+    when the process started (``sys.stdout`` is None).  The chunks format
+    checked values, or derive them from checked columns by plain arithmetic
+    (``simulate``), so nothing else can fail.  A failed flush keeps its bytes
+    buffered, so nothing flushes stdout again: :func:`entry` skips the
+    teardown that would."""
     try:
         if out:
             with open(out, "w", encoding="utf-8", newline="") as fh:

@@ -42,9 +42,8 @@ in one pass; its last sample is the final state.
 from __future__ import annotations
 
 import math
-import operator
 
-from .qcore import InvalidStateError, Record, check_bloch
+from .qcore import InvalidStateError, Record, check_bloch, check_count
 
 EXACT = "exact"
 RK4_FIXED = "rk4_fixed"
@@ -54,8 +53,8 @@ class Trajectory(Record):
     """Samples of one pulse: the times, and the Bloch vector (x, y, z) at
     each time as three columns.  Each field is a tuple of k floats, and the
     last entry of each is the final state; :func:`evolve` validated the
-    samples in one call, and :func:`qcore.density_columns` gives their
-    populations and coherence."""
+    samples in one call, and :func:`qcore.density_columns` gives the printed
+    populations, coherence and purity of any slice of them."""
 
     times: tuple
     x: tuple
@@ -188,14 +187,6 @@ def _apply(m: tuple, x: float, y: float, z: float) -> tuple:
     return xx * x, (y0 + yy * y) + yz * z, (z0 - yz * y) + zz * z
 
 
-def _count(name: str, value) -> int:
-    """``value`` as an int; a float, 2.0 and nan included, is refused."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise InvalidStateError(f"{name} must be an integer, got {value!r}") from None
-
-
 def check_pulse(theta: float, ratios) -> None:
     """Refuse a pulse area ``theta`` or a kappa/g_alpha in ``ratios`` that is
     not finite and >= 0, a NaN included, naming the first such value."""
@@ -224,12 +215,12 @@ def evolve(s0, theta: float, ratio: float, samples: int = 1, method: str = EXACT
     made it blow up) raises :class:`FloatingPointError`, as a map that is not
     finite does.
     """
-    if _count("samples", samples) < 1:
+    if check_count("samples", samples) < 1:
         raise InvalidStateError("samples must be >= 1")
     if method not in (EXACT, RK4_FIXED):
         raise InvalidStateError(f"unknown integrator method {method!r}")
     increment = method == RK4_FIXED  # its map gives the change of v, not v
-    if increment and _count("step_count", step_count) < 100:
+    if increment and check_count("step_count", step_count) < 100:
         raise InvalidStateError(f"rk4_fixed needs step_count >= 100 per pulse, got {step_count}")
     try:
         x, y, z = map(float, s0)

@@ -9,9 +9,9 @@ start, a :class:`PureState` of 2 normalized amplitudes whose
 ``jc``.  For a real s, rho has trace 1, eigenvalues (1 -+ |s|) / 2 and
 purity (1 + |s|^2) / 2, so one rule says that s is a state: |s| <= 1, which
 :func:`check_bloch` checks on a stack of vectors.  The matrix entries of
-those columns, :func:`density_columns`, and their purity, :func:`purities`,
-are the one home of the Bloch-to-matrix format.  Every record type of the
-package derives from :class:`Record`.
+those columns and their purity, :func:`density_columns`, are the one home of
+the Bloch-to-matrix format.  Every record type of the package derives from
+:class:`Record`.
 
 Basis ordering for the two-level atom is fixed package-wide:
 index 0 = ground ``|b>``, index 1 = excited ``|a>``.
@@ -20,6 +20,7 @@ index 0 = ground ``|b>``, index 1 = excited ``|a>``.
 from __future__ import annotations
 
 import math
+import operator
 
 # How far past the unit sphere a Bloch vector's length may round, and how far
 # from 1 a pure state's squared norm.
@@ -118,20 +119,23 @@ def logspace(start: float, stop: float, num: int) -> tuple:
 
 
 def density_columns(xs, ys, zs) -> tuple:
-    """The populations and coherence columns (rho_bb, rho_aa, Re rho_ab,
-    Im rho_ab) of the Bloch vectors (x, y, z): rho_bb = (1 - z) / 2,
-    rho_aa = (1 + z) / 2 and rho_ab = complex(x, y) / 2, each part rounded
-    as that complex division rounds it, signed zeros included."""
-    return (tuple([(1.0 - z) / 2.0 for z in zs]), tuple([(1.0 + z) / 2.0 for z in zs]),
-            tuple([(x + y * 0.0) / 2.0 for x, y in zip(xs, ys)]),
-            tuple([(y - x * 0.0) / 2.0 for x, y in zip(xs, ys)]))
+    """The populations, coherence and purity columns (rho_bb, rho_aa,
+    Re rho_ab, Im rho_ab, tr(rho^2)) of the Bloch vectors (x, y, z):
+    rho_bb = (1 - z) / 2, rho_aa = (1 + z) / 2, rho_ab = (x + i y) / 2, and
+    tr(rho^2) = (rho_bb^2 + |rho_ab|^2) + (|rho_ab|^2 + rho_aa^2)."""
+    rho_bb, rho_aa = [(1.0 - z) / 2.0 for z in zs], [(1.0 + z) / 2.0 for z in zs]
+    re_rho_ab, im_rho_ab = [x / 2.0 for x in xs], [y / 2.0 for y in ys]
+    return rho_bb, rho_aa, re_rho_ab, im_rho_ab, [
+        (b * b + (p := r * r + i * i)) + (p + a * a)
+        for b, a, r, i in zip(rho_bb, rho_aa, re_rho_ab, im_rho_ab)]
 
 
-def purities(rho_bb, rho_aa, re_rho_ab, im_rho_ab) -> list:
-    """tr(rho^2) of each matrix ((rho_bb, rho_ab*), (rho_ab, rho_aa)) given by
-    its columns of populations and coherence."""
-    return [(b * b + (p := r * r + i * i)) + (p + a * a)
-            for b, a, r, i in zip(rho_bb, rho_aa, re_rho_ab, im_rho_ab)]
+def check_count(name: str, value) -> int:
+    """``value`` as an int; a float, 2.0 and nan included, is refused."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidStateError(f"{name} must be an integer, got {value!r}") from None
 
 
 def check_bloch(xs, ys, zs) -> None:

@@ -330,13 +330,16 @@ class TestAreaSweep:
     @pytest.mark.parametrize("points,max_factor,error,match", [
         (1, 1e6, InvalidStateError, "area_sweep_points must be >= 2"),
         (0, 1e6, InvalidStateError, "area_sweep_points must be >= 2"),
+        (2.5, 1e6, InvalidStateError, "area_sweep_points must be an integer, got 2.5"),
+        (3.0, 1e6, InvalidStateError, "area_sweep_points must be an integer, got 3.0"),
+        (math.nan, 1e6, InvalidStateError, "area_sweep_points must be an integer, got nan"),
         (7, 1.0, InvalidStateError, "area_sweep_max_factor must be > 1"),
         (7, 0.0, InvalidStateError, "area_sweep_max_factor must be > 1"),
         (7, -1e-12, InvalidStateError, "area_sweep_max_factor must be > 1"),
         (7, math.nan, InvalidStateError, "area_sweep_max_factor must be > 1"),
         (7, 1.7e308, FloatingPointError, "largest sweep area leaves the double range"),
-    ], ids=["points-1", "points-0", "factor-1", "factor-0", "factor-negative", "factor-nan",
-            "factor-overflows"])
+    ], ids=["points-1", "points-0", "points-2.5", "points-3.0", "points-nan", "factor-1",
+            "factor-0", "factor-negative", "factor-nan", "factor-overflows"])
     def test_grid_outside_the_contract_is_refused(self, points, max_factor, error, match):
         # a 10 m wavelength gives sigma_eff = 11.9 m^2, which 1.7e308 overflows
         report = pi_pulse_budget(10.0, 1e3, 1e-29, 1e5)

@@ -24,7 +24,7 @@ from lasergate.cli import (
     EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, GATE_AREAS, MAX_ROWS, START_STATES, main,
 )
 from lasergate.lindblad import evolve
-from lasergate.qcore import density_columns, purities
+from lasergate.qcore import density_columns
 
 
 def run(tmp_path, *argv, name="out.csv"):
@@ -154,12 +154,13 @@ class TestSimulate:
                             cfg["samples"], cfg["method"], cfg["step_count"])
         want = ["t,rho_bb,rho_aa,re_rho_ab,im_rho_ab,purity"]
         columns = density_columns(trajectory.x, trajectory.y, trajectory.z)
-        for values in zip(trajectory.times, *columns, purities(*columns)):
+        for values in zip(trajectory.times, *columns):
             want.append(",".join(map(cli._fmt, values)))
         assert run_stdout("simulate", *argv) == (EXIT_OK, "\n".join(want) + "\n")
 
-    # sha256 of stdout for the five CI simulate commands and the README
-    # example: a byte moved in any printed column fails
+    # sha256 of stdout for the five CI simulate commands, the README example
+    # and a strongly damped plus start whose x underflows to zero: a byte
+    # moved in any printed column fails
     @pytest.mark.parametrize("argv,digest", [
         ("--start plus --theta 11 --ratio 25 --samples 500",
          "2a363559c6f011a711970aec31c5d18793301e6101adf0bcc2c4b8e6d1624b99"),
@@ -173,8 +174,10 @@ class TestSimulate:
          "cf8f83a7ba9a68a3efaacb4e4c047f88a05f26458c79ee3b8cc4927a1976c228"),
         ("--method rk4_fixed --start plus --ratio 8 --theta 5 --samples 7",
          "7322ea989e71edb54070e6e26e345a85ee4027df83d56f3d7bf46c821a1a7b86"),
+        ("--start plus --ratio 1e3 --samples 50",
+         "28daebb38930d0a8f150aa9b56fa4f63e1eb0fa823d2332e9010df8d6c5cb8a1"),
     ], ids=["plus-decay", "rk4-excited", "theta-0", "ratio-1e20", "readme",
-            "rk4-exceptional-point"])
+            "rk4-exceptional-point", "plus-damped"])
     def test_csv_is_pinned_byte_for_byte(self, argv, digest):
         code, out = run_stdout("simulate", *argv.split())
         assert code == EXIT_OK
@@ -851,6 +854,22 @@ class TestTablePrinter:
         assert len(pieces) >= 4
         assert max(piece.count("\n") for piece in pieces) == CHUNK
         assert "".join(pieces) == run_stdout(*argv)[1]
+
+    def test_simulate_derives_its_columns_one_chunk_at_a_time(self, monkeypatch):
+        # 2 * TABLE_CHUNK samples are 2 * TABLE_CHUNK + 1 rows: three chunks,
+        # each derived from its slice of the Bloch columns as it is written
+        calls = []
+
+        def counted(xs, ys, zs):
+            calls.append(len(xs))
+            return density_columns(xs, ys, zs)
+
+        want = run_stdout("simulate", "--samples", str(2 * CHUNK))
+        monkeypatch.setattr(cli, "density_columns", counted)
+        pieces = cli.run_simulate(cli._coerce("simulate", {"samples": str(2 * CHUNK)}))
+        assert calls == []
+        assert "".join(pieces) == want[1]
+        assert calls == [CHUNK, CHUNK, 1]
 
 
 class TestImports:
