@@ -22,7 +22,7 @@ _EXPORTS = {
     "gates": ("first_order_coefficient",),
     "jc": ("jc_gate_error",),
     "lindblad": ("evolve",),
-    "qcore": ("InvalidStateError", "PureState"),
+    "qcore": ("InvalidStateError",),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 __all__ = sorted(_MODULE_OF)

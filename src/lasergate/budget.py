@@ -23,7 +23,7 @@ import warnings
 from operator import mul
 
 from .gates import first_order_coefficient
-from .qcore import InvalidStateError, PureState, Record, check_count, logspace
+from .qcore import InvalidStateError, Record, check_count, logspace
 
 # Minimum photons within the volume sigma_eff * c * T demanded by the
 # energy-form constraint: nbar' > (pi^2 / 4) / epsilon.
@@ -311,7 +311,7 @@ def fixed_intensity_area_sweep(report: PiPulseBudget, points: int, max_factor: f
     kappa = tuple(gamma_sigma / a for a in area)
     # p per unit kappa / Omega_R of a pi pulse from the ground state, 3 pi / 8:
     # twice its slope c per unit kappa / g_alpha, as Omega_R = 2 g_alpha
-    slope = 2.0 * first_order_coefficient(math.pi, PureState.ground())
+    slope = 2.0 * first_order_coefficient(math.pi, (0.0, 0.0, -1.0))
     return AreaSweep(
         area=area,
         kappa=kappa,

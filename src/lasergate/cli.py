@@ -22,7 +22,7 @@ import warnings
 from itertools import chain
 
 from .lindblad import EXACT, evolve
-from .qcore import PureState, density_columns, logspace
+from .qcore import density_columns, logspace
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -34,6 +34,10 @@ MAX_ROWS = 10**6
 
 # Rows per piece of text written: a table is held as columns, never as one string.
 TABLE_CHUNK = 4096
+
+# 12 significant digits, scientific notation: the one float format of every
+# printed number, so that output is reproducible byte for byte.
+FLOAT_FORMAT = "%.11e"
 
 # Largest simulate pulse area, in rad.  The closed-form map of one pulse is off
 # by the rounding of its rotation angle, about theta * 2.2e-16: within 2.2e-12
@@ -70,9 +74,7 @@ class ConfigError(ValueError):
 
 
 def _fmt(x: float) -> str:
-    """12 significant digits, scientific notation; the one float format used
-    everywhere so output is reproducible byte for byte."""
-    return f"{x:.11e}"
+    return FLOAT_FORMAT % x
 
 
 def _chunks(columns):
@@ -86,10 +88,10 @@ def _table(columns):
     """The rows of the table given by its ``columns``, sequences of one
     length, as comma-separated fields, one line per row, yielded as the text
     of each of its :func:`_chunks`: one row template, by the field types of the
-    first row (:func:`_fmt` for floats, strings unchanged), applied per chunk."""
+    first row (FLOAT_FORMAT for floats, strings unchanged), applied per chunk."""
     if not len(columns[0]):
         return
-    line = ",".join(["%s" if isinstance(column[0], str) else "%.11e" for column in columns])
+    line = ",".join(["%s" if isinstance(column[0], str) else FLOAT_FORMAT for column in columns])
     for chunk in _chunks(columns):
         yield f"{line}\n" * len(chunk[0]) % tuple(chain.from_iterable(zip(*chunk)))
 
@@ -174,11 +176,8 @@ KEY_SCHEMAS: dict[str, dict] = {
 }
 
 GATE_AREAS = {"pi": math.pi, "pi2": math.pi / 2.0}
-START_STATES = {
-    "ground": PureState.ground,
-    "excited": PureState.excited,
-    "plus": lambda: PureState.superposition(1.0, 1.0),
-}
+# start name -> its Bloch vector (x, y, z)
+START_STATES = {"ground": (0.0, 0.0, -1.0), "excited": (0.0, 0.0, 1.0), "plus": (1.0, 0.0, 0.0)}
 
 
 def parse_config_file(path: str) -> dict[str, str]:
@@ -226,8 +225,8 @@ def _lookup(kind: str, table: dict, name: str):
 
 def run_simulate(cfg: dict) -> chain:
     """Trajectory CSV: t, populations, coherence, purity at samples+1 times."""
-    state = _lookup("start state", START_STATES, cfg["start"])()
-    trajectory = evolve(state.bloch(), cfg["theta"], cfg["ratio"], cfg["samples"], cfg["method"],
+    state = _lookup("start state", START_STATES, cfg["start"])
+    trajectory = evolve(state, cfg["theta"], cfg["ratio"], cfg["samples"], cfg["method"],
                         cfg["step_count"])
 
     return chain(["t,rho_bb,rho_aa,re_rho_ab,im_rho_ab,purity\n"],
@@ -242,7 +241,7 @@ def run_sweep(cfg: dict) -> chain:
     if not (0 < cfg["ratio_min"] < cfg["ratio_max"]):
         raise ConfigError("need 0 < ratio_min < ratio_max")
     theta = _lookup("gate", GATE_AREAS, cfg["gate"])
-    state = _lookup("start state", START_STATES, cfg["start"])()
+    state = _lookup("start state", START_STATES, cfg["start"])
     # a grid outside the sweep contract is refused before any ratio is propagated
     ratios = gates.check_ratio_grid(logspace(math.log10(cfg["ratio_min"]),
                                              math.log10(cfg["ratio_max"]), cfg["points"]))
@@ -316,7 +315,7 @@ def run_compare(cfg: dict) -> chain:
     from . import budget, gates, jc
 
     theta = _lookup("gate", GATE_AREAS, cfg["gate"])
-    state = _lookup("start state", START_STATES, cfg["start"])()
+    state = _lookup("start state", START_STATES, cfg["start"])
     if not cfg["n_bars"]:
         raise ConfigError("n_bars must list at least one photon number")
     n_bars = jc.check_photon_numbers(cfg["n_bars"])  # before any work

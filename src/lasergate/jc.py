@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 
-from .qcore import InvalidStateError, PureState
+from .qcore import InvalidStateError, check_pure_start
 
 # Largest mean photon number a field may hold.  A gate error reads about 80
 # levels of its window whatever nbar is, so this fixes the photon range that
@@ -102,9 +102,19 @@ def _chord(mean: float, half: float) -> tuple:
     return -2.0 * math.sin(mean) * s, 2.0 * math.cos(mean) * s
 
 
-def _population(atom_start: PureState, n_bar: float, theta: float, bra) -> float:
-    """<bra| rho_atom |bra> after a theta pulse, summed over the Fock levels of
-    the window of :func:`_window`.
+def _amplitudes(s: tuple) -> tuple:
+    """The amplitudes (x_b, x_a) of the pure state of Bloch vector ``s`` =
+    (x, y, z): (1 - z, x + i y) / |.|, and (0, 1) at z >= 1."""
+    x, y, z = s
+    if z >= 1.0:
+        return 0j, 1 + 0j
+    norm = math.hypot(1.0 - z, x, y)
+    return complex(1.0 - z) / norm, complex(x, y) / norm
+
+
+def _population(psi: tuple, n_bar: float, theta: float, bra) -> float:
+    """<bra| rho_atom |bra> after a theta pulse from the atom's amplitudes
+    ``psi`` = (x_b, x_a), summed over the Fock levels of :func:`_window`.
 
     Level m of the joint state holds b_m |b, m> + a_m |a, m>, with
       b_m = cos(phi_{m-1}) c_m x_b - i sin(phi_{m-1}) c_{m-1} x_a
@@ -138,7 +148,7 @@ def _population(atom_start: PureState, n_bar: float, theta: float, bra) -> float
     of the norm.  Each term is non-negative, so the sum has no 1 - F
     cancellation, and both sums are correctly rounded (``math.fsum``).
     """
-    x_b, x_a = atom_start.amplitudes
+    x_b, x_a = psi
     u_b, u_a = bra[0].conjugate(), bra[1].conjugate()
     a, b, c, d = u_b * x_b, u_a * x_a, -1j * u_b * x_a, -1j * u_a * x_b
     root_ref = math.sqrt(n_bar)
@@ -181,15 +191,16 @@ def check_photon_numbers(n_bars) -> tuple:
     return n
 
 
-def jc_gate_error(theta: float, atom_start: PureState, n_bar: float) -> float:
+def jc_gate_error(theta: float, atom_start, n_bar: float) -> float:
     """Failure probability of a theta pulse against its semiclassical target.
 
     Parameters
     ----------
     theta : float
         Pulse area in (0, 2 pi], at most one mean-field Rabi period.
-    atom_start : PureState
-        Two-level initial state.
+    atom_start : sequence of 3 floats
+        Bloch vector (x, y, z) of the pure initial state, |s| = 1
+        (:func:`qcore.check_pure_start`), read as :func:`_amplitudes`.
     n_bar : float
         Mean photon number of the coherent field, in [25, ``MAX_N_BAR``]
         (see :func:`check_photon_numbers`).
@@ -207,8 +218,8 @@ def jc_gate_error(theta: float, atom_start: PureState, n_bar: float) -> float:
     (n_bar,) = check_photon_numbers((n_bar,))
     if not 0.0 < theta <= 2.0 * math.pi:
         raise InvalidStateError(f"pulse area theta must lie in (0, 2 pi], got {theta}")
+    x_b, x_a = psi = _amplitudes(check_pure_start(atom_start))
     cos, sin = complex(math.cos(theta / 2.0), 0.0), complex(0.0, -math.sin(theta / 2.0))
-    x_b, x_a = atom_start.amplitudes
     t_b, t_a = cos * x_b + sin * x_a, sin * x_b + cos * x_a
     # <psi_perp| projects each Fock level's atom state
-    return _population(atom_start, n_bar, theta, (-t_a.conjugate(), t_b.conjugate()))
+    return _population(psi, n_bar, theta, (-t_a.conjugate(), t_b.conjugate()))

@@ -32,18 +32,19 @@ with the pulse is that of the rotation angle, about theta * 2.2e-16.  Every
 gate error is read from D.  :func:`evolve` samples one ratio's trajectory by
 applying the map of one segment, segment after segment: the closed form, or
 for ``rk4_fixed`` the increment of k classical RK4 steps from
-:func:`_segment_map`.  It takes the start as a Bloch vector, from
-:meth:`qcore.PureState.bloch` or any |s| <= 1 for a mixed start, and carries
-x, y and z as three columns of floats, one entry per sample.  A trajectory is
-the sample times and those columns, which :func:`qcore.check_bloch` validates
-in one pass; its last sample is the final state.
+:func:`_segment_map`.  It takes the start as a Bloch vector, pure or mixed,
+any |s| <= 1 (:func:`qcore.check_start`), and carries x, y and z as three
+columns of floats, one entry per sample.  A trajectory is the sample times
+and those columns, which :func:`qcore.check_bloch` validates in one pass;
+its last sample is the final state.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 
-from .qcore import InvalidStateError, Record, check_bloch, check_count
+from .qcore import InvalidStateError, Record, check_bloch, check_count, check_start
 
 EXACT = "exact"
 RK4_FIXED = "rk4_fixed"
@@ -207,13 +208,13 @@ def evolve(s0, theta: float, ratio: float, samples: int = 1, method: str = EXACT
 
     Refuses with :class:`InvalidStateError`, in this order: ``samples`` not
     an integer or < 1, an unknown ``method``, ``rk4_fixed`` with
-    ``step_count`` not an integer or < 100 (``exact`` ignores it), an ``s0``
-    that is not three numbers inside the unit ball (:func:`qcore.check_bloch`),
-    then ``theta`` or ``ratio`` as :func:`check_pulse` does.  A propagated
-    state that :func:`qcore.check_bloch` refuses (rounding of a long or
-    strongly damped pulse pushed it out of the ball, or an unstable RK4 step
-    made it blow up) raises :class:`FloatingPointError`, as a map that is not
-    finite does.
+    ``step_count`` not an integer, < 100 or past the double range (``exact``
+    ignores it), an ``s0`` that is not three numbers inside the unit ball
+    (:func:`qcore.check_start`), then ``theta`` or ``ratio`` as
+    :func:`check_pulse` does.  A propagated state that
+    :func:`qcore.check_bloch` refuses (rounding of a long or strongly damped
+    pulse pushed it out of the ball, or an unstable RK4 step made it blow up)
+    raises :class:`FloatingPointError`, as a map that is not finite does.
     """
     if check_count("samples", samples) < 1:
         raise InvalidStateError("samples must be >= 1")
@@ -222,11 +223,9 @@ def evolve(s0, theta: float, ratio: float, samples: int = 1, method: str = EXACT
     increment = method == RK4_FIXED  # its map gives the change of v, not v
     if increment and check_count("step_count", step_count) < 100:
         raise InvalidStateError(f"rk4_fixed needs step_count >= 100 per pulse, got {step_count}")
-    try:
-        x, y, z = map(float, s0)
-    except (TypeError, ValueError) as exc:
-        raise InvalidStateError(f"expected a Bloch vector of 3 numbers: {exc}") from None
-    check_bloch([x], [y], [z])
+    if increment and step_count > sys.float_info.max:  # the step tau / step_count is a float
+        raise InvalidStateError(f"rk4_fixed needs step_count <= {sys.float_info.max:g} per pulse")
+    x, y, z = check_start(s0)
     check_pulse(theta, (ratio,))
     if theta == 0.0:
         return Trajectory(*((value,) * (samples + 1) for value in (0.0, x, y, z)))

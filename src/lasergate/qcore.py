@@ -2,16 +2,15 @@
 
 The package has one state format, real: the Bloch vector (x, y, z) of
 rho = (I + x sigma_x + y sigma_y + z sigma_z) / 2, a tuple of three floats
-with |s| <= 1.  Every propagated state is one, and a trajectory holds its
-samples as columns of x, y and z.  Complex numbers appear only in a pure
-start, a :class:`PureState` of 2 normalized amplitudes whose
-:meth:`PureState.bloch` gives its vector, and in the single-mode model of
-``jc``.  For a real s, rho has trace 1, eigenvalues (1 -+ |s|) / 2 and
-purity (1 + |s|^2) / 2, so one rule says that s is a state: |s| <= 1, which
-:func:`check_bloch` checks on a stack of vectors.  The matrix entries of
-those columns and their purity, :func:`density_columns`, are the one home of
-the Bloch-to-matrix format.  Every record type of the package derives from
-:class:`Record`.
+with |s| <= 1.  Every start (:func:`check_start`) and every propagated state
+is one, and a trajectory holds its samples as columns of x, y and z; only the
+single-mode model of ``jc`` reads a start as amplitudes.  For a real s, rho
+has trace 1, eigenvalues (1 -+ |s|) / 2 and purity (1 + |s|^2) / 2, so one
+rule says that s is a state, |s| <= 1, which :func:`check_bloch` checks on a
+stack of vectors, and one that it is pure, |s| = 1 (:func:`check_pure_start`).
+The matrix entries of those columns and their purity, :func:`density_columns`,
+are the one home of the Bloch-to-matrix format.  Every record type of the
+package derives from :class:`Record`.
 
 Basis ordering for the two-level atom is fixed package-wide:
 index 0 = ground ``|b>``, index 1 = excited ``|a>``.
@@ -23,9 +22,8 @@ import math
 import operator
 
 # How far past the unit sphere a Bloch vector's length may round, and how far
-# from 1 a pure state's squared norm.
+# from it a pure state's.
 BLOCH_SLACK = 1e-9
-NORM_TOL = 1e-12
 
 
 class InvalidStateError(ValueError):
@@ -37,11 +35,10 @@ class Record:
 
     A subclass declares its fields as class annotations, in order, and a
     class-level value is that field's default.  Construction takes the fields
-    positionally or by keyword, then calls ``__post_init__``, which may
-    normalize a field with ``object.__setattr__``.  Repr, equality and hash
-    are field-wise; assigning or deleting an attribute raises
-    :class:`AttributeError`.  Unlike ``dataclasses``, nothing is compiled per
-    class, so defining a record costs next to nothing at import.
+    positionally or by keyword.  Repr, equality and hash are field-wise;
+    assigning or deleting an attribute raises :class:`AttributeError`.
+    Unlike ``dataclasses``, nothing is compiled per class, so defining a
+    record costs next to nothing at import.
     """
 
     _fields: tuple[str, ...] = ()
@@ -74,10 +71,6 @@ class Record:
                 state[name] = cls._defaults[name]
             else:
                 raise TypeError(f"{cls.__name__} is missing field {name!r}")
-        self.__post_init__()
-
-    def __post_init__(self):
-        pass
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)
@@ -150,44 +143,22 @@ def check_bloch(xs, ys, zs) -> None:
             raise InvalidStateError(message if len(xs) == 1 else f"state {i}: {message}")
 
 
-class PureState(Record):
-    """Normalized state vector of the two-level atom: 2 amplitudes."""
+def check_start(s0) -> tuple:
+    """``s0`` as a Bloch vector (x, y, z) of floats, refused unless it is
+    three numbers inside the unit ball (:func:`check_bloch`)."""
+    try:
+        x, y, z = map(float, s0)
+    except (TypeError, ValueError) as exc:
+        raise InvalidStateError(f"expected a Bloch vector of 3 numbers: {exc}") from None
+    check_bloch([x], [y], [z])
+    return x, y, z
 
-    amplitudes: tuple
 
-    def __post_init__(self):
-        try:
-            v = tuple(complex(x) for x in self.amplitudes)
-        except (TypeError, ValueError) as exc:
-            raise InvalidStateError(f"expected a vector of numbers: {exc}") from None
-        if len(v) != 2:
-            raise InvalidStateError(f"expected 2 amplitudes, got {len(v)}")
-        nrm2 = sum(x.real * x.real + x.imag * x.imag for x in v)
-        if not abs(nrm2 - 1.0) <= NORM_TOL:  # NaN amplitudes fail too
-            raise InvalidStateError(f"state not normalized: |psi|^2 = {nrm2:.12g}")
-        object.__setattr__(self, "amplitudes", v)
-
-    def bloch(self) -> tuple:
-        """The Bloch vector (x, y, z) of |psi><psi|, scaled to unit trace, so
-        that a state whose |psi|^2 rounds below 1, such as (1, 1) / sqrt(2),
-        stays on the surface of the ball."""
-        b, a = self.amplitudes
-        rho_bb, rho_ab, rho_aa = b * b.conjugate(), a * b.conjugate(), a * a.conjugate()
-        trace = (rho_bb + rho_aa).real
-        return 2.0 * rho_ab.real / trace, 2.0 * rho_ab.imag / trace, (rho_aa - rho_bb).real / trace
-
-    @staticmethod
-    def ground() -> "PureState":
-        return PureState((1.0, 0.0))
-
-    @staticmethod
-    def excited() -> "PureState":
-        return PureState((0.0, 1.0))
-
-    @staticmethod
-    def superposition(c_ground: complex, c_excited: complex) -> "PureState":
-        v = (complex(c_ground), complex(c_excited))
-        nrm = math.hypot(v[0].real, v[0].imag, v[1].real, v[1].imag)
-        if nrm == 0.0:
-            raise InvalidStateError("zero state vector")
-        return PureState((v[0] / nrm, v[1] / nrm))
+def check_pure_start(s0) -> tuple:
+    """:func:`check_start` of ``s0``, refused also unless it is pure:
+    ||s| - 1| <= BLOCH_SLACK."""
+    s = check_start(s0)
+    radius = math.hypot(*s)
+    if not radius >= 1.0 - BLOCH_SLACK:
+        raise InvalidStateError(f"start state is not pure: Bloch vector |s| = {radius:.12g}")
+    return s

@@ -42,6 +42,8 @@ I2 = np.eye(2, dtype=complex)
 GROUND = np.array([1, 0], dtype=complex)
 EXCITED = np.array([0, 1], dtype=complex)
 PLUS = np.array([1, 1], dtype=complex) / np.sqrt(2)
+# the amplitudes of the CLI's named starts
+STARTS = {"ground": GROUND, "excited": EXCITED, "plus": PLUS}
 
 
 def bloch_density(s) -> np.ndarray:
@@ -56,6 +58,17 @@ def density_bloch(m) -> tuple:
     its lower-left entry and its diagonal."""
     m = np.asarray(m, dtype=complex)
     return 2.0 * m[1, 0].real, 2.0 * m[1, 0].imag, (m[1, 1] - m[0, 0]).real
+
+
+def pure_bloch(amplitudes) -> tuple:
+    """The Bloch vector (x, y, z), as floats, of the pure state of the two
+    ``amplitudes``: :func:`density_bloch` of the projector |psi><psi|, scaled
+    to unit trace, so that a state whose |psi|^2 rounds off 1 stays on the
+    surface of the ball."""
+    psi = np.asarray(amplitudes, dtype=complex)
+    projector = np.outer(psi, psi.conj())
+    trace = float((projector[0, 0] + projector[1, 1]).real)
+    return tuple(float(v) / trace for v in density_bloch(projector))
 
 
 def sample_matrices(trajectory) -> np.ndarray:

@@ -18,12 +18,16 @@ from lasergate.budget import (
     pi_pulse_budget,
     raman_constraint,
 )
-from lasergate.cli import EXIT_OK, main
+from lasergate.cli import EXIT_OK, START_STATES, main
 from lasergate.gates import first_order_coefficient, sweep_failure_probabilities
 from lasergate.jc import jc_gate_error
 from lasergate.lindblad import RK4_FIXED, evolve
-from lasergate.qcore import PureState, logspace
-from oracles import PI_PULSE_PHOTON_COEFFICIENT, PI_PULSE_RABI_SLOPE, density_bloch, sample_matrices
+from lasergate.qcore import logspace
+from oracles import (
+    PI_PULSE_PHOTON_COEFFICIENT, PI_PULSE_RABI_SLOPE, density_bloch, pure_bloch, sample_matrices,
+)
+
+GROUND, EXCITED = START_STATES["ground"], START_STATES["excited"]
 
 FIRST_ORDER_PI_SLOPE = 3.0 * math.pi / 16.0  # p per unit kappa/g_alpha, pi pulse from ground
 
@@ -45,7 +49,7 @@ def _random_system(rng):
 
 def test_pi_pulse_error_tracks_first_order():
     """Integrated excited-state deficit matches (3 pi/16) kappa/g_alpha."""
-    s0 = PureState.ground().bloch()
+    s0 = GROUND
     worst = 0.0
     slowest = 0.0
     for ratio, tol in ((1e-3, 0.01), (1e-4, 0.002)):
@@ -63,19 +67,19 @@ def test_pi_pulse_error_tracks_first_order():
     )
 
 
-def _photon_coefficients(theta: float, psi: PureState) -> tuple:
+def _photon_coefficients(theta: float, s0) -> tuple:
     """Closed-form c' = c theta/2 and the mean of theta/2 * p_i/r_i over the
     8-point perturbative grid 1e-5..1e-3, each p_i from the dynamics."""
     half = theta / 2.0
     ratios = logspace(-5.0, -3.0, 8)
-    p = sweep_failure_probabilities(theta, psi, ratios)
+    p = sweep_failure_probabilities(theta, s0, ratios)
     swept = sum(half * p_i / r_i for p_i, r_i in zip(p, ratios)) / len(ratios)
-    return first_order_coefficient(theta, psi) * half, swept
+    return first_order_coefficient(theta, s0) * half, swept
 
 
 def test_photon_coefficient_of_pi_pulse():
     """Closed-form and swept photon coefficients land on 3 pi^2/32 ~ 0.93 within 2%."""
-    closed, swept = _photon_coefficients(math.pi, PureState.ground())
+    closed, swept = _photon_coefficients(math.pi, GROUND)
     rel = max(abs(got / PI_PULSE_PHOTON_COEFFICIENT - 1.0) for got in (closed, swept))
     _verdict(
         "pi-pulse photon coefficient",
@@ -88,8 +92,8 @@ def test_photon_coefficient_of_pi_pulse():
 def test_half_pulse_photon_coefficients():
     """Ground start ~0.04 (+-50%), excited start ~0.43 (+-15%), strictly ordered,
     in closed form and swept."""
-    ground = _photon_coefficients(math.pi / 2, PureState.ground())
-    excited = _photon_coefficients(math.pi / 2, PureState.excited())
+    ground = _photon_coefficients(math.pi / 2, GROUND)
+    excited = _photon_coefficients(math.pi / 2, EXCITED)
     ok = all(abs(cg / 0.04 - 1.0) <= 0.50 and abs(ce / 0.43 - 1.0) <= 0.15 and ce > cg
              for cg, ce in zip(ground, excited))
     _verdict(
@@ -166,7 +170,7 @@ def test_single_mode_pi_pulse_error():
     elapsed = {}
     for n_bar in (100, 400, 1600):
         start = time.perf_counter()
-        p = jc_gate_error(math.pi, PureState.ground(), n_bar)
+        p = jc_gate_error(math.pi, GROUND, n_bar)
         elapsed[n_bar] = time.perf_counter() - start
         products[n_bar] = p * n_bar
     spread = (max(products.values()) - min(products.values())) / products[400]
@@ -206,13 +210,13 @@ def test_state_invariants_on_random_trajectories():
     worst_purity = 0.0
     for _ in range(100):
         amps = rng.normal(size=2) + 1j * rng.normal(size=2)
-        psi = PureState(amps / np.linalg.norm(amps))
+        s0 = pure_bloch(amps / np.linalg.norm(amps))
         theta = rng.uniform(0.1, 2.0 * math.pi)
-        final = sample_matrices(evolve(psi.bloch(), theta, 0.0))[-1]  # the exact propagator
+        final = sample_matrices(evolve(s0, theta, 0.0))[-1]  # the exact propagator
         worst_purity = max(worst_purity, abs(np.vdot(final, final).real - 1.0))
     purity_ok = worst_purity <= 1e-8
 
-    s0 = PureState.superposition(1.0, 0.6 + 0.2j).bloch()
+    s0 = pure_bloch((1.0, 0.6 + 0.2j))
     theta, ratio = 3.0 * math.pi / 2.0, 0.3
 
     def final_with(steps):

@@ -83,6 +83,17 @@ def report_values(payload: bytes) -> dict:
     return out
 
 
+class TestStartStates:
+    def test_each_start_is_the_bloch_vector_of_its_amplitudes(self):
+        # the table holds vectors, each on the unit sphere, within rounding of
+        # the projector of the oracle's amplitudes of the same start
+        assert START_STATES == {"ground": (0.0, 0.0, -1.0), "excited": (0.0, 0.0, 1.0),
+                                "plus": (1.0, 0.0, 0.0)}
+        for name, s in START_STATES.items():
+            assert math.hypot(*s) == 1.0
+            assert np.max(np.abs(np.subtract(s, oracles.pure_bloch(oracles.STARTS[name])))) <= 1e-15
+
+
 class TestSimulate:
     def test_pi_pulse_reaches_excited(self, tmp_path):
         code, payload = run(tmp_path, "simulate", "--samples", "50")
@@ -150,7 +161,7 @@ class TestSimulate:
             "ratio-1e20"])
     def test_csv_prints_the_trajectory_states(self, argv):
         cfg = cli._coerce("simulate", cli._overrides_from_extras(argv))
-        trajectory = evolve(START_STATES[cfg["start"]]().bloch(), cfg["theta"], cfg["ratio"],
+        trajectory = evolve(START_STATES[cfg["start"]], cfg["theta"], cfg["ratio"],
                             cfg["samples"], cfg["method"], cfg["step_count"])
         want = ["t,rho_bb,rho_aa,re_rho_ab,im_rho_ab,purity"]
         columns = density_columns(trajectory.x, trajectory.y, trajectory.z)
@@ -218,12 +229,15 @@ class TestSimulate:
          "rk4_fixed needs step_count >= 100 per pulse, got 50"),
         (["--samples", "0", "--method", "rk4_fixed", "--step_count", "50"],
          "samples must be >= 1"),
+        # a count whose step length tau / step_count no float can hold
+        (["--method", "rk4_fixed", "--step_count", "1" + "0" * 400],
+         "rk4_fixed needs step_count <= 1.79769e+308 per pulse"),
         (["--method", "bogus", "--ratio", "-1"], "unknown integrator method 'bogus'"),
         # the start state is resolved before evolve is called
         (["--samples", "0", "--start", "bogus"],
          "unknown start state 'bogus'; choose from ['excited', 'ground', 'plus']"),
     ], ids=["method", "step-count", "samples", "step-count-theta-0", "samples-first",
-            "method-before-ratio", "start-before-samples"])
+            "step-count-past-the-double-range", "method-before-ratio", "start-before-samples"])
     def test_solver_refusals_keep_message_and_order(self, argv, message):
         assert run_captured("simulate", *argv) == (EXIT_CONFIG, "", f"error: {message}\n")
 
@@ -279,6 +293,16 @@ class TestSweep:
         assert code == EXIT_CONFIG and err.startswith("error: ")
         assert calls == []
 
+    def test_subnormal_ratios_are_refused(self, monkeypatch):
+        # below the smallest normal double a ratio, and p = c r with it, keeps
+        # too few digits to print 12 of them
+        calls = []
+        monkeypatch.setattr(gates, "_propagator", lambda *args: calls.append(args))
+        code, out, err = run_captured("sweep", "--ratio_min", "1e-320", "--ratio_max", "1e-312")
+        assert (code, out, calls) == (EXIT_CONFIG, "", [])
+        assert err == ("error: ratio 9.99989e-321 is below the smallest normal double"
+                       " 2.22507e-308\n")
+
     def test_non_finite_input_is_config_error(self, tmp_path):
         assert run(tmp_path, "sweep", "--ratio_min", "nan")[0] == EXIT_CONFIG
         assert run(tmp_path, "sweep", "--ratio_max", "inf")[0] == EXIT_CONFIG
@@ -305,8 +329,9 @@ class TestSweep:
         assert float(fields["residual"]) == pytest.approx(
             np.sqrt(np.mean((p / ratios - c) ** 2)), rel=1e-6)
 
-    # sha256 of stdout for the three CI coefficient sweeps and its 64-point
-    # sweep: a byte moved in any printed p, or in the footer, fails
+    # sha256 of stdout for the three CI coefficient sweeps and its two 64-point
+    # sweeps, the plus start's among them: a byte moved in any printed p, or
+    # in the footer, fails
     @pytest.mark.parametrize("argv,digest", [
         ("--gate pi --start ground",
          "02f54fb7112b07e73fb46329681a8fbf15a900d81ef2676efcde5d08f56f52f8"),
@@ -316,7 +341,9 @@ class TestSweep:
          "990fea0caec47b6c04800920f30b0d4f1df340a3e014ea8b0d8008c70068169b"),
         ("--gate pi2 --start excited --points 64",
          "04e2c3b3048cfd23fd61814bdd2c0cb9a180fa5fe173aceb77534f4108205222"),
-    ], ids=["c-pi-ground", "c-pi2-ground", "c-pi2-excited", "pi2-excited-64"])
+        ("--gate pi --start plus --points 64",
+         "53a6ec574a425fe5c22d97ea5481caabc142f4bd6c21b0279bf3ab50e94530dd"),
+    ], ids=["c-pi-ground", "c-pi2-ground", "c-pi2-excited", "pi2-excited-64", "pi-plus-64"])
     def test_csv_is_pinned_byte_for_byte(self, argv, digest):
         code, out = run_stdout("sweep", *argv.split())
         assert code == EXIT_OK
@@ -329,7 +356,7 @@ class TestSweep:
         code, out = run_stdout("sweep", "--gate", gate, "--start", start)
         fields = dict(tok.split("=") for tok in out.splitlines()[-1][2:].split())
         theta = GATE_AREAS[gate]
-        c = oracles.first_order_coefficient(np.asarray(START_STATES[start]().amplitudes), theta)
+        c = oracles.first_order_coefficient(oracles.STARTS[start], theta)
         assert code == EXIT_OK
         assert (fields["c"], fields["c_prime"]) == (f"{c:.11e}", f"{c * theta / 2:.11e}")
 
@@ -652,9 +679,9 @@ class TestBudget:
 
 
 class TestCompare:
-    # sha256 of stdout for the CI markov-vs-jc and stride compares and the two
-    # largest-nbar ground-state rows: every printed digit of the Markov p and
-    # of the single-mode p is pinned
+    # sha256 of stdout for the CI markov-vs-jc, stride and plus-start compares
+    # and the two largest-nbar ground-state rows: every printed digit of the
+    # Markov p and of the single-mode p is pinned
     @pytest.mark.parametrize("argv,digest", [
         ("--n_bars 100,400,1600,6400",
          "d0a25e55cde9dceab44b9b5d52b4af9779e2f4c882fa603e48e6bd0b8bacbc13"),
@@ -662,7 +689,9 @@ class TestCompare:
          "eb49ff28a0e686e843790bcd9687044ead392dc0546e072d1c1327defa07ae3b"),
         ("--gate pi2 --start ground --n_bars 9.9e9,1e14",
          "a9ab990b01ca7e963e20b16fc23409c51ca89e0a9ccdf2cfdc7996e19e356913"),
-    ], ids=["markov-vs-jc", "stride", "pi2-ground-large-nbar"])
+        ("--gate pi --start plus --n_bars 100,1e4,1e9",
+         "091d5786600630f4eb78b7dfeae0ac22fe1c2eb277d2be842b5a08e70ca13c56"),
+    ], ids=["markov-vs-jc", "stride", "pi2-ground-large-nbar", "pi-plus"])
     def test_csv_is_pinned_byte_for_byte(self, argv, digest):
         code, out = run_stdout("compare", *argv.split())
         assert code == EXIT_OK
@@ -877,7 +906,7 @@ class TestImports:
         # removing or adding a public name is a deliberate edit of this list
         assert lasergate.__all__ == [
             "CODATA", "InvalidStateError",
-            "PhysicalConstants", "PiPulseBudget", "PureState", "evolve",
+            "PhysicalConstants", "PiPulseBudget", "evolve",
             "first_order_coefficient", "fixed_intensity_area_sweep",
             "jc_gate_error", "pi_pulse_budget", "raman_constraint",
         ]

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -9,13 +10,16 @@ from lasergate.budget import drive_ratio_for_photons, photon_coefficient
 from lasergate.cli import GATE_AREAS, START_STATES
 from lasergate.gates import check_ratio_grid, first_order_coefficient, sweep_failure_probabilities
 from lasergate.lindblad import RK4_FIXED, _apply, _propagator, evolve
-from lasergate.qcore import InvalidStateError, PureState, logspace
+from lasergate.qcore import InvalidStateError, logspace
 from oracles import density_bloch, sample_matrices
 
-# (theta, psi) of the three gates the paper quotes
-PI_FROM_GROUND = (math.pi, PureState.ground())
-HALF_FROM_GROUND = (math.pi / 2, PureState.ground())
-HALF_FROM_EXCITED = (math.pi / 2, PureState.excited())
+# the Bloch vectors of the named starts
+GROUND, EXCITED, PLUS = (START_STATES[name] for name in ("ground", "excited", "plus"))
+
+# (theta, s0) of the three gates the paper quotes
+PI_FROM_GROUND = (math.pi, GROUND)
+HALF_FROM_GROUND = (math.pi / 2, GROUND)
+HALF_FROM_EXCITED = (math.pi / 2, EXCITED)
 
 # First-order slopes of p versus kappa/g_alpha, in closed form from the
 # toggling-frame integrals (sin^4 / cos^4 over the pulse):
@@ -61,23 +65,22 @@ class TestFirstOrderOracle:
 class TestFailureProbability:
     def test_zero_decay_means_zero_failure(self):
         for gate in (PI_FROM_GROUND, HALF_FROM_GROUND, HALF_FROM_EXCITED,
-                     (math.pi, PureState.superposition(1, 1))):
+                     (math.pi, PLUS)):
             assert p_at(gate, 0.0) <= 1e-8
 
     @pytest.mark.parametrize(
-        "gate,frozen",
+        "gate,psi,frozen",
         [
-            (PI_FROM_GROUND, P_PI_GROUND_1E3),
-            (HALF_FROM_GROUND, P_HALF_GROUND_1E3),
-            (HALF_FROM_EXCITED, P_HALF_EXCITED_1E3),
+            (PI_FROM_GROUND, oracles.GROUND, P_PI_GROUND_1E3),
+            (HALF_FROM_GROUND, oracles.GROUND, P_HALF_GROUND_1E3),
+            (HALF_FROM_EXCITED, oracles.EXCITED, P_HALF_EXCITED_1E3),
         ],
         ids=["pi-ground", "half-ground", "half-excited"],
     )
-    def test_matches_superoperator_oracle(self, gate, frozen):
+    def test_matches_superoperator_oracle(self, gate, psi, frozen):
         p = p_at(gate, 1e-3)
         assert p == pytest.approx(frozen, abs=5e-9)
-        theta, psi = gate
-        assert p == pytest.approx(oracles.failure_superop(psi.amplitudes, theta, 1e-3), abs=5e-9)
+        assert p == pytest.approx(oracles.failure_superop(psi, gate[0], 1e-3), abs=5e-9)
 
     def test_pi_pulse_first_order_value(self):
         # (3 pi/16) * 1e-3 = 5.890e-4, accurate to 1% at this ratio
@@ -119,23 +122,23 @@ class TestFailureProbability:
 
     def test_rk4_and_exact_agree(self):
         # the exact p against an independent RK4 run of the same pulse
-        theta, psi = HALF_FROM_EXCITED
-        final = sample_matrices(evolve(psi.bloch(), theta, 1e-3, method=RK4_FIXED,
-                                       step_count=2000))[-1]
-        target = oracles.ideal_state(np.asarray(psi.amplitudes), theta)
+        theta, s0 = HALF_FROM_EXCITED
+        final = sample_matrices(evolve(s0, theta, 1e-3, method=RK4_FIXED, step_count=2000))[-1]
+        target = oracles.ideal_state(oracles.EXCITED, theta)
         rk4 = 1.0 - np.vdot(target, final @ target).real
         assert p_at(HALF_FROM_EXCITED, 1e-3) == pytest.approx(rk4, abs=1e-9)
 
 
 def oracle_starts() -> dict:
-    """Pure starts for the oracle bounds: the four named ones and two random."""
-    starts = {"ground": PureState.ground(), "excited": PureState.excited(),
-              "plus": PureState.superposition(1.0, 1.0),
-              "plus-i": PureState.superposition(1.0, 1.0j)}
+    """Pure starts for the oracle bounds, as (Bloch vector, amplitudes): the
+    four named ones and two random."""
+    starts = {name: (s0, oracles.STARTS[name]) for name, s0 in START_STATES.items()}
+    starts["plus-i"] = ((0.0, 1.0, 0.0), np.array([1.0, 1.0j]) / math.sqrt(2.0))
     rng = np.random.default_rng(28)
     for i in range(2):
         amplitudes = rng.normal(size=2) + 1j * rng.normal(size=2)
-        starts[f"random-{i}"] = PureState(tuple(amplitudes / np.linalg.norm(amplitudes)))
+        psi = amplitudes / np.linalg.norm(amplitudes)
+        starts[f"random-{i}"] = (oracles.pure_bloch(psi), psi)
     return starts
 
 
@@ -148,20 +151,20 @@ ORACLE_RATIOS = logspace(-14.0, math.log10(7.9), 12)
 class TestAgainstMultiprecision:
     @pytest.mark.parametrize("gate, start", TABLE_CASES)
     def test_sweep_is_within_roundoff_of_40_digit_expm(self, gate, start):
-        theta, psi0 = GATE_AREAS[gate], START_STATES[start]()
-        got = sweep_failure_probabilities(theta, psi0, SWEEP_GRID)
+        theta = GATE_AREAS[gate]
+        got = sweep_failure_probabilities(theta, START_STATES[start], SWEEP_GRID)
         for ratio, p in zip(SWEEP_GRID, got):
-            want = oracles.failure_mp(psi0.amplitudes, theta, ratio)
+            want = oracles.failure_mp(oracles.STARTS[start], theta, ratio)
             assert abs(float(p - want)) <= 1e-15
 
     @pytest.mark.parametrize("theta", [0.5, 0.7, math.pi / 2, math.pi, 2 * math.pi, 4 * math.pi])
     def test_p_is_relatively_exact_down_to_the_smallest_ratio(self, theta):
         # p is read from the deviation of the map, so it keeps its relative
         # precision as it falls with the ratio, 1e-14 included
-        for name, psi in ORACLE_STARTS.items():
-            got = sweep_failure_probabilities(theta, psi, ORACLE_RATIOS)
+        for name, (s0, psi) in ORACLE_STARTS.items():
+            got = sweep_failure_probabilities(theta, s0, ORACLE_RATIOS)
             for ratio, p in zip(ORACLE_RATIOS, got):
-                want = float(oracles.failure_mp(psi.amplitudes, theta, ratio))
+                want = float(oracles.failure_mp(psi, theta, ratio))
                 assert abs(p - want) <= 1e-13 * want, (name, ratio)
 
     @pytest.mark.parametrize("theta", [1e-3, 1e-2, 0.1, 0.3, math.pi, 4 * math.pi])
@@ -169,10 +172,10 @@ class TestAgainstMultiprecision:
         # a short pulse from the ground state fails with p ~ ratio theta^5 / 160,
         # so an absolute 2e-16 is allowed; above r = 8 the map is hyperbolic
         ratios = (*(ORACLE_RATIOS[::3] if theta < 0.5 else ()), 8.0, 8.5, 30.0)
-        for name, psi in ORACLE_STARTS.items():
-            got = sweep_failure_probabilities(theta, psi, ratios)
+        for name, (s0, psi) in ORACLE_STARTS.items():
+            got = sweep_failure_probabilities(theta, s0, ratios)
             for ratio, p in zip(ratios, got):
-                want = float(oracles.failure_mp(psi.amplitudes, theta, ratio))
+                want = float(oracles.failure_mp(psi, theta, ratio))
                 assert abs(p - want) <= max(1e-13 * want, 2e-16), (name, ratio)
 
     @pytest.mark.parametrize("theta", [1e-3, 1e-2, 0.1, 0.3, 0.5, 1.0, 1.9])
@@ -180,16 +183,16 @@ class TestAgainstMultiprecision:
         # from r = 4 to 8, D is E - R but for g, which a pulse with r tau < 1
         # takes from the series, so p keeps its relative precision there too
         ratios = (3.9, 4.0, 4.5, 5.0, 6.0, 7.0, 7.5, 7.9, 7.99)
-        for name, psi in ORACLE_STARTS.items():
-            got = sweep_failure_probabilities(theta, psi, ratios)
+        for name, (s0, psi) in ORACLE_STARTS.items():
+            got = sweep_failure_probabilities(theta, s0, ratios)
             for ratio, p in zip(ratios, got):
-                want = float(oracles.failure_mp(psi.amplitudes, theta, ratio))
+                want = float(oracles.failure_mp(psi, theta, ratio))
                 assert abs(p - want) <= 2e-12 * want, (name, ratio)
 
     def test_no_decay_is_positive_zero(self):
         for theta in (0.0, 0.5, math.pi / 2, math.pi, 11.0):
-            for psi in ORACLE_STARTS.values():
-                (p,) = sweep_failure_probabilities(theta, psi, [0.0])
+            for s0, _ in ORACLE_STARTS.values():
+                (p,) = sweep_failure_probabilities(theta, s0, [0.0])
                 assert p == 0.0 and math.copysign(1.0, p) == 1.0
 
     @pytest.mark.parametrize("gate, c_prime", [
@@ -203,7 +206,7 @@ class TestAgainstMultiprecision:
         assert f"{(3 * math.pi / 32 - 0.25) * math.pi / 4:.11e}" == "3.49693123012e-02"
         theta = GATE_AREAS[gate]
         n_bars = [10.0 ** k for k in range(6, 15)]
-        ps = sweep_failure_probabilities(theta, PureState.ground(),
+        ps = sweep_failure_probabilities(theta, GROUND,
                                          [drive_ratio_for_photons(theta, n) for n in n_bars])
         b = (ps[0] * n_bars[0] - c_prime) * n_bars[0]
         for n_bar, p in zip(n_bars, ps):
@@ -219,21 +222,21 @@ class TestOneClosedForm:
         for _ in range(200):
             theta, ratio = rng.uniform(0.0, 4 * math.pi), 10.0 ** rng.uniform(-14.0, 1.5)
             amplitudes = rng.normal(size=2) + 1j * rng.normal(size=2)
-            psi = PureState(tuple(amplitudes / np.linalg.norm(amplitudes)))
+            psi = amplitudes / np.linalg.norm(amplitudes)
             # s_0 rotated by theta about x: the oracle's decay-free output, read
             # with cos theta and sin theta rather than its half-angle products
-            x, y, z = psi.bloch()
+            x, y, z = oracles.pure_bloch(psi)
             rotation = np.array([[1.0, 0.0, 0.0], [0.0, np.cos(theta), np.sin(theta)],
                                  [0.0, -np.sin(theta), np.cos(theta)]])
             ideal = rotation @ (x, y, z)
-            target = oracles.ideal_state(np.asarray(psi.amplitudes), theta)
+            target = oracles.ideal_state(psi, theta)
             bloch_target = density_bloch(np.outer(target, target.conj()))
             assert np.max(np.abs(ideal - bloch_target)) <= (2.0 + theta) * 2.2e-16
             delta = _apply(_propagator(ratio, theta / 2.0)[1], x, y, 1.0 + z)
             trajectory = evolve((x, y, z), theta, ratio)
             final = np.array([trajectory.x[-1], trajectory.y[-1], trajectory.z[-1]])
             assert np.max(np.abs(final - (ideal + delta))) <= 1e-15, (theta, ratio)
-            (p,) = sweep_failure_probabilities(theta, psi, [ratio])
+            (p,) = sweep_failure_probabilities(theta, (x, y, z), [ratio])
             assert abs((1.0 - ideal @ final) / 2.0 - p) <= 1e-15, (theta, ratio)
 
 
@@ -243,7 +246,7 @@ class TestIdealTarget:
     @staticmethod
     def decay_free_output(theta):
         target = oracles.ideal_state(oracles.GROUND, theta)
-        final = sample_matrices(evolve(PureState.ground().bloch(), theta, 0.0))[-1]
+        final = sample_matrices(evolve(GROUND, theta, 0.0))[-1]
         assert np.max(np.abs(final - np.outer(target, target.conj()))) <= 1e-15
         return target
 
@@ -263,28 +266,29 @@ class TestExtractCoefficient:
     @pytest.mark.parametrize("gate, want", [
         (PI_FROM_GROUND, SLOPE_PI_GROUND), (HALF_FROM_GROUND, SLOPE_HALF_GROUND),
         (HALF_FROM_EXCITED, SLOPE_HALF_EXCITED),
-        ((math.pi, PureState.superposition(1, 1)), math.pi / 8),
+        ((math.pi, PLUS), math.pi / 8),
     ], ids=["pi-ground", "half-ground", "half-excited", "pi-plus"])
     def test_closed_form_matches_exact_values(self, gate, want):
         assert first_order_coefficient(*gate) == pytest.approx(want, rel=1e-13)
 
     def test_closed_form_matches_quadrature(self):
-        # the benchmark's five gates, then 40 random (theta, psi)
-        cases = [(GATE_AREAS[gate], np.asarray(START_STATES[start]().amplitudes))
+        # the benchmark's five gates, then 40 random (theta, s0, psi0)
+        cases = [(GATE_AREAS[gate], START_STATES[start], oracles.STARTS[start])
                  for gate, start in TABLE_CASES]
         rng = np.random.default_rng(2002)
         for _ in range(40):
             psi0 = rng.normal(size=2) + 1j * rng.normal(size=2)
-            cases.append((rng.uniform(0.1, 4 * math.pi), psi0 / np.linalg.norm(psi0)))
-        for theta, psi0 in cases:
-            got = first_order_coefficient(theta, PureState(tuple(psi0)))
+            psi0 = psi0 / np.linalg.norm(psi0)
+            cases.append((rng.uniform(0.1, 4 * math.pi), oracles.pure_bloch(psi0), psi0))
+        for theta, s0, psi0 in cases:
+            got = first_order_coefficient(theta, s0)
             assert got == pytest.approx(oracles.first_order_coefficient(psi0, theta), rel=1e-13)
 
     @pytest.mark.parametrize("gate, start", TABLE_CASES)
     def test_dynamics_approach_the_closed_form(self, gate, start):
         # p/r - c is the second-order term: measured (p/r - c)/(r c) lies in
         # [-0.81, 0.07] on these cases
-        theta, psi = GATE_AREAS[gate], START_STATES[start]()
+        theta, psi = GATE_AREAS[gate], START_STATES[start]
         c = first_order_coefficient(theta, psi)
         ratios = (1e-6, 1e-5, 1e-4)
         for ratio, p in zip(ratios, sweep_failure_probabilities(theta, psi, ratios)):
@@ -322,13 +326,18 @@ class TestExtractCoefficient:
         with pytest.raises(InvalidStateError, match="increasing"):
             check_ratio_grid([1e-3, 1e-4, 1e-5, 1e-6])
         assert check_ratio_grid([1e-10, 1e-4, 1e-3, 1e-2]) == (1e-10, 1e-4, 1e-3, 1e-2)
+        smallest = sys.float_info.min
+        assert check_ratio_grid([smallest, 1e-4, 1e-3, 1e-2])[0] == smallest
+        for subnormal in (math.nextafter(smallest, 0.0), 5e-324):
+            with pytest.raises(InvalidStateError, match="below the smallest normal double"):
+                check_ratio_grid([subnormal, 1e-4, 1e-3, 1e-2])
 
     @pytest.mark.parametrize("gate, start", TABLE_CASES)
     def test_tiny_ratios_resolve_the_coefficient(self, gate, start):
         # no grid is too small to resolve: at 1e-14 .. 1e-12, p/ratio is c to
         # within the second-order term (at most 1e-12 c) and p's rounding
         ratios = check_ratio_grid(logspace(-14.0, -12.0, 8))
-        theta, psi = GATE_AREAS[gate], START_STATES[start]()
+        theta, psi = GATE_AREAS[gate], START_STATES[start]
         c = first_order_coefficient(theta, psi)
         for ratio, p in zip(ratios, sweep_failure_probabilities(theta, psi, ratios)):
             assert abs(p / ratio - c) <= 1e-10 * c
@@ -344,8 +353,7 @@ class TestExtractCoefficient:
 
 class TestPulseValidation:
     """Both gate functions refuse a pulse area outside [0, inf) before any
-    pulse is propagated, with no ratio at all too; a state that is not one
-    qubit never reaches them."""
+    pulse is propagated, with no ratio at all too."""
 
     @staticmethod
     def assert_refused(monkeypatch, area):
@@ -353,9 +361,9 @@ class TestPulseValidation:
         monkeypatch.setattr(gates, "_propagator", lambda *args: calls.append(args))
         for ratios in ([], [0.0, 1e-3]):
             with pytest.raises(InvalidStateError, match="theta must be finite and >= 0"):
-                sweep_failure_probabilities(area, PureState.ground(), ratios)
+                sweep_failure_probabilities(area, GROUND, ratios)
         with pytest.raises(InvalidStateError, match="theta must be finite and >= 0"):
-            first_order_coefficient(area, PureState.ground())
+            first_order_coefficient(area, GROUND)
         assert calls == []
 
     def test_negative_area_rejected(self, monkeypatch):
@@ -366,5 +374,43 @@ class TestPulseValidation:
         self.assert_refused(monkeypatch, area)
 
     def test_fock_state_rejected(self):
-        with pytest.raises(InvalidStateError, match="expected 2 amplitudes"):
-            PureState(np.array([1, 0, 0, 0]))
+        # |n = 1> of a 4-level system is no Bloch vector of one qubit
+        for gate in (lambda s: first_order_coefficient(math.pi, s),
+                     lambda s: sweep_failure_probabilities(math.pi, s, [1e-3])):
+            with pytest.raises(InvalidStateError, match="expected a Bloch vector of 3 numbers"):
+                gate(np.array([0, 1, 0, 0]))
+
+
+class TestStartValidation:
+    """Both gate functions take a pure start, a Bloch vector on the unit
+    sphere, and refuse anything else before any pulse is propagated."""
+
+    @pytest.mark.parametrize("s0, message", [
+        ((0.0, 0.0, 0.0), r"not pure: Bloch vector \|s\| = 0$"),
+        ((0.6, 0.0, 0.0), r"not pure: Bloch vector \|s\| = 0.6$"),
+        ((0.0, 0.0, -(1.0 - 2e-9)), r"not pure: Bloch vector \|s\| = 0.999999998$"),
+        ((0.0, 0.0, -(1.0 + 2e-9)), r"\|s\| = 1.000000002 lies outside the unit ball"),
+        ((math.nan, 0.0, 1.0), r"\|s\| = nan lies outside"),
+        ((0.0, 0.0, math.inf), r"\|s\| = inf lies outside"),
+        ((0.0, -1.0), "expected a Bloch vector of 3 numbers"),
+        ((0.0, 1j, 0.0), "expected a Bloch vector of 3 numbers"),
+        (("ground", 0.0, 0.0), "expected a Bloch vector of 3 numbers"),
+        (None, "expected a Bloch vector of 3 numbers"),
+    ], ids=["centre", "mixed", "inside-past-the-slack", "outside-past-the-slack", "nan", "inf",
+            "two", "complex", "string", "none"])
+    def test_only_a_pure_qubit_start_is_accepted(self, monkeypatch, s0, message):
+        calls = []
+        monkeypatch.setattr(gates, "_propagator", lambda *args: calls.append(args))
+        with pytest.raises(InvalidStateError, match=message):
+            first_order_coefficient(math.pi, s0)
+        with pytest.raises(InvalidStateError, match=message):
+            sweep_failure_probabilities(math.pi, s0, [1e-3])
+        assert calls == []
+
+    @pytest.mark.parametrize("radius", [1.0 - 1e-9, 1.0 + 1e-9])
+    def test_a_start_within_the_slack_is_pure(self, radius):
+        # the Bloch slack is the one tolerance on both sides of the sphere
+        s0 = (0.0, 0.0, -radius)
+        assert first_order_coefficient(math.pi, s0) == pytest.approx(SLOPE_PI_GROUND, rel=1e-8)
+        assert sweep_failure_probabilities(math.pi, s0, [1e-3])[0] == pytest.approx(
+            P_PI_GROUND_1E3, rel=1e-8)

@@ -7,15 +7,24 @@ import pytest
 from scipy.stats import poisson
 
 import oracles
+from lasergate import jc
+from lasergate.cli import START_STATES
 from lasergate.jc import (
     MAX_N_BAR,
+    _amplitudes,
     _poisson_weight,
     _population,
     _window,
     check_photon_numbers,
     jc_gate_error,
 )
-from lasergate.qcore import InvalidStateError, PureState
+from lasergate.qcore import InvalidStateError
+
+# the Bloch vectors of the named starts, and their amplitudes for the oracles
+GROUND, EXCITED, PLUS = (START_STATES[name] for name in ("ground", "excited", "plus"))
+PLUS_I = (0.0, 1.0, 0.0)
+AMPLITUDES = {GROUND: oracles.GROUND, EXCITED: oracles.EXCITED, PLUS: oracles.PLUS,
+              PLUS_I: np.array([1.0, 1.0j]) / math.sqrt(2.0)}
 
 # p * nbar for a pi pulse from the ground state, frozen from the Poisson sum
 # over sector rotations (asymptotically pi^2/16 ~ 0.617).
@@ -47,19 +56,19 @@ TAIL_N_BARS = sorted(
 CAP_N_BARS = [9999860001.0, 9999999999.0, 1e10, 99999999999999.0, MAX_N_BAR]
 
 GATE_CASES = {
-    "pi-ground": (math.pi, PureState.ground()),
-    "pi2-ground": (math.pi / 2, PureState.ground()),
-    "pi2-excited": (math.pi / 2, PureState.excited()),
+    "pi-ground": (math.pi, GROUND),
+    "pi2-ground": (math.pi / 2, GROUND),
+    "pi2-excited": (math.pi / 2, EXCITED),
 }
 
 # the plus start and areas other than pi and pi/2
 MORE_GATE_CASES = {
-    "pi-plus": (math.pi, PureState.superposition(1.0, 1.0)),
-    "pi2-plus": (math.pi / 2, PureState.superposition(1.0, 1.0)),
-    "0.7-ground": (0.7, PureState.ground()),
-    "0.7-plus": (0.7, PureState.superposition(1.0, 1.0)),
-    "2pi-excited": (2 * math.pi, PureState.excited()),
-    "2pi-plus": (2 * math.pi, PureState.superposition(1.0, 1.0)),
+    "pi-plus": (math.pi, PLUS),
+    "pi2-plus": (math.pi / 2, PLUS),
+    "0.7-ground": (0.7, GROUND),
+    "0.7-plus": (0.7, PLUS),
+    "2pi-excited": (2 * math.pi, EXCITED),
+    "2pi-plus": (2 * math.pi, PLUS),
 }
 
 # (p nbar - pi^2/16) nbar for a pi pulse from the ground state, frozen from
@@ -108,17 +117,17 @@ class TestCoherentField:
         assert _window(MAX_N_BAR) == (MAX_N_BAR - 1e8, MAX_N_BAR + 1e8 + 12)
         for n_bar in (math.nextafter(MAX_N_BAR, math.inf), 1e15, 1e34, 1e308):
             with pytest.raises(InvalidStateError, match=r"in \[25, MAX_N_BAR = 1e\+14\]"):
-                jc_gate_error(math.pi, PureState.ground(), n_bar)
+                jc_gate_error(math.pi, GROUND, n_bar)
 
     def test_negative_alpha_rejected(self):
         # nbar = alpha^2 cannot be negative
         with pytest.raises(InvalidStateError, match="nbar"):
-            jc_gate_error(math.pi, PureState.ground(), -1.0)
+            jc_gate_error(math.pi, GROUND, -1.0)
 
     @pytest.mark.parametrize("alpha", [math.nan, math.inf])
     def test_non_finite_alpha_rejected(self, alpha):
         with pytest.raises(InvalidStateError, match="nbar"):
-            jc_gate_error(math.pi, PureState.ground(), alpha ** 2)
+            jc_gate_error(math.pi, GROUND, alpha ** 2)
 
 
 class TestPhotonNumbers:
@@ -137,7 +146,7 @@ class TestPhotonNumbers:
         with pytest.raises(InvalidStateError, match=r"in \[25, MAX_N_BAR = 1e\+14\]"):
             check_photon_numbers([400.0, n_bar])
         with pytest.raises(InvalidStateError, match="MAX_N_BAR"):
-            jc_gate_error(math.pi, PureState.ground(), n_bar)
+            jc_gate_error(math.pi, GROUND, n_bar)
 
 
 class TestPoissonWeight:
@@ -177,8 +186,8 @@ class TestPoissonWeight:
 def bruteforce_gate_error(theta, state, n_bar, g=1.0):
     """p = <psi_perp| rho |psi_perp> of the reduced state that the full joint
     exponential on levels 0..n_max gives for a theta pulse of duration
-    theta / (2 g sqrt(nbar))."""
-    psi = np.asarray(state.amplitudes)
+    theta / (2 g sqrt(nbar)) from the start of Bloch vector ``state``."""
+    psi = AMPLITUDES[state]
     root = math.sqrt(n_bar)
     rho = oracles.jc_bruteforce(psi, root, _window(n_bar)[1], g, theta / (2.0 * g * root))
     target = oracles.ideal_state(psi, theta)
@@ -188,10 +197,10 @@ def bruteforce_gate_error(theta, state, n_bar, g=1.0):
 
 BRUTEFORCE_AREAS = (0.7, math.pi / 2, math.pi, 2 * math.pi)
 BRUTEFORCE_STARTS = {
-    "ground": PureState.ground(),
-    "excited": PureState.excited(),
-    "plus": PureState.superposition(1.0, 1.0),
-    "plus-i": PureState.superposition(1.0, 1.0j),
+    "ground": GROUND,
+    "excited": EXCITED,
+    "plus": PLUS,
+    "plus-i": PLUS_I,
 }
 
 
@@ -219,7 +228,7 @@ class TestAgainstMultiprecision:
     def test_gate_error_matches_40_digit_sum(self, case, n_bar):
         theta, state = GATE_CASES[case]
         n_max = _window(n_bar)[1]
-        want = oracles.jc_gate_error_mp(theta, state.amplitudes, n_bar, n_max)
+        want = oracles.jc_gate_error_mp(theta, AMPLITUDES[state], n_bar, n_max)
         got = jc_gate_error(theta, state, n_bar)
         assert abs(got - float(want)) <= 1e-14 * float(want)
 
@@ -229,14 +238,14 @@ class TestAgainstMultiprecision:
         # nbar = 25 is summed level by level, 64 and 1000 every 2nd and 7th level
         theta, state = MORE_GATE_CASES[case]
         n_max = _window(n_bar)[1]
-        want = oracles.jc_gate_error_mp(theta, state.amplitudes, n_bar, n_max)
+        want = oracles.jc_gate_error_mp(theta, AMPLITUDES[state], n_bar, n_max)
         got = jc_gate_error(theta, state, n_bar)
         assert abs(got - float(want)) <= 1e-14 * float(want)
 
     @pytest.mark.parametrize("n_bar", [1e8, 1e9, 9.9e9])
     def test_next_order_holds_up_to_the_level_cap(self, n_bar):
         start = time.perf_counter()
-        p = jc_gate_error(math.pi, PureState.ground(), n_bar)
+        p = jc_gate_error(math.pi, GROUND, n_bar)
         assert time.perf_counter() - start < 0.1
         assert abs((p * n_bar - math.pi**2 / 16) * n_bar - PI_GROUND_NEXT_ORDER) <= 2e-6
 
@@ -245,21 +254,21 @@ class TestAgainstMultiprecision:
         # (p nbar - pi^2/16) nbar is at the double-precision floor here (about
         # 2e-6 at 9999860001), so p itself is checked, to 1e-15 relative
         start = time.perf_counter()
-        p = jc_gate_error(math.pi, PureState.ground(), n_bar)
+        p = jc_gate_error(math.pi, GROUND, n_bar)
         assert time.perf_counter() - start < 0.1
         want = (math.pi**2 / 16 + PI_GROUND_NEXT_ORDER / n_bar) / n_bar
         assert abs(p - want) <= 1e-15 * want
 
 
     @pytest.mark.parametrize("theta, start, b", [
-        (math.pi, PureState.superposition(1.0, 1.0), 1.0 / 16.0),
-        (math.pi / 2, PureState.ground(), None), (math.pi / 2, PureState.excited(), None),
+        (math.pi, PLUS, 1.0 / 16.0),
+        (math.pi / 2, GROUND, None), (math.pi / 2, EXCITED, None),
     ], ids=["pi-plus", "pi2-ground", "pi2-excited"])
     def test_second_order_holds_up_to_the_cap(self, theta, start, b):
         # p = (c'_JC + b / nbar) / nbar, c'_JC = |int_0^(theta/2) a(tau)^2 dtau|^2
         # along the ideal rotation a(tau) = cos(tau) a_0 - i sin(tau) b_0, and
         # b read at nbar = 1e7 where it is not given; from 1e10 to the cap
-        b_0, a_0 = start.amplitudes
+        b_0, a_0 = AMPLITUDES[start]
         i_cc, i_ss = theta / 4 + math.sin(theta) / 4, theta / 4 - math.sin(theta) / 4
         i_cs = math.sin(theta / 2) ** 2 / 2
         c_prime = abs(a_0 * a_0 * i_cc - 2j * a_0 * b_0 * i_cs - b_0 * b_0 * i_ss) ** 2
@@ -273,7 +282,7 @@ class TestAgainstMultiprecision:
     def test_plus_start_meets_its_asymptote_at_large_photon_numbers(self, n_bar):
         # a pi pulse from (|b> + |a>) / sqrt(2) fails with p = (1/4 + 1/(16 nbar)) / nbar;
         # the window edges add nothing to p, which stays within rounding of it
-        p = jc_gate_error(math.pi, PureState.superposition(1.0, 1.0), n_bar)
+        p = jc_gate_error(math.pi, PLUS, n_bar)
         want = (0.25 + 1.0 / (16.0 * n_bar)) / n_bar
         assert abs(p - want) <= 1e-15 * want
 
@@ -281,58 +290,58 @@ class TestAgainstMultiprecision:
 class TestGateError:
     def test_pi_from_ground_reference_values(self):
         for n_bar, frozen in P_TIMES_NBAR.items():
-            p = jc_gate_error(math.pi, PureState.ground(), n_bar)
+            p = jc_gate_error(math.pi, GROUND, n_bar)
             assert p * n_bar == pytest.approx(frozen, abs=1e-7)
 
     def test_one_over_nbar_scaling(self):
-        p100 = jc_gate_error(math.pi, PureState.ground(), 100)
-        p400 = jc_gate_error(math.pi, PureState.ground(), 400)
+        p100 = jc_gate_error(math.pi, GROUND, 100)
+        p400 = jc_gate_error(math.pi, GROUND, 400)
         assert abs(p100 * 100 - p400 * 400) / (p100 * 100) <= 0.10
 
     def test_truncation_robustness(self):
         # the fixed window against the 40-digit sum on a window twice as wide
-        base = jc_gate_error(math.pi, PureState.ground(), 400)
-        doubled = oracles.jc_gate_error_mp(math.pi, PureState.ground().amplitudes, 400.0,
+        base = jc_gate_error(math.pi, GROUND, 400)
+        doubled = oracles.jc_gate_error_mp(math.pi, oracles.GROUND, 400.0,
                                            2 * _window(400.0)[1])
         assert abs(base - float(doubled)) <= 1e-14 * float(doubled)
 
     def test_half_pulse_from_superposition_order_of_magnitude(self):
         # phase-fluctuation error of the superposition gate: loose band only
-        p = jc_gate_error(math.pi / 2, PureState.superposition(1.0, 1.0), 400)
+        p = jc_gate_error(math.pi / 2, PLUS, 400)
         assert 0.05 <= p * 400 <= 1.0
 
     def test_semiclassical_floor(self):
         with pytest.raises(InvalidStateError, match="semiclassical"):
-            jc_gate_error(math.pi, PureState.ground(), 9.0)
+            jc_gate_error(math.pi, GROUND, 9.0)
 
     def test_supported_areas_only(self):
         # any area in (0, 2 pi] is summed; the rest is refused
         for theta in (0.0, -math.pi, 2 * math.pi + 1e-9, math.nan, math.inf):
             with pytest.raises(InvalidStateError, match="pulse area"):
-                jc_gate_error(theta, PureState.ground(), 400)
+                jc_gate_error(theta, GROUND, 400)
 
     def test_non_finite_photon_number_rejected(self):
         with pytest.raises(InvalidStateError, match="nbar"):
-            jc_gate_error(math.pi, PureState.ground(), math.nan)
+            jc_gate_error(math.pi, GROUND, math.nan)
         # inf is refused by the cap on nbar, before any field is built
         with pytest.raises(InvalidStateError, match=r"MAX_N_BAR = 1e\+14\].*got inf$"):
-            jc_gate_error(math.pi, PureState.ground(), math.inf)
+            jc_gate_error(math.pi, GROUND, math.inf)
 
     @pytest.mark.parametrize("n_bar", DENSE_N_BARS)
     def test_every_photon_number_from_25_is_accepted(self, n_bar):
-        p = jc_gate_error(math.pi, PureState.ground(), n_bar)
+        p = jc_gate_error(math.pi, GROUND, n_bar)
         assert abs(p * n_bar - 0.62) <= 0.10
 
     def test_hundred_million_photons_is_cheap_and_asymptotic(self):
         start = time.perf_counter()
-        p = jc_gate_error(math.pi, PureState.ground(), 1e8)
+        p = jc_gate_error(math.pi, GROUND, 1e8)
         assert time.perf_counter() - start < 1.0
         assert abs(p * 1e8 - math.pi**2 / 16) <= 1e-6
 
     def test_coupling_drops_out(self):
         # only g T enters: the oracle at g = 3.5, with T down by the same
         # factor, gives the p that jc_gate_error computes without any g
-        state = PureState.superposition(1.0, 1.0j)
+        state = PLUS_I
         want = bruteforce_gate_error(math.pi / 2, state, 100.0, g=3.5)
         assert abs(jc_gate_error(math.pi / 2, state, 100.0) - want) <= 1e-10 * want
 
@@ -341,25 +350,52 @@ class TestGuards:
     def test_revival_regime_rejected(self):
         # theta <= 2 pi keeps the pulse within one mean-field Rabi period
         with pytest.raises(InvalidStateError, match="pulse area"):
-            jc_gate_error(1.01 * 2.0 * math.pi, PureState.ground(), 25.0)
+            jc_gate_error(1.01 * 2.0 * math.pi, GROUND, 25.0)
 
     def test_negative_duration_rejected(self):
         with pytest.raises(InvalidStateError, match="pulse area"):
-            jc_gate_error(-0.1, PureState.ground(), 25.0)
+            jc_gate_error(-0.1, GROUND, 25.0)
 
     def test_fock_atom_state_rejected(self):
-        with pytest.raises(InvalidStateError, match="expected 2 amplitudes"):
-            jc_gate_error(math.pi, PureState(np.array([1, 0, 0])), 25.0)
+        # |n = 1> of a 4-level system is no Bloch vector of one qubit
+        with pytest.raises(InvalidStateError, match="expected a Bloch vector of 3 numbers"):
+            jc_gate_error(math.pi, np.array([0, 1, 0, 0]), 25.0)
+
+    @pytest.mark.parametrize("s0, message", [
+        ((0.0, 0.0, 0.0), r"not pure: Bloch vector \|s\| = 0$"),
+        ((0.0, 0.8, 0.0), r"not pure: Bloch vector \|s\| = 0.8$"),
+        ((0.0, 0.0, 1.0 + 2e-9), r"\|s\| = 1.000000002 lies outside the unit ball"),
+        ((0.0, math.nan, 0.0), r"\|s\| = nan lies outside"),
+        ((1.0, 0.0), "expected a Bloch vector of 3 numbers"),
+        ((1j, 0.0, 0.0), "expected a Bloch vector of 3 numbers"),
+        ("xyz", "expected a Bloch vector of 3 numbers"),
+    ], ids=["centre", "mixed", "outside", "nan", "two", "complex", "string"])
+    def test_only_a_pure_qubit_start_is_accepted(self, monkeypatch, s0, message):
+        # refused before any Fock level is read
+        calls = []
+        monkeypatch.setattr(jc, "_poisson_weight", lambda *args: calls.append(args))
+        with pytest.raises(InvalidStateError, match=message):
+            jc_gate_error(math.pi, s0, 400.0)
+        assert calls == []
+
+    def test_start_within_the_slack_is_pure(self):
+        # amplitudes from a vector that rounds just off the sphere are normalized
+        for s0, unit in (((0.0, 0.0, -(1.0 - 1e-9)), GROUND), ((0.0, 0.0, -(1.0 + 1e-9)), GROUND),
+                         ((1.0 + 1e-9, 0.0, 0.0), PLUS)):
+            x_b, x_a = _amplitudes(s0)
+            assert abs(x_b) ** 2 + abs(x_a) ** 2 == pytest.approx(1.0, abs=1e-15)
+            assert jc_gate_error(math.pi, s0, 400.0) == pytest.approx(
+                jc_gate_error(math.pi, unit, 400.0), rel=1e-7)
 
     @pytest.mark.parametrize("theta", [math.nan, math.inf])
     def test_non_finite_duration_rejected(self, theta):
         with pytest.raises(InvalidStateError, match="pulse area"):
-            jc_gate_error(theta, PureState.excited(), 25.0)
+            jc_gate_error(theta, EXCITED, 25.0)
 
     def test_returned_state_has_unit_trace(self):
         # the populations on the target and on psi_perp sum to the trace, 1
-        theta, state = 0.4, PureState.superposition(1.0, -1.0)
-        target = tuple(oracles.ideal_state(np.asarray(state.amplitudes), theta))
+        theta, state = 0.4, _amplitudes((-1.0, 0.0, 0.0))
+        target = tuple(oracles.ideal_state(np.asarray(state), theta))
         perp = (-target[1].conjugate(), target[0].conjugate())
         trace = _population(state, 81.0, theta, perp) + _population(state, 81.0, theta, target)
         assert abs(trace - 1.0) <= 1e-12

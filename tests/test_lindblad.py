@@ -9,11 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from lasergate.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main
+from lasergate.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, START_STATES, main
 from lasergate.gates import sweep_failure_probabilities
 from lasergate.lindblad import EXACT, RK4_FIXED, evolve
-from lasergate.qcore import BLOCH_SLACK, InvalidStateError, PureState
+from lasergate.qcore import BLOCH_SLACK, InvalidStateError
 from oracles import bloch_density, sample_matrices
+
+GROUND, EXCITED = START_STATES["ground"], START_STATES["excited"]
+# a pure start off every axis: its amplitudes, and its Bloch vector
+TILTED_AMPLITUDES = np.array([1.0, 0.6 + 0.2j]) / math.hypot(1.0, 0.6, 0.2)
+TILTED = oracles.pure_bloch(TILTED_AMPLITUDES)
 
 RK4 = {"method": RK4_FIXED, "step_count": 400}  # evolve's keywords for a 400-step RK4
 
@@ -50,7 +55,7 @@ def lindblad_rhs(s, g: float, kappa: float) -> np.ndarray:
 def ground_trajectory(theta: float):
     """16-sample trajectory of the ground state through a pulse of area
     ``theta``, without decay."""
-    return evolve(PureState.ground().bloch(), theta, 0.0, samples=16)
+    return evolve(GROUND, theta, 0.0, samples=16)
 
 
 class TestSpecs:
@@ -70,14 +75,14 @@ class TestSpecs:
         assert np.array_equal(ground_trajectory(0.0).times, np.zeros(17))
 
     def test_negative_inputs_rejected(self):
-        rho0 = PureState.ground().bloch()
+        rho0 = GROUND
         with pytest.raises(InvalidStateError, match="theta must be"):
             evolve(rho0, -1.0, 0.0)
         with pytest.raises(InvalidStateError, match="kappa/g_alpha must be"):
             evolve(rho0, 1.0, -0.1)
 
     def test_rk4_needs_enough_steps(self):
-        rho0 = PureState.ground().bloch()
+        rho0 = GROUND
         message = "rk4_fixed needs step_count >= 100 per pulse, got 50"
         with pytest.raises(InvalidStateError, match=message):
             evolve(rho0, 1.0, 0.0, method=RK4_FIXED, step_count=50)
@@ -105,7 +110,7 @@ class TestSpecs:
 
     def test_integer_counts_of_any_type_are_read(self):
         # numpy integers are integers; the exact map reads no step count at all
-        s0 = PureState.ground().bloch()
+        s0 = GROUND
         want = evolve(s0, 1.0, 0.1, samples=3, method=RK4_FIXED, step_count=200)
         assert evolve(s0, 1.0, 0.1, samples=np.int64(3), method=RK4_FIXED,
                       step_count=np.int32(200)) == want
@@ -113,7 +118,7 @@ class TestSpecs:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_inputs_rejected(self, bad):
-        rho0 = PureState.ground().bloch()
+        rho0 = GROUND
         with pytest.raises(InvalidStateError, match="theta must be"):
             evolve(rho0, bad, 0.0)
         with pytest.raises(InvalidStateError, match="kappa/g_alpha must be"):
@@ -123,14 +128,14 @@ class TestSpecs:
 class TestRhs:
     def test_ground_state_no_decay(self):
         # only the drive acts: populations stationary, coherence slope of unit magnitude
-        drho = lindblad_rhs(PureState.ground().bloch(), 1.0, 0.0)
+        drho = lindblad_rhs(GROUND, 1.0, 0.0)
         assert drho[1, 1] == 0.0
         assert drho[0, 0] == 0.0
         assert abs(drho[1, 0]) == pytest.approx(1.0)
         assert drho[1, 0].real == pytest.approx(0.0)
 
     def test_pure_decay_from_excited(self):
-        drho = lindblad_rhs(PureState.excited().bloch(), 0.0, 1.0)
+        drho = lindblad_rhs(EXCITED, 0.0, 1.0)
         assert drho[1, 1].real == pytest.approx(-1.0)
         assert drho[0, 0].real == pytest.approx(1.0)
 
@@ -152,7 +157,7 @@ class TestRhs:
 
 class TestEvolve:
     def test_unitary_pi_pulse_flips_ground(self):
-        trajectory = evolve(PureState.ground().bloch(), math.pi, 0.0)
+        trajectory = evolve(GROUND, math.pi, 0.0)
         assert trajectory.z[-1] == pytest.approx(1.0, abs=2e-8)
 
     # the zero-area branch of evolve: without it, rk4_fixed at 1.7e300 forms
@@ -160,7 +165,7 @@ class TestEvolve:
     @pytest.mark.parametrize("keywords", [{}, RK4], ids=["exact", "rk4"])
     @pytest.mark.parametrize("ratio", [0.3, 1e20, 1.7e300])
     def test_zero_area_is_identity(self, keywords, ratio):
-        s0 = PureState.superposition(1.0, 1j).bloch()
+        s0 = (0.0, 1.0, 0.0)
         assert np.array_equal(sample_matrices(evolve(s0, 0.0, ratio, **keywords)),
                               [bloch_density(s0)] * 2)
 
@@ -185,14 +190,14 @@ class TestEvolve:
     def test_excited_population_deficit_first_order(self):
         # 1 - rho_aa(T) = (3 pi / 16) * kappa/g_alpha to first order, here
         # checked at 1% and 0.2% relative for ratios 1e-3 and 1e-4
-        s0 = PureState.ground().bloch()
+        s0 = GROUND
         for ratio, rel in [(1e-3, 0.01), (1e-4, 0.002)]:
             deficit = (1.0 - evolve(s0, math.pi, ratio).z[-1]) / 2.0
             expected = (3.0 * math.pi / 16.0) * ratio
             assert deficit == pytest.approx(expected, rel=rel)
 
     def test_trajectory_sampling(self):
-        trajectory = evolve(PureState.ground().bloch(), math.pi, 0.1, samples=16)
+        trajectory = evolve(GROUND, math.pi, 0.1, samples=16)
         assert len(trajectory) == 17
         times = trajectory.times
         assert times[0] == 0.0
@@ -242,7 +247,7 @@ class TestConvergenceOrder:
     def test_rk4_error_scales_as_h4(self):
         # halving h should shrink the final-state error by ~2^4 against a
         # reference 10x finer than the finer run
-        s0 = PureState.superposition(1.0, 0.6 + 0.2j).bloch()
+        s0 = TILTED
         theta, ratio = 3 * math.pi / 2, 0.3
 
         def final_with(steps):
@@ -263,7 +268,7 @@ class TestConvergenceOrder:
     def test_rk4_matches_classical_stepper(self, step_count, samples, ratio):
         # one RK4 increment per sample interval (k = 1 and k > 1) against
         # a plain RK4 loop on the kron-form superoperator
-        s0 = PureState.superposition(1.0, 0.6 + 0.2j).bloch()
+        s0 = TILTED
         theta = 3 * math.pi / 2
         got = sample_matrices(evolve(s0, theta, ratio, samples, RK4_FIXED, step_count))
         want = oracles.rk4_trajectory(bloch_density(s0), theta, ratio, step_count, samples)
@@ -274,7 +279,7 @@ class TestConvergenceOrder:
     def test_rk4_samples_are_the_40_digit_rk4_map_applied(self, step_count, samples, ratio):
         # each sample is the previous one moved by the map of k RK4 steps; with
         # that map and its application in 40 digits, only rounding is left
-        s0 = PureState.superposition(1.0, 0.6 + 0.2j).bloch()
+        s0 = TILTED
         theta = 3 * math.pi / 2
         got = sample_matrices(evolve(s0, theta, ratio, samples, RK4_FIXED, step_count))
         got = got.reshape(-1, 4)
@@ -290,17 +295,17 @@ class TestConvergenceOrder:
 
 class TestExactPropagator:
     STARTS = {
-        "ground": PureState.ground(),
-        "excited": PureState.excited(),
-        "plus": PureState.superposition(1.0, 1.0),
-        "tilted": PureState.superposition(0.3, 0.8 - 0.5j),
+        "ground": GROUND,
+        "excited": EXCITED,
+        "plus": START_STATES["plus"],
+        "tilted": oracles.pure_bloch((0.3, 0.8 - 0.5j)),
     }
 
     @pytest.mark.parametrize("theta", [math.pi / 2, math.pi, 4 * math.pi])
     def test_final_state_matches_scipy_expm(self, theta):
         # 7.9, 8 and 8.1 bracket the exceptional point of the Bloch generator
         ratios = [0.0, 1e-9, 1e-5, 7.9, 8.0, 8.1, 30.0, 1e3]
-        s0 = PureState.superposition(1.0, 0.6 + 0.2j).bloch()
+        s0 = TILTED
         for ratio in ratios:
             want = oracles.evolve_superop(bloch_density(s0), theta, ratio)
             assert np.max(np.abs(final_matrix(s0, theta, ratio) - want)) <= 1e-12
@@ -311,7 +316,7 @@ class TestExactPropagator:
         # deep in the strongly damped regime, against mpmath on the kron form
         ratios = [0.0, 1e-9, 1e-3, 1.0, 7.9, 8.0 - 1e-6, 8.0, 8.0 + 1e-6, 8.1, 30.0, 1e3, 1e6]
         for start in ("ground", "tilted"):
-            s0 = self.STARTS[start].bloch()
+            s0 = self.STARTS[start]
             for ratio in ratios:
                 got = final_matrix(s0, theta, ratio)
                 want = oracles.evolve_mp(bloch_density(s0), theta, ratio)
@@ -325,10 +330,10 @@ class TestExactPropagator:
         r = Fraction(ratio)
         rho_aa, im_rho_ab = float(4 / (8 + r * r)), float(-2 * r / (8 + r * r))
         want = [[1.0 - rho_aa, -1j * im_rho_ab], [1j * im_rho_ab, rho_aa]]
-        final = final_matrix(PureState.ground().bloch(), math.pi, ratio)
+        final = final_matrix(GROUND, math.pi, ratio)
         assert np.max(np.abs(np.subtract(final, want))) <= 1e-15
         if ratio == 1e6:
-            want = oracles.evolve_mp(bloch_density(PureState.ground().bloch()), math.pi, ratio)
+            want = oracles.evolve_mp(bloch_density(GROUND), math.pi, ratio)
             assert np.max(np.abs(final - want)) <= 1e-15
         argv = ["simulate", "--ratio", repr(ratio), "--samples", "1", "--out", str(tmp_path / "o")]
         assert main(argv) == EXIT_OK
@@ -341,16 +346,15 @@ class TestExactPropagator:
     def test_sweep_equals_single_ratios_bit_for_bit(self, keywords, theta):
         rates = np.random.default_rng(17).uniform(0.0, 30.0, 16)
         rates[0] = 0.0
-        psi0 = PureState.superposition(1.0, 0.6 + 0.2j)
-        swept = sweep_failure_probabilities(theta, psi0, rates)
+        swept = sweep_failure_probabilities(theta, TILTED, rates)
         assert len(swept) == 16
         with pytest.raises(TypeError):
             swept[0] = 1.0
-        target = oracles.ideal_state(np.asarray(psi0.amplitudes), theta)
+        target = oracles.ideal_state(TILTED_AMPLITUDES, theta)
         perp = np.array([-np.conj(target[1]), np.conj(target[0])])
         for rate, p in zip(rates, swept):
-            assert p == sweep_failure_probabilities(theta, psi0, [rate])[0]
-            final = final_matrix(psi0.bloch(), theta, rate, **keywords)
+            assert p == sweep_failure_probabilities(theta, TILTED, [rate])[0]
+            final = final_matrix(TILTED, theta, rate, **keywords)
             assert abs(p - np.vdot(perp, final @ perp).real) <= 1e-15
 
     @pytest.mark.parametrize("theta", [math.pi, math.pi / 2], ids=["pi", "pi2"])
@@ -359,7 +363,7 @@ class TestExactPropagator:
         assert sweep_failure_probabilities(theta, self.STARTS[start], [0.0])[0] <= 1e-14
 
     def test_trajectory_applies_one_step_propagator(self):
-        s0 = PureState.excited().bloch()
+        s0 = EXCITED
         trajectory = evolve(s0, 3.0, 0.25, samples=64)
         for t, m in zip(trajectory.times, sample_matrices(trajectory)):
             # the area reached at time t (in units of 1/g alpha) is Omega_R t = 2 t
@@ -370,7 +374,7 @@ class TestExactPropagator:
         # kappa/g_alpha * tau = 1.7e308 * pi/2 overflows the generator itself;
         # 1e308 does not, and gives the finite Zeno-limit propagator
         with pytest.raises(FloatingPointError):
-            evolve(PureState.ground().bloch(), math.pi, 1.7e308)
+            evolve(GROUND, math.pi, 1.7e308)
         argv = ["simulate", "--ratio", "1.7e308", "--samples", "1", "--out", str(tmp_path / "o")]
         assert main(argv) == EXIT_NUMERIC
 

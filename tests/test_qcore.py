@@ -11,13 +11,16 @@ from scipy.linalg import expm
 import oracles
 from lasergate.gates import sweep_failure_probabilities
 from lasergate.budget import PhysicalConstants
+from lasergate.cli import START_STATES
+from lasergate.jc import _amplitudes, jc_gate_error
 from lasergate.lindblad import evolve
 from lasergate.qcore import (
     BLOCH_SLACK,
     InvalidStateError,
-    PureState,
     Record,
     check_bloch,
+    check_pure_start,
+    check_start,
     density_columns,
 )
 
@@ -33,18 +36,18 @@ def evolve_start(s0):
     return evolve(s0, 1.0, 0.0)
 
 
-def population(s, psi: PureState) -> float:
-    """<psi| rho |psi> of the Bloch vector ``s``, its matrix read from
-    :func:`qcore.density_columns`."""
+def population(s, psi) -> float:
+    """<psi| rho |psi> of the Bloch vector ``s`` for the amplitudes ``psi``,
+    its matrix read from :func:`qcore.density_columns`."""
     (rho_bb,), (rho_aa,), (re,), (im,), _ = density_columns(*([value] for value in s))
-    t = np.asarray(psi.amplitudes)
+    t = np.asarray(psi)
     return np.vdot(t, np.array([[rho_bb, complex(re, -im)], [complex(re, im), rho_aa]]) @ t).real
 
 
 def decay_free_bloch(psi, theta: float) -> np.ndarray:
     """The final Bloch vector of a decay-free pulse of area ``theta`` from the
     amplitudes ``psi``."""
-    trajectory = evolve(PureState(psi).bloch(), theta, 0.0)
+    trajectory = evolve(oracles.pure_bloch(psi), theta, 0.0)
     return np.array([trajectory.x[-1], trajectory.y[-1], trajectory.z[-1]])
 
 
@@ -99,7 +102,7 @@ class TestOperators:
 
     def test_identity(self):
         psi = (0.6, 0.8j)
-        start = PureState(psi).bloch()
+        start = oracles.pure_bloch(psi)
         assert tuple(decay_free_bloch(psi, 0.0)) == start
         assert np.max(np.abs(decay_free_bloch(psi, 4 * math.pi) - start)) <= 4e-15
 
@@ -119,10 +122,10 @@ class TestOperators:
         target = expm(-0.5j * theta * np.array([[0, 1], [1, 0]], dtype=complex)) @ psi
         perp = np.array([-np.conj(target[1]), np.conj(target[0])])
         assert abs(np.vdot(perp, target)) <= 1e-15
-        state = PureState(psi)
-        assert sweep_failure_probabilities(theta, state, [0.0]) == (0.0,)
-        (p,) = sweep_failure_probabilities(theta, state, [0.3])
-        final = oracles.sample_matrices(evolve(state.bloch(), theta, 0.3))[-1]
+        s0 = oracles.pure_bloch(psi)
+        assert sweep_failure_probabilities(theta, s0, [0.0]) == (0.0,)
+        (p,) = sweep_failure_probabilities(theta, s0, [0.3])
+        final = oracles.sample_matrices(evolve(s0, theta, 0.3))[-1]
         assert abs(p - np.vdot(perp, final @ perp).real) <= 4e-15
 
 
@@ -132,25 +135,25 @@ class TestFidelity:
 
     def test_matching_pure_states(self):
         # no decay: the final state is the target, and nothing is left orthogonal
-        assert sweep_failure_probabilities(math.pi, PureState.excited(), [0.0]) == (0.0,)
+        assert sweep_failure_probabilities(math.pi, START_STATES["excited"], [0.0]) == (0.0,)
 
     def test_orthogonal_pure_states(self):
         # overwhelming decay holds the ground state, orthogonal to the pi
         # pulse's target, the excited state: all of it fails
-        assert sweep_failure_probabilities(math.pi, PureState.ground(), [1e10]) == (1.0,)
+        assert sweep_failure_probabilities(math.pi, START_STATES["ground"], [1e10]) == (1.0,)
 
     def test_maximally_mixed_against_anything(self):
-        for target in (PureState.ground(), PureState.excited(), PureState.superposition(1, 1j)):
+        for target in (oracles.GROUND, oracles.EXCITED, np.array([1.0, 1.0j]) / math.sqrt(2.0)):
             assert population((0.0, 0.0, 0.0), target) == pytest.approx(0.5)
 
     def test_dimension_mismatch_rejected(self):
-        with pytest.raises(InvalidStateError, match="expected 2 amplitudes"):
-            PureState(np.array([1, 0, 0, 0]))
+        with pytest.raises(InvalidStateError, match="expected a Bloch vector of 3 numbers"):
+            check_pure_start(np.array([1, 0, 0, 0]))
 
     def test_result_is_clamped(self):
-        # p of a start from slightly noisy amplitudes still lands in [0, 1]
-        psi = PureState.superposition(1.0, 1.0)
-        for p in sweep_failure_probabilities(math.pi, psi, [0.0, 1e-3, 1.0, 30.0, 1e10]):
+        # p of a start on the unit sphere still lands in [0, 1]
+        for p in sweep_failure_probabilities(math.pi, START_STATES["plus"],
+                                             [0.0, 1e-3, 1.0, 30.0, 1e10]):
             assert 0.0 <= p <= 1.0
 
 
@@ -201,22 +204,23 @@ class TestDensityMatrixInvariants:
             check_bloch((0.0, 1.3e308), (0.0, 1.3e308), (0.0, 0.0))
 
     def test_rejects_non_square(self):
-        # a 2x3 matrix is no state: neither amplitudes nor a Bloch vector
+        # a 2x3 matrix is no state: no Bloch vector, pure or mixed
         with pytest.raises(InvalidStateError):
-            PureState(np.ones((2, 3)))
+            check_pure_start(np.ones((2, 3)))
         with pytest.raises(InvalidStateError):
             evolve(np.ones((2, 3)), 1.0, 0.0)
 
-    # a d-level density matrix has d^2 - 1 Bloch components: 0 for one level,
-    # 8 for three; a 2x3 "state" is given as its 6 entries
+    # a d-level state has d^2 - 1 Bloch components: 0 for one level, 8 for
+    # three, 15 for four; a 2x3 "state" is given as its 6 entries
     @pytest.mark.parametrize("build,entries", [
-        (PureState, [1.0]), (PureState, [1.0, 0.0, 0.0]), (PureState, [0.5] * 4),
+        (check_pure_start, []), (check_pure_start, [1.0] + [0.0] * 7),
+        (check_pure_start, [1.0] + [0.0] * 14),
         (evolve_start, []), (evolve_start, [0.0] * 8), (evolve_start, [0.0] * 6),
     ], ids=["pure-1", "pure-3", "pure-4", "density-1x1", "density-3x3", "density-2x3"])
     def test_only_the_two_level_atom_is_accepted(self, build, entries):
-        # each input is otherwise valid: normalized, or inside the ball
-        with pytest.raises(InvalidStateError,
-                           match="expected (2 amplitudes|a Bloch vector of 3 numbers)"):
+        # each input is otherwise valid: a unit vector for a pure start, or
+        # inside the ball
+        with pytest.raises(InvalidStateError, match="expected a Bloch vector of 3 numbers"):
             build(entries)
 
     def test_matrix_is_frozen(self):
@@ -237,31 +241,85 @@ class TestDensityMatrixInvariants:
 
 
 class TestPureState:
-    def test_rejects_unnormalized(self):
-        with pytest.raises(InvalidStateError, match="normalized"):
-            PureState(np.array([1.0, 1.0]))
+    """A pure start is a Bloch vector on the unit sphere, ||s| - 1| <=
+    BLOCH_SLACK (:func:`qcore.check_pure_start`); ``jc`` alone turns it into
+    amplitudes (:func:`jc._amplitudes`)."""
 
-    @pytest.mark.parametrize("amplitudes", [(math.nan, 0.0), (math.nan, 1.0)],
+    def test_rejects_unnormalized(self):
+        # the vector of a mixed state lies inside the sphere, and past the slack
+        # outside it lies no state at all; both refusals print |s|
+        for s, message in (((0.5, 0.0, 0.0), r"not pure: Bloch vector \|s\| = 0.5$"),
+                           ((0.0, 0.0, 1.0 - 2 * BLOCH_SLACK), r"\|s\| = 0.999999998$"),
+                           ((1.0, 1.0, 0.0), r"\|s\| = 1.41421356237 lies outside")):
+            with pytest.raises(InvalidStateError, match=message):
+                check_pure_start(s)
+            with pytest.raises(InvalidStateError, match=message):
+                jc_gate_error(math.pi, s, 100.0)
+        for radius in (1.0 - BLOCH_SLACK, 1.0, 1.0 + BLOCH_SLACK):
+            assert check_pure_start((0.0, 0.0, radius)) == (0.0, 0.0, radius)
+
+    @pytest.mark.parametrize("amplitudes", [(math.nan, 0.0, 0.0), (math.nan, 0.0, 1.0)],
                              ids=["nan-zero", "nan-one"])
     def test_rejects_nan_amplitudes(self, amplitudes):
-        # |psi|^2 is NaN, and NaN - 1 compares False with any tolerance
-        with pytest.raises(InvalidStateError, match="normalized"):
-            PureState(amplitudes)
+        # a NaN component makes |s| NaN, which compares False with any
+        # tolerance: it is refused before jc builds amplitudes from it
+        with pytest.raises(InvalidStateError, match=r"\|s\| = nan lies outside"):
+            check_pure_start(amplitudes)
+        with pytest.raises(InvalidStateError, match=r"\|s\| = nan lies outside"):
+            jc_gate_error(math.pi, amplitudes, 100.0)
 
     def test_superposition_normalizes(self):
-        psi = PureState.superposition(3.0, 4.0j)
-        assert np.vdot(psi.amplitudes, psi.amplitudes) == pytest.approx(1.0, abs=1e-14)
+        # (3 |b> + 4i |a>) / 5 as its vector: the amplitudes jc builds have unit norm
+        psi = _amplitudes((0.0, 0.96, 0.28))
+        assert np.vdot(psi, psi) == pytest.approx(1.0, abs=1e-14)
+        assert np.max(np.abs(np.subtract(psi, (0.6, 0.8j)))) <= 1e-15
 
     def test_bloch_roundtrip(self):
-        psi = PureState.superposition(1.0, 1j)
-        assert math.hypot(*psi.bloch()) == pytest.approx(1.0, abs=1e-15)
-        assert population(psi.bloch(), psi) == pytest.approx(1.0)
+        # vector -> amplitudes -> vector, and the state has all its population on itself
+        near_pole = 1.0 - 2.0 ** -40
+        for s in ((0.0, 1.0, 0.0), *START_STATES.values(), (-0.6, 0.0, 0.8),
+                  (0.0, math.sqrt((1.0 - near_pole) * (1.0 + near_pole)), near_pole)):
+            psi = _amplitudes(s)
+            assert np.max(np.abs(np.subtract(oracles.pure_bloch(psi), s))) <= 1e-15
+            assert population(s, psi) == pytest.approx(1.0)
 
     @pytest.mark.parametrize("amplitudes", [(1.0, 0.0), (0.0, 1.0), (0.6, 0.8j), (0.28, -0.96)])
     def test_bloch_vector_is_that_of_the_projector(self, amplitudes):
-        psi = PureState(amplitudes)
-        rho = np.outer(psi.amplitudes, np.conj(psi.amplitudes))
-        assert np.max(np.abs(np.subtract(psi.bloch(), oracles.density_bloch(rho)))) <= 1e-15
+        # the vector of |psi><psi| gives back amplitudes of the same projector:
+        # psi up to a global phase
+        psi = _amplitudes(oracles.pure_bloch(amplitudes))
+        want = np.outer(amplitudes, np.conj(amplitudes))
+        assert np.max(np.abs(np.outer(psi, np.conj(psi)) - want)) <= 1e-15
+
+    def test_excited_state_is_read_at_the_pole(self):
+        # 1 - z vanishes at the excited pole, and past it within the slack
+        assert _amplitudes((0.0, 0.0, 1.0)) == (0j, 1 + 0j)
+        assert _amplitudes((0.0, 0.0, 1.0 + BLOCH_SLACK)) == (0j, 1 + 0j)
+
+
+class TestStartVector:
+    """evolve takes any start in the ball, pure or mixed; gates and jc a pure one."""
+
+    @pytest.mark.parametrize("s0", [(0.0, 0.0, 0.0), (0.3, -0.2, 0.1), (0.0, 0.0, -0.999),
+                                    np.array([0.0, 0.6, 0.0]), [1, 0, 0]],
+                             ids=["centre", "mixed", "near-ground", "numpy", "ints"])
+    def test_evolve_accepts_any_start_in_the_ball(self, s0):
+        start = check_start(s0)
+        assert all(type(value) is float for value in start)
+        trajectory = evolve(s0, 1.0, 0.5, samples=2)
+        assert (trajectory.x[0], trajectory.y[0], trajectory.z[0]) == start
+
+    @pytest.mark.parametrize("s0, message", [
+        ((0.0, 0.0, -2.0), "Bloch vector |s| = 2 lies outside the unit ball"),
+        ((0.0, 0.0), "expected a Bloch vector of 3 numbers: "),
+        ((0.4, -0.2j, 0.0), "expected a Bloch vector of 3 numbers: "),
+        (5.0, "expected a Bloch vector of 3 numbers: "),
+    ], ids=["outside", "two", "complex", "scalar"])
+    def test_one_check_and_one_message_for_every_start(self, s0, message):
+        # evolve and the pure-start check refuse a bad vector alike
+        refusals = {refusal(check, s0)
+                    for check in (check_start, check_pure_start, lambda s: evolve(s, 1.0, 0.0))}
+        assert len(refusals) == 1 and refusals.pop().startswith(message)
 
 
 class TestEigensystem:
@@ -337,9 +395,9 @@ class TestRecord:
             del constants.hbar
         with pytest.raises(AttributeError):
             constants.extra = 1
-        psi = PureState.ground()
+        trajectory = evolve((0.0, 0.0, -1.0), 1.0, 0.0)
         with pytest.raises(AttributeError):
-            psi.amplitudes = (0.0, 1.0)
+            trajectory.x = (0.0, 1.0)
         assert constants == PhysicalConstants() and "extra" not in vars(constants)
 
     def test_eq_hash_and_repr_are_field_wise(self):
@@ -364,10 +422,8 @@ class TestRecord:
                                        lambda record: pickle.loads(pickle.dumps(record))],
                              ids=["copy", "deepcopy", "pickle"])
     def test_copies_keep_their_storage_immutable(self, clone):
-        psi = PureState.superposition(1.0, 1j)
         trajectory = evolve((0.0, 0.0, 0.0), 1.0, 0.1, samples=4)
-        for record, storage in ((psi, "amplitudes"), (trajectory, "times"),
-                                (trajectory, "x"), (trajectory, "z")):
+        for record, storage in ((trajectory, "times"), (trajectory, "x"), (trajectory, "z")):
             twin = clone(record)
             assert twin == record
             with pytest.raises(TypeError):
@@ -376,4 +432,4 @@ class TestRecord:
                 setattr(twin, storage, ())
         with pytest.raises(TypeError):
             clone(trajectory).z[-1] = 5.0
-        assert clone(psi).amplitudes == psi.amplitudes
+        assert clone(trajectory).y == trajectory.y
