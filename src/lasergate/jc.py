@@ -104,10 +104,14 @@ def _chord(mean: float, half: float) -> tuple:
 
 def _amplitudes(s: tuple) -> tuple:
     """The amplitudes (x_b, x_a) of the pure state of Bloch vector ``s`` =
-    (x, y, z): (1 - z, x + i y) / |.|, and (0, 1) at z >= 1."""
+    (x, y, z): (1 - z, x + i y) / |.| for z <= 0 and (x - i y, 1 + z) / |.|
+    for z > 0, the two charts differing by a global phase.  Each divides by
+    a norm >= 1, so a vector just off the sphere near either pole keeps its
+    pole's state."""
     x, y, z = s
-    if z >= 1.0:
-        return 0j, 1 + 0j
+    if z > 0.0:
+        norm = math.hypot(x, y, 1.0 + z)
+        return complex(x, -y) / norm, complex(1.0 + z) / norm
     norm = math.hypot(1.0 - z, x, y)
     return complex(1.0 - z) / norm, complex(x, y) / norm
 

@@ -379,13 +379,18 @@ class TestGuards:
         assert calls == []
 
     def test_start_within_the_slack_is_pure(self):
-        # amplitudes from a vector that rounds just off the sphere are normalized
+        # amplitudes from a vector that rounds just off the sphere are normalized,
+        # and one near a pole is read as that pole, the excited one included
+        # (the end of a decay-free pi pulse from ground is the last case)
         for s0, unit in (((0.0, 0.0, -(1.0 - 1e-9)), GROUND), ((0.0, 0.0, -(1.0 + 1e-9)), GROUND),
-                         ((1.0 + 1e-9, 0.0, 0.0), PLUS)):
+                         ((1.0 + 1e-9, 0.0, 0.0), PLUS),
+                         ((0.0, 0.0, 1.0 - 5e-10), EXCITED), ((0.0, 0.0, 1.0 + 1e-9), EXCITED),
+                         ((0.0, 1e-16, 1.0 - 1e-16), EXCITED)):
             x_b, x_a = _amplitudes(s0)
             assert abs(x_b) ** 2 + abs(x_a) ** 2 == pytest.approx(1.0, abs=1e-15)
-            assert jc_gate_error(math.pi, s0, 400.0) == pytest.approx(
-                jc_gate_error(math.pi, unit, 400.0), rel=1e-7)
+            for theta in (math.pi, math.pi / 2):
+                assert jc_gate_error(theta, s0, 400.0) == pytest.approx(
+                    jc_gate_error(theta, unit, 400.0), rel=1e-7)
 
     @pytest.mark.parametrize("theta", [math.nan, math.inf])
     def test_non_finite_duration_rejected(self, theta):

@@ -269,10 +269,11 @@ class TestPureState:
             jc_gate_error(math.pi, amplitudes, 100.0)
 
     def test_superposition_normalizes(self):
-        # (3 |b> + 4i |a>) / 5 as its vector: the amplitudes jc builds have unit norm
+        # (3 |b> + 4i |a>) / 5 as its vector: the amplitudes jc builds have unit
+        # norm; z > 0, so the northern chart gives them times the phase -i
         psi = _amplitudes((0.0, 0.96, 0.28))
         assert np.vdot(psi, psi) == pytest.approx(1.0, abs=1e-14)
-        assert np.max(np.abs(np.subtract(psi, (0.6, 0.8j)))) <= 1e-15
+        assert np.max(np.abs(np.subtract(psi, (-0.6j, 0.8)))) <= 1e-15
 
     def test_bloch_roundtrip(self):
         # vector -> amplitudes -> vector, and the state has all its population on itself
@@ -292,9 +293,13 @@ class TestPureState:
         assert np.max(np.abs(np.outer(psi, np.conj(psi)) - want)) <= 1e-15
 
     def test_excited_state_is_read_at_the_pole(self):
-        # 1 - z vanishes at the excited pole, and past it within the slack
-        assert _amplitudes((0.0, 0.0, 1.0)) == (0j, 1 + 0j)
-        assert _amplitudes((0.0, 0.0, 1.0 + BLOCH_SLACK)) == (0j, 1 + 0j)
+        # the northern chart (x - i y, 1 + z) reads the excited pole, and
+        # vectors within the slack of it, as |a>; the southern chart would
+        # divide 1 - z ~ 5e-10 by a norm of the same size there
+        for z in (1.0, 1.0 - BLOCH_SLACK / 2, 1.0 + BLOCH_SLACK):
+            assert _amplitudes((0.0, 0.0, z)) == (0j, 1 + 0j)
+        x_b, x_a = _amplitudes((0.0, 1e-16, 1.0 - 1e-16))
+        assert abs(x_b) <= 1e-16 and x_a == 1.0
 
 
 class TestStartVector:
