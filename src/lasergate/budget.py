@@ -8,9 +8,10 @@ dimensionless gate-error results from :mod:`lasergate.gates` connect to these
 through the flux relation Phi = Omega_R^2 / (4 kappa).  The transition
 frequency is derived from the wavelength, omega = 2 pi c / lambda, so the two
 cannot disagree.  Every pulse is a pi pulse, its duration T = pi / Omega_R
-derived, not chosen.  The functions that use a physical constant accept an
-explicit :class:`PhysicalConstants`, so the whole module is invariant under a
-global change of the time unit (rates * s, times / s, hbar / s, c * s).
+derived, not chosen.  hbar, c and epsilon0 are the module constants
+:data:`HBAR`, :data:`C` and :data:`EPSILON0`.  Invariance under a global
+change of the time unit (rates * s, times / s, hbar / s, c * s) is a
+property of the formulas; the tests check it by patching those constants.
 
 Margins are reported as ratios (satisfied iff margin > 1), which keeps them
 meaningful across many orders of magnitude.
@@ -49,15 +50,10 @@ RAMAN_COEFFICIENT_GAP = RESONANT_CHAIN_COEFFICIENT / RAMAN_ELIMINATION_COEFFICIE
 MARGIN_AGREEMENT_TOL = 1e-12
 
 
-class PhysicalConstants(Record):
-    """CODATA values in SI; pass a rescaled instance to change unit systems."""
-
-    hbar: float = 1.054571817e-34   # J s
-    c: float = 2.99792458e8         # m / s
-    epsilon0: float = 8.8541878128e-12  # F / m
-
-
-CODATA = PhysicalConstants()
+# CODATA 2018 values in SI, read when a budget is computed
+HBAR = 1.054571817e-34  # J s
+C = 2.99792458e8  # m / s
+EPSILON0 = 8.8541878128e-12  # F / m
 
 
 class PiPulseBudget(Record):
@@ -119,8 +115,7 @@ def photon_coefficient(coefficient_vs_ratio: float, theta: float) -> float:
 
 
 def pi_pulse_budget(wavelength: float, mode_area: float, dipole: float, field_amplitude: float,
-                    epsilon: float = 1e-4,
-                    constants: PhysicalConstants = CODATA) -> PiPulseBudget:
+                    epsilon: float = 1e-4) -> PiPulseBudget:
     """Photon counts, the minimum-energy constraint and the energy floor of one
     resonant pi pulse on a two-level transition of ``wavelength`` (m) and
     ``dipole`` moment (C m), driven by a uniform (top-hat) beam of ``mode_area``
@@ -133,7 +128,6 @@ def pi_pulse_budget(wavelength: float, mode_area: float, dipole: float, field_am
     :class:`InvalidStateError`; a derived value that leaves the double range
     raises :class:`FloatingPointError` naming it.
     """
-    hbar, c, eps0 = constants.hbar, constants.c, constants.epsilon0
     if not wavelength > 0:  # NaN fails too
         raise InvalidStateError(f"wavelength must be > 0, got {wavelength}")
     if not mode_area > 0:
@@ -141,9 +135,7 @@ def pi_pulse_budget(wavelength: float, mode_area: float, dipole: float, field_am
     # the cross-section for scattering out of the paraxial modes, 3 lambda^2 / (8 pi)
     sigma_formula = "sigma_eff = 3 pi / (2 k^2)"
     sigma_eff = _evaluated(sigma_formula, lambda: 1.5 * math.pi / (2.0 * math.pi / wavelength) ** 2)
-    if not 0 < sigma_eff < math.inf:  # a k^2 below about 2.6e-308 divides to inf
-        raise FloatingPointError(f"{sigma_formula} = {sigma_eff} leaves the positive double range"
-                                 " for these inputs")
+    _check_positive(sigma_formula, sigma_eff)  # a k^2 below about 2.6e-308 divides to inf
     if mode_area < sigma_eff:
         warnings.warn(
             "mode_area is below the paraxial scattering cross-section "
@@ -151,40 +143,37 @@ def pi_pulse_budget(wavelength: float, mode_area: float, dipole: float, field_am
             "a beam cannot be focused below about a wavelength",
             stacklevel=2,
         )
-    omega = 2.0 * math.pi * c / wavelength
+    omega = 2.0 * math.pi * C / wavelength
     if not (omega > 0 and dipole > 0):
         raise InvalidStateError("transition frequency and dipole moment must be > 0")
     if not field_amplitude > 0:
         raise InvalidStateError(f"field amplitude must be > 0, got {field_amplitude}")
     # free-space spontaneous emission rate
     gamma_formula = "Gamma = omega^3 d^2 / (3 pi eps0 hbar c^3)"
-    gamma = _evaluated(gamma_formula,
-                       lambda: omega ** 3 * dipole ** 2 / (3.0 * math.pi * eps0 * hbar * c ** 3))
-    rabi = dipole * field_amplitude / hbar
-    if not 0 < rabi < math.inf:  # T = pi / Omega_R needs a finite, non-zero Omega_R
-        raise FloatingPointError(f"Omega_R = d E0 / hbar = {rabi} leaves the positive double"
-                                 " range for these inputs")
+    gamma = _evaluated(gamma_formula, lambda: omega ** 3 * dipole ** 2
+                       / (3.0 * math.pi * EPSILON0 * HBAR * C ** 3))
+    rabi = dipole * field_amplitude / HBAR
+    _check_positive("Omega_R = d E0 / hbar", rabi)  # T = pi / Omega_R needs it in (0, inf)
     duration = math.pi / rabi
     # each refusal follows the arithmetic before it, so inputs that overflow
     # there are a numerical failure (exit 3), not a refused value (exit 2)
     _check_epsilon(epsilon)
-    intensity = _evaluated("I = eps0 c E0^2 / 2", lambda: 0.5 * eps0 * c * field_amplitude ** 2)
-    photon_energy = hbar * omega
+    intensity = _evaluated("I = eps0 c E0^2 / 2",
+                           lambda: 0.5 * EPSILON0 * C * field_amplitude ** 2)
+    photon_energy = HBAR * omega
     power = intensity * mode_area
-    energy_in_volume = 0.5 * eps0 * field_amplitude ** 2 * (sigma_eff * c * duration)
+    energy_in_volume = 0.5 * EPSILON0 * field_amplitude ** 2 * (sigma_eff * C * duration)
     threshold = PHOTON_THRESHOLD_COEFFICIENT * photon_energy / epsilon
     margin = energy_in_volume / threshold
     # a Gamma that rounded to 0 or inf without raising is refused where the
     # margins first divide by it, so the epsilon refusal keeps its place
-    if not 0 < gamma < math.inf:
-        raise FloatingPointError(f"{gamma_formula} = {gamma} leaves the positive double range"
-                                 " for these inputs")
+    _check_positive(gamma_formula, gamma)
     # pi^2 Gamma / Omega_R^2 with Omega_R from the raw (d, E0), bypassing rabi
     forms = _evaluated("a margin form", lambda: {
         "margin_purity_form": epsilon / (gamma * duration),
         "margin_rabi_form": epsilon * rabi ** 2 * duration / (RESONANT_CHAIN_COEFFICIENT * gamma),
         "margin_explicit_form": epsilon * duration / (
-            RESONANT_CHAIN_COEFFICIENT * gamma * (hbar / (dipole * field_amplitude)) ** 2),
+            RESONANT_CHAIN_COEFFICIENT * gamma * (HBAR / (dipole * field_amplitude)) ** 2),
     })
     for name, form in forms.items():
         if abs(form - margin) > MARGIN_AGREEMENT_TOL * margin:
@@ -210,7 +199,7 @@ def pi_pulse_budget(wavelength: float, mode_area: float, dipole: float, field_am
         constraint_margin=margin,
         **forms,
         margin_energy_form=margin,
-        min_energy_per_lambda3_J=(ENERGY_PER_WAVELENGTH_CUBED_COEFFICIENT * hbar
+        min_energy_per_lambda3_J=(ENERGY_PER_WAVELENGTH_CUBED_COEFFICIENT * HBAR
                                   / (epsilon * duration)),
     )
 
@@ -255,7 +244,9 @@ def raman_constraint(detuning: float, rabi_frequency: float, gamma: float,
     _check_epsilon(epsilon)
     if not gamma > 0:
         raise InvalidStateError(f"gamma must be > 0, got {gamma}")
-    effective_rabi = rabi_frequency ** 2 / detuning
+    effective_formula = "Omega_eff = Omega_R^2 / Delta"
+    effective_rabi = _evaluated(effective_formula, lambda: rabi_frequency ** 2 / detuning)
+    _check_positive(effective_formula, effective_rabi)  # T = pi / Omega_eff needs it in (0, inf)
     duration = math.pi / effective_rabi
     purity_loss = gamma / detuning
     return RamanReport(
@@ -280,8 +271,7 @@ class AreaSweep(Record):
     total_error: tuple
 
 
-def fixed_intensity_area_sweep(report: PiPulseBudget, points: int, max_factor: float,
-                               constants: PhysicalConstants = CODATA) -> AreaSweep:
+def fixed_intensity_area_sweep(report: PiPulseBudget, points: int, max_factor: float) -> AreaSweep:
     """kappa, nbar, and pi-pulse errors versus mode area at the intensity of
     ``report``, over ``points`` areas spaced logarithmically from sigma_eff to
     sigma_eff * ``max_factor``, both endpoints exact.
@@ -305,7 +295,7 @@ def fixed_intensity_area_sweep(report: PiPulseBudget, points: int, max_factor: f
     area = (sigma_eff, *areas[1:-1], largest)  # 10**log10(x) need not round back to x
     rabi, duration = report.rabi_frequency_rad_per_s, report.duration_s
     gamma = report.gamma_per_s
-    photon_energy = constants.hbar * report.omega_rad_per_s
+    photon_energy = HBAR * report.omega_rad_per_s
     gamma_sigma = gamma * sigma_eff
     intensity = report.intensity_W_per_m2
     kappa = tuple(gamma_sigma / a for a in area)
@@ -325,6 +315,13 @@ def fixed_intensity_area_sweep(report: PiPulseBudget, points: int, max_factor: f
 def _check_epsilon(epsilon: float) -> None:
     if not (0.0 < epsilon < 1.0):
         raise InvalidStateError(f"epsilon must be in (0, 1), got {epsilon}")
+
+
+def _check_positive(name: str, value: float) -> None:
+    """Refuse the derived ``value``, named ``name``, unless it lies in (0, inf)."""
+    if not 0 < value < math.inf:  # NaN fails too
+        raise FloatingPointError(f"{name} = {value} leaves the positive double range"
+                                 " for these inputs")
 
 
 def _evaluated(name: str, formula):

@@ -33,22 +33,19 @@ class InvalidStateError(ValueError):
 class Record:
     """Immutable value with named fields, the base of every record type.
 
-    A subclass declares its fields as class annotations, in order, and a
-    class-level value is that field's default.  Construction takes the fields
-    positionally or by keyword.  Repr, equality and hash are field-wise;
-    assigning or deleting an attribute raises :class:`AttributeError`.
+    A subclass declares its fields as class annotations, in order.
+    Construction takes every field, positionally or by keyword.  Repr,
+    equality and hash are field-wise; assigning or deleting an attribute
+    raises :class:`AttributeError`.
     Unlike ``dataclasses``, nothing is compiled per class, so defining a
     record costs next to nothing at import.
     """
 
     _fields: tuple[str, ...] = ()
-    _defaults: dict = {}
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        own = cls.__annotations__
-        cls._fields = (*cls._fields, *own)
-        cls._defaults = {**cls._defaults, **{k: vars(cls)[k] for k in own if k in vars(cls)}}
+        cls._fields = (*cls._fields, *cls.__annotations__)
 
     def __init__(self, *args, **kwargs):
         cls = type(self)
@@ -67,8 +64,6 @@ class Record:
                 state[name] = args[i]
             elif name in kwargs:
                 state[name] = kwargs[name]
-            elif name in cls._defaults:
-                state[name] = cls._defaults[name]
             else:
                 raise TypeError(f"{cls.__name__} is missing field {name!r}")
 

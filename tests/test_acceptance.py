@@ -6,15 +6,15 @@ a single PASS/FAIL verdict line (run with ``pytest -s`` to see them inline).
 
 import math
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from lasergate import budget
 from lasergate.budget import (
-    CODATA,
     RAMAN_COEFFICIENT_GAP,
     RAMAN_ELIMINATION_COEFFICIENT,
-    PhysicalConstants,
     pi_pulse_budget,
     raman_constraint,
 )
@@ -110,10 +110,10 @@ def test_all_modes_error_counts_local_photons():
     worst = 0.0
     for _ in range(100):
         wavelength, mode_area, dipole, amplitude = _random_system(rng)
-        omega = 2.0 * math.pi * CODATA.c / wavelength
+        omega = 2.0 * math.pi * budget.C / wavelength
         gamma = omega ** 3 * dipole ** 2 / (
-            3.0 * math.pi * CODATA.epsilon0 * CODATA.hbar * CODATA.c ** 3)
-        rabi = dipole * amplitude / CODATA.hbar
+            3.0 * math.pi * budget.EPSILON0 * budget.HBAR * budget.C ** 3)
+        rabi = dipole * amplitude / budget.HBAR
         n_bar_prime = pi_pulse_budget(wavelength, mode_area, dipole, amplitude).n_bar_prime
         p_rate_form = PI_PULSE_RABI_SLOPE * gamma / rabi
         p_photon_form = PI_PULSE_PHOTON_COEFFICIENT / n_bar_prime
@@ -229,8 +229,8 @@ def test_state_invariants_on_random_trajectories():
     order_ok = 12.0 <= factor <= 20.0
 
     scale = 1024.0
-    scaled = PhysicalConstants(hbar=CODATA.hbar / scale, c=CODATA.c * scale,
-                               epsilon0=CODATA.epsilon0)
+    codata = {"HBAR": budget.HBAR, "C": budget.C}
+    scaled = {"HBAR": budget.HBAR / scale, "C": budget.C * scale}
     worst_rescale = 0.0
     for _ in range(20):
         wavelength = 10.0 ** rng.uniform(-7, -5)
@@ -239,11 +239,11 @@ def test_state_invariants_on_random_trajectories():
         area = 10.0 ** rng.uniform(-11, -8)
         epsilon = 10.0 ** rng.uniform(-6, -1)
         outputs = []
-        for constants in (CODATA, scaled):
-            budget = pi_pulse_budget(wavelength, area, dipole, amplitude, epsilon=epsilon,
-                                     constants=constants)
-            p = PI_PULSE_RABI_SLOPE * budget.kappa_per_s / budget.rabi_frequency_rad_per_s
-            outputs.append((budget.n_bar, budget.n_bar_prime, budget.constraint_margin, p))
+        for constants in (codata, scaled):
+            with mock.patch.multiple(budget, **constants):
+                report = pi_pulse_budget(wavelength, area, dipole, amplitude, epsilon=epsilon)
+            p = PI_PULSE_RABI_SLOPE * report.kappa_per_s / report.rabi_frequency_rad_per_s
+            outputs.append((report.n_bar, report.n_bar_prime, report.constraint_margin, p))
         for a, b in zip(*outputs):
             worst_rescale = max(worst_rescale, abs(b / a - 1.0))
     rescale_ok = worst_rescale <= 1e-12

@@ -5,14 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lasergate import budget
 from lasergate.budget import (
-    CODATA,
     ENERGY_PER_WAVELENGTH_CUBED_COEFFICIENT,
     PHOTON_THRESHOLD_COEFFICIENT,
     RAMAN_COEFFICIENT_GAP,
     RAMAN_ELIMINATION_COEFFICIENT,
     RESONANT_CHAIN_COEFFICIENT,
-    PhysicalConstants,
     PiPulseBudget,
     drive_ratio_for_photons,
     fixed_intensity_area_sweep,
@@ -31,10 +30,11 @@ areas = st.floats(min_value=-13.0, max_value=-8.0).map(lambda e: 10.0**e)
 epsilons = st.floats(min_value=-6.0, max_value=-1.0).map(lambda e: 10.0**e)
 
 
-def _rates(wavelength, area, dipole, amplitude, constants=CODATA):
+def _rates(wavelength, area, dipole, amplitude):
     """omega, sigma_eff, Gamma, kappa, Omega_R and I from their textbook
-    formulas, written out here rather than read from the module."""
-    hbar, c, eps0 = constants.hbar, constants.c, constants.epsilon0
+    formulas, written out here rather than read from the module; only the
+    constants are the module's, so a test that patches them patches these."""
+    hbar, c, eps0 = budget.HBAR, budget.C, budget.EPSILON0
     omega = 2 * math.pi * c / wavelength
     sigma = 3 * wavelength**2 / (8 * math.pi)
     gamma = omega**3 * dipole**2 / (3 * math.pi * eps0 * hbar * c**3)
@@ -69,10 +69,10 @@ class TestKappaFromBeam:
     def test_reference_point(self):
         # Gamma = 1e7 /s at lambda = 1 um, A = 1e-12 m^2 -> kappa = 1.1937e6 /s
         wavelength = 1e-6
-        omega = 2 * math.pi * CODATA.c / wavelength
+        omega = 2 * math.pi * budget.C / wavelength
         gamma_target = 1e7
         dipole = math.sqrt(
-            gamma_target * 3 * math.pi * CODATA.epsilon0 * CODATA.hbar * CODATA.c**3 / omega**3
+            gamma_target * 3 * math.pi * budget.EPSILON0 * budget.HBAR * budget.C**3 / omega**3
         )
         report = pi_pulse_budget(wavelength, 1e-12, dipole, 1e5)
         assert report.gamma_per_s == pytest.approx(gamma_target, rel=1e-12)
@@ -116,11 +116,11 @@ class TestPhotonRelations:
         # Phi from the mode power equals Omega_R^2 / (4 kappa) identically
         inputs = (wavelength, area, dipole, amplitude)
         omega, _, _, kappa, rabi, intensity = _rates(*inputs)
-        flux_direct = intensity * area / (CODATA.hbar * omega)
+        flux_direct = intensity * area / (budget.HBAR * omega)
         assert rabi**2 / (4.0 * kappa) == pytest.approx(flux_direct, rel=1e-12)
         # and the budget's power and rates close it too
         report = pi_pulse_budget(*inputs)
-        flux = report.power_W / (CODATA.hbar * report.omega_rad_per_s)
+        flux = report.power_W / (budget.HBAR * report.omega_rad_per_s)
         assert report.rabi_frequency_rad_per_s**2 / (4.0 * report.kappa_per_s) == pytest.approx(
             flux, rel=1e-12)
 
@@ -211,7 +211,7 @@ class TestMinPhotonConstraint:
         # a pi pulse: Omega_R T = pi
         assert report.rabi_frequency_rad_per_s * report.duration_s == pytest.approx(
             math.pi, rel=1e-15)
-        photon_energy = CODATA.hbar * omega
+        photon_energy = budget.HBAR * omega
         assert report.energy_threshold_J == pytest.approx(
             PHOTON_THRESHOLD_COEFFICIENT * photon_energy / epsilon, rel=1e-14)
         assert report.energy_in_volume_J / photon_energy == pytest.approx(
@@ -244,7 +244,7 @@ class TestEnergyDensityBound:
         assert ENERGY_PER_WAVELENGTH_CUBED_COEFFICIENT == pytest.approx(16 * math.pi**2 / 3)
         assert ENERGY_PER_WAVELENGTH_CUBED_COEFFICIENT == pytest.approx(52.6, rel=1e-3)
         assert report.min_energy_per_lambda3_J == pytest.approx(
-            ENERGY_PER_WAVELENGTH_CUBED_COEFFICIENT * CODATA.hbar / (1e-4 * report.duration_s),
+            ENERGY_PER_WAVELENGTH_CUBED_COEFFICIENT * budget.HBAR / (1e-4 * report.duration_s),
             rel=1e-12,
         )
 
@@ -260,14 +260,14 @@ class TestEnergyDensityBound:
     @settings(max_examples=50, deadline=None)
     def test_scaled_bound_is_a_pure_number(self, wavelength, dipole, amplitude, epsilon):
         report = pi_pulse_budget(wavelength, 1e-10, dipole, amplitude, epsilon=epsilon)
-        pure = report.min_energy_per_lambda3_J * epsilon * report.duration_s / CODATA.hbar
+        pure = report.min_energy_per_lambda3_J * epsilon * report.duration_s / budget.HBAR
         assert pure == pytest.approx(ENERGY_PER_WAVELENGTH_CUBED_COEFFICIENT, rel=1e-12)
         # the per-volume density does carry the wavelength: hbar omega / epsilon
         # spread over sigma_eff c T
         energy_density = report.min_energy_per_lambda3_J / report.wavelength_m**3
         assert energy_density == pytest.approx(
-            CODATA.hbar * report.omega_rad_per_s
-            / (epsilon * report.sigma_eff_m2 * CODATA.c * report.duration_s),
+            budget.HBAR * report.omega_rad_per_s
+            / (epsilon * report.sigma_eff_m2 * budget.C * report.duration_s),
             rel=1e-12,
         )
 
@@ -375,20 +375,25 @@ class TestAreaSweep:
 
 class TestUnitRescaling:
     @pytest.mark.parametrize("scale", [1024.0, 1000.0, 1.0 / 4096.0])
-    def test_dimensionless_outputs_survive_time_unit_change(self, scale):
+    def test_dimensionless_outputs_survive_time_unit_change(self, scale, monkeypatch):
         # rates scale by s, times by 1/s, hbar by 1/s, c by s; every
         # dimensionless output and every energy must be unchanged
         wavelength, dipole, amplitude, area = 7.8e-7, 2.3e-29, 4.2e5, 3.1e-12
         epsilon = 1e-4
-
-        base_const = CODATA
-        scaled_const = PhysicalConstants(
-            hbar=base_const.hbar / scale, c=base_const.c * scale, epsilon0=base_const.epsilon0
-        )
-
         inputs = (wavelength, area, dipole, amplitude)
-        budget_a = pi_pulse_budget(*inputs, epsilon=epsilon, constants=base_const)
-        budget_b = pi_pulse_budget(*inputs, epsilon=epsilon, constants=scaled_const)
+
+        # dimensionless pi-pulse error via rates
+        def p_laser():
+            _, _, _, kappa, rabi, _ = _rates(*inputs)
+            return PI_PULSE_RABI_SLOPE * kappa / rabi
+
+        budget_a, p_a = pi_pulse_budget(*inputs, epsilon=epsilon), p_laser()
+        monkeypatch.setattr(budget, "HBAR", budget.HBAR / scale)
+        monkeypatch.setattr(budget, "C", budget.C * scale)
+        budget_b, p_b = pi_pulse_budget(*inputs, epsilon=epsilon), p_laser()
+        # the patched constants are the ones read: the Rabi rate is in the new unit
+        assert budget_b.rabi_frequency_rad_per_s == pytest.approx(
+            budget_a.rabi_frequency_rad_per_s * scale, rel=1e-12)
         assert budget_b.n_bar == pytest.approx(budget_a.n_bar, rel=1e-12)
         assert budget_b.n_bar_prime == pytest.approx(budget_a.n_bar_prime, rel=1e-12)
         assert budget_b.margin_purity_form == pytest.approx(budget_a.margin_purity_form,
@@ -398,20 +403,14 @@ class TestUnitRescaling:
         assert budget_b.constraint_margin == pytest.approx(budget_a.constraint_margin, rel=1e-12)
         assert budget_b.energy_in_volume_J == pytest.approx(budget_a.energy_in_volume_J,
                                                             rel=1e-12)
-
-        # dimensionless pi-pulse error via rates
-        def p_laser(constants):
-            _, _, _, kappa, rabi, _ = _rates(*inputs, constants=constants)
-            return PI_PULSE_RABI_SLOPE * kappa / rabi
-
-        assert p_laser(scaled_const) == pytest.approx(p_laser(base_const), rel=1e-12)
+        assert p_b == pytest.approx(p_a, rel=1e-12)
 
 
 class TestConstants:
     def test_codata_values(self):
-        assert CODATA.hbar == 1.054571817e-34
-        assert CODATA.c == 2.99792458e8
-        assert CODATA.epsilon0 == 8.8541878128e-12
+        assert budget.HBAR == 1.054571817e-34
+        assert budget.C == 2.99792458e8
+        assert budget.EPSILON0 == 8.8541878128e-12
 
 
 class TestNaNInputs:
@@ -467,6 +466,15 @@ class TestRangeFailures:
         # omega^3 overflows while Gamma is computed, before epsilon is checked
         with pytest.raises(FloatingPointError, match="Gamma"):
             pi_pulse_budget(1e-100, 1e-12, 1e-29, 1e5, epsilon=2.0)
+
+    @pytest.mark.parametrize("detuning,rabi,message", [
+        (1e200, 1e-96, "Omega_eff = Omega_R^2 / Delta = 0.0 leaves the positive double range"),
+        (1e300, 1e160, "Omega_eff = Omega_R^2 / Delta leaves the double range"),
+    ], ids=["underflows", "squared-rabi-overflows"])
+    def test_raman_effective_rabi_out_of_range_is_named(self, detuning, rabi, message):
+        # T = pi / Omega_eff cannot be formed from a zero or unformed Omega_eff
+        with pytest.raises(FloatingPointError, match=re.escape(message) + " for these inputs$"):
+            raman_constraint(detuning, rabi, 1e7, 1e-4)
 
     def test_raman_refusals_keep_their_order(self):
         with pytest.raises(InvalidStateError, match="detuning and rabi_frequency must be > 0"):

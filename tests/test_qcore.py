@@ -10,7 +10,7 @@ from scipy.linalg import expm
 
 import oracles
 from lasergate.gates import sweep_failure_probabilities
-from lasergate.budget import PhysicalConstants
+from lasergate.budget import RamanReport, raman_constraint
 from lasergate.cli import START_STATES
 from lasergate.jc import _amplitudes, jc_gate_error
 from lasergate.lindblad import evolve
@@ -347,20 +347,16 @@ class TestEigensystem:
                                                       abs=2.5e-12 + 1e-15)
 
 class Estimate(Record):
-    """A record of three required floats and one defaulted bool."""
+    """A record of three floats and a bool."""
 
     coefficient_vs_ratio: float
     coefficient_vs_photons: float
     fit_residual: float
-    degraded_fit: bool = False
+    degraded_fit: bool
 
     @property
     def photons_per_ratio(self) -> float:
         return self.coefficient_vs_photons / self.coefficient_vs_ratio
-
-
-# PhysicalConstants' defaults: CODATA hbar (J s), c (m / s) and epsilon0 (F / m)
-HBAR_C_EPSILON0 = (1.054571817e-34, 2.99792458e8, 8.8541878128e-12)
 
 
 class TestRecord:
@@ -374,18 +370,14 @@ class TestRecord:
         assert by_position == by_keyword == mixed
 
     def test_defaults_hold(self):
-        constants = PhysicalConstants()
-        assert (constants.hbar, constants.c, constants.epsilon0) == HBAR_C_EPSILON0
-        # a trailing field left out keeps its default
-        assert PhysicalConstants(1.0, 2.0).epsilon0 == HBAR_C_EPSILON0[2]
-        assert Estimate(1.0, 2.0, 0.0).degraded_fit is False
         # a property derived from the fields
-        assert Estimate(0.5, 1.5, 0.0).photons_per_ratio == 3.0
+        assert Estimate(0.5, 1.5, 0.0, False).photons_per_ratio == 3.0
 
     @pytest.mark.parametrize("args,kwargs,message", [
         ((1.0, 2.0), {}, "missing field 'fit_residual'"),
-        ((1.0, 2.0, 0.0), {"residual": 0.0}, "no field 'residual'"),
-        ((1.0, 2.0, 0.0), {"coefficient_vs_ratio": 1.0}, "field 'coefficient_vs_ratio' twice"),
+        ((1.0, 2.0, 0.0, False), {"residual": 0.0}, "no field 'residual'"),
+        ((1.0, 2.0, 0.0, False), {"coefficient_vs_ratio": 1.0},
+         "field 'coefficient_vs_ratio' twice"),
         ((1.0, 2.0, 0.0, False, 5), {}, "takes 4 fields"),
     ])
     def test_bad_fields_raise_type_error(self, args, kwargs, message):
@@ -393,31 +385,36 @@ class TestRecord:
             Estimate(*args, **kwargs)
 
     def test_fields_cannot_be_assigned_or_deleted(self):
-        constants = PhysicalConstants()
+        report = raman_constraint(1e11, 1e9, gamma=1e6, epsilon=1e-4)
         with pytest.raises(AttributeError):
-            constants.c = 5.0
+            report.margin = 5.0
         with pytest.raises(AttributeError):
-            del constants.hbar
+            del report.detuning
         with pytest.raises(AttributeError):
-            constants.extra = 1
+            report.extra = 1
         trajectory = evolve((0.0, 0.0, -1.0), 1.0, 0.0)
         with pytest.raises(AttributeError):
             trajectory.x = (0.0, 1.0)
-        assert constants == PhysicalConstants() and "extra" not in vars(constants)
+        assert report == raman_constraint(1e11, 1e9, gamma=1e6, epsilon=1e-4)
+        assert "extra" not in vars(report)
 
     def test_eq_hash_and_repr_are_field_wise(self):
-        a, b = Estimate(1.0, 2.0, 3.0), Estimate(1.0, 2.0, 3.0)
+        a, b = Estimate(1.0, 2.0, 3.0, False), Estimate(1.0, 2.0, 3.0, False)
         assert a == b and hash(a) == hash(b) == hash((1.0, 2.0, 3.0, False))
         assert a != Estimate(1.0, 2.0, 3.0, True)
-        assert len({a, b, Estimate(1.0, 2.0, 4.0)}) == 2
+        assert len({a, b, Estimate(1.0, 2.0, 4.0, False)}) == 2
         assert repr(a) == ("Estimate(coefficient_vs_ratio=1.0, coefficient_vs_photons=2.0,"
                            " fit_residual=3.0, degraded_fit=False)")
-        hbar, _, epsilon0 = HBAR_C_EPSILON0
-        constants = PhysicalConstants(c=7.0)
-        assert constants == PhysicalConstants(hbar, 7.0)
-        assert hash(constants) == hash(PhysicalConstants(hbar, 7.0))
-        assert constants != PhysicalConstants() and constants != (hbar, 7.0, epsilon0)
-        assert repr(constants) == f"PhysicalConstants(hbar={hbar!r}, c=7.0, epsilon0={epsilon0!r})"
+        values = (1e11, 1e7, 3.0, 1e-5, 10.0, True, 1e-5)
+        report = RamanReport(1e11, 1e7, 3.0, 1e-5, margin=10.0, satisfied=True,
+                             eliminated_lhs=1e-5)
+        assert report == RamanReport(*values)
+        assert hash(report) == hash(RamanReport(*values))
+        assert report != RamanReport(*values[:4], 7.0, *values[5:]) and report != values
+        assert repr(report) == ("RamanReport(detuning=100000000000.0,"
+                                " effective_rabi_frequency=10000000.0, duration=3.0,"
+                                " purity_loss=1e-05, margin=10.0, satisfied=True,"
+                                " eliminated_lhs=1e-05)")
         trajectory = evolve((0.0, 0.0, 0.0), 1.0, 0.1, samples=2)
         assert trajectory == evolve((0.0, 0.0, 0.0), 1.0, 0.1, samples=2)
         assert hash(trajectory) == hash(evolve((0.0, 0.0, 0.0), 1.0, 0.1, samples=2))
