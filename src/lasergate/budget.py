@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from itertools import filterfalse
 from operator import mul
 
 from .gates import first_order_coefficient
@@ -58,7 +59,7 @@ EPSILON0 = 8.8541878128e-12  # F / m
 
 class PiPulseBudget(Record):
     """The budget of one resonant pi pulse, T = pi / Omega_R: the report's
-    scalar lines, in SI base units and in print order.
+    scalar lines, in SI base units and in print order, each one finite.
 
     ``kappa_per_s`` = Gamma sigma_eff / A is the decay rate into the
     beam-aligned vacuum modes, so kappa * A stays at Gamma sigma_eff.
@@ -179,7 +180,7 @@ def pi_pulse_budget(wavelength: float, mode_area: float, dipole: float, field_am
         if abs(form - margin) > MARGIN_AGREEMENT_TOL * margin:
             raise FloatingPointError(f"{name} = {form!r} but constraint_margin = {margin!r}:"
                                      " a value leaves the double range for these inputs")
-    return PiPulseBudget(
+    return _finite(PiPulseBudget(
         wavelength_m=wavelength,
         mode_area_m2=mode_area,
         omega_rad_per_s=omega,
@@ -199,16 +200,16 @@ def pi_pulse_budget(wavelength: float, mode_area: float, dipole: float, field_am
         constraint_margin=margin,
         **forms,
         margin_energy_form=margin,
-        min_energy_per_lambda3_J=(ENERGY_PER_WAVELENGTH_CUBED_COEFFICIENT * HBAR
-                                  / (epsilon * duration)),
-    )
+        min_energy_per_lambda3_J=_evaluated("(16 pi^2 / 3) hbar / (epsilon T)", lambda: (
+            ENERGY_PER_WAVELENGTH_CUBED_COEFFICIENT * HBAR / (epsilon * duration))),
+    ))
 
 
 class RamanReport(Record):
     """A far-detuned two-photon pi pulse and its verdict on Gamma/Delta < epsilon:
     the detuning Delta, Omega_eff = Omega_R^2 / Delta, T = pi / Omega_eff, the
     purity loss Gamma/Delta and the margin epsilon / (Gamma/Delta), in print
-    order, then the verdict and the detuning-eliminated left-hand side.
+    order, then the verdict and the detuning-eliminated left-hand side, all finite.
 
     Substituting Delta = Omega_R^2 T / pi turns the purity-loss bound into
     pi * Gamma / (Omega_R^2 T) < epsilon: a single power of pi, a factor pi
@@ -249,7 +250,8 @@ def raman_constraint(detuning: float, rabi_frequency: float, gamma: float,
     _check_positive(effective_formula, effective_rabi)  # T = pi / Omega_eff needs it in (0, inf)
     duration = math.pi / effective_rabi
     purity_loss = gamma / detuning
-    return RamanReport(
+    _check_positive("Gamma / Delta", purity_loss)  # the margin divides by it
+    return _finite(RamanReport(
         detuning=detuning,
         effective_rabi_frequency=effective_rabi,
         duration=duration,
@@ -257,11 +259,11 @@ def raman_constraint(detuning: float, rabi_frequency: float, gamma: float,
         margin=epsilon / purity_loss,
         satisfied=purity_loss < epsilon,
         eliminated_lhs=RAMAN_ELIMINATION_COEFFICIENT * gamma / (rabi_frequency ** 2 * duration),
-    )
+    ))
 
 
 class AreaSweep(Record):
-    """The fixed-intensity beam-area sweep, one tuple of floats per quantity."""
+    """The fixed-intensity beam-area sweep, one tuple of finite floats per quantity."""
 
     area: tuple
     kappa: tuple
@@ -289,8 +291,6 @@ def fixed_intensity_area_sweep(report: PiPulseBudget, points: int, max_factor: f
     if not max_factor > 1:  # NaN fails too
         raise InvalidStateError("area_sweep_max_factor must be > 1")
     largest = sigma_eff * max_factor
-    if math.isinf(largest):  # finite inputs whose product overflows: numerical, not config
-        raise FloatingPointError("the largest sweep area leaves the double range")
     areas = logspace(math.log10(sigma_eff), math.log10(largest), points)
     area = (sigma_eff, *areas[1:-1], largest)  # 10**log10(x) need not round back to x
     rabi, duration = report.rabi_frequency_rad_per_s, report.duration_s
@@ -302,14 +302,14 @@ def fixed_intensity_area_sweep(report: PiPulseBudget, points: int, max_factor: f
     # p per unit kappa / Omega_R of a pi pulse from the ground state, 3 pi / 8:
     # twice its slope c per unit kappa / g_alpha, as Omega_R = 2 g_alpha
     slope = 2.0 * first_order_coefficient(math.pi, (0.0, 0.0, -1.0))
-    return AreaSweep(
+    return _finite(AreaSweep(
         area=area,
         kappa=kappa,
         kappa_times_area=tuple(map(mul, kappa, area)),
         n_bar=tuple(intensity * a * duration / photon_energy for a in area),
         laser_mode_error=tuple(slope * k / rabi for k in kappa),
         total_error=(slope * gamma / rabi,) * len(area),
-    )
+    ))
 
 
 def _check_epsilon(epsilon: float) -> None:
@@ -322,6 +322,14 @@ def _check_positive(name: str, value: float) -> None:
     if not 0 < value < math.inf:  # NaN fails too
         raise FloatingPointError(f"{name} = {value} leaves the positive double range"
                                  " for these inputs")
+
+
+def _finite(record):
+    """``record``, if each value and column entry is finite; else its first bad field is named."""
+    for name, value in zip(record._fields, record._values()):
+        for bad in filterfalse(math.isfinite, value if isinstance(value, tuple) else (value,)):
+            raise FloatingPointError(f"{name} = {bad} leaves the double range for these inputs")
+    return record
 
 
 def _evaluated(name: str, formula):

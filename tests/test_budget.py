@@ -337,7 +337,7 @@ class TestAreaSweep:
         (7, 0.0, InvalidStateError, "area_sweep_max_factor must be > 1"),
         (7, -1e-12, InvalidStateError, "area_sweep_max_factor must be > 1"),
         (7, math.nan, InvalidStateError, "area_sweep_max_factor must be > 1"),
-        (7, 1.7e308, FloatingPointError, "largest sweep area leaves the double range"),
+        (7, 1.7e308, FloatingPointError, "area = inf leaves the double range for these inputs"),
     ], ids=["points-1", "points-0", "points-2.5", "points-3.0", "points-nan", "factor-1",
             "factor-0", "factor-negative", "factor-nan", "factor-overflows"])
     def test_grid_outside_the_contract_is_refused(self, points, max_factor, error, match):
@@ -414,8 +414,8 @@ class TestConstants:
 
 
 class TestNaNInputs:
-    # every positivity check is written so that NaN fails it; infinities are
-    # left to the caller, whose own finiteness check reports them
+    # every positivity check is written so that NaN fails it; an infinite
+    # input is refused by the finiteness check of the record it ends up in
     @pytest.mark.parametrize("build", [
         lambda: pi_pulse_budget(math.nan, 1e-12, 1e-29, 1e5),
         lambda: pi_pulse_budget(1e-6, math.nan, 1e-29, 1e5),
@@ -436,8 +436,9 @@ class TestNaNInputs:
 
 class TestRangeFailures:
     """A derived value that leaves the double range is a FloatingPointError
-    that names it, raised where today's arithmetic first fails, so the input
-    refusals keep their order."""
+    that names it: raised where the arithmetic first fails, so the input
+    refusals keep their order, or else by the finiteness check of the
+    returned record, which names its first non-finite field."""
 
     @pytest.mark.filterwarnings("ignore:mode_area is below")
     @pytest.mark.parametrize("inputs,message", [
@@ -483,3 +484,62 @@ class TestRangeFailures:
             raman_constraint(1e9, 1e9, math.nan, 2.0)
         with pytest.raises(InvalidStateError, match="epsilon must be in"):
             raman_constraint(1e12, 1e9, math.nan, 2.0)
+
+    @pytest.mark.parametrize("build,message", [
+        (lambda: pi_pulse_budget(1e-6, 1e305, 1e-29, 1e5), "power_W = inf leaves the double range"),
+        (lambda: raman_constraint(1e300, 1e-5, 1e7, 1e-4),
+         "duration = inf leaves the double range"),
+        (lambda: raman_constraint(1e20, 1e9, 1e-300, 1e-4), "margin = inf leaves the double range"),
+        # Gamma / Delta rounds to 0, which the margin would divide by
+        (lambda: raman_constraint(1e300, 1e-5, 1e-30, 1e-4),
+         "Gamma / Delta = 0.0 leaves the positive double range"),
+        # a subnormal epsilon times T = 3e-34 s rounds to 0
+        (lambda: pi_pulse_budget(1.0, 1.0, 1.0, 1.0, epsilon=5e-324),
+         "(16 pi^2 / 3) hbar / (epsilon T) leaves the double range"),
+    ], ids=["power-overflows", "raman-duration-overflows", "raman-margin-overflows",
+            "raman-purity-loss-underflows", "energy-floor-divides-by-zero"])
+    def test_value_computed_without_error_is_named(self, build, message):
+        # each value is formed without an error of its own, and is refused by
+        # the record's finiteness check or before a division by it
+        with pytest.raises(FloatingPointError, match=f"^{re.escape(message)} for these inputs$"):
+            build()
+
+
+# log-uniform over the positive doubles, from the subnormals to the largest powers of ten
+anywhere = st.floats(min_value=-320.0, max_value=308.0).map(lambda e: 10.0**e)
+open_unit = st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True)
+
+
+def _all_finite(record):
+    values = [v for value in record._values()
+              for v in (value if isinstance(value, tuple) else (value,))]
+    return all(math.isfinite(v) for v in values)
+
+
+class TestRecordsAreFinite:
+    """Over the whole double range, each budget function refuses its inputs
+    or returns a record whose every value, and every column entry, is finite."""
+
+    @pytest.mark.filterwarnings("ignore:mode_area is below")
+    @given(wavelength=anywhere, mode_area=anywhere, dipole=anywhere, field=anywhere,
+           epsilon=open_unit, points=st.integers(min_value=2, max_value=5), max_factor=anywhere,
+           detuning=anywhere, rabi=anywhere, gamma=anywhere)
+    @settings(max_examples=200, deadline=None)
+    def test_refused_or_finite(self, wavelength, mode_area, dipole, field, epsilon, points,
+                               max_factor, detuning, rabi, gamma):
+        try:
+            raman = raman_constraint(detuning, rabi, gamma, epsilon)
+        except (InvalidStateError, FloatingPointError):
+            pass
+        else:
+            assert _all_finite(raman), raman
+        try:
+            report = pi_pulse_budget(wavelength, mode_area, dipole, field, epsilon)
+        except (InvalidStateError, FloatingPointError):
+            return
+        assert _all_finite(report), report
+        try:
+            sweep = fixed_intensity_area_sweep(report, points, max_factor)
+        except (InvalidStateError, FloatingPointError):
+            return
+        assert _all_finite(sweep), sweep

@@ -513,7 +513,27 @@ class TestBudget:
     def test_overflowing_sweep_area_is_numeric_error(self):
         code, _, err = run_captured(*BUDGET_ARGS, "--wavelength", "10", "--mode_area", "100",
                                     "--area_sweep_max_factor", "1.7e308")
-        assert code == EXIT_NUMERIC and "double range" in err
+        assert code == EXIT_NUMERIC
+        assert err == ("error: numerical failure: area = inf leaves the double range"
+                       " for these inputs\n")
+
+    @pytest.mark.parametrize("argv,message", [
+        (["--mode_area", "1e305"], "power_W = inf leaves the double range"),
+        # the report is refused before the Raman detuning is looked at
+        (["--mode_area", "1e305", "--raman_detuning", "-1"],
+         "power_W = inf leaves the double range"),
+        (["--field_amplitude", "1e-10", "--raman_detuning", "1e300", "--area_sweep_points", "2"],
+         "duration = inf leaves the double range"),
+        (["--dipole", "1e-47", "--raman_detuning", "1e300", "--area_sweep_points", "2"],
+         "Gamma / Delta = 0.0 leaves the positive double range"),
+        (["--wavelength", "1", "--mode_area", "1", "--dipole", "1", "--field_amplitude", "1",
+          "--epsilon", "5e-324"], "(16 pi^2 / 3) hbar / (epsilon T) leaves the double range"),
+    ], ids=["power", "power-before-raman-detuning", "raman-duration", "raman-purity-loss",
+            "energy-floor"])
+    def test_value_out_of_range_is_named(self, argv, message):
+        code, out, err = run_captured(*BUDGET_ARGS, *argv)
+        assert (code, out) == (EXIT_NUMERIC, "")
+        assert err == f"error: numerical failure: {message} for these inputs\n"
 
     def test_raman_block(self, tmp_path):
         code, payload = run(tmp_path, *BUDGET_ARGS, "--raman_detuning", "1e11", name="r.txt")
@@ -592,14 +612,16 @@ class TestBudget:
         assert err == "error: unknown key 'duration' for command 'budget'\n"
 
     def test_raman_duration_overflow_is_numeric_error(self):
-        # Omega_eff underflows far enough that T = pi / Omega_eff overflows
+        # Omega_eff underflows far enough that T = pi / Omega_eff overflows, but
+        # the report is refused first: its E0^2 rounds to 0 and sigma_eff c T to inf
         code, out, err = run_captured(
             "budget", "--wavelength", "1.2308244472548009e+93",
             "--mode_area", "2.4381461235298163e+275", "--dipole", "1.2779269595929032e+134",
             "--field_amplitude", "6.241152743611056e-290", "--epsilon", "1.8303875294982557e-11",
             "--raman_detuning", "1.399106507126475e+66")
         assert (code, out) == (EXIT_NUMERIC, "")
-        assert "double range" in err
+        assert err.splitlines()[-1] == ("error: numerical failure: energy_in_volume_J = nan leaves"
+                                        " the double range for these inputs")
 
     def test_raman_effective_rabi_underflow_names_the_value(self):
         # Omega_R ~ 9.5e-96, so Omega_R^2 / Delta rounds to 0 and T = pi / Omega_eff
