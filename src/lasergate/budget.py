@@ -59,7 +59,8 @@ EPSILON0 = 8.8541878128e-12  # F / m
 
 class PiPulseBudget(Record):
     """The budget of one resonant pi pulse, T = pi / Omega_R: the report's
-    scalar lines, in SI base units and in print order, each one finite.
+    scalar lines, in SI base units and in print order, each one finite and
+    ``constraint_margin`` above 0.
 
     ``kappa_per_s`` = Gamma sigma_eff / A is the decay rate into the
     beam-aligned vacuum modes, so kappa * A stays at Gamma sigma_eff.
@@ -180,7 +181,7 @@ def pi_pulse_budget(wavelength: float, mode_area: float, dipole: float, field_am
         if abs(form - margin) > MARGIN_AGREEMENT_TOL * margin:
             raise FloatingPointError(f"{name} = {form!r} but constraint_margin = {margin!r}:"
                                      " a value leaves the double range for these inputs")
-    return _finite(PiPulseBudget(
+    report = _finite(PiPulseBudget(
         wavelength_m=wavelength,
         mode_area_m2=mode_area,
         omega_rad_per_s=omega,
@@ -203,13 +204,16 @@ def pi_pulse_budget(wavelength: float, mode_area: float, dipole: float, field_am
         min_energy_per_lambda3_J=_evaluated("(16 pi^2 / 3) hbar / (epsilon T)", lambda: (
             ENERGY_PER_WAVELENGTH_CUBED_COEFFICIENT * HBAR / (epsilon * duration))),
     ))
+    # the four forms agree on a margin that rounded to 0 along every route
+    _check_positive("constraint_margin", margin)
+    return report
 
 
 class RamanReport(Record):
     """A far-detuned two-photon pi pulse and its verdict on Gamma/Delta < epsilon:
     the detuning Delta, Omega_eff = Omega_R^2 / Delta, T = pi / Omega_eff, the
-    purity loss Gamma/Delta and the margin epsilon / (Gamma/Delta), in print
-    order, then the verdict and the detuning-eliminated left-hand side, all finite.
+    purity loss Gamma/Delta, the margin epsilon / (Gamma/Delta) and the
+    detuning-eliminated left-hand side, in print order, each one finite.
 
     Substituting Delta = Omega_R^2 T / pi turns the purity-loss bound into
     pi * Gamma / (Omega_R^2 T) < epsilon: a single power of pi, a factor pi
@@ -217,13 +221,16 @@ class RamanReport(Record):
     The gap is reported, not absorbed.
     """
 
-    detuning: float
-    effective_rabi_frequency: float
-    duration: float
+    detuning_rad_per_s: float
+    effective_rabi_rad_per_s: float
+    duration_s: float
     purity_loss: float
     margin: float
-    satisfied: bool
     eliminated_lhs: float
+
+    @property
+    def satisfied(self) -> bool:
+        return self.margin > 1.0
 
 
 def raman_constraint(detuning: float, rabi_frequency: float, gamma: float,
@@ -252,12 +259,11 @@ def raman_constraint(detuning: float, rabi_frequency: float, gamma: float,
     purity_loss = gamma / detuning
     _check_positive("Gamma / Delta", purity_loss)  # the margin divides by it
     return _finite(RamanReport(
-        detuning=detuning,
-        effective_rabi_frequency=effective_rabi,
-        duration=duration,
+        detuning_rad_per_s=detuning,
+        effective_rabi_rad_per_s=effective_rabi,
+        duration_s=duration,
         purity_loss=purity_loss,
         margin=epsilon / purity_loss,
-        satisfied=purity_loss < epsilon,
         eliminated_lhs=RAMAN_ELIMINATION_COEFFICIENT * gamma / (rabi_frequency ** 2 * duration),
     ))
 
@@ -269,8 +275,8 @@ class AreaSweep(Record):
     kappa: tuple
     kappa_times_area: tuple
     n_bar: tuple
-    laser_mode_error: tuple
-    total_error: tuple
+    p_laser: tuple
+    p_total: tuple
 
 
 def fixed_intensity_area_sweep(report: PiPulseBudget, points: int, max_factor: float) -> AreaSweep:
@@ -307,8 +313,8 @@ def fixed_intensity_area_sweep(report: PiPulseBudget, points: int, max_factor: f
         kappa=kappa,
         kappa_times_area=tuple(map(mul, kappa, area)),
         n_bar=tuple(intensity * a * duration / photon_energy for a in area),
-        laser_mode_error=tuple(slope * k / rabi for k in kappa),
-        total_error=(slope * gamma / rabi,) * len(area),
+        p_laser=tuple(slope * k / rabi for k in kappa),
+        p_total=(slope * gamma / rabi,) * len(area),
     ))
 
 

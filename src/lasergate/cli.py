@@ -266,44 +266,35 @@ def run_budget(cfg: dict) -> chain:
     sweep = budget.fixed_intensity_area_sweep(report, cfg["area_sweep_points"],
                                               cfg["area_sweep_max_factor"])
 
-    scalars = list(zip(report._fields, report._values()))
-    verdicts = [("photon_constraint", "satisfied" if report.satisfied else "violated")]
-
-    raman_lines: list[tuple[str, float]] = []
+    sections = [_section(report, "photon_constraint")]
     if cfg["raman_detuning"] is not None:
         raman = budget.raman_constraint(cfg["raman_detuning"], report.rabi_frequency_rad_per_s,
                                         report.gamma_per_s, cfg["epsilon"])
-        raman_lines = [
-            ("raman_detuning_rad_per_s", raman.detuning),
-            ("raman_effective_rabi_rad_per_s", raman.effective_rabi_frequency),
-            ("raman_duration_s", raman.duration),
-            ("raman_purity_loss", raman.purity_loss),
-            ("raman_margin", raman.margin),
-            ("raman_eliminated_coefficient", budget.RAMAN_ELIMINATION_COEFFICIENT),
-            ("resonant_chain_coefficient", budget.RESONANT_CHAIN_COEFFICIENT),
-            ("raman_coefficient_gap", budget.RAMAN_COEFFICIENT_GAP),
-        ]
-        verdicts.append(("raman_constraint", "satisfied" if raman.satisfied else "violated"))
+        constant = ("raman_eliminated_coefficient", _fmt(budget.RAMAN_ELIMINATION_COEFFICIENT))
+        sections.append(_section(raman, "raman_constraint", "raman_", constant))
 
     if cfg["format"] == "csv":
-        lines = [f"# {name}={_fmt(value)}" for name, value in scalars + raman_lines]
-        lines += [f"# {name}={value}" for name, value in verdicts]
+        lines = [f"# {name}={value}" for name, value in chain.from_iterable(sections)]
     else:
-        width = max(len(name) for name, _ in scalars + raman_lines + verdicts)
-        lines = ["laser pulse budget (SI base units)", ""]
-        lines += [f"{name:<{width}} = {_fmt(value)}" for name, value in scalars]
-        lines += [f"{name:<{width}} = {value}" for name, value in verdicts[:1]]
-        if raman_lines:
-            lines.append("")
-            lines += [f"{name:<{width}} = {_fmt(value)}" for name, value in raman_lines]
-            lines += [f"{name:<{width}} = {value}" for name, value in verdicts[1:]]
+        width = max(len(name) for name, _ in chain.from_iterable(sections))
+        lines = ["laser pulse budget (SI base units)"]
+        for section in sections:
+            lines += ["", *(f"{name:<{width}} = {value}" for name, value in section)]
         lines += ["", "fixed-intensity area sweep (kappa * A = Gamma * sigma_eff):"]
     # p_total is one value, and kappa * A = (Gamma sigma_eff / A) * A lies within
     # a few ulps of Gamma sigma_eff: each distinct value of those two columns is
     # formatted once.  Neither holds a negative zero, so equal values print alike.
-    return chain(["\n".join([*lines, "area,kappa,kappa_times_area,n_bar,p_laser,p_total", ""])],
+    return chain(["\n".join([*lines, ",".join(sweep._fields), ""])],
                  _table((sweep.area, sweep.kappa, _formatted(sweep.kappa_times_area), sweep.n_bar,
-                         sweep.laser_mode_error, _formatted(sweep.total_error))))
+                         sweep.p_laser, _formatted(sweep.p_total))))
+
+
+def _section(record, verdict: str, prefix: str = "", *extra) -> list:
+    """The report lines of ``record``: each field, named ``prefix`` + its name,
+    with its value, then the ``extra`` lines, then the ``verdict`` line."""
+    fields = zip(record._fields, record._values())
+    return [*((prefix + name, _fmt(value)) for name, value in fields), *extra,
+            (verdict, "satisfied" if record.satisfied else "violated")]
 
 
 def run_compare(cfg: dict) -> chain:

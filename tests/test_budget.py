@@ -299,15 +299,39 @@ class TestRaman:
         # the duration is derived, so the two-photon pulse condition
         # Omega_eff * T = pi holds by construction
         report = raman_constraint(3.7e10, 1.1e9, gamma=1e6, epsilon=1e-4)
-        assert report.detuning == 3.7e10
-        assert report.effective_rabi_frequency == pytest.approx(1.1e9**2 / 3.7e10, rel=1e-15)
-        assert report.duration == math.pi / report.effective_rabi_frequency
-        assert report.effective_rabi_frequency * report.duration == pytest.approx(math.pi,
-                                                                                  rel=1e-15)
+        assert report.detuning_rad_per_s == 3.7e10
+        assert report.effective_rabi_rad_per_s == pytest.approx(1.1e9**2 / 3.7e10, rel=1e-15)
+        assert report.duration_s == math.pi / report.effective_rabi_rad_per_s
+        assert report.effective_rabi_rad_per_s * report.duration_s == pytest.approx(math.pi,
+                                                                                   rel=1e-15)
 
     def test_far_detuned_regime_enforced(self):
         with pytest.raises(InvalidStateError, match="far-detuned"):
             raman_constraint(5e9, 1e9, gamma=1e6, epsilon=1e-4)
+
+    @given(detuning=st.floats(min_value=-300.0, max_value=300.0).map(lambda e: 10.0**e),
+           loss=st.floats(min_value=-320.0, max_value=-1e-3).map(lambda e: 10.0**e),
+           epsilon=st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True))
+    @settings(max_examples=200, deadline=None)
+    def test_satisfied_is_purity_loss_below_epsilon(self, detuning, loss, epsilon):
+        # the verdict margin > 1 is the literal Gamma/Delta < epsilon, also where
+        # epsilon is the purity loss itself or one of its nearest doubles
+        gamma = loss * detuning
+        purity_loss = gamma / detuning
+        below = [purity_loss]
+        above = [purity_loss]
+        for _ in range(2):
+            below.append(math.nextafter(below[-1], 0.0))
+            above.append(math.nextafter(above[-1], 1.0))
+        for eps in {epsilon, *below, *above}:
+            if not (0.0 < eps < 1.0 and 0.0 < gamma < math.inf):
+                continue
+            try:
+                report = raman_constraint(detuning, detuning / 16.0, gamma, eps)
+            except FloatingPointError:  # the margin eps / (Gamma/Delta) overflows
+                continue
+            assert report.purity_loss == purity_loss
+            assert report.satisfied == (purity_loss < eps), (detuning, gamma, eps)
 
 
 class TestAreaSweep:
@@ -321,11 +345,11 @@ class TestAreaSweep:
         expected = _rates(*inputs)[2] * sigma
         for product in sweep.kappa_times_area:
             assert product == pytest.approx(expected, rel=1e-12)
-        laser_errors = sweep.laser_mode_error
+        laser_errors = sweep.p_laser
         assert all(b < a for a, b in zip(laser_errors, laser_errors[1:]))
-        assert len(set(sweep.total_error)) == 1
+        assert len(set(sweep.p_total)) == 1
         # at the matched area the two error columns coincide
-        assert sweep.laser_mode_error[0] == pytest.approx(sweep.total_error[0], rel=1e-12)
+        assert sweep.p_laser[0] == pytest.approx(sweep.p_total[0], rel=1e-12)
 
     @pytest.mark.parametrize("points,max_factor,error,match", [
         (1, 1e6, InvalidStateError, "area_sweep_points must be >= 2"),
@@ -488,7 +512,7 @@ class TestRangeFailures:
     @pytest.mark.parametrize("build,message", [
         (lambda: pi_pulse_budget(1e-6, 1e305, 1e-29, 1e5), "power_W = inf leaves the double range"),
         (lambda: raman_constraint(1e300, 1e-5, 1e7, 1e-4),
-         "duration = inf leaves the double range"),
+         "duration_s = inf leaves the double range"),
         (lambda: raman_constraint(1e20, 1e9, 1e-300, 1e-4), "margin = inf leaves the double range"),
         # Gamma / Delta rounds to 0, which the margin would divide by
         (lambda: raman_constraint(1e300, 1e-5, 1e-30, 1e-4),
@@ -496,11 +520,19 @@ class TestRangeFailures:
         # a subnormal epsilon times T = 3e-34 s rounds to 0
         (lambda: pi_pulse_budget(1.0, 1.0, 1.0, 1.0, epsilon=5e-324),
          "(16 pi^2 / 3) hbar / (epsilon T) leaves the double range"),
+        # eps / (Gamma T) is about 5.6e-328, below the least subnormal double,
+        # so all four forms round to 0 and agree on a margin that is no result
+        (lambda: pi_pulse_budget(1.0750616545333907e-86, 1327378610534.6772,
+                                 7.118342115769625e-06, 1.276259350320446e-42,
+                                 epsilon=2.3576311535107314e-20),
+         "constraint_margin = 0.0 leaves the positive double range"),
     ], ids=["power-overflows", "raman-duration-overflows", "raman-margin-overflows",
-            "raman-purity-loss-underflows", "energy-floor-divides-by-zero"])
+            "raman-purity-loss-underflows", "energy-floor-divides-by-zero",
+            "margin-underflows-on-every-route"])
     def test_value_computed_without_error_is_named(self, build, message):
         # each value is formed without an error of its own, and is refused by
-        # the record's finiteness check or before a division by it
+        # the record's finiteness check, before a division by it, or, for a
+        # margin of 0, once its record is checked
         with pytest.raises(FloatingPointError, match=f"^{re.escape(message)} for these inputs$"):
             build()
 

@@ -404,9 +404,8 @@ raman_effective_rabi_rad_per_s = 8.99182152928e+07
 raman_duration_s               = 3.49383341669e-08
 raman_purity_loss              = 2.81866580598e-06
 raman_margin                   = 3.54777780991e+01
+raman_eliminated_lhs           = 2.81866580598e-06
 raman_eliminated_coefficient   = 3.14159265359e+00
-resonant_chain_coefficient     = 9.86960440109e+00
-raman_coefficient_gap          = 3.14159265359e+00
 raman_constraint               = satisfied
 
 fixed-intensity area sweep (kappa * A = Gamma * sigma_eff):
@@ -443,15 +442,14 @@ README_BUDGET_CSV = """\
 # margin_explicit_form=1.07085428671e-01
 # margin_energy_form=1.07085428671e-01
 # min_energy_per_lambda3_J=1.67551608191e-19
+# photon_constraint=violated
 # raman_detuning_rad_per_s=1.00000000000e+12
 # raman_effective_rabi_rad_per_s=8.99182152928e+07
 # raman_duration_s=3.49383341669e-08
 # raman_purity_loss=2.81866580598e-06
 # raman_margin=3.54777780991e+01
+# raman_eliminated_lhs=2.81866580598e-06
 # raman_eliminated_coefficient=3.14159265359e+00
-# resonant_chain_coefficient=9.86960440109e+00
-# raman_coefficient_gap=3.14159265359e+00
-# photon_constraint=violated
 # raman_constraint=satisfied
 area,kappa,kappa_times_area,n_bar,p_laser,p_total
 1.19366207319e-13,2.81866580598e+06,3.36453446959e-07,2.64222704526e+03,3.50187700282e-04,3.50187700282e-04
@@ -462,6 +460,24 @@ area,kappa,kappa_times_area,n_bar,p_laser,p_total
 1.19366207319e-08,2.81866580598e+01,3.36453446959e-07,2.64222704526e+08,3.50187700282e-09,3.50187700282e-04
 1.19366207319e-07,2.81866580598e+00,3.36453446959e-07,2.64222704526e+09,3.50187700282e-10,3.50187700282e-04
 """
+
+
+def _field_lines(record, prefix=""):
+    return [(prefix + name, cli._fmt(value)) for name, value in zip(record._fields,
+                                                                   record._values())]
+
+
+def _printed_lines(out: str, fmt: str):
+    """The (name, value) pairs of a budget report's scalar and verdict lines,
+    in print order, and its area-sweep header."""
+    if fmt == "csv":
+        lines = out.splitlines()
+        count = sum(1 for line in lines if line.startswith("# "))
+        pairs = [line[2:].partition("=") for line in lines[:count]]
+        return [(name, value) for name, _, value in pairs], lines[count]
+    head, _, table = out.partition("\nfixed-intensity area sweep")
+    pairs = [line.partition(" = ") for line in head.splitlines()[1:] if line]
+    return [(name.rstrip(), value) for name, _, value in pairs], table.splitlines()[1]
 
 
 class TestBudget:
@@ -523,13 +539,18 @@ class TestBudget:
         (["--mode_area", "1e305", "--raman_detuning", "-1"],
          "power_W = inf leaves the double range"),
         (["--field_amplitude", "1e-10", "--raman_detuning", "1e300", "--area_sweep_points", "2"],
-         "duration = inf leaves the double range"),
+         "duration_s = inf leaves the double range"),
         (["--dipole", "1e-47", "--raman_detuning", "1e300", "--area_sweep_points", "2"],
          "Gamma / Delta = 0.0 leaves the positive double range"),
         (["--wavelength", "1", "--mode_area", "1", "--dipole", "1", "--field_amplitude", "1",
           "--epsilon", "5e-324"], "(16 pi^2 / 3) hbar / (epsilon T) leaves the double range"),
+        # every margin form rounds to 0, so they agree on a margin that is no result
+        (["--wavelength", "1.0750616545333907e-86", "--mode_area", "1327378610534.6772",
+          "--dipole", "7.118342115769625e-06", "--field_amplitude", "1.276259350320446e-42",
+          "--epsilon", "2.3576311535107314e-20", "--area_sweep_points", "2"],
+         "constraint_margin = 0.0 leaves the positive double range"),
     ], ids=["power", "power-before-raman-detuning", "raman-duration", "raman-purity-loss",
-            "energy-floor"])
+            "energy-floor", "margin-underflows"])
     def test_value_out_of_range_is_named(self, argv, message):
         code, out, err = run_captured(*BUDGET_ARGS, *argv)
         assert (code, out) == (EXIT_NUMERIC, "")
@@ -540,8 +561,9 @@ class TestBudget:
         assert code == EXIT_OK
         values = report_values(payload)
         assert values["raman_eliminated_coefficient"] == "3.14159265359e+00"
-        assert values["resonant_chain_coefficient"] == "9.86960440109e+00"
-        assert values["raman_coefficient_gap"] == "3.14159265359e+00"
+        # the coefficients that no input moves are module constants, not report lines
+        assert "resonant_chain_coefficient" not in values
+        assert "raman_coefficient_gap" not in values
         assert values["raman_constraint"] in ("satisfied", "violated")
 
     def test_raman_detuning_too_small(self, tmp_path):
@@ -593,18 +615,35 @@ class TestBudget:
 
     @pytest.mark.parametrize("fmt", ["text", "csv"])
     def test_scalar_lines_are_the_budget_fields(self, fmt):
-        code, out, _ = run_captured(*BUDGET_ARGS, "--format", fmt)
-        assert code == EXIT_OK
+        # each printed name is a record's field name, after its section's
+        # prefix and in field order, and the table header is the sweep's fields
         report = budget.pi_pulse_budget(1e-6, 1e-12, 1e-29, 1e5)
-        want = [(name, cli._fmt(value)) for name, value in zip(report._fields, report._values())]
-        if fmt == "csv":
-            lines = [line[2:].partition("=") for line in out.splitlines()[:len(want)]]
-            got = [(name, value) for name, _, value in lines]
-        else:
-            lines = out.splitlines()[2:2 + len(want)]
-            got = [(name.rstrip(), value) for name, _, value in (ln.partition(" = ")
-                                                                 for ln in lines)]
-        assert got == want
+        raman = budget.raman_constraint(1e12, report.rabi_frequency_rad_per_s,
+                                        report.gamma_per_s, 1e-4)
+        header = ",".join(budget.fixed_intensity_area_sweep(report, 7, 1e6)._fields)
+        main_block = [*_field_lines(report), ("photon_constraint", "violated")]
+        raman_block = [*_field_lines(raman, "raman_"),
+                       ("raman_eliminated_coefficient", cli._fmt(math.pi)),
+                       ("raman_constraint", "satisfied")]
+        for extra, want in [([], main_block),
+                            (["--raman_detuning", "1e12"], main_block + raman_block)]:
+            code, out, _ = run_captured(*BUDGET_ARGS, *extra, "--format", fmt)
+            assert code == EXIT_OK
+            assert _printed_lines(out, fmt) == (want, header)
+
+    @pytest.mark.parametrize("fmt", ["text", "csv"])
+    def test_printed_budget_agrees_with_itself(self, fmt):
+        # constraint_margin = eps / (Gamma T) and raman_eliminated_lhs =
+        # pi Gamma / (Omega_R^2 T_raman), recomputed from the printed lines
+        code, out, _ = run_captured(*BUDGET_ARGS, "--raman_detuning", "1e12", "--format", fmt)
+        assert code == EXIT_OK
+        lines, _ = _printed_lines(out, fmt)
+        v = {name: float(value) for name, value in lines if not value.isalpha()}
+        gamma, rabi = v["gamma_per_s"], v["rabi_frequency_rad_per_s"]
+        assert v["constraint_margin"] == pytest.approx(
+            v["epsilon"] / (gamma * v["duration_s"]), rel=1e-10)
+        assert v["raman_eliminated_lhs"] == pytest.approx(
+            math.pi * gamma / (rabi ** 2 * v["raman_duration_s"]), rel=1e-10)
 
     def test_duration_is_an_unknown_key(self):
         code, out, err = run_captured(*BUDGET_ARGS, "--duration", "1e-6")
@@ -703,9 +742,9 @@ class TestBudget:
     # benchmark's shape: the table spans several printing chunks, so a byte
     # moved in any chunk or in the scalar block fails
     @pytest.mark.parametrize("fmt,digest", [
-        ("text", "544c37d38248fd61f52e9707c69eea511f8be0dd00f4272d0057ecd4771f6bbe"),
-        ("csv", "c6390ce621c9012c1fde28ecb5d4368aa9541af514637dfd853e9fad6db5b091"),
-    ])
+        ("text", "0c82bca9986d1d346e93fabc815b594e02e5629a38b87690554be65a5fd7e976"),
+        ("csv", "dcefa76e4663b651695c602048d49a5dbcd57e89ffd5f16ca549d57797098889"),
+    ], ids=["text", "csv"])
     def test_multi_chunk_report_is_pinned_byte_for_byte(self, fmt, digest):
         code, out, err = run_captured(*BUDGET_ARGS, "--epsilon", "1e-4",
                                       "--raman_detuning", "1e12", "--area_sweep_points", "20000",

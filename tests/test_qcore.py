@@ -389,7 +389,7 @@ class TestRecord:
         with pytest.raises(AttributeError):
             report.margin = 5.0
         with pytest.raises(AttributeError):
-            del report.detuning
+            del report.detuning_rad_per_s
         with pytest.raises(AttributeError):
             report.extra = 1
         trajectory = evolve((0.0, 0.0, -1.0), 1.0, 0.0)
@@ -405,16 +405,14 @@ class TestRecord:
         assert len({a, b, Estimate(1.0, 2.0, 4.0, False)}) == 2
         assert repr(a) == ("Estimate(coefficient_vs_ratio=1.0, coefficient_vs_photons=2.0,"
                            " fit_residual=3.0, degraded_fit=False)")
-        values = (1e11, 1e7, 3.0, 1e-5, 10.0, True, 1e-5)
-        report = RamanReport(1e11, 1e7, 3.0, 1e-5, margin=10.0, satisfied=True,
-                             eliminated_lhs=1e-5)
+        values = (1e11, 1e7, 3.0, 1e-5, 10.0, 1e-5)
+        report = RamanReport(1e11, 1e7, 3.0, 1e-5, margin=10.0, eliminated_lhs=1e-5)
         assert report == RamanReport(*values)
         assert hash(report) == hash(RamanReport(*values))
         assert report != RamanReport(*values[:4], 7.0, *values[5:]) and report != values
-        assert repr(report) == ("RamanReport(detuning=100000000000.0,"
-                                " effective_rabi_frequency=10000000.0, duration=3.0,"
-                                " purity_loss=1e-05, margin=10.0, satisfied=True,"
-                                " eliminated_lhs=1e-05)")
+        assert repr(report) == ("RamanReport(detuning_rad_per_s=100000000000.0,"
+                                " effective_rabi_rad_per_s=10000000.0, duration_s=3.0,"
+                                " purity_loss=1e-05, margin=10.0, eliminated_lhs=1e-05)")
         trajectory = evolve((0.0, 0.0, 0.0), 1.0, 0.1, samples=2)
         assert trajectory == evolve((0.0, 0.0, 0.0), 1.0, 0.1, samples=2)
         assert hash(trajectory) == hash(evolve((0.0, 0.0, 0.0), 1.0, 0.1, samples=2))
