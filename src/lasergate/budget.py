@@ -105,9 +105,9 @@ class PiPulseBudget(Record):
 
 def drive_ratio_for_photons(theta: float, n_bar: float) -> float:
     """kappa / g_alpha = theta / (2 nbar) for a theta pulse carrying nbar
-    photons, from kappa / Omega_R = theta / (4 nbar) and Omega_R = 2 g_alpha."""
-    if not n_bar > 0:
-        raise InvalidStateError(f"photon number must be > 0, got {n_bar}")
+    photons, from kappa / Omega_R = theta / (4 nbar) and Omega_R = 2 g_alpha.
+    An ``n_bar`` that is not finite and > 0 is refused with :class:`InvalidStateError`."""
+    _check_inputs(n_bar=n_bar)
     return theta / (2.0 * n_bar)
 
 
@@ -126,14 +126,13 @@ def pi_pulse_budget(wavelength: float, mode_area: float, dipole: float, field_am
     sigma_eff * c * T must exceed (pi^2 / 4) hbar omega / epsilon, i.e.
     nbar' > (pi^2 / 4) / epsilon.
 
-    An input that is not > 0, or an epsilon outside (0, 1), is refused with
-    :class:`InvalidStateError`; a derived value that leaves the double range
-    raises :class:`FloatingPointError` naming it.
+    First an input that is not finite and > 0, or an epsilon outside (0, 1), is
+    refused with :class:`InvalidStateError` naming it; then a derived value that
+    leaves the double range raises :class:`FloatingPointError` naming it.
     """
-    if not wavelength > 0:  # NaN fails too
-        raise InvalidStateError(f"wavelength must be > 0, got {wavelength}")
-    if not mode_area > 0:
-        raise InvalidStateError(f"mode_area must be > 0, got {mode_area}")
+    _check_inputs(wavelength=wavelength, mode_area=mode_area, dipole=dipole,
+                  field_amplitude=field_amplitude)
+    _check_epsilon(epsilon)
     # the cross-section for scattering out of the paraxial modes, 3 lambda^2 / (8 pi)
     sigma_formula = "sigma_eff = 3 pi / (2 k^2)"
     sigma_eff = _evaluated(sigma_formula, lambda: 1.5 * math.pi / (2.0 * math.pi / wavelength) ** 2)
@@ -146,10 +145,6 @@ def pi_pulse_budget(wavelength: float, mode_area: float, dipole: float, field_am
             stacklevel=2,
         )
     omega = 2.0 * math.pi * C / wavelength
-    if not (omega > 0 and dipole > 0):
-        raise InvalidStateError("transition frequency and dipole moment must be > 0")
-    if not field_amplitude > 0:
-        raise InvalidStateError(f"field amplitude must be > 0, got {field_amplitude}")
     # free-space spontaneous emission rate
     gamma_formula = "Gamma = omega^3 d^2 / (3 pi eps0 hbar c^3)"
     gamma = _evaluated(gamma_formula, lambda: omega ** 3 * dipole ** 2
@@ -157,9 +152,6 @@ def pi_pulse_budget(wavelength: float, mode_area: float, dipole: float, field_am
     rabi = dipole * field_amplitude / HBAR
     _check_positive("Omega_R = d E0 / hbar", rabi)  # T = pi / Omega_R needs it in (0, inf)
     duration = math.pi / rabi
-    # each refusal follows the arithmetic before it, so inputs that overflow
-    # there are a numerical failure (exit 3), not a refused value (exit 2)
-    _check_epsilon(epsilon)
     intensity = _evaluated("I = eps0 c E0^2 / 2",
                            lambda: 0.5 * EPSILON0 * C * field_amplitude ** 2)
     photon_energy = HBAR * omega
@@ -167,9 +159,7 @@ def pi_pulse_budget(wavelength: float, mode_area: float, dipole: float, field_am
     energy_in_volume = 0.5 * EPSILON0 * field_amplitude ** 2 * (sigma_eff * C * duration)
     threshold = PHOTON_THRESHOLD_COEFFICIENT * photon_energy / epsilon
     margin = energy_in_volume / threshold
-    # a Gamma that rounded to 0 or inf without raising is refused where the
-    # margins first divide by it, so the epsilon refusal keeps its place
-    _check_positive(gamma_formula, gamma)
+    _check_positive(gamma_formula, gamma)  # the margins divide by it
     # pi^2 Gamma / Omega_R^2 with Omega_R from the raw (d, E0), bypassing rabi
     forms = _evaluated("a margin form", lambda: {
         "margin_purity_form": epsilon / (gamma * duration),
@@ -240,18 +230,18 @@ def raman_constraint(detuning: float, rabi_frequency: float, gamma: float,
 
     The purity loss is Gamma/Delta regardless of T; eliminating the detuning
     through the pulse condition Omega_eff * T = pi rewrites it as
-    pi * Gamma / (Omega_R^2 T).
+    pi * Gamma / (Omega_R^2 T).  Inputs are refused as :func:`pi_pulse_budget`
+    refuses its own, in the order detuning, rabi_frequency, the far-detuned
+    regime detuning >= 10 Omega_R, epsilon, gamma.
     """
-    if not (detuning > 0 and rabi_frequency > 0):
-        raise InvalidStateError("detuning and rabi_frequency must be > 0")
+    _check_inputs(detuning=detuning, rabi_frequency=rabi_frequency)
     if detuning < 10.0 * rabi_frequency:
         raise InvalidStateError(
             f"far-detuned regime requires detuning >= 10 * Omega_R "
             f"({detuning:.3e} < {10 * rabi_frequency:.3e})"
         )
     _check_epsilon(epsilon)
-    if not gamma > 0:
-        raise InvalidStateError(f"gamma must be > 0, got {gamma}")
+    _check_inputs(gamma=gamma)
     effective_formula = "Omega_eff = Omega_R^2 / Delta"
     effective_rabi = _evaluated(effective_formula, lambda: rabi_frequency ** 2 / detuning)
     _check_positive(effective_formula, effective_rabi)  # T = pi / Omega_eff needs it in (0, inf)
@@ -290,8 +280,7 @@ def fixed_intensity_area_sweep(report: PiPulseBudget, points: int, max_factor: f
     ``kappa_per_s`` and ``n_bar`` for a beam of that area, bit for bit.
     """
     sigma_eff = report.sigma_eff_m2
-    if not 0 < sigma_eff < math.inf:  # NaN fails too
-        raise InvalidStateError(f"sigma_eff_m2 must be finite and > 0, got {sigma_eff}")
+    _check_inputs(sigma_eff_m2=sigma_eff)
     if check_count("area_sweep_points", points) < 2:
         raise InvalidStateError("area_sweep_points must be >= 2")
     if not max_factor > 1:  # NaN fails too
@@ -316,6 +305,13 @@ def fixed_intensity_area_sweep(report: PiPulseBudget, points: int, max_factor: f
         p_laser=tuple(slope * k / rabi for k in kappa),
         p_total=(slope * gamma / rabi,) * len(area),
     ))
+
+
+def _check_inputs(**inputs: float) -> None:
+    """Refuse, by its name, the first of ``inputs`` that does not lie in (0, inf)."""
+    for name, value in inputs.items():
+        if not 0 < value < math.inf:  # NaN fails too
+            raise InvalidStateError(f"{name} must be finite and > 0, got {value}")
 
 
 def _check_epsilon(epsilon: float) -> None:

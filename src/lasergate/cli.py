@@ -263,15 +263,14 @@ def run_budget(cfg: dict) -> chain:
         raise ConfigError(f"budget format must be text or csv, got {cfg['format']!r}")
     report = budget.pi_pulse_budget(cfg["wavelength"], cfg["mode_area"], cfg["dipole"],
                                     cfg["field_amplitude"], cfg["epsilon"])
-    sweep = budget.fixed_intensity_area_sweep(report, cfg["area_sweep_points"],
-                                              cfg["area_sweep_max_factor"])
-
     sections = [_section(report, "photon_constraint")]
-    if cfg["raman_detuning"] is not None:
+    if cfg["raman_detuning"] is not None:  # refused before any sweep row is built
         raman = budget.raman_constraint(cfg["raman_detuning"], report.rabi_frequency_rad_per_s,
                                         report.gamma_per_s, cfg["epsilon"])
         constant = ("raman_eliminated_coefficient", _fmt(budget.RAMAN_ELIMINATION_COEFFICIENT))
         sections.append(_section(raman, "raman_constraint", "raman_", constant))
+    sweep = budget.fixed_intensity_area_sweep(report, cfg["area_sweep_points"],
+                                              cfg["area_sweep_max_factor"])
 
     if cfg["format"] == "csv":
         lines = [f"# {name}={value}" for name, value in chain.from_iterable(sections)]

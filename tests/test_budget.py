@@ -56,9 +56,9 @@ class TestGeometry:
         assert caught[0].filename == __file__
 
     def test_invalid_geometry_rejected(self):
-        with pytest.raises(InvalidStateError, match="wavelength must be > 0"):
+        with pytest.raises(InvalidStateError, match="wavelength must be finite and > 0"):
             pi_pulse_budget(0.0, 1e-12, 1e-29, 1e5)
-        with pytest.raises(InvalidStateError, match="mode_area must be > 0"):
+        with pytest.raises(InvalidStateError, match="mode_area must be finite and > 0"):
             pi_pulse_budget(1e-6, -1.0, 1e-29, 1e5)
 
 
@@ -437,32 +437,40 @@ class TestConstants:
         assert budget.EPSILON0 == 8.8541878128e-12
 
 
+# each budget input, as a call with that input replaced by ``bad``
+ONE_BAD_INPUT = {
+    "beam-wavelength": lambda bad: pi_pulse_budget(bad, 1e-12, 1e-29, 1e5),
+    "beam-area": lambda bad: pi_pulse_budget(1e-6, bad, 1e-29, 1e5),
+    "atom-dipole": lambda bad: pi_pulse_budget(1e-6, 1e-12, bad, 1e5),
+    "field": lambda bad: pi_pulse_budget(1e-6, 1e-12, 1e-29, bad),
+    "raman-detuning": lambda bad: raman_constraint(bad, 1e9, 1e7, 1e-4),
+    "raman-rabi": lambda bad: raman_constraint(1e12, bad, 1e7, 1e-4),
+    "photon-budget": lambda bad: pi_pulse_budget(1e-6, 1e-12, 1e-29, 1e5, epsilon=bad),
+    "raman-gamma": lambda bad: raman_constraint(1e12, 1e9, bad, 1e-4),
+    "raman-epsilon": lambda bad: raman_constraint(1e12, 1e9, 1e7, bad),
+    "drive-ratio": lambda bad: drive_ratio_for_photons(math.pi, bad),
+}
+# a NaN keeps the input's own id; the other bad values add theirs
+BAD_VALUES = {"": math.nan, "-inf": math.inf, "-minus-inf": -math.inf, "-zero": 0.0,
+              "-negative": -1e-3}
+
+
 class TestNaNInputs:
-    # every positivity check is written so that NaN fails it; an infinite
-    # input is refused by the finiteness check of the record it ends up in
-    @pytest.mark.parametrize("build", [
-        lambda: pi_pulse_budget(math.nan, 1e-12, 1e-29, 1e5),
-        lambda: pi_pulse_budget(1e-6, math.nan, 1e-29, 1e5),
-        lambda: pi_pulse_budget(1e-6, 1e-12, math.nan, 1e5),
-        lambda: pi_pulse_budget(1e-6, 1e-12, 1e-29, math.nan),
-        lambda: raman_constraint(math.nan, 1e9, 1e7, 1e-4),
-        lambda: raman_constraint(1e12, math.nan, 1e7, 1e-4),
-        lambda: pi_pulse_budget(1e-6, 1e-12, 1e-29, 1e5, epsilon=math.nan),
-        lambda: raman_constraint(1e12, 1e9, math.nan, 1e-4),
-        lambda: raman_constraint(1e12, 1e9, 1e7, math.nan),
-        lambda: drive_ratio_for_photons(math.pi, math.nan),
-    ], ids=["beam-wavelength", "beam-area", "atom-dipole", "field", "raman-detuning",
-            "raman-rabi", "photon-budget", "raman-gamma", "raman-epsilon", "drive-ratio"])
-    def test_nan_input_is_refused(self, build):
+    # every input is checked for finite and > 0, or epsilon for (0, 1), before
+    # any arithmetic, so NaN, +-inf, 0 and a negative value all fail it
+    @pytest.mark.parametrize("build,bad", [
+        (build, bad) for build in ONE_BAD_INPUT.values() for bad in BAD_VALUES.values()
+    ], ids=[name + suffix for name in ONE_BAD_INPUT for suffix in BAD_VALUES])
+    def test_nan_input_is_refused(self, build, bad):
         with pytest.raises(InvalidStateError, match="must be"):
-            build()
+            build(bad)
 
 
 class TestRangeFailures:
     """A derived value that leaves the double range is a FloatingPointError
-    that names it: raised where the arithmetic first fails, so the input
-    refusals keep their order, or else by the finiteness check of the
-    returned record, which names its first non-finite field."""
+    that names it, once every input has been checked: raised where the
+    arithmetic first fails, or else by the finiteness check of the returned
+    record, which names its first non-finite field."""
 
     @pytest.mark.filterwarnings("ignore:mode_area is below")
     @pytest.mark.parametrize("inputs,message", [
@@ -487,10 +495,13 @@ class TestRangeFailures:
         with pytest.raises(InvalidStateError, match="epsilon must be in"):
             pi_pulse_budget(1e150, 1e-12, 1e-29, 1e5, epsilon=2.0)
 
-    def test_an_overflowing_power_precedes_the_epsilon_refusal(self):
-        # omega^3 overflows while Gamma is computed, before epsilon is checked
-        with pytest.raises(FloatingPointError, match="Gamma"):
+    def test_input_refusals_precede_an_overflow(self):
+        # epsilon is refused before omega^3 would overflow inside Gamma
+        with pytest.raises(InvalidStateError, match="epsilon must be in"):
             pi_pulse_budget(1e-100, 1e-12, 1e-29, 1e5, epsilon=2.0)
+        # and the dipole before k^2 would underflow inside sigma_eff
+        with pytest.raises(InvalidStateError, match="dipole must be finite and > 0, got 0"):
+            pi_pulse_budget(1e170, 1e-12, 0, 1e5)
 
     @pytest.mark.parametrize("detuning,rabi,message", [
         (1e200, 1e-96, "Omega_eff = Omega_R^2 / Delta = 0.0 leaves the positive double range"),
@@ -502,12 +513,16 @@ class TestRangeFailures:
             raman_constraint(detuning, rabi, 1e7, 1e-4)
 
     def test_raman_refusals_keep_their_order(self):
-        with pytest.raises(InvalidStateError, match="detuning and rabi_frequency must be > 0"):
-            raman_constraint(-1.0, 1e9, math.nan, 2.0)
+        with pytest.raises(InvalidStateError, match="^detuning must be finite and > 0"):
+            raman_constraint(-1.0, -1.0, math.nan, 2.0)
+        with pytest.raises(InvalidStateError, match="^rabi_frequency must be finite and > 0"):
+            raman_constraint(1e9, -1.0, math.nan, 2.0)
         with pytest.raises(InvalidStateError, match="far-detuned"):
             raman_constraint(1e9, 1e9, math.nan, 2.0)
         with pytest.raises(InvalidStateError, match="epsilon must be in"):
             raman_constraint(1e12, 1e9, math.nan, 2.0)
+        with pytest.raises(InvalidStateError, match="gamma must be finite and > 0"):
+            raman_constraint(1e12, 1e9, math.nan, 1e-4)
 
     @pytest.mark.parametrize("build,message", [
         (lambda: pi_pulse_budget(1e-6, 1e305, 1e-29, 1e5), "power_W = inf leaves the double range"),
@@ -575,3 +590,37 @@ class TestRecordsAreFinite:
         except (InvalidStateError, FloatingPointError):
             return
         assert _all_finite(sweep), sweep
+
+
+def _sweep_of(sigma_eff, points, max_factor):
+    """The area sweep of a budget record whose ``sigma_eff_m2`` is ``sigma_eff``."""
+    report = pi_pulse_budget(1e-6, 1e-12, 1e-29, 1e5)
+    report = PiPulseBudget(**{**dict(zip(report._fields, report._values())),
+                              "sigma_eff_m2": sigma_eff})
+    return fixed_intensity_area_sweep(report, points, max_factor)
+
+
+# each budget entry point, a strategy per argument, and the arguments it
+# must refuse when bad; an epsilon is drawn from ``open_unit``
+ENTRY_POINTS = {
+    "pi_pulse_budget": (pi_pulse_budget, (anywhere,) * 4 + (open_unit,), range(5)),
+    "raman_constraint": (raman_constraint, (anywhere, anywhere, anywhere, open_unit), range(4)),
+    "fixed_intensity_area_sweep": (_sweep_of, (anywhere, st.integers(2, 5), anywhere), [0]),
+    "drive_ratio_for_photons": (drive_ratio_for_photons, (anywhere, anywhere), [1]),
+}
+bad_values = st.sampled_from([math.nan, math.inf, -math.inf, 0.0]) | anywhere.map(lambda x: -x)
+bad_epsilons = bad_values | st.floats(min_value=1.0)
+
+
+class TestInputsAreRefusedFirst:
+    @given(entry=st.sampled_from(sorted(ENTRY_POINTS)), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_a_bad_input_is_refused_whatever_the_others_are(self, entry, data):
+        # one bad input is refused before any arithmetic could under- or
+        # overflow on the others, which range over the whole double range
+        function, strategies, checked = ENTRY_POINTS[entry]
+        args = [data.draw(strategy) for strategy in strategies]
+        spoiled = data.draw(st.sampled_from(checked))
+        args[spoiled] = data.draw(bad_epsilons if strategies[spoiled] is open_unit else bad_values)
+        with pytest.raises(InvalidStateError):
+            function(*args)

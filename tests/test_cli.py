@@ -524,7 +524,7 @@ class TestBudget:
         # refused before omega = 2 pi c / wavelength is formed
         code, out, err = run_captured(*BUDGET_ARGS, "--wavelength", wavelength)
         assert (code, out) == (EXIT_CONFIG, "")
-        assert err.startswith("error: wavelength must be > 0")
+        assert err.startswith("error: wavelength must be finite and > 0")
 
     def test_overflowing_sweep_area_is_numeric_error(self):
         code, _, err = run_captured(*BUDGET_ARGS, "--wavelength", "10", "--mode_area", "100",
@@ -570,6 +570,16 @@ class TestBudget:
         # Omega_R ~ 9.5e9 here, so a 1e10 detuning is not far-detuned
         code, _ = run(tmp_path, *BUDGET_ARGS, "--raman_detuning", "1e10")
         assert code == EXIT_CONFIG
+
+    def test_raman_detuning_is_refused_before_the_sweep(self, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("area sweep built for a refused Raman detuning")
+
+        monkeypatch.setattr(budget, "fixed_intensity_area_sweep", no_work)
+        code, out, err = run_captured(*BUDGET_ARGS, "--raman_detuning", "-1",
+                                      "--area_sweep_points", "1000000")
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert err == "error: detuning must be finite and > 0, got -1.0\n"
 
     def test_config_file_with_overrides(self, tmp_path):
         cfg = tmp_path / "budget.cfg"
