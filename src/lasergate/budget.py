@@ -279,12 +279,9 @@ def fixed_intensity_area_sweep(report: PiPulseBudget, points: int, max_factor: f
     ``kappa`` and ``n_bar`` is computed as :func:`pi_pulse_budget` computes
     ``kappa_per_s`` and ``n_bar`` for a beam of that area, bit for bit.
     """
+    check_area_sweep(points, max_factor)
     sigma_eff = report.sigma_eff_m2
     _check_inputs(sigma_eff_m2=sigma_eff)
-    if check_count("area_sweep_points", points) < 2:
-        raise InvalidStateError("area_sweep_points must be >= 2")
-    if not max_factor > 1:  # NaN fails too
-        raise InvalidStateError("area_sweep_max_factor must be > 1")
     largest = sigma_eff * max_factor
     areas = logspace(math.log10(sigma_eff), math.log10(largest), points)
     area = (sigma_eff, *areas[1:-1], largest)  # 10**log10(x) need not round back to x
@@ -305,6 +302,14 @@ def fixed_intensity_area_sweep(report: PiPulseBudget, points: int, max_factor: f
         p_laser=tuple(slope * k / rabi for k in kappa),
         p_total=(slope * gamma / rabi,) * len(area),
     ))
+
+
+def check_area_sweep(points: int, max_factor: float) -> None:
+    """Refuse fewer than 2 sweep ``points`` or a ``max_factor`` outside (1, inf)."""
+    if check_count("area_sweep_points", points) < 2:
+        raise InvalidStateError("area_sweep_points must be >= 2")
+    if not 1 < max_factor < math.inf:  # NaN fails too
+        raise InvalidStateError("area_sweep_max_factor must be finite and > 1")
 
 
 def _check_inputs(**inputs: float) -> None:

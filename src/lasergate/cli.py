@@ -261,10 +261,13 @@ def run_budget(cfg: dict) -> chain:
 
     if cfg["format"] not in ("text", "csv"):
         raise ConfigError(f"budget format must be text or csv, got {cfg['format']!r}")
+    if cfg["raman_detuning"] is not None:  # each input is refused before any arithmetic
+        budget._check_inputs(detuning=cfg["raman_detuning"])
+    budget.check_area_sweep(cfg["area_sweep_points"], cfg["area_sweep_max_factor"])
     report = budget.pi_pulse_budget(cfg["wavelength"], cfg["mode_area"], cfg["dipole"],
                                     cfg["field_amplitude"], cfg["epsilon"])
     sections = [_section(report, "photon_constraint")]
-    if cfg["raman_detuning"] is not None:  # refused before any sweep row is built
+    if cfg["raman_detuning"] is not None:
         raman = budget.raman_constraint(cfg["raman_detuning"], report.rabi_frequency_rad_per_s,
                                         report.gamma_per_s, cfg["epsilon"])
         constant = ("raman_eliminated_coefficient", _fmt(budget.RAMAN_ELIMINATION_COEFFICIENT))

@@ -357,13 +357,14 @@ class TestAreaSweep:
         (2.5, 1e6, InvalidStateError, "area_sweep_points must be an integer, got 2.5"),
         (3.0, 1e6, InvalidStateError, "area_sweep_points must be an integer, got 3.0"),
         (math.nan, 1e6, InvalidStateError, "area_sweep_points must be an integer, got nan"),
-        (7, 1.0, InvalidStateError, "area_sweep_max_factor must be > 1"),
-        (7, 0.0, InvalidStateError, "area_sweep_max_factor must be > 1"),
-        (7, -1e-12, InvalidStateError, "area_sweep_max_factor must be > 1"),
-        (7, math.nan, InvalidStateError, "area_sweep_max_factor must be > 1"),
+        (7, 1.0, InvalidStateError, "area_sweep_max_factor must be finite and > 1"),
+        (7, 0.0, InvalidStateError, "area_sweep_max_factor must be finite and > 1"),
+        (7, -1e-12, InvalidStateError, "area_sweep_max_factor must be finite and > 1"),
+        (7, math.nan, InvalidStateError, "area_sweep_max_factor must be finite and > 1"),
+        (7, math.inf, InvalidStateError, "area_sweep_max_factor must be finite and > 1"),
         (7, 1.7e308, FloatingPointError, "area = inf leaves the double range for these inputs"),
     ], ids=["points-1", "points-0", "points-2.5", "points-3.0", "points-nan", "factor-1",
-            "factor-0", "factor-negative", "factor-nan", "factor-overflows"])
+            "factor-0", "factor-negative", "factor-nan", "factor-inf", "factor-overflows"])
     def test_grid_outside_the_contract_is_refused(self, points, max_factor, error, match):
         # a 10 m wavelength gives sigma_eff = 11.9 m^2, which 1.7e308 overflows
         report = pi_pulse_budget(10.0, 1e3, 1e-29, 1e5)
