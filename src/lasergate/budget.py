@@ -20,7 +20,6 @@ meaningful across many orders of magnitude.
 from __future__ import annotations
 
 import math
-import warnings
 from itertools import filterfalse
 from operator import mul
 
@@ -127,8 +126,12 @@ def pi_pulse_budget(wavelength: float, mode_area: float, dipole: float, field_am
     nbar' > (pi^2 / 4) / epsilon.
 
     First an input that is not finite and > 0, or an epsilon outside (0, 1), is
-    refused with :class:`InvalidStateError` naming it; then a derived value that
-    leaves the double range raises :class:`FloatingPointError` naming it.
+    refused with :class:`InvalidStateError` naming it; then a sigma_eff that
+    leaves the double range raises :class:`FloatingPointError`; then a
+    ``mode_area`` below sigma_eff, where kappa = Gamma sigma_eff / A no longer
+    holds, is refused with :class:`InvalidStateError`; then any other derived
+    value that leaves the double range raises :class:`FloatingPointError`
+    naming it.
     """
     _check_inputs(wavelength=wavelength, mode_area=mode_area, dipole=dipole,
                   field_amplitude=field_amplitude)
@@ -137,13 +140,9 @@ def pi_pulse_budget(wavelength: float, mode_area: float, dipole: float, field_am
     sigma_formula = "sigma_eff = 3 pi / (2 k^2)"
     sigma_eff = _evaluated(sigma_formula, lambda: 1.5 * math.pi / (2.0 * math.pi / wavelength) ** 2)
     _check_positive(sigma_formula, sigma_eff)  # a k^2 below about 2.6e-308 divides to inf
-    if mode_area < sigma_eff:
-        warnings.warn(
-            "mode_area is below the paraxial scattering cross-section "
-            f"({mode_area:.3e} < {sigma_eff:.3e} m^2); "
-            "a beam cannot be focused below about a wavelength",
-            stacklevel=2,
-        )
+    if mode_area < sigma_eff:  # kappa = Gamma sigma_eff / A holds only for a paraxial beam
+        raise InvalidStateError(f"mode_area must be >= sigma_eff = 3 lambda^2 / (8 pi)"
+                                f" = {sigma_eff} m^2, got {mode_area}")
     omega = 2.0 * math.pi * C / wavelength
     # free-space spontaneous emission rate
     gamma_formula = "Gamma = omega^3 d^2 / (3 pi eps0 hbar c^3)"

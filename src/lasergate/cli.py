@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 import os
 import sys
-import warnings
 from itertools import chain
 
 from .lindblad import EXACT, evolve
@@ -341,12 +340,6 @@ def _overrides_from_extras(extras: list[str]) -> dict[str, str]:
     return overrides
 
 
-def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
-    """A warning as one ``warning: <message>`` line on stderr, with no source
-    path or line, so that it reads the same wherever the package lives."""
-    sys.stderr.write(f"warning: {message}\n")
-
-
 def main(argv=None) -> int:
     """Run one command on ``argv`` (default ``sys.argv[1:]``): the command
     word, then ``--key value`` pairs.  Returns the exit code."""
@@ -365,9 +358,7 @@ def main(argv=None) -> int:
         raw = parse_config_file(config) if config else {}
         raw.update(overrides)
         cfg = _coerce(command, raw)
-        with warnings.catch_warnings():  # restores the caller's showwarning on exit
-            warnings.showwarning = _show_warning
-            output = RUNNERS[command](cfg)
+        output = RUNNERS[command](cfg)
     except ArithmeticError as exc:
         print(f"error: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -26,8 +26,18 @@ from oracles import PI_PULSE_PHOTON_COEFFICIENT, PI_PULSE_RABI_SLOPE
 wavelengths = st.floats(min_value=-7.0, max_value=-5.0).map(lambda e: 10.0**e)
 dipoles = st.floats(min_value=-30.0, max_value=-28.0).map(lambda e: 10.0**e)
 amplitudes = st.floats(min_value=2.0, max_value=7.0).map(lambda e: 10.0**e)
-areas = st.floats(min_value=-13.0, max_value=-8.0).map(lambda e: 10.0**e)
 epsilons = st.floats(min_value=-6.0, max_value=-1.0).map(lambda e: 10.0**e)
+
+
+def _beam(wavelength, log_factor):
+    """(wavelength, mode_area), the area sigma_eff * 10**log_factor: sigma_eff is
+    the budget's own, so a log_factor of 0 gives the narrowest beam it accepts."""
+    sigma = pi_pulse_budget(wavelength, 1.0, 1e-29, 1e5).sigma_eff_m2
+    return wavelength, sigma * 10.0**log_factor
+
+
+# beams no narrower than sigma_eff, up to 1e5 times wider
+beams = st.builds(_beam, wavelengths, st.floats(min_value=0.0, max_value=5.0))
 
 
 def _rates(wavelength, area, dipole, amplitude):
@@ -50,10 +60,18 @@ class TestGeometry:
         assert sigma == pytest.approx(3 * (1e-6) ** 2 / (8 * math.pi), rel=1e-14)
         assert sigma == pytest.approx(1.1937e-13, rel=1e-4)
 
-    def test_subwavelength_focus_warns(self):
-        with pytest.warns(UserWarning, match="cross-section") as caught:
-            pi_pulse_budget(1e-6, 1e-14, 1e-29, 1e5)
-        assert caught[0].filename == __file__
+    def test_subwavelength_focus_is_refused(self):
+        # kappa = Gamma sigma_eff / A holds only for A >= sigma_eff: the matched
+        # beam runs, and a narrower one is refused, also where Gamma would underflow
+        sigma = pi_pulse_budget(1e-6, 1e-12, 1e-29, 1e5).sigma_eff_m2
+        assert pi_pulse_budget(1e-6, sigma, 1e-29, 1e5).mode_area_m2 == sigma
+        for wavelength, area, sigma_text in [(1e-6, 1e-14, repr(sigma)),
+                                             (1e-6, math.nextafter(sigma, 0.0), repr(sigma)),
+                                             (1e150, 1e-12, "1.193662073189215e+299")]:
+            message = (f"mode_area must be >= sigma_eff = 3 lambda^2 / (8 pi) = {sigma_text}"
+                       f" m^2, got {area!r}")
+            with pytest.raises(InvalidStateError, match=f"^{re.escape(message)}$"):
+                pi_pulse_budget(wavelength, area, 1e-29, 1e5)
 
     def test_invalid_geometry_rejected(self):
         with pytest.raises(InvalidStateError, match="wavelength must be finite and > 0"):
@@ -89,7 +107,6 @@ class TestKappaFromBeam:
         assert report.kappa_per_s == pytest.approx(1e-6 * report.gamma_per_s, rel=1e-12)
 
 
-@pytest.mark.filterwarnings("ignore:mode_area is below")
 class TestPhotonRelations:
     def test_error_vs_photons_reference(self):
         # p = c' / nbar with c' = 3 pi^2 / 32: 0.93 / 1e6 ~ 9.3e-7
@@ -110,9 +127,10 @@ class TestPhotonRelations:
             3 * math.pi**2 / 32, rel=1e-14
         )
 
-    @given(wavelength=wavelengths, dipole=dipoles, amplitude=amplitudes, area=areas)
+    @given(beam=beams, dipole=dipoles, amplitude=amplitudes)
     @settings(max_examples=100, deadline=None)
-    def test_flux_relation_closes_the_chain(self, wavelength, dipole, amplitude, area):
+    def test_flux_relation_closes_the_chain(self, beam, dipole, amplitude):
+        wavelength, area = beam
         # Phi from the mode power equals Omega_R^2 / (4 kappa) identically
         inputs = (wavelength, area, dipole, amplitude)
         omega, _, _, kappa, rabi, intensity = _rates(*inputs)
@@ -124,9 +142,10 @@ class TestPhotonRelations:
         assert report.rabi_frequency_rad_per_s**2 / (4.0 * report.kappa_per_s) == pytest.approx(
             flux, rel=1e-12)
 
-    @given(wavelength=wavelengths, dipole=dipoles, amplitude=amplitudes, area=areas)
+    @given(beam=beams, dipole=dipoles, amplitude=amplitudes)
     @settings(max_examples=100, deadline=None)
-    def test_ratio_and_photon_error_forms_agree(self, wavelength, dipole, amplitude, area):
+    def test_ratio_and_photon_error_forms_agree(self, beam, dipole, amplitude):
+        wavelength, area = beam
         # pi-pulse error via (3 pi/8) kappa/Omega_R == (3 pi^2/32)/nbar
         inputs = (wavelength, area, dipole, amplitude)
         _, _, _, kappa, rabi, _ = _rates(*inputs)
@@ -135,9 +154,10 @@ class TestPhotonRelations:
         p_photon = PI_PULSE_PHOTON_COEFFICIENT / budget.n_bar
         assert p_ratio == pytest.approx(p_photon, rel=1e-10)
 
-    @given(wavelength=wavelengths, dipole=dipoles, amplitude=amplitudes, area=areas)
+    @given(beam=beams, dipole=dipoles, amplitude=amplitudes)
     @settings(max_examples=100, deadline=None)
-    def test_all_modes_error_counts_photons_near_the_atom(self, wavelength, dipole, amplitude, area):
+    def test_all_modes_error_counts_photons_near_the_atom(self, beam, dipole, amplitude):
+        wavelength, area = beam
         # swapping A -> sigma_eff (kappa -> Gamma) turns nbar into nbar'
         inputs = (wavelength, area, dipole, amplitude)
         _, _, gamma, _, rabi, _ = _rates(*inputs)
@@ -146,15 +166,15 @@ class TestPhotonRelations:
         p_photon = PI_PULSE_PHOTON_COEFFICIENT / budget.n_bar_prime
         assert p_gamma == pytest.approx(p_photon, rel=1e-10)
 
-    @given(wavelength=wavelengths, dipole=dipoles, amplitude=amplitudes, area=areas)
+    @given(beam=beams, dipole=dipoles, amplitude=amplitudes)
     @settings(max_examples=60, deadline=None)
-    def test_photon_count_ratio_is_geometric(self, wavelength, dipole, amplitude, area):
+    def test_photon_count_ratio_is_geometric(self, beam, dipole, amplitude):
+        wavelength, area = beam
         budget = pi_pulse_budget(wavelength, area, dipole, amplitude)
         assert budget.n_bar / budget.n_bar_prime == pytest.approx(
             area / budget.sigma_eff_m2, rel=1e-12
         )
-        if area >= budget.sigma_eff_m2:
-            assert budget.n_bar >= budget.n_bar_prime
+        assert budget.n_bar >= budget.n_bar_prime
 
 
 class TestMinPhotonConstraint:
@@ -193,10 +213,10 @@ class TestMinPhotonConstraint:
             "margin_purity_form", "margin_rabi_form", "margin_explicit_form",
             "margin_energy_form", "min_energy_per_lambda3_J")
 
-    @given(wavelength=wavelengths, dipole=dipoles, amplitude=amplitudes, area=areas,
-           epsilon=epsilons)
+    @given(beam=beams, dipole=dipoles, amplitude=amplitudes, epsilon=epsilons)
     @settings(max_examples=100, deadline=None)
-    def test_fields_follow_their_definitions(self, wavelength, dipole, amplitude, area, epsilon):
+    def test_fields_follow_their_definitions(self, beam, dipole, amplitude, epsilon):
+        wavelength, area = beam
         inputs = (wavelength, area, dipole, amplitude)
         report = pi_pulse_budget(*inputs, epsilon=epsilon)
         omega, sigma, gamma, _, rabi, intensity = _rates(*inputs)
@@ -380,14 +400,14 @@ class TestAreaSweep:
         with pytest.raises(InvalidStateError, match="sigma_eff_m2 must be finite and > 0"):
             fixed_intensity_area_sweep(report, 7, 1e6)
 
-    @pytest.mark.filterwarnings("ignore:mode_area is below")
-    @given(wavelength=wavelengths, dipole=dipoles, amplitude=amplitudes, mode_area=areas,
+    @given(beam=beams, dipole=dipoles, amplitude=amplitudes,
            points=st.integers(min_value=2, max_value=20),
            max_factor=st.floats(min_value=0.01, max_value=12.0).map(lambda e: 10.0**e))
     @settings(max_examples=50, deadline=None)
-    def test_rows_are_the_budget_of_each_beam(self, wavelength, dipole, amplitude, mode_area,
-                                              points, max_factor):
-        # bit for bit: the sweep computes each row as pi_pulse_budget does
+    def test_rows_are_the_budget_of_each_beam(self, beam, dipole, amplitude, points, max_factor):
+        # bit for bit: the sweep computes each row as pi_pulse_budget does,
+        # from its first row at A = sigma_eff, the narrowest beam the budget accepts
+        wavelength, mode_area = beam
         report = pi_pulse_budget(wavelength, mode_area, dipole, amplitude)
         sweep = fixed_intensity_area_sweep(report, points, max_factor)
         sigma = report.sigma_eff_m2
@@ -473,9 +493,8 @@ class TestRangeFailures:
     arithmetic first fails, or else by the finiteness check of the returned
     record, which names its first non-finite field."""
 
-    @pytest.mark.filterwarnings("ignore:mode_area is below")
     @pytest.mark.parametrize("inputs,message", [
-        ((1e150, 1e-12, 1e-29, 1e5),
+        ((1e150, 1e300, 1e-29, 1e5),
          "Gamma = omega^3 d^2 / (3 pi eps0 hbar c^3) = 0.0 leaves the positive double range"),
         ((1e-120, 1e-12, 1e-29, 1e5),
          "Gamma = omega^3 d^2 / (3 pi eps0 hbar c^3) leaves the double range"),
@@ -490,11 +509,10 @@ class TestRangeFailures:
         with pytest.raises(FloatingPointError, match=re.escape(message) + " for these inputs$"):
             pi_pulse_budget(*inputs)
 
-    @pytest.mark.filterwarnings("ignore:mode_area is below")
     def test_an_underflowed_gamma_follows_the_epsilon_refusal(self):
         # Gamma = 0 is found where the margins would divide by it, after epsilon
         with pytest.raises(InvalidStateError, match="epsilon must be in"):
-            pi_pulse_budget(1e150, 1e-12, 1e-29, 1e5, epsilon=2.0)
+            pi_pulse_budget(1e150, 1e300, 1e-29, 1e5, epsilon=2.0)
 
     def test_input_refusals_precede_an_overflow(self):
         # epsilon is refused before omega^3 would overflow inside Gamma
@@ -568,7 +586,6 @@ class TestRecordsAreFinite:
     """Over the whole double range, each budget function refuses its inputs
     or returns a record whose every value, and every column entry, is finite."""
 
-    @pytest.mark.filterwarnings("ignore:mode_area is below")
     @given(wavelength=anywhere, mode_area=anywhere, dipole=anywhere, field=anywhere,
            epsilon=open_unit, points=st.integers(min_value=2, max_value=5), max_factor=anywhere,
            detuning=anywhere, rabi=anywhere, gamma=anywhere)

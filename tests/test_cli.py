@@ -9,7 +9,6 @@ import re
 import subprocess
 import sys
 import tomllib
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -82,6 +81,15 @@ def report_values(payload: bytes) -> dict:
             key, _, value = line.partition(" = ")
             out[key.strip()] = value.strip()
     return out
+
+
+BUDGET_ARGS = [
+    "budget",
+    "--wavelength", "1e-6",
+    "--mode_area", "1e-12",
+    "--dipole", "1e-29",
+    "--field_amplitude", "1e5",
+]
 
 
 class TestStartStates:
@@ -220,27 +228,45 @@ class TestSimulate:
         assert run(tmp_path, "simulate", "--start", "sideways")[0] == EXIT_CONFIG
 
     # evolve refuses samples, then method, then step_count, before it reads the
-    # start vector or theta; so the theta 0 shortcut does not hide a step count
+    # start vector or theta; so the theta 0 shortcut does not hide a step count.
+    # The rows after those are each command's config refusals, one error line each.
     @pytest.mark.parametrize("argv,message", [
-        (["--method", "bogus"], "unknown integrator method 'bogus'"),
-        (["--method", "rk4_fixed", "--step_count", "50"],
+        (["simulate", "--method", "bogus"], "unknown integrator method 'bogus'"),
+        (["simulate", "--method", "rk4_fixed", "--step_count", "50"],
          "rk4_fixed needs step_count >= 100 per pulse, got 50"),
-        (["--samples", "0"], "samples must be >= 1"),
-        (["--method", "rk4_fixed", "--step_count", "50", "--theta", "0"],
+        (["simulate", "--samples", "0"], "samples must be >= 1"),
+        (["simulate", "--method", "rk4_fixed", "--step_count", "50", "--theta", "0"],
          "rk4_fixed needs step_count >= 100 per pulse, got 50"),
-        (["--samples", "0", "--method", "rk4_fixed", "--step_count", "50"],
+        (["simulate", "--samples", "0", "--method", "rk4_fixed", "--step_count", "50"],
          "samples must be >= 1"),
         # a count whose step length tau / step_count no float can hold
-        (["--method", "rk4_fixed", "--step_count", "1" + "0" * 400],
+        (["simulate", "--method", "rk4_fixed", "--step_count", "1" + "0" * 400],
          "rk4_fixed needs step_count <= 1.79769e+308 per pulse"),
-        (["--method", "bogus", "--ratio", "-1"], "unknown integrator method 'bogus'"),
+        (["simulate", "--method", "bogus", "--ratio", "-1"], "unknown integrator method 'bogus'"),
         # the start state is resolved before evolve is called
-        (["--samples", "0", "--start", "bogus"],
+        (["simulate", "--samples", "0", "--start", "bogus"],
          "unknown start state 'bogus'; choose from ['excited', 'ground', 'plus']"),
+        (["simulate", "--samples", "-1"], "invalid value for 'samples': '-1' (must be >= 0)"),
+        (["simulate", "--step_count", "-1"],
+         "invalid value for 'step_count': '-1' (must be >= 0)"),
+        (["sweep", "--points", "-1"], "invalid value for 'points': '-1' (must be >= 0)"),
+        ([*BUDGET_ARGS, "--area_sweep_points", "-1"],
+         "invalid value for 'area_sweep_points': '-1' (must be >= 0)"),
+        (["simulate", "--config", "no/such/lasergate.cfg"],
+         "cannot read config file 'no/such/lasergate.cfg': [Errno 2] No such file or"
+         " directory: 'no/such/lasergate.cfg'"),
+        ([*BUDGET_ARGS, "--format", "xml"], "budget format must be text or csv, got 'xml'"),
+        (["simulate", "--samples"], "option '--samples' is missing a value"),
+        # 10**log10(max double) rounds past the double range, so the last ratio is inf
+        (["sweep", "--ratio_max", "1.7976931348623157e308"],
+         "ratio inf exceeds the perturbative bound 0.01"),
     ], ids=["method", "step-count", "samples", "step-count-theta-0", "samples-first",
-            "step-count-past-the-double-range", "method-before-ratio", "start-before-samples"])
+            "step-count-past-the-double-range", "method-before-ratio", "start-before-samples",
+            "negative-samples", "negative-step-count", "negative-points",
+            "negative-area-sweep-points", "unreadable-config", "budget-format",
+            "option-without-value", "ratio-max-overflows"])
     def test_solver_refusals_keep_message_and_order(self, argv, message):
-        assert run_captured("simulate", *argv) == (EXIT_CONFIG, "", f"error: {message}\n")
+        assert run_captured(*argv) == (EXIT_CONFIG, "", f"error: {message}\n")
 
     @given(theta=st.floats(0.0, 1e13), ratio=st.floats(0.0, 1e308), samples=st.integers(1, 50),
            method=st.sampled_from(["exact", "rk4_fixed"]),
@@ -360,15 +386,6 @@ class TestSweep:
         c = oracles.first_order_coefficient(oracles.STARTS[start], theta)
         assert code == EXIT_OK
         assert (fields["c"], fields["c_prime"]) == (f"{c:.11e}", f"{c * theta / 2:.11e}")
-
-
-BUDGET_ARGS = [
-    "budget",
-    "--wavelength", "1e-6",
-    "--mode_area", "1e-12",
-    "--dipole", "1e-29",
-    "--field_amplitude", "1e5",
-]
 
 
 # `budget --wavelength 1e-6 --mode_area 1e-12 --dipole 1e-29 --field_amplitude 1e5
@@ -692,51 +709,47 @@ class TestBudget:
     @pytest.mark.parametrize("argv,purity_form", [
         (["--wavelength", "1e-6", "--mode_area", "1e-12", "--dipole", "1e-20",
           "--field_amplitude", "1e-160"], "1.0708542867095047e-175"),
-        (["--wavelength", "4.9403745838072e+110", "--mode_area", "2.0628152787581344e+188",
+        (["--wavelength", "4.9403745838072e+110", "--mode_area", "1e300",
           "--dipole", "5.9924290935557576e+110", "--field_amplitude", "1.0770062411084801e-195",
           "--epsilon", "0.723239078704297"], "16784453927265.803"),
     ], ids=["small-beam", "huge-wavelength"])
     def test_disagreeing_margins_are_numeric_error(self, argv, purity_form):
         # the intensity underflows (to 1.5e-323 and to 0 W/m^2), so the energy
         # routes read a margin of 0 where the purity route reads a positive one
-        # (the huge-wavelength beam is also below sigma_eff, which warns first)
         code, out, err = run_captured("budget", *argv)
         assert (code, out) == (EXIT_NUMERIC, "")
-        *warned, error = err.splitlines()
-        assert all(line.startswith("warning: mode_area is below") for line in warned)
-        assert error == (f"error: numerical failure: margin_purity_form = {purity_form}"
-                         " but constraint_margin = 0.0: a value leaves the double range for"
-                         " these inputs")
+        assert err == (f"error: numerical failure: margin_purity_form = {purity_form}"
+                       " but constraint_margin = 0.0: a value leaves the double range for"
+                       " these inputs\n")
 
-    def test_subwavelength_warning_is_one_line(self):
-        # the warning names no source file or line, so it reads the same from any checkout
-        before = warnings.showwarning
+    def test_subwavelength_focus_is_refused_in_one_line(self):
+        # the README beam focused to 1e-14 m^2, where kappa = Gamma sigma_eff / A
+        # would exceed Gamma: refused, naming both areas
         code, out, err = run_captured(*BUDGET_ARGS, "--mode_area", "1e-14")
-        assert code == EXIT_OK and out
-        assert err == ("warning: mode_area is below the paraxial scattering cross-section"
-                       " (1.000e-14 < 1.194e-13 m^2); a beam cannot be focused below about a"
-                       " wavelength\n")
-        assert warnings.showwarning is before
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert err == ("error: mode_area must be >= sigma_eff = 3 lambda^2 / (8 pi)"
+                       " = 1.1936620731892148e-13 m^2, got 1e-14\n")
 
-    @pytest.mark.parametrize("wavelength,message", [
-        ("1e150", "Gamma = omega^3 d^2 / (3 pi eps0 hbar c^3) = 0.0 leaves the positive"
-                  " double range for these inputs"),
-        ("1e-120", "Gamma = omega^3 d^2 / (3 pi eps0 hbar c^3) leaves the double range for"
-                   " these inputs"),
+    @pytest.mark.parametrize("argv,message", [
+        (["--wavelength", "1e150", "--mode_area", "1e300"],
+         "Gamma = omega^3 d^2 / (3 pi eps0 hbar c^3) = 0.0 leaves the positive"
+         " double range for these inputs"),
+        (["--wavelength", "1e-120"],
+         "Gamma = omega^3 d^2 / (3 pi eps0 hbar c^3) leaves the double range for"
+         " these inputs"),
     ], ids=["gamma-underflows", "omega-cubed-overflows"])
-    def test_rate_out_of_range_names_the_rate(self, wavelength, message):
-        code, out, err = run_captured(*BUDGET_ARGS, "--wavelength", wavelength)
+    def test_rate_out_of_range_names_the_rate(self, argv, message):
+        code, out, err = run_captured(*BUDGET_ARGS, *argv)
         assert (code, out) == (EXIT_NUMERIC, "")
-        assert err.splitlines()[-1] == f"error: numerical failure: {message}"
+        assert err == f"error: numerical failure: {message}\n"
 
-    def test_sigma_eff_out_of_range_is_refused_before_the_warning(self):
+    def test_sigma_eff_out_of_range_is_refused_before_the_area_refusal(self):
         # k^2 = 3.9e-319 divides 3 pi / 2 to inf: refused with its name, and
-        # the sub-wavelength warning that would compare against it is not reached
+        # the mode_area refusal that would compare against it is not reached
         code, out, err = run_captured(*BUDGET_ARGS, "--wavelength", "1e160")
         assert (code, out) == (EXIT_NUMERIC, "")
         assert err == ("error: numerical failure: sigma_eff = 3 pi / (2 k^2) = inf leaves the"
                        " positive double range for these inputs\n")
-        assert "warning:" not in err
 
     @pytest.mark.parametrize("fmt,expected", [("text", README_BUDGET_TEXT),
                                               ("csv", README_BUDGET_CSV)])
@@ -766,7 +779,7 @@ class TestBudget:
         # lambda^3 overflows, but no printed value divides by it
         code, out, _ = run_captured(
             "budget", "--wavelength", "4.9403745838072e+110",
-            "--mode_area", "2.0628152787581344e+188", "--dipole", "5.9924290935557576e+110",
+            "--mode_area", "1e300", "--dipole", "5.9924290935557576e+110",
             "--field_amplitude", "1e-100", "--epsilon", "0.723239078704297", "--format", "csv")
         assert code == EXIT_OK
         assert out and not NON_FINITE.search(out), NON_FINITE.search(out)
