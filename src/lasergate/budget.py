@@ -14,13 +14,14 @@ change of the time unit (rates * s, times / s, hbar / s, c * s) is a
 property of the formulas; the tests check it by patching those constants.
 
 Margins are reported as ratios (satisfied iff margin > 1), which keeps them
-meaningful across many orders of magnitude.
+meaningful across many orders of magnitude.  Each input has a physical range,
+:data:`INPUT_BOX`, and one outside it is refused by name before any
+arithmetic, so every value returned is a normal double.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import filterfalse
 from operator import mul
 
 from .gates import first_order_coefficient
@@ -44,10 +45,28 @@ RAMAN_ELIMINATION_COEFFICIENT = math.pi
 # The factor by which the Raman form undercuts the resonant chain.
 RAMAN_COEFFICIENT_GAP = RESONANT_CHAIN_COEFFICIENT / RAMAN_ELIMINATION_COEFFICIENT
 
-# Largest relative spread of the four margin forms.  They agree to a few ulps
-# wherever every intermediate value is a normal double; a larger spread means
-# one route under- or overflowed, and its margin is not a result.
+# Largest relative spread of the four margin forms.  Inside INPUT_BOX every
+# intermediate value is a normal double, and they agree to a few ulps.
 MARGIN_AGREEMENT_TOL = 1e-12
+
+# Each input's physical range (least, greatest]: a value must lie above the
+# least and not above the greatest.  Every value the budget computes is a
+# monomial in its inputs, so over these ranges it takes its extremes at their
+# corners, where the tests find each one a normal double; nothing can leave
+# the double range.  The rabi_frequency and gamma ranges hold d E0 / hbar and
+# Gamma over the dipole, field and wavelength ranges, rounded outward.
+INPUT_BOX = {
+    "wavelength": (1e-11, 1.0),  # m: hard X-ray (10 pm) to microwave transitions
+    "mode_area": (0.0, 1e4),  # m^2: a beam at most 100 m across; its least is sigma_eff
+    "dipole": (1e-40, 1e-24),  # C m: far-forbidden lines to Rydberg states near n = 100
+    "field_amplitude": (1e-6, 1e12),  # V/m: up to twice the atomic unit of field
+    "epsilon": (1e-15, 0.5),  # far below any fault-tolerance threshold, up to a coin toss
+    "detuning": (0.0, 1e18),  # rad/s: up to the carrier of 1.9 nm X-rays; its least is 10 Omega_R
+    "rabi_frequency": (1e-13, 1e22),  # rad/s: d E0 / hbar spans 9.5e-13 to 9.5e21
+    "gamma": (1e-35, 1e32),  # 1/s: Gamma spans 2.8e-34 to 2.8e31
+    "area_sweep_max_factor": (1.0, 1e12),  # a sweep wider than one area, by at most 12 decades
+    "n_bar": (0.0, 1e14),  # photons per pulse, up to the cap of jc
+}
 
 
 # CODATA 2018 values in SI, read when a budget is computed
@@ -58,8 +77,7 @@ EPSILON0 = 8.8541878128e-12  # F / m
 
 class PiPulseBudget(Record):
     """The budget of one resonant pi pulse, T = pi / Omega_R: the report's
-    scalar lines, in SI base units and in print order, each one finite and
-    ``constraint_margin`` above 0.
+    scalar lines, in SI base units and in print order, each one a normal double.
 
     ``kappa_per_s`` = Gamma sigma_eff / A is the decay rate into the
     beam-aligned vacuum modes, so kappa * A stays at Gamma sigma_eff.
@@ -105,7 +123,8 @@ class PiPulseBudget(Record):
 def drive_ratio_for_photons(theta: float, n_bar: float) -> float:
     """kappa / g_alpha = theta / (2 nbar) for a theta pulse carrying nbar
     photons, from kappa / Omega_R = theta / (4 nbar) and Omega_R = 2 g_alpha.
-    An ``n_bar`` that is not finite and > 0 is refused with :class:`InvalidStateError`."""
+    An ``n_bar`` outside its :data:`INPUT_BOX` range is refused with
+    :class:`InvalidStateError`."""
     _check_inputs(n_bar=n_bar)
     return theta / (2.0 * n_bar)
 
@@ -125,52 +144,42 @@ def pi_pulse_budget(wavelength: float, mode_area: float, dipole: float, field_am
     sigma_eff * c * T must exceed (pi^2 / 4) hbar omega / epsilon, i.e.
     nbar' > (pi^2 / 4) / epsilon.
 
-    First an input that is not finite and > 0, or an epsilon outside (0, 1), is
-    refused with :class:`InvalidStateError` naming it; then a sigma_eff that
-    leaves the double range raises :class:`FloatingPointError`; then a
-    ``mode_area`` below sigma_eff, where kappa = Gamma sigma_eff / A no longer
-    holds, is refused with :class:`InvalidStateError`; then any other derived
-    value that leaves the double range raises :class:`FloatingPointError`
-    naming it.
+    The first input outside its :data:`INPUT_BOX` range, in argument order, is
+    refused with :class:`InvalidStateError` naming it, before any arithmetic;
+    then a ``mode_area`` below sigma_eff, where kappa = Gamma sigma_eff / A no
+    longer holds, is refused too.  Every field of an accepted beam is a normal
+    double.
     """
     _check_inputs(wavelength=wavelength, mode_area=mode_area, dipole=dipole,
-                  field_amplitude=field_amplitude)
-    _check_epsilon(epsilon)
+                  field_amplitude=field_amplitude, epsilon=epsilon)
     # the cross-section for scattering out of the paraxial modes, 3 lambda^2 / (8 pi)
-    sigma_formula = "sigma_eff = 3 pi / (2 k^2)"
-    sigma_eff = _evaluated(sigma_formula, lambda: 1.5 * math.pi / (2.0 * math.pi / wavelength) ** 2)
-    _check_positive(sigma_formula, sigma_eff)  # a k^2 below about 2.6e-308 divides to inf
+    sigma_eff = 1.5 * math.pi / (2.0 * math.pi / wavelength) ** 2
     if mode_area < sigma_eff:  # kappa = Gamma sigma_eff / A holds only for a paraxial beam
         raise InvalidStateError(f"mode_area must be >= sigma_eff = 3 lambda^2 / (8 pi)"
                                 f" = {sigma_eff} m^2, got {mode_area}")
     omega = 2.0 * math.pi * C / wavelength
     # free-space spontaneous emission rate
-    gamma_formula = "Gamma = omega^3 d^2 / (3 pi eps0 hbar c^3)"
-    gamma = _evaluated(gamma_formula, lambda: omega ** 3 * dipole ** 2
-                       / (3.0 * math.pi * EPSILON0 * HBAR * C ** 3))
+    gamma = omega ** 3 * dipole ** 2 / (3.0 * math.pi * EPSILON0 * HBAR * C ** 3)
     rabi = dipole * field_amplitude / HBAR
-    _check_positive("Omega_R = d E0 / hbar", rabi)  # T = pi / Omega_R needs it in (0, inf)
     duration = math.pi / rabi
-    intensity = _evaluated("I = eps0 c E0^2 / 2",
-                           lambda: 0.5 * EPSILON0 * C * field_amplitude ** 2)
+    intensity = 0.5 * EPSILON0 * C * field_amplitude ** 2
     photon_energy = HBAR * omega
     power = intensity * mode_area
     energy_in_volume = 0.5 * EPSILON0 * field_amplitude ** 2 * (sigma_eff * C * duration)
     threshold = PHOTON_THRESHOLD_COEFFICIENT * photon_energy / epsilon
     margin = energy_in_volume / threshold
-    _check_positive(gamma_formula, gamma)  # the margins divide by it
     # pi^2 Gamma / Omega_R^2 with Omega_R from the raw (d, E0), bypassing rabi
-    forms = _evaluated("a margin form", lambda: {
+    forms = {
         "margin_purity_form": epsilon / (gamma * duration),
         "margin_rabi_form": epsilon * rabi ** 2 * duration / (RESONANT_CHAIN_COEFFICIENT * gamma),
         "margin_explicit_form": epsilon * duration / (
             RESONANT_CHAIN_COEFFICIENT * gamma * (HBAR / (dipole * field_amplitude)) ** 2),
-    })
+    }
     for name, form in forms.items():
         if abs(form - margin) > MARGIN_AGREEMENT_TOL * margin:
             raise FloatingPointError(f"{name} = {form!r} but constraint_margin = {margin!r}:"
-                                     " a value leaves the double range for these inputs")
-    report = _finite(PiPulseBudget(
+                                     " the margin forms disagree")
+    return PiPulseBudget(
         wavelength_m=wavelength,
         mode_area_m2=mode_area,
         omega_rad_per_s=omega,
@@ -190,19 +199,16 @@ def pi_pulse_budget(wavelength: float, mode_area: float, dipole: float, field_am
         constraint_margin=margin,
         **forms,
         margin_energy_form=margin,
-        min_energy_per_lambda3_J=_evaluated("(16 pi^2 / 3) hbar / (epsilon T)", lambda: (
-            ENERGY_PER_WAVELENGTH_CUBED_COEFFICIENT * HBAR / (epsilon * duration))),
-    ))
-    # the four forms agree on a margin that rounded to 0 along every route
-    _check_positive("constraint_margin", margin)
-    return report
+        min_energy_per_lambda3_J=ENERGY_PER_WAVELENGTH_CUBED_COEFFICIENT * HBAR / (
+            epsilon * duration),
+    )
 
 
 class RamanReport(Record):
     """A far-detuned two-photon pi pulse and its verdict on Gamma/Delta < epsilon:
     the detuning Delta, Omega_eff = Omega_R^2 / Delta, T = pi / Omega_eff, the
     purity loss Gamma/Delta, the margin epsilon / (Gamma/Delta) and the
-    detuning-eliminated left-hand side, in print order, each one finite.
+    detuning-eliminated left-hand side, in print order, each one a normal double.
 
     Substituting Delta = Omega_R^2 T / pi turns the purity-loss bound into
     pi * Gamma / (Omega_R^2 T) < epsilon: a single power of pi, a factor pi
@@ -231,7 +237,10 @@ def raman_constraint(detuning: float, rabi_frequency: float, gamma: float,
     through the pulse condition Omega_eff * T = pi rewrites it as
     pi * Gamma / (Omega_R^2 T).  Inputs are refused as :func:`pi_pulse_budget`
     refuses its own, in the order detuning, rabi_frequency, the far-detuned
-    regime detuning >= 10 Omega_R, epsilon, gamma.
+    regime detuning >= 10 Omega_R, epsilon, gamma.  The ranges of
+    ``rabi_frequency`` and ``gamma`` hold the Omega_R and Gamma of every
+    :func:`pi_pulse_budget` report, and every field of an accepted pulse is a
+    normal double.
     """
     _check_inputs(detuning=detuning, rabi_frequency=rabi_frequency)
     if detuning < 10.0 * rabi_frequency:
@@ -239,26 +248,22 @@ def raman_constraint(detuning: float, rabi_frequency: float, gamma: float,
             f"far-detuned regime requires detuning >= 10 * Omega_R "
             f"({detuning:.3e} < {10 * rabi_frequency:.3e})"
         )
-    _check_epsilon(epsilon)
-    _check_inputs(gamma=gamma)
-    effective_formula = "Omega_eff = Omega_R^2 / Delta"
-    effective_rabi = _evaluated(effective_formula, lambda: rabi_frequency ** 2 / detuning)
-    _check_positive(effective_formula, effective_rabi)  # T = pi / Omega_eff needs it in (0, inf)
+    _check_inputs(epsilon=epsilon, gamma=gamma)
+    effective_rabi = rabi_frequency ** 2 / detuning
     duration = math.pi / effective_rabi
     purity_loss = gamma / detuning
-    _check_positive("Gamma / Delta", purity_loss)  # the margin divides by it
-    return _finite(RamanReport(
+    return RamanReport(
         detuning_rad_per_s=detuning,
         effective_rabi_rad_per_s=effective_rabi,
         duration_s=duration,
         purity_loss=purity_loss,
         margin=epsilon / purity_loss,
         eliminated_lhs=RAMAN_ELIMINATION_COEFFICIENT * gamma / (rabi_frequency ** 2 * duration),
-    ))
+    )
 
 
 class AreaSweep(Record):
-    """The fixed-intensity beam-area sweep, one tuple of finite floats per quantity."""
+    """The fixed-intensity beam-area sweep, one tuple of normal doubles per quantity."""
 
     area: tuple
     kappa: tuple
@@ -273,6 +278,9 @@ def fixed_intensity_area_sweep(report: PiPulseBudget, points: int, max_factor: f
     ``report``, over ``points`` areas spaced logarithmically from sigma_eff to
     sigma_eff * ``max_factor``, both endpoints exact.
 
+    ``report`` is a :func:`pi_pulse_budget` report, whose fields are read
+    unchecked; :func:`check_area_sweep` refuses ``points`` and ``max_factor``.
+
     The laser-mode error (3 pi/8) kappa / Omega_R falls off as 1/A while the
     all-modes error, set by Gamma, does not depend on the area at all.  Each
     ``kappa`` and ``n_bar`` is computed as :func:`pi_pulse_budget` computes
@@ -280,7 +288,6 @@ def fixed_intensity_area_sweep(report: PiPulseBudget, points: int, max_factor: f
     """
     check_area_sweep(points, max_factor)
     sigma_eff = report.sigma_eff_m2
-    _check_inputs(sigma_eff_m2=sigma_eff)
     largest = sigma_eff * max_factor
     areas = logspace(math.log10(sigma_eff), math.log10(largest), points)
     area = (sigma_eff, *areas[1:-1], largest)  # 10**log10(x) need not round back to x
@@ -293,55 +300,27 @@ def fixed_intensity_area_sweep(report: PiPulseBudget, points: int, max_factor: f
     # p per unit kappa / Omega_R of a pi pulse from the ground state, 3 pi / 8:
     # twice its slope c per unit kappa / g_alpha, as Omega_R = 2 g_alpha
     slope = 2.0 * first_order_coefficient(math.pi, (0.0, 0.0, -1.0))
-    return _finite(AreaSweep(
+    return AreaSweep(
         area=area,
         kappa=kappa,
         kappa_times_area=tuple(map(mul, kappa, area)),
         n_bar=tuple(intensity * a * duration / photon_energy for a in area),
         p_laser=tuple(slope * k / rabi for k in kappa),
         p_total=(slope * gamma / rabi,) * len(area),
-    ))
+    )
 
 
 def check_area_sweep(points: int, max_factor: float) -> None:
-    """Refuse fewer than 2 sweep ``points`` or a ``max_factor`` outside (1, inf)."""
+    """Refuse fewer than 2 sweep ``points``, then a ``max_factor`` outside its
+    :data:`INPUT_BOX` range."""
     if check_count("area_sweep_points", points) < 2:
         raise InvalidStateError("area_sweep_points must be >= 2")
-    if not 1 < max_factor < math.inf:  # NaN fails too
-        raise InvalidStateError("area_sweep_max_factor must be finite and > 1")
+    _check_inputs(area_sweep_max_factor=max_factor)
 
 
 def _check_inputs(**inputs: float) -> None:
-    """Refuse, by its name, the first of ``inputs`` that does not lie in (0, inf)."""
+    """Refuse, by its name, the first of ``inputs`` outside its :data:`INPUT_BOX` range."""
     for name, value in inputs.items():
-        if not 0 < value < math.inf:  # NaN fails too
-            raise InvalidStateError(f"{name} must be finite and > 0, got {value}")
-
-
-def _check_epsilon(epsilon: float) -> None:
-    if not (0.0 < epsilon < 1.0):
-        raise InvalidStateError(f"epsilon must be in (0, 1), got {epsilon}")
-
-
-def _check_positive(name: str, value: float) -> None:
-    """Refuse the derived ``value``, named ``name``, unless it lies in (0, inf)."""
-    if not 0 < value < math.inf:  # NaN fails too
-        raise FloatingPointError(f"{name} = {value} leaves the positive double range"
-                                 " for these inputs")
-
-
-def _finite(record):
-    """``record``, if each value and column entry is finite; else its first bad field is named."""
-    for name, value in zip(record._fields, record._values()):
-        for bad in filterfalse(math.isfinite, value if isinstance(value, tuple) else (value,)):
-            raise FloatingPointError(f"{name} = {bad} leaves the double range for these inputs")
-    return record
-
-
-def _evaluated(name: str, formula):
-    """``formula()``, where a power that overflows or a division by an
-    underflowed zero raises :class:`FloatingPointError` naming ``name``."""
-    try:
-        return formula()
-    except ArithmeticError:  # float ** and / raise where * rounds to inf or 0
-        raise FloatingPointError(f"{name} leaves the double range for these inputs") from None
+        least, greatest = INPUT_BOX[name]
+        if not least < value <= greatest:  # NaN fails too
+            raise InvalidStateError(f"{name} must be in ({least:g}, {greatest:g}], got {value}")

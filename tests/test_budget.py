@@ -1,13 +1,18 @@
+import itertools
 import math
 import re
+import sys
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath import mpf
 
 from lasergate import budget
 from lasergate.budget import (
     ENERGY_PER_WAVELENGTH_CUBED_COEFFICIENT,
+    INPUT_BOX,
     PHOTON_THRESHOLD_COEFFICIENT,
     RAMAN_COEFFICIENT_GAP,
     RAMAN_ELIMINATION_COEFFICIENT,
@@ -62,21 +67,23 @@ class TestGeometry:
 
     def test_subwavelength_focus_is_refused(self):
         # kappa = Gamma sigma_eff / A holds only for A >= sigma_eff: the matched
-        # beam runs, and a narrower one is refused, also where Gamma would underflow
+        # beam runs, and a narrower one is refused, also at the longest wavelength
         sigma = pi_pulse_budget(1e-6, 1e-12, 1e-29, 1e5).sigma_eff_m2
         assert pi_pulse_budget(1e-6, sigma, 1e-29, 1e5).mode_area_m2 == sigma
         for wavelength, area, sigma_text in [(1e-6, 1e-14, repr(sigma)),
                                              (1e-6, math.nextafter(sigma, 0.0), repr(sigma)),
-                                             (1e150, 1e-12, "1.193662073189215e+299")]:
+                                             (1.0, 1e-3, "0.1193662073189215")]:
             message = (f"mode_area must be >= sigma_eff = 3 lambda^2 / (8 pi) = {sigma_text}"
                        f" m^2, got {area!r}")
             with pytest.raises(InvalidStateError, match=f"^{re.escape(message)}$"):
                 pi_pulse_budget(wavelength, area, 1e-29, 1e5)
 
     def test_invalid_geometry_rejected(self):
-        with pytest.raises(InvalidStateError, match="wavelength must be finite and > 0"):
+        with pytest.raises(InvalidStateError,
+                           match=r"^wavelength must be in \(1e-11, 1\], got 0\.0$"):
             pi_pulse_budget(0.0, 1e-12, 1e-29, 1e5)
-        with pytest.raises(InvalidStateError, match="mode_area must be finite and > 0"):
+        with pytest.raises(InvalidStateError,
+                           match=r"^mode_area must be in \(0, 10000\], got -1\.0$"):
             pi_pulse_budget(1e-6, -1.0, 1e-29, 1e5)
 
 
@@ -200,8 +207,10 @@ class TestMinPhotonConstraint:
         assert (tight.constraint_margin > 1.0) == tight.satisfied
 
     def test_epsilon_bounds(self):
-        for bad in (0.0, -1e-3, 1.0, 2.0):
-            with pytest.raises(InvalidStateError, match="epsilon must be in"):
+        # the box's edges: its least is refused, its greatest accepted
+        assert pi_pulse_budget(1e-6, 1e-12, 1e-29, 1e5, epsilon=0.5).epsilon == 0.5
+        for bad in (0.0, -1e-3, 1e-15, math.nextafter(0.5, 1.0), 1.0, 2.0):
+            with pytest.raises(InvalidStateError, match=r"^epsilon must be in \(1e-15, 0\.5\]"):
                 pi_pulse_budget(1e-6, 1e-12, 1e-29, 1e5, epsilon=bad)
 
     def test_fields_are_the_report_lines(self):
@@ -242,13 +251,15 @@ class TestMinPhotonConstraint:
 
 
 class TestEmissionMarginChain:
-    @given(wavelength=wavelengths, dipole=dipoles, amplitude=amplitudes, epsilon=epsilons)
-    @settings(max_examples=100, deadline=None)
-    def test_all_forms_agree_for_pi_pulse(self, wavelength, dipole, amplitude, epsilon):
-        margins = pi_pulse_budget(wavelength, 1e-10, dipole, amplitude, epsilon=epsilon)
-        assert margins.margin_rabi_form == pytest.approx(margins.margin_purity_form, rel=1e-10)
-        assert margins.margin_explicit_form == pytest.approx(margins.margin_purity_form, rel=1e-10)
-        assert margins.margin_energy_form == pytest.approx(margins.margin_purity_form, rel=1e-10)
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_all_forms_agree_for_pi_pulse(self, data):
+        # anywhere inside the box, A from sigma_eff up
+        wavelength = data.draw(_in_box("wavelength"))
+        sigma = pi_pulse_budget(wavelength, 1.0, 1e-29, 1e5).sigma_eff_m2
+        _assert_margins_agree(pi_pulse_budget(
+            wavelength, data.draw(_in_box("mode_area", sigma)),
+            *(data.draw(_in_box(name)) for name in ("dipole", "field_amplitude", "epsilon"))))
 
     def test_satisfied_tracks_purity_margin(self):
         inputs = (1e-6, 1e-10, 1e-29, 1e8)
@@ -329,13 +340,14 @@ class TestRaman:
         with pytest.raises(InvalidStateError, match="far-detuned"):
             raman_constraint(5e9, 1e9, gamma=1e6, epsilon=1e-4)
 
-    @given(detuning=st.floats(min_value=-300.0, max_value=300.0).map(lambda e: 10.0**e),
-           loss=st.floats(min_value=-320.0, max_value=-1e-3).map(lambda e: 10.0**e),
-           epsilon=st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True))
+    @given(detuning=st.floats(min_value=-11.0, max_value=18.0).map(lambda e: 10.0**e),
+           loss=st.floats(min_value=-15.0, max_value=-0.302).map(lambda e: 10.0**e),
+           epsilon=st.floats(min_value=1e-15, max_value=0.5, exclude_min=True))
     @settings(max_examples=200, deadline=None)
     def test_satisfied_is_purity_loss_below_epsilon(self, detuning, loss, epsilon):
         # the verdict margin > 1 is the literal Gamma/Delta < epsilon, also where
-        # epsilon is the purity loss itself or one of its nearest doubles
+        # epsilon is the purity loss itself or one of its nearest doubles; a
+        # Gamma of loss * Delta stays inside its range, from 1e-26 to 1e18
         gamma = loss * detuning
         purity_loss = gamma / detuning
         below = [purity_loss]
@@ -344,12 +356,9 @@ class TestRaman:
             below.append(math.nextafter(below[-1], 0.0))
             above.append(math.nextafter(above[-1], 1.0))
         for eps in {epsilon, *below, *above}:
-            if not (0.0 < eps < 1.0 and 0.0 < gamma < math.inf):
+            if not 1e-15 < eps <= 0.5:  # outside the epsilon range
                 continue
-            try:
-                report = raman_constraint(detuning, detuning / 16.0, gamma, eps)
-            except FloatingPointError:  # the margin eps / (Gamma/Delta) overflows
-                continue
+            report = raman_constraint(detuning, detuning / 16.0, gamma, eps)
             assert report.purity_loss == purity_loss
             assert report.satisfied == (purity_loss < eps), (detuning, gamma, eps)
 
@@ -371,34 +380,28 @@ class TestAreaSweep:
         # at the matched area the two error columns coincide
         assert sweep.p_laser[0] == pytest.approx(sweep.p_total[0], rel=1e-12)
 
-    @pytest.mark.parametrize("points,max_factor,error,match", [
-        (1, 1e6, InvalidStateError, "area_sweep_points must be >= 2"),
-        (0, 1e6, InvalidStateError, "area_sweep_points must be >= 2"),
-        (2.5, 1e6, InvalidStateError, "area_sweep_points must be an integer, got 2.5"),
-        (3.0, 1e6, InvalidStateError, "area_sweep_points must be an integer, got 3.0"),
-        (math.nan, 1e6, InvalidStateError, "area_sweep_points must be an integer, got nan"),
-        (7, 1.0, InvalidStateError, "area_sweep_max_factor must be finite and > 1"),
-        (7, 0.0, InvalidStateError, "area_sweep_max_factor must be finite and > 1"),
-        (7, -1e-12, InvalidStateError, "area_sweep_max_factor must be finite and > 1"),
-        (7, math.nan, InvalidStateError, "area_sweep_max_factor must be finite and > 1"),
-        (7, math.inf, InvalidStateError, "area_sweep_max_factor must be finite and > 1"),
-        (7, 1.7e308, FloatingPointError, "area = inf leaves the double range for these inputs"),
+    @pytest.mark.parametrize("points,max_factor,message", [
+        (1, 1e6, "area_sweep_points must be >= 2"),
+        (0, 1e6, "area_sweep_points must be >= 2"),
+        (2.5, 1e6, "area_sweep_points must be an integer, got 2.5"),
+        (3.0, 1e6, "area_sweep_points must be an integer, got 3.0"),
+        (math.nan, 1e6, "area_sweep_points must be an integer, got nan"),
+        (7, 1.0, "area_sweep_max_factor must be in (1, 1e+12], got 1.0"),
+        (7, 0.0, "area_sweep_max_factor must be in (1, 1e+12], got 0.0"),
+        (7, -1e-12, "area_sweep_max_factor must be in (1, 1e+12], got -1e-12"),
+        (7, math.nan, "area_sweep_max_factor must be in (1, 1e+12], got nan"),
+        (7, math.inf, "area_sweep_max_factor must be in (1, 1e+12], got inf"),
+        (7, 1.7e308, "area_sweep_max_factor must be in (1, 1e+12], got 1.7e+308"),
+        (7, math.nextafter(1e12, math.inf),
+         "area_sweep_max_factor must be in (1, 1e+12], got 1000000000000.0001"),
     ], ids=["points-1", "points-0", "points-2.5", "points-3.0", "points-nan", "factor-1",
-            "factor-0", "factor-negative", "factor-nan", "factor-inf", "factor-overflows"])
-    def test_grid_outside_the_contract_is_refused(self, points, max_factor, error, match):
-        # a 10 m wavelength gives sigma_eff = 11.9 m^2, which 1.7e308 overflows
-        report = pi_pulse_budget(10.0, 1e3, 1e-29, 1e5)
-        with pytest.raises(error, match=match):
+            "factor-0", "factor-negative", "factor-nan", "factor-inf", "factor-overflows",
+            "factor-past-the-box"])
+    def test_grid_outside_the_contract_is_refused(self, points, max_factor, message):
+        # a factor of 1.7e308 would overflow the largest area of this sweep
+        report = pi_pulse_budget(1.0, 1e3, 1e-29, 1e5)
+        with pytest.raises(InvalidStateError, match=f"^{re.escape(message)}$"):
             fixed_intensity_area_sweep(report, points, max_factor)
-
-    @pytest.mark.parametrize("sigma_eff", [math.nan, math.inf, 0.0, -1.0])
-    def test_record_outside_the_contract_is_refused(self, sigma_eff):
-        # a hand-built record is checked, not trusted
-        report = pi_pulse_budget(1e-6, 1e-12, 1e-29, 1e5)
-        report = PiPulseBudget(**{**dict(zip(report._fields, report._values())),
-                                  "sigma_eff_m2": sigma_eff})
-        with pytest.raises(InvalidStateError, match="sigma_eff_m2 must be finite and > 0"):
-            fixed_intensity_area_sweep(report, 7, 1e6)
 
     @given(beam=beams, dipole=dipoles, amplitude=amplitudes,
            points=st.integers(min_value=2, max_value=20),
@@ -458,18 +461,19 @@ class TestConstants:
         assert budget.EPSILON0 == 8.8541878128e-12
 
 
-# each budget input, as a call with that input replaced by ``bad``
+# each budget input, as its INPUT_BOX name and a call with that input replaced by ``bad``
 ONE_BAD_INPUT = {
-    "beam-wavelength": lambda bad: pi_pulse_budget(bad, 1e-12, 1e-29, 1e5),
-    "beam-area": lambda bad: pi_pulse_budget(1e-6, bad, 1e-29, 1e5),
-    "atom-dipole": lambda bad: pi_pulse_budget(1e-6, 1e-12, bad, 1e5),
-    "field": lambda bad: pi_pulse_budget(1e-6, 1e-12, 1e-29, bad),
-    "raman-detuning": lambda bad: raman_constraint(bad, 1e9, 1e7, 1e-4),
-    "raman-rabi": lambda bad: raman_constraint(1e12, bad, 1e7, 1e-4),
-    "photon-budget": lambda bad: pi_pulse_budget(1e-6, 1e-12, 1e-29, 1e5, epsilon=bad),
-    "raman-gamma": lambda bad: raman_constraint(1e12, 1e9, bad, 1e-4),
-    "raman-epsilon": lambda bad: raman_constraint(1e12, 1e9, 1e7, bad),
-    "drive-ratio": lambda bad: drive_ratio_for_photons(math.pi, bad),
+    "beam-wavelength": ("wavelength", lambda bad: pi_pulse_budget(bad, 1e-12, 1e-29, 1e5)),
+    "beam-area": ("mode_area", lambda bad: pi_pulse_budget(1e-6, bad, 1e-29, 1e5)),
+    "atom-dipole": ("dipole", lambda bad: pi_pulse_budget(1e-6, 1e-12, bad, 1e5)),
+    "field": ("field_amplitude", lambda bad: pi_pulse_budget(1e-6, 1e-12, 1e-29, bad)),
+    "raman-detuning": ("detuning", lambda bad: raman_constraint(bad, 1e9, 1e7, 1e-4)),
+    "raman-rabi": ("rabi_frequency", lambda bad: raman_constraint(1e12, bad, 1e7, 1e-4)),
+    "photon-budget": ("epsilon",
+                      lambda bad: pi_pulse_budget(1e-6, 1e-12, 1e-29, 1e5, epsilon=bad)),
+    "raman-gamma": ("gamma", lambda bad: raman_constraint(1e12, 1e9, bad, 1e-4)),
+    "raman-epsilon": ("epsilon", lambda bad: raman_constraint(1e12, 1e9, 1e7, bad)),
+    "drive-ratio": ("n_bar", lambda bad: drive_ratio_for_photons(math.pi, bad)),
 }
 # a NaN keeps the input's own id; the other bad values add theirs
 BAD_VALUES = {"": math.nan, "-inf": math.inf, "-minus-inf": -math.inf, "-zero": 0.0,
@@ -477,168 +481,351 @@ BAD_VALUES = {"": math.nan, "-inf": math.inf, "-minus-inf": -math.inf, "-zero": 
 
 
 class TestNaNInputs:
-    # every input is checked for finite and > 0, or epsilon for (0, 1), before
-    # any arithmetic, so NaN, +-inf, 0 and a negative value all fail it
-    @pytest.mark.parametrize("build,bad", [
-        (build, bad) for build in ONE_BAD_INPUT.values() for bad in BAD_VALUES.values()
+    # every input is checked against its INPUT_BOX range before any arithmetic,
+    # so NaN, +-inf, 0 and a negative value all fail it, and are refused by name
+    @pytest.mark.parametrize("name,build,bad", [
+        (name, build, bad) for name, build in ONE_BAD_INPUT.values() for bad in BAD_VALUES.values()
     ], ids=[name + suffix for name in ONE_BAD_INPUT for suffix in BAD_VALUES])
-    def test_nan_input_is_refused(self, build, bad):
-        with pytest.raises(InvalidStateError, match="must be"):
+    def test_nan_input_is_refused(self, name, build, bad):
+        with pytest.raises(InvalidStateError, match=f"^{name} must be in \\("):
             build(bad)
 
 
 class TestRangeFailures:
-    """A derived value that leaves the double range is a FloatingPointError
-    that names it, once every input has been checked: raised where the
-    arithmetic first fails, or else by the finiteness check of the returned
-    record, which names its first non-finite field."""
+    """Inputs that would drive a derived value out of the double range, one
+    row per value and named after it, lie outside :data:`INPUT_BOX`.  Each is
+    refused with :class:`InvalidStateError` naming its first input outside its
+    range, before any arithmetic."""
 
     @pytest.mark.parametrize("inputs,message", [
-        ((1e150, 1e300, 1e-29, 1e5),
-         "Gamma = omega^3 d^2 / (3 pi eps0 hbar c^3) = 0.0 leaves the positive double range"),
-        ((1e-120, 1e-12, 1e-29, 1e5),
-         "Gamma = omega^3 d^2 / (3 pi eps0 hbar c^3) leaves the double range"),
-        ((1e-6, 1e-12, 1e200, 1e-250),
-         "Gamma = omega^3 d^2 / (3 pi eps0 hbar c^3) leaves the double range"),
-        ((1e170, 1e-12, 1e-29, 1e5), "sigma_eff = 3 pi / (2 k^2) leaves the double range"),
-        ((1e-6, 1e-12, 1e-29, 1e160), "I = eps0 c E0^2 / 2 leaves the double range"),
-        ((1e-6, 1e-12, 1e-29, 1e-205), "a margin form leaves the double range"),
+        ((1e150, 1e300, 1e-29, 1e5), "wavelength must be in (1e-11, 1], got 1e+150"),
+        ((1e-120, 1e-12, 1e-29, 1e5), "wavelength must be in (1e-11, 1], got 1e-120"),
+        ((1e-6, 1e-12, 1e200, 1e-250), "dipole must be in (1e-40, 1e-24], got 1e+200"),
+        ((1e170, 1e-12, 1e-29, 1e5), "wavelength must be in (1e-11, 1], got 1e+170"),
+        ((1e-6, 1e-12, 1e-29, 1e160), "field_amplitude must be in (1e-06, 1e+12], got 1e+160"),
+        ((1e-6, 1e-12, 1e-29, 1e-205), "field_amplitude must be in (1e-06, 1e+12], got 1e-205"),
     ], ids=["gamma-underflows", "omega-cubed-overflows", "dipole-squared-overflows",
             "k-squared-underflows", "field-squared-overflows", "margin-form-overflows"])
     def test_value_out_of_range_is_named(self, inputs, message):
-        with pytest.raises(FloatingPointError, match=re.escape(message) + " for these inputs$"):
+        with pytest.raises(InvalidStateError, match=f"^{re.escape(message)}$"):
             pi_pulse_budget(*inputs)
 
-    def test_an_underflowed_gamma_follows_the_epsilon_refusal(self):
-        # Gamma = 0 is found where the margins would divide by it, after epsilon
-        with pytest.raises(InvalidStateError, match="epsilon must be in"):
-            pi_pulse_budget(1e150, 1e300, 1e-29, 1e5, epsilon=2.0)
+    @pytest.mark.parametrize("inputs,message", [
+        ((1e150, 1e300, 1e-29, 1e5, 2.0), "wavelength must be in (1e-11, 1], got 1e+150"),
+        ((1e-6, 1e300, 1e-29, 1e5, 2.0), "mode_area must be in (0, 10000], got 1e+300"),
+        ((1e-6, 1e-12, 1e-29, 1e5, 2.0), "epsilon must be in (1e-15, 0.5], got 2.0"),
+    ], ids=["wavelength", "mode-area", "epsilon"])
+    def test_refusals_follow_the_argument_order(self, inputs, message):
+        # the first input outside its range is named, whatever the later ones are;
+        # the first row's beam would underflow Gamma to 0
+        with pytest.raises(InvalidStateError, match=f"^{re.escape(message)}$"):
+            pi_pulse_budget(*inputs)
 
     def test_input_refusals_precede_an_overflow(self):
-        # epsilon is refused before omega^3 would overflow inside Gamma
-        with pytest.raises(InvalidStateError, match="epsilon must be in"):
+        # omega^3 would overflow inside Gamma, and k^2 underflow inside
+        # sigma_eff: the wavelength is refused before either is formed
+        with pytest.raises(InvalidStateError, match=r"^wavelength must be in .*, got 1e-100$"):
             pi_pulse_budget(1e-100, 1e-12, 1e-29, 1e5, epsilon=2.0)
-        # and the dipole before k^2 would underflow inside sigma_eff
-        with pytest.raises(InvalidStateError, match="dipole must be finite and > 0, got 0"):
+        with pytest.raises(InvalidStateError, match=r"^wavelength must be in .*, got 1e\+170$"):
             pi_pulse_budget(1e170, 1e-12, 0, 1e5)
 
     @pytest.mark.parametrize("detuning,rabi,message", [
-        (1e200, 1e-96, "Omega_eff = Omega_R^2 / Delta = 0.0 leaves the positive double range"),
-        (1e300, 1e160, "Omega_eff = Omega_R^2 / Delta leaves the double range"),
+        (1e18, 1e-96, "rabi_frequency must be in (1e-13, 1e+22], got 1e-96"),
+        (1e300, 1e160, "detuning must be in (0, 1e+18], got 1e+300"),
     ], ids=["underflows", "squared-rabi-overflows"])
     def test_raman_effective_rabi_out_of_range_is_named(self, detuning, rabi, message):
-        # T = pi / Omega_eff cannot be formed from a zero or unformed Omega_eff
-        with pytest.raises(FloatingPointError, match=re.escape(message) + " for these inputs$"):
+        # Omega_eff = Omega_R^2 / Delta would round to 0, or overflow, here
+        with pytest.raises(InvalidStateError, match=f"^{re.escape(message)}$"):
             raman_constraint(detuning, rabi, 1e7, 1e-4)
 
     def test_raman_refusals_keep_their_order(self):
-        with pytest.raises(InvalidStateError, match="^detuning must be finite and > 0"):
+        with pytest.raises(InvalidStateError, match="^detuning must be in"):
             raman_constraint(-1.0, -1.0, math.nan, 2.0)
-        with pytest.raises(InvalidStateError, match="^rabi_frequency must be finite and > 0"):
+        with pytest.raises(InvalidStateError, match="^rabi_frequency must be in"):
             raman_constraint(1e9, -1.0, math.nan, 2.0)
         with pytest.raises(InvalidStateError, match="far-detuned"):
             raman_constraint(1e9, 1e9, math.nan, 2.0)
-        with pytest.raises(InvalidStateError, match="epsilon must be in"):
+        with pytest.raises(InvalidStateError, match="^epsilon must be in"):
             raman_constraint(1e12, 1e9, math.nan, 2.0)
-        with pytest.raises(InvalidStateError, match="gamma must be finite and > 0"):
+        with pytest.raises(InvalidStateError, match="^gamma must be in"):
             raman_constraint(1e12, 1e9, math.nan, 1e-4)
 
     @pytest.mark.parametrize("build,message", [
-        (lambda: pi_pulse_budget(1e-6, 1e305, 1e-29, 1e5), "power_W = inf leaves the double range"),
+        (lambda: pi_pulse_budget(1e-6, 1e305, 1e-29, 1e5),
+         "mode_area must be in (0, 10000], got 1e+305"),
         (lambda: raman_constraint(1e300, 1e-5, 1e7, 1e-4),
-         "duration_s = inf leaves the double range"),
-        (lambda: raman_constraint(1e20, 1e9, 1e-300, 1e-4), "margin = inf leaves the double range"),
-        # Gamma / Delta rounds to 0, which the margin would divide by
-        (lambda: raman_constraint(1e300, 1e-5, 1e-30, 1e-4),
-         "Gamma / Delta = 0.0 leaves the positive double range"),
-        # a subnormal epsilon times T = 3e-34 s rounds to 0
-        (lambda: pi_pulse_budget(1.0, 1.0, 1.0, 1.0, epsilon=5e-324),
-         "(16 pi^2 / 3) hbar / (epsilon T) leaves the double range"),
-        # eps / (Gamma T) is about 5.6e-328, below the least subnormal double,
-        # so all four forms round to 0 and agree on a margin that is no result
+         "detuning must be in (0, 1e+18], got 1e+300"),
+        (lambda: raman_constraint(1e18, 1e9, 1e-300, 1e-4),
+         "gamma must be in (1e-35, 1e+32], got 1e-300"),
+        (lambda: raman_constraint(1e18, 1e-5, 1e-40, 1e-4),
+         "gamma must be in (1e-35, 1e+32], got 1e-40"),
+        (lambda: pi_pulse_budget(1e-6, 1e-12, 1e-29, 1e5, epsilon=5e-324),
+         "epsilon must be in (1e-15, 0.5], got 5e-324"),
         (lambda: pi_pulse_budget(1.0750616545333907e-86, 1327378610534.6772,
                                  7.118342115769625e-06, 1.276259350320446e-42,
                                  epsilon=2.3576311535107314e-20),
-         "constraint_margin = 0.0 leaves the positive double range"),
+         "wavelength must be in (1e-11, 1], got 1.0750616545333907e-86"),
     ], ids=["power-overflows", "raman-duration-overflows", "raman-margin-overflows",
             "raman-purity-loss-underflows", "energy-floor-divides-by-zero",
             "margin-underflows-on-every-route"])
     def test_value_computed_without_error_is_named(self, build, message):
-        # each value is formed without an error of its own, and is refused by
-        # the record's finiteness check, before a division by it, or, for a
-        # margin of 0, once its record is checked
-        with pytest.raises(FloatingPointError, match=f"^{re.escape(message)} for these inputs$"):
+        # each value would be formed without an error of its own, as inf, nan
+        # or 0; its inputs are refused before it is formed
+        with pytest.raises(InvalidStateError, match=f"^{re.escape(message)}$"):
             build()
 
 
+def _log_uniform(low: float, high: float):
+    """10**e for e uniform in [``low``, ``high``]."""
+    return st.floats(min_value=low, max_value=high).map(lambda e: 10.0**e)
+
+
+def _in_box(name: str, least: float | None = None):
+    """Log-uniform over the INPUT_BOX range of ``name``, or from ``least`` up."""
+    low, high = INPUT_BOX[name]
+    low = low if least is None else least
+    return _log_uniform(math.log10(low), math.log10(high)).filter(lambda x: low < x <= high)
+
+
 # log-uniform over the positive doubles, from the subnormals to the largest powers of ten
-anywhere = st.floats(min_value=-320.0, max_value=308.0).map(lambda e: 10.0**e)
-open_unit = st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True)
+anywhere = _log_uniform(-320.0, 308.0)
 
 
-def _all_finite(record):
+def _all_normal(record):
     values = [v for value in record._values()
               for v in (value if isinstance(value, tuple) else (value,))]
-    return all(math.isfinite(v) for v in values)
+    return all(sys.float_info.min <= v <= sys.float_info.max for v in values)
 
 
 class TestRecordsAreFinite:
     """Over the whole double range, each budget function refuses its inputs
-    or returns a record whose every value, and every column entry, is finite."""
+    or returns a record whose every value, and every column entry, is a
+    positive normal double.  Each input is drawn from anywhere or from its
+    INPUT_BOX range, so that some draws are accepted."""
 
-    @given(wavelength=anywhere, mode_area=anywhere, dipole=anywhere, field=anywhere,
-           epsilon=open_unit, points=st.integers(min_value=2, max_value=5), max_factor=anywhere,
-           detuning=anywhere, rabi=anywhere, gamma=anywhere)
+    @given(wavelength=anywhere | _in_box("wavelength"),
+           mode_area=anywhere | _in_box("mode_area", 1e-23),
+           dipole=anywhere | _in_box("dipole"), field=anywhere | _in_box("field_amplitude"),
+           epsilon=anywhere | _in_box("epsilon"), points=st.integers(min_value=2, max_value=5),
+           max_factor=anywhere | _in_box("area_sweep_max_factor"),
+           detuning=anywhere | _in_box("detuning", 1e-12),
+           rabi=anywhere | _in_box("rabi_frequency"), gamma=anywhere | _in_box("gamma"))
     @settings(max_examples=200, deadline=None)
     def test_refused_or_finite(self, wavelength, mode_area, dipole, field, epsilon, points,
                                max_factor, detuning, rabi, gamma):
         try:
             raman = raman_constraint(detuning, rabi, gamma, epsilon)
-        except (InvalidStateError, FloatingPointError):
+        except InvalidStateError:
             pass
         else:
-            assert _all_finite(raman), raman
+            assert _all_normal(raman), raman
         try:
             report = pi_pulse_budget(wavelength, mode_area, dipole, field, epsilon)
-        except (InvalidStateError, FloatingPointError):
+        except InvalidStateError:
             return
-        assert _all_finite(report), report
+        assert _all_normal(report), report
         try:
             sweep = fixed_intensity_area_sweep(report, points, max_factor)
-        except (InvalidStateError, FloatingPointError):
+        except InvalidStateError:
             return
-        assert _all_finite(sweep), sweep
+        assert _all_normal(sweep), sweep
 
 
-def _sweep_of(sigma_eff, points, max_factor):
-    """The area sweep of a budget record whose ``sigma_eff_m2`` is ``sigma_eff``."""
-    report = pi_pulse_budget(1e-6, 1e-12, 1e-29, 1e5)
-    report = PiPulseBudget(**{**dict(zip(report._fields, report._values())),
-                              "sigma_eff_m2": sigma_eff})
-    return fixed_intensity_area_sweep(report, points, max_factor)
+def _outside(name: str):
+    """Values outside the INPUT_BOX range of ``name``: NaN, +-inf, 0, negative
+    values, its least and values above its greatest."""
+    least, greatest = INPUT_BOX[name]
+    return (st.sampled_from([math.nan, math.inf, -math.inf, 0.0, least])
+            | anywhere.map(lambda x: -x) | st.floats(min_value=greatest, exclude_min=True))
 
 
-# each budget entry point, a strategy per argument, and the arguments it
-# must refuse when bad; an epsilon is drawn from ``open_unit``
+# the README beam's budget, whose area sweep the refusal test draws
+README_REPORT = pi_pulse_budget(1e-6, 1e-12, 1e-29, 1e5)
+
+# each budget entry point, a strategy per argument, and the INPUT_BOX name of
+# each argument it must refuse when outside its range
 ENTRY_POINTS = {
-    "pi_pulse_budget": (pi_pulse_budget, (anywhere,) * 4 + (open_unit,), range(5)),
-    "raman_constraint": (raman_constraint, (anywhere, anywhere, anywhere, open_unit), range(4)),
-    "fixed_intensity_area_sweep": (_sweep_of, (anywhere, st.integers(2, 5), anywhere), [0]),
-    "drive_ratio_for_photons": (drive_ratio_for_photons, (anywhere, anywhere), [1]),
+    "pi_pulse_budget": (pi_pulse_budget, (anywhere,) * 5, {
+        0: "wavelength", 1: "mode_area", 2: "dipole", 3: "field_amplitude", 4: "epsilon"}),
+    "raman_constraint": (raman_constraint, (anywhere,) * 4, {
+        0: "detuning", 1: "rabi_frequency", 2: "gamma", 3: "epsilon"}),
+    "fixed_intensity_area_sweep": (
+        lambda points, max_factor: fixed_intensity_area_sweep(README_REPORT, points, max_factor),
+        (st.integers(2, 5), anywhere), {1: "area_sweep_max_factor"}),
+    "drive_ratio_for_photons": (drive_ratio_for_photons, (anywhere, anywhere), {1: "n_bar"}),
 }
-bad_values = st.sampled_from([math.nan, math.inf, -math.inf, 0.0]) | anywhere.map(lambda x: -x)
-bad_epsilons = bad_values | st.floats(min_value=1.0)
 
 
 class TestInputsAreRefusedFirst:
     @given(entry=st.sampled_from(sorted(ENTRY_POINTS)), data=st.data())
     @settings(max_examples=200, deadline=None)
     def test_a_bad_input_is_refused_whatever_the_others_are(self, entry, data):
-        # one bad input is refused before any arithmetic could under- or
-        # overflow on the others, which range over the whole double range
+        # one input outside its range is refused before any arithmetic could
+        # under- or overflow on the others, which range over the whole double range
         function, strategies, checked = ENTRY_POINTS[entry]
         args = [data.draw(strategy) for strategy in strategies]
-        spoiled = data.draw(st.sampled_from(checked))
-        args[spoiled] = data.draw(bad_epsilons if strategies[spoiled] is open_unit else bad_values)
+        spoiled = data.draw(st.sampled_from(sorted(checked)))
+        args[spoiled] = data.draw(_outside(checked[spoiled]))
         with pytest.raises(InvalidStateError):
             function(*args)
+
+
+def _exact_beam(wavelength, mode_area, dipole, field, epsilon) -> dict:
+    """The :class:`PiPulseBudget` fields of these inputs, each from its
+    definition in the working precision of mpmath."""
+    hbar, c, eps0, pi = mpf(budget.HBAR), mpf(budget.C), mpf(budget.EPSILON0), mpmath.pi
+    wavelength, mode_area, dipole, field, epsilon = map(
+        mpf, (wavelength, mode_area, dipole, field, epsilon))
+    omega = 2 * pi * c / wavelength
+    sigma = 3 * wavelength**2 / (8 * pi)
+    gamma = omega**3 * dipole**2 / (3 * pi * eps0 * hbar * c**3)
+    rabi = dipole * field / hbar
+    duration = pi / rabi
+    intensity = eps0 * c * field**2 / 2
+    photon_energy = hbar * omega
+    energy = eps0 * field**2 / 2 * sigma * c * duration
+    threshold = pi**2 / 4 * photon_energy / epsilon
+    return {
+        "wavelength_m": wavelength, "mode_area_m2": mode_area, "omega_rad_per_s": omega,
+        "sigma_eff_m2": sigma, "gamma_per_s": gamma, "kappa_per_s": gamma * sigma / mode_area,
+        "rabi_frequency_rad_per_s": rabi, "intensity_W_per_m2": intensity,
+        "power_W": intensity * mode_area, "duration_s": duration, "epsilon": epsilon,
+        "n_bar": intensity * mode_area * duration / photon_energy,
+        "n_bar_prime": intensity * sigma * duration / photon_energy,
+        "required_n_bar_prime": pi**2 / 4 / epsilon,
+        "energy_in_volume_J": energy, "energy_threshold_J": threshold,
+        "constraint_margin": energy / threshold,
+        "margin_purity_form": epsilon / (gamma * duration),
+        "margin_rabi_form": epsilon * rabi**2 * duration / (pi**2 * gamma),
+        "margin_explicit_form": epsilon * duration / (pi**2 * gamma * (hbar / (dipole * field))**2),
+        "margin_energy_form": energy / threshold,
+        "min_energy_per_lambda3_J": 16 * pi**2 / 3 * hbar / (epsilon * duration),
+    }
+
+
+def _exact_raman(detuning, rabi, gamma, epsilon) -> dict:
+    """The :class:`RamanReport` fields of these inputs, each from its definition."""
+    detuning, rabi, gamma, epsilon = map(mpf, (detuning, rabi, gamma, epsilon))
+    effective = rabi**2 / detuning
+    duration = mpmath.pi / effective
+    return {"detuning_rad_per_s": detuning, "effective_rabi_rad_per_s": effective,
+            "duration_s": duration, "purity_loss": gamma / detuning,
+            "margin": epsilon * detuning / gamma,
+            "eliminated_lhs": mpmath.pi * gamma / (rabi**2 * duration)}
+
+
+def _exact_sweep_row(beam: dict, area) -> dict:
+    """The area-sweep row at ``area`` of the exact budget ``beam``."""
+    area, slope = mpf(area), 3 * mpmath.pi / 8
+    kappa = beam["gamma_per_s"] * beam["sigma_eff_m2"] / area
+    return {"area": area, "kappa": kappa, "kappa_times_area": kappa * area,
+            "n_bar": beam["intensity_W_per_m2"] * area * beam["duration_s"]
+            / (mpf(budget.HBAR) * beam["omega_rad_per_s"]),
+            "p_laser": slope * kappa / beam["rabi_frequency_rad_per_s"],
+            "p_total": slope * beam["gamma_per_s"] / beam["rabi_frequency_rad_per_s"]}
+
+
+def _ends(name: str) -> tuple:
+    """The two ends of the INPUT_BOX range of ``name`` as accepted inputs: the
+    next double above its least, and its greatest."""
+    least, greatest = INPUT_BOX[name]
+    return math.nextafter(least, math.inf), greatest
+
+
+def _beam_corners():
+    """The 32 corners of the beams :func:`pi_pulse_budget` accepts: the
+    wavelength, dipole, field and epsilon each at an end of its range, and
+    the area at sigma_eff or at its greatest."""
+    for wavelength, dipole, field, epsilon in itertools.product(
+            *map(_ends, ("wavelength", "dipole", "field_amplitude", "epsilon"))):
+        sigma = pi_pulse_budget(wavelength, 1.0, 1e-29, 1e5).sigma_eff_m2
+        for area in (sigma, INPUT_BOX["mode_area"][1]):
+            yield wavelength, area, dipole, field, epsilon
+
+
+def _raman_corners():
+    """The 12 corners of the pulses :func:`raman_constraint` accepts: (Omega_R,
+    Delta) at the three corners of Omega_R above its least, Delta up to its
+    greatest and at least 10 Omega_R, and Gamma and epsilon at an end of
+    their ranges."""
+    least, greatest = _ends("rabi_frequency")[0], INPUT_BOX["detuning"][1]
+    for rabi, detuning in ((least, 10.0 * least), (least, greatest), (greatest / 10.0, greatest)):
+        for gamma, epsilon in itertools.product(_ends("gamma"), _ends("epsilon")):
+            yield detuning, rabi, gamma, epsilon
+
+
+# Every exact field at a corner lies in [CORNER_LEAST, CORNER_GREATEST]: at
+# least 1e200 inside the normal doubles, [2.2e-308, 1.8e308].
+CORNER_LEAST, CORNER_GREATEST = 1e-100, 1e100
+
+
+def _assert_margins_agree(report):
+    """The four margin forms of ``report`` agree with ``constraint_margin`` to 1e-13."""
+    for form in (report.margin_purity_form, report.margin_rabi_form,
+                 report.margin_explicit_form, report.margin_energy_form):
+        assert abs(form / report.constraint_margin - 1) <= 1e-13, report
+
+
+def _assert_matches(fields: tuple, values: tuple, exact: dict, rel: float = 1e-13):
+    """Each of ``values``, named by ``fields``, lies within ``rel`` of its
+    ``exact`` value, which lies in [CORNER_LEAST, CORNER_GREATEST]."""
+    for name, value in zip(fields, values):
+        assert CORNER_LEAST <= exact[name] <= CORNER_GREATEST, (name, exact[name])
+        assert abs(value / exact[name] - 1) <= rel, (name, value, exact[name])
+
+
+class TestInputBox:
+    """Every value the budget computes is a monomial in its inputs, so over
+    INPUT_BOX it takes its extremes at the corners of the accepted inputs.
+    At each corner each field, from its definition in 50-digit arithmetic,
+    lies far inside the normal doubles, and the float returned agrees with
+    it; so no accepted input can leave the double range."""
+
+    def test_every_field_is_a_normal_double_at_every_corner(self):
+        with mpmath.workdps(50):
+            for inputs in _beam_corners():
+                report = pi_pulse_budget(*inputs)
+                exact = _exact_beam(*inputs)
+                _assert_matches(report._fields, report._values(), exact)
+                # the sweep's rows run from its first to its last row, monotonically
+                for max_factor in _ends("area_sweep_max_factor"):
+                    sweep = fixed_intensity_area_sweep(report, 2, max_factor)
+                    for row, area in zip(zip(*sweep._values()), sweep.area):
+                        _assert_matches(sweep._fields, row, _exact_sweep_row(exact, area))
+            for inputs in _raman_corners():
+                raman = raman_constraint(*inputs)
+                _assert_matches(raman._fields, raman._values(), _exact_raman(*inputs))
+
+    def test_margin_forms_agree_at_every_corner(self):
+        for inputs in _beam_corners():
+            _assert_margins_agree(pi_pulse_budget(*inputs))
+
+    def test_rate_ranges_hold_the_images_of_the_beam_box(self):
+        # Omega_R = d E0 / hbar and Gamma over the closed beam box take their
+        # extremes at its corners, where the raman_constraint ranges hold them
+        with mpmath.workdps(50):
+            corners = [_exact_beam(wavelength, 1.0, dipole, field, 0.5)
+                       for wavelength, dipole, field in itertools.product(
+                           INPUT_BOX["wavelength"], INPUT_BOX["dipole"],
+                           INPUT_BOX["field_amplitude"])]
+        for name, field in (("rabi_frequency", "rabi_frequency_rad_per_s"),
+                            ("gamma", "gamma_per_s")):
+            least, greatest = INPUT_BOX[name]
+            values = [corner[field] for corner in corners]
+            assert least < min(values) and max(values) <= greatest, name
+
+    @pytest.mark.parametrize("name", sorted(INPUT_BOX))
+    def test_each_range_refuses_its_least_and_past_its_greatest(self, name):
+        build = BOX_EDGE_CALLS[name]
+        least, greatest = INPUT_BOX[name]
+        for bad in (least, math.nextafter(greatest, math.inf)):
+            message = f"{name} must be in ({least:g}, {greatest:g}], got {bad}"
+            with pytest.raises(InvalidStateError, match=f"^{re.escape(message)}$"):
+                build(bad)
+
+
+# each INPUT_BOX name, as a call with that input replaced by ``bad``
+BOX_EDGE_CALLS = {
+    **dict(ONE_BAD_INPUT.values()),
+    "area_sweep_max_factor": lambda bad: fixed_intensity_area_sweep(README_REPORT, 7, bad),
+}

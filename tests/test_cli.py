@@ -64,7 +64,7 @@ def assert_exits_cleanly(*argv):
     """Exit 0, 2 or 3; nothing non-finite printed on success, and nothing at
     all on stdout otherwise.  A key the command does not know fails the
     assertion: refusing every example for one bad key would let the property
-    pass without testing anything."""
+    pass without testing anything.  Returns the exit code."""
     code, out, err = run_captured(*argv)
     assert "unknown key" not in err, err
     assert code in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERIC)
@@ -72,6 +72,7 @@ def assert_exits_cleanly(*argv):
         assert not NON_FINITE.search(out), NON_FINITE.search(out)
     else:  # a refused or failed command prints nothing on stdout
         assert out == "", out[:200]
+    return code
 
 
 def report_values(payload: bytes) -> dict:
@@ -542,34 +543,33 @@ class TestBudget:
         # refused before omega = 2 pi c / wavelength is formed
         code, out, err = run_captured(*BUDGET_ARGS, "--wavelength", wavelength)
         assert (code, out) == (EXIT_CONFIG, "")
-        assert err.startswith("error: wavelength must be finite and > 0")
+        assert err == f"error: wavelength must be in (1e-11, 1], got {float(wavelength)}\n"
 
-    def test_overflowing_sweep_area_is_numeric_error(self):
-        code, _, err = run_captured(*BUDGET_ARGS, "--wavelength", "10", "--mode_area", "100",
-                                    "--area_sweep_max_factor", "1.7e308")
-        assert code == EXIT_NUMERIC
-        assert err == ("error: numerical failure: area = inf leaves the double range"
-                       " for these inputs\n")
+    def test_sweep_factor_past_the_box_is_refused(self):
+        # a factor that would overflow the largest area of the sweep
+        code, out, err = run_captured(*BUDGET_ARGS, "--area_sweep_max_factor", "1.7e308")
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert err == "error: area_sweep_max_factor must be in (1, 1e+12], got 1.7e+308\n"
 
+    # each row's inputs would drive the value it is named after out of the
+    # double range; each is refused as an input outside budget.INPUT_BOX
     @pytest.mark.parametrize("argv,message", [
-        (["--mode_area", "1e305"], "power_W = inf leaves the double range"),
+        (["--mode_area", "1e305"], "mode_area must be in (0, 10000], got 1e+305"),
         (["--field_amplitude", "1e-10", "--raman_detuning", "1e300", "--area_sweep_points", "2"],
-         "duration_s = inf leaves the double range"),
+         "detuning must be in (0, 1e+18], got 1e+300"),
         (["--dipole", "1e-47", "--raman_detuning", "1e300", "--area_sweep_points", "2"],
-         "Gamma / Delta = 0.0 leaves the positive double range"),
-        (["--wavelength", "1", "--mode_area", "1", "--dipole", "1", "--field_amplitude", "1",
-          "--epsilon", "5e-324"], "(16 pi^2 / 3) hbar / (epsilon T) leaves the double range"),
-        # every margin form rounds to 0, so they agree on a margin that is no result
+         "detuning must be in (0, 1e+18], got 1e+300"),
+        (["--epsilon", "5e-324"], "epsilon must be in (1e-15, 0.5], got 5e-324"),
         (["--wavelength", "1.0750616545333907e-86", "--mode_area", "1327378610534.6772",
           "--dipole", "7.118342115769625e-06", "--field_amplitude", "1.276259350320446e-42",
           "--epsilon", "2.3576311535107314e-20", "--area_sweep_points", "2"],
-         "constraint_margin = 0.0 leaves the positive double range"),
+         "wavelength must be in (1e-11, 1], got 1.0750616545333907e-86"),
     ], ids=["power", "raman-duration", "raman-purity-loss", "energy-floor",
             "margin-underflows"])
     def test_value_out_of_range_is_named(self, argv, message):
         code, out, err = run_captured(*BUDGET_ARGS, *argv)
-        assert (code, out) == (EXIT_NUMERIC, "")
-        assert err == f"error: numerical failure: {message} for these inputs\n"
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert err == f"error: {message}\n"
 
     def test_raman_block(self, tmp_path):
         code, payload = run(tmp_path, *BUDGET_ARGS, "--raman_detuning", "1e11", name="r.txt")
@@ -595,7 +595,7 @@ class TestBudget:
         code, out, err = run_captured(*BUDGET_ARGS, "--raman_detuning", "-1",
                                       "--area_sweep_points", "1000000")
         assert (code, out) == (EXIT_CONFIG, "")
-        assert err == "error: detuning must be finite and > 0, got -1.0\n"
+        assert err == "error: detuning must be in (0, 1e+18], got -1.0\n"
 
     def test_config_file_with_overrides(self, tmp_path):
         cfg = tmp_path / "budget.cfg"
@@ -626,12 +626,14 @@ class TestBudget:
     @settings(max_examples=40, deadline=None)
     def test_any_budget_exits_cleanly(self, wavelength, mode_area, dipole, field, epsilon,
                                       points, max_factor, extra, fmt):
-        assert_exits_cleanly("budget", "--wavelength", repr(wavelength),
-                             "--mode_area", repr(mode_area), "--dipole", repr(dipole),
-                             "--field_amplitude", repr(field), "--epsilon", repr(epsilon),
-                             "--area_sweep_points", str(points),
-                             "--area_sweep_max_factor", repr(max_factor), "--format", fmt,
-                             *extra)
+        # budget refuses every input outside its box, and none inside it fails
+        code = assert_exits_cleanly("budget", "--wavelength", repr(wavelength),
+                                    "--mode_area", repr(mode_area), "--dipole", repr(dipole),
+                                    "--field_amplitude", repr(field), "--epsilon", repr(epsilon),
+                                    "--area_sweep_points", str(points),
+                                    "--area_sweep_max_factor", repr(max_factor),
+                                    "--format", fmt, *extra)
+        assert code != EXIT_NUMERIC
 
     def test_malformed_config_line(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
@@ -676,51 +678,50 @@ class TestBudget:
         assert (code, out) == (EXIT_CONFIG, "")
         assert err == "error: unknown key 'duration' for command 'budget'\n"
 
-    def test_raman_duration_overflow_is_numeric_error(self):
-        # Omega_eff underflows far enough that T = pi / Omega_eff overflows, but
-        # the report is refused first: its E0^2 rounds to 0 and sigma_eff c T to inf
+    def test_raman_duration_overflow_inputs_are_refused(self):
+        # T = pi / Omega_eff would overflow on these inputs; the detuning is
+        # refused before any work
         code, out, err = run_captured(
             "budget", "--wavelength", "1.2308244472548009e+93",
             "--mode_area", "2.4381461235298163e+275", "--dipole", "1.2779269595929032e+134",
             "--field_amplitude", "6.241152743611056e-290", "--epsilon", "1.8303875294982557e-11",
             "--raman_detuning", "1.399106507126475e+66")
-        assert (code, out) == (EXIT_NUMERIC, "")
-        assert err.splitlines()[-1] == ("error: numerical failure: energy_in_volume_J = nan leaves"
-                                        " the double range for these inputs")
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert err == "error: detuning must be in (0, 1e+18], got 1.399106507126475e+66\n"
+        # a weak drive at the greatest detuning prints a Raman pulse of 3.5e38 s
+        code, out, err = run_captured(*BUDGET_ARGS, "--dipole", "1e-39", "--field_amplitude",
+                                      "1e-5", "--raman_detuning", "1e18", "--format", "csv")
+        assert (code, err) == (EXIT_OK, "")
+        assert "\n# raman_duration_s=3.49383341669e+38\n" in out
 
     def test_raman_effective_rabi_underflow_names_the_value(self):
-        # Omega_R ~ 9.5e-96, so Omega_R^2 / Delta rounds to 0 and T = pi / Omega_eff
-        # cannot be formed
+        # Omega_R ~ 9.5e-96 would round Omega_R^2 / Delta to 0: the field is named
         code, out, err = run_captured(*BUDGET_ARGS, "--field_amplitude", "1e-100",
-                                      "--raman_detuning", "1e200", "--area_sweep_points", "2")
-        assert (code, out) == (EXIT_NUMERIC, "")
-        assert err == ("error: numerical failure: Omega_eff = Omega_R^2 / Delta = 0.0 leaves"
-                       " the positive double range for these inputs\n")
+                                      "--raman_detuning", "1e18", "--area_sweep_points", "2")
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert err == "error: field_amplitude must be in (1e-06, 1e+12], got 1e-100\n"
 
-    @pytest.mark.parametrize("dipole,field,value", [("1e130", "1e150", "inf"),
-                                                    ("1e-300", "1e-300", "0.0")],
+    @pytest.mark.parametrize("dipole,field", [("1e130", "1e150"), ("1e-300", "1e-300")],
                              ids=["overflow", "underflow"])
-    def test_rabi_frequency_out_of_range_is_numeric_error(self, dipole, field, value):
-        # Omega_R = d E0 / hbar leaves (0, inf), so T = pi / Omega_R cannot be formed
+    def test_rabi_frequency_out_of_range_inputs_are_refused(self, dipole, field):
+        # Omega_R = d E0 / hbar would leave (0, inf) here: the dipole is named
         code, out, err = run_captured(*BUDGET_ARGS, "--dipole", dipole, "--field_amplitude", field)
-        assert (code, out) == (EXIT_NUMERIC, "")
-        assert err.startswith(f"error: numerical failure: Omega_R = d E0 / hbar = {value} ")
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert err == f"error: dipole must be in (1e-40, 1e-24], got {float(dipole)}\n"
 
-    @pytest.mark.parametrize("argv,purity_form", [
-        (["--wavelength", "1e-6", "--mode_area", "1e-12", "--dipole", "1e-20",
-          "--field_amplitude", "1e-160"], "1.0708542867095047e-175"),
-        (["--wavelength", "4.9403745838072e+110", "--mode_area", "1e300",
-          "--dipole", "5.9924290935557576e+110", "--field_amplitude", "1.0770062411084801e-195",
-          "--epsilon", "0.723239078704297"], "16784453927265.803"),
-    ], ids=["small-beam", "huge-wavelength"])
-    def test_disagreeing_margins_are_numeric_error(self, argv, purity_form):
-        # the intensity underflows (to 1.5e-323 and to 0 W/m^2), so the energy
-        # routes read a margin of 0 where the purity route reads a positive one
-        code, out, err = run_captured("budget", *argv)
+    @pytest.mark.parametrize("argv", [["--wavelength", "1e-10", "--mode_area", "2e-21"],
+                                      ["--wavelength", "1", "--mode_area", "1e4"]],
+                             ids=["small-beam", "huge-wavelength"])
+    def test_disagreeing_margins_are_numeric_error(self, monkeypatch, argv):
+        # inside the box the margin forms agree to a few ulps, so no input
+        # reaches this check; a negative tolerance makes every form disagree
+        report = budget.pi_pulse_budget(float(argv[1]), float(argv[3]), 1e-29, 1e5)
+        monkeypatch.setattr(budget, "MARGIN_AGREEMENT_TOL", -1.0)
+        code, out, err = run_captured(*BUDGET_ARGS, *argv)
         assert (code, out) == (EXIT_NUMERIC, "")
-        assert err == (f"error: numerical failure: margin_purity_form = {purity_form}"
-                       " but constraint_margin = 0.0: a value leaves the double range for"
-                       " these inputs\n")
+        assert err == (f"error: numerical failure: margin_purity_form ="
+                       f" {report.margin_purity_form!r} but constraint_margin ="
+                       f" {report.constraint_margin!r}: the margin forms disagree\n")
 
     def test_subwavelength_focus_is_refused_in_one_line(self):
         # the README beam focused to 1e-14 m^2, where kappa = Gamma sigma_eff / A
@@ -730,26 +731,25 @@ class TestBudget:
         assert err == ("error: mode_area must be >= sigma_eff = 3 lambda^2 / (8 pi)"
                        " = 1.1936620731892148e-13 m^2, got 1e-14\n")
 
+    # Gamma would underflow to 0, or its omega^3 overflow, at these
+    # wavelengths: the rate's input is named
     @pytest.mark.parametrize("argv,message", [
         (["--wavelength", "1e150", "--mode_area", "1e300"],
-         "Gamma = omega^3 d^2 / (3 pi eps0 hbar c^3) = 0.0 leaves the positive"
-         " double range for these inputs"),
-        (["--wavelength", "1e-120"],
-         "Gamma = omega^3 d^2 / (3 pi eps0 hbar c^3) leaves the double range for"
-         " these inputs"),
+         "wavelength must be in (1e-11, 1], got 1e+150"),
+        (["--wavelength", "1e-120"], "wavelength must be in (1e-11, 1], got 1e-120"),
     ], ids=["gamma-underflows", "omega-cubed-overflows"])
     def test_rate_out_of_range_names_the_rate(self, argv, message):
         code, out, err = run_captured(*BUDGET_ARGS, *argv)
-        assert (code, out) == (EXIT_NUMERIC, "")
-        assert err == f"error: numerical failure: {message}\n"
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert err == f"error: {message}\n"
 
     def test_sigma_eff_out_of_range_is_refused_before_the_area_refusal(self):
-        # k^2 = 3.9e-319 divides 3 pi / 2 to inf: refused with its name, and
-        # the mode_area refusal that would compare against it is not reached
+        # k^2 = 3.9e-319 would divide 3 pi / 2 to inf: the wavelength is
+        # refused, and the mode_area refusal that compares against sigma_eff
+        # is not reached
         code, out, err = run_captured(*BUDGET_ARGS, "--wavelength", "1e160")
-        assert (code, out) == (EXIT_NUMERIC, "")
-        assert err == ("error: numerical failure: sigma_eff = 3 pi / (2 k^2) = inf leaves the"
-                       " positive double range for these inputs\n")
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert err == "error: wavelength must be in (1e-11, 1], got 1e+160\n"
 
     @pytest.mark.parametrize("fmt,expected", [("text", README_BUDGET_TEXT),
                                               ("csv", README_BUDGET_CSV)])
@@ -776,11 +776,12 @@ class TestBudget:
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_huge_wavelength_budget_is_finite(self):
-        # lambda^3 overflows, but no printed value divides by it
+        # the longest wavelength and widest beam, with the greatest dipole,
+        # field, epsilon and sweep factor: a corner of the box
         code, out, _ = run_captured(
-            "budget", "--wavelength", "4.9403745838072e+110",
-            "--mode_area", "1e300", "--dipole", "5.9924290935557576e+110",
-            "--field_amplitude", "1e-100", "--epsilon", "0.723239078704297", "--format", "csv")
+            "budget", "--wavelength", "1", "--mode_area", "1e4", "--dipole", "1e-24",
+            "--field_amplitude", "1e12", "--epsilon", "0.5", "--area_sweep_max_factor", "1e12",
+            "--format", "csv")
         assert code == EXIT_OK
         assert out and not NON_FINITE.search(out), NON_FINITE.search(out)
 
@@ -1102,7 +1103,7 @@ class TestConsoleEntry:
         (("simulate", "--method", "rk4_fixed", "--ratio", "30", "--theta", "1e4",
           "--samples", "1"), EXIT_NUMERIC),
         (("simulate", "--theta", "1e11"), EXIT_CONFIG),
-        # each input is refused before any record can leave the double range
+        # each input outside its range is refused before any arithmetic
         ((*BUDGET_ARGS, "--mode_area", "1e305", "--raman_detuning", "-1"), EXIT_CONFIG),
         ((*BUDGET_ARGS, "--field_amplitude", "1e-100", "--raman_detuning", "1e200",
           "--area_sweep_points", "1"), EXIT_CONFIG),
@@ -1177,8 +1178,11 @@ class TestPlumbing:
     def test_missing_command_is_config_error(self):
         assert main([]) == EXIT_CONFIG
 
-    def test_dangling_override_value(self, tmp_path):
-        assert run(tmp_path, "simulate", "--ratio")[0] == EXIT_CONFIG
+    def test_dangling_override_value(self):
+        # main itself, as run() appends --out, which the option would take
+        # as its value
+        assert run_captured("simulate", "--ratio") == (
+            EXIT_CONFIG, "", "error: option '--ratio' is missing a value\n")
 
     def test_error_message_names_the_invariant(self, tmp_path, capsys):
         assert run(tmp_path, "simulate", "--ratio", "-1")[0] == EXIT_CONFIG
