@@ -65,7 +65,7 @@ INPUT_BOX = {
     "rabi_frequency": (1e-13, 1e22),  # rad/s: d E0 / hbar spans 9.5e-13 to 9.5e21
     "gamma": (1e-35, 1e32),  # 1/s: Gamma spans 2.8e-34 to 2.8e31
     "area_sweep_max_factor": (1.0, 1e12),  # a sweep wider than one area, by at most 12 decades
-    "n_bar": (0.0, 1e14),  # photons per pulse, up to the cap of jc
+    "n_bar": (0.0, 1e14),  # photons per pulse, up to jc.MAX_N_BAR, which is read from here
 }
 
 
@@ -290,7 +290,8 @@ def fixed_intensity_area_sweep(report: PiPulseBudget, points: int, max_factor: f
     sigma_eff = report.sigma_eff_m2
     largest = sigma_eff * max_factor
     areas = logspace(math.log10(sigma_eff), math.log10(largest), points)
-    area = (sigma_eff, *areas[1:-1], largest)  # 10**log10(x) need not round back to x
+    # 10**log10(x) need not round back to x: exact ends, and no area below sigma_eff
+    area = (sigma_eff, *(max(a, sigma_eff) for a in areas[1:-1]), largest)
     rabi, duration = report.rabi_frequency_rad_per_s, report.duration_s
     gamma = report.gamma_per_s
     photon_energy = HBAR * report.omega_rad_per_s

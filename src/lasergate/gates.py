@@ -49,22 +49,28 @@ def first_order_coefficient(theta: float, s0) -> float:
 def check_ratio_grid(ratios) -> tuple:
     """``ratios`` as floats, refused unless they make a sweep: at least four
     strictly increasing normal doubles (a subnormal one keeps too few digits
-    for p), all perturbative (<= 1e-2, where p/ratio stays near c).  A sweep
-    calls it before it reads any ratio."""
+    for p), all perturbative (<= 1e-2, where p/ratio stays near c), each two
+    neighbours by :func:`_check_ends`.  A sweep calls it before it reads any."""
     r = tuple(map(float, ratios))
     if len(r) < 4:
         raise InvalidStateError(f"need at least 4 sweep ratios, got {len(r)}")
-    # written so that a NaN ratio fails: every comparison with NaN is False
-    if not (r[0] > 0 and all(b > a for a, b in zip(r, r[1:]))):
-        raise InvalidStateError("sweep ratios must be positive and strictly increasing")
-    if r[0] < sys.float_info.min:
-        raise InvalidStateError(f"ratio {r[0]:g} is below the smallest normal double"
-                                f" {sys.float_info.min:g}")
-    if r[-1] > PERTURBATIVE_RATIO_MAX:
-        raise InvalidStateError(
-            f"ratio {r[-1]:g} exceeds the perturbative bound {PERTURBATIVE_RATIO_MAX:g}"
-        )
+    for least, greatest in zip(r, r[1:]):
+        _check_ends(least, greatest)
     return r
+
+
+def _check_ends(least: float, greatest: float) -> None:
+    """Refuse, naming the value, unless ``least`` < ``greatest``, ``least`` is
+    a normal double and ``greatest`` perturbative; a NaN fails each test."""
+    if not least < greatest:
+        raise InvalidStateError(f"sweep ratios must be strictly increasing, got {least}"
+                                f" then {greatest}")
+    if not least >= sys.float_info.min:
+        raise InvalidStateError(f"ratio {least} is below the smallest normal double"
+                                f" {sys.float_info.min}")
+    if not greatest <= PERTURBATIVE_RATIO_MAX:
+        raise InvalidStateError(
+            f"ratio {greatest} exceeds the perturbative bound {PERTURBATIVE_RATIO_MAX:g}")
 
 
 def sweep_failure_probabilities(theta: float, s0, ratios) -> tuple:

@@ -49,6 +49,20 @@ from .qcore import InvalidStateError, Record, check_bloch, check_count, check_st
 EXACT = "exact"
 RK4_FIXED = "rk4_fixed"
 
+# Largest pulse area, in rad.  The closed-form map of one pulse is off by the
+# rounding of its rotation angle, about theta * 2.2e-16: within 2.2e-12 up to
+# 1e4.  A trajectory reaches sample i by applying one segment's rounded map i
+# times, so its rounding grows with the sample index: the plus start at theta
+# 1e3, ratio 1e-3 and 20000 samples drifts up to 4.3e-13 from the map taken at
+# each sample's time, enough to move some 12th printed digits.
+MAX_THETA = 1e4
+
+# Largest kappa/g_alpha.  No physical drive nears it: as kappa <= Gamma and
+# g_alpha = Omega_R / 2, a beam in ``budget.INPUT_BOX`` gives at most 2e45.
+# It keeps the closed form's r * tau <= MAX_RATIO * MAX_THETA / 2 = 5e307 in
+# the doubles (a MAX_THETA pulse in one segment overflows from r = 3.6e304).
+MAX_RATIO = 1e304
+
 
 class Trajectory(Record):
     """Samples of one pulse: the times, and the Bloch vector (x, y, z) at
@@ -98,13 +112,9 @@ def _propagator(r: float, tau: float) -> tuple:
     D is E - R: p is then large enough to lose nothing, except after a short
     pulse, so g comes from the same series wherever tau < 1 and r tau < 1.
     E is formed directly, never as R + D, so a strongly damped entry keeps
-    its digits.
-
-    Raises :class:`FloatingPointError` if r * tau is not finite.
+    its digits.  Every entry is finite wherever r * tau is, which
+    :func:`check_pulse` ensures.
     """
-    if not math.isfinite(r * tau):
-        raise FloatingPointError(f"non-finite propagator for kappa/g_alpha = {r:g} "
-                                 f"over tau={tau:g}")
     q = r / 4.0
     cos_2, sin_2 = math.cos(2.0 * tau), math.sin(2.0 * tau)
     if q < 2.0:
@@ -189,11 +199,12 @@ def _apply(m: tuple, x: float, y: float, z: float) -> tuple:
 
 
 def check_pulse(theta: float, ratios) -> None:
-    """Refuse a pulse area ``theta`` or a kappa/g_alpha in ``ratios`` that is
-    not finite and >= 0, a NaN included, naming the first such value."""
-    for name, value in (("theta", theta), *(("kappa/g_alpha", r) for r in ratios)):
-        if not (math.isfinite(value) and value >= 0):
-            raise InvalidStateError(f"{name} must be finite and >= 0, got {value}")
+    """Refuse a pulse area ``theta`` outside [0, MAX_THETA] or a kappa/g_alpha
+    in ``ratios`` outside [0, MAX_RATIO], a NaN too, naming the first one."""
+    for name, value, greatest in (("theta", theta, MAX_THETA),
+                                  *(("kappa/g_alpha", r, MAX_RATIO) for r in ratios)):
+        if not 0 <= value <= greatest:  # NaN fails too
+            raise InvalidStateError(f"{name} must be in [0, {greatest:g}], got {value}")
 
 
 def evolve(s0, theta: float, ratio: float, samples: int = 1, method: str = EXACT,
@@ -212,9 +223,8 @@ def evolve(s0, theta: float, ratio: float, samples: int = 1, method: str = EXACT
     ignores it), an ``s0`` that is not three numbers inside the unit ball
     (:func:`qcore.check_start`), then ``theta`` or ``ratio`` as
     :func:`check_pulse` does.  A propagated state that
-    :func:`qcore.check_bloch` refuses (rounding of a long or strongly damped
-    pulse pushed it out of the ball, or an unstable RK4 step made it blow up)
-    raises :class:`FloatingPointError`, as a map that is not finite does.
+    :func:`qcore.check_bloch` refuses (an ``rk4_fixed`` step blew it up)
+    raises :class:`FloatingPointError`.
     """
     if check_count("samples", samples) < 1:
         raise InvalidStateError("samples must be >= 1")

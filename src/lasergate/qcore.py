@@ -89,21 +89,14 @@ class Record:
         raise AttributeError(f"{type(self).__name__} is immutable: cannot delete {name!r}")
 
 
-def _exp10(y: float) -> float:
-    """10**y, inf past the double range as in IEEE arithmetic."""
-    try:
-        return 10.0 ** y
-    except OverflowError:
-        return math.inf
-
-
 def logspace(start: float, stop: float, num: int) -> tuple:
     """``num`` powers of ten with exponents evenly spaced from ``start`` to
-    ``stop``, both included: 10**(i * step + start), and 10**stop last."""
+    ``stop``, both included: 10**(i * step + start), and 10**stop last.  Each
+    caller checks its ends first, so no power leaves the double range."""
     if num < 2:
-        return (_exp10(start),) * num
+        return (10.0 ** start,) * num
     step = (stop - start) / (num - 1)
-    return (*(_exp10(i * step + start) for i in range(num - 1)), _exp10(stop))
+    return (*(10.0 ** (i * step + start) for i in range(num - 1)), 10.0 ** stop)
 
 
 def density_columns(xs, ys, zs) -> tuple:

@@ -380,6 +380,13 @@ class TestAreaSweep:
         # at the matched area the two error columns coincide
         assert sweep.p_laser[0] == pytest.approx(sweep.p_total[0], rel=1e-12)
 
+    def test_no_area_rounds_below_sigma_eff(self):
+        # one ulp above 1, logspace rounded five of these seven areas 4e-16
+        # below sigma_eff, where kappa would exceed Gamma
+        sweep = fixed_intensity_area_sweep(README_REPORT, 7, math.nextafter(1.0, 2.0))
+        assert min(sweep.area) == README_REPORT.sigma_eff_m2 == sweep.area[0]
+        assert max(sweep.kappa) == sweep.kappa[0]  # the kappa of a beam of area sigma_eff
+
     @pytest.mark.parametrize("points,max_factor,message", [
         (1, 1e6, "area_sweep_points must be >= 2"),
         (0, 1e6, "area_sweep_points must be >= 2"),

@@ -23,7 +23,7 @@ from lasergate import budget, cli, gates, jc
 from lasergate.cli import (
     EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, GATE_AREAS, MAX_ROWS, START_STATES, main,
 )
-from lasergate.lindblad import evolve
+from lasergate.lindblad import MAX_RATIO, MAX_THETA, evolve
 from lasergate.qcore import density_columns
 
 
@@ -223,7 +223,7 @@ class TestSimulate:
         # angle would reach the printed digits
         code, payload = run(tmp_path, "simulate", *argv)
         assert code == EXIT_CONFIG and payload == b""
-        assert "'theta'" in capsys.readouterr().err
+        assert "error: theta must be in [0, 10000], got " in capsys.readouterr().err
 
     def test_unknown_start_is_config_error(self, tmp_path):
         assert run(tmp_path, "simulate", "--start", "sideways")[0] == EXIT_CONFIG
@@ -258,14 +258,26 @@ class TestSimulate:
          " directory: 'no/such/lasergate.cfg'"),
         ([*BUDGET_ARGS, "--format", "xml"], "budget format must be text or csv, got 'xml'"),
         (["simulate", "--samples"], "option '--samples' is missing a value"),
-        # 10**log10(max double) rounds past the double range, so the last ratio is inf
+        # each sweep end is refused as typed, before logspace could round it
         (["sweep", "--ratio_max", "1.7976931348623157e308"],
-         "ratio inf exceeds the perturbative bound 0.01"),
+         "ratio 1.7976931348623157e+308 exceeds the perturbative bound 0.01"),
+        (["sweep", "--ratio_max", "0.010000000000000002"],
+         "ratio 0.010000000000000002 exceeds the perturbative bound 0.01"),
+        (["sweep", "--ratio_min", "2.225073858507201e-308"],
+         "ratio 2.225073858507201e-308 is below the smallest normal double"
+         " 2.2250738585072014e-308"),
+        (["sweep", "--ratio_min", "1e-3"],
+         "sweep ratios must be strictly increasing, got 0.001 then 0.001"),
+        (["sweep", "--ratio_min", "nan"],
+         "sweep ratios must be strictly increasing, got nan then 0.001"),
+        (["sweep", "--ratio_min", "-inf", "--ratio_max", "inf"],
+         "ratio -inf is below the smallest normal double 2.2250738585072014e-308"),
     ], ids=["method", "step-count", "samples", "step-count-theta-0", "samples-first",
             "step-count-past-the-double-range", "method-before-ratio", "start-before-samples",
             "negative-samples", "negative-step-count", "negative-points",
             "negative-area-sweep-points", "unreadable-config", "budget-format",
-            "option-without-value", "ratio-max-overflows"])
+            "option-without-value", "ratio-max-is-named", "ratio-max-past-the-bound",
+            "ratio-min-subnormal", "equal-ratio-ends", "nan-ratio-min", "infinite-ratio-ends"])
     def test_solver_refusals_keep_message_and_order(self, argv, message):
         assert run_captured(*argv) == (EXIT_CONFIG, "", f"error: {message}\n")
 
@@ -277,6 +289,21 @@ class TestSimulate:
                                                                method, start):
         assert_exits_cleanly("simulate", "--theta", repr(theta), "--ratio", repr(ratio),
                              "--samples", str(samples), "--method", method, "--start", start)
+
+    # any double, a NaN and the infinities among them, then inside each range,
+    # then at and just past each greatest and where one segment's map overflowed
+    @given(theta=st.one_of(st.floats(), st.floats(0.0, MAX_THETA),
+                           st.sampled_from([MAX_THETA, math.nextafter(MAX_THETA, math.inf)])),
+           ratio=st.one_of(st.floats(), st.floats(0.0, MAX_RATIO),
+                           st.sampled_from([MAX_RATIO, math.nextafter(MAX_RATIO, math.inf),
+                                            3.6e304, 1.7e308])),
+           start=st.sampled_from(sorted(START_STATES)))
+    @settings(max_examples=100, deadline=None)
+    def test_exact_pulse_never_fails_and_samples_do_not_decide(self, theta, ratio, start):
+        argv = ("simulate", "--theta", repr(theta), "--ratio", repr(ratio), "--start", start)
+        codes = {assert_exits_cleanly(*argv, "--samples", str(n)) for n in (1, 200)}
+        in_range = 0 <= theta <= MAX_THETA and 0 <= ratio <= MAX_RATIO
+        assert codes == {EXIT_OK if in_range else EXIT_CONFIG}
 
 
 class TestSweep:
@@ -328,8 +355,8 @@ class TestSweep:
         monkeypatch.setattr(gates, "_propagator", lambda *args: calls.append(args))
         code, out, err = run_captured("sweep", "--ratio_min", "1e-320", "--ratio_max", "1e-312")
         assert (code, out, calls) == (EXIT_CONFIG, "", [])
-        assert err == ("error: ratio 9.99989e-321 is below the smallest normal double"
-                       " 2.22507e-308\n")
+        assert err == ("error: ratio 1e-320 is below the smallest normal double"
+                       " 2.2250738585072014e-308\n")
 
     def test_non_finite_input_is_config_error(self, tmp_path):
         assert run(tmp_path, "sweep", "--ratio_min", "nan")[0] == EXIT_CONFIG
@@ -1186,9 +1213,9 @@ class TestPlumbing:
 
     def test_error_message_names_the_invariant(self, tmp_path, capsys):
         assert run(tmp_path, "simulate", "--ratio", "-1")[0] == EXIT_CONFIG
-        assert "kappa/g_alpha must be finite and >= 0" in capsys.readouterr().err
+        assert "kappa/g_alpha must be in [0, 1e+304], got -1.0" in capsys.readouterr().err
         assert run(tmp_path, "simulate", "--theta", "-1")[0] == EXIT_CONFIG
-        assert "theta must be finite and >= 0" in capsys.readouterr().err
+        assert "theta must be in [0, 10000], got -1.0" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
         ["sweep", "--method", "rk4_fixed"], ["sweep", "--step_count", "500"],

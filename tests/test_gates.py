@@ -97,12 +97,15 @@ class TestFailureProbability:
         with pytest.raises(InvalidStateError):
             p_at(PI_FROM_GROUND, -1e-3)
 
-    def test_every_ratio_is_checked_before_any_pulse(self):
-        # kappa/g_alpha * tau = 1.7e308 * pi/2 overflows the propagator, so a
-        # sweep that propagated each ratio as it checked it would raise
-        # FloatingPointError there, before it reached the infinite ratio
-        with pytest.raises(InvalidStateError, match="kappa/g_alpha must be finite"):
+    def test_every_ratio_is_checked_before_any_pulse(self, monkeypatch):
+        # the first ratio past MAX_RATIO is named, and no map is formed, not
+        # even that of the good ratio before it
+        calls = []
+        monkeypatch.setattr(gates, "_propagator", lambda *args: calls.append(args))
+        with pytest.raises(InvalidStateError,
+                           match=r"^kappa/g_alpha must be in \[0, 1e\+304\], got 1\.7e\+308$"):
             sweep_failure_probabilities(*PI_FROM_GROUND, [1e-3, 1.7e308, math.inf])
+        assert calls == []
 
     @pytest.mark.parametrize("bad", [math.nan, -1e-3, math.inf])
     def test_bad_last_ratio_is_refused_before_any_evolve(self, monkeypatch, bad):
@@ -114,7 +117,7 @@ class TestFailureProbability:
             return _propagator(*args)
 
         monkeypatch.setattr(gates, "_propagator", counting_propagator)
-        with pytest.raises(InvalidStateError, match="kappa/g_alpha must be finite"):
+        with pytest.raises(InvalidStateError, match=r"kappa/g_alpha must be in \[0, 1e\+304\]"):
             sweep_failure_probabilities(*PI_FROM_GROUND, [0.0, 1e-4, 1e-3, bad])
         assert calls == []
         sweep_failure_probabilities(*PI_FROM_GROUND, [0.0, 1e-4])
@@ -352,17 +355,17 @@ class TestExtractCoefficient:
 
 
 class TestPulseValidation:
-    """Both gate functions refuse a pulse area outside [0, inf) before any
-    pulse is propagated, with no ratio at all too."""
+    """Both gate functions refuse a pulse area outside [0, MAX_THETA] before
+    any pulse is propagated, with no ratio at all too."""
 
     @staticmethod
     def assert_refused(monkeypatch, area):
         calls = []
         monkeypatch.setattr(gates, "_propagator", lambda *args: calls.append(args))
         for ratios in ([], [0.0, 1e-3]):
-            with pytest.raises(InvalidStateError, match="theta must be finite and >= 0"):
+            with pytest.raises(InvalidStateError, match=r"theta must be in \[0, 10000\]"):
                 sweep_failure_probabilities(area, GROUND, ratios)
-        with pytest.raises(InvalidStateError, match="theta must be finite and >= 0"):
+        with pytest.raises(InvalidStateError, match=r"theta must be in \[0, 10000\]"):
             first_order_coefficient(area, GROUND)
         assert calls == []
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 from fractions import Fraction
@@ -9,9 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from lasergate.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, START_STATES, main
-from lasergate.gates import sweep_failure_probabilities
-from lasergate.lindblad import EXACT, RK4_FIXED, evolve
+from lasergate.cli import EXIT_CONFIG, EXIT_OK, START_STATES, main
+from lasergate.gates import first_order_coefficient, sweep_failure_probabilities
+from lasergate.lindblad import EXACT, MAX_RATIO, MAX_THETA, RK4_FIXED, evolve
 from lasergate.qcore import BLOCH_SLACK, InvalidStateError
 from oracles import bloch_density, sample_matrices
 
@@ -322,7 +323,7 @@ class TestExactPropagator:
                 want = oracles.evolve_mp(bloch_density(s0), theta, ratio)
                 assert np.max(np.abs(got - want)) <= 1e-14, (start, ratio)
 
-    @pytest.mark.parametrize("ratio", [1e6, 1e10, 1e20, 1e200, 1e308])
+    @pytest.mark.parametrize("ratio", [1e6, 1e10, 1e20, 1e200, MAX_RATIO])
     def test_large_ratio_reaches_the_steady_state(self, tmp_path, ratio):
         # every transient of a pi pulse decays at least as exp(-pi r / 4), 0 in
         # double precision from r = 1e6, so the final state is the driven
@@ -370,13 +371,49 @@ class TestExactPropagator:
             want = oracles.evolve_superop(bloch_density(s0), 2.0 * t, 0.25)
             assert np.max(np.abs(m - want)) <= 1e-12
 
-    def test_non_finite_propagator_is_floating_point_error(self, tmp_path):
-        # kappa/g_alpha * tau = 1.7e308 * pi/2 overflows the generator itself;
-        # 1e308 does not, and gives the finite Zeno-limit propagator
-        with pytest.raises(FloatingPointError):
-            evolve(GROUND, math.pi, 1.7e308)
-        argv = ["simulate", "--ratio", "1.7e308", "--samples", "1", "--out", str(tmp_path / "o")]
-        assert main(argv) == EXIT_NUMERIC
+    def test_ratio_past_max_ratio_is_refused_at_any_samples(self, tmp_path):
+        # kappa/g_alpha * tau = 1.7e308 * pi/2 would overflow the map of one
+        # segment, but not that of 200: the ratio is refused before either
+        for samples in (1, 200):
+            with pytest.raises(InvalidStateError,
+                               match=r"^kappa/g_alpha must be in \[0, 1e\+304\], got 1\.7e\+308$"):
+                evolve(GROUND, math.pi, 1.7e308, samples)
+            argv = ["simulate", "--ratio", "1.7e308", "--samples", str(samples),
+                    "--out", str(tmp_path / "o")]
+            assert main(argv) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("start", sorted(START_STATES))
+    def test_the_greatest_pulse_runs_in_one_segment(self, start):
+        # theta = MAX_THETA and kappa/g_alpha = MAX_RATIO in one segment: r * tau
+        # = 5e307, the largest product the ranges allow.  Every transient has
+        # decayed, so the pulse ends in the driven steady state, the ground
+        # state to double precision
+        s0 = START_STATES[start]
+        trajectory = evolve(s0, MAX_THETA, MAX_RATIO, samples=1)
+        columns = (trajectory.x, trajectory.y, trajectory.z)
+        assert all(map(math.isfinite, itertools.chain(*columns)))
+        assert max(map(math.hypot, *columns)) <= 1.0
+        assert trajectory.x[-1] == 0.0
+        assert trajectory.y[-1] == pytest.approx(-4.0 / MAX_RATIO, rel=1e-15)
+        assert trajectory.z[-1] == pytest.approx(-1.0, abs=2e-16)
+        (p,) = sweep_failure_probabilities(MAX_THETA, s0, [MAX_RATIO])
+        assert 0.0 <= p <= 1.0
+
+    def test_the_next_double_past_each_greatest_is_refused(self):
+        past_theta, past_ratio = (math.nextafter(v, math.inf) for v in (MAX_THETA, MAX_RATIO))
+        theta_refusal = re.escape(f"theta must be in [0, 10000], got {past_theta}")
+        ratio_refusal = re.escape(f"kappa/g_alpha must be in [0, 1e+304], got {past_ratio}")
+        for call, message in [(lambda: evolve(GROUND, past_theta, 0.0), theta_refusal),
+                              (lambda: evolve(GROUND, MAX_THETA, past_ratio), ratio_refusal),
+                              (lambda: sweep_failure_probabilities(past_theta, GROUND, []),
+                               theta_refusal),
+                              (lambda: sweep_failure_probabilities(MAX_THETA, GROUND,
+                                                                   [MAX_RATIO, past_ratio]),
+                               ratio_refusal),
+                              (lambda: first_order_coefficient(past_theta, GROUND),
+                               theta_refusal)]:
+            with pytest.raises(InvalidStateError, match=f"^{message}$"):
+                call()
 
     @pytest.mark.parametrize(
         "argv",

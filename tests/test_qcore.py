@@ -1,7 +1,6 @@
 import copy
 import math
 import pickle
-import sys
 
 import numpy as np
 import pytest
@@ -23,7 +22,6 @@ from lasergate.qcore import (
     check_pure_start,
     check_start,
     density_columns,
-    logspace,
 )
 
 
@@ -327,15 +325,6 @@ class TestStartVector:
         refusals = {refusal(check, s0)
                     for check in (check_start, check_pure_start, lambda s: evolve(s, 1.0, 0.0))}
         assert len(refusals) == 1 and refusals.pop().startswith(message)
-
-
-class TestLogspace:
-    def test_an_exponent_past_the_double_range_gives_inf(self):
-        # 10**log10(max double) rounds past it: inf, as IEEE arithmetic gives,
-        # not the OverflowError of a float power
-        grid = logspace(0.0, math.log10(sys.float_info.max), 4)
-        assert grid[-1] == math.inf
-        assert all(map(math.isfinite, grid[:-1]))
 
 
 class TestEigensystem:
