@@ -94,20 +94,13 @@ def _formatted(column) -> list:
     return list(map(text.__getitem__, column))
 
 
-def _finite_float(raw: str) -> float:
-    value = float(raw)
-    if not math.isfinite(value):
-        raise ValueError("must be finite")
-    return value
-
-
-def _finite_floats(raw: str) -> tuple[float, ...]:
-    """Comma-separated list of at most MAX_ROWS finite floats; blank entries
-    are skipped."""
+def _floats(raw: str) -> tuple[float, ...]:
+    """Comma-separated list of at most MAX_ROWS floats; blank entries are
+    skipped."""
     tokens = [tok for tok in raw.split(",") if tok.strip()]
     if len(tokens) > MAX_ROWS:
         raise ValueError(f"more than {MAX_ROWS} entries")
-    return tuple(_finite_float(tok) for tok in tokens)
+    return tuple(map(float, tokens))
 
 
 def _non_negative_int(raw: str) -> int:
@@ -142,20 +135,20 @@ KEY_SCHEMAS: dict[str, dict] = {
         "points": (_row_count, 8),
     },
     "budget": {
-        "wavelength": (_finite_float, _REQUIRED),
-        "mode_area": (_finite_float, _REQUIRED),
-        "dipole": (_finite_float, _REQUIRED),
-        "field_amplitude": (_finite_float, _REQUIRED),
-        "epsilon": (_finite_float, 1e-4),
-        "raman_detuning": (_finite_float, None),
+        "wavelength": (float, _REQUIRED),
+        "mode_area": (float, _REQUIRED),
+        "dipole": (float, _REQUIRED),
+        "field_amplitude": (float, _REQUIRED),
+        "epsilon": (float, 1e-4),
+        "raman_detuning": (float, None),
         "area_sweep_points": (_row_count, 7),
-        "area_sweep_max_factor": (_finite_float, 1e6),
+        "area_sweep_max_factor": (float, 1e6),
         "format": (str, "text"),
     },
     "compare": {
         "gate": (str, "pi"),
         "start": (str, "ground"),
-        "n_bars": (_finite_floats, (100.0, 400.0, 1600.0)),
+        "n_bars": (_floats, (100.0, 400.0, 1600.0)),
     },
 }
 

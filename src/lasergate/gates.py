@@ -18,13 +18,16 @@ A sweep reads p over a ratio grid that ``check_ratio_grid`` accepts.
 from __future__ import annotations
 
 import math
-import sys
 
 from .lindblad import _apply, _propagator, check_pulse
 from .qcore import InvalidStateError, check_pure_start
 
 # Ratios above this are outside the perturbative regime of a sweep.
 PERTURBATIVE_RATIO_MAX = 1e-2
+
+# Least sweep ratio, a power of ten: no grid point 10**x from an end at or
+# above it rounds below it, as one from the smallest normal double can.
+_LEAST_RATIO = 1e-300
 
 
 def first_order_coefficient(theta: float, s0) -> float:
@@ -48,7 +51,7 @@ def first_order_coefficient(theta: float, s0) -> float:
 
 def check_ratio_grid(ratios) -> tuple:
     """``ratios`` as floats, refused unless they make a sweep: at least four
-    strictly increasing normal doubles (a subnormal one keeps too few digits
+    strictly increasing ratios >= 1e-300 (a subnormal one keeps too few digits
     for p), all perturbative (<= 1e-2, where p/ratio stays near c), each two
     neighbours by :func:`_check_ends`.  A sweep calls it before it reads any."""
     r = tuple(map(float, ratios))
@@ -60,14 +63,13 @@ def check_ratio_grid(ratios) -> tuple:
 
 
 def _check_ends(least: float, greatest: float) -> None:
-    """Refuse, naming the value, unless ``least`` < ``greatest``, ``least`` is
-    a normal double and ``greatest`` perturbative; a NaN fails each test."""
+    """Refuse, naming the value, unless ``least`` < ``greatest``, ``least`` >=
+    :data:`_LEAST_RATIO` and ``greatest`` perturbative; a NaN fails each test."""
     if not least < greatest:
         raise InvalidStateError(f"sweep ratios must be strictly increasing, got {least}"
                                 f" then {greatest}")
-    if not least >= sys.float_info.min:
-        raise InvalidStateError(f"ratio {least} is below the smallest normal double"
-                                f" {sys.float_info.min}")
+    if not least >= _LEAST_RATIO:
+        raise InvalidStateError(f"ratio {least} is below the least sweep ratio {_LEAST_RATIO:g}")
     if not greatest <= PERTURBATIVE_RATIO_MAX:
         raise InvalidStateError(
             f"ratio {greatest} exceeds the perturbative bound {PERTURBATIVE_RATIO_MAX:g}")

@@ -57,11 +57,11 @@ RK4_FIXED = "rk4_fixed"
 # each sample's time, enough to move some 12th printed digits.
 MAX_THETA = 1e4
 
-# Largest kappa/g_alpha.  No physical drive nears it: as kappa <= Gamma and
-# g_alpha = Omega_R / 2, a beam in ``budget.INPUT_BOX`` gives at most 2e45.
-# It keeps the closed form's r * tau <= MAX_RATIO * MAX_THETA / 2 = 5e307 in
-# the doubles (a MAX_THETA pulse in one segment overflows from r = 3.6e304).
-MAX_RATIO = 1e304
+# Largest kappa/g_alpha.  Both maps stay doubles: the closed form's r * tau is
+# at most MAX_RATIO * MAX_THETA / 2 = 5e153, rk4_fixed's N^2 = (q - 2)(q + 2)
+# at most 6.25e298 (inf from r = 5.4e154).  No physical drive comes near it:
+# as kappa <= Gamma and g_alpha = Omega_R / 2, ``budget.INPUT_BOX`` gives <= 2e45.
+MAX_RATIO = 1e150
 
 
 class Trajectory(Record):
@@ -112,8 +112,7 @@ def _propagator(r: float, tau: float) -> tuple:
     D is E - R: p is then large enough to lose nothing, except after a short
     pulse, so g comes from the same series wherever tau < 1 and r tau < 1.
     E is formed directly, never as R + D, so a strongly damped entry keeps
-    its digits.  Every entry is finite wherever r * tau is, which
-    :func:`check_pulse` ensures.
+    its digits.  Every entry is finite for any pulse :func:`check_pulse` takes.
     """
     q = r / 4.0
     cos_2, sin_2 = math.cos(2.0 * tau), math.sin(2.0 * tau)
@@ -213,9 +212,9 @@ def evolve(s0, theta: float, ratio: float, samples: int = 1, method: str = EXACT
     ``theta`` at kappa/g_alpha = ``ratio``, with times in units of 1/g_alpha:
     the pulse lasts theta / 2.  Returns the :class:`Trajectory` of the states
     at ``samples`` + 1 uniformly spaced times, the final state last; at
-    ``theta`` 0 every sample is ``s0``.  ``method`` is ``exact``, the closed
-    form, or ``rk4_fixed``, k = ceil(step_count / samples) classical RK4
-    steps per segment.
+    ``theta`` 0 each segment's map is the identity, so every sample is ``s0``.
+    ``method`` is ``exact``, the closed form, or ``rk4_fixed``,
+    k = ceil(step_count / samples) classical RK4 steps per segment.
 
     Refuses with :class:`InvalidStateError`, in this order: ``samples`` not
     an integer or < 1, an unknown ``method``, ``rk4_fixed`` with
@@ -237,10 +236,8 @@ def evolve(s0, theta: float, ratio: float, samples: int = 1, method: str = EXACT
         raise InvalidStateError(f"rk4_fixed needs step_count <= {sys.float_info.max:g} per pulse")
     x, y, z = check_start(s0)
     check_pulse(theta, (ratio,))
-    if theta == 0.0:
-        return Trajectory(*((value,) * (samples + 1) for value in (0.0, x, y, z)))
-
-    tau = theta / 2.0 / samples  # scaled duration g_alpha * T of one segment
+    half = theta / 2.0 + 0.0  # g_alpha * T; + 0.0 gives theta = -0.0 the times +0.0
+    tau = half / samples  # scaled duration g_alpha * T of one segment
     m = (_segment_map(ratio, tau, -(-step_count // samples)) if increment
          else _propagator(ratio, tau)[0])
     xs, ys, zs = [x], [y], [z]
@@ -254,5 +251,5 @@ def evolve(s0, theta: float, ratio: float, samples: int = 1, method: str = EXACT
         check_bloch(xs, ys, zs)
     except InvalidStateError as exc:  # exc names the sample: "state i: ..."
         raise FloatingPointError(f"propagated state left the Bloch ball: {exc}") from exc
-    times = (*(i * tau for i in range(samples)), theta / 2.0)
+    times = (*(i * tau for i in range(samples)), half)
     return Trajectory(times, tuple(xs), tuple(ys), tuple(zs))

@@ -189,6 +189,8 @@ class TestSimulate:
          "8d2b3c908dab2dd83328c58b329f5c5e7f1ce8029ee223e0dbd5f1e786e20209"),
         ("--start plus --theta 0 --samples 5",
          "b4c97947ed39a5b786af88be604d6691349cef587a323fbef28ebd308537fd44"),
+        ("--start plus --theta -0 --samples 5",
+         "b4c97947ed39a5b786af88be604d6691349cef587a323fbef28ebd308537fd44"),
         ("--ratio 1e20 --samples 1",
          "8c329f3e8cd01d3f33717dd558586e4833cfd2d30b8d933ca12bfac27ef82eba"),
         ("--theta 3.141592653589793 --ratio 1e-3 --samples 200",
@@ -197,7 +199,7 @@ class TestSimulate:
          "7322ea989e71edb54070e6e26e345a85ee4027df83d56f3d7bf46c821a1a7b86"),
         ("--start plus --ratio 1e3 --samples 50",
          "28daebb38930d0a8f150aa9b56fa4f63e1eb0fa823d2332e9010df8d6c5cb8a1"),
-    ], ids=["plus-decay", "rk4-excited", "theta-0", "ratio-1e20", "readme",
+    ], ids=["plus-decay", "rk4-excited", "theta-0", "theta-minus-0", "ratio-1e20", "readme",
             "rk4-exceptional-point", "plus-damped"])
     def test_csv_is_pinned_byte_for_byte(self, argv, digest):
         code, out = run_stdout("simulate", *argv.split())
@@ -229,7 +231,7 @@ class TestSimulate:
         assert run(tmp_path, "simulate", "--start", "sideways")[0] == EXIT_CONFIG
 
     # evolve refuses samples, then method, then step_count, before it reads the
-    # start vector or theta; so the theta 0 shortcut does not hide a step count.
+    # start vector or theta; so theta 0 does not hide a step count.
     # The rows after those are each command's config refusals, one error line each.
     @pytest.mark.parametrize("argv,message", [
         (["simulate", "--method", "bogus"], "unknown integrator method 'bogus'"),
@@ -264,20 +266,29 @@ class TestSimulate:
         (["sweep", "--ratio_max", "0.010000000000000002"],
          "ratio 0.010000000000000002 exceeds the perturbative bound 0.01"),
         (["sweep", "--ratio_min", "2.225073858507201e-308"],
-         "ratio 2.225073858507201e-308 is below the smallest normal double"
-         " 2.2250738585072014e-308"),
+         "ratio 2.225073858507201e-308 is below the least sweep ratio 1e-300"),
+        (["sweep", "--ratio_min", "9.999999999999999e-301"],
+         "ratio 9.999999999999999e-301 is below the least sweep ratio 1e-300"),
+        # logspace would round this end below the normal doubles: it is named as typed
+        (["sweep", "--ratio_min", "2.2250738585072014e-308"],
+         "ratio 2.2250738585072014e-308 is below the least sweep ratio 1e-300"),
         (["sweep", "--ratio_min", "1e-3"],
          "sweep ratios must be strictly increasing, got 0.001 then 0.001"),
         (["sweep", "--ratio_min", "nan"],
          "sweep ratios must be strictly increasing, got nan then 0.001"),
         (["sweep", "--ratio_min", "-inf", "--ratio_max", "inf"],
-         "ratio -inf is below the smallest normal double 2.2250738585072014e-308"),
+         "ratio -inf is below the least sweep ratio 1e-300"),
+        # rk4_fixed's N^2 would be inf at this ratio, a map of NaNs for a stable step
+        (["simulate", "--method", "rk4_fixed", "--theta", "1e-300", "--ratio", "1e200",
+          "--samples", "1"], "kappa/g_alpha must be in [0, 1e+150], got 1e+200"),
     ], ids=["method", "step-count", "samples", "step-count-theta-0", "samples-first",
             "step-count-past-the-double-range", "method-before-ratio", "start-before-samples",
             "negative-samples", "negative-step-count", "negative-points",
             "negative-area-sweep-points", "unreadable-config", "budget-format",
             "option-without-value", "ratio-max-is-named", "ratio-max-past-the-bound",
-            "ratio-min-subnormal", "equal-ratio-ends", "nan-ratio-min", "infinite-ratio-ends"])
+            "ratio-min-subnormal", "ratio-min-past-the-least", "ratio-min-smallest-normal",
+            "equal-ratio-ends", "nan-ratio-min", "infinite-ratio-ends",
+            "rk4-ratio-past-the-greatest"])
     def test_solver_refusals_keep_message_and_order(self, argv, message):
         assert run_captured(*argv) == (EXIT_CONFIG, "", f"error: {message}\n")
 
@@ -350,13 +361,13 @@ class TestSweep:
 
     def test_subnormal_ratios_are_refused(self, monkeypatch):
         # below the smallest normal double a ratio, and p = c r with it, keeps
-        # too few digits to print 12 of them
+        # too few digits to print 12 of them; the least sweep ratio 1e-300 is
+        # far above it
         calls = []
         monkeypatch.setattr(gates, "_propagator", lambda *args: calls.append(args))
         code, out, err = run_captured("sweep", "--ratio_min", "1e-320", "--ratio_max", "1e-312")
         assert (code, out, calls) == (EXIT_CONFIG, "", [])
-        assert err == ("error: ratio 1e-320 is below the smallest normal double"
-                       " 2.2250738585072014e-308\n")
+        assert err == "error: ratio 1e-320 is below the least sweep ratio 1e-300\n"
 
     def test_non_finite_input_is_config_error(self, tmp_path):
         assert run(tmp_path, "sweep", "--ratio_min", "nan")[0] == EXIT_CONFIG
@@ -1213,7 +1224,7 @@ class TestPlumbing:
 
     def test_error_message_names_the_invariant(self, tmp_path, capsys):
         assert run(tmp_path, "simulate", "--ratio", "-1")[0] == EXIT_CONFIG
-        assert "kappa/g_alpha must be in [0, 1e+304], got -1.0" in capsys.readouterr().err
+        assert "kappa/g_alpha must be in [0, 1e+150], got -1.0" in capsys.readouterr().err
         assert run(tmp_path, "simulate", "--theta", "-1")[0] == EXIT_CONFIG
         assert "theta must be in [0, 10000], got -1.0" in capsys.readouterr().err
 

@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 
 import numpy as np
@@ -98,13 +99,14 @@ class TestFailureProbability:
             p_at(PI_FROM_GROUND, -1e-3)
 
     def test_every_ratio_is_checked_before_any_pulse(self, monkeypatch):
-        # the first ratio past MAX_RATIO is named, and no map is formed, not
-        # even that of the good ratio before it
+        # the first ratio past MAX_RATIO, the next double after it, is named,
+        # and no map is formed, not even that of the good ratio before it
         calls = []
         monkeypatch.setattr(gates, "_propagator", lambda *args: calls.append(args))
-        with pytest.raises(InvalidStateError,
-                           match=r"^kappa/g_alpha must be in \[0, 1e\+304\], got 1\.7e\+308$"):
-            sweep_failure_probabilities(*PI_FROM_GROUND, [1e-3, 1.7e308, math.inf])
+        with pytest.raises(InvalidStateError, match=r"^kappa/g_alpha must be in \[0, 1e\+150\],"
+                                                    r" got 1\.0000000000000002e\+150$"):
+            sweep_failure_probabilities(*PI_FROM_GROUND, [1e-3, math.nextafter(1e150, math.inf),
+                                                          1.7e308, math.inf])
         assert calls == []
 
     @pytest.mark.parametrize("bad", [math.nan, -1e-3, math.inf])
@@ -117,7 +119,7 @@ class TestFailureProbability:
             return _propagator(*args)
 
         monkeypatch.setattr(gates, "_propagator", counting_propagator)
-        with pytest.raises(InvalidStateError, match=r"kappa/g_alpha must be in \[0, 1e\+304\]"):
+        with pytest.raises(InvalidStateError, match=r"kappa/g_alpha must be in \[0, 1e\+150\]"):
             sweep_failure_probabilities(*PI_FROM_GROUND, [0.0, 1e-4, 1e-3, bad])
         assert calls == []
         sweep_failure_probabilities(*PI_FROM_GROUND, [0.0, 1e-4])
@@ -329,11 +331,14 @@ class TestExtractCoefficient:
         with pytest.raises(InvalidStateError, match="increasing"):
             check_ratio_grid([1e-3, 1e-4, 1e-5, 1e-6])
         assert check_ratio_grid([1e-10, 1e-4, 1e-3, 1e-2]) == (1e-10, 1e-4, 1e-3, 1e-2)
-        smallest = sys.float_info.min
-        assert check_ratio_grid([smallest, 1e-4, 1e-3, 1e-2])[0] == smallest
-        for subnormal in (math.nextafter(smallest, 0.0), 5e-324):
-            with pytest.raises(InvalidStateError, match="below the smallest normal double"):
-                check_ratio_grid([subnormal, 1e-4, 1e-3, 1e-2])
+        # the least ratio 1e-300 is taken; the next double below it, the
+        # smallest normal double and a subnormal one are refused
+        assert check_ratio_grid([1e-300, 1e-4, 1e-3, 1e-2])[0] == 1e-300
+        for small in (math.nextafter(1e-300, 0.0), sys.float_info.min, 5e-324):
+            with pytest.raises(InvalidStateError,
+                               match=re.escape(f"ratio {small} is below the least sweep ratio"
+                                               " 1e-300")):
+                check_ratio_grid([small, 1e-4, 1e-3, 1e-2])
 
     @pytest.mark.parametrize("gate, start", TABLE_CASES)
     def test_tiny_ratios_resolve_the_coefficient(self, gate, start):

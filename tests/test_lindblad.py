@@ -31,6 +31,11 @@ def random_bloch(rng: np.random.Generator) -> tuple:
     return oracles.density_bloch(m / np.trace(m))
 
 
+def in_the_ball(s0) -> bool:
+    """Whether ``evolve`` takes ``s0`` as a start."""
+    return math.hypot(*s0) <= 1.0 + BLOCH_SLACK
+
+
 def final_matrix(s0, theta: float, ratio: float, **keywords) -> np.ndarray:
     """The final state of ``evolve``, its trajectory's last sample, as a 2x2 matrix."""
     return sample_matrices(evolve(s0, theta, ratio, **keywords))[-1]
@@ -161,14 +166,27 @@ class TestEvolve:
         trajectory = evolve(GROUND, math.pi, 0.0)
         assert trajectory.z[-1] == pytest.approx(1.0, abs=2e-8)
 
-    # the zero-area branch of evolve: without it, rk4_fixed at 1.7e300 forms
-    # N^2 = inf times a zero step, a map of NaNs, and its first sample is NaN
+    # at theta 0 the step is 0, so each segment's map is the identity, up to
+    # MAX_RATIO, where rk4_fixed's N^2 is at its greatest (6.25e298)
     @pytest.mark.parametrize("keywords", [{}, RK4], ids=["exact", "rk4"])
-    @pytest.mark.parametrize("ratio", [0.3, 1e20, 1.7e300])
+    @pytest.mark.parametrize("ratio", [0.3, 1e20, MAX_RATIO])
     def test_zero_area_is_identity(self, keywords, ratio):
         s0 = (0.0, 1.0, 0.0)
         assert np.array_equal(sample_matrices(evolve(s0, 0.0, ratio, **keywords)),
                               [bloch_density(s0)] * 2)
+
+    @given(start=st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(in_the_ball),
+           ratio=st.one_of(st.floats(0.0, MAX_RATIO), st.sampled_from([0.0, 8.0, MAX_RATIO])),
+           method=st.sampled_from([EXACT, RK4_FIXED]), samples=st.sampled_from([1, 2, 7, 64]),
+           theta=st.sampled_from([0.0, -0.0]))
+    @settings(max_examples=200, deadline=None)
+    def test_zero_area_returns_the_start_at_every_sample(self, start, ratio, method, samples,
+                                                         theta):
+        trajectory = evolve(start, theta, ratio, samples, method)
+        # every time is +0.0, at theta = -0.0 too, so the CSV prints no "-0"
+        signs = [(t, math.copysign(1.0, t)) for t in trajectory.times]
+        assert signs == [(0.0, 1.0)] * (samples + 1)
+        assert list(zip(trajectory.x, trajectory.y, trajectory.z)) == [start] * (samples + 1)
 
     @pytest.mark.parametrize("theta", [0.0, 1e-300], ids=["zero", "tiny"])
     def test_final_state_is_the_last_sample(self, theta):
@@ -323,7 +341,7 @@ class TestExactPropagator:
                 want = oracles.evolve_mp(bloch_density(s0), theta, ratio)
                 assert np.max(np.abs(got - want)) <= 1e-14, (start, ratio)
 
-    @pytest.mark.parametrize("ratio", [1e6, 1e10, 1e20, 1e200, MAX_RATIO])
+    @pytest.mark.parametrize("ratio", [1e6, 1e10, 1e20, 1e100, MAX_RATIO])
     def test_large_ratio_reaches_the_steady_state(self, tmp_path, ratio):
         # every transient of a pi pulse decays at least as exp(-pi r / 4), 0 in
         # double precision from r = 1e6, so the final state is the driven
@@ -372,20 +390,29 @@ class TestExactPropagator:
             assert np.max(np.abs(m - want)) <= 1e-12
 
     def test_ratio_past_max_ratio_is_refused_at_any_samples(self, tmp_path):
-        # kappa/g_alpha * tau = 1.7e308 * pi/2 would overflow the map of one
-        # segment, but not that of 200: the ratio is refused before either
-        for samples in (1, 200):
+        # at 1e200 rk4_fixed's N^2 = (q - 2)(q + 2) is inf, whatever the step:
+        # the ratio is refused before either map is formed, at any sample count
+        for method, samples in itertools.product((EXACT, RK4_FIXED), (1, 200)):
             with pytest.raises(InvalidStateError,
-                               match=r"^kappa/g_alpha must be in \[0, 1e\+304\], got 1\.7e\+308$"):
-                evolve(GROUND, math.pi, 1.7e308, samples)
-            argv = ["simulate", "--ratio", "1.7e308", "--samples", str(samples),
-                    "--out", str(tmp_path / "o")]
+                               match=r"^kappa/g_alpha must be in \[0, 1e\+150\], got 1e\+200$"):
+                evolve(GROUND, math.pi, 1e200, samples, method)
+            argv = ["simulate", "--ratio", "1e200", "--samples", str(samples),
+                    "--method", method, "--out", str(tmp_path / "o")]
             assert main(argv) == EXIT_CONFIG
+
+    def test_a_short_rk4_pulse_at_max_ratio_runs(self, tmp_path):
+        # r h = 1e150 * 5e-304: far inside RK4's stable region, and N^2 =
+        # 6.25e298 is a double, so the pulse leaves the start where it was
+        trajectory = evolve(GROUND, 1e-300, MAX_RATIO, 1, RK4_FIXED)
+        assert trajectory.z == (-1.0, -1.0)
+        argv = ["simulate", "--method", "rk4_fixed", "--theta", "1e-300", "--ratio",
+                repr(MAX_RATIO), "--samples", "1", "--out", str(tmp_path / "o")]
+        assert main(argv) == EXIT_OK
 
     @pytest.mark.parametrize("start", sorted(START_STATES))
     def test_the_greatest_pulse_runs_in_one_segment(self, start):
         # theta = MAX_THETA and kappa/g_alpha = MAX_RATIO in one segment: r * tau
-        # = 5e307, the largest product the ranges allow.  Every transient has
+        # = 5e153, the largest product the ranges allow.  Every transient has
         # decayed, so the pulse ends in the driven steady state, the ground
         # state to double precision
         s0 = START_STATES[start]
@@ -402,7 +429,7 @@ class TestExactPropagator:
     def test_the_next_double_past_each_greatest_is_refused(self):
         past_theta, past_ratio = (math.nextafter(v, math.inf) for v in (MAX_THETA, MAX_RATIO))
         theta_refusal = re.escape(f"theta must be in [0, 10000], got {past_theta}")
-        ratio_refusal = re.escape(f"kappa/g_alpha must be in [0, 1e+304], got {past_ratio}")
+        ratio_refusal = re.escape(f"kappa/g_alpha must be in [0, 1e+150], got {past_ratio}")
         for call, message in [(lambda: evolve(GROUND, past_theta, 0.0), theta_refusal),
                               (lambda: evolve(GROUND, MAX_THETA, past_ratio), ratio_refusal),
                               (lambda: sweep_failure_probabilities(past_theta, GROUND, []),
