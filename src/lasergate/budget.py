@@ -279,14 +279,17 @@ def fixed_intensity_area_sweep(report: PiPulseBudget, points: int, max_factor: f
     sigma_eff * ``max_factor``, both endpoints exact.
 
     ``report`` is a :func:`pi_pulse_budget` report, whose fields are read
-    unchecked; :func:`check_area_sweep` refuses ``points`` and ``max_factor``.
+    unchecked.  Fewer than 2 ``points``, then a ``max_factor`` outside its
+    :data:`INPUT_BOX` range, are refused before any arithmetic.
 
     The laser-mode error (3 pi/8) kappa / Omega_R falls off as 1/A while the
     all-modes error, set by Gamma, does not depend on the area at all.  Each
     ``kappa`` and ``n_bar`` is computed as :func:`pi_pulse_budget` computes
     ``kappa_per_s`` and ``n_bar`` for a beam of that area, bit for bit.
     """
-    check_area_sweep(points, max_factor)
+    if check_count("area_sweep_points", points) < 2:
+        raise InvalidStateError("area_sweep_points must be >= 2")
+    _check_inputs(area_sweep_max_factor=max_factor)
     sigma_eff = report.sigma_eff_m2
     largest = sigma_eff * max_factor
     areas = logspace(math.log10(sigma_eff), math.log10(largest), points)
@@ -309,14 +312,6 @@ def fixed_intensity_area_sweep(report: PiPulseBudget, points: int, max_factor: f
         p_laser=tuple(slope * k / rabi for k in kappa),
         p_total=(slope * gamma / rabi,) * len(area),
     )
-
-
-def check_area_sweep(points: int, max_factor: float) -> None:
-    """Refuse fewer than 2 sweep ``points``, then a ``max_factor`` outside its
-    :data:`INPUT_BOX` range."""
-    if check_count("area_sweep_points", points) < 2:
-        raise InvalidStateError("area_sweep_points must be >= 2")
-    _check_inputs(area_sweep_max_factor=max_factor)
 
 
 def _check_inputs(**inputs: float) -> None:

@@ -12,7 +12,7 @@ exact for a pure start; delta comes from the deviation form of the exact map,
 kappa / g_alpha is: p(0) = 0 and p = c * (kappa / g_alpha) to first order.
 ``first_order_coefficient`` gives c in closed form; its photon-number form
 is p = c' / nbar with c' = c * theta / 2 (see ``budget.photon_coefficient``).
-A sweep reads p over a ratio grid that ``check_ratio_grid`` accepts.
+A sweep reads p over the ratio grid that :func:`ratio_grid` builds.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 
 from .lindblad import _apply, _propagator, check_pulse
-from .qcore import InvalidStateError, check_pure_start
+from .qcore import InvalidStateError, check_count, check_pure_start, logspace
 
 # Ratios above this are outside the perturbative regime of a sweep.
 PERTURBATIVE_RATIO_MAX = 1e-2
@@ -49,17 +49,18 @@ def first_order_coefficient(theta: float, s0) -> float:
             + big_c * math.sin(theta / 2.0) ** 2 + big_b * big_c * s * s / 2.0)
 
 
-def check_ratio_grid(ratios) -> tuple:
-    """``ratios`` as floats, refused unless they make a sweep: at least four
-    strictly increasing ratios >= 1e-300 (a subnormal one keeps too few digits
-    for p), all perturbative (<= 1e-2, where p/ratio stays near c), each two
-    neighbours by :func:`_check_ends`.  A sweep calls it before it reads any."""
-    r = tuple(map(float, ratios))
-    if len(r) < 4:
-        raise InvalidStateError(f"need at least 4 sweep ratios, got {len(r)}")
-    for least, greatest in zip(r, r[1:]):
-        _check_ends(least, greatest)
-    return r
+def ratio_grid(least: float, greatest: float, points: int) -> tuple:
+    """The sweep grid ``logspace(log10(least), log10(greatest), points)``,
+    refused unless it makes a sweep: the ends as typed (:func:`_check_ends`),
+    then fewer than four points, before any grid arithmetic; then each two
+    neighbours of the grid, by :func:`_check_ends` too."""
+    _check_ends(least, greatest)
+    if check_count("points", points) < 4:
+        raise InvalidStateError(f"need at least 4 sweep ratios, got {points}")
+    ratios = logspace(math.log10(least), math.log10(greatest), points)
+    for pair in zip(ratios, ratios[1:]):
+        _check_ends(*pair)
+    return ratios
 
 
 def _check_ends(least: float, greatest: float) -> None:

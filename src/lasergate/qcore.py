@@ -90,11 +90,9 @@ class Record:
 
 
 def logspace(start: float, stop: float, num: int) -> tuple:
-    """``num`` powers of ten with exponents evenly spaced from ``start`` to
-    ``stop``, both included: 10**(i * step + start), and 10**stop last.  Each
-    caller checks its ends first, so no power leaves the double range."""
-    if num < 2:
-        return (10.0 ** start,) * num
+    """``num`` >= 2 powers of ten with exponents evenly spaced from ``start``
+    to ``stop``, both included: 10**(i * step + start), and 10**stop last;
+    each caller checks its ends and ``num``, so no power leaves the double range."""
     step = (stop - start) / (num - 1)
     return (*(10.0 ** (i * step + start) for i in range(num - 1)), 10.0 ** stop)
 

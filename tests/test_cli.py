@@ -359,6 +359,26 @@ class TestSweep:
         assert code == EXIT_CONFIG and err.startswith("error: ")
         assert calls == []
 
+    # the gate and start are resolved, then the ends read as typed, then the
+    # point count, all before any grid arithmetic
+    @pytest.mark.parametrize("argv,message", [
+        (["--points", "3"], "need at least 4 sweep ratios, got 3"),
+        (["--points", "0"], "need at least 4 sweep ratios, got 0"),
+        (["--gate", "cnot"], "unknown gate 'cnot'; choose from ['pi', 'pi2']"),
+        (["--start", "sideways"],
+         "unknown start state 'sideways'; choose from ['excited', 'ground', 'plus']"),
+        (["--gate", "cnot", "--ratio_min", "nan", "--points", "3"],
+         "unknown gate 'cnot'; choose from ['pi', 'pi2']"),
+        (["--ratio_min", "1e-2", "--points", "3"],
+         "sweep ratios must be strictly increasing, got 0.01 then 0.001"),
+    ], ids=["three-points", "no-points", "gate", "start", "gate-first", "ends-before-points"])
+    def test_refused_inputs_form_no_grid(self, monkeypatch, argv, message):
+        def no_grid(*args):
+            raise AssertionError("sweep grid formed for a refused input")
+
+        monkeypatch.setattr(gates, "logspace", no_grid)
+        assert run_captured("sweep", *argv) == (EXIT_CONFIG, "", f"error: {message}\n")
+
     def test_subnormal_ratios_are_refused(self, monkeypatch):
         # below the smallest normal double a ratio, and p = c r with it, keeps
         # too few digits to print 12 of them; the least sweep ratio 1e-300 is
@@ -590,12 +610,14 @@ class TestBudget:
         assert err == "error: area_sweep_max_factor must be in (1, 1e+12], got 1.7e+308\n"
 
     # each row's inputs would drive the value it is named after out of the
-    # double range; each is refused as an input outside budget.INPUT_BOX
+    # double range; each is refused as an input outside budget.INPUT_BOX.
+    # The Raman rows keep the beam inside its box, the weakest drive and the
+    # slowest decay it allows, so the detuning is their one bad input.
     @pytest.mark.parametrize("argv,message", [
         (["--mode_area", "1e305"], "mode_area must be in (0, 10000], got 1e+305"),
-        (["--field_amplitude", "1e-10", "--raman_detuning", "1e300", "--area_sweep_points", "2"],
-         "detuning must be in (0, 1e+18], got 1e+300"),
-        (["--dipole", "1e-47", "--raman_detuning", "1e300", "--area_sweep_points", "2"],
+        (["--dipole", "1e-39", "--field_amplitude", "1e-5", "--raman_detuning", "1e300",
+          "--area_sweep_points", "2"], "detuning must be in (0, 1e+18], got 1e+300"),
+        (["--dipole", "1e-39", "--raman_detuning", "1e300", "--area_sweep_points", "2"],
          "detuning must be in (0, 1e+18], got 1e+300"),
         (["--epsilon", "5e-324"], "epsilon must be in (1e-15, 0.5], got 5e-324"),
         (["--wavelength", "1.0750616545333907e-86", "--mode_area", "1327378610534.6772",
@@ -626,14 +648,46 @@ class TestBudget:
 
     def test_raman_detuning_is_refused_before_the_sweep(self, monkeypatch):
         def no_work(*args):
-            raise AssertionError("budget computed for a refused Raman detuning")
+            raise AssertionError("area sweep computed for a refused Raman detuning")
 
-        monkeypatch.setattr(budget, "pi_pulse_budget", no_work)
         monkeypatch.setattr(budget, "fixed_intensity_area_sweep", no_work)
         code, out, err = run_captured(*BUDGET_ARGS, "--raman_detuning", "-1",
                                       "--area_sweep_points", "1000000")
         assert (code, out) == (EXIT_CONFIG, "")
         assert err == "error: detuning must be in (0, 1e+18], got -1.0\n"
+
+    # each key just outside one end of its range, the others inside theirs
+    @pytest.mark.parametrize("key,value,message", [
+        ("wavelength", "1e-11", "wavelength must be in (1e-11, 1], got 1e-11"),
+        ("wavelength", "1.0000000000000002",
+         "wavelength must be in (1e-11, 1], got 1.0000000000000002"),
+        ("mode_area", "0", "mode_area must be in (0, 10000], got 0.0"),
+        ("mode_area", "10000.000000000002",
+         "mode_area must be in (0, 10000], got 10000.000000000002"),
+        ("dipole", "1e-40", "dipole must be in (1e-40, 1e-24], got 1e-40"),
+        ("dipole", "1.0000000000000001e-24",
+         "dipole must be in (1e-40, 1e-24], got 1.0000000000000001e-24"),
+        ("field_amplitude", "1e-6", "field_amplitude must be in (1e-06, 1e+12], got 1e-06"),
+        ("field_amplitude", "1000000000000.0001",
+         "field_amplitude must be in (1e-06, 1e+12], got 1000000000000.0001"),
+        ("epsilon", "1e-15", "epsilon must be in (1e-15, 0.5], got 1e-15"),
+        ("epsilon", "0.5000000000000001", "epsilon must be in (1e-15, 0.5], got 0.5000000000000001"),
+        ("raman_detuning", "0", "detuning must be in (0, 1e+18], got 0.0"),
+        ("raman_detuning", "1.0000000000000001e18",
+         "detuning must be in (0, 1e+18], got 1.0000000000000001e+18"),
+        ("area_sweep_points", "1", "area_sweep_points must be >= 2"),
+        ("area_sweep_max_factor", "1", "area_sweep_max_factor must be in (1, 1e+12], got 1.0"),
+        ("area_sweep_max_factor", "1000000000000.0001",
+         "area_sweep_max_factor must be in (1, 1e+12], got 1000000000000.0001"),
+    ])
+    def test_each_input_alone_outside_its_box_is_named(self, monkeypatch, key, value, message):
+        # no refused input reaches the area sweep's grid
+        def no_grid(*args):
+            raise AssertionError("area sweep grid formed for a refused input")
+
+        monkeypatch.setattr(budget, "logspace", no_grid)
+        code, out, err = run_captured(*BUDGET_ARGS, "--raman_detuning", "1e12", f"--{key}", value)
+        assert (code, out, err) == (EXIT_CONFIG, "", f"error: {message}\n")
 
     def test_config_file_with_overrides(self, tmp_path):
         cfg = tmp_path / "budget.cfg"
@@ -717,15 +771,15 @@ class TestBudget:
         assert err == "error: unknown key 'duration' for command 'budget'\n"
 
     def test_raman_duration_overflow_inputs_are_refused(self):
-        # T = pi / Omega_eff would overflow on these inputs; the detuning is
-        # refused before any work
+        # T = pi / Omega_eff would overflow on these inputs; the first of them
+        # outside its range, in argument order, is refused before any work
         code, out, err = run_captured(
             "budget", "--wavelength", "1.2308244472548009e+93",
             "--mode_area", "2.4381461235298163e+275", "--dipole", "1.2779269595929032e+134",
             "--field_amplitude", "6.241152743611056e-290", "--epsilon", "1.8303875294982557e-11",
             "--raman_detuning", "1.399106507126475e+66")
         assert (code, out) == (EXIT_CONFIG, "")
-        assert err == "error: detuning must be in (0, 1e+18], got 1.399106507126475e+66\n"
+        assert err == "error: wavelength must be in (1e-11, 1], got 1.2308244472548009e+93\n"
         # a weak drive at the greatest detuning prints a Raman pulse of 3.5e38 s
         code, out, err = run_captured(*BUDGET_ARGS, "--dipole", "1e-39", "--field_amplitude",
                                       "1e-5", "--raman_detuning", "1e18", "--format", "csv")

@@ -4,12 +4,14 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from lasergate import gates
 from lasergate.budget import drive_ratio_for_photons, photon_coefficient
 from lasergate.cli import GATE_AREAS, START_STATES
-from lasergate.gates import check_ratio_grid, first_order_coefficient, sweep_failure_probabilities
+from lasergate.gates import first_order_coefficient, ratio_grid, sweep_failure_probabilities
 from lasergate.lindblad import RK4_FIXED, _apply, _propagator, evolve
 from lasergate.qcore import InvalidStateError, logspace
 from oracles import density_bloch, sample_matrices
@@ -37,6 +39,11 @@ TABLE_CASES = [("pi", "ground"), ("pi", "excited"), ("pi", "plus"),
 
 # The perturbative sweep grid of the README's coefficient table.
 SWEEP_GRID = logspace(-5.0, -3.0, 8)
+
+
+def _no_grid(*args):
+    raise AssertionError("a sweep grid was formed from refused inputs")
+
 
 # Exact failure probabilities at ratio 1e-3, frozen from the superoperator
 # exponential in oracles.py (re-verified live below).
@@ -325,38 +332,61 @@ class TestExtractCoefficient:
 
     def test_grid_validation(self):
         with pytest.raises(InvalidStateError, match="at least 4"):
-            check_ratio_grid([1e-4, 1e-3])
+            ratio_grid(1e-4, 1e-3, 2)
         with pytest.raises(InvalidStateError, match="perturbative"):
-            check_ratio_grid([1e-4, 1e-3, 1e-2, 1e-1])
+            ratio_grid(1e-4, 1e-1, 4)
         with pytest.raises(InvalidStateError, match="increasing"):
-            check_ratio_grid([1e-3, 1e-4, 1e-5, 1e-6])
-        assert check_ratio_grid([1e-10, 1e-4, 1e-3, 1e-2]) == (1e-10, 1e-4, 1e-3, 1e-2)
+            ratio_grid(1e-3, 1e-6, 4)
+        with pytest.raises(InvalidStateError, match="points must be an integer, got 4.0"):
+            ratio_grid(1e-4, 1e-3, 4.0)
+        assert ratio_grid(1e-10, 1e-2, 5) == (1e-10, 1e-8, 1e-6, 1e-4, 1e-2)
         # the least ratio 1e-300 is taken; the next double below it, the
         # smallest normal double and a subnormal one are refused
-        assert check_ratio_grid([1e-300, 1e-4, 1e-3, 1e-2])[0] == 1e-300
+        assert ratio_grid(1e-300, 1e-2, 4)[0] == 1e-300
         for small in (math.nextafter(1e-300, 0.0), sys.float_info.min, 5e-324):
             with pytest.raises(InvalidStateError,
                                match=re.escape(f"ratio {small} is below the least sweep ratio"
                                                " 1e-300")):
-                check_ratio_grid([small, 1e-4, 1e-3, 1e-2])
+                ratio_grid(small, 1e-2, 4)
+
+    @given(least=st.floats(1e-300, 1e-2), greatest=st.floats(1e-300, 1e-2),
+           ulps=st.one_of(st.none(), st.integers(1, 64)), points=st.integers(4, 200))
+    @settings(max_examples=300, deadline=None)
+    def test_grid_is_the_logspace_of_its_ends_or_refused(self, least, greatest, ulps, points):
+        # ends drawn freely, or a few ulps apart, where rounding can make two
+        # neighbours equal: the grid is logspace of the ends, every ratio in
+        # [1e-300, 1e-2], or it is refused as not strictly increasing
+        if ulps is not None:
+            greatest = least
+            for _ in range(ulps):
+                greatest = math.nextafter(greatest, 1e-2)
+        try:
+            ratios = ratio_grid(least, greatest, points)
+        except InvalidStateError as exc:
+            assert str(exc).startswith("sweep ratios must be strictly increasing, got ")
+            return
+        assert ratios == logspace(math.log10(least), math.log10(greatest), points)
+        assert all(1e-300 <= ratio <= 1e-2 for ratio in ratios)
+        assert all(a < b for a, b in zip(ratios, ratios[1:]))
 
     @pytest.mark.parametrize("gate, start", TABLE_CASES)
     def test_tiny_ratios_resolve_the_coefficient(self, gate, start):
         # no grid is too small to resolve: at 1e-14 .. 1e-12, p/ratio is c to
         # within the second-order term (at most 1e-12 c) and p's rounding
-        ratios = check_ratio_grid(logspace(-14.0, -12.0, 8))
+        ratios = ratio_grid(1e-14, 1e-12, 8)
         theta, psi = GATE_AREAS[gate], START_STATES[start]
         c = first_order_coefficient(theta, psi)
         for ratio, p in zip(ratios, sweep_failure_probabilities(theta, psi, ratios)):
             assert abs(p / ratio - c) <= 1e-10 * c
 
-    @pytest.mark.parametrize("ratios", [
-        [math.nan, 1e-4, 1e-3, 1e-2], [1e-5, math.nan, 1e-3, 1e-2], [1e-5, 1e-4, 1e-3, math.nan],
-        [1e-5, 1e-4, 1e-3, math.inf], [-math.inf, 1e-4, 1e-3, 1e-2],
-    ], ids=["nan-first", "nan-inner", "nan-last", "inf", "minus-inf"])
-    def test_fit_refuses_non_finite_ratios(self, ratios):
+    # the grid is given by its ends, so a NaN can stand only at one of them
+    @pytest.mark.parametrize("least, greatest", [
+        (math.nan, 1e-2), (1e-5, math.nan), (1e-5, math.inf), (-math.inf, 1e-2),
+    ], ids=["nan-first", "nan-last", "inf", "minus-inf"])
+    def test_fit_refuses_non_finite_ratios(self, monkeypatch, least, greatest):
+        monkeypatch.setattr(gates, "logspace", _no_grid)
         with pytest.raises(InvalidStateError):
-            check_ratio_grid(ratios)
+            ratio_grid(least, greatest, 8)
 
 
 class TestPulseValidation:
