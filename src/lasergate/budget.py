@@ -22,10 +22,11 @@ arithmetic, so every value returned is a normal double.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from operator import mul
 
 from .gates import first_order_coefficient
-from .qcore import InvalidStateError, Record, check_count, logspace
+from .qcore import InvalidStateError, check_count, logspace
 
 # Minimum photons within the volume sigma_eff * c * T demanded by the
 # energy-form constraint: nbar' > (pi^2 / 4) / epsilon.
@@ -75,7 +76,12 @@ C = 2.99792458e8  # m / s
 EPSILON0 = 8.8541878128e-12  # F / m
 
 
-class PiPulseBudget(Record):
+class PiPulseBudget(namedtuple("PiPulseBudget", """
+        wavelength_m mode_area_m2 omega_rad_per_s sigma_eff_m2 gamma_per_s kappa_per_s
+        rabi_frequency_rad_per_s intensity_W_per_m2 power_W duration_s epsilon n_bar
+        n_bar_prime required_n_bar_prime energy_in_volume_J energy_threshold_J
+        constraint_margin margin_purity_form margin_rabi_form margin_explicit_form
+        margin_energy_form min_energy_per_lambda3_J""")):
     """The budget of one resonant pi pulse, T = pi / Omega_R: the report's
     scalar lines, in SI base units and in print order, each one a normal double.
 
@@ -92,28 +98,7 @@ class PiPulseBudget(Record):
     one photon per epsilon, though usually quoted as ~hbar/(epsilon T).
     """
 
-    wavelength_m: float
-    mode_area_m2: float
-    omega_rad_per_s: float
-    sigma_eff_m2: float
-    gamma_per_s: float
-    kappa_per_s: float
-    rabi_frequency_rad_per_s: float
-    intensity_W_per_m2: float
-    power_W: float
-    duration_s: float
-    epsilon: float
-    n_bar: float
-    n_bar_prime: float
-    required_n_bar_prime: float
-    energy_in_volume_J: float
-    energy_threshold_J: float
-    constraint_margin: float
-    margin_purity_form: float
-    margin_rabi_form: float
-    margin_explicit_form: float
-    margin_energy_form: float
-    min_energy_per_lambda3_J: float
+    __slots__ = ()
 
     @property
     def satisfied(self) -> bool:
@@ -204,7 +189,9 @@ def pi_pulse_budget(wavelength: float, mode_area: float, dipole: float, field_am
     )
 
 
-class RamanReport(Record):
+class RamanReport(namedtuple("RamanReport", """
+        detuning_rad_per_s effective_rabi_rad_per_s duration_s purity_loss margin
+        eliminated_lhs""")):
     """A far-detuned two-photon pi pulse and its verdict on Gamma/Delta < epsilon:
     the detuning Delta, Omega_eff = Omega_R^2 / Delta, T = pi / Omega_eff, the
     purity loss Gamma/Delta, the margin epsilon / (Gamma/Delta) and the
@@ -216,12 +203,7 @@ class RamanReport(Record):
     The gap is reported, not absorbed.
     """
 
-    detuning_rad_per_s: float
-    effective_rabi_rad_per_s: float
-    duration_s: float
-    purity_loss: float
-    margin: float
-    eliminated_lhs: float
+    __slots__ = ()
 
     @property
     def satisfied(self) -> bool:
@@ -262,15 +244,10 @@ def raman_constraint(detuning: float, rabi_frequency: float, gamma: float,
     )
 
 
-class AreaSweep(Record):
+class AreaSweep(namedtuple("AreaSweep", "area kappa kappa_times_area n_bar p_laser p_total")):
     """The fixed-intensity beam-area sweep, one tuple of normal doubles per quantity."""
 
-    area: tuple
-    kappa: tuple
-    kappa_times_area: tuple
-    n_bar: tuple
-    p_laser: tuple
-    p_total: tuple
+    __slots__ = ()
 
 
 def fixed_intensity_area_sweep(report: PiPulseBudget, points: int, max_factor: float) -> AreaSweep:

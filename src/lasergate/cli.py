@@ -208,7 +208,7 @@ def run_simulate(cfg: dict) -> chain:
 
     return chain(["t,rho_bb,rho_aa,re_rho_ab,im_rho_ab,purity\n"],
                  chain.from_iterable(_table((times, *density_columns(xs, ys, zs)))
-                                     for times, xs, ys, zs in _chunks(trajectory._values())))
+                                     for times, xs, ys, zs in _chunks(trajectory)))
 
 
 def run_sweep(cfg: dict) -> chain:
@@ -266,7 +266,7 @@ def run_budget(cfg: dict) -> chain:
 def _section(record, verdict: str, prefix: str = "", *extra) -> list:
     """The report lines of ``record``: each field, named ``prefix`` + its name,
     with its value, then the ``extra`` lines, then the ``verdict`` line."""
-    fields = zip(record._fields, record._values())
+    fields = zip(record._fields, record)
     return [*((prefix + name, _fmt(value)) for name, value in fields), *extra,
             (verdict, "satisfied" if record.satisfied else "violated")]
 
@@ -328,7 +328,7 @@ def main(argv=None) -> int:
     try:
         overrides = _overrides_from_extras(args[1:])
         config, out = overrides.pop("config", None), overrides.pop("out", None)
-        raw = parse_config_file(config) if config else {}
+        raw = parse_config_file(config) if config is not None else {}
         raw.update(overrides)
         cfg = _coerce(command, raw)
         output = RUNNERS[command](cfg)
@@ -351,7 +351,7 @@ def _write(chunks, out) -> int:
     buffered, so nothing flushes stdout again: :func:`entry` skips the
     teardown that would."""
     try:
-        if out:
+        if out is not None:
             with open(out, "w", encoding="utf-8", newline="") as fh:
                 fh.writelines(chunks)
         elif sys.stdout is None:
@@ -360,7 +360,8 @@ def _write(chunks, out) -> int:
             sys.stdout.writelines(chunks)
             sys.stdout.flush()
     except OSError as exc:
-        print(f"error: cannot write {repr(out) if out else 'stdout'}: {exc}", file=sys.stderr)
+        target = "stdout" if out is None else repr(out)
+        print(f"error: cannot write {target}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     return EXIT_OK
 

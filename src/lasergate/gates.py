@@ -2,10 +2,10 @@
 first-order scaling in the decay-to-drive ratio.
 
 A gate is a resonant pulse of area theta applied to a pure start, its Bloch
-vector s0 with |s0| = 1 (:func:`qcore.check_pure_start`), and both functions
-here take (theta, s0) in that order, as ``jc.jc_gate_error`` does.  Its
-failure probability is the population left in the state orthogonal to the
-decay-free output of the same pulse.  For the Bloch vector s_ideal of that
+vector s0 with |s0| = 1 (:func:`qcore.check_pure_start`); the two functions
+here that evaluate a gate take (theta, s0) first, as ``jc.jc_gate_error``
+does.  Its failure probability is the population left in the state orthogonal
+to the decay-free output of the same pulse.  For the Bloch vector s_ideal of that
 output and the final state s_ideal + delta, it is p = -s_ideal . delta / 2,
 exact for a pure start; delta comes from the deviation form of the exact map,
 ``lindblad._propagator``, so p keeps its relative precision however small

@@ -43,8 +43,9 @@ from __future__ import annotations
 
 import math
 import sys
+from collections import namedtuple
 
-from .qcore import InvalidStateError, Record, check_bloch, check_count, check_start
+from .qcore import InvalidStateError, check_bloch, check_count, check_start
 
 EXACT = "exact"
 RK4_FIXED = "rk4_fixed"
@@ -64,20 +65,14 @@ MAX_THETA = 1e4
 MAX_RATIO = 1e150
 
 
-class Trajectory(Record):
+class Trajectory(namedtuple("Trajectory", "times x y z")):
     """Samples of one pulse: the times, and the Bloch vector (x, y, z) at
     each time as three columns.  Each field is a tuple of k floats, and the
     last entry of each is the final state; :func:`evolve` validated the
     samples in one call, and :func:`qcore.density_columns` gives the printed
     populations, coherence and purity of any slice of them."""
 
-    times: tuple
-    x: tuple
-    y: tuple
-    z: tuple
-
-    def __len__(self) -> int:
-        return len(self.times)
+    __slots__ = ()
 
 
 def _steady_state(r: float) -> tuple:

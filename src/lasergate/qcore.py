@@ -9,8 +9,9 @@ has trace 1, eigenvalues (1 -+ |s|) / 2 and purity (1 + |s|^2) / 2, so one
 rule says that s is a state, |s| <= 1, which :func:`check_bloch` checks on a
 stack of vectors, and one that it is pure, |s| = 1 (:func:`check_pure_start`).
 The matrix entries of those columns and their purity, :func:`density_columns`,
-are the one home of the Bloch-to-matrix format.  Every record type of the
-package derives from :class:`Record`.
+are the one home of the Bloch-to-matrix format.  The package's record types
+are ``collections.namedtuple`` subclasses with no instance dict, so they are
+immutable tuples that also equal plain tuples of their values.
 
 Basis ordering for the two-level atom is fixed package-wide:
 index 0 = ground ``|b>``, index 1 = excited ``|a>``.
@@ -28,65 +29,6 @@ BLOCH_SLACK = 1e-9
 
 class InvalidStateError(ValueError):
     """A matrix or vector violates a quantum-state invariant."""
-
-
-class Record:
-    """Immutable value with named fields, the base of every record type.
-
-    A subclass declares its fields as class annotations, in order.
-    Construction takes every field, positionally or by keyword.  Repr,
-    equality and hash are field-wise; assigning or deleting an attribute
-    raises :class:`AttributeError`.
-    Unlike ``dataclasses``, nothing is compiled per class, so defining a
-    record costs next to nothing at import.
-    """
-
-    _fields: tuple[str, ...] = ()
-
-    def __init_subclass__(cls, **kwargs):
-        super().__init_subclass__(**kwargs)
-        cls._fields = (*cls._fields, *cls.__annotations__)
-
-    def __init__(self, *args, **kwargs):
-        cls = type(self)
-        fields = cls._fields
-        if len(args) > len(fields):
-            raise TypeError(f"{cls.__name__} takes {len(fields)} fields, got {len(args)} "
-                            "positional arguments")
-        for name in kwargs:
-            if name not in fields:
-                raise TypeError(f"{cls.__name__} has no field {name!r}")
-        state = self.__dict__
-        for i, name in enumerate(fields):
-            if i < len(args):
-                if name in kwargs:
-                    raise TypeError(f"{cls.__name__} got field {name!r} twice")
-                state[name] = args[i]
-            elif name in kwargs:
-                state[name] = kwargs[name]
-            else:
-                raise TypeError(f"{cls.__name__} is missing field {name!r}")
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._fields)
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
-        return f"{type(self).__qualname__}({fields})"
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self) -> int:
-        return hash(self._values())
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable: cannot assign {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"{type(self).__name__} is immutable: cannot delete {name!r}")
 
 
 def logspace(start: float, stop: float, num: int) -> tuple:

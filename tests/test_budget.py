@@ -599,8 +599,7 @@ anywhere = _log_uniform(-320.0, 308.0)
 
 
 def _all_normal(record):
-    values = [v for value in record._values()
-              for v in (value if isinstance(value, tuple) else (value,))]
+    values = [v for value in record for v in (value if isinstance(value, tuple) else (value,))]
     return all(sys.float_info.min <= v <= sys.float_info.max for v in values)
 
 
@@ -793,15 +792,15 @@ class TestInputBox:
             for inputs in _beam_corners():
                 report = pi_pulse_budget(*inputs)
                 exact = _exact_beam(*inputs)
-                _assert_matches(report._fields, report._values(), exact)
+                _assert_matches(report._fields, report, exact)
                 # the sweep's rows run from its first to its last row, monotonically
                 for max_factor in _ends("area_sweep_max_factor"):
                     sweep = fixed_intensity_area_sweep(report, 2, max_factor)
-                    for row, area in zip(zip(*sweep._values()), sweep.area):
+                    for row, area in zip(zip(*sweep), sweep.area):
                         _assert_matches(sweep._fields, row, _exact_sweep_row(exact, area))
             for inputs in _raman_corners():
                 raman = raman_constraint(*inputs)
-                _assert_matches(raman._fields, raman._values(), _exact_raman(*inputs))
+                _assert_matches(raman._fields, raman, _exact_raman(*inputs))
 
     def test_margin_forms_agree_at_every_corner(self):
         for inputs in _beam_corners():

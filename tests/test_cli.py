@@ -258,6 +258,10 @@ class TestSimulate:
         (["simulate", "--config", "no/such/lasergate.cfg"],
          "cannot read config file 'no/such/lasergate.cfg': [Errno 2] No such file or"
          " directory: 'no/such/lasergate.cfg'"),
+        # an empty path names no file: it is refused, not read as no config or as stdout
+        (["sweep", "--config="], "cannot read config file '': [Errno 2] No such file or"
+         " directory: ''"),
+        (["sweep", "--out="], "cannot write '': [Errno 2] No such file or directory: ''"),
         ([*BUDGET_ARGS, "--format", "xml"], "budget format must be text or csv, got 'xml'"),
         (["simulate", "--samples"], "option '--samples' is missing a value"),
         # each sweep end is refused as typed, before logspace could round it
@@ -284,7 +288,8 @@ class TestSimulate:
     ], ids=["method", "step-count", "samples", "step-count-theta-0", "samples-first",
             "step-count-past-the-double-range", "method-before-ratio", "start-before-samples",
             "negative-samples", "negative-step-count", "negative-points",
-            "negative-area-sweep-points", "unreadable-config", "budget-format",
+            "negative-area-sweep-points", "unreadable-config", "empty-config", "empty-out",
+            "budget-format",
             "option-without-value", "ratio-max-is-named", "ratio-max-past-the-bound",
             "ratio-min-subnormal", "ratio-min-past-the-least", "ratio-min-smallest-normal",
             "equal-ratio-ends", "nan-ratio-min", "infinite-ratio-ends",
@@ -540,8 +545,7 @@ area,kappa,kappa_times_area,n_bar,p_laser,p_total
 
 
 def _field_lines(record, prefix=""):
-    return [(prefix + name, cli._fmt(value)) for name, value in zip(record._fields,
-                                                                   record._values())]
+    return [(prefix + name, cli._fmt(value)) for name, value in zip(record._fields, record)]
 
 
 def _printed_lines(out: str, fmt: str):

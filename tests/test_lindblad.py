@@ -93,7 +93,7 @@ class TestSpecs:
         with pytest.raises(InvalidStateError, match=message):
             evolve(rho0, 1.0, 0.0, method=RK4_FIXED, step_count=50)
         # the exact map reads no step count
-        assert len(evolve(rho0, 1.0, 0.0, method=EXACT, step_count=50)) == 2
+        assert len(evolve(rho0, 1.0, 0.0, method=EXACT, step_count=50).times) == 2
 
     # the counts are refused, samples first, then method, then step_count, as
     # InvalidStateError rather than a TypeError from range or from the stepper
@@ -193,7 +193,7 @@ class TestEvolve:
         # the final state is the last of the samples + 1 samples; at
         # both areas it is the mixed start ((0.6, 0.2), (0.2, 0.4))
         trajectory = evolve((0.4, 0.0, -0.2), theta, 0.3, samples=3)
-        assert len(trajectory) == 4 and trajectory.times[-1] == theta / 2.0
+        assert len(trajectory.times) == 4 and trajectory.times[-1] == theta / 2.0
         final = sample_matrices(trajectory)[-1]
         assert np.max(np.abs(final - [[0.6, 0.2], [0.2, 0.4]])) < 1e-14
 
@@ -217,7 +217,7 @@ class TestEvolve:
 
     def test_trajectory_sampling(self):
         trajectory = evolve(GROUND, math.pi, 0.1, samples=16)
-        assert len(trajectory) == 17
+        assert len(trajectory.times) == 17
         times = trajectory.times
         assert times[0] == 0.0
         assert times[-1] == pytest.approx(math.pi / 2)

@@ -10,14 +10,18 @@ from scipy.linalg import expm
 
 import oracles
 from lasergate.gates import sweep_failure_probabilities
-from lasergate.budget import RamanReport, raman_constraint
+from lasergate.budget import (
+    RamanReport,
+    fixed_intensity_area_sweep,
+    pi_pulse_budget,
+    raman_constraint,
+)
 from lasergate.cli import START_STATES
 from lasergate.jc import _amplitudes, jc_gate_error
 from lasergate.lindblad import evolve
 from lasergate.qcore import (
     BLOCH_SLACK,
     InvalidStateError,
-    Record,
     check_bloch,
     check_pure_start,
     check_start,
@@ -346,70 +350,50 @@ class TestEigensystem:
         assert (1.0 - printed) / 2.0 == pytest.approx(float(np.linalg.eigvalsh(h)[0]),
                                                       abs=2.5e-12 + 1e-15)
 
-class Estimate(Record):
-    """A record of three floats and a bool."""
-
-    coefficient_vs_ratio: float
-    coefficient_vs_photons: float
-    fit_residual: float
-    degraded_fit: bool
-
-    @property
-    def photons_per_ratio(self) -> float:
-        return self.coefficient_vs_photons / self.coefficient_vs_ratio
+def records() -> list:
+    """One record of each type the package returns."""
+    beam = pi_pulse_budget(1e-6, 1e-12, 1e-29, 1e5)
+    return [evolve((0.0, 0.0, 0.0), 1.0, 0.1, samples=4), beam,
+            raman_constraint(1e11, 1e9, gamma=1e6, epsilon=1e-4),
+            fixed_intensity_area_sweep(beam, 3, 1e6)]
 
 
 class TestRecord:
-    """The record base keeps what the frozen dataclasses it replaced did."""
+    """Every record type is a named tuple with no instance dict: immutable,
+    field-wise, copyable and picklable."""
 
     def test_positional_and_keyword_construction_agree(self):
-        by_position = Estimate(0.5, 1.5, 1e-6, True)
-        by_keyword = Estimate(degraded_fit=True, fit_residual=1e-6,
-                              coefficient_vs_photons=1.5, coefficient_vs_ratio=0.5)
-        mixed = Estimate(0.5, 1.5, fit_residual=1e-6, degraded_fit=True)
-        assert by_position == by_keyword == mixed
+        for record in records():
+            cls, fields = type(record), record._fields
+            mixed = cls(*record[:2], **dict(zip(fields[2:], record[2:])))
+            assert cls(*record) == cls(**record._asdict()) == mixed == record, cls.__name__
 
     def test_defaults_hold(self):
         # a property derived from the fields
-        assert Estimate(0.5, 1.5, 0.0, False).photons_per_ratio == 3.0
-
-    @pytest.mark.parametrize("args,kwargs,message", [
-        ((1.0, 2.0), {}, "missing field 'fit_residual'"),
-        ((1.0, 2.0, 0.0, False), {"residual": 0.0}, "no field 'residual'"),
-        ((1.0, 2.0, 0.0, False), {"coefficient_vs_ratio": 1.0},
-         "field 'coefficient_vs_ratio' twice"),
-        ((1.0, 2.0, 0.0, False, 5), {}, "takes 4 fields"),
-    ])
-    def test_bad_fields_raise_type_error(self, args, kwargs, message):
-        with pytest.raises(TypeError, match=message):
-            Estimate(*args, **kwargs)
+        _, beam, raman, _ = records()
+        for margin in (0.5, 1.0, 2.0):
+            assert beam._replace(constraint_margin=margin).satisfied == (margin > 1.0)
+            assert raman._replace(margin=margin).satisfied == (margin > 1.0)
 
     def test_fields_cannot_be_assigned_or_deleted(self):
-        report = raman_constraint(1e11, 1e9, gamma=1e6, epsilon=1e-4)
-        with pytest.raises(AttributeError):
-            report.margin = 5.0
-        with pytest.raises(AttributeError):
-            del report.detuning_rad_per_s
-        with pytest.raises(AttributeError):
-            report.extra = 1
-        trajectory = evolve((0.0, 0.0, -1.0), 1.0, 0.0)
-        with pytest.raises(AttributeError):
-            trajectory.x = (0.0, 1.0)
-        assert report == raman_constraint(1e11, 1e9, gamma=1e6, epsilon=1e-4)
-        assert "extra" not in vars(report)
+        for record, fresh in zip(records(), records()):
+            cls, name = type(record), record._fields[-1]
+            assert cls.__slots__ == () and not hasattr(record, "__dict__"), cls.__name__
+            with pytest.raises(AttributeError):
+                setattr(record, name, 5.0)
+            with pytest.raises(AttributeError):
+                delattr(record, name)
+            with pytest.raises(AttributeError):
+                record.extra = 1
+            assert record == fresh
 
     def test_eq_hash_and_repr_are_field_wise(self):
-        a, b = Estimate(1.0, 2.0, 3.0, False), Estimate(1.0, 2.0, 3.0, False)
-        assert a == b and hash(a) == hash(b) == hash((1.0, 2.0, 3.0, False))
-        assert a != Estimate(1.0, 2.0, 3.0, True)
-        assert len({a, b, Estimate(1.0, 2.0, 4.0, False)}) == 2
-        assert repr(a) == ("Estimate(coefficient_vs_ratio=1.0, coefficient_vs_photons=2.0,"
-                           " fit_residual=3.0, degraded_fit=False)")
         values = (1e11, 1e7, 3.0, 1e-5, 10.0, 1e-5)
         report = RamanReport(1e11, 1e7, 3.0, 1e-5, margin=10.0, eliminated_lhs=1e-5)
         assert report == RamanReport(*values)
         assert hash(report) == hash(RamanReport(*values))
-        assert report != RamanReport(*values[:4], 7.0, *values[5:]) and report != values
+        assert report != RamanReport(*values[:4], 7.0, *values[5:])
+        assert len({report, RamanReport(*values), RamanReport(*values[:5], 2e-5)}) == 2
         assert repr(report) == ("RamanReport(detuning_rad_per_s=100000000000.0,"
                                 " effective_rabi_rad_per_s=10000000.0, duration_s=3.0,"
                                 " purity_loss=1e-05, margin=10.0, eliminated_lhs=1e-05)")
@@ -422,14 +406,13 @@ class TestRecord:
                                        lambda record: pickle.loads(pickle.dumps(record))],
                              ids=["copy", "deepcopy", "pickle"])
     def test_copies_keep_their_storage_immutable(self, clone):
-        trajectory = evolve((0.0, 0.0, 0.0), 1.0, 0.1, samples=4)
-        for record, storage in ((trajectory, "times"), (trajectory, "x"), (trajectory, "z")):
+        for record in records():
             twin = clone(record)
-            assert twin == record
-            with pytest.raises(TypeError):
-                getattr(twin, storage)[0] = 5.0
-            with pytest.raises(AttributeError):
-                setattr(twin, storage, ())
-        with pytest.raises(TypeError):
-            clone(trajectory).z[-1] = 5.0
-        assert clone(trajectory).y == trajectory.y
+            assert type(twin) is type(record) and twin == record, type(record).__name__
+            assert not hasattr(twin, "__dict__")
+            for name, value in zip(record._fields, twin):
+                with pytest.raises(AttributeError):
+                    setattr(twin, name, ())
+                if isinstance(value, tuple):  # a column
+                    with pytest.raises(TypeError):
+                        value[0] = 5.0
