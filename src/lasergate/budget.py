@@ -1,7 +1,8 @@
 """Unit-bearing physics: the photon and energy budget of one resonant pi
 pulse, computed once by :func:`pi_pulse_budget` from plain SI floats
 (wavelength, mode area, dipole moment, field amplitude), with its far-detuned
-Raman variant and the fixed-intensity beam-area sweep.
+Raman variant and the fixed-intensity beam-area sweep, which widens the beam
+from sigma_eff by six decades, or up to the greatest ``mode_area``.
 
 Everything here is an algebraic calculator over SI inputs (m, s, W, C*m); the
 dimensionless gate-error results from :mod:`lasergate.gates` connect to these
@@ -65,10 +66,11 @@ INPUT_BOX = {
     "detuning": (0.0, 1e18),  # rad/s: up to the carrier of 1.9 nm X-rays; its least is 10 Omega_R
     "rabi_frequency": (1e-13, 1e22),  # rad/s: d E0 / hbar spans 9.5e-13 to 9.5e21
     "gamma": (1e-35, 1e32),  # 1/s: Gamma spans 2.8e-34 to 2.8e31
-    "area_sweep_max_factor": (1.0, 1e12),  # a sweep wider than one area, by at most 12 decades
     "n_bar": (0.0, 1e14),  # photons per pulse, up to jc.MAX_N_BAR, which is read from here
 }
 
+# The widest area sweep, as a multiple of sigma_eff: six decades of beam area.
+AREA_SWEEP_FACTOR = 1e6
 
 # CODATA 2018 values in SI, read when a budget is computed
 HBAR = 1.054571817e-34  # J s
@@ -250,14 +252,15 @@ class AreaSweep(namedtuple("AreaSweep", "area kappa kappa_times_area n_bar p_las
     __slots__ = ()
 
 
-def fixed_intensity_area_sweep(report: PiPulseBudget, points: int, max_factor: float) -> AreaSweep:
+def fixed_intensity_area_sweep(report: PiPulseBudget, points: int) -> AreaSweep:
     """kappa, nbar, and pi-pulse errors versus mode area at the intensity of
     ``report``, over ``points`` areas spaced logarithmically from sigma_eff to
-    sigma_eff * ``max_factor``, both endpoints exact.
+    sigma_eff * :data:`AREA_SWEEP_FACTOR`, or to the greatest ``mode_area`` of
+    :data:`INPUT_BOX` if that is smaller, both endpoints exact: no row
+    describes a beam that :func:`pi_pulse_budget` refuses.
 
     ``report`` is a :func:`pi_pulse_budget` report, whose fields are read
-    unchecked.  Fewer than 2 ``points``, then a ``max_factor`` outside its
-    :data:`INPUT_BOX` range, are refused before any arithmetic.
+    unchecked.  Fewer than 2 ``points`` are refused before any arithmetic.
 
     The laser-mode error (3 pi/8) kappa / Omega_R falls off as 1/A while the
     all-modes error, set by Gamma, does not depend on the area at all.  Each
@@ -266,12 +269,11 @@ def fixed_intensity_area_sweep(report: PiPulseBudget, points: int, max_factor: f
     """
     if check_count("area_sweep_points", points) < 2:
         raise InvalidStateError("area_sweep_points must be >= 2")
-    _check_inputs(area_sweep_max_factor=max_factor)
     sigma_eff = report.sigma_eff_m2
-    largest = sigma_eff * max_factor
-    areas = logspace(math.log10(sigma_eff), math.log10(largest), points)
-    # 10**log10(x) need not round back to x: exact ends, and no area below sigma_eff
-    area = (sigma_eff, *(max(a, sigma_eff) for a in areas[1:-1]), largest)
+    largest = min(sigma_eff * AREA_SWEEP_FACTOR, INPUT_BOX["mode_area"][1])
+    # 10**log10(x) need not round back to x: the ends are set exactly
+    area = (sigma_eff, *logspace(math.log10(sigma_eff), math.log10(largest), points)[1:-1],
+            largest)
     rabi, duration = report.rabi_frequency_rad_per_s, report.duration_s
     gamma = report.gamma_per_s
     photon_energy = HBAR * report.omega_rad_per_s

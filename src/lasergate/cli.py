@@ -1,11 +1,11 @@
 """Command-line front end: simulate / sweep / budget / compare.
 
 Usage:
-    lasergate <command> [--config FILE] [--out FILE] [--key value ...]
+    lasergate <command> [--out FILE] [--key value ...]
 
-Configs are flat ``key = value`` text files; any key can be overridden on the
-command line.  All physical inputs are SI base units (m, s, W/m^2 via V/m,
-C*m); no unit suffixes are parsed.  Output is CSV (or a text report for
+Each input is one ``--key value`` pair, the key spelled as in
+:data:`KEY_SCHEMAS`.  All physical inputs are SI base units (m, s, W/m^2 via
+V/m, C*m); no unit suffixes are parsed.  Output is CSV (or a text report for
 ``budget``) with LF line endings, a mandatory header row, ``#`` comment lines,
 and floats printed to 12 significant digits, so identical configs produce
 byte-identical output.
@@ -38,7 +38,7 @@ TABLE_CHUNK = 4096
 # printed number, so that output is reproducible byte for byte.
 FLOAT_FORMAT = "%.11e"
 
-USAGE = "usage: lasergate <command> [--config FILE] [--out FILE] [--key value ...]\n"
+USAGE = "usage: lasergate <command> [--out FILE] [--key value ...]\n"
 HELP = USAGE + """
 Gate-error simulator and photon/energy budget calculator for laser-driven
 two-level atoms.
@@ -51,10 +51,9 @@ commands:
   compare   Markov and Jaynes-Cummings failure probabilities per photon number (CSV)
 
 options:
-  -h, --help     show this help and exit
-  --config FILE  flat key = value config file
-  --out FILE     output file (default: stdout)
-  --key value    set one config key; overrides the config file
+  -h, --help   show this help and exit
+  --out FILE   output file (default: stdout)
+  --key value  set one key
 """
 
 _REQUIRED = object()
@@ -142,7 +141,6 @@ KEY_SCHEMAS: dict[str, dict] = {
         "epsilon": (float, 1e-4),
         "raman_detuning": (float, None),
         "area_sweep_points": (_row_count, 7),
-        "area_sweep_max_factor": (float, 1e6),
         "format": (str, "text"),
     },
     "compare": {
@@ -155,25 +153,6 @@ KEY_SCHEMAS: dict[str, dict] = {
 GATE_AREAS = {"pi": math.pi, "pi2": math.pi / 2.0}
 # start name -> its Bloch vector (x, y, z)
 START_STATES = {"ground": (0.0, 0.0, -1.0), "excited": (0.0, 0.0, 1.0), "plus": (1.0, 0.0, 0.0)}
-
-
-def parse_config_file(path: str) -> dict[str, str]:
-    """Read a flat ``key = value`` file; ``#`` lines and blanks are skipped."""
-    raw: dict[str, str] = {}
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
-    for lineno, line in enumerate(lines, start=1):
-        text = line.strip()
-        if not text or text.startswith("#"):
-            continue
-        if "=" not in text:
-            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {text!r}")
-        key, _, value = text.partition("=")
-        raw[key.strip()] = value.strip()
-    return raw
 
 
 def _coerce(command: str, raw: dict[str, str]) -> dict:
@@ -244,8 +223,7 @@ def run_budget(cfg: dict) -> chain:
                                         report.gamma_per_s, cfg["epsilon"])
         constant = ("raman_eliminated_coefficient", _fmt(budget.RAMAN_ELIMINATION_COEFFICIENT))
         sections.append(_section(raman, "raman_constraint", "raman_", constant))
-    sweep = budget.fixed_intensity_area_sweep(report, cfg["area_sweep_points"],
-                                              cfg["area_sweep_max_factor"])
+    sweep = budget.fixed_intensity_area_sweep(report, cfg["area_sweep_points"])
 
     if cfg["format"] == "csv":
         lines = [f"# {name}={value}" for name, value in chain.from_iterable(sections)]
@@ -306,10 +284,9 @@ def _overrides_from_extras(extras: list[str]) -> dict[str, str]:
     for token in tokens:
         if not token.startswith("--") or len(token) == 2:
             raise ConfigError(f"expected --key value pairs, got {token!r}")
-        key, equals, value = token[2:].partition("=")
-        if not equals and (value := next(tokens, None)) is None:
+        if (value := next(tokens, None)) is None:
             raise ConfigError(f"option {token!r} is missing a value")
-        overrides[key.replace("-", "_")] = value
+        overrides[token[2:]] = value
     return overrides
 
 
@@ -327,10 +304,8 @@ def main(argv=None) -> int:
 
     try:
         overrides = _overrides_from_extras(args[1:])
-        config, out = overrides.pop("config", None), overrides.pop("out", None)
-        raw = parse_config_file(config) if config is not None else {}
-        raw.update(overrides)
-        cfg = _coerce(command, raw)
+        out = overrides.pop("out", None)
+        cfg = _coerce(command, overrides)
         output = RUNNERS[command](cfg)
     except ArithmeticError as exc:
         print(f"error: numerical failure: {exc}", file=sys.stderr)

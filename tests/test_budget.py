@@ -368,7 +368,7 @@ class TestAreaSweep:
         inputs = (1e-6, 1e-12, 1e-29, 1e5)
         report = pi_pulse_budget(*inputs)
         sigma = report.sigma_eff_m2
-        sweep = fixed_intensity_area_sweep(report, 4, 1e6)
+        sweep = fixed_intensity_area_sweep(report, 4)
         assert sweep.area[0] == sigma and sweep.area[-1] == sigma * 1e6
         assert [a / sigma for a in sweep.area] == pytest.approx([1.0, 1e2, 1e4, 1e6], rel=1e-12)
         expected = _rates(*inputs)[2] * sigma
@@ -381,48 +381,51 @@ class TestAreaSweep:
         assert sweep.p_laser[0] == pytest.approx(sweep.p_total[0], rel=1e-12)
 
     def test_no_area_rounds_below_sigma_eff(self):
-        # one ulp above 1, logspace rounded five of these seven areas 4e-16
-        # below sigma_eff, where kappa would exceed Gamma
-        sweep = fixed_intensity_area_sweep(README_REPORT, 7, math.nextafter(1.0, 2.0))
-        assert min(sweep.area) == README_REPORT.sigma_eff_m2 == sweep.area[0]
+        # the narrowest sweep, at the longest wavelength, spans 4.9 decades:
+        # even at 1e5 points each area lies 1e-4 above the one before, far
+        # past the few ulps by which logspace may round, so none falls below
+        # sigma_eff, where kappa would exceed Gamma
+        report = pi_pulse_budget(1.0, 1.0, 1e-29, 1e5)
+        sweep = fixed_intensity_area_sweep(report, 10**5)
+        assert sweep.area[0] == report.sigma_eff_m2
+        assert all(a < b for a, b in zip(sweep.area, sweep.area[1:]))
         assert max(sweep.kappa) == sweep.kappa[0]  # the kappa of a beam of area sigma_eff
 
-    @pytest.mark.parametrize("points,max_factor,message", [
-        (1, 1e6, "area_sweep_points must be >= 2"),
-        (0, 1e6, "area_sweep_points must be >= 2"),
-        (2.5, 1e6, "area_sweep_points must be an integer, got 2.5"),
-        (3.0, 1e6, "area_sweep_points must be an integer, got 3.0"),
-        (math.nan, 1e6, "area_sweep_points must be an integer, got nan"),
-        (7, 1.0, "area_sweep_max_factor must be in (1, 1e+12], got 1.0"),
-        (7, 0.0, "area_sweep_max_factor must be in (1, 1e+12], got 0.0"),
-        (7, -1e-12, "area_sweep_max_factor must be in (1, 1e+12], got -1e-12"),
-        (7, math.nan, "area_sweep_max_factor must be in (1, 1e+12], got nan"),
-        (7, math.inf, "area_sweep_max_factor must be in (1, 1e+12], got inf"),
-        (7, 1.7e308, "area_sweep_max_factor must be in (1, 1e+12], got 1.7e+308"),
-        (7, math.nextafter(1e12, math.inf),
-         "area_sweep_max_factor must be in (1, 1e+12], got 1000000000000.0001"),
-    ], ids=["points-1", "points-0", "points-2.5", "points-3.0", "points-nan", "factor-1",
-            "factor-0", "factor-negative", "factor-nan", "factor-inf", "factor-overflows",
-            "factor-past-the-box"])
-    def test_grid_outside_the_contract_is_refused(self, points, max_factor, message):
-        # a factor of 1.7e308 would overflow the largest area of this sweep
+    def test_sweep_stops_at_the_greatest_mode_area(self):
+        # sigma_eff * AREA_SWEEP_FACTOR passes 1e4 m^2 above a wavelength of
+        # 0.29 m; there the sweep ends at the greatest mode_area, exactly
+        for wavelength in (1.0, 0.3, 0.28, 1e-6):
+            report = pi_pulse_budget(wavelength, 1.0, 1e-29, 1e5)
+            sweep = fixed_intensity_area_sweep(report, 7)
+            widest = report.sigma_eff_m2 * budget.AREA_SWEEP_FACTOR
+            largest = 1e4 if wavelength > 0.29 else widest
+            assert sweep.area[-1] == largest == max(sweep.area) <= INPUT_BOX["mode_area"][1]
+            pi_pulse_budget(wavelength, largest, 1e-29, 1e5)  # a beam the budget accepts
+
+    @pytest.mark.parametrize("points,message", [
+        (1, "area_sweep_points must be >= 2"),
+        (0, "area_sweep_points must be >= 2"),
+        (2.5, "area_sweep_points must be an integer, got 2.5"),
+        (3.0, "area_sweep_points must be an integer, got 3.0"),
+        (math.nan, "area_sweep_points must be an integer, got nan"),
+    ], ids=["points-1", "points-0", "points-2.5", "points-3.0", "points-nan"])
+    def test_grid_outside_the_contract_is_refused(self, points, message):
         report = pi_pulse_budget(1.0, 1e3, 1e-29, 1e5)
         with pytest.raises(InvalidStateError, match=f"^{re.escape(message)}$"):
-            fixed_intensity_area_sweep(report, points, max_factor)
+            fixed_intensity_area_sweep(report, points)
 
     @given(beam=beams, dipole=dipoles, amplitude=amplitudes,
-           points=st.integers(min_value=2, max_value=20),
-           max_factor=st.floats(min_value=0.01, max_value=12.0).map(lambda e: 10.0**e))
+           points=st.integers(min_value=2, max_value=20))
     @settings(max_examples=50, deadline=None)
-    def test_rows_are_the_budget_of_each_beam(self, beam, dipole, amplitude, points, max_factor):
+    def test_rows_are_the_budget_of_each_beam(self, beam, dipole, amplitude, points):
         # bit for bit: the sweep computes each row as pi_pulse_budget does,
         # from its first row at A = sigma_eff, the narrowest beam the budget accepts
         wavelength, mode_area = beam
         report = pi_pulse_budget(wavelength, mode_area, dipole, amplitude)
-        sweep = fixed_intensity_area_sweep(report, points, max_factor)
+        sweep = fixed_intensity_area_sweep(report, points)
         sigma = report.sigma_eff_m2
         assert len(sweep.area) == points
-        assert sweep.area[0] == sigma and sweep.area[-1] == sigma * max_factor
+        assert sweep.area[0] == sigma and sweep.area[-1] == sigma * budget.AREA_SWEEP_FACTOR
         for area, kappa, n_bar in zip(sweep.area, sweep.kappa, sweep.n_bar):
             report = pi_pulse_budget(wavelength, area, dipole, amplitude)
             assert (kappa, n_bar) == (report.kappa_per_s, report.n_bar)
@@ -613,12 +616,11 @@ class TestRecordsAreFinite:
            mode_area=anywhere | _in_box("mode_area", 1e-23),
            dipole=anywhere | _in_box("dipole"), field=anywhere | _in_box("field_amplitude"),
            epsilon=anywhere | _in_box("epsilon"), points=st.integers(min_value=2, max_value=5),
-           max_factor=anywhere | _in_box("area_sweep_max_factor"),
            detuning=anywhere | _in_box("detuning", 1e-12),
            rabi=anywhere | _in_box("rabi_frequency"), gamma=anywhere | _in_box("gamma"))
     @settings(max_examples=200, deadline=None)
     def test_refused_or_finite(self, wavelength, mode_area, dipole, field, epsilon, points,
-                               max_factor, detuning, rabi, gamma):
+                               detuning, rabi, gamma):
         try:
             raman = raman_constraint(detuning, rabi, gamma, epsilon)
         except InvalidStateError:
@@ -631,7 +633,7 @@ class TestRecordsAreFinite:
             return
         assert _all_normal(report), report
         try:
-            sweep = fixed_intensity_area_sweep(report, points, max_factor)
+            sweep = fixed_intensity_area_sweep(report, points)
         except InvalidStateError:
             return
         assert _all_normal(sweep), sweep
@@ -645,9 +647,6 @@ def _outside(name: str):
             | anywhere.map(lambda x: -x) | st.floats(min_value=greatest, exclude_min=True))
 
 
-# the README beam's budget, whose area sweep the refusal test draws
-README_REPORT = pi_pulse_budget(1e-6, 1e-12, 1e-29, 1e5)
-
 # each budget entry point, a strategy per argument, and the INPUT_BOX name of
 # each argument it must refuse when outside its range
 ENTRY_POINTS = {
@@ -655,9 +654,6 @@ ENTRY_POINTS = {
         0: "wavelength", 1: "mode_area", 2: "dipole", 3: "field_amplitude", 4: "epsilon"}),
     "raman_constraint": (raman_constraint, (anywhere,) * 4, {
         0: "detuning", 1: "rabi_frequency", 2: "gamma", 3: "epsilon"}),
-    "fixed_intensity_area_sweep": (
-        lambda points, max_factor: fixed_intensity_area_sweep(README_REPORT, points, max_factor),
-        (st.integers(2, 5), anywhere), {1: "area_sweep_max_factor"}),
     "drive_ratio_for_photons": (drive_ratio_for_photons, (anywhere, anywhere), {1: "n_bar"}),
 }
 
@@ -794,10 +790,9 @@ class TestInputBox:
                 exact = _exact_beam(*inputs)
                 _assert_matches(report._fields, report, exact)
                 # the sweep's rows run from its first to its last row, monotonically
-                for max_factor in _ends("area_sweep_max_factor"):
-                    sweep = fixed_intensity_area_sweep(report, 2, max_factor)
-                    for row, area in zip(zip(*sweep), sweep.area):
-                        _assert_matches(sweep._fields, row, _exact_sweep_row(exact, area))
+                sweep = fixed_intensity_area_sweep(report, 2)
+                for row, area in zip(zip(*sweep), sweep.area):
+                    _assert_matches(sweep._fields, row, _exact_sweep_row(exact, area))
             for inputs in _raman_corners():
                 raman = raman_constraint(*inputs)
                 _assert_matches(raman._fields, raman, _exact_raman(*inputs))
@@ -831,7 +826,4 @@ class TestInputBox:
 
 
 # each INPUT_BOX name, as a call with that input replaced by ``bad``
-BOX_EDGE_CALLS = {
-    **dict(ONE_BAD_INPUT.values()),
-    "area_sweep_max_factor": lambda bad: fixed_intensity_area_sweep(README_REPORT, 7, bad),
-}
+BOX_EDGE_CALLS = dict(ONE_BAD_INPUT.values())

@@ -255,13 +255,16 @@ class TestSimulate:
         (["sweep", "--points", "-1"], "invalid value for 'points': '-1' (must be >= 0)"),
         ([*BUDGET_ARGS, "--area_sweep_points", "-1"],
          "invalid value for 'area_sweep_points': '-1' (must be >= 0)"),
-        (["simulate", "--config", "no/such/lasergate.cfg"],
-         "cannot read config file 'no/such/lasergate.cfg': [Errno 2] No such file or"
-         " directory: 'no/such/lasergate.cfg'"),
-        # an empty path names no file: it is refused, not read as no config or as stdout
-        (["sweep", "--config="], "cannot read config file '': [Errno 2] No such file or"
-         " directory: ''"),
-        (["sweep", "--out="], "cannot write '': [Errno 2] No such file or directory: ''"),
+        # each input has one spelling, --<key> <value>: a config file, a
+        # --key=value token, a dashed key and a retired key are each refused
+        (["simulate", "--config", "x.cfg"], "unknown key 'config' for command 'simulate'"),
+        (["simulate", "--theta=1"], "option '--theta=1' is missing a value"),
+        (["simulate", "--theta=1", "--samples", "3"], "expected --key value pairs, got '3'"),
+        (["sweep", "--ratio-min", "1e-4"], "unknown key 'ratio-min' for command 'sweep'"),
+        ([*BUDGET_ARGS, "--area_sweep_max_factor", "10"],
+         "unknown key 'area_sweep_max_factor' for command 'budget'"),
+        # an empty path names no file: it is refused, not read as stdout
+        (["sweep", "--out", ""], "cannot write '': [Errno 2] No such file or directory: ''"),
         ([*BUDGET_ARGS, "--format", "xml"], "budget format must be text or csv, got 'xml'"),
         (["simulate", "--samples"], "option '--samples' is missing a value"),
         # each sweep end is refused as typed, before logspace could round it
@@ -288,7 +291,9 @@ class TestSimulate:
     ], ids=["method", "step-count", "samples", "step-count-theta-0", "samples-first",
             "step-count-past-the-double-range", "method-before-ratio", "start-before-samples",
             "negative-samples", "negative-step-count", "negative-points",
-            "negative-area-sweep-points", "unreadable-config", "empty-config", "empty-out",
+            "negative-area-sweep-points", "config-file", "equals-spelling",
+            "equals-spelling-takes-the-next-token", "dashed-key", "area-sweep-max-factor",
+            "empty-out",
             "budget-format",
             "option-without-value", "ratio-max-is-named", "ratio-max-past-the-bound",
             "ratio-min-subnormal", "ratio-min-past-the-least", "ratio-min-smallest-normal",
@@ -607,12 +612,6 @@ class TestBudget:
         assert (code, out) == (EXIT_CONFIG, "")
         assert err == f"error: wavelength must be in (1e-11, 1], got {float(wavelength)}\n"
 
-    def test_sweep_factor_past_the_box_is_refused(self):
-        # a factor that would overflow the largest area of the sweep
-        code, out, err = run_captured(*BUDGET_ARGS, "--area_sweep_max_factor", "1.7e308")
-        assert (code, out) == (EXIT_CONFIG, "")
-        assert err == "error: area_sweep_max_factor must be in (1, 1e+12], got 1.7e+308\n"
-
     # each row's inputs would drive the value it is named after out of the
     # double range; each is refused as an input outside budget.INPUT_BOX.
     # The Raman rows keep the beam inside its box, the weakest drive and the
@@ -680,9 +679,6 @@ class TestBudget:
         ("raman_detuning", "1.0000000000000001e18",
          "detuning must be in (0, 1e+18], got 1.0000000000000001e+18"),
         ("area_sweep_points", "1", "area_sweep_points must be >= 2"),
-        ("area_sweep_max_factor", "1", "area_sweep_max_factor must be in (1, 1e+12], got 1.0"),
-        ("area_sweep_max_factor", "1000000000000.0001",
-         "area_sweep_max_factor must be in (1, 1e+12], got 1000000000000.0001"),
     ])
     def test_each_input_alone_outside_its_box_is_named(self, monkeypatch, key, value, message):
         # no refused input reaches the area sweep's grid
@@ -693,20 +689,6 @@ class TestBudget:
         code, out, err = run_captured(*BUDGET_ARGS, "--raman_detuning", "1e12", f"--{key}", value)
         assert (code, out, err) == (EXIT_CONFIG, "", f"error: {message}\n")
 
-    def test_config_file_with_overrides(self, tmp_path):
-        cfg = tmp_path / "budget.cfg"
-        cfg.write_text(
-            "# reference system\n"
-            "wavelength = 1e-6\n"
-            "mode_area = 1e-12\n"
-            "dipole = 1e-29\n"
-            "field_amplitude = 1e5\n"
-            "epsilon = 1e-4\n"
-        )
-        code, payload = run(tmp_path, "budget", "--config", str(cfg), "--epsilon", "1e-2")
-        assert code == EXIT_OK
-        assert report_values(payload)["epsilon"] == "1.00000000000e-02"
-
     # duration is no budget key: the pulse is a pi pulse, T = pi / Omega_R
     @pytest.mark.parametrize("key,value", [("wavelength", "nan"), ("epsilon", "inf"),
                                            ("duration", "-inf"), ("raman_detuning", "-inf")])
@@ -716,26 +698,18 @@ class TestBudget:
     @given(wavelength=st.floats(1e-12, 1.0), mode_area=st.floats(1e-30, 1.0),
            dipole=st.floats(1e-40, 1e-20), field=st.floats(1e-3, 1e12),
            epsilon=st.floats(0.0, 1.0), points=st.integers(0, 12),
-           max_factor=st.floats(0.0, 1e12),
            extra=st.sampled_from([[], ["--raman_detuning", "1e20"], ["--raman_detuning", "1e12"]]),
            fmt=st.sampled_from(["text", "csv"]))
     @settings(max_examples=40, deadline=None)
     def test_any_budget_exits_cleanly(self, wavelength, mode_area, dipole, field, epsilon,
-                                      points, max_factor, extra, fmt):
+                                      points, extra, fmt):
         # budget refuses every input outside its box, and none inside it fails
         code = assert_exits_cleanly("budget", "--wavelength", repr(wavelength),
                                     "--mode_area", repr(mode_area), "--dipole", repr(dipole),
                                     "--field_amplitude", repr(field), "--epsilon", repr(epsilon),
                                     "--area_sweep_points", str(points),
-                                    "--area_sweep_max_factor", repr(max_factor),
                                     "--format", fmt, *extra)
         assert code != EXIT_NUMERIC
-
-    def test_malformed_config_line(self, tmp_path):
-        cfg = tmp_path / "bad.cfg"
-        cfg.write_text("wavelength 1e-6\n")
-        code, _ = run(tmp_path, "budget", "--config", str(cfg))
-        assert code == EXIT_CONFIG
 
     @pytest.mark.parametrize("fmt", ["text", "csv"])
     def test_scalar_lines_are_the_budget_fields(self, fmt):
@@ -744,7 +718,7 @@ class TestBudget:
         report = budget.pi_pulse_budget(1e-6, 1e-12, 1e-29, 1e5)
         raman = budget.raman_constraint(1e12, report.rabi_frequency_rad_per_s,
                                         report.gamma_per_s, 1e-4)
-        header = ",".join(budget.fixed_intensity_area_sweep(report, 7, 1e6)._fields)
+        header = ",".join(budget.fixed_intensity_area_sweep(report, 7)._fields)
         main_block = [*_field_lines(report), ("photon_constraint", "violated")]
         raman_block = [*_field_lines(raman, "raman_"),
                        ("raman_eliminated_coefficient", cli._fmt(math.pi)),
@@ -873,13 +847,23 @@ class TestBudget:
 
     def test_huge_wavelength_budget_is_finite(self):
         # the longest wavelength and widest beam, with the greatest dipole,
-        # field, epsilon and sweep factor: a corner of the box
+        # field and epsilon: a corner of the box
         code, out, _ = run_captured(
             "budget", "--wavelength", "1", "--mode_area", "1e4", "--dipole", "1e-24",
-            "--field_amplitude", "1e12", "--epsilon", "0.5", "--area_sweep_max_factor", "1e12",
-            "--format", "csv")
+            "--field_amplitude", "1e12", "--epsilon", "0.5", "--format", "csv")
         assert code == EXIT_OK
         assert out and not NON_FINITE.search(out), NON_FINITE.search(out)
+
+    def test_area_sweep_stops_at_the_greatest_mode_area(self):
+        # at 1 m, sigma_eff * 1e6 = 1.2e5 m^2 lies past the greatest mode_area,
+        # 1e4 m^2: the sweep ends there, so every row is a beam budget accepts
+        code, out, _ = run_captured("budget", "--wavelength", "1", "--mode_area", "1",
+                                    "--dipole", "1e-29", "--field_amplitude", "1e5",
+                                    "--format", "csv")
+        assert code == EXIT_OK
+        areas = [line.split(",")[0] for line in rows(out.encode())[1:]]
+        assert len(areas) == 7 and areas[-1] == "1.00000000000e+04"
+        assert max(map(float, areas)) == 1e4
 
 
 class TestCompare:
