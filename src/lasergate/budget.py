@@ -6,12 +6,13 @@ from sigma_eff by six decades, or up to the greatest ``mode_area``.
 
 Everything here is an algebraic calculator over SI inputs (m, s, W, C*m); the
 dimensionless gate-error results from :mod:`lasergate.gates` connect to these
-through the flux relation Phi = Omega_R^2 / (4 kappa).  The transition
-frequency is derived from the wavelength, omega = 2 pi c / lambda, so the two
-cannot disagree.  Every pulse is a pi pulse, its duration T = pi / Omega_R
-derived, not chosen.  hbar, c and epsilon0 are the module constants
-:data:`HBAR`, :data:`C` and :data:`EPSILON0`.  Invariance under a global
-change of the time unit (rates * s, times / s, hbar / s, c * s) is a
+through the flux relation Phi = Omega_R^2 / (4 kappa), whose photon form
+kappa / g_alpha = theta / (2 nbar) the CLI's ``compare`` writes inline.  The
+transition frequency is derived from the wavelength, omega = 2 pi c / lambda,
+so the two cannot disagree.  Every pulse is a pi pulse, its duration
+T = pi / Omega_R derived, not chosen.  hbar, c and epsilon0 are the module
+constants :data:`HBAR`, :data:`C` and :data:`EPSILON0`.  Invariance under a
+global change of the time unit (rates * s, times / s, hbar / s, c * s) is a
 property of the formulas; the tests check it by patching those constants.
 
 Margins are reported as ratios (satisfied iff margin > 1), which keeps them
@@ -66,7 +67,6 @@ INPUT_BOX = {
     "detuning": (0.0, 1e18),  # rad/s: up to the carrier of 1.9 nm X-rays; its least is 10 Omega_R
     "rabi_frequency": (1e-13, 1e22),  # rad/s: d E0 / hbar spans 9.5e-13 to 9.5e21
     "gamma": (1e-35, 1e32),  # 1/s: Gamma spans 2.8e-34 to 2.8e31
-    "n_bar": (0.0, 1e14),  # photons per pulse, up to jc.MAX_N_BAR, which is read from here
 }
 
 # The widest area sweep, as a multiple of sigma_eff: six decades of beam area.
@@ -105,20 +105,6 @@ class PiPulseBudget(namedtuple("PiPulseBudget", """
     @property
     def satisfied(self) -> bool:
         return self.constraint_margin > 1.0
-
-
-def drive_ratio_for_photons(theta: float, n_bar: float) -> float:
-    """kappa / g_alpha = theta / (2 nbar) for a theta pulse carrying nbar
-    photons, from kappa / Omega_R = theta / (4 nbar) and Omega_R = 2 g_alpha.
-    An ``n_bar`` outside its :data:`INPUT_BOX` range is refused with
-    :class:`InvalidStateError`."""
-    _check_inputs(n_bar=n_bar)
-    return theta / (2.0 * n_bar)
-
-
-def photon_coefficient(coefficient_vs_ratio: float, theta: float) -> float:
-    """Convert c (per kappa/g_alpha) into c' (per 1/nbar): c' = c * theta / 2."""
-    return coefficient_vs_ratio * theta / 2.0
 
 
 def pi_pulse_budget(wavelength: float, mode_area: float, dipole: float, field_amplitude: float,

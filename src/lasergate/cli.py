@@ -192,7 +192,7 @@ def run_simulate(cfg: dict) -> chain:
 
 def run_sweep(cfg: dict) -> chain:
     """Ratio sweep CSV with a first-order-coefficient footer."""
-    from . import budget, gates
+    from . import gates
 
     theta = _lookup("gate", GATE_AREAS, cfg["gate"])
     state = _lookup("start state", START_STATES, cfg["start"])
@@ -204,7 +204,7 @@ def run_sweep(cfg: dict) -> chain:
     residual = math.sqrt(sum((p / r - c) ** 2 for p, r in zip(probabilities, ratios)) / len(ratios))
 
     return chain(["ratio,p\n"], _table((ratios, probabilities)),
-                 [f"# c={_fmt(c)} c_prime={_fmt(budget.photon_coefficient(c, theta))}"
+                 [f"# c={_fmt(c)} c_prime={_fmt(c * theta / 2.0)}"
                   f" residual={_fmt(residual)}\n"])
 
 
@@ -251,7 +251,7 @@ def _section(record, verdict: str, prefix: str = "", *extra) -> list:
 
 def run_compare(cfg: dict) -> chain:
     """Markov vs single-mode failure probabilities on a shared photon grid."""
-    from . import budget, gates, jc
+    from . import gates, jc
 
     theta = _lookup("gate", GATE_AREAS, cfg["gate"])
     state = _lookup("start state", START_STATES, cfg["start"])
@@ -259,7 +259,8 @@ def run_compare(cfg: dict) -> chain:
         raise ConfigError("n_bars must list at least one photon number")
     n_bars = jc.check_photon_numbers(cfg["n_bars"])  # before any work
 
-    ratios = [budget.drive_ratio_for_photons(theta, n_bar) for n_bar in n_bars]
+    # the flux relation: kappa / g_alpha = theta / (2 nbar) for a theta pulse of nbar photons
+    ratios = [theta / (2.0 * n_bar) for n_bar in n_bars]
     markov = gates.sweep_failure_probabilities(theta, state, ratios)
     single_mode = [jc.jc_gate_error(theta, state, n_bar) for n_bar in n_bars]
     # a markov row, then a jc row, per photon number
@@ -284,7 +285,8 @@ def _overrides_from_extras(extras: list[str]) -> dict[str, str]:
     for token in tokens:
         if not token.startswith("--") or len(token) == 2:
             raise ConfigError(f"expected --key value pairs, got {token!r}")
-        if (value := next(tokens, None)) is None:
+        # a value never starts with "--": that token is the next option
+        if (value := next(tokens, None)) is None or value.startswith("--"):
             raise ConfigError(f"option {token!r} is missing a value")
         overrides[token[2:]] = value
     return overrides

@@ -11,7 +11,7 @@ exact for a pure start; delta comes from the deviation form of the exact map,
 ``lindblad._propagator``, so p keeps its relative precision however small
 kappa / g_alpha is: p(0) = 0 and p = c * (kappa / g_alpha) to first order.
 ``first_order_coefficient`` gives c in closed form; its photon-number form
-is p = c' / nbar with c' = c * theta / 2 (see ``budget.photon_coefficient``).
+is p = c' / nbar with c' = c * theta / 2, from kappa / g_alpha = theta / (2 nbar).
 A sweep reads p over the ratio grid that :func:`ratio_grid` builds.
 """
 

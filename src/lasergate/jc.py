@@ -35,15 +35,14 @@ from __future__ import annotations
 
 import math
 
-from .budget import INPUT_BOX
 from .qcore import InvalidStateError, check_pure_start
 
-# Largest mean photon number a field may hold, the budget's greatest nbar.  A
-# gate error reads about 80 levels of its window whatever nbar is, so this fixes
-# the photon range that ``compare`` accepts, not a cost: up to it, tests pin p
-# against its large-nbar asymptote (c'_JC + b / nbar) / nbar, and the level
-# offsets m - nbar stay exact in a double up to about 9e15.
-MAX_N_BAR = INPUT_BOX["n_bar"][1]
+# Largest mean photon number a field may hold.  A gate error reads about 80
+# levels of its window whatever nbar is, so this fixes the photon range that
+# ``compare`` accepts, not a cost: the window's level offsets m - nbar stay
+# exact in a double up to about 9e15, and up to the cap the tests pin p against
+# its large-nbar asymptote (c'_JC + b / nbar) / nbar.
+MAX_N_BAR = 1e14
 
 # stirlerr(m) = log(m!) - log(sqrt(2 pi m) (m / e)^m) for m = 0..15, to the
 # nearest double (the m = 0 entry is a placeholder: P_0 is read directly)

@@ -18,9 +18,7 @@ from lasergate.budget import (
     RAMAN_ELIMINATION_COEFFICIENT,
     RESONANT_CHAIN_COEFFICIENT,
     PiPulseBudget,
-    drive_ratio_for_photons,
     fixed_intensity_area_sweep,
-    photon_coefficient,
     pi_pulse_budget,
     raman_constraint,
 )
@@ -119,20 +117,6 @@ class TestPhotonRelations:
         # p = c' / nbar with c' = 3 pi^2 / 32: 0.93 / 1e6 ~ 9.3e-7
         assert PI_PULSE_PHOTON_COEFFICIENT / 1e6 == pytest.approx(9.3e-7, rel=0.01)
         assert PI_PULSE_PHOTON_COEFFICIENT / 1e12 < 1e-11
-
-    def test_error_needs_positive_photons(self):
-        with pytest.raises(InvalidStateError):
-            drive_ratio_for_photons(math.pi, 0.0)
-
-    def test_ratio_for_photon_number(self):
-        # theta = pi at nbar = 1e6: kappa/Omega_R = pi / 4e6, kappa/g_alpha twice that
-        assert drive_ratio_for_photons(math.pi, 1e6) == pytest.approx(2 * 7.853981633974e-7, rel=1e-10)
-
-    def test_photon_coefficient_conversion(self):
-        # c' = c * theta / 2 recovers 3 pi^2/32 from 3 pi/16
-        assert photon_coefficient(3 * math.pi / 16, math.pi) == pytest.approx(
-            3 * math.pi**2 / 32, rel=1e-14
-        )
 
     @given(beam=beams, dipole=dipoles, amplitude=amplitudes)
     @settings(max_examples=100, deadline=None)
@@ -483,7 +467,6 @@ ONE_BAD_INPUT = {
                       lambda bad: pi_pulse_budget(1e-6, 1e-12, 1e-29, 1e5, epsilon=bad)),
     "raman-gamma": ("gamma", lambda bad: raman_constraint(1e12, 1e9, bad, 1e-4)),
     "raman-epsilon": ("epsilon", lambda bad: raman_constraint(1e12, 1e9, 1e7, bad)),
-    "drive-ratio": ("n_bar", lambda bad: drive_ratio_for_photons(math.pi, bad)),
 }
 # a NaN keeps the input's own id; the other bad values add theirs
 BAD_VALUES = {"": math.nan, "-inf": math.inf, "-minus-inf": -math.inf, "-zero": 0.0,
@@ -654,7 +637,6 @@ ENTRY_POINTS = {
         0: "wavelength", 1: "mode_area", 2: "dipole", 3: "field_amplitude", 4: "epsilon"}),
     "raman_constraint": (raman_constraint, (anywhere,) * 4, {
         0: "detuning", 1: "rabi_frequency", 2: "gamma", 3: "epsilon"}),
-    "drive_ratio_for_photons": (drive_ratio_for_photons, (anywhere, anywhere), {1: "n_bar"}),
 }
 
 

@@ -259,7 +259,7 @@ class TestSimulate:
         # --key=value token, a dashed key and a retired key are each refused
         (["simulate", "--config", "x.cfg"], "unknown key 'config' for command 'simulate'"),
         (["simulate", "--theta=1"], "option '--theta=1' is missing a value"),
-        (["simulate", "--theta=1", "--samples", "3"], "expected --key value pairs, got '3'"),
+        (["simulate", "--theta=1", "--samples", "3"], "option '--theta=1' is missing a value"),
         (["sweep", "--ratio-min", "1e-4"], "unknown key 'ratio-min' for command 'sweep'"),
         ([*BUDGET_ARGS, "--area_sweep_max_factor", "10"],
          "unknown key 'area_sweep_max_factor' for command 'budget'"),
@@ -267,6 +267,10 @@ class TestSimulate:
         (["sweep", "--out", ""], "cannot write '': [Errno 2] No such file or directory: ''"),
         ([*BUDGET_ARGS, "--format", "xml"], "budget format must be text or csv, got 'xml'"),
         (["simulate", "--samples"], "option '--samples' is missing a value"),
+        # a token that starts with "--" is the next option, never a value
+        (["sweep", "--points", "8", "--out", "--gate"], "option '--out' is missing a value"),
+        (["simulate", "--ratio", "--theta", "1"], "option '--ratio' is missing a value"),
+        (["simulate", "--ratio", "--"], "option '--ratio' is missing a value"),
         # each sweep end is refused as typed, before logspace could round it
         (["sweep", "--ratio_max", "1.7976931348623157e308"],
          "ratio 1.7976931348623157e+308 exceeds the perturbative bound 0.01"),
@@ -295,12 +299,16 @@ class TestSimulate:
             "equals-spelling-takes-the-next-token", "dashed-key", "area-sweep-max-factor",
             "empty-out",
             "budget-format",
-            "option-without-value", "ratio-max-is-named", "ratio-max-past-the-bound",
+            "option-without-value", "out-before-an-option", "value-before-an-option",
+            "value-is-a-bare-double-dash", "ratio-max-is-named", "ratio-max-past-the-bound",
             "ratio-min-subnormal", "ratio-min-past-the-least", "ratio-min-smallest-normal",
             "equal-ratio-ends", "nan-ratio-min", "infinite-ratio-ends",
             "rk4-ratio-past-the-greatest"])
-    def test_solver_refusals_keep_message_and_order(self, argv, message):
+    def test_solver_refusals_keep_message_and_order(self, argv, message, tmp_path, monkeypatch):
+        # run in an empty directory: a refusal writes no file either
+        monkeypatch.chdir(tmp_path)
         assert run_captured(*argv) == (EXIT_CONFIG, "", f"error: {message}\n")
+        assert list(tmp_path.iterdir()) == []
 
     @given(theta=st.floats(0.0, 1e13), ratio=st.floats(0.0, 1e308), samples=st.integers(1, 50),
            method=st.sampled_from(["exact", "rk4_fixed"]),
@@ -1124,8 +1132,26 @@ print(json.dumps([stdlib, after_import, code, after_simulate, compare, loaded()]
         assert stdlib == []
         assert after_import == [] and after_simulate == []
         assert code == compare == EXIT_OK
-        # compare loads jc, and with it every lazy module
-        assert len(finally_loaded) == 3
+        # compare loads gates and jc, and no budget
+        assert finally_loaded == ["lasergate.gates", "lasergate.jc"]
+
+    def test_jc_and_the_photon_commands_load_no_budget(self):
+        # a fresh interpreter without site-packages: jc stands alone on qcore,
+        # and sweep and compare write their photon forms without budget
+        code = f"""
+import json, os, sys
+sys.path.insert(0, {str(Path(lasergate.__file__).parents[1])!r})
+others = ("lasergate.budget", "lasergate.gates", "lasergate.lindblad")
+import lasergate.jc
+after_jc = [name for name in others if name in sys.modules]
+import lasergate.cli
+codes = [lasergate.cli.main(["sweep", "--points", "4", "--out", os.devnull]),
+         lasergate.cli.main(["compare", "--n_bars", "100", "--out", os.devnull])]
+print(json.dumps([after_jc, codes, "lasergate.budget" in sys.modules]))
+"""
+        out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                             check=True).stdout
+        assert json.loads(out) == [[], [EXIT_OK, EXIT_OK], False]
 
     def test_import_and_sweep_load_no_numpy(self):
         code = f"""

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import oracles
 from lasergate import gates
-from lasergate.budget import drive_ratio_for_photons, photon_coefficient
+from lasergate.budget import pi_pulse_budget
 from lasergate.cli import GATE_AREAS, START_STATES
 from lasergate.gates import first_order_coefficient, ratio_grid, sweep_failure_probabilities
 from lasergate.lindblad import RK4_FIXED, _apply, _propagator, evolve
@@ -218,8 +218,7 @@ class TestAgainstMultiprecision:
         assert f"{(3 * math.pi / 32 - 0.25) * math.pi / 4:.11e}" == "3.49693123012e-02"
         theta = GATE_AREAS[gate]
         n_bars = [10.0 ** k for k in range(6, 15)]
-        ps = sweep_failure_probabilities(theta, GROUND,
-                                         [drive_ratio_for_photons(theta, n) for n in n_bars])
+        ps = sweep_failure_probabilities(theta, GROUND, [theta / (2 * n) for n in n_bars])
         b = (ps[0] * n_bars[0] - c_prime) * n_bars[0]
         for n_bar, p in zip(n_bars, ps):
             gap = p * n_bar - c_prime
@@ -308,22 +307,25 @@ class TestExtractCoefficient:
 
     def test_pi_from_ground_coefficients(self):
         # photon form is 3 pi^2/32 ~ 0.925 (quoted as 0.93)
-        assert photon_coefficient(first_order_coefficient(*PI_FROM_GROUND), math.pi) == (
+        assert first_order_coefficient(*PI_FROM_GROUND) * math.pi / 2 == (
             pytest.approx(3 * math.pi**2 / 32, rel=1e-13))
 
     def test_half_pulse_coefficients(self):
-        ground = photon_coefficient(first_order_coefficient(*HALF_FROM_GROUND), math.pi / 2)
-        excited = photon_coefficient(first_order_coefficient(*HALF_FROM_EXCITED), math.pi / 2)
+        ground = first_order_coefficient(*HALF_FROM_GROUND) * (math.pi / 2) / 2
+        excited = first_order_coefficient(*HALF_FROM_EXCITED) * (math.pi / 2) / 2
         assert ground == pytest.approx(0.04, rel=0.5)
         assert excited == pytest.approx(0.43, rel=0.15)
         # the excited start is strictly the lossier one
         assert excited > ground
 
     def test_photon_conversion_is_half_theta(self):
-        c = first_order_coefficient(*HALF_FROM_EXCITED)
-        assert photon_coefficient(c, math.pi / 2) == pytest.approx(c * (math.pi / 2) / 2,
-                                                                   rel=1e-12)
-        assert photon_coefficient(2.0, math.pi) == pytest.approx(math.pi)
+        # a budget's pi pulse has kappa / g_alpha = 2 kappa / Omega_R = theta / (2 nbar),
+        # so p = c * kappa / g_alpha is c' / nbar with c' = c * theta / 2
+        report = pi_pulse_budget(1e-6, 1e-12, 1e-29, 1e5)
+        ratio = 2 * report.kappa_per_s / report.rabi_frequency_rad_per_s
+        assert ratio == pytest.approx(math.pi / (2 * report.n_bar), rel=1e-12)
+        c = first_order_coefficient(*PI_FROM_GROUND)
+        assert c * ratio == pytest.approx(c * math.pi / 2 / report.n_bar, rel=1e-12)
 
     def test_pointwise_slopes_stay_within_two_percent(self):
         ps = sweep_failure_probabilities(*PI_FROM_GROUND, SWEEP_GRID)
