@@ -102,15 +102,10 @@ def _floats(raw: str) -> tuple[float, ...]:
     return tuple(map(float, tokens))
 
 
-def _non_negative_int(raw: str) -> int:
+def _row_count(raw: str) -> int:
     value = int(raw)
     if value < 0:
         raise ValueError("must be >= 0")
-    return value
-
-
-def _row_count(raw: str) -> int:
-    value = _non_negative_int(raw)
     if value > MAX_ROWS:
         raise ValueError(f"must be <= {MAX_ROWS}")
     return value
@@ -124,7 +119,6 @@ KEY_SCHEMAS: dict[str, dict] = {
         "start": (str, "ground"),
         "samples": (_row_count, 200),
         "method": (str, EXACT),
-        "step_count": (_non_negative_int, 1000),
     },
     "sweep": {
         "gate": (str, "pi"),
@@ -182,8 +176,7 @@ def _lookup(kind: str, table: dict, name: str):
 def run_simulate(cfg: dict) -> chain:
     """Trajectory CSV: t, populations, coherence, purity at samples+1 times."""
     state = _lookup("start state", START_STATES, cfg["start"])
-    trajectory = evolve(state, cfg["theta"], cfg["ratio"], cfg["samples"], cfg["method"],
-                        cfg["step_count"])
+    trajectory = evolve(state, cfg["theta"], cfg["ratio"], cfg["samples"], cfg["method"])
 
     return chain(["t,rho_bb,rho_aa,re_rho_ab,im_rho_ab,purity\n"],
                  chain.from_iterable(_table((times, *density_columns(xs, ys, zs)))

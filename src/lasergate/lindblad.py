@@ -42,7 +42,6 @@ its last sample is the final state.
 from __future__ import annotations
 
 import math
-import sys
 from collections import namedtuple
 
 from .qcore import InvalidStateError, check_bloch, check_count, check_start
@@ -63,6 +62,9 @@ MAX_THETA = 1e4
 # at most 6.25e298 (inf from r = 5.4e154).  No physical drive comes near it:
 # as kappa <= Gamma and g_alpha = Omega_R / 2, ``budget.INPUT_BOX`` gives <= 2e45.
 MAX_RATIO = 1e150
+
+# RK4 steps per pulse for ``rk4_fixed``: ceil(RK4_STEPS / samples) per segment.
+RK4_STEPS = 1000
 
 
 class Trajectory(namedtuple("Trajectory", "times x y z")):
@@ -201,22 +203,19 @@ def check_pulse(theta: float, ratios) -> None:
             raise InvalidStateError(f"{name} must be in [0, {greatest:g}], got {value}")
 
 
-def evolve(s0, theta: float, ratio: float, samples: int = 1, method: str = EXACT,
-           step_count: int = 1000) -> Trajectory:
+def evolve(s0, theta: float, ratio: float, samples: int = 1, method: str = EXACT) -> Trajectory:
     """Evolve the Bloch vector ``s0`` = (x, y, z) through one pulse of area
     ``theta`` at kappa/g_alpha = ``ratio``, with times in units of 1/g_alpha:
     the pulse lasts theta / 2.  Returns the :class:`Trajectory` of the states
     at ``samples`` + 1 uniformly spaced times, the final state last; at
     ``theta`` 0 each segment's map is the identity, so every sample is ``s0``.
     ``method`` is ``exact``, the closed form, or ``rk4_fixed``,
-    k = ceil(step_count / samples) classical RK4 steps per segment.
+    k = ceil(RK4_STEPS / samples) classical RK4 steps per segment.
 
     Refuses with :class:`InvalidStateError`, in this order: ``samples`` not
-    an integer or < 1, an unknown ``method``, ``rk4_fixed`` with
-    ``step_count`` not an integer, < 100 or past the double range (``exact``
-    ignores it), an ``s0`` that is not three numbers inside the unit ball
-    (:func:`qcore.check_start`), then ``theta`` or ``ratio`` as
-    :func:`check_pulse` does.  A propagated state that
+    an integer or < 1, an unknown ``method``, an ``s0`` that is not three
+    numbers inside the unit ball (:func:`qcore.check_start`), then ``theta``
+    or ``ratio`` as :func:`check_pulse` does.  A propagated state that
     :func:`qcore.check_bloch` refuses (an ``rk4_fixed`` step blew it up)
     raises :class:`FloatingPointError`.
     """
@@ -225,15 +224,11 @@ def evolve(s0, theta: float, ratio: float, samples: int = 1, method: str = EXACT
     if method not in (EXACT, RK4_FIXED):
         raise InvalidStateError(f"unknown integrator method {method!r}")
     increment = method == RK4_FIXED  # its map gives the change of v, not v
-    if increment and check_count("step_count", step_count) < 100:
-        raise InvalidStateError(f"rk4_fixed needs step_count >= 100 per pulse, got {step_count}")
-    if increment and step_count > sys.float_info.max:  # the step tau / step_count is a float
-        raise InvalidStateError(f"rk4_fixed needs step_count <= {sys.float_info.max:g} per pulse")
     x, y, z = check_start(s0)
     check_pulse(theta, (ratio,))
     half = theta / 2.0 + 0.0  # g_alpha * T; + 0.0 gives theta = -0.0 the times +0.0
     tau = half / samples  # scaled duration g_alpha * T of one segment
-    m = (_segment_map(ratio, tau, -(-step_count // samples)) if increment
+    m = (_segment_map(ratio, tau, -(-RK4_STEPS // samples)) if increment
          else _propagator(ratio, tau)[0])
     xs, ys, zs = [x], [y], [z]
     for _ in range(samples):

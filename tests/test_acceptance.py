@@ -11,7 +11,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from lasergate import budget
+from lasergate import budget, lindblad
 from lasergate.budget import (
     RAMAN_COEFFICIENT_GAP,
     RAMAN_ELIMINATION_COEFFICIENT,
@@ -187,19 +187,20 @@ def test_single_mode_pi_pulse_error():
     )
 
 
-def test_state_invariants_on_random_trajectories():
+def test_state_invariants_on_random_trajectories(monkeypatch):
     """Bulk property sweep: 1000 dissipative trajectories keep trace one,
     Hermiticity, and positivity; pure drives conserve purity; the fixed-step
     integrator converges at fourth order; budgets ignore the time unit."""
     rng = np.random.default_rng(2024)
     worst_trace = worst_herm = worst_eig = 0.0
+    monkeypatch.setattr(lindblad, "RK4_STEPS", 100)
     for _ in range(1000):
         g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         m = g @ g.conj().T
         s0 = density_bloch(m / np.trace(m))
         theta = rng.uniform(0.1, 2.0 * math.pi)
         ratio = rng.uniform(0.0, 1.0)
-        for mat in sample_matrices(evolve(s0, theta, ratio, 5, RK4_FIXED, 100)):
+        for mat in sample_matrices(evolve(s0, theta, ratio, 5, RK4_FIXED)):
             worst_trace = max(worst_trace, abs(np.trace(mat).real - 1.0))
             worst_herm = max(worst_herm, float(np.max(np.abs(mat - mat.conj().T))))
             half_tr = 0.5 * (mat[0, 0].real + mat[1, 1].real)
@@ -220,7 +221,8 @@ def test_state_invariants_on_random_trajectories():
     theta, ratio = 3.0 * math.pi / 2.0, 0.3
 
     def final_with(steps):
-        return sample_matrices(evolve(s0, theta, ratio, method=RK4_FIXED, step_count=steps))[-1]
+        monkeypatch.setattr(lindblad, "RK4_STEPS", steps)
+        return sample_matrices(evolve(s0, theta, ratio, method=RK4_FIXED))[-1]
 
     reference = final_with(2000)
     factor = np.max(np.abs(final_with(100) - reference)) / np.max(

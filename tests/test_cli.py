@@ -172,7 +172,7 @@ class TestSimulate:
     def test_csv_prints_the_trajectory_states(self, argv):
         cfg = cli._coerce("simulate", cli._overrides_from_extras(argv))
         trajectory = evolve(START_STATES[cfg["start"]], cfg["theta"], cfg["ratio"],
-                            cfg["samples"], cfg["method"], cfg["step_count"])
+                            cfg["samples"], cfg["method"])
         want = ["t,rho_bb,rho_aa,re_rho_ab,im_rho_ab,purity"]
         columns = density_columns(trajectory.x, trajectory.y, trajectory.z)
         for values in zip(trajectory.times, *columns):
@@ -230,28 +230,17 @@ class TestSimulate:
     def test_unknown_start_is_config_error(self, tmp_path):
         assert run(tmp_path, "simulate", "--start", "sideways")[0] == EXIT_CONFIG
 
-    # evolve refuses samples, then method, then step_count, before it reads the
-    # start vector or theta; so theta 0 does not hide a step count.
+    # evolve refuses samples, then method, before it reads the start vector or theta.
     # The rows after those are each command's config refusals, one error line each.
     @pytest.mark.parametrize("argv,message", [
         (["simulate", "--method", "bogus"], "unknown integrator method 'bogus'"),
-        (["simulate", "--method", "rk4_fixed", "--step_count", "50"],
-         "rk4_fixed needs step_count >= 100 per pulse, got 50"),
         (["simulate", "--samples", "0"], "samples must be >= 1"),
-        (["simulate", "--method", "rk4_fixed", "--step_count", "50", "--theta", "0"],
-         "rk4_fixed needs step_count >= 100 per pulse, got 50"),
-        (["simulate", "--samples", "0", "--method", "rk4_fixed", "--step_count", "50"],
-         "samples must be >= 1"),
-        # a count whose step length tau / step_count no float can hold
-        (["simulate", "--method", "rk4_fixed", "--step_count", "1" + "0" * 400],
-         "rk4_fixed needs step_count <= 1.79769e+308 per pulse"),
+        (["simulate", "--samples", "0", "--method", "rk4_fixed"], "samples must be >= 1"),
         (["simulate", "--method", "bogus", "--ratio", "-1"], "unknown integrator method 'bogus'"),
         # the start state is resolved before evolve is called
         (["simulate", "--samples", "0", "--start", "bogus"],
          "unknown start state 'bogus'; choose from ['excited', 'ground', 'plus']"),
         (["simulate", "--samples", "-1"], "invalid value for 'samples': '-1' (must be >= 0)"),
-        (["simulate", "--step_count", "-1"],
-         "invalid value for 'step_count': '-1' (must be >= 0)"),
         (["sweep", "--points", "-1"], "invalid value for 'points': '-1' (must be >= 0)"),
         ([*BUDGET_ARGS, "--area_sweep_points", "-1"],
          "invalid value for 'area_sweep_points': '-1' (must be >= 0)"),
@@ -263,6 +252,8 @@ class TestSimulate:
         (["sweep", "--ratio-min", "1e-4"], "unknown key 'ratio-min' for command 'sweep'"),
         ([*BUDGET_ARGS, "--area_sweep_max_factor", "10"],
          "unknown key 'area_sweep_max_factor' for command 'budget'"),
+        (["simulate", "--method", "rk4_fixed", "--step_count", "50"],
+         "unknown key 'step_count' for command 'simulate'"),
         # an empty path names no file: it is refused, not read as stdout
         (["sweep", "--out", ""], "cannot write '': [Errno 2] No such file or directory: ''"),
         ([*BUDGET_ARGS, "--format", "xml"], "budget format must be text or csv, got 'xml'"),
@@ -292,12 +283,10 @@ class TestSimulate:
         # rk4_fixed's N^2 would be inf at this ratio, a map of NaNs for a stable step
         (["simulate", "--method", "rk4_fixed", "--theta", "1e-300", "--ratio", "1e200",
           "--samples", "1"], "kappa/g_alpha must be in [0, 1e+150], got 1e+200"),
-    ], ids=["method", "step-count", "samples", "step-count-theta-0", "samples-first",
-            "step-count-past-the-double-range", "method-before-ratio", "start-before-samples",
-            "negative-samples", "negative-step-count", "negative-points",
-            "negative-area-sweep-points", "config-file", "equals-spelling",
-            "equals-spelling-takes-the-next-token", "dashed-key", "area-sweep-max-factor",
-            "empty-out",
+    ], ids=["method", "samples", "samples-first", "method-before-ratio", "start-before-samples",
+            "negative-samples", "negative-points", "negative-area-sweep-points", "config-file",
+            "equals-spelling", "equals-spelling-takes-the-next-token", "dashed-key",
+            "area-sweep-max-factor", "step-count-is-unknown", "empty-out",
             "budget-format",
             "option-without-value", "out-before-an-option", "value-before-an-option",
             "value-is-a-bare-double-dash", "ratio-max-is-named", "ratio-max-past-the-bound",
@@ -1300,10 +1289,12 @@ class TestPlumbing:
         ["sweep", "--method", "rk4_fixed"], ["sweep", "--step_count", "500"],
         ["sweep", "--format", "csv"], ["compare", "--method", "exact"],
         ["compare", "--format", "csv"], ["simulate", "--format", "csv"],
+        ["simulate", "--step_count", "1000"],
     ], ids=lambda argv: f"{argv[0]}-{argv[1][2:]}")
     def test_removed_keys_are_unknown(self, argv):
-        # sweep and compare always use the exact propagator, and every command
-        # but budget prints CSV only, so none of these keys is accepted
+        # sweep and compare always use the exact propagator, rk4_fixed takes
+        # lindblad.RK4_STEPS steps, and every command but budget prints CSV
+        # only, so none of these keys is accepted
         code, out, err = run_captured(*argv)
         assert (code, out) == (EXIT_CONFIG, "")
         assert f"unknown key {argv[1][2:]!r} for command {argv[0]!r}" in err

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from lasergate import gates
+from lasergate import gates, lindblad
 from lasergate.budget import pi_pulse_budget
 from lasergate.cli import GATE_AREAS, START_STATES
 from lasergate.gates import first_order_coefficient, ratio_grid, sweep_failure_probabilities
@@ -132,10 +132,11 @@ class TestFailureProbability:
         sweep_failure_probabilities(*PI_FROM_GROUND, [0.0, 1e-4])
         assert len(calls) == 2
 
-    def test_rk4_and_exact_agree(self):
-        # the exact p against an independent RK4 run of the same pulse
+    def test_rk4_and_exact_agree(self, monkeypatch):
+        # the exact p against an independent 2000-step RK4 run of the same pulse
         theta, s0 = HALF_FROM_EXCITED
-        final = sample_matrices(evolve(s0, theta, 1e-3, method=RK4_FIXED, step_count=2000))[-1]
+        monkeypatch.setattr(lindblad, "RK4_STEPS", 2000)
+        final = sample_matrices(evolve(s0, theta, 1e-3, method=RK4_FIXED))[-1]
         target = oracles.ideal_state(oracles.EXCITED, theta)
         rk4 = 1.0 - np.vdot(target, final @ target).real
         assert p_at(HALF_FROM_EXCITED, 1e-3) == pytest.approx(rk4, abs=1e-9)

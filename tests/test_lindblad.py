@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from lasergate import lindblad
 from lasergate.cli import EXIT_CONFIG, EXIT_OK, START_STATES, main
 from lasergate.gates import first_order_coefficient, sweep_failure_probabilities
 from lasergate.lindblad import EXACT, MAX_RATIO, MAX_THETA, RK4_FIXED, evolve
@@ -20,8 +21,6 @@ GROUND, EXCITED = START_STATES["ground"], START_STATES["excited"]
 # a pure start off every axis: its amplitudes, and its Bloch vector
 TILTED_AMPLITUDES = np.array([1.0, 0.6 + 0.2j]) / math.hypot(1.0, 0.6, 0.2)
 TILTED = oracles.pure_bloch(TILTED_AMPLITUDES)
-
-RK4 = {"method": RK4_FIXED, "step_count": 400}  # evolve's keywords for a 400-step RK4
 
 
 def random_bloch(rng: np.random.Generator) -> tuple:
@@ -39,6 +38,13 @@ def in_the_ball(s0) -> bool:
 def final_matrix(s0, theta: float, ratio: float, **keywords) -> np.ndarray:
     """The final state of ``evolve``, its trajectory's last sample, as a 2x2 matrix."""
     return sample_matrices(evolve(s0, theta, ratio, **keywords))[-1]
+
+
+def rk4(s0, theta: float, ratio: float, samples: int = 1, steps: int = 400):
+    """``evolve`` by ``rk4_fixed`` with ``steps`` RK4 steps per pulse."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lindblad, "RK4_STEPS", steps)
+        return evolve(s0, theta, ratio, samples, RK4_FIXED)
 
 
 # The Bloch equations on v = (1, x, y, z), written out by hand: the drive turns
@@ -87,40 +93,27 @@ class TestSpecs:
         with pytest.raises(InvalidStateError, match="kappa/g_alpha must be"):
             evolve(rho0, 1.0, -0.1)
 
-    def test_rk4_needs_enough_steps(self):
-        rho0 = GROUND
-        message = "rk4_fixed needs step_count >= 100 per pulse, got 50"
-        with pytest.raises(InvalidStateError, match=message):
-            evolve(rho0, 1.0, 0.0, method=RK4_FIXED, step_count=50)
-        # the exact map reads no step count
-        assert len(evolve(rho0, 1.0, 0.0, method=EXACT, step_count=50).times) == 2
-
-    # the counts are refused, samples first, then method, then step_count, as
-    # InvalidStateError rather than a TypeError from range or from the stepper
+    # the counts are refused, samples first, then method, as InvalidStateError
+    # rather than a TypeError from range or from the stepper
     @pytest.mark.parametrize("keywords,message", [
         ({"samples": 2.5}, "samples must be an integer, got 2.5"),
         ({"samples": math.nan}, "samples must be an integer, got nan"),
         ({"samples": 2.0}, "samples must be an integer, got 2.0"),
         ({"samples": "3"}, "samples must be an integer, got '3'"),
-        ({"method": RK4_FIXED, "step_count": math.nan}, "step_count must be an integer, got nan"),
-        ({"method": RK4_FIXED, "step_count": 250.0}, "step_count must be an integer, got 250.0"),
         ({"samples": 2.5, "method": "bogus"}, "samples must be an integer, got 2.5"),
-        ({"method": "bogus", "step_count": 2.5}, "unknown integrator method 'bogus'"),
-        ({"samples": 0, "method": RK4_FIXED, "step_count": 2.5}, "samples must be >= 1"),
-    ], ids=["samples-half", "samples-nan", "samples-float", "samples-text", "steps-nan",
-            "steps-float", "samples-before-method", "method-before-steps",
-            "samples-before-steps"])
+        ({"method": "bogus"}, "unknown integrator method 'bogus'"),
+        ({"samples": 0, "method": RK4_FIXED}, "samples must be >= 1"),
+    ], ids=["samples-half", "samples-nan", "samples-float", "samples-text",
+            "samples-before-method", "method-before-steps", "samples-before-steps"])
     def test_non_integer_counts_are_refused(self, keywords, message):
         with pytest.raises(InvalidStateError, match=re.escape(message)):
             evolve((0.0, 0.0, -1.0), 1.0, 0.1, **keywords)
 
     def test_integer_counts_of_any_type_are_read(self):
-        # numpy integers are integers; the exact map reads no step count at all
+        # numpy integers are integers
         s0 = GROUND
-        want = evolve(s0, 1.0, 0.1, samples=3, method=RK4_FIXED, step_count=200)
-        assert evolve(s0, 1.0, 0.1, samples=np.int64(3), method=RK4_FIXED,
-                      step_count=np.int32(200)) == want
-        assert evolve(s0, 1.0, 0.1, samples=3, step_count=math.nan) == evolve(s0, 1.0, 0.1, 3)
+        want = evolve(s0, 1.0, 0.1, samples=3, method=RK4_FIXED)
+        assert evolve(s0, 1.0, 0.1, samples=np.int64(3), method=RK4_FIXED) == want
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_inputs_rejected(self, bad):
@@ -168,11 +161,11 @@ class TestEvolve:
 
     # at theta 0 the step is 0, so each segment's map is the identity, up to
     # MAX_RATIO, where rk4_fixed's N^2 is at its greatest (6.25e298)
-    @pytest.mark.parametrize("keywords", [{}, RK4], ids=["exact", "rk4"])
+    @pytest.mark.parametrize("propagate", [evolve, rk4], ids=["exact", "rk4"])
     @pytest.mark.parametrize("ratio", [0.3, 1e20, MAX_RATIO])
-    def test_zero_area_is_identity(self, keywords, ratio):
+    def test_zero_area_is_identity(self, propagate, ratio):
         s0 = (0.0, 1.0, 0.0)
-        assert np.array_equal(sample_matrices(evolve(s0, 0.0, ratio, **keywords)),
+        assert np.array_equal(sample_matrices(propagate(s0, 0.0, ratio)),
                               [bloch_density(s0)] * 2)
 
     @given(start=st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(in_the_ball),
@@ -197,12 +190,12 @@ class TestEvolve:
         final = sample_matrices(trajectory)[-1]
         assert np.max(np.abs(final - [[0.6, 0.2], [0.2, 0.4]])) < 1e-14
 
-    @pytest.mark.parametrize("keywords", [{}, RK4], ids=["exact", "rk4"])
-    def test_against_superoperator_exponential(self, keywords):
+    @pytest.mark.parametrize("propagate", [evolve, rk4], ids=["exact", "rk4"])
+    def test_against_superoperator_exponential(self, propagate):
         rng = np.random.default_rng(5)
         for theta, ratio in [(math.pi, 1e-3), (math.pi / 2, 0.2), (2.1, 0.8), (5.0, 0.05)]:
             s0 = random_bloch(rng)
-            got = final_matrix(s0, theta, ratio, **keywords)
+            got = sample_matrices(propagate(s0, theta, ratio))[-1]
             want = oracles.evolve_superop(bloch_density(s0), theta, ratio)
             assert np.max(np.abs(got - want)) <= 1e-9
 
@@ -236,7 +229,7 @@ class TestConservationLaws:
         rng = np.random.default_rng(seed)
         s0 = random_bloch(rng)
         theta = float(rng.uniform(0.1, 2 * math.pi))
-        final = final_matrix(s0, theta, 0.0, **RK4)
+        final = sample_matrices(rk4(s0, theta, 0.0))[-1]
         start = bloch_density(s0)
         assert abs(np.trace(final @ final) - np.trace(start @ start)) <= 1e-8
 
@@ -247,7 +240,7 @@ class TestConservationLaws:
         s0 = random_bloch(rng)
         theta = float(rng.uniform(0.1, 2 * math.pi))
         ratio = float(rng.uniform(0.0, 1.0))
-        for m in sample_matrices(evolve(s0, theta, ratio, 8, RK4_FIXED, 200)):
+        for m in sample_matrices(rk4(s0, theta, ratio, 8, steps=200)):
             assert abs(np.trace(m) - 1.0) <= 1e-9
             assert np.linalg.eigvalsh(m)[0] >= -1e-9
 
@@ -255,10 +248,10 @@ class TestConservationLaws:
         rng = np.random.default_rng(23)
         s1, s2 = random_bloch(rng), random_bloch(rng)
         theta, ratio = 2.5, 0.15
-        out1, out2 = final_matrix(s1, theta, ratio, **RK4), final_matrix(s2, theta, ratio, **RK4)
+        out1, out2 = (sample_matrices(rk4(s, theta, ratio))[-1] for s in (s1, s2))
         for a in (0.25, 0.5, 0.75):
             mixed = a * np.asarray(s1) + (1 - a) * np.asarray(s2)
-            got = final_matrix(mixed, theta, ratio, **RK4)
+            got = sample_matrices(rk4(mixed, theta, ratio))[-1]
             assert np.max(np.abs(got - (a * out1 + (1 - a) * out2))) <= 1e-8
 
 
@@ -270,7 +263,7 @@ class TestConvergenceOrder:
         theta, ratio = 3 * math.pi / 2, 0.3
 
         def final_with(steps):
-            return final_matrix(s0, theta, ratio, method=RK4_FIXED, step_count=steps)
+            return sample_matrices(rk4(s0, theta, ratio, steps=steps))[-1]
 
         reference = final_with(2000)
         err_coarse = np.max(np.abs(final_with(100) - reference))
@@ -280,29 +273,29 @@ class TestConvergenceOrder:
 
     # ratio 0 has the steady state w* = 0, and 8 is the exceptional point,
     # where N^2 = 0
-    @pytest.mark.parametrize("step_count,samples,ratio", [
+    @pytest.mark.parametrize("steps,samples,ratio", [
         (1000, 2000, 0.3), (100, 5, 0.3), (400, 8, 0.3), (1000, 1, 0.3),
         (400, 8, 0.0), (400, 8, 8.0), (400, 8, 30.0),
     ], ids=["1000-2000", "100-5", "400-8", "1000-1", "ratio-0", "ratio-8", "ratio-30"])
-    def test_rk4_matches_classical_stepper(self, step_count, samples, ratio):
+    def test_rk4_matches_classical_stepper(self, steps, samples, ratio):
         # one RK4 increment per sample interval (k = 1 and k > 1) against
         # a plain RK4 loop on the kron-form superoperator
         s0 = TILTED
         theta = 3 * math.pi / 2
-        got = sample_matrices(evolve(s0, theta, ratio, samples, RK4_FIXED, step_count))
-        want = oracles.rk4_trajectory(bloch_density(s0), theta, ratio, step_count, samples)
+        got = sample_matrices(rk4(s0, theta, ratio, samples, steps))
+        want = oracles.rk4_trajectory(bloch_density(s0), theta, ratio, steps, samples)
         assert np.max(np.abs(got - want)) <= 1e-12
 
     @pytest.mark.parametrize("ratio", [0.0, 0.3, 8.0, 30.0])
-    @pytest.mark.parametrize("step_count,samples", [(100, 100), (400, 8)], ids=["k-1", "k-50"])
-    def test_rk4_samples_are_the_40_digit_rk4_map_applied(self, step_count, samples, ratio):
+    @pytest.mark.parametrize("steps,samples", [(100, 100), (400, 8)], ids=["k-1", "k-50"])
+    def test_rk4_samples_are_the_40_digit_rk4_map_applied(self, steps, samples, ratio):
         # each sample is the previous one moved by the map of k RK4 steps; with
         # that map and its application in 40 digits, only rounding is left
         s0 = TILTED
         theta = 3 * math.pi / 2
-        got = sample_matrices(evolve(s0, theta, ratio, samples, RK4_FIXED, step_count))
+        got = sample_matrices(rk4(s0, theta, ratio, samples, steps))
         got = got.reshape(-1, 4)
-        step = oracles.rk4_map_mp(ratio, theta / 2.0 / samples, -(-step_count // samples))
+        step = oracles.rk4_map_mp(ratio, theta / 2.0 / samples, -(-steps // samples))
         with mpmath.workdps(40):
             x, y, z = map(mpmath.mpf, s0)
             rho = mpmath.matrix([(1 - z) / 2, (x - 1j * y) / 2, (x + 1j * y) / 2, (1 + z) / 2])
