@@ -45,12 +45,6 @@ RESONANT_CHAIN_COEFFICIENT = math.pi ** 2
 # Literal elimination of the detuning from the Raman conditions
 # (Gamma/Delta < eps with Omega_R^2 T / Delta = pi) gives a single power of pi.
 RAMAN_ELIMINATION_COEFFICIENT = math.pi
-# The factor by which the Raman form undercuts the resonant chain.
-RAMAN_COEFFICIENT_GAP = RESONANT_CHAIN_COEFFICIENT / RAMAN_ELIMINATION_COEFFICIENT
-
-# Largest relative spread of the four margin forms.  Inside INPUT_BOX every
-# intermediate value is a normal double, and they agree to a few ulps.
-MARGIN_AGREEMENT_TOL = 1e-12
 
 # Each input's physical range (least, greatest]: a value must lie above the
 # least and not above the greatest.  Every value the budget computes is a
@@ -91,11 +85,11 @@ class PiPulseBudget(namedtuple("PiPulseBudget", """
     beam-aligned vacuum modes, so kappa * A stays at Gamma sigma_eff.
     ``n_bar`` counts photons in the whole pulse (P T / hbar omega),
     ``n_bar_prime`` only those within sigma_eff * c * T around the atom.  The
-    four ``margin_*`` fields are one constraint (> 1 = pass) along independent
-    routes, a cross-check of the unit chain: eps / (Gamma T); eps Omega_R^2 T /
-    (pi^2 Gamma); the same with Omega_R from the raw (d, E0); and the field
-    energy in sigma_eff c T over (pi^2/4) hbar omega / eps, which is
-    ``constraint_margin``.
+    four ``margin_*`` fields are one constraint (> 1 = pass), each computed
+    and printed along its own route, a cross-check of the unit chain: eps /
+    (Gamma T); eps Omega_R^2 T / (pi^2 Gamma); the same with Omega_R from the
+    raw (d, E0); and the field energy in sigma_eff c T over (pi^2/4) hbar
+    omega / eps, which is ``constraint_margin``.
     ``min_energy_per_lambda3_J`` = (16 pi^2 / 3) hbar / (epsilon T), exact for
     one photon per epsilon, though usually quoted as ~hbar/(epsilon T).
     """
@@ -141,17 +135,6 @@ def pi_pulse_budget(wavelength: float, mode_area: float, dipole: float, field_am
     energy_in_volume = 0.5 * EPSILON0 * field_amplitude ** 2 * (sigma_eff * C * duration)
     threshold = PHOTON_THRESHOLD_COEFFICIENT * photon_energy / epsilon
     margin = energy_in_volume / threshold
-    # pi^2 Gamma / Omega_R^2 with Omega_R from the raw (d, E0), bypassing rabi
-    forms = {
-        "margin_purity_form": epsilon / (gamma * duration),
-        "margin_rabi_form": epsilon * rabi ** 2 * duration / (RESONANT_CHAIN_COEFFICIENT * gamma),
-        "margin_explicit_form": epsilon * duration / (
-            RESONANT_CHAIN_COEFFICIENT * gamma * (HBAR / (dipole * field_amplitude)) ** 2),
-    }
-    for name, form in forms.items():
-        if abs(form - margin) > MARGIN_AGREEMENT_TOL * margin:
-            raise FloatingPointError(f"{name} = {form!r} but constraint_margin = {margin!r}:"
-                                     " the margin forms disagree")
     return PiPulseBudget(
         wavelength_m=wavelength,
         mode_area_m2=mode_area,
@@ -170,7 +153,11 @@ def pi_pulse_budget(wavelength: float, mode_area: float, dipole: float, field_am
         energy_in_volume_J=energy_in_volume,
         energy_threshold_J=threshold,
         constraint_margin=margin,
-        **forms,
+        margin_purity_form=epsilon / (gamma * duration),
+        margin_rabi_form=epsilon * rabi ** 2 * duration / (RESONANT_CHAIN_COEFFICIENT * gamma),
+        # pi^2 Gamma / Omega_R^2 with Omega_R from the raw (d, E0), bypassing rabi
+        margin_explicit_form=epsilon * duration / (
+            RESONANT_CHAIN_COEFFICIENT * gamma * (HBAR / (dipole * field_amplitude)) ** 2),
         margin_energy_form=margin,
         min_energy_per_lambda3_J=ENERGY_PER_WAVELENGTH_CUBED_COEFFICIENT * HBAR / (
             epsilon * duration),
@@ -178,17 +165,16 @@ def pi_pulse_budget(wavelength: float, mode_area: float, dipole: float, field_am
 
 
 class RamanReport(namedtuple("RamanReport", """
-        detuning_rad_per_s effective_rabi_rad_per_s duration_s purity_loss margin
-        eliminated_lhs""")):
+        detuning_rad_per_s effective_rabi_rad_per_s duration_s purity_loss margin""")):
     """A far-detuned two-photon pi pulse and its verdict on Gamma/Delta < epsilon:
     the detuning Delta, Omega_eff = Omega_R^2 / Delta, T = pi / Omega_eff, the
-    purity loss Gamma/Delta, the margin epsilon / (Gamma/Delta) and the
-    detuning-eliminated left-hand side, in print order, each one a normal double.
+    purity loss Gamma/Delta and the margin epsilon / (Gamma/Delta), in print
+    order, each one a normal double.
 
-    Substituting Delta = Omega_R^2 T / pi turns the purity-loss bound into
-    pi * Gamma / (Omega_R^2 T) < epsilon: a single power of pi, a factor pi
-    below the resonant-chain coefficient pi^2 (:data:`RAMAN_COEFFICIENT_GAP`).
-    The gap is reported, not absorbed.
+    The purity loss is also its detuning-eliminated form pi Gamma / (Omega_R^2
+    T), whose single power of pi (:data:`RAMAN_ELIMINATION_COEFFICIENT`) lies
+    a factor pi below the resonant-chain coefficient pi^2: a gap reported, not
+    absorbed.
     """
 
     __slots__ = ()
@@ -228,7 +214,6 @@ def raman_constraint(detuning: float, rabi_frequency: float, gamma: float,
         duration_s=duration,
         purity_loss=purity_loss,
         margin=epsilon / purity_loss,
-        eliminated_lhs=RAMAN_ELIMINATION_COEFFICIENT * gamma / (rabi_frequency ** 2 * duration),
     )
 
 

@@ -13,8 +13,8 @@ import pytest
 
 from lasergate import budget, lindblad
 from lasergate.budget import (
-    RAMAN_COEFFICIENT_GAP,
     RAMAN_ELIMINATION_COEFFICIENT,
+    RESONANT_CHAIN_COEFFICIENT,
     pi_pulse_budget,
     raman_constraint,
 )
@@ -148,19 +148,21 @@ def test_constraint_chain_margins_agree():
 def test_raman_elimination_coefficient():
     """Eliminating the detuning leaves pi * Gamma/(Omega_R^2 T) < eps; the
     factor-pi gap to the resonant chain's pi^2 is reported, not absorbed."""
-    report = raman_constraint(1e11, 1e9, gamma=1e6, epsilon=1e-4)
-    elimination_exact = abs(report.eliminated_lhs / report.purity_loss - 1.0) <= 1e-12
+    rabi, gamma = 1e9, 1e6
+    report = raman_constraint(1e11, rabi, gamma=gamma, epsilon=1e-4)
+    eliminated = RAMAN_ELIMINATION_COEFFICIENT * gamma / (rabi ** 2 * report.duration_s)
+    gap = RESONANT_CHAIN_COEFFICIENT / RAMAN_ELIMINATION_COEFFICIENT
+    elimination_exact = abs(eliminated / report.purity_loss - 1.0) <= 1e-12
     ok = (
         elimination_exact
         and RAMAN_ELIMINATION_COEFFICIENT == pytest.approx(math.pi, rel=1e-12)
-        and RAMAN_COEFFICIENT_GAP == pytest.approx(math.pi, rel=1e-12)
+        and gap == pytest.approx(math.pi, rel=1e-12)
         and report.satisfied  # literal Gamma/Delta = 1e-5 < 1e-4
     )
     _verdict(
         "raman detuning elimination",
         ok,
-        f"coefficient {RAMAN_ELIMINATION_COEFFICIENT:.6f}, "
-        f"gap to resonant chain {RAMAN_COEFFICIENT_GAP:.6f}",
+        f"coefficient {RAMAN_ELIMINATION_COEFFICIENT:.6f}, gap to resonant chain {gap:.6f}",
     )
 
 

@@ -14,7 +14,6 @@ from lasergate.budget import (
     ENERGY_PER_WAVELENGTH_CUBED_COEFFICIENT,
     INPUT_BOX,
     PHOTON_THRESHOLD_COEFFICIENT,
-    RAMAN_COEFFICIENT_GAP,
     RAMAN_ELIMINATION_COEFFICIENT,
     RESONANT_CHAIN_COEFFICIENT,
     PiPulseBudget,
@@ -297,13 +296,16 @@ class TestRaman:
 
     def test_detuning_elimination_is_exact(self):
         # substituting Delta = Omega_R^2 T / pi must reproduce Gamma/Delta
-        report = raman_constraint(3.7e10, 1.1e9, gamma=5e5, epsilon=1e-3)
-        assert report.eliminated_lhs == pytest.approx(report.purity_loss, rel=1e-12)
+        rabi, gamma = 1.1e9, 5e5
+        report = raman_constraint(3.7e10, rabi, gamma=gamma, epsilon=1e-3)
+        eliminated = RAMAN_ELIMINATION_COEFFICIENT * gamma / (rabi**2 * report.duration_s)
+        assert eliminated == pytest.approx(report.purity_loss, rel=1e-12)
 
     def test_coefficient_gap_is_pi(self):
         assert RAMAN_ELIMINATION_COEFFICIENT == pytest.approx(math.pi)
         assert RESONANT_CHAIN_COEFFICIENT == pytest.approx(math.pi**2)
-        assert RAMAN_COEFFICIENT_GAP == pytest.approx(math.pi, rel=1e-12)
+        assert RESONANT_CHAIN_COEFFICIENT / RAMAN_ELIMINATION_COEFFICIENT == \
+            pytest.approx(math.pi, rel=1e-12)
 
     def test_borderline_margin_is_one(self):
         report = raman_constraint(1e11, 1e9, gamma=1e11 * 1e-4, epsilon=1e-4)
@@ -694,8 +696,7 @@ def _exact_raman(detuning, rabi, gamma, epsilon) -> dict:
     duration = mpmath.pi / effective
     return {"detuning_rad_per_s": detuning, "effective_rabi_rad_per_s": effective,
             "duration_s": duration, "purity_loss": gamma / detuning,
-            "margin": epsilon * detuning / gamma,
-            "eliminated_lhs": mpmath.pi * gamma / (rabi**2 * duration)}
+            "margin": epsilon * detuning / gamma}
 
 
 def _exact_sweep_row(beam: dict, area) -> dict:
@@ -778,6 +779,10 @@ class TestInputBox:
             for inputs in _raman_corners():
                 raman = raman_constraint(*inputs)
                 _assert_matches(raman._fields, raman, _exact_raman(*inputs))
+                # the purity loss is its detuning-eliminated form pi Gamma / (Omega_R^2 T)
+                _, rabi, gamma, _ = map(mpf, inputs)
+                _assert_matches(("purity_loss",), (raman.purity_loss,), {
+                    "purity_loss": mpmath.pi * gamma / (rabi**2 * mpf(raman.duration_s))})
 
     def test_margin_forms_agree_at_every_corner(self):
         for inputs in _beam_corners():

@@ -488,7 +488,6 @@ raman_effective_rabi_rad_per_s = 8.99182152928e+07
 raman_duration_s               = 3.49383341669e-08
 raman_purity_loss              = 2.81866580598e-06
 raman_margin                   = 3.54777780991e+01
-raman_eliminated_lhs           = 2.81866580598e-06
 raman_eliminated_coefficient   = 3.14159265359e+00
 raman_constraint               = satisfied
 
@@ -532,7 +531,6 @@ README_BUDGET_CSV = """\
 # raman_duration_s=3.49383341669e-08
 # raman_purity_loss=2.81866580598e-06
 # raman_margin=3.54777780991e+01
-# raman_eliminated_lhs=2.81866580598e-06
 # raman_eliminated_coefficient=3.14159265359e+00
 # raman_constraint=satisfied
 area,kappa,kappa_times_area,n_bar,p_laser,p_total
@@ -728,7 +726,7 @@ class TestBudget:
 
     @pytest.mark.parametrize("fmt", ["text", "csv"])
     def test_printed_budget_agrees_with_itself(self, fmt):
-        # constraint_margin = eps / (Gamma T) and raman_eliminated_lhs =
+        # constraint_margin = eps / (Gamma T) and raman_purity_loss =
         # pi Gamma / (Omega_R^2 T_raman), recomputed from the printed lines
         code, out, _ = run_captured(*BUDGET_ARGS, "--raman_detuning", "1e12", "--format", fmt)
         assert code == EXIT_OK
@@ -737,8 +735,23 @@ class TestBudget:
         gamma, rabi = v["gamma_per_s"], v["rabi_frequency_rad_per_s"]
         assert v["constraint_margin"] == pytest.approx(
             v["epsilon"] / (gamma * v["duration_s"]), rel=1e-10)
-        assert v["raman_eliminated_lhs"] == pytest.approx(
+        assert v["raman_purity_loss"] == pytest.approx(
             math.pi * gamma / (rabi ** 2 * v["raman_duration_s"]), rel=1e-10)
+
+    @pytest.mark.parametrize("fmt", ["text", "csv"])
+    def test_each_scalar_value_is_printed_once(self, fmt):
+        # one quantity, one line: only the margin forms, the constraint's
+        # cross-check, print the value of another line
+        code, out, _ = run_captured(*BUDGET_ARGS, "--raman_detuning", "1e12", "--format", fmt)
+        assert code == EXIT_OK
+        lines, _ = _printed_lines(out, fmt)
+        names = {}
+        for name, value in lines:
+            if not value.isalpha():
+                names.setdefault(value, []).append(name)
+        repeated = [group for group in names.values() if len(group) > 1]
+        assert repeated == [["constraint_margin", "margin_purity_form", "margin_rabi_form",
+                             "margin_explicit_form", "margin_energy_form"]]
 
     def test_duration_is_an_unknown_key(self):
         code, out, err = run_captured(*BUDGET_ARGS, "--duration", "1e-6")
@@ -775,20 +788,6 @@ class TestBudget:
         code, out, err = run_captured(*BUDGET_ARGS, "--dipole", dipole, "--field_amplitude", field)
         assert (code, out) == (EXIT_CONFIG, "")
         assert err == f"error: dipole must be in (1e-40, 1e-24], got {float(dipole)}\n"
-
-    @pytest.mark.parametrize("argv", [["--wavelength", "1e-10", "--mode_area", "2e-21"],
-                                      ["--wavelength", "1", "--mode_area", "1e4"]],
-                             ids=["small-beam", "huge-wavelength"])
-    def test_disagreeing_margins_are_numeric_error(self, monkeypatch, argv):
-        # inside the box the margin forms agree to a few ulps, so no input
-        # reaches this check; a negative tolerance makes every form disagree
-        report = budget.pi_pulse_budget(float(argv[1]), float(argv[3]), 1e-29, 1e5)
-        monkeypatch.setattr(budget, "MARGIN_AGREEMENT_TOL", -1.0)
-        code, out, err = run_captured(*BUDGET_ARGS, *argv)
-        assert (code, out) == (EXIT_NUMERIC, "")
-        assert err == (f"error: numerical failure: margin_purity_form ="
-                       f" {report.margin_purity_form!r} but constraint_margin ="
-                       f" {report.constraint_margin!r}: the margin forms disagree\n")
 
     def test_subwavelength_focus_is_refused_in_one_line(self):
         # the README beam focused to 1e-14 m^2, where kappa = Gamma sigma_eff / A
@@ -831,8 +830,8 @@ class TestBudget:
     # benchmark's shape: the table spans several printing chunks, so a byte
     # moved in any chunk or in the scalar block fails
     @pytest.mark.parametrize("fmt,digest", [
-        ("text", "0c82bca9986d1d346e93fabc815b594e02e5629a38b87690554be65a5fd7e976"),
-        ("csv", "dcefa76e4663b651695c602048d49a5dbcd57e89ffd5f16ca549d57797098889"),
+        ("text", "81798accbd1a6324cabda726c6c07b69901974f2ddd8d9c587048b7a634cc5a5"),
+        ("csv", "ddc64f943cf98a6447f212e193fe2aab2c4163cb1787fdd3b0515fb886a602db"),
     ], ids=["text", "csv"])
     def test_multi_chunk_report_is_pinned_byte_for_byte(self, fmt, digest):
         code, out, err = run_captured(*BUDGET_ARGS, "--epsilon", "1e-4",

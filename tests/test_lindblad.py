@@ -35,9 +35,9 @@ def in_the_ball(s0) -> bool:
     return math.hypot(*s0) <= 1.0 + BLOCH_SLACK
 
 
-def final_matrix(s0, theta: float, ratio: float, **keywords) -> np.ndarray:
+def final_matrix(s0, theta: float, ratio: float) -> np.ndarray:
     """The final state of ``evolve``, its trajectory's last sample, as a 2x2 matrix."""
-    return sample_matrices(evolve(s0, theta, ratio, **keywords))[-1]
+    return sample_matrices(evolve(s0, theta, ratio))[-1]
 
 
 def rk4(s0, theta: float, ratio: float, samples: int = 1, steps: int = 400):
@@ -104,7 +104,7 @@ class TestSpecs:
         ({"method": "bogus"}, "unknown integrator method 'bogus'"),
         ({"samples": 0, "method": RK4_FIXED}, "samples must be >= 1"),
     ], ids=["samples-half", "samples-nan", "samples-float", "samples-text",
-            "samples-before-method", "method-before-steps", "samples-before-steps"])
+            "samples-before-method", "method-before-pulse", "samples-before-rk4"])
     def test_non_integer_counts_are_refused(self, keywords, message):
         with pytest.raises(InvalidStateError, match=re.escape(message)):
             evolve((0.0, 0.0, -1.0), 1.0, 0.1, **keywords)
@@ -353,9 +353,8 @@ class TestExactPropagator:
     # a sweep reads each ratio's p from that ratio's map alone, so the grid
     # around it does not change it, and p is the final state's population
     # orthogonal to the oracle's decay-free output
-    @pytest.mark.parametrize("keywords", [{}], ids=["exact"])
     @pytest.mark.parametrize("theta", [0.0, math.pi / 2, 2.1])
-    def test_sweep_equals_single_ratios_bit_for_bit(self, keywords, theta):
+    def test_sweep_equals_single_ratios_bit_for_bit(self, theta):
         rates = np.random.default_rng(17).uniform(0.0, 30.0, 16)
         rates[0] = 0.0
         swept = sweep_failure_probabilities(theta, TILTED, rates)
@@ -366,7 +365,7 @@ class TestExactPropagator:
         perp = np.array([-np.conj(target[1]), np.conj(target[0])])
         for rate, p in zip(rates, swept):
             assert p == sweep_failure_probabilities(theta, TILTED, [rate])[0]
-            final = final_matrix(TILTED, theta, rate, **keywords)
+            final = final_matrix(TILTED, theta, rate)
             assert abs(p - np.vdot(perp, final @ perp).real) <= 1e-15
 
     @pytest.mark.parametrize("theta", [math.pi, math.pi / 2], ids=["pi", "pi2"])

@@ -388,15 +388,15 @@ class TestRecord:
             assert record == fresh
 
     def test_eq_hash_and_repr_are_field_wise(self):
-        values = (1e11, 1e7, 3.0, 1e-5, 10.0, 1e-5)
-        report = RamanReport(1e11, 1e7, 3.0, 1e-5, margin=10.0, eliminated_lhs=1e-5)
+        values = (1e11, 1e7, 3.0, 1e-5, 10.0)
+        report = RamanReport(1e11, 1e7, 3.0, 1e-5, margin=10.0)
         assert report == RamanReport(*values)
         assert hash(report) == hash(RamanReport(*values))
-        assert report != RamanReport(*values[:4], 7.0, *values[5:])
-        assert len({report, RamanReport(*values), RamanReport(*values[:5], 2e-5)}) == 2
+        assert report != RamanReport(*values[:3], 2e-5, *values[4:])
+        assert len({report, RamanReport(*values), RamanReport(*values[:4], 7.0)}) == 2
         assert repr(report) == ("RamanReport(detuning_rad_per_s=100000000000.0,"
                                 " effective_rabi_rad_per_s=10000000.0, duration_s=3.0,"
-                                " purity_loss=1e-05, margin=10.0, eliminated_lhs=1e-05)")
+                                " purity_loss=1e-05, margin=10.0)")
         trajectory = evolve((0.0, 0.0, 0.0), 1.0, 0.1, samples=2)
         assert trajectory == evolve((0.0, 0.0, 0.0), 1.0, 0.1, samples=2)
         assert hash(trajectory) == hash(evolve((0.0, 0.0, 0.0), 1.0, 0.1, samples=2))
