@@ -50,8 +50,7 @@ RAMAN_ELIMINATION_COEFFICIENT = math.pi
 # least and not above the greatest.  Every value the budget computes is a
 # monomial in its inputs, so over these ranges it takes its extremes at their
 # corners, where the tests find each one a normal double; nothing can leave
-# the double range.  The rabi_frequency and gamma ranges hold d E0 / hbar and
-# Gamma over the dipole, field and wavelength ranges, rounded outward.
+# the double range.
 INPUT_BOX = {
     "wavelength": (1e-11, 1.0),  # m: hard X-ray (10 pm) to microwave transitions
     "mode_area": (0.0, 1e4),  # m^2: a beam at most 100 m across; its least is sigma_eff
@@ -59,8 +58,6 @@ INPUT_BOX = {
     "field_amplitude": (1e-6, 1e12),  # V/m: up to twice the atomic unit of field
     "epsilon": (1e-15, 0.5),  # far below any fault-tolerance threshold, up to a coin toss
     "detuning": (0.0, 1e18),  # rad/s: up to the carrier of 1.9 nm X-rays; its least is 10 Omega_R
-    "rabi_frequency": (1e-13, 1e22),  # rad/s: d E0 / hbar spans 9.5e-13 to 9.5e21
-    "gamma": (1e-35, 1e32),  # 1/s: Gamma spans 2.8e-34 to 2.8e31
 }
 
 # The widest area sweep, as a multiple of sigma_eff: six decades of beam area.
@@ -184,36 +181,33 @@ class RamanReport(namedtuple("RamanReport", """
         return self.margin > 1.0
 
 
-def raman_constraint(detuning: float, rabi_frequency: float, gamma: float,
-                     epsilon: float) -> RamanReport:
-    """Accuracy verdict for a far-detuned Raman pi pulse of single-photon Rabi
-    frequency Omega_R, T = pi / Omega_eff.
+def raman_constraint(report: PiPulseBudget, detuning: float) -> RamanReport:
+    """Accuracy verdict for a far-detuned Raman pi pulse of ``detuning`` on the
+    beam of ``report``, a :func:`pi_pulse_budget` report whose Omega_R, Gamma
+    and epsilon are read unchecked; T = pi / Omega_eff.
 
     The purity loss is Gamma/Delta regardless of T; eliminating the detuning
     through the pulse condition Omega_eff * T = pi rewrites it as
-    pi * Gamma / (Omega_R^2 T).  Inputs are refused as :func:`pi_pulse_budget`
-    refuses its own, in the order detuning, rabi_frequency, the far-detuned
-    regime detuning >= 10 Omega_R, epsilon, gamma.  The ranges of
-    ``rabi_frequency`` and ``gamma`` hold the Omega_R and Gamma of every
-    :func:`pi_pulse_budget` report, and every field of an accepted pulse is a
-    normal double.
+    pi * Gamma / (Omega_R^2 T).  A ``detuning`` outside its :data:`INPUT_BOX`
+    range is refused, then one below the far-detuned regime, 10 Omega_R; every
+    field of an accepted pulse is a normal double.
     """
-    _check_inputs(detuning=detuning, rabi_frequency=rabi_frequency)
-    if detuning < 10.0 * rabi_frequency:
+    _check_inputs(detuning=detuning)
+    rabi = report.rabi_frequency_rad_per_s
+    if detuning < 10.0 * rabi:
         raise InvalidStateError(
             f"far-detuned regime requires detuning >= 10 * Omega_R "
-            f"({detuning:.3e} < {10 * rabi_frequency:.3e})"
+            f"({detuning:.3e} < {10 * rabi:.3e})"
         )
-    _check_inputs(epsilon=epsilon, gamma=gamma)
-    effective_rabi = rabi_frequency ** 2 / detuning
+    effective_rabi = rabi ** 2 / detuning
     duration = math.pi / effective_rabi
-    purity_loss = gamma / detuning
+    purity_loss = report.gamma_per_s / detuning
     return RamanReport(
         detuning_rad_per_s=detuning,
         effective_rabi_rad_per_s=effective_rabi,
         duration_s=duration,
         purity_loss=purity_loss,
-        margin=epsilon / purity_loss,
+        margin=report.epsilon / purity_loss,
     )
 
 

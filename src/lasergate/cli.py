@@ -212,8 +212,7 @@ def run_budget(cfg: dict) -> chain:
                                     cfg["field_amplitude"], cfg["epsilon"])
     sections = [_section(report, "photon_constraint")]
     if cfg["raman_detuning"] is not None:
-        raman = budget.raman_constraint(cfg["raman_detuning"], report.rabi_frequency_rad_per_s,
-                                        report.gamma_per_s, cfg["epsilon"])
+        raman = budget.raman_constraint(report, cfg["raman_detuning"])
         constant = ("raman_eliminated_coefficient", _fmt(budget.RAMAN_ELIMINATION_COEFFICIENT))
         sections.append(_section(raman, "raman_constraint", "raman_", constant))
     sweep = budget.fixed_intensity_area_sweep(report, cfg["area_sweep_points"])

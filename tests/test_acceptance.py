@@ -149,7 +149,9 @@ def test_raman_elimination_coefficient():
     """Eliminating the detuning leaves pi * Gamma/(Omega_R^2 T) < eps; the
     factor-pi gap to the resonant chain's pi^2 is reported, not absorbed."""
     rabi, gamma = 1e9, 1e6
-    report = raman_constraint(1e11, rabi, gamma=gamma, epsilon=1e-4)
+    beam = pi_pulse_budget(1e-6, 1e-12, 1e-29, 1e5)._replace(
+        rabi_frequency_rad_per_s=rabi, gamma_per_s=gamma, epsilon=1e-4)
+    report = raman_constraint(beam, 1e11)
     eliminated = RAMAN_ELIMINATION_COEFFICIENT * gamma / (rabi ** 2 * report.duration_s)
     gap = RESONANT_CHAIN_COEFFICIENT / RAMAN_ELIMINATION_COEFFICIENT
     elimination_exact = abs(eliminated / report.purity_loss - 1.0) <= 1e-12

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mpf
 
-from lasergate import budget
+from lasergate import budget, cli
 from lasergate.budget import (
     ENERGY_PER_WAVELENGTH_CUBED_COEFFICIENT,
     INPUT_BOX,
@@ -53,6 +53,21 @@ def _rates(wavelength, area, dipole, amplitude):
     rabi = dipole * amplitude / hbar
     intensity = 0.5 * eps0 * c * amplitude**2
     return omega, sigma, gamma, gamma * sigma / area, rabi, intensity
+
+
+# the README beam, a report for the Raman pulses to read
+README_BEAM = pi_pulse_budget(1e-6, 1e-12, 1e-29, 1e5)
+
+
+def _beam_with(rabi, gamma, epsilon):
+    """The README beam with its Omega_R, Gamma and epsilon, the fields that
+    :func:`raman_constraint` reads, replaced by ``rabi``, ``gamma`` and ``epsilon``."""
+    return README_BEAM._replace(rabi_frequency_rad_per_s=rabi, gamma_per_s=gamma, epsilon=epsilon)
+
+
+def _raman(detuning, rabi, gamma, epsilon):
+    """:func:`raman_constraint` at ``detuning`` on :func:`_beam_with` the rest."""
+    return raman_constraint(_beam_with(rabi, gamma, epsilon), detuning)
 
 
 class TestGeometry:
@@ -289,7 +304,7 @@ class TestEnergyDensityBound:
 class TestRaman:
     def test_reference_verdict(self):
         # Gamma/Delta = 1e-5 passes an epsilon = 1e-4 budget with margin 10
-        report = raman_constraint(1e11, 1e9, gamma=1e6, epsilon=1e-4)
+        report = _raman(1e11, 1e9, gamma=1e6, epsilon=1e-4)
         assert report.satisfied
         assert report.purity_loss == pytest.approx(1e-5, rel=1e-12)
         assert report.margin == pytest.approx(10.0, rel=1e-12)
@@ -297,7 +312,7 @@ class TestRaman:
     def test_detuning_elimination_is_exact(self):
         # substituting Delta = Omega_R^2 T / pi must reproduce Gamma/Delta
         rabi, gamma = 1.1e9, 5e5
-        report = raman_constraint(3.7e10, rabi, gamma=gamma, epsilon=1e-3)
+        report = _raman(3.7e10, rabi, gamma=gamma, epsilon=1e-3)
         eliminated = RAMAN_ELIMINATION_COEFFICIENT * gamma / (rabi**2 * report.duration_s)
         assert eliminated == pytest.approx(report.purity_loss, rel=1e-12)
 
@@ -308,14 +323,14 @@ class TestRaman:
             pytest.approx(math.pi, rel=1e-12)
 
     def test_borderline_margin_is_one(self):
-        report = raman_constraint(1e11, 1e9, gamma=1e11 * 1e-4, epsilon=1e-4)
+        report = _raman(1e11, 1e9, gamma=1e11 * 1e-4, epsilon=1e-4)
         assert report.margin == pytest.approx(1.0, rel=1e-12)
         assert not report.satisfied  # strict inequality
 
     def test_pulse_condition_enforced(self):
         # the duration is derived, so the two-photon pulse condition
         # Omega_eff * T = pi holds by construction
-        report = raman_constraint(3.7e10, 1.1e9, gamma=1e6, epsilon=1e-4)
+        report = _raman(3.7e10, 1.1e9, gamma=1e6, epsilon=1e-4)
         assert report.detuning_rad_per_s == 3.7e10
         assert report.effective_rabi_rad_per_s == pytest.approx(1.1e9**2 / 3.7e10, rel=1e-15)
         assert report.duration_s == math.pi / report.effective_rabi_rad_per_s
@@ -324,7 +339,7 @@ class TestRaman:
 
     def test_far_detuned_regime_enforced(self):
         with pytest.raises(InvalidStateError, match="far-detuned"):
-            raman_constraint(5e9, 1e9, gamma=1e6, epsilon=1e-4)
+            _raman(5e9, 1e9, gamma=1e6, epsilon=1e-4)
 
     @given(detuning=st.floats(min_value=-11.0, max_value=18.0).map(lambda e: 10.0**e),
            loss=st.floats(min_value=-15.0, max_value=-0.302).map(lambda e: 10.0**e),
@@ -332,8 +347,7 @@ class TestRaman:
     @settings(max_examples=200, deadline=None)
     def test_satisfied_is_purity_loss_below_epsilon(self, detuning, loss, epsilon):
         # the verdict margin > 1 is the literal Gamma/Delta < epsilon, also where
-        # epsilon is the purity loss itself or one of its nearest doubles; a
-        # Gamma of loss * Delta stays inside its range, from 1e-26 to 1e18
+        # epsilon is the purity loss itself or one of its nearest doubles
         gamma = loss * detuning
         purity_loss = gamma / detuning
         below = [purity_loss]
@@ -344,7 +358,7 @@ class TestRaman:
         for eps in {epsilon, *below, *above}:
             if not 1e-15 < eps <= 0.5:  # outside the epsilon range
                 continue
-            report = raman_constraint(detuning, detuning / 16.0, gamma, eps)
+            report = _raman(detuning, detuning / 16.0, gamma, eps)
             assert report.purity_loss == purity_loss
             assert report.satisfied == (purity_loss < eps), (detuning, gamma, eps)
 
@@ -463,12 +477,9 @@ ONE_BAD_INPUT = {
     "beam-area": ("mode_area", lambda bad: pi_pulse_budget(1e-6, bad, 1e-29, 1e5)),
     "atom-dipole": ("dipole", lambda bad: pi_pulse_budget(1e-6, 1e-12, bad, 1e5)),
     "field": ("field_amplitude", lambda bad: pi_pulse_budget(1e-6, 1e-12, 1e-29, bad)),
-    "raman-detuning": ("detuning", lambda bad: raman_constraint(bad, 1e9, 1e7, 1e-4)),
-    "raman-rabi": ("rabi_frequency", lambda bad: raman_constraint(1e12, bad, 1e7, 1e-4)),
+    "raman-detuning": ("detuning", lambda bad: raman_constraint(README_BEAM, bad)),
     "photon-budget": ("epsilon",
                       lambda bad: pi_pulse_budget(1e-6, 1e-12, 1e-29, 1e5, epsilon=bad)),
-    "raman-gamma": ("gamma", lambda bad: raman_constraint(1e12, 1e9, bad, 1e-4)),
-    "raman-epsilon": ("epsilon", lambda bad: raman_constraint(1e12, 1e9, 1e7, bad)),
 }
 # a NaN keeps the input's own id; the other bad values add theirs
 BAD_VALUES = {"": math.nan, "-inf": math.inf, "-minus-inf": -math.inf, "-zero": 0.0,
@@ -525,35 +536,32 @@ class TestRangeFailures:
             pi_pulse_budget(1e170, 1e-12, 0, 1e5)
 
     @pytest.mark.parametrize("detuning,rabi,message", [
-        (1e18, 1e-96, "rabi_frequency must be in (1e-13, 1e+22], got 1e-96"),
         (1e300, 1e160, "detuning must be in (0, 1e+18], got 1e+300"),
-    ], ids=["underflows", "squared-rabi-overflows"])
+    ], ids=["squared-rabi-overflows"])
     def test_raman_effective_rabi_out_of_range_is_named(self, detuning, rabi, message):
-        # Omega_eff = Omega_R^2 / Delta would round to 0, or overflow, here
+        # Omega_eff = Omega_R^2 / Delta would overflow here
         with pytest.raises(InvalidStateError, match=f"^{re.escape(message)}$"):
-            raman_constraint(detuning, rabi, 1e7, 1e-4)
+            _raman(detuning, rabi, 1e7, 1e-4)
 
     def test_raman_refusals_keep_their_order(self):
+        # the detuning's range, then the far-detuned regime: nothing else is checked
         with pytest.raises(InvalidStateError, match="^detuning must be in"):
-            raman_constraint(-1.0, -1.0, math.nan, 2.0)
-        with pytest.raises(InvalidStateError, match="^rabi_frequency must be in"):
-            raman_constraint(1e9, -1.0, math.nan, 2.0)
+            _raman(-1.0, 1e20, math.nan, 2.0)
         with pytest.raises(InvalidStateError, match="far-detuned"):
-            raman_constraint(1e9, 1e9, math.nan, 2.0)
-        with pytest.raises(InvalidStateError, match="^epsilon must be in"):
-            raman_constraint(1e12, 1e9, math.nan, 2.0)
-        with pytest.raises(InvalidStateError, match="^gamma must be in"):
-            raman_constraint(1e12, 1e9, math.nan, 1e-4)
+            _raman(1e9, 1e9, math.nan, 2.0)
 
     @pytest.mark.parametrize("build,message", [
         (lambda: pi_pulse_budget(1e-6, 1e305, 1e-29, 1e5),
          "mode_area must be in (0, 10000], got 1e+305"),
-        (lambda: raman_constraint(1e300, 1e-5, 1e7, 1e-4),
+        (lambda: _raman(1e300, 1e-5, 1e7, 1e-4),
          "detuning must be in (0, 1e+18], got 1e+300"),
-        (lambda: raman_constraint(1e18, 1e9, 1e-300, 1e-4),
-         "gamma must be in (1e-35, 1e+32], got 1e-300"),
-        (lambda: raman_constraint(1e18, 1e-5, 1e-40, 1e-4),
-         "gamma must be in (1e-35, 1e+32], got 1e-40"),
+        # the Raman pulse reads Gamma from its beam: Gamma ~ 2.8e-297 /s at 1e95 m
+        # and 2.8e-303 /s at 1e97 m would make eps Delta / Gamma inf, and Gamma /
+        # Delta the subnormal 2.8e-321, at Delta = 1e18, eps = 1e-4
+        (lambda: pi_pulse_budget(1e95, 1e-12, 1e-29, 1e5),
+         "wavelength must be in (1e-11, 1], got 1e+95"),
+        (lambda: pi_pulse_budget(1e97, 1e-12, 1e-29, 1e5),
+         "wavelength must be in (1e-11, 1], got 1e+97"),
         (lambda: pi_pulse_budget(1e-6, 1e-12, 1e-29, 1e5, epsilon=5e-324),
          "epsilon must be in (1e-15, 0.5], got 5e-324"),
         (lambda: pi_pulse_budget(1.0750616545333907e-86, 1327378610534.6772,
@@ -601,22 +609,21 @@ class TestRecordsAreFinite:
            mode_area=anywhere | _in_box("mode_area", 1e-23),
            dipole=anywhere | _in_box("dipole"), field=anywhere | _in_box("field_amplitude"),
            epsilon=anywhere | _in_box("epsilon"), points=st.integers(min_value=2, max_value=5),
-           detuning=anywhere | _in_box("detuning", 1e-12),
-           rabi=anywhere | _in_box("rabi_frequency"), gamma=anywhere | _in_box("gamma"))
+           detuning=anywhere | _in_box("detuning", 1e-12))
     @settings(max_examples=200, deadline=None)
     def test_refused_or_finite(self, wavelength, mode_area, dipole, field, epsilon, points,
-                               detuning, rabi, gamma):
-        try:
-            raman = raman_constraint(detuning, rabi, gamma, epsilon)
-        except InvalidStateError:
-            pass
-        else:
-            assert _all_normal(raman), raman
+                               detuning):
         try:
             report = pi_pulse_budget(wavelength, mode_area, dipole, field, epsilon)
         except InvalidStateError:
             return
         assert _all_normal(report), report
+        try:
+            raman = raman_constraint(report, detuning)
+        except InvalidStateError:
+            pass
+        else:
+            assert _all_normal(raman), raman
         try:
             sweep = fixed_intensity_area_sweep(report, points)
         except InvalidStateError:
@@ -637,8 +644,8 @@ def _outside(name: str):
 ENTRY_POINTS = {
     "pi_pulse_budget": (pi_pulse_budget, (anywhere,) * 5, {
         0: "wavelength", 1: "mode_area", 2: "dipole", 3: "field_amplitude", 4: "epsilon"}),
-    "raman_constraint": (raman_constraint, (anywhere,) * 4, {
-        0: "detuning", 1: "rabi_frequency", 2: "gamma", 3: "epsilon"}),
+    "raman_constraint": (raman_constraint, (
+        st.builds(_beam_with, anywhere, anywhere, anywhere), anywhere), {1: "detuning"}),
 }
 
 
@@ -729,13 +736,21 @@ def _beam_corners():
 
 
 def _raman_corners():
-    """The 12 corners of the pulses :func:`raman_constraint` accepts: (Omega_R,
-    Delta) at the three corners of Omega_R above its least, Delta up to its
-    greatest and at least 10 Omega_R, and Gamma and epsilon at an end of
-    their ranges."""
-    least, greatest = _ends("rabi_frequency")[0], INPUT_BOX["detuning"][1]
-    for rabi, detuning in ((least, 10.0 * least), (least, greatest), (greatest / 10.0, greatest)):
-        for gamma, epsilon in itertools.product(_ends("gamma"), _ends("epsilon")):
+    """The 12 corners of the pulses :func:`raman_constraint` accepts, as its
+    (Delta, Omega_R, Gamma, epsilon): (Omega_R, Delta) at the three corners of
+    Omega_R from its least over the beam corners, Delta up to its greatest and
+    at least 10 Omega_R, and Gamma at its least or greatest over the beam
+    corners, epsilon at an end of its range.  Omega_R and Gamma are monomials
+    in the beam's inputs, so these are their extremes over every accepted beam."""
+    with mpmath.workdps(50):
+        beams = [_exact_beam(*inputs) for inputs in _beam_corners()]
+    rabi_least, rabi_greatest, gamma_least, gamma_greatest = (
+        float(f(beam[field] for beam in beams))
+        for field in ("rabi_frequency_rad_per_s", "gamma_per_s") for f in (min, max))
+    greatest = INPUT_BOX["detuning"][1]
+    for rabi, detuning in ((rabi_least, 10.0 * rabi_least), (rabi_least, greatest),
+                           (min(rabi_greatest, greatest / 10.0), greatest)):
+        for gamma, epsilon in itertools.product((gamma_least, gamma_greatest), _ends("epsilon")):
             yield detuning, rabi, gamma, epsilon
 
 
@@ -777,7 +792,7 @@ class TestInputBox:
                 for row, area in zip(zip(*sweep), sweep.area):
                     _assert_matches(sweep._fields, row, _exact_sweep_row(exact, area))
             for inputs in _raman_corners():
-                raman = raman_constraint(*inputs)
+                raman = _raman(*inputs)
                 _assert_matches(raman._fields, raman, _exact_raman(*inputs))
                 # the purity loss is its detuning-eliminated form pi Gamma / (Omega_R^2 T)
                 _, rabi, gamma, _ = map(mpf, inputs)
@@ -788,19 +803,11 @@ class TestInputBox:
         for inputs in _beam_corners():
             _assert_margins_agree(pi_pulse_budget(*inputs))
 
-    def test_rate_ranges_hold_the_images_of_the_beam_box(self):
-        # Omega_R = d E0 / hbar and Gamma over the closed beam box take their
-        # extremes at its corners, where the raman_constraint ranges hold them
-        with mpmath.workdps(50):
-            corners = [_exact_beam(wavelength, 1.0, dipole, field, 0.5)
-                       for wavelength, dipole, field in itertools.product(
-                           INPUT_BOX["wavelength"], INPUT_BOX["dipole"],
-                           INPUT_BOX["field_amplitude"])]
-        for name, field in (("rabi_frequency", "rabi_frequency_rad_per_s"),
-                            ("gamma", "gamma_per_s")):
-            least, greatest = INPUT_BOX[name]
-            values = [corner[field] for corner in corners]
-            assert least < min(values) and max(values) <= greatest, name
+    def test_each_range_is_a_budget_key(self):
+        # the box holds only what a user types: each name is a key of the
+        # budget command, the detuning spelled raman_detuning
+        spelled = {"detuning": "raman_detuning"}
+        assert {spelled.get(name, name) for name in INPUT_BOX} <= set(cli.KEY_SCHEMAS["budget"])
 
     @pytest.mark.parametrize("name", sorted(INPUT_BOX))
     def test_each_range_refuses_its_least_and_past_its_greatest(self, name):

@@ -644,6 +644,18 @@ class TestBudget:
         code, _ = run(tmp_path, *BUDGET_ARGS, "--raman_detuning", "1e10")
         assert code == EXIT_CONFIG
 
+    def test_far_detuned_edge_of_the_readme_beam(self):
+        # 10 Omega_R itself is far-detuned, and the next double below it is not
+        edge = 10.0 * budget.pi_pulse_budget(1e-6, 1e-12, 1e-29, 1e5).rabi_frequency_rad_per_s
+        code, out, err = run_captured(*BUDGET_ARGS, "--raman_detuning", repr(edge))
+        assert (code, err) == (EXIT_OK, "")
+        assert report_values(out.encode())["raman_detuning_rad_per_s"] == cli._fmt(edge)
+        code, out, err = run_captured(*BUDGET_ARGS, "--raman_detuning",
+                                      repr(math.nextafter(edge, 0.0)))
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert err == ("error: far-detuned regime requires detuning >= 10 * Omega_R"
+                       " (9.483e+10 < 9.483e+10)\n")
+
     def test_raman_detuning_is_refused_before_the_sweep(self, monkeypatch):
         def no_work(*args):
             raise AssertionError("area sweep computed for a refused Raman detuning")
@@ -711,8 +723,7 @@ class TestBudget:
         # each printed name is a record's field name, after its section's
         # prefix and in field order, and the table header is the sweep's fields
         report = budget.pi_pulse_budget(1e-6, 1e-12, 1e-29, 1e5)
-        raman = budget.raman_constraint(1e12, report.rabi_frequency_rad_per_s,
-                                        report.gamma_per_s, 1e-4)
+        raman = budget.raman_constraint(report, 1e12)
         header = ",".join(budget.fixed_intensity_area_sweep(report, 7)._fields)
         main_block = [*_field_lines(report), ("photon_constraint", "violated")]
         raman_block = [*_field_lines(raman, "raman_"),

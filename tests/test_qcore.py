@@ -354,7 +354,7 @@ def records() -> list:
     """One record of each type the package returns."""
     beam = pi_pulse_budget(1e-6, 1e-12, 1e-29, 1e5)
     return [evolve((0.0, 0.0, 0.0), 1.0, 0.1, samples=4), beam,
-            raman_constraint(1e11, 1e9, gamma=1e6, epsilon=1e-4),
+            raman_constraint(beam._replace(rabi_frequency_rad_per_s=1e9, gamma_per_s=1e6), 1e11),
             fixed_intensity_area_sweep(beam, 3)]
 
 
