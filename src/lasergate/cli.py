@@ -280,6 +280,8 @@ def _overrides_from_extras(extras: list[str]) -> dict[str, str]:
         # a value never starts with "--": that token is the next option
         if (value := next(tokens, None)) is None or value.startswith("--"):
             raise ConfigError(f"option {token!r} is missing a value")
+        if token[2:] in overrides:
+            raise ConfigError(f"option {token!r} is given twice")
         overrides[token[2:]] = value
     return overrides
 

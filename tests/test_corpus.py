@@ -15,6 +15,7 @@ import contextlib
 import hashlib
 import io
 import json
+import re
 import shlex
 import tempfile
 from pathlib import Path
@@ -23,6 +24,8 @@ from lasergate.cli import main
 
 CORPUS = Path(__file__).with_name("corpus.txt")
 DIGESTS = Path(__file__).with_name("corpus_digests.txt")
+README = Path(__file__).parents[1] / "README.md"
+WORKFLOW = Path(__file__).parents[1] / ".github" / "workflows" / "tests.yml"
 
 
 class _Sha256Writer:
@@ -92,6 +95,29 @@ def test_every_command_prints_its_recorded_digests(tmp_path):
         if got != expected.get(line):
             differing.append(f"{line}\n  recorded: {expected.get(line)}\n  now:      {got}")
     assert not differing, f"{len(differing)} commands differ:\n" + "\n".join(differing)
+
+
+def readme_commands() -> list:
+    """The ``lasergate`` lines of README.md's bash blocks, in order, each
+    ``\\`` continuation joined and its ``#`` comment or ``| grep`` tail cut."""
+    blocks = "".join(re.findall(r"^```bash\n(.*?)^```", README.read_text(), re.M | re.S))
+    lines = blocks.replace("\\\n", " ").splitlines()
+    return [" ".join(re.split(r" #|\| grep", line)[0].split())
+            for line in lines if line.startswith("lasergate")]
+
+
+def test_the_readme_and_ci_commands_are_corpus_lines():
+    corpus = {line for line, _ in commands()}
+    workflow = WORKFLOW.read_text()
+    # each workflow line that runs lasergate on literal arguments
+    literal = [m[1] for m in re.finditer(r"^ *(?:check \d+ )?(lasergate(?: .*)?)$", workflow, re.M)
+               if "$" not in m[1]]
+    readme = readme_commands()
+    assert readme and literal
+    assert [line for line in readme + literal if line not in corpus] == []
+    # the standard-library step runs the README commands, no more and no fewer
+    loop = re.search(r"for cmd in (.*?); do", workflow, re.S)[1]
+    assert [f"lasergate {cmd}" for cmd in shlex.split(loop.replace("\\\n", " "))] == readme
 
 
 def write_digests() -> None:
