@@ -1,10 +1,12 @@
 
 import contextlib
+import hashlib
 import io
 import json
 import math
 import os
 import re
+import shlex
 import subprocess
 import sys
 import tomllib
@@ -18,6 +20,7 @@ from hypothesis.extra import numpy as hnp
 
 import lasergate
 import oracles
+import test_corpus
 from lasergate import budget, cli, gates, jc
 from lasergate.cli import (
     EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, GATE_AREAS, MAX_ROWS, START_STATES, main,
@@ -94,7 +97,29 @@ def budget_args(**inputs):
                         for arg in (f"--{key}", value))]
 
 
+def format_input(fmt):
+    """The ``format`` input of ``budget_args``: none for text, the default,
+    as the corpus lines give it."""
+    return {} if fmt == "text" else {"format": fmt}
+
+
 BUDGET_ARGS = budget_args()
+
+
+def assert_prints_the_corpus_bytes(argv, out):
+    """``argv`` is a command of the corpus, as it stands or with ``--out``, and
+    ``out`` is the text the corpus records for it: the sha256 of its stdout, or
+    of its one ``--out`` file.  The corpus is the one record of printed bytes;
+    this names the commands whose bytes a change must not move unnoticed."""
+    line = shlex.join(["lasergate", *argv])
+    recorded = test_corpus.recorded()
+    fields = recorded.get(line) or next(
+        (fields for command, fields in recorded.items() if command.startswith(line + " --out ")),
+        None)
+    assert fields, f"no corpus line for {line}"
+    files = [field.split()[-1] for field in fields if field.startswith("file ")]
+    digest = files[0] if files else fields[1].removeprefix("stdout ")
+    assert (fields[0], hashlib.sha256(out.encode()).hexdigest()) == ("exit 0", digest)
 
 
 class TestStartStates:
@@ -134,6 +159,12 @@ class TestSimulate:
     def test_text_format_unsupported(self, tmp_path):
         code, _ = run(tmp_path, "simulate", "--format", "text")
         assert code == EXIT_CONFIG
+
+    def test_byte_identical_reruns(self, tmp_path):
+        _, first = run(tmp_path, "simulate", "--samples", "40", "--ratio", "1e-3", name="a.csv")
+        _, second = run(tmp_path, "simulate", "--samples", "40", "--ratio", "1e-3", name="b.csv")
+        assert first == second
+        assert b"\r" not in first  # LF only
 
     @pytest.mark.parametrize("key", ["theta", "ratio"])
     @pytest.mark.parametrize("value", ["inf", "nan", "-inf"])
@@ -176,6 +207,25 @@ class TestSimulate:
         for values in zip(trajectory.times, *columns):
             want.append(",".join(map(cli._fmt, values)))
         assert run_stdout("simulate", *argv) == (EXIT_OK, "\n".join(want) + "\n")
+
+    # the five CI simulate commands, the README example and a strongly damped
+    # plus start whose x underflows to zero, each against its corpus record:
+    # a byte moved in any printed column fails
+    @pytest.mark.parametrize("argv", [
+        "--start plus --theta 11 --ratio 25 --samples 500",
+        "--method rk4_fixed --start excited --theta 7 --ratio 3 --samples 300",
+        "--start plus --theta 0 --samples 5",
+        "--start plus --theta -0 --samples 5",
+        "--ratio 1e20 --samples 1",
+        "--theta 3.141592653589793 --ratio 1e-3 --samples 200",
+        "--method rk4_fixed --start plus --ratio 8 --theta 5 --samples 7",
+        "--start plus --ratio 1e3 --samples 50",
+    ], ids=["plus-decay", "rk4-excited", "theta-0", "theta-minus-0", "ratio-1e20", "readme",
+            "rk4-exceptional-point", "plus-damped"])
+    def test_csv_is_pinned_byte_for_byte(self, argv):
+        code, out = run_stdout("simulate", *argv.split())
+        assert code == EXIT_OK
+        assert_prints_the_corpus_bytes(["simulate", *argv.split()], out)
 
     def test_rk4_divergence_is_numeric_error(self, tmp_path):
         code, _ = run(tmp_path, "simulate", "--method", "rk4_fixed", "--ratio", "30",
@@ -397,6 +447,21 @@ class TestSweep:
         assert c == pytest.approx(3 * math.pi / 16, rel=1e-12)
         assert float(fields["residual"]) == pytest.approx(
             np.sqrt(np.mean((p / ratios - c) ** 2)), rel=1e-6)
+
+    # the three CI coefficient sweeps and its two 64-point sweeps, the plus
+    # start's among them, each against its corpus record: a byte moved in any
+    # printed p, or in the footer, fails
+    @pytest.mark.parametrize("argv", [
+        "--gate pi --start ground",
+        "--gate pi2 --start ground",
+        "--gate pi2 --start excited",
+        "--gate pi2 --start excited --points 64",
+        "--gate pi --start plus --points 64",
+    ], ids=["c-pi-ground", "c-pi2-ground", "c-pi2-excited", "pi2-excited-64", "pi-plus-64"])
+    def test_csv_is_pinned_byte_for_byte(self, argv):
+        code, out = run_stdout("sweep", *argv.split())
+        assert code == EXIT_OK
+        assert_prints_the_corpus_bytes(["sweep", *argv.split()], out)
 
     @pytest.mark.parametrize("gate, start", [("pi", "ground"), ("pi", "excited"), ("pi", "plus"),
                                              ("pi2", "ground"), ("pi2", "excited")])
@@ -694,6 +759,31 @@ class TestBudget:
         assert (code, out) == (EXIT_CONFIG, "")
         assert err == "error: wavelength must be in (1e-11, 1], got 1e+160\n"
 
+    # each report's first line is its id
+    @pytest.mark.parametrize("fmt,first_line", [
+        ("text", "laser pulse budget (SI base units)"),
+        ("csv", "# wavelength_m=1.00000000000e-06"),
+    ], ids=lambda value: value)
+    def test_readme_example_prints_the_pinned_report(self, fmt, first_line):
+        # the README example with a Raman block, printed digit for digit
+        argv = budget_args(epsilon="1e-4", raman_detuning="1e12", **format_input(fmt))
+        code, out, err = run_captured(*argv)
+        assert (code, err) == (EXIT_OK, "")
+        assert out.splitlines()[0] == first_line
+        assert_prints_the_corpus_bytes(argv, out)
+
+    # the README report with a 20000-row area sweep, the benchmark's shape:
+    # the table spans several printing chunks, so a byte moved in any chunk or
+    # in the scalar block fails
+    @pytest.mark.parametrize("fmt", ["text", "csv"])
+    def test_multi_chunk_report_is_pinned_byte_for_byte(self, fmt):
+        argv = budget_args(epsilon="1e-4", raman_detuning="1e12", area_sweep_points="20000",
+                           **format_input(fmt))
+        code, out, err = run_captured(*argv)
+        assert (code, err) == (EXIT_OK, "")
+        assert out.count("\n") > 20000 > 4 * cli.TABLE_CHUNK
+        assert_prints_the_corpus_bytes(argv, out)
+
     def test_huge_wavelength_budget_is_finite(self):
         # the longest wavelength and widest beam, with the greatest dipole,
         # field and epsilon: a corner of the box
@@ -716,6 +806,20 @@ class TestBudget:
 
 
 class TestCompare:
+    # the CI markov-vs-jc, stride and plus-start compares and the two
+    # largest-nbar ground-state rows, each against its corpus record: every
+    # printed digit of the Markov p and of the single-mode p is pinned
+    @pytest.mark.parametrize("argv", [
+        "--n_bars 100,400,1600,6400",
+        "--gate pi2 --start excited --n_bars 25,63,64,100,101,1e8",
+        "--gate pi2 --start ground --n_bars 9.9e9,1e14",
+        "--gate pi --start plus --n_bars 100,1e4,1e9",
+    ], ids=["markov-vs-jc", "stride", "pi2-ground-large-nbar", "pi-plus"])
+    def test_csv_is_pinned_byte_for_byte(self, argv):
+        code, out = run_stdout("compare", *argv.split())
+        assert code == EXIT_OK
+        assert_prints_the_corpus_bytes(["compare", *argv.split()], out)
+
     def test_single_point_emits_two_rows(self, tmp_path):
         code, payload = run(tmp_path, "compare", "--n_bars", "400")
         assert code == EXIT_OK
