@@ -1,10 +1,11 @@
 """The command corpus: every command of ``corpus.txt``, run in-process in an
 empty directory, prints what ``corpus_digests.txt`` records for it, its exit
 code, the sha256 of its stdout, its stderr and the sha256 of each file it
-writes.
+writes.  This is the one check of printed bytes; a new refusal is a corpus
+line under a ``#`` line that gives its reason.
 
 The diff of the digests file is the exact output change of a commit.  When
-output moves on purpose, rewrite it with
+output moves on purpose, or a command is added, rewrite it with
 
     PYTHONPATH=src python tests/test_corpus.py
 
@@ -20,7 +21,7 @@ import shlex
 import tempfile
 from pathlib import Path
 
-from lasergate.cli import main
+from lasergate.cli import RUNNERS, USAGE, main
 
 CORPUS = Path(__file__).with_name("corpus.txt")
 DIGESTS = Path(__file__).with_name("corpus_digests.txt")
@@ -95,6 +96,24 @@ def test_every_command_prints_its_recorded_digests(tmp_path):
         if got != expected.get(line):
             differing.append(f"{line}\n  recorded: {expected.get(line)}\n  now:      {got}")
     assert not differing, f"{len(differing)} commands differ:\n" + "\n".join(differing)
+
+
+def test_every_refusal_prints_one_error_line_and_nothing_else(tmp_path):
+    # a missing or unknown command is the one refusal that prints the usage line first
+    expected = recorded()
+    refused = [(line, argv) for line, argv in commands() if expected[line][0] != "exit 0"]
+    assert refused
+    empty = hashlib.sha256(b"").hexdigest()
+    wrong = []
+    for line, argv in refused:
+        _, stdout, stderr, *files = outcome(argv, tmp_path)
+        usage = USAGE if not argv or argv[0] not in RUNNERS else ""
+        text = json.loads(stderr.removeprefix("stderr "))
+        error = text.removeprefix(usage)
+        if (stdout, files) != (f"stdout {empty}", []) or not text.startswith(usage) \
+                or not error.startswith("error: ") or error.find("\n") != len(error) - 1:
+            wrong.append(f"{line}\n  {stdout}\n  {stderr}\n  {files}")
+    assert not wrong, f"{len(wrong)} refusals print more than one error line:\n" + "\n".join(wrong)
 
 
 def readme_commands() -> list:
