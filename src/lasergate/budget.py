@@ -27,7 +27,7 @@ import math
 from collections import namedtuple
 from operator import mul
 
-from .gates import first_order_coefficient
+from .gates import coefficients
 from .qcore import InvalidStateError, check_count, logspace
 
 # Minimum photons within the volume sigma_eff * c * T demanded by the
@@ -247,7 +247,7 @@ def fixed_intensity_area_sweep(report: PiPulseBudget, points: int) -> AreaSweep:
     kappa = tuple(gamma_sigma / a for a in area)
     # p per unit kappa / Omega_R of a pi pulse from the ground state, 3 pi / 8:
     # twice its slope c per unit kappa / g_alpha, as Omega_R = 2 g_alpha
-    slope = 2.0 * first_order_coefficient(math.pi, (0.0, 0.0, -1.0))
+    slope = 2.0 * coefficients(((math.pi, 0.0),), (0.0, 0.0, -1.0)).c
     return AreaSweep(
         area=area,
         kappa=kappa,

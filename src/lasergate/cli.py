@@ -192,13 +192,12 @@ def run_sweep(cfg: dict) -> chain:
     # a grid outside the sweep contract is refused before any ratio is propagated
     ratios = gates.ratio_grid(cfg["ratio_min"], cfg["ratio_max"], cfg["points"])
     probabilities = gates.sweep_failure_probabilities(theta, state, ratios)
-    c = gates.first_order_coefficient(theta, state)
+    c, c_prime = gates.coefficients(((theta, 0.0),), state)[:2]
     # the spread of p/ratio around c: the second-order signature of the sweep
     residual = math.sqrt(sum((p / r - c) ** 2 for p, r in zip(probabilities, ratios)) / len(ratios))
 
     return chain(["ratio,p\n"], _table((ratios, probabilities)),
-                 [f"# c={_fmt(c)} c_prime={_fmt(c * theta / 2.0)}"
-                  f" residual={_fmt(residual)}\n"])
+                 [f"# c={_fmt(c)} c_prime={_fmt(c_prime)} residual={_fmt(residual)}\n"])
 
 
 def run_budget(cfg: dict) -> chain:

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 
-from .qcore import InvalidStateError, check_pure_start
+from .qcore import InvalidStateError, _amplitudes, check_pure_start
 
 # Largest mean photon number a field may hold.  A gate error reads about 80
 # levels of its window whatever nbar is, so this fixes the photon range that
@@ -100,20 +100,6 @@ def _chord(mean: float, half: float) -> tuple:
     product form: no two nearly equal numbers are subtracted."""
     s = math.sin(half)
     return -2.0 * math.sin(mean) * s, 2.0 * math.cos(mean) * s
-
-
-def _amplitudes(s: tuple) -> tuple:
-    """The amplitudes (x_b, x_a) of the pure state of Bloch vector ``s`` =
-    (x, y, z): (1 - z, x + i y) / |.| for z <= 0 and (x - i y, 1 + z) / |.|
-    for z > 0, the two charts differing by a global phase.  Each divides by
-    a norm >= 1, so a vector just off the sphere near either pole keeps its
-    pole's state."""
-    x, y, z = s
-    if z > 0.0:
-        norm = math.hypot(x, y, 1.0 + z)
-        return complex(x, -y) / norm, complex(1.0 + z) / norm
-    norm = math.hypot(1.0 - z, x, y)
-    return complex(1.0 - z) / norm, complex(x, y) / norm
 
 
 def _population(psi: tuple, n_bar: float, theta: float, bra) -> float:
@@ -204,7 +190,7 @@ def jc_gate_error(theta: float, atom_start, n_bar: float) -> float:
         Pulse area in (0, 2 pi], at most one mean-field Rabi period.
     atom_start : sequence of 3 floats
         Bloch vector (x, y, z) of the pure initial state, |s| = 1
-        (:func:`qcore.check_pure_start`), read as :func:`_amplitudes`.
+        (:func:`qcore.check_pure_start`), read as :func:`qcore._amplitudes`.
     n_bar : float
         Mean photon number of the coherent field, in [25, ``MAX_N_BAR``]
         (see :func:`check_photon_numbers`).

@@ -115,12 +115,13 @@ def _propagator(r: float, tau: float) -> tuple:
     cos_2, sin_2 = math.cos(2.0 * tau), math.sin(2.0 * tau)
     if q < 2.0:
         mu = math.sqrt((2.0 - q) * (2.0 + q))
-        cos_mu, sin_mu = math.cos(mu * tau), math.sin(mu * tau)
         if q < 1.0:  # the ideal angle 2 tau, then the slip 2 k tau in product form
             k = q * q / (2.0 * (mu + 2.0))
             slip, half = math.sin(k * tau), (2.0 - k) * tau
             slip_c, slip_s = 2.0 * math.sin(half) * slip, -2.0 * math.cos(half) * slip
             cos_mu, sin_mu = cos_2 + slip_c, sin_2 + slip_s
+        else:
+            cos_mu, sin_mu = math.cos(mu * tau), math.sin(mu * tau)
         damping = math.exp(-3.0 * q * tau)
         c, s = damping * cos_mu, damping * sin_mu / mu
     elif q > 2.0:  # exp(-3q tau) cosh and sinh, from the slower of exp(-(3q -+ nu) tau)

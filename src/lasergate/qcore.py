@@ -3,8 +3,9 @@
 The package has one state format, real: the Bloch vector (x, y, z) of
 rho = (I + x sigma_x + y sigma_y + z sigma_z) / 2, a tuple of three floats
 with |s| <= 1.  Every start (:func:`check_start`) and every propagated state
-is one, and a trajectory holds its samples as columns of x, y and z; only the
-single-mode model of ``jc`` reads a start as amplitudes.  For a real s, rho
+is one, and a trajectory holds its samples as columns of x, y and z; a pure
+start is read as amplitudes (:func:`_amplitudes`) only where a phase is carried:
+by the single-mode model of ``jc`` and by ``gates.coefficients``.  For a real s, rho
 has trace 1, eigenvalues (1 -+ |s|) / 2 and purity (1 + |s|^2) / 2, so one
 rule says that s is a state, |s| <= 1, which :func:`check_bloch` checks on a
 stack of vectors, and one that it is pure, |s| = 1 (:func:`check_pure_start`).
@@ -90,3 +91,17 @@ def check_pure_start(s0) -> tuple:
     if not radius >= 1.0 - BLOCH_SLACK:
         raise InvalidStateError(f"start state is not pure: Bloch vector |s| = {radius:.12g}")
     return s
+
+
+def _amplitudes(s: tuple) -> tuple:
+    """The amplitudes (x_b, x_a) of the pure state of Bloch vector ``s`` =
+    (x, y, z): (1 - z, x + i y) / |.| for z <= 0 and (x - i y, 1 + z) / |.|
+    for z > 0, the two charts differing by a global phase.  Each divides by
+    a norm >= 1, so a vector just off the sphere near either pole keeps its
+    pole's state."""
+    x, y, z = s
+    if z > 0.0:
+        norm = math.hypot(x, y, 1.0 + z)
+        return complex(x, -y) / norm, complex(1.0 + z) / norm
+    norm = math.hypot(1.0 - z, x, y)
+    return complex(1.0 - z) / norm, complex(x, y) / norm

@@ -8,7 +8,10 @@ Every routine here deliberately avoids the code paths under test:
   loop on that same superoperator, not a Taylor step matrix, and its
   40-digit map is the RK4 polynomial of that superoperator;
 * first-order error coefficients come from adaptive quadrature of the
-  toggling-frame dissipator, not from a ratio sweep;
+  toggling-frame dissipator, not from a ratio sweep; those of a pulse
+  sequence, from the failure itself: the 40-digit master equation at a tiny
+  ratio, and the single-mode model evolved segment by segment over every
+  Fock level of its window, not from closed-form integrals of an amplitude;
 * the Jaynes-Cummings model is evolved by exponentiating the full joint
   Hamiltonian, not sector by sector, and its gate error is summed over every
   Fock level 0..n_max in 40-digit mpmath arithmetic as 1 - F, where the
@@ -25,6 +28,7 @@ import mpmath
 import numpy as np
 from scipy.integrate import quad
 from scipy.linalg import expm
+from scipy.special import gammaln
 
 # p nbar of a resonant pi pulse from the ground state, c'_M(pi, ground):
 # c = 3 pi / 16 per unit kappa/g_alpha, times theta / 2.
@@ -85,15 +89,23 @@ def lowest_eigenvalue(s) -> float:
     return float(np.linalg.eigvalsh(bloch_density(s))[0])
 
 
-def liouvillian(ratio: float) -> np.ndarray:
+def liouvillian(ratio: float, phi: float = 0.0) -> np.ndarray:
     """4x4 generator of the driven-decaying atom in scaled time (g_alpha = 1),
-    acting on row-major-vectorized rho: vec(A X B) = (A kron B^T) vec(X)."""
-    lv = -1j * (np.kron(SIGMA_X, I2) - np.kron(I2, SIGMA_X.T))
+    acting on row-major-vectorized rho: vec(A X B) = (A kron B^T) vec(X),
+    under the drive H = e^(i phi) sigma_+ + e^(-i phi) sigma_- of phase ``phi``."""
+    h = drive(phi)
+    lv = -1j * (np.kron(h, I2) - np.kron(I2, h.T))
     lv += ratio * (
         np.kron(SIGMA_MINUS, SIGMA_PLUS.T)
         - 0.5 * (np.kron(PROJ_EXCITED, I2) + np.kron(I2, PROJ_EXCITED.T))
     )
     return lv
+
+
+def drive(phi: float) -> np.ndarray:
+    """The drive e^(i phi) sigma_+ + e^(-i phi) sigma_- of phase ``phi``; at
+    phi = 0 it is sigma_x, entry for entry."""
+    return np.exp(1j * phi) * SIGMA_PLUS + np.exp(-1j * phi) * SIGMA_MINUS
 
 
 def evolve_superop(rho0: np.ndarray, theta: float, ratio: float) -> np.ndarray:
@@ -157,23 +169,34 @@ def failure_superop(psi0: np.ndarray, theta: float, ratio: float) -> float:
 
 
 def failure_mp(psi0: np.ndarray, theta: float, ratio: float) -> mpmath.mpf:
-    """Gate failure <psi_perp| rho(T) |psi_perp> in 40-digit arithmetic.
+    """Gate failure <psi_perp| rho(T) |psi_perp> of one theta pulse in 40-digit
+    arithmetic: :func:`failure_sequence_mp` of the one segment (theta, 0)."""
+    return failure_sequence_mp(psi0, ((theta, 0.0),), ratio)
 
-    rho(T) comes from the mpmath exponential of the kron-form ``liouvillian``
-    (whose entries are exact in double precision) applied to vec(rho0), and
-    psi_perp is orthogonal to the decay-free output of the same pulse.
+
+def failure_sequence_mp(psi0: np.ndarray, segments, ratio: float) -> mpmath.mpf:
+    """Failure <psi_perp| rho |psi_perp> after the pulse sequence ``segments``
+    = ((theta, phi), ...) in 40-digit arithmetic.
+
+    Each segment applies the mpmath exponential of the kron-form
+    ``liouvillian(ratio, phi)``, its double entries taken exactly, for
+    theta / 2 to vec(rho), and that of its :func:`drive` alone, the same
+    entries, to the decay-free output, to which psi_perp is orthogonal.
     """
     with mpmath.workdps(40):
-        lv = mpmath.matrix([[mpmath.mpc(complex(x)) for x in row] for row in liouvillian(ratio)])
-        prop = mpmath.expm(lv * (mpmath.mpf(theta) / 2))
         x_b, x_a = (mpmath.mpc(complex(x)) for x in psi0)
         norm = mpmath.sqrt(abs(x_b) ** 2 + abs(x_a) ** 2)
         x = [x_b / norm, x_a / norm]
-        rho = prop * mpmath.matrix([x[i] * mpmath.conj(x[j]) for i in range(2) for j in range(2)])
-        half = mpmath.mpf(theta) / 2
-        t_b = mpmath.cos(half) * x[0] - 1j * mpmath.sin(half) * x[1]
-        t_a = mpmath.cos(half) * x[1] - 1j * mpmath.sin(half) * x[0]
-        perp = [-mpmath.conj(t_a), mpmath.conj(t_b)]
+        rho = mpmath.matrix([x[i] * mpmath.conj(x[j]) for i in range(2) for j in range(2)])
+        target = mpmath.matrix(x)
+        for theta, phi in segments:
+            half = mpmath.mpf(theta) / 2
+            lv = mpmath.matrix([[mpmath.mpc(complex(v)) for v in row]
+                                for row in liouvillian(ratio, phi)])
+            h = mpmath.matrix([[mpmath.mpc(complex(v)) for v in row] for row in drive(phi)])
+            rho = mpmath.expm(lv * half) * rho
+            target = mpmath.expm(-1j * h * half) * target
+        perp = [-mpmath.conj(target[1]), mpmath.conj(target[0])]
         p = mpmath.fsum(mpmath.conj(perp[i]) * rho[2 * i + j] * perp[j]
                         for i in range(2) for j in range(2))
         return mpmath.re(p)
@@ -226,6 +249,41 @@ def jc_bruteforce(psi_atom: np.ndarray, alpha: float, n_max: int, g: float,
     psi = expm(-1j * h * duration) @ psi
     block = psi.reshape(2, dim_f)
     return block @ block.conj().T
+
+
+def jc_sequence_error(psi0: np.ndarray, segments, n_bar: float) -> float:
+    """Single-mode failure <psi_perp| rho_atom |psi_perp> after the pulse
+    sequence ``segments`` = ((theta, phi), ...), one coherent field of real
+    amplitude sqrt(nbar) serving every segment, in double precision.
+
+    With g = 1 segment k lasts theta_k / (2 sqrt(nbar)) under
+    H = e^(i phi) sigma_+ a + e^(-i phi) sigma_- a^dagger, which turns each
+    sector (|b, n+1>, |a, n>) at sqrt(n+1) by its own 2x2 exponential; the
+    field is kept within 12 sqrt(nbar) of nbar, its weights read from
+    scipy's log-gamma and renormalized there, and psi_perp is orthogonal to
+    the semiclassical output, the same sequence under the drive
+    e^(i phi) sigma_+ + e^(-i phi) sigma_- of strength sqrt(nbar).  p is
+    summed level by level, so no 1 - F cancels.
+    """
+    spread = 12.0 * math.sqrt(n_bar)
+    n = np.arange(max(0, math.floor(n_bar - spread)), math.ceil(n_bar + spread) + 1)
+    log_w = n * math.log(n_bar) - n_bar - gammaln(n + 1.0)
+    field = np.sqrt(np.exp(log_w - log_w.max()))
+    field /= np.linalg.norm(field)
+    psi = np.asarray(psi0, dtype=complex) / np.linalg.norm(psi0)
+    b, a = psi[0] * field, psi[1] * field
+    target = psi
+    # level i of b pairs with level i - 1 of a, at sqrt(n_i) = sqrt((n_i - 1) + 1)
+    root = np.sqrt(n[1:])
+    for theta, phi in segments:
+        t = theta / (2.0 * math.sqrt(n_bar))
+        cos, sin = np.cos(root * t), np.sin(root * t)
+        up, down = np.exp(1j * phi), np.exp(-1j * phi)
+        b[1:], a[:-1] = (cos * b[1:] - 1j * sin * down * a[:-1],
+                         cos * a[:-1] - 1j * sin * up * b[1:])
+        target = expm(-1j * drive(phi) * theta / 2.0) @ target
+    perp = np.array([-target[1].conjugate(), target[0].conjugate()])
+    return float(np.sum(np.abs(perp[0].conjugate() * b + perp[1].conjugate() * a) ** 2))
 
 
 def jc_gate_error_mp(theta: float, psi_atom: np.ndarray, n_bar: float,

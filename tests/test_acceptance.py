@@ -19,7 +19,7 @@ from lasergate.budget import (
     raman_constraint,
 )
 from lasergate.cli import EXIT_OK, START_STATES, main
-from lasergate.gates import first_order_coefficient, sweep_failure_probabilities
+from lasergate.gates import coefficients, sweep_failure_probabilities
 from lasergate.jc import jc_gate_error
 from lasergate.lindblad import RK4_FIXED, evolve
 from lasergate.qcore import logspace
@@ -74,7 +74,7 @@ def _photon_coefficients(theta: float, s0) -> tuple:
     ratios = logspace(-5.0, -3.0, 8)
     p = sweep_failure_probabilities(theta, s0, ratios)
     swept = sum(half * p_i / r_i for p_i, r_i in zip(p, ratios)) / len(ratios)
-    return first_order_coefficient(theta, s0) * half, swept
+    return coefficients(((theta, 0.0),), s0).c_prime_markov, swept
 
 
 def test_photon_coefficient_of_pi_pulse():

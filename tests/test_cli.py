@@ -682,9 +682,11 @@ print(json.dumps([stdlib, after_import, code, after_simulate, compare, loaded()]
 
     def test_jc_and_the_photon_commands_load_no_budget(self):
         # a fresh interpreter without site-packages: jc stands alone on qcore,
-        # and sweep and compare write their photon forms without budget
+        # and sweep and compare write their photon forms without budget; with
+        # every module loaded, nothing heavier than collections is (json, which
+        # loads re, is imported last)
         code = f"""
-import json, os, sys
+import os, sys
 sys.path.insert(0, {str(Path(lasergate.__file__).parents[1])!r})
 others = ("lasergate.budget", "lasergate.gates", "lasergate.lindblad")
 import lasergate.jc
@@ -692,11 +694,15 @@ after_jc = [name for name in others if name in sys.modules]
 import lasergate.cli
 codes = [lasergate.cli.main(["sweep", "--points", "4", "--out", os.devnull]),
          lasergate.cli.main(["compare", "--n_bars", "100", "--out", os.devnull])]
-print(json.dumps([after_jc, codes, "lasergate.budget" in sys.modules]))
+budget_loaded = "lasergate.budget" in sys.modules
+import lasergate.budget, lasergate.gates
+heavy = sorted({{"typing", "dataclasses", "argparse", "enum", "re", "numpy"}} & set(sys.modules))
+import json
+print(json.dumps([after_jc, codes, budget_loaded, heavy]))
 """
         out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
                              check=True).stdout
-        assert json.loads(out) == [[], [EXIT_OK, EXIT_OK], False]
+        assert json.loads(out) == [[], [EXIT_OK, EXIT_OK], False, []]
 
     def test_import_and_sweep_load_no_numpy(self):
         code = f"""

@@ -6,14 +6,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
 import oracles
 from lasergate import gates, lindblad
 from lasergate.budget import pi_pulse_budget
 from lasergate.cli import GATE_AREAS, START_STATES
-from lasergate.gates import first_order_coefficient, ratio_grid, sweep_failure_probabilities
+from lasergate.gates import coefficients, ratio_grid, sweep_failure_probabilities
+from lasergate.jc import jc_gate_error
 from lasergate.lindblad import RK4_FIXED, _apply, _propagator, evolve
-from lasergate.qcore import InvalidStateError, logspace
+from lasergate.qcore import InvalidStateError, _amplitudes, logspace
 from oracles import density_bloch, sample_matrices
 
 # the Bloch vectors of the named starts
@@ -50,6 +52,11 @@ def _no_grid(*args):
 P_PI_GROUND_1E3 = 5.888267114796e-04
 P_HALF_GROUND_1E3 = 4.452740888239e-05
 P_HALF_EXCITED_1E3 = 5.443399506861e-04
+
+
+def square_c(theta: float, s0) -> float:
+    """c of one square pulse of area ``theta`` from ``s0``, read from its record."""
+    return coefficients(((theta, 0.0),), s0).c
 
 
 def p_at(gate: tuple, ratio: float) -> float:
@@ -281,7 +288,7 @@ class TestExtractCoefficient:
         ((math.pi, PLUS), math.pi / 8),
     ], ids=["pi-ground", "half-ground", "half-excited", "pi-plus"])
     def test_closed_form_matches_exact_values(self, gate, want):
-        assert first_order_coefficient(*gate) == pytest.approx(want, rel=1e-13)
+        assert square_c(*gate) == pytest.approx(want, rel=1e-13)
 
     def test_closed_form_matches_quadrature(self):
         # the benchmark's five gates, then 40 random (theta, s0, psi0)
@@ -293,7 +300,7 @@ class TestExtractCoefficient:
             psi0 = psi0 / np.linalg.norm(psi0)
             cases.append((rng.uniform(0.1, 4 * math.pi), oracles.pure_bloch(psi0), psi0))
         for theta, s0, psi0 in cases:
-            got = first_order_coefficient(theta, s0)
+            got = square_c(theta, s0)
             assert got == pytest.approx(oracles.first_order_coefficient(psi0, theta), rel=1e-13)
 
     @pytest.mark.parametrize("gate, start", TABLE_CASES)
@@ -301,19 +308,19 @@ class TestExtractCoefficient:
         # p/r - c is the second-order term: measured (p/r - c)/(r c) lies in
         # [-0.81, 0.07] on these cases
         theta, psi = GATE_AREAS[gate], START_STATES[start]
-        c = first_order_coefficient(theta, psi)
+        c = square_c(theta, psi)
         ratios = (1e-6, 1e-5, 1e-4)
         for ratio, p in zip(ratios, sweep_failure_probabilities(theta, psi, ratios)):
             assert abs(p / ratio - c) <= ratio * c
 
     def test_pi_from_ground_coefficients(self):
         # photon form is 3 pi^2/32 ~ 0.925 (quoted as 0.93)
-        assert first_order_coefficient(*PI_FROM_GROUND) * math.pi / 2 == (
+        assert square_c(*PI_FROM_GROUND) * math.pi / 2 == (
             pytest.approx(3 * math.pi**2 / 32, rel=1e-13))
 
     def test_half_pulse_coefficients(self):
-        ground = first_order_coefficient(*HALF_FROM_GROUND) * (math.pi / 2) / 2
-        excited = first_order_coefficient(*HALF_FROM_EXCITED) * (math.pi / 2) / 2
+        ground = square_c(*HALF_FROM_GROUND) * (math.pi / 2) / 2
+        excited = square_c(*HALF_FROM_EXCITED) * (math.pi / 2) / 2
         assert ground == pytest.approx(0.04, rel=0.5)
         assert excited == pytest.approx(0.43, rel=0.15)
         # the excited start is strictly the lossier one
@@ -325,7 +332,7 @@ class TestExtractCoefficient:
         report = pi_pulse_budget(1e-6, 1e-12, 1e-29, 1e5)
         ratio = 2 * report.kappa_per_s / report.rabi_frequency_rad_per_s
         assert ratio == pytest.approx(math.pi / (2 * report.n_bar), rel=1e-12)
-        c = first_order_coefficient(*PI_FROM_GROUND)
+        c = square_c(*PI_FROM_GROUND)
         assert c * ratio == pytest.approx(c * math.pi / 2 / report.n_bar, rel=1e-12)
 
     def test_pointwise_slopes_stay_within_two_percent(self):
@@ -378,7 +385,7 @@ class TestExtractCoefficient:
         # within the second-order term (at most 1e-12 c) and p's rounding
         ratios = ratio_grid(1e-14, 1e-12, 8)
         theta, psi = GATE_AREAS[gate], START_STATES[start]
-        c = first_order_coefficient(theta, psi)
+        c = square_c(theta, psi)
         for ratio, p in zip(ratios, sweep_failure_probabilities(theta, psi, ratios)):
             assert abs(p / ratio - c) <= 1e-10 * c
 
@@ -390,6 +397,173 @@ class TestExtractCoefficient:
         monkeypatch.setattr(gates, "logspace", _no_grid)
         with pytest.raises(InvalidStateError):
             ratio_grid(least, greatest, 8)
+
+
+def bb1(theta: float) -> tuple:
+    """The BB1 sequence of area theta (Wimperis 1994): theta at phase 0, then
+    pi at phi_1, 2 pi at 3 phi_1 and pi at phi_1, phi_1 = arccos(-theta / (4 pi))."""
+    phi_1 = math.acos(-theta / (4.0 * math.pi))
+    return (theta, 0.0), (math.pi, phi_1), (2.0 * math.pi, 3.0 * phi_1), (math.pi, phi_1)
+
+
+# the six axis states +-x, +-y, +-z
+SIX_STATES = [(1.0, 0.0, 0.0), (-1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, -1.0, 0.0),
+              (0.0, 0.0, 1.0), (0.0, 0.0, -1.0)]
+
+# a sequence that no phase mirror phi -> -phi maps to itself, and a start off
+# every axis, where the sign of phi in the error amplitude shows
+ASYMMETRIC = ((math.pi / 2, 0.0), (1.1, 0.7), (0.6, -2.0))
+TILTED = (0.48, 0.6, -0.64)
+
+unit_vectors = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(
+    lambda v: math.hypot(*v) > 0.1).map(lambda v: tuple(c / math.hypot(*v) for c in v))
+segment_lists = st.lists(st.tuples(st.floats(0.01, 2 * math.pi), st.floats(-math.pi, math.pi)),
+                         min_size=1, max_size=4)
+
+
+def assert_chain(segments, s0):
+    # c'_JC <= c'_shaped <= c'_markov, up to rounding: each integral sums terms
+    # as large as the area, so near an equality, where a start on the great
+    # circle meets it, each c' may round by about eps * area^2
+    record = coefficients(segments, s0)
+    slack = 1e-12 * record.c_prime_markov + 1e-15 * math.fsum(t for t, _ in segments) ** 2
+    assert record.c_prime_jc <= record.c_prime_shaped + slack
+    assert record.c_prime_shaped <= record.c_prime_markov + slack
+
+
+class TestCoefficients:
+    """One error amplitude f gives every first-order coefficient, of a square
+    pulse or of a sequence: c and c'_markov from int |f|^2, c'_shaped from
+    int |f| and c'_JC from int f."""
+
+    # (theta, start): (c'_markov, c'_shaped, c'_JC) of a square pulse in closed form
+    SQUARE = {
+        PI_FROM_GROUND: (3 * math.pi ** 2 / 32, math.pi ** 2 / 16, math.pi ** 2 / 16),
+        HALF_FROM_GROUND: (SLOPE_HALF_GROUND * math.pi / 4, (math.pi / 8 - 0.25) ** 2,
+                           (math.pi / 8 - 0.25) ** 2),
+        HALF_FROM_EXCITED: (SLOPE_HALF_EXCITED * math.pi / 4, (math.pi / 8 + 0.25) ** 2,
+                            (math.pi / 8 + 0.25) ** 2),
+        (math.pi, PLUS): (math.pi ** 2 / 16, math.pi ** 2 / 16, 0.25),
+    }
+
+    @pytest.mark.parametrize("gate", list(SQUARE), ids=["pi-ground", "pi2-ground",
+                                                         "pi2-excited", "pi-plus"])
+    def test_square_pulse_table(self, gate):
+        record = coefficients(((gate[0], 0.0),), gate[1])
+        assert record[1:] == pytest.approx(self.SQUARE[gate], rel=1e-13)
+
+    def test_markov_photon_form_is_half_the_area_times_c(self):
+        for segments in (((math.pi, 0.0),), ASYMMETRIC, bb1(math.pi)):
+            record = coefficients(segments, TILTED)
+            area = math.fsum(theta for theta, _ in segments)
+            assert record.c_prime_markov == pytest.approx(area / 2.0 * record.c, rel=1e-15)
+
+    @pytest.mark.parametrize("gate, start", TABLE_CASES)
+    def test_single_mode_coefficient_is_the_jc_limit(self, gate, start):
+        # p nbar = c'_JC + b / nbar with |b| < 1 on these gates, so at nbar = 1e6
+        # the gap is below 1e-6
+        theta, s0 = GATE_AREAS[gate], START_STATES[start]
+        c_prime = coefficients(((theta, 0.0),), s0).c_prime_jc
+        assert abs(jc_gate_error(theta, s0, 1e6) * 1e6 - c_prime) <= 1e-6
+
+    def test_single_mode_coefficient_on_random_gates(self):
+        # p nbar - c'_JC falls as b / nbar: the Richardson value of p nbar at
+        # nbar = 1e6 and 4e6 is c'_JC to within 3.6e-12 on 200 such gates, though
+        # |b| reaches 8.9 where c'_JC is small
+        rng = np.random.default_rng(58)
+        for _ in range(20):
+            theta, v = rng.uniform(0.01, 2 * math.pi), rng.normal(size=3)
+            s0 = tuple(v / np.linalg.norm(v))
+            c_prime = coefficients(((theta, 0.0),), s0).c_prime_jc
+            near, far = (jc_gate_error(theta, s0, n) * n for n in (1e6, 4e6))
+            assert abs((4.0 * far - near) / 3.0 - c_prime) <= 1e-10, (theta, s0)
+
+    @given(theta=st.floats(0.01, 4 * math.pi), s0=unit_vectors)
+    @settings(max_examples=200, deadline=None)
+    def test_chain_on_square_pulses(self, theta, s0):
+        assert_chain(((theta, 0.0),), s0)
+
+    @given(segments=segment_lists, s0=unit_vectors)
+    @settings(max_examples=200, deadline=None)
+    def test_chain_on_sequences(self, segments, s0):
+        assert_chain(segments, s0)
+
+    @given(theta=st.floats(0.01, 2 * math.pi), phi=st.floats(-math.pi, math.pi),
+           beta=st.floats(-math.pi, math.pi), sign=st.sampled_from((1.0, -1.0)))
+    @settings(max_examples=200, deadline=None)
+    def test_equality_cases(self, theta, phi, beta, sign):
+        # a start on the rotation's axis (cos phi, sin phi, 0) keeps P = 1/2,
+        # so |f| is constant: c'_shaped = c'_markov; one on the great circle
+        # about that axis keeps f of one phase: c'_JC = c'_shaped
+        axis = (sign * math.cos(phi), sign * math.sin(phi), 0.0)
+        record = coefficients(((theta, phi),), axis)
+        assert record.c_prime_shaped == pytest.approx(record.c_prime_markov, rel=1e-12)
+        assert record.c_prime_markov == pytest.approx(theta ** 2 / 16, rel=1e-12)
+        circle = (-math.sin(beta) * math.sin(phi), math.sin(beta) * math.cos(phi), math.cos(beta))
+        record = coefficients(((theta, phi),), circle)
+        assert record.c_prime_jc == pytest.approx(record.c_prime_shaped, rel=1e-12, abs=1e-15)
+
+    def test_bb1_is_the_ideal_rotation(self):
+        # the product of BB1's segments is R_x(theta), to rounding
+        for theta in (math.pi, math.pi / 2):
+            product = np.eye(2)
+            for area, phi in bb1(theta):
+                product = expm(-0.5j * area * oracles.drive(phi)) @ product
+            want = expm(-0.5j * theta * oracles.SIGMA_X)
+            assert np.max(np.abs(product - want)) <= 1e-15
+
+    def test_bb1_rows(self):
+        # the Markov error grows 25-fold under BB1, and the single-mode one
+        # falls to its conservation floor: 0 from ground, a six-state mean of 1/6
+        record = coefficients(bb1(math.pi), GROUND)
+        assert record.c == pytest.approx(15 * math.pi / 16, rel=1e-13)
+        assert record.c_prime_markov == pytest.approx(75 * math.pi ** 2 / 32, rel=1e-13)
+        assert record.c_prime_jc <= 1e-28
+        six = [coefficients(bb1(math.pi), s0) for s0 in SIX_STATES]
+        assert f"{math.fsum(r.c_prime_markov for r in six) / 6:.2f}" == "20.56"
+        assert math.fsum(r.c_prime_jc for r in six) / 6 == pytest.approx(1 / 6, rel=1e-13)
+        assert max(r.c_prime_jc for r in six) == pytest.approx(1 / 4, rel=1e-13)
+        half = [coefficients(bb1(math.pi / 2), s0) for s0 in SIX_STATES]
+        assert math.fsum(r.c_prime_jc for r in half) / 6 == pytest.approx(1 / 12, rel=1e-13)
+        assert coefficients(bb1(math.pi / 2), GROUND).c_prime_jc == pytest.approx(1 / 16,
+                                                                                  rel=1e-13)
+
+    @pytest.mark.parametrize("segments", [ASYMMETRIC, bb1(math.pi / 2)], ids=["asymmetric", "bb1"])
+    @pytest.mark.parametrize("s0", [GROUND, PLUS, TILTED], ids=["ground", "plus", "tilted"])
+    def test_sequences_against_the_oracles(self, segments, s0):
+        # Markov: p / r at r = 1e-12 from the 40-digit Liouvillian, c to its
+        # second-order term; single mode: the Richardson value of p nbar from
+        # the joint evolution at nbar = 1e5 and 4e5, within 1e-9 of c'_JC
+        psi = np.array(_amplitudes(s0))
+        record = coefficients(segments, s0)
+        markov = float(oracles.failure_sequence_mp(psi, segments, 1e-12)) / 1e-12
+        assert record.c == pytest.approx(markov, rel=1e-10)
+        near, far = (oracles.jc_sequence_error(psi, segments, n) * n for n in (1e5, 4e5))
+        assert abs((4.0 * far - near) / 3.0 - record.c_prime_jc) <= 1e-9 * max(record.c_prime_jc, 1.0)
+
+    def test_the_asymmetric_sequence_shows_the_sign_of_phi(self):
+        # mirrored phases give other coefficients from the tilted start, so the
+        # oracle test above fixes the sign of phi in f
+        mirrored = tuple((theta, -phi) for theta, phi in ASYMMETRIC)
+        record, other = coefficients(ASYMMETRIC, TILTED), coefficients(mirrored, TILTED)
+        assert abs(record.c - other.c) > 0.1 * record.c
+        assert abs(record.c_prime_jc - other.c_prime_jc) > 0.5 * record.c_prime_jc
+
+    def test_one_segment_jc_oracle_is_jc_gate_error(self):
+        # the sequence oracle's conventions, checked on one segment
+        for theta, s0 in ((math.pi, GROUND), (1.3, TILTED)):
+            want = jc_gate_error(theta, s0, 400.0)
+            got = oracles.jc_sequence_error(np.array(_amplitudes(s0)), ((theta, 0.0),), 400.0)
+            assert got == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf])
+    def test_non_finite_phase_is_refused(self, phi):
+        with pytest.raises(InvalidStateError, match="phase must be finite"):
+            coefficients(((math.pi, 0.0), (math.pi, phi)), GROUND)
+
+    def test_every_segment_area_is_checked(self):
+        with pytest.raises(InvalidStateError, match=r"theta must be in \[0, 10000\], got -1.0"):
+            coefficients(((math.pi, 0.0), (-1.0, 0.0)), GROUND)
 
 
 class TestPulseValidation:
@@ -404,7 +578,7 @@ class TestPulseValidation:
             with pytest.raises(InvalidStateError, match=r"theta must be in \[0, 10000\]"):
                 sweep_failure_probabilities(area, GROUND, ratios)
         with pytest.raises(InvalidStateError, match=r"theta must be in \[0, 10000\]"):
-            first_order_coefficient(area, GROUND)
+            square_c(area, GROUND)
         assert calls == []
 
     def test_negative_area_rejected(self, monkeypatch):
@@ -416,7 +590,7 @@ class TestPulseValidation:
 
     def test_fock_state_rejected(self):
         # |n = 1> of a 4-level system is no Bloch vector of one qubit
-        for gate in (lambda s: first_order_coefficient(math.pi, s),
+        for gate in (lambda s: square_c(math.pi, s),
                      lambda s: sweep_failure_probabilities(math.pi, s, [1e-3])):
             with pytest.raises(InvalidStateError, match="expected a Bloch vector of 3 numbers"):
                 gate(np.array([0, 1, 0, 0]))
@@ -443,7 +617,7 @@ class TestStartValidation:
         calls = []
         monkeypatch.setattr(gates, "_propagator", lambda *args: calls.append(args))
         with pytest.raises(InvalidStateError, match=message):
-            first_order_coefficient(math.pi, s0)
+            square_c(math.pi, s0)
         with pytest.raises(InvalidStateError, match=message):
             sweep_failure_probabilities(math.pi, s0, [1e-3])
         assert calls == []
@@ -452,6 +626,6 @@ class TestStartValidation:
     def test_a_start_within_the_slack_is_pure(self, radius):
         # the Bloch slack is the one tolerance on both sides of the sphere
         s0 = (0.0, 0.0, -radius)
-        assert first_order_coefficient(math.pi, s0) == pytest.approx(SLOPE_PI_GROUND, rel=1e-8)
+        assert square_c(math.pi, s0) == pytest.approx(SLOPE_PI_GROUND, rel=1e-8)
         assert sweep_failure_probabilities(math.pi, s0, [1e-3])[0] == pytest.approx(
             P_PI_GROUND_1E3, rel=1e-8)

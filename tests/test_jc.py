@@ -9,16 +9,16 @@ from scipy.stats import poisson
 import oracles
 from lasergate import jc
 from lasergate.cli import START_STATES
+from lasergate.gates import coefficients
 from lasergate.jc import (
     MAX_N_BAR,
-    _amplitudes,
     _poisson_weight,
     _population,
     _window,
     check_photon_numbers,
     jc_gate_error,
 )
-from lasergate.qcore import InvalidStateError
+from lasergate.qcore import InvalidStateError, _amplitudes
 
 # the Bloch vectors of the named starts, and their amplitudes for the oracles
 GROUND, EXCITED, PLUS = (START_STATES[name] for name in ("ground", "excited", "plus"))
@@ -265,13 +265,9 @@ class TestAgainstMultiprecision:
         (math.pi / 2, GROUND, None), (math.pi / 2, EXCITED, None),
     ], ids=["pi-plus", "pi2-ground", "pi2-excited"])
     def test_second_order_holds_up_to_the_cap(self, theta, start, b):
-        # p = (c'_JC + b / nbar) / nbar, c'_JC = |int_0^(theta/2) a(tau)^2 dtau|^2
-        # along the ideal rotation a(tau) = cos(tau) a_0 - i sin(tau) b_0, and
-        # b read at nbar = 1e7 where it is not given; from 1e10 to the cap
-        b_0, a_0 = AMPLITUDES[start]
-        i_cc, i_ss = theta / 4 + math.sin(theta) / 4, theta / 4 - math.sin(theta) / 4
-        i_cs = math.sin(theta / 2) ** 2 / 2
-        c_prime = abs(a_0 * a_0 * i_cc - 2j * a_0 * b_0 * i_cs - b_0 * b_0 * i_ss) ** 2
+        # p = (c'_JC + b / nbar) / nbar, with c'_JC from the gate's coefficient
+        # record and b read at nbar = 1e7 where it is not given; from 1e10 to the cap
+        c_prime = coefficients(((theta, 0.0),), start).c_prime_jc
         if b is None:
             b = (jc_gate_error(theta, start, 1e7) * 1e7 - c_prime) * 1e7
         for n_bar in (1e10, 1e11, 1e12, 1e13, MAX_N_BAR):

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 import oracles
 from lasergate import lindblad
-from lasergate.cli import EXIT_CONFIG, EXIT_OK, START_STATES, main
-from lasergate.gates import first_order_coefficient, sweep_failure_probabilities
+from lasergate.cli import START_STATES
+from lasergate.gates import coefficients, sweep_failure_probabilities
 from lasergate.lindblad import EXACT, MAX_RATIO, MAX_THETA, RK4_FIXED, evolve
 from lasergate.qcore import BLOCH_SLACK, InvalidStateError
 from oracles import bloch_density, sample_matrices
@@ -335,7 +335,7 @@ class TestExactPropagator:
                 assert np.max(np.abs(got - want)) <= 1e-14, (start, ratio)
 
     @pytest.mark.parametrize("ratio", [1e6, 1e10, 1e20, 1e100, MAX_RATIO])
-    def test_large_ratio_reaches_the_steady_state(self, tmp_path, ratio):
+    def test_large_ratio_reaches_the_steady_state(self, ratio):
         # every transient of a pi pulse decays at least as exp(-pi r / 4), 0 in
         # double precision from r = 1e6, so the final state is the driven
         # steady state, rho_aa = 4 / (8 + r^2) and rho_ab = -2i r / (8 + r^2)
@@ -347,8 +347,6 @@ class TestExactPropagator:
         if ratio == 1e6:
             want = oracles.evolve_mp(bloch_density(GROUND), math.pi, ratio)
             assert np.max(np.abs(final - want)) <= 1e-15
-        argv = ["simulate", "--ratio", repr(ratio), "--samples", "1", "--out", str(tmp_path / "o")]
-        assert main(argv) == EXIT_OK
 
     # a sweep reads each ratio's p from that ratio's map alone, so the grid
     # around it does not change it, and p is the final state's population
@@ -381,25 +379,19 @@ class TestExactPropagator:
             want = oracles.evolve_superop(bloch_density(s0), 2.0 * t, 0.25)
             assert np.max(np.abs(m - want)) <= 1e-12
 
-    def test_ratio_past_max_ratio_is_refused_at_any_samples(self, tmp_path):
+    def test_ratio_past_max_ratio_is_refused_at_any_samples(self):
         # at 1e200 rk4_fixed's N^2 = (q - 2)(q + 2) is inf, whatever the step:
         # the ratio is refused before either map is formed, at any sample count
         for method, samples in itertools.product((EXACT, RK4_FIXED), (1, 200)):
             with pytest.raises(InvalidStateError,
                                match=r"^kappa/g_alpha must be in \[0, 1e\+150\], got 1e\+200$"):
                 evolve(GROUND, math.pi, 1e200, samples, method)
-            argv = ["simulate", "--ratio", "1e200", "--samples", str(samples),
-                    "--method", method, "--out", str(tmp_path / "o")]
-            assert main(argv) == EXIT_CONFIG
 
-    def test_a_short_rk4_pulse_at_max_ratio_runs(self, tmp_path):
+    def test_a_short_rk4_pulse_at_max_ratio_runs(self):
         # r h = 1e150 * 5e-304: far inside RK4's stable region, and N^2 =
         # 6.25e298 is a double, so the pulse leaves the start where it was
         trajectory = evolve(GROUND, 1e-300, MAX_RATIO, 1, RK4_FIXED)
         assert trajectory.z == (-1.0, -1.0)
-        argv = ["simulate", "--method", "rk4_fixed", "--theta", "1e-300", "--ratio",
-                repr(MAX_RATIO), "--samples", "1", "--out", str(tmp_path / "o")]
-        assert main(argv) == EXIT_OK
 
     @pytest.mark.parametrize("start", sorted(START_STATES))
     def test_the_greatest_pulse_runs_in_one_segment(self, start):
@@ -429,19 +421,10 @@ class TestExactPropagator:
                               (lambda: sweep_failure_probabilities(MAX_THETA, GROUND,
                                                                    [MAX_RATIO, past_ratio]),
                                ratio_refusal),
-                              (lambda: first_order_coefficient(past_theta, GROUND),
+                              (lambda: coefficients(((past_theta, 0.0),), GROUND),
                                theta_refusal)]:
             with pytest.raises(InvalidStateError, match=f"^{message}$"):
                 call()
-
-    @pytest.mark.parametrize(
-        "argv",
-        [["simulate", "--method", "rk45_adaptive"], ["sweep", "--rtol", "1e-10"],
-         ["compare", "--rtol", "1e-8"]],
-        ids=["method", "rtol-sweep", "rtol-compare"],
-    )
-    def test_cli_rejects_removed_solver_keys(self, tmp_path, argv):
-        assert main([*argv, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
 
 
 class TestValidation:

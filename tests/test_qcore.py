@@ -17,11 +17,12 @@ from lasergate.budget import (
     raman_constraint,
 )
 from lasergate.cli import START_STATES
-from lasergate.jc import _amplitudes, jc_gate_error
+from lasergate.jc import jc_gate_error
 from lasergate.lindblad import evolve
 from lasergate.qcore import (
     BLOCH_SLACK,
     InvalidStateError,
+    _amplitudes,
     check_bloch,
     check_pure_start,
     check_start,
@@ -247,7 +248,7 @@ class TestDensityMatrixInvariants:
 class TestPureState:
     """A pure start is a Bloch vector on the unit sphere, ||s| - 1| <=
     BLOCH_SLACK (:func:`qcore.check_pure_start`); ``jc`` alone turns it into
-    amplitudes (:func:`jc._amplitudes`)."""
+    amplitudes (:func:`qcore._amplitudes`)."""
 
     def test_rejects_unnormalized(self):
         # the vector of a mixed state lies inside the sphere, and past the slack
