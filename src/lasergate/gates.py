@@ -66,6 +66,15 @@ def coefficients(segments, s0) -> Coefficients:
     to the next segment by the segment's ideal rotation.  ``s0`` is checked
     pure, and every theta as :func:`lindblad.check_pulse` does and every phi
     finite, before any arithmetic.
+
+    Precision: each segment's integrals sum terms as large as its area theta
+    to a c that can be far smaller, so c is right to about one ulp of theta,
+    absolutely (at most 1.2e-16 theta for theta from 1e-3 to 4 pi, against a
+    40-digit quadrature).  Relative to c that is 1e-13 or better for every
+    start from theta = 0.5 up, and for starts away from the ground state from
+    theta = 0.1 up.  From the ground state c = (theta / 2)^5 / 5 to leading
+    order, and c is off by 3.5e-11 relative at theta = 0.1, by 1.9e-7 at
+    1e-2 and by 2.5e-3 at 1e-3.  ``sweep`` prints c at theta = pi and pi / 2.
     """
     x_b, x_a = _amplitudes(check_pure_start(s0))
     segments = tuple(segments)

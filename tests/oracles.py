@@ -161,13 +161,6 @@ def ideal_state(psi0: np.ndarray, theta: float) -> np.ndarray:
     return u @ psi0
 
 
-def failure_superop(psi0: np.ndarray, theta: float, ratio: float) -> float:
-    psi0 = np.asarray(psi0, dtype=complex)
-    rho = evolve_superop(np.outer(psi0, psi0.conj()), theta, ratio)
-    target = ideal_state(psi0, theta)
-    return float(1.0 - np.real(target.conj() @ rho @ target))
-
-
 def failure_mp(psi0: np.ndarray, theta: float, ratio: float) -> mpmath.mpf:
     """Gate failure <psi_perp| rho(T) |psi_perp> of one theta pulse in 40-digit
     arithmetic: :func:`failure_sequence_mp` of the one segment (theta, 0)."""

@@ -1,7 +1,6 @@
 import itertools
 import math
 import re
-import sys
 
 import mpmath
 import pytest
@@ -14,8 +13,6 @@ from lasergate.budget import (
     ENERGY_PER_WAVELENGTH_CUBED_COEFFICIENT,
     INPUT_BOX,
     PHOTON_THRESHOLD_COEFFICIENT,
-    RAMAN_ELIMINATION_COEFFICIENT,
-    RESONANT_CHAIN_COEFFICIENT,
     PiPulseBudget,
     fixed_intensity_area_sweep,
     pi_pulse_budget,
@@ -71,12 +68,6 @@ def _raman(detuning, rabi, gamma, epsilon):
 
 
 class TestGeometry:
-    def test_cross_section_identity(self):
-        # 3 pi / (2 k^2) == 3 lambda^2 / (8 pi)
-        sigma = pi_pulse_budget(1e-6, 1e-12, 1e-29, 1e5).sigma_eff_m2
-        assert sigma == pytest.approx(3 * (1e-6) ** 2 / (8 * math.pi), rel=1e-14)
-        assert sigma == pytest.approx(1.1937e-13, rel=1e-4)
-
     def test_subwavelength_focus_is_refused(self):
         # kappa = Gamma sigma_eff / A holds only for A >= sigma_eff: the matched
         # beam runs, and a narrower one is refused, also at the longest wavelength
@@ -99,39 +90,7 @@ class TestGeometry:
             pi_pulse_budget(1e-6, -1.0, 1e-29, 1e5)
 
 
-class TestKappaFromBeam:
-    """The budget's kappa = Gamma sigma_eff / A, the decay rate into the
-    beam-aligned vacuum modes."""
-
-    def test_reference_point(self):
-        # Gamma = 1e7 /s at lambda = 1 um, A = 1e-12 m^2 -> kappa = 1.1937e6 /s
-        wavelength = 1e-6
-        omega = 2 * math.pi * budget.C / wavelength
-        gamma_target = 1e7
-        dipole = math.sqrt(
-            gamma_target * 3 * math.pi * budget.EPSILON0 * budget.HBAR * budget.C**3 / omega**3
-        )
-        report = pi_pulse_budget(wavelength, 1e-12, dipole, 1e5)
-        assert report.gamma_per_s == pytest.approx(gamma_target, rel=1e-12)
-        assert report.kappa_per_s == pytest.approx(1.1937e6, rel=1e-4)
-
-    def test_matched_area_gives_full_rate(self):
-        sigma = pi_pulse_budget(1e-6, 1e-12, 1e-29, 1e5).sigma_eff_m2
-        report = pi_pulse_budget(1e-6, sigma, 1e-29, 1e5)
-        assert report.kappa_per_s == pytest.approx(report.gamma_per_s, rel=1e-12)
-
-    def test_wide_beam_suppression(self):
-        sigma = pi_pulse_budget(1e-6, 1e-12, 1e-29, 1e5).sigma_eff_m2
-        report = pi_pulse_budget(1e-6, 1e6 * sigma, 1e-29, 1e5)
-        assert report.kappa_per_s == pytest.approx(1e-6 * report.gamma_per_s, rel=1e-12)
-
-
 class TestPhotonRelations:
-    def test_error_vs_photons_reference(self):
-        # p = c' / nbar with c' = 3 pi^2 / 32: 0.93 / 1e6 ~ 9.3e-7
-        assert PI_PULSE_PHOTON_COEFFICIENT / 1e6 == pytest.approx(9.3e-7, rel=0.01)
-        assert PI_PULSE_PHOTON_COEFFICIENT / 1e12 < 1e-11
-
     @given(beam=beams, dipole=dipoles, amplitude=amplitudes)
     @settings(max_examples=100, deadline=None)
     def test_flux_relation_closes_the_chain(self, beam, dipole, amplitude):
@@ -160,18 +119,6 @@ class TestPhotonRelations:
         assert p_ratio == pytest.approx(p_photon, rel=1e-10)
 
     @given(beam=beams, dipole=dipoles, amplitude=amplitudes)
-    @settings(max_examples=100, deadline=None)
-    def test_all_modes_error_counts_photons_near_the_atom(self, beam, dipole, amplitude):
-        wavelength, area = beam
-        # swapping A -> sigma_eff (kappa -> Gamma) turns nbar into nbar'
-        inputs = (wavelength, area, dipole, amplitude)
-        _, _, gamma, _, rabi, _ = _rates(*inputs)
-        budget = pi_pulse_budget(*inputs)
-        p_gamma = PI_PULSE_RABI_SLOPE * gamma / rabi
-        p_photon = PI_PULSE_PHOTON_COEFFICIENT / budget.n_bar_prime
-        assert p_gamma == pytest.approx(p_photon, rel=1e-10)
-
-    @given(beam=beams, dipole=dipoles, amplitude=amplitudes)
     @settings(max_examples=60, deadline=None)
     def test_photon_count_ratio_is_geometric(self, beam, dipole, amplitude):
         wavelength, area = beam
@@ -182,7 +129,7 @@ class TestPhotonRelations:
         assert budget.n_bar >= budget.n_bar_prime
 
 
-class TestMinPhotonConstraint:
+class TestPiPulseReport:
     def test_required_photons_at_1e4(self):
         report = pi_pulse_budget(1e-6, 1e-12, 1e-29, 1e5, epsilon=1e-4)
         assert report.required_n_bar_prime == pytest.approx(2.467401100272e4, rel=1e-10)
@@ -248,35 +195,7 @@ class TestMinPhotonConstraint:
         assert report.margin_energy_form == report.constraint_margin
 
 
-class TestEmissionMarginChain:
-    @given(data=st.data())
-    @settings(max_examples=200, deadline=None)
-    def test_all_forms_agree_for_pi_pulse(self, data):
-        # anywhere inside the box, A from sigma_eff up
-        wavelength = data.draw(_in_box("wavelength"))
-        sigma = pi_pulse_budget(wavelength, 1.0, 1e-29, 1e5).sigma_eff_m2
-        _assert_margins_agree(pi_pulse_budget(
-            wavelength, data.draw(_in_box("mode_area", sigma)),
-            *(data.draw(_in_box(name)) for name in ("dipole", "field_amplitude", "epsilon"))))
-
-    def test_satisfied_tracks_purity_margin(self):
-        inputs = (1e-6, 1e-10, 1e-29, 1e8)
-        good = pi_pulse_budget(*inputs, epsilon=0.5)
-        assert good.satisfied == (good.margin_purity_form > 1.0)
-        bad = pi_pulse_budget(*inputs, epsilon=1e-9)
-        assert bad.satisfied == (bad.margin_purity_form > 1.0)
-
-
-class TestEnergyDensityBound:
-    def test_coefficient_value(self):
-        report = pi_pulse_budget(1e-6, 1e-12, 1e-29, 1e5, epsilon=1e-4)
-        assert ENERGY_PER_WAVELENGTH_CUBED_COEFFICIENT == pytest.approx(16 * math.pi**2 / 3)
-        assert ENERGY_PER_WAVELENGTH_CUBED_COEFFICIENT == pytest.approx(52.6, rel=1e-3)
-        assert report.min_energy_per_lambda3_J == pytest.approx(
-            ENERGY_PER_WAVELENGTH_CUBED_COEFFICIENT * budget.HBAR / (1e-4 * report.duration_s),
-            rel=1e-12,
-        )
-
+class TestMinEnergyPerLambda3:
     def test_doubling_duration_halves_bound(self):
         # halving the field amplitude doubles T = pi hbar / (d E0)
         a = pi_pulse_budget(1e-6, 1e-12, 1e-29, 1e5, epsilon=1e-4)
@@ -308,19 +227,6 @@ class TestRaman:
         assert report.satisfied
         assert report.purity_loss == pytest.approx(1e-5, rel=1e-12)
         assert report.margin == pytest.approx(10.0, rel=1e-12)
-
-    def test_detuning_elimination_is_exact(self):
-        # substituting Delta = Omega_R^2 T / pi must reproduce Gamma/Delta
-        rabi, gamma = 1.1e9, 5e5
-        report = _raman(3.7e10, rabi, gamma=gamma, epsilon=1e-3)
-        eliminated = RAMAN_ELIMINATION_COEFFICIENT * gamma / (rabi**2 * report.duration_s)
-        assert eliminated == pytest.approx(report.purity_loss, rel=1e-12)
-
-    def test_coefficient_gap_is_pi(self):
-        assert RAMAN_ELIMINATION_COEFFICIENT == pytest.approx(math.pi)
-        assert RESONANT_CHAIN_COEFFICIENT == pytest.approx(math.pi**2)
-        assert RESONANT_CHAIN_COEFFICIENT / RAMAN_ELIMINATION_COEFFICIENT == \
-            pytest.approx(math.pi, rel=1e-12)
 
     def test_borderline_margin_is_one(self):
         report = _raman(1e11, 1e9, gamma=1e11 * 1e-4, epsilon=1e-4)
@@ -578,57 +484,8 @@ class TestRangeFailures:
             build()
 
 
-def _log_uniform(low: float, high: float):
-    """10**e for e uniform in [``low``, ``high``]."""
-    return st.floats(min_value=low, max_value=high).map(lambda e: 10.0**e)
-
-
-def _in_box(name: str, least: float | None = None):
-    """Log-uniform over the INPUT_BOX range of ``name``, or from ``least`` up."""
-    low, high = INPUT_BOX[name]
-    low = low if least is None else least
-    return _log_uniform(math.log10(low), math.log10(high)).filter(lambda x: low < x <= high)
-
-
 # log-uniform over the positive doubles, from the subnormals to the largest powers of ten
-anywhere = _log_uniform(-320.0, 308.0)
-
-
-def _all_normal(record):
-    values = [v for value in record for v in (value if isinstance(value, tuple) else (value,))]
-    return all(sys.float_info.min <= v <= sys.float_info.max for v in values)
-
-
-class TestRecordsAreFinite:
-    """Over the whole double range, each budget function refuses its inputs
-    or returns a record whose every value, and every column entry, is a
-    positive normal double.  Each input is drawn from anywhere or from its
-    INPUT_BOX range, so that some draws are accepted."""
-
-    @given(wavelength=anywhere | _in_box("wavelength"),
-           mode_area=anywhere | _in_box("mode_area", 1e-23),
-           dipole=anywhere | _in_box("dipole"), field=anywhere | _in_box("field_amplitude"),
-           epsilon=anywhere | _in_box("epsilon"), points=st.integers(min_value=2, max_value=5),
-           detuning=anywhere | _in_box("detuning", 1e-12))
-    @settings(max_examples=200, deadline=None)
-    def test_refused_or_finite(self, wavelength, mode_area, dipole, field, epsilon, points,
-                               detuning):
-        try:
-            report = pi_pulse_budget(wavelength, mode_area, dipole, field, epsilon)
-        except InvalidStateError:
-            return
-        assert _all_normal(report), report
-        try:
-            raman = raman_constraint(report, detuning)
-        except InvalidStateError:
-            pass
-        else:
-            assert _all_normal(raman), raman
-        try:
-            sweep = fixed_intensity_area_sweep(report, points)
-        except InvalidStateError:
-            return
-        assert _all_normal(sweep), sweep
+anywhere = st.floats(min_value=-320.0, max_value=308.0).map(lambda e: 10.0**e)
 
 
 def _outside(name: str):
@@ -759,13 +616,6 @@ def _raman_corners():
 CORNER_LEAST, CORNER_GREATEST = 1e-100, 1e100
 
 
-def _assert_margins_agree(report):
-    """The four margin forms of ``report`` agree with ``constraint_margin`` to 1e-13."""
-    for form in (report.margin_purity_form, report.margin_rabi_form,
-                 report.margin_explicit_form, report.margin_energy_form):
-        assert abs(form / report.constraint_margin - 1) <= 1e-13, report
-
-
 def _assert_matches(fields: tuple, values: tuple, exact: dict, rel: float = 1e-13):
     """Each of ``values``, named by ``fields``, lies within ``rel`` of its
     ``exact`` value, which lies in [CORNER_LEAST, CORNER_GREATEST]."""
@@ -800,8 +650,13 @@ class TestInputBox:
                     "purity_loss": mpmath.pi * gamma / (rabi**2 * mpf(raman.duration_s))})
 
     def test_margin_forms_agree_at_every_corner(self):
+        # each form is a product of powers of the inputs, so it rounds by a
+        # few ulps at any accepted input, and at the corners too
         for inputs in _beam_corners():
-            _assert_margins_agree(pi_pulse_budget(*inputs))
+            report = pi_pulse_budget(*inputs)
+            for form in (report.margin_purity_form, report.margin_rabi_form,
+                         report.margin_explicit_form, report.margin_energy_form):
+                assert abs(form / report.constraint_margin - 1) <= 1e-13, report
 
     def test_each_range_is_a_budget_key(self):
         # the box holds only what a user types: each name is a key of the

@@ -119,16 +119,6 @@ class TestCoherentField:
             with pytest.raises(InvalidStateError, match=r"in \[25, MAX_N_BAR = 1e\+14\]"):
                 jc_gate_error(math.pi, GROUND, n_bar)
 
-    def test_negative_alpha_rejected(self):
-        # nbar = alpha^2 cannot be negative
-        with pytest.raises(InvalidStateError, match="nbar"):
-            jc_gate_error(math.pi, GROUND, -1.0)
-
-    @pytest.mark.parametrize("alpha", [math.nan, math.inf])
-    def test_non_finite_alpha_rejected(self, alpha):
-        with pytest.raises(InvalidStateError, match="nbar"):
-            jc_gate_error(math.pi, GROUND, alpha ** 2)
-
 
 class TestPhotonNumbers:
     def test_domain_is_25_to_the_cap(self):
@@ -136,10 +126,12 @@ class TestPhotonNumbers:
         assert check_photon_numbers(n_bars) == tuple(map(float, n_bars))
         assert check_photon_numbers(()) == ()
 
-    @pytest.mark.parametrize("n_bar", [24.999999999999996, 0.0, -400.0, math.nan])
+    @pytest.mark.parametrize("n_bar", [24.999999999999996, 9.0, 0.0, -1.0, -400.0, math.nan])
     def test_below_the_semiclassical_floor_refused(self, n_bar):
         with pytest.raises(InvalidStateError, match="semiclassical"):
             check_photon_numbers([400.0, n_bar])
+        with pytest.raises(InvalidStateError, match="semiclassical"):
+            jc_gate_error(math.pi, GROUND, n_bar)
 
     @pytest.mark.parametrize("n_bar", [math.nextafter(MAX_N_BAR, math.inf), 1e15, 1e300, math.inf])
     def test_above_the_cap_refused(self, n_bar):
@@ -289,11 +281,6 @@ class TestGateError:
             p = jc_gate_error(math.pi, GROUND, n_bar)
             assert p * n_bar == pytest.approx(frozen, abs=1e-7)
 
-    def test_one_over_nbar_scaling(self):
-        p100 = jc_gate_error(math.pi, GROUND, 100)
-        p400 = jc_gate_error(math.pi, GROUND, 400)
-        assert abs(p100 * 100 - p400 * 400) / (p100 * 100) <= 0.10
-
     def test_truncation_robustness(self):
         # the fixed window against the 40-digit sum on a window twice as wide
         base = jc_gate_error(math.pi, GROUND, 400)
@@ -305,10 +292,6 @@ class TestGateError:
         # phase-fluctuation error of the superposition gate: loose band only
         p = jc_gate_error(math.pi / 2, PLUS, 400)
         assert 0.05 <= p * 400 <= 1.0
-
-    def test_semiclassical_floor(self):
-        with pytest.raises(InvalidStateError, match="semiclassical"):
-            jc_gate_error(math.pi, GROUND, 9.0)
 
     def test_supported_areas_only(self):
         # any area in (0, 2 pi] is summed; the rest is refused
@@ -328,12 +311,6 @@ class TestGateError:
         p = jc_gate_error(math.pi, GROUND, n_bar)
         assert abs(p * n_bar - 0.62) <= 0.10
 
-    def test_hundred_million_photons_is_cheap_and_asymptotic(self):
-        start = time.perf_counter()
-        p = jc_gate_error(math.pi, GROUND, 1e8)
-        assert time.perf_counter() - start < 1.0
-        assert abs(p * 1e8 - math.pi**2 / 16) <= 1e-6
-
     def test_coupling_drops_out(self):
         # only g T enters: the oracle at g = 3.5, with T down by the same
         # factor, gives the p that jc_gate_error computes without any g
@@ -343,29 +320,16 @@ class TestGateError:
 
 
 class TestGuards:
-    def test_revival_regime_rejected(self):
-        # theta <= 2 pi keeps the pulse within one mean-field Rabi period
-        with pytest.raises(InvalidStateError, match="pulse area"):
-            jc_gate_error(1.01 * 2.0 * math.pi, GROUND, 25.0)
-
-    def test_negative_duration_rejected(self):
-        with pytest.raises(InvalidStateError, match="pulse area"):
-            jc_gate_error(-0.1, GROUND, 25.0)
-
-    def test_fock_atom_state_rejected(self):
-        # |n = 1> of a 4-level system is no Bloch vector of one qubit
-        with pytest.raises(InvalidStateError, match="expected a Bloch vector of 3 numbers"):
-            jc_gate_error(math.pi, np.array([0, 1, 0, 0]), 25.0)
-
     @pytest.mark.parametrize("s0, message", [
         ((0.0, 0.0, 0.0), r"not pure: Bloch vector \|s\| = 0$"),
         ((0.0, 0.8, 0.0), r"not pure: Bloch vector \|s\| = 0.8$"),
         ((0.0, 0.0, 1.0 + 2e-9), r"\|s\| = 1.000000002 lies outside the unit ball"),
         ((0.0, math.nan, 0.0), r"\|s\| = nan lies outside"),
         ((1.0, 0.0), "expected a Bloch vector of 3 numbers"),
+        ((0.0, 1.0, 0.0, 0.0), "expected a Bloch vector of 3 numbers"),
         ((1j, 0.0, 0.0), "expected a Bloch vector of 3 numbers"),
         ("xyz", "expected a Bloch vector of 3 numbers"),
-    ], ids=["centre", "mixed", "outside", "nan", "two", "complex", "string"])
+    ], ids=["centre", "mixed", "outside", "nan", "two", "four", "complex", "string"])
     def test_only_a_pure_qubit_start_is_accepted(self, monkeypatch, s0, message):
         # refused before any Fock level is read
         calls = []
@@ -387,11 +351,6 @@ class TestGuards:
             for theta in (math.pi, math.pi / 2):
                 assert jc_gate_error(theta, s0, 400.0) == pytest.approx(
                     jc_gate_error(theta, unit, 400.0), rel=1e-7)
-
-    @pytest.mark.parametrize("theta", [math.nan, math.inf])
-    def test_non_finite_duration_rejected(self, theta):
-        with pytest.raises(InvalidStateError, match="pulse area"):
-            jc_gate_error(theta, EXCITED, 25.0)
 
     def test_returned_state_has_unit_trace(self):
         # the populations on the target and on psi_perp sum to the trace, 1

@@ -6,7 +6,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -47,23 +47,6 @@ def rk4(s0, theta: float, ratio: float, samples: int = 1, steps: int = 400):
         return evolve(s0, theta, ratio, samples, RK4_FIXED)
 
 
-# The Bloch equations on v = (1, x, y, z), written out by hand: the drive turns
-# (y, z) at twice the coupling; the decay damps x and y at half its rate and
-# relaxes z to -1 at the full rate.  TestRhs checks them against the kron-form
-# superoperator of oracles.py.
-BLOCH_DRIVE = np.array([[0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0],
-                        [0.0, 0.0, 0.0, 2.0], [0.0, 0.0, -2.0, 0.0]])
-BLOCH_DECAY = np.array([[0.0, 0.0, 0.0, 0.0], [0.0, -0.5, 0.0, 0.0],
-                        [0.0, 0.0, -0.5, 0.0], [-1.0, 0.0, 0.0, -1.0]])
-
-
-def lindblad_rhs(s, g: float, kappa: float) -> np.ndarray:
-    """drho/dt from the Bloch equations g BLOCH_DRIVE + kappa BLOCH_DECAY."""
-    gen = g * BLOCH_DRIVE + kappa * BLOCH_DECAY
-    w, x, y, z = gen @ (1.0, *s)
-    return np.array([[w - z, x - 1j * y], [x + 1j * y, w + z]]) / 2.0
-
-
 def ground_trajectory(theta: float):
     """16-sample trajectory of the ground state through a pulse of area
     ``theta``, without decay."""
@@ -82,16 +65,6 @@ class TestSpecs:
         traj = ground_trajectory(5.0)
         want = (1.0 - np.cos(2.0 * np.array(traj.times))) / 2.0
         assert np.max(np.abs(sample_matrices(traj)[:, 1, 1].real - want)) <= 1e-12
-
-    def test_zero_area_zero_duration(self):
-        assert np.array_equal(ground_trajectory(0.0).times, np.zeros(17))
-
-    def test_negative_inputs_rejected(self):
-        rho0 = GROUND
-        with pytest.raises(InvalidStateError, match="theta must be"):
-            evolve(rho0, -1.0, 0.0)
-        with pytest.raises(InvalidStateError, match="kappa/g_alpha must be"):
-            evolve(rho0, 1.0, -0.1)
 
     # the counts are refused, samples first, then method, as InvalidStateError
     # rather than a TypeError from range or from the stepper
@@ -115,64 +88,21 @@ class TestSpecs:
         want = evolve(s0, 1.0, 0.1, samples=3, method=RK4_FIXED)
         assert evolve(s0, 1.0, 0.1, samples=np.int64(3), method=RK4_FIXED) == want
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf])
-    def test_non_finite_inputs_rejected(self, bad):
-        rho0 = GROUND
-        with pytest.raises(InvalidStateError, match="theta must be"):
-            evolve(rho0, bad, 0.0)
-        with pytest.raises(InvalidStateError, match="kappa/g_alpha must be"):
-            evolve(rho0, 1.0, bad)
-
-
-class TestRhs:
-    def test_ground_state_no_decay(self):
-        # only the drive acts: populations stationary, coherence slope of unit magnitude
-        drho = lindblad_rhs(GROUND, 1.0, 0.0)
-        assert drho[1, 1] == 0.0
-        assert drho[0, 0] == 0.0
-        assert abs(drho[1, 0]) == pytest.approx(1.0)
-        assert drho[1, 0].real == pytest.approx(0.0)
-
-    def test_pure_decay_from_excited(self):
-        drho = lindblad_rhs(EXCITED, 0.0, 1.0)
-        assert drho[1, 1].real == pytest.approx(-1.0)
-        assert drho[0, 0].real == pytest.approx(1.0)
-
-    def test_traceless_and_hermitian_on_random_states(self):
-        rng = np.random.default_rng(11)
-        for _ in range(100):
-            drho = lindblad_rhs(random_bloch(rng), 1.0, float(rng.uniform(0, 2)))
-            assert abs(np.trace(drho)) <= 1e-12
-            assert np.max(np.abs(drho - drho.conj().T)) <= 1e-12
-
-    def test_matches_superoperator_generator(self):
-        rng = np.random.default_rng(3)
-        for ratio in (0.0, 0.3, 1.7):
-            s = random_bloch(rng)
-            drho = lindblad_rhs(s, 1.0, ratio)
-            expected = (oracles.liouvillian(ratio) @ np.ravel(bloch_density(s))).reshape(2, 2)
-            assert np.max(np.abs(drho - expected)) <= 1e-13
-
-
 class TestEvolve:
-    def test_unitary_pi_pulse_flips_ground(self):
-        trajectory = evolve(GROUND, math.pi, 0.0)
-        assert trajectory.z[-1] == pytest.approx(1.0, abs=2e-8)
-
     # at theta 0 the step is 0, so each segment's map is the identity, up to
     # MAX_RATIO, where rk4_fixed's N^2 is at its greatest (6.25e298)
-    @pytest.mark.parametrize("propagate", [evolve, rk4], ids=["exact", "rk4"])
-    @pytest.mark.parametrize("ratio", [0.3, 1e20, MAX_RATIO])
-    def test_zero_area_is_identity(self, propagate, ratio):
-        s0 = (0.0, 1.0, 0.0)
-        assert np.array_equal(sample_matrices(propagate(s0, 0.0, ratio)),
-                              [bloch_density(s0)] * 2)
-
     @given(start=st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(in_the_ball),
            ratio=st.one_of(st.floats(0.0, MAX_RATIO), st.sampled_from([0.0, 8.0, MAX_RATIO])),
            method=st.sampled_from([EXACT, RK4_FIXED]), samples=st.sampled_from([1, 2, 7, 64]),
            theta=st.sampled_from([0.0, -0.0]))
     @settings(max_examples=200, deadline=None)
+    @example(start=GROUND, ratio=0.0, method=EXACT, samples=16, theta=0.0)
+    @example(start=(0.0, 1.0, 0.0), ratio=0.3, method=EXACT, samples=1, theta=0.0)
+    @example(start=(0.0, 1.0, 0.0), ratio=1e20, method=EXACT, samples=1, theta=0.0)
+    @example(start=(0.0, 1.0, 0.0), ratio=MAX_RATIO, method=EXACT, samples=1, theta=0.0)
+    @example(start=(0.0, 1.0, 0.0), ratio=0.3, method=RK4_FIXED, samples=1, theta=0.0)
+    @example(start=(0.0, 1.0, 0.0), ratio=1e20, method=RK4_FIXED, samples=1, theta=0.0)
+    @example(start=(0.0, 1.0, 0.0), ratio=MAX_RATIO, method=RK4_FIXED, samples=1, theta=0.0)
     def test_zero_area_returns_the_start_at_every_sample(self, start, ratio, method, samples,
                                                          theta):
         trajectory = evolve(start, theta, ratio, samples, method)
@@ -198,15 +128,6 @@ class TestEvolve:
             got = sample_matrices(propagate(s0, theta, ratio))[-1]
             want = oracles.evolve_superop(bloch_density(s0), theta, ratio)
             assert np.max(np.abs(got - want)) <= 1e-9
-
-    def test_excited_population_deficit_first_order(self):
-        # 1 - rho_aa(T) = (3 pi / 16) * kappa/g_alpha to first order, here
-        # checked at 1% and 0.2% relative for ratios 1e-3 and 1e-4
-        s0 = GROUND
-        for ratio, rel in [(1e-3, 0.01), (1e-4, 0.002)]:
-            deficit = (1.0 - evolve(s0, math.pi, ratio).z[-1]) / 2.0
-            expected = (3.0 * math.pi / 16.0) * ratio
-            assert deficit == pytest.approx(expected, rel=rel)
 
     def test_trajectory_sampling(self):
         trajectory = evolve(GROUND, math.pi, 0.1, samples=16)
@@ -256,21 +177,6 @@ class TestConservationLaws:
 
 
 class TestConvergenceOrder:
-    def test_rk4_error_scales_as_h4(self):
-        # halving h should shrink the final-state error by ~2^4 against a
-        # reference 10x finer than the finer run
-        s0 = TILTED
-        theta, ratio = 3 * math.pi / 2, 0.3
-
-        def final_with(steps):
-            return sample_matrices(rk4(s0, theta, ratio, steps=steps))[-1]
-
-        reference = final_with(2000)
-        err_coarse = np.max(np.abs(final_with(100) - reference))
-        err_fine = np.max(np.abs(final_with(200) - reference))
-        assert err_fine > 0
-        assert 12.0 <= err_coarse / err_fine <= 20.0
-
     # ratio 0 has the steady state w* = 0, and 8 is the exceptional point,
     # where N^2 = 0
     @pytest.mark.parametrize("steps,samples,ratio", [
@@ -308,27 +214,17 @@ class TestConvergenceOrder:
 class TestExactPropagator:
     STARTS = {
         "ground": GROUND,
-        "excited": EXCITED,
-        "plus": START_STATES["plus"],
-        "tilted": oracles.pure_bloch((0.3, 0.8 - 0.5j)),
+        "tilted": TILTED,
+        "off-axis": oracles.pure_bloch((0.3, 0.8 - 0.5j)),
     }
-
-    @pytest.mark.parametrize("theta", [math.pi / 2, math.pi, 4 * math.pi])
-    def test_final_state_matches_scipy_expm(self, theta):
-        # 7.9, 8 and 8.1 bracket the exceptional point of the Bloch generator
-        ratios = [0.0, 1e-9, 1e-5, 7.9, 8.0, 8.1, 30.0, 1e3]
-        s0 = TILTED
-        for ratio in ratios:
-            want = oracles.evolve_superop(bloch_density(s0), theta, ratio)
-            assert np.max(np.abs(final_matrix(s0, theta, ratio) - want)) <= 1e-12
 
     @pytest.mark.parametrize("theta", [math.pi / 2, math.pi, 4 * math.pi])
     def test_final_state_matches_50_digit_exponential(self, theta):
         # the closed-form map on both sides of the exceptional point r = 8 and
         # deep in the strongly damped regime, against mpmath on the kron form
-        ratios = [0.0, 1e-9, 1e-3, 1.0, 7.9, 8.0 - 1e-6, 8.0, 8.0 + 1e-6, 8.1, 30.0, 1e3, 1e6]
-        for start in ("ground", "tilted"):
-            s0 = self.STARTS[start]
+        ratios = [0.0, 1e-9, 1e-5, 1e-3, 1.0, 7.9, 8.0 - 1e-6, 8.0, 8.0 + 1e-6, 8.1, 30.0, 1e3,
+                  1e6]
+        for start, s0 in self.STARTS.items():
             for ratio in ratios:
                 got = final_matrix(s0, theta, ratio)
                 want = oracles.evolve_mp(bloch_density(s0), theta, ratio)
@@ -365,11 +261,6 @@ class TestExactPropagator:
             assert p == sweep_failure_probabilities(theta, TILTED, [rate])[0]
             final = final_matrix(TILTED, theta, rate)
             assert abs(p - np.vdot(perp, final @ perp).real) <= 1e-15
-
-    @pytest.mark.parametrize("theta", [math.pi, math.pi / 2], ids=["pi", "pi2"])
-    @pytest.mark.parametrize("start", sorted(STARTS))
-    def test_no_decay_means_no_failure(self, theta, start):
-        assert sweep_failure_probabilities(theta, self.STARTS[start], [0.0])[0] <= 1e-14
 
     def test_trajectory_applies_one_step_propagator(self):
         s0 = EXCITED
@@ -428,17 +319,12 @@ class TestExactPropagator:
 
 
 class TestValidation:
-    def test_fock_dimension_rejected(self):
-        # the maximally mixed state of four levels, as its 15 Bloch components
-        with pytest.raises(InvalidStateError, match="expected a Bloch vector of 3 numbers"):
-            evolve(np.zeros(15), math.pi, 0.0)
-
     @pytest.mark.parametrize("s0", [
         (0.0, 0.0, 1.0 + 4 * BLOCH_SLACK), (0.6, 0.8, 0.1), (2.0, 0.0, 0.0),
         (math.nan, 0.0, 0.0), (0.0, math.nan, 0.0), (0.0, 0.0, math.nan),
-        (0.0, 0.0), (0.0, 0.0, 0.0, 0.0), ("x", 0.0, 0.0), (1j, 0.0, 0.0),
-    ], ids=["past-slack", "outside", "far-outside", "nan-x", "nan-y", "nan-z", "length-2",
-            "length-4", "text", "complex"])
+        (0.0, 0.0, 0.0, 0.0), ("x", 0.0, 0.0), (1j, 0.0, 0.0),
+    ], ids=["past-slack", "outside", "far-outside", "nan-x", "nan-y", "nan-z", "length-4",
+            "text", "complex"])
     def test_start_that_is_not_a_bloch_vector_is_refused(self, s0):
         with pytest.raises(InvalidStateError):
             evolve(s0, math.pi, 0.0)
